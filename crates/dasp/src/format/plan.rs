@@ -87,7 +87,7 @@ pub struct DaspPlan {
     pub(crate) gather: Vec<u32>,
 }
 
-/// The [`DaspPlan::gather`] marker for a padding slot (zero-filled, fed by
+/// The `DaspPlan::gather` marker for a padding slot (zero-filled, fed by
 /// no CSR element).
 pub const GATHER_PADDING: u32 = u32::MAX;
 

@@ -80,6 +80,11 @@ pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
             probe.panel(Some(panel));
             let w_p = b.panel_width(panel);
             let bp = b.panel(panel);
+            // One batched B access per panel: a row span of the w_p live
+            // columns per lane's column id, in lane order — the
+            // row-segment-then-k-then-jj order of the 8 issues below.
+            let starts: [usize; WARP_SIZE] = per_lane(|l| b.lin_index(panel, cids[l] as usize, 0));
+            probe.load_x_rows(&starts, w_p, S::BYTES);
             for r in 0..MMA_M {
                 // Pack row-segment r's gathered B rows across the live
                 // fragment columns; dead columns of a partial panel
@@ -95,18 +100,6 @@ pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
                         S::zero()
                     }
                 });
-                // One batched B access per row-segment, covering all
-                // 4*w_p gathered elements in k-then-jj emission order.
-                let mut xi = [0usize; WARP_SIZE];
-                let mut nx = 0;
-                for k in 0..MMA_K {
-                    let c = cids[r * MMA_K + k] as usize;
-                    for jj in 0..w_p {
-                        xi[nx] = b.lin_index(panel, c, jj);
-                        nx += 1;
-                    }
-                }
-                probe.load_x_warp(&xi[..nx], S::BYTES);
                 mma_m8n8k4_row_segment::<S>(&mut accs[panel], &block_a, &frag_b, r);
                 probe.mma();
                 probe.san_frag_mma(row_slots(r));

@@ -48,9 +48,18 @@
 //!
 //! `load_val`/`load_idx` fire **once per block per sweep** — however many
 //! panels the RHS has; that is the A-amortization the roofline estimate
-//! then shows — while `load_x` (B-side gathers, addressed through
+//! then shows — while the B-side gathers (addressed through
 //! [`DenseMat::lin_index`] so the cache model sees the panel-contiguous
-//! layout), `fma`, and `mma` counts equal the looped-SpMV totals. The
+//! layout), `fma`, and `mma` counts equal the looped-SpMV totals. The MMA
+//! kernels report a panel's B gathers as **row spans** in one
+//! [`dasp_simt::Probe::load_x_rows`] call: one start per lane, each
+//! opening the panel's `w_p` live columns of that lane's B row, in lane
+//! order (row segment, then `k`, then column — the order of the panel's
+//! eight MMA issues). The call is defined as the per-element `load_x`
+//! sequence, so the counters are those of element-wise accounting, while
+//! a counting probe classifies each span in one step. The scalar paths
+//! (the medium kernel's irregular tail and the singleton kernel) batch
+//! their per-element gathers through [`dasp_simt::XBatch`]. The
 //! kernels hint [`dasp_simt::Probe::panel`] around their loads, so a
 //! counting probe can split `dram`/`val`/`idx` bytes into a shared
 //! (A-resident) bin and per-panel bins. Partial panels only gather and

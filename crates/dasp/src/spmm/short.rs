@@ -137,6 +137,19 @@ fn pieced_warp<S: Scalar, P: Probe>(
             probe.panel(Some(panel));
             let w_p = b.panel_width(panel);
             let bp = b.panel(panel);
+            // One batched B access per panel: a row span of the w_p live
+            // columns per lane on an active k position of the pass, in
+            // lane order (the row-segment-then-k-then-jj order of the
+            // issues below).
+            let mut starts = [0usize; WARP_SIZE];
+            let mut ns = 0;
+            for l in 0..WARP_SIZE {
+                if piecing.active(i, l & 3) {
+                    starts[ns] = b.lin_index(panel, cids[l] as usize, 0);
+                    ns += 1;
+                }
+            }
+            probe.load_x_rows(&starts[..ns], w_p, S::BYTES);
             for r in 0..MMA_M {
                 // B-side pass mask: only the pass's piece positions
                 // gather; the rest stay zero, exactly like SpMV's masked
@@ -150,20 +163,6 @@ fn pieced_warp<S: Scalar, P: Probe>(
                         S::zero()
                     }
                 });
-                // One batched B access per row-segment over the pass's
-                // active k positions (k-then-jj order).
-                let mut xi = [0usize; WARP_SIZE];
-                let mut nx = 0;
-                for k in 0..MMA_K {
-                    if piecing.active(i, k) {
-                        let c = cids[r * MMA_K + k] as usize;
-                        for jj in 0..w_p {
-                            xi[nx] = b.lin_index(panel, c, jj);
-                            nx += 1;
-                        }
-                    }
-                }
-                probe.load_x_warp(&xi[..nx], S::BYTES);
                 // Row-segment issue: A masked to row r (the mask and the
                 // other rows' inert 0*b adds are skipped — see the
                 // variant's docs).
@@ -245,6 +244,11 @@ pub fn spmm_short4_warp<S: Scalar, P: Probe>(
             probe.panel(Some(panel));
             let w_p = b.panel_width(panel);
             let bp = b.panel(panel);
+            // One batched B access per panel: a row span of the w_p live
+            // columns per lane's column id, in lane order (the
+            // row-segment-then-k-then-jj order of the issues below).
+            let starts: [usize; WARP_SIZE] = per_lane(|l| b.lin_index(panel, cids[l] as usize, 0));
+            probe.load_x_rows(&starts, w_p, S::BYTES);
             for r in 0..MMA_M {
                 let frag_b: [S; WARP_SIZE] = per_lane(|l| {
                     let jj = l >> 2;
@@ -254,17 +258,6 @@ pub fn spmm_short4_warp<S: Scalar, P: Probe>(
                         S::zero()
                     }
                 });
-                // One batched B access per row-segment (k-then-jj order).
-                let mut xi = [0usize; WARP_SIZE];
-                let mut nx = 0;
-                for k in 0..MMA_K {
-                    let c = cids[r * MMA_K + k] as usize;
-                    for jj in 0..w_p {
-                        xi[nx] = b.lin_index(panel, c, jj);
-                        nx += 1;
-                    }
-                }
-                probe.load_x_warp(&xi[..nx], S::BYTES);
                 mma_m8n8k4_row_segment::<S>(&mut accs[panel], &block_a, &frag_b, r);
                 probe.mma();
                 probe.san_frag_mma(row_slots(r));

@@ -1,11 +1,12 @@
 //! The batched-probe contract, end to end on the DASP pipeline: every
-//! warp-granular hook (`load_x_warp`, `san_*_warp`, `divergence_warp`)
-//! is defined as per-element-equivalent, so running the kernels against
-//! a probe that only implements the *per-element* hooks — forcing the
-//! trait's default decomposition of every batched call — must produce
-//! exactly the same [`KernelStats`] as the natively-batching
-//! [`CountingProbe`], **including** the cache-order-dependent fields
-//! (`x_hits`, `x_misses`, `bytes_x_miss`).
+//! warp-granular hook (`load_x_warp`, `load_x_rows`, `san_*_warp`,
+//! `divergence_warp`) is defined as per-element-equivalent, so running
+//! the kernels against a probe that only implements the *per-element*
+//! hooks — forcing the trait's default decomposition of every batched
+//! call — must produce exactly the same [`KernelStats`] and
+//! [`PanelTraffic`] as the natively-batching [`CountingProbe`],
+//! **including** the cache-order-dependent fields (`x_hits`, `x_misses`,
+//! `bytes_x_miss`).
 //!
 //! This pins the refactor's central invariant: batching changed how many
 //! probe calls the kernels make, never which element accesses they
@@ -13,7 +14,9 @@
 
 use dasp_core::DaspMatrix;
 use dasp_fp16::{Scalar, F16};
-use dasp_simt::{CountingProbe, Executor, KernelStats, ParExecutor, Probe, ShardableProbe};
+use dasp_simt::{
+    CountingProbe, Executor, KernelStats, PanelTraffic, ParExecutor, Probe, ShardableProbe,
+};
 use dasp_sparse::{Coo, Csr, DenseMat};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -62,12 +65,16 @@ impl Probe for PerElementOnly {
     fn divergence(&mut self, inactive: u64) {
         self.0.divergence(inactive)
     }
+    fn panel(&mut self, panel: Option<usize>) {
+        self.0.panel(panel)
+    }
     fn stats_snapshot(&self) -> KernelStats {
         self.0.stats_snapshot()
     }
     // Deliberately NO batched-hook overrides: `load_x_warp`,
-    // `san_write_warp`, `san_read_warp`, and `divergence_warp` all fall
-    // back to the trait defaults, which loop the scalar hooks above.
+    // `load_x_rows`, `san_write_warp`, `san_read_warp`, and
+    // `divergence_warp` all fall back to the trait defaults, which loop
+    // the scalar hooks above.
 }
 
 impl ShardableProbe for PerElementOnly {
@@ -155,36 +162,57 @@ fn assert_batched_parity<S: Scalar>(csr: &Csr<S>, seed: u64, exec: &Executor) {
         "spmv stats diverged between batched and per-element probe paths"
     );
 
-    // SpMM over a 3-wide panel drives the multi-RHS kernel family.
-    let columns: Vec<Vec<S>> = (0..3)
-        .map(|_| {
-            (0..csr.cols)
-                .map(|_| S::from_f64(rng.gen_range(-1.0..1.0)))
-                .collect()
-        })
-        .collect();
-    let b = DenseMat::from_columns(&columns);
-    let mut batched = CountingProbe::a100();
-    let ym_batched = d.spmm_with(&b, &mut batched, exec);
-    let mut scalar = PerElementOnly(CountingProbe::a100());
-    let ym_scalar = d.spmm_with(&b, &mut scalar, exec);
+    // SpMM drives the multi-RHS kernel family: a partial panel only (3),
+    // one full panel (8), a full plus a partial panel (13), and the
+    // sixteen full panels of the multi-RHS regime (128).
+    for width in SPMM_WIDTHS {
+        let columns: Vec<Vec<S>> = (0..width)
+            .map(|_| {
+                (0..csr.cols)
+                    .map(|_| S::from_f64(rng.gen_range(-1.0..1.0)))
+                    .collect()
+            })
+            .collect();
+        let b = DenseMat::from_columns(&columns);
+        let mut batched = CountingProbe::a100();
+        let ym_batched = d.spmm_with(&b, &mut batched, exec);
+        let mut scalar = PerElementOnly(CountingProbe::a100());
+        let ym_scalar = d.spmm_with(&b, &mut scalar, exec);
 
-    for j in 0..3 {
-        let (cb, cs) = (ym_batched.column(j), ym_scalar.column(j));
-        for r in 0..csr.rows {
+        assert_eq!(
+            ym_batched.data().len(),
+            ym_scalar.data().len(),
+            "spmm width {width} output shapes differ"
+        );
+        for (i, (a, b)) in ym_batched.data().iter().zip(ym_scalar.data()).enumerate() {
             assert_eq!(
-                cb[r].to_f64().to_bits(),
-                cs[r].to_f64().to_bits(),
-                "spmm column {j} row {r} diverged between probe paths"
+                a.to_f64().to_bits(),
+                b.to_f64().to_bits(),
+                "spmm width {width} element {i} diverged between probe paths"
             );
         }
+        assert_eq!(
+            batched.stats(),
+            scalar.0.stats(),
+            "spmm width {width} stats diverged between batched and per-element probe paths"
+        );
+        assert_eq!(
+            batched.panel_traffic(),
+            scalar.0.panel_traffic(),
+            "spmm width {width} panel traffic diverged between probe paths"
+        );
+        // Every kernel sweeps every panel, so a matrix with nonzeros
+        // materializes one bin per panel (an empty one launches nothing).
+        let panels = batched
+            .panel_traffic()
+            .map_or(0, |pt: &PanelTraffic| pt.panels.len());
+        let want = if csr.nnz() > 0 { width.div_ceil(8) } else { 0 };
+        assert_eq!(panels, want, "spmm width {width} panel split");
     }
-    assert_eq!(
-        batched.stats(),
-        scalar.0.stats(),
-        "spmm stats diverged between batched and per-element probe paths"
-    );
 }
+
+/// RHS widths of the SpMM half of every parity case.
+const SPMM_WIDTHS: [usize; 4] = [3, 8, 13, 128];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

@@ -207,6 +207,9 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
         // cache-classification fast path under sanitizing.
         self.inner.load_x_warp(indices, bytes_per);
     }
+    fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
+        self.inner.load_x_rows(starts, len, bytes_per);
+    }
     fn divergence_warp(&mut self, inactive: &[u64]) {
         self.inner.divergence_warp(inactive);
     }

@@ -45,20 +45,73 @@ impl FastMod {
     }
 }
 
-/// Retired tag arrays retained per thread for [`CacheModel::new`] reuse.
+/// Retired cache bodies retained per thread for [`CacheModel::new`] reuse.
 /// The L2 geometries carry multi-megabyte tag arrays; two covers the
 /// common churn (one live model plus one between measurements), with
 /// headroom for fork chains.
 const CACHE_POOL_CAP: usize = 4;
 
+/// The tag arrays and epoch state of one cache geometry, detached from
+/// the counters: what the pool parks and [`CacheModel::fork`] copies.
+#[derive(Debug, Clone, Default)]
+struct Body {
+    /// `tags[set * ways + way]`: the line number + 1 held by that way,
+    /// each set in most-recently-used-first order; 0 is an empty way.
+    tags: Vec<u64>,
+    /// `stamps[set]`: the epoch the set was last touched in. A set whose
+    /// stamp differs from `epoch` is empty, whatever its tags say.
+    stamps: Vec<u32>,
+    epoch: u32,
+}
+
+impl Body {
+    fn cold(sets: usize, ways: usize) -> Body {
+        // Stamps start at 0 and the epoch at 1: every set starts stale.
+        Body {
+            tags: vec![0; sets * ways],
+            stamps: vec![0; sets],
+            epoch: 1,
+        }
+    }
+
+    /// Overwrites `self` with `src`, reusing `self`'s allocations.
+    fn copy_from(&mut self, src: &Body) {
+        self.tags.clear();
+        self.tags.extend_from_slice(&src.tags);
+        self.stamps.clear();
+        self.stamps.extend_from_slice(&src.stamps);
+        self.epoch = src.epoch;
+    }
+
+    /// Advances the epoch, which empties every set without touching the
+    /// tags. On wrap-around the stamps are cleared once, so no stale set
+    /// can ever carry the new epoch.
+    fn invalidate(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+}
+
 thread_local! {
-    /// Retired cache bodies by geometry: `(line_bytes, sets, ways, tags,
-    /// final tick)`. Reusing one skips both the allocation and the
-    /// O(capacity) tag fill — the stale entries are invalidated by the
-    /// epoch watermark instead (see [`CacheModel::reset`]).
-    #[allow(clippy::type_complexity)]
-    static CACHE_POOL: std::cell::RefCell<Vec<(u64, u64, usize, Vec<(u64, u64)>, u64)>> =
+    /// Retired cache bodies by geometry: `(line_bytes, sets, ways, body)`.
+    /// Reusing one skips both the allocation and the O(capacity) tag
+    /// fill: [`Body::invalidate`] empties every stale set in O(1).
+    static CACHE_POOL: std::cell::RefCell<Vec<(u64, u64, usize, Body)>> =
         const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Takes a retired body of the given geometry from the calling thread's
+/// pool, if one is parked there.
+fn pooled_body(line_bytes: u64, sets: u64, ways: usize) -> Option<Body> {
+    CACHE_POOL.with(|p| {
+        let mut pool = p.borrow_mut();
+        pool.iter()
+            .position(|&(lb, s, w, _)| lb == line_bytes && s == sets && w == ways)
+            .map(|i| pool.swap_remove(i).3)
+    })
 }
 
 /// A set-associative cache with LRU replacement.
@@ -66,15 +119,20 @@ thread_local! {
 /// Addresses are byte addresses; the cache tracks tags only (no data), which
 /// is all the traffic model needs.
 ///
+/// Each set keeps its tags in **most-recently-used-first order**, so LRU
+/// needs no timestamps: a hit at way *w* rotates ways `0..=w` to bring
+/// the line to the front, and a miss shifts the whole set down one way,
+/// dropping the least recently used tag off the end, and installs the
+/// line at way 0.
+///
 /// Construction, [`CacheModel::reset`], and drop are all O(1) amortized:
 /// instead of filling the multi-megabyte tag array with an "empty"
-/// pattern, the model keeps an *epoch watermark* — a slot whose last-use
-/// tick is at or below the watermark is treated as empty regardless of
-/// its tag — and retired tag arrays park in a per-thread pool keyed by
+/// pattern, every set carries a `u32` epoch stamp, and a set whose stamp
+/// is not the current epoch is empty (its tags are cleared lazily on its
+/// next access). Retired bodies park in a per-thread pool keyed by
 /// geometry, so back-to-back instrumented runs stop paying an allocate +
-/// fill per [`crate::probe::CountingProbe`]. Hit/miss classification
-/// depends only on the *relative* order of last-use ticks, so a reused
-/// model is bit-identical to a cold one.
+/// fill per [`crate::probe::CountingProbe`]; a reused body gets a fresh
+/// epoch, so it is bit-identical to a cold one.
 #[derive(Debug, Clone)]
 pub struct CacheModel {
     line_bytes: u64,
@@ -83,13 +141,7 @@ pub struct CacheModel {
     /// Strength-reduced `% sets` (the set count itself lives in `set_mod.d`).
     set_mod: FastMod,
     ways: usize,
-    /// `tags[set * ways + way]` = (tag, last-use tick). A slot is live
-    /// only when its tick is above `epoch_base`.
-    tags: Vec<(u64, u64)>,
-    tick: u64,
-    /// Slots with last-use at or below this watermark are empty. Bumped
-    /// to `tick` by [`CacheModel::reset`] and on pool reuse.
-    epoch_base: u64,
+    body: Body,
     hits: u64,
     misses: u64,
 }
@@ -97,36 +149,33 @@ pub struct CacheModel {
 impl CacheModel {
     /// Creates a cache of `capacity_bytes` split into `ways`-associative sets
     /// of `line_bytes` lines. Capacity is rounded down to a whole number of
-    /// sets; a minimum of one set is kept.
+    /// sets; a minimum of one set is kept. `line_bytes` must be a power of
+    /// two of at least 2 bytes, which keeps every line number + 1 (the
+    /// stored tag) from wrapping onto the empty tag 0.
     ///
-    /// Reuses a retired tag array of the same geometry from the calling
+    /// Reuses a retired body of the same geometry from the calling
     /// thread's pool when one is available (epoch-invalidated, so the
     /// new model starts observably empty); allocates cold otherwise.
     pub fn new(capacity_bytes: u64, line_bytes: u64, ways: usize) -> Self {
         assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
+            line_bytes.is_power_of_two() && line_bytes > 1,
+            "line size must be a power of two of at least 2 bytes"
         );
         assert!(ways > 0);
         let sets = ((capacity_bytes / line_bytes) as usize / ways).max(1);
-        let pooled = CACHE_POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            pool.iter()
-                .position(|&(lb, s, w, ..)| lb == line_bytes && s == sets as u64 && w == ways)
-                .map(|i| pool.swap_remove(i))
-        });
-        let (tags, tick) = match pooled {
-            Some((.., tags, tick)) => (tags, tick),
-            None => (vec![(u64::MAX, 0); sets * ways], 0),
+        let body = match pooled_body(line_bytes, sets as u64, ways) {
+            Some(mut body) => {
+                body.invalidate();
+                body
+            }
+            None => Body::cold(sets, ways),
         };
         CacheModel {
             line_bytes,
             line_shift: line_bytes.trailing_zeros(),
             set_mod: FastMod::new(sets as u64),
             ways,
-            tags,
-            tick,
-            epoch_base: tick,
+            body,
             hits: 0,
             misses: 0,
         }
@@ -165,55 +214,44 @@ impl CacheModel {
     /// Accesses the same line `count` times in a row (one coalesced warp
     /// access's same-line run): the first access classifies against the
     /// cache, the remaining `count - 1` are guaranteed hits. Returns
-    /// whether the *first* access hit. End state (tag array, tick,
-    /// hit/miss totals) is bit-identical to calling
-    /// [`CacheModel::access`] `count` times with addresses on `addr`'s
-    /// line.
+    /// whether the *first* access hit. End state (tags and hit/miss
+    /// totals) is bit-identical to calling [`CacheModel::access`]
+    /// `count` times with addresses on `addr`'s line.
     pub fn access_run(&mut self, addr: u64, count: u64) -> bool {
         debug_assert!(count > 0);
         let line = addr >> self.line_shift;
+        // `line_bytes >= 2` keeps the line below 2^63, so `line + 1`
+        // never wraps onto the empty tag.
+        let tag = line + 1;
         let set = self.set_mod.rem(line);
         let base = set * self.ways;
-        let slots = &mut self.tags[base..base + self.ways];
-        // A per-element loop would bump the tick once per access; the run
-        // leaves the line's last-use at the final tick either way.
-        self.tick += count;
-
-        // LRU semantics do not depend on slot order within a set (lookup
-        // scans every way; eviction takes the minimum last-use, and ties
-        // exist only among identical empty slots), so hits promote the
-        // line to way 0. Warp runs revisit the same few lines, making the
-        // first-slot probe almost always sufficient.
-        let mut way = usize::MAX;
-        for (w, slot) in slots.iter().enumerate() {
-            if slot.0 == line && slot.1 > self.epoch_base {
-                way = w;
-                break;
+        let slots = &mut self.body.tags[base..base + self.ways];
+        let stamp = &mut self.body.stamps[set];
+        if *stamp != self.body.epoch {
+            *stamp = self.body.epoch;
+            slots.fill(0);
+        }
+        match slots.iter().position(|&t| t == tag) {
+            Some(way) => {
+                // Hit: ways 0..way move down one, the line goes to the
+                // front. Warp runs revisit the same few lines, so `way`
+                // is almost always 0 and nothing moves.
+                slots.copy_within(0..way, 1);
+                slots[0] = tag;
+                self.hits += count;
+                true
+            }
+            None => {
+                // Miss: the least recently used way (the last one, or an
+                // empty way while the set is filling) falls off the end,
+                // then the rest of the run hits the installed line.
+                slots.copy_within(0..self.ways - 1, 1);
+                slots[0] = tag;
+                self.misses += 1;
+                self.hits += count - 1;
+                false
             }
         }
-        if way != usize::MAX {
-            slots[way].1 = self.tick;
-            slots.swap(0, way);
-            self.hits += count;
-            return true;
-        }
-        // Miss: evict the LRU way, then the rest of the run hits the
-        // freshly installed line. Empty slots (last-use at or below the
-        // epoch watermark) are by construction older than every live
-        // slot, so the minimum fills empties first — and which empty is
-        // chosen never affects classification, since empties carry no
-        // live line.
-        self.misses += 1;
-        self.hits += count - 1;
-        let victim = slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, last))| *last)
-            .map(|(w, _)| w)
-            .expect("ways > 0");
-        slots[victim] = (line, self.tick);
-        slots.swap(0, victim);
-        false
     }
 
     /// Total hits recorded so far.
@@ -226,11 +264,10 @@ impl CacheModel {
         self.misses
     }
 
-    /// Clears contents and statistics. O(1): the epoch watermark advances
-    /// to the current tick, turning every live slot empty without
-    /// touching the tag array.
+    /// Clears contents and statistics. O(1): the epoch advances, turning
+    /// every set stale without touching the tag array.
     pub fn reset(&mut self) {
-        self.epoch_base = self.tick;
+        self.body.invalidate();
         self.hits = 0;
         self.misses = 0;
     }
@@ -241,50 +278,44 @@ impl CacheModel {
     /// multi-megabyte tag copy is an amortized `memcpy` instead of an
     /// allocate + copy + free per launch.
     pub fn fork(&self) -> CacheModel {
-        let pooled = CACHE_POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            pool.iter()
-                .position(|&(lb, s, w, ..)| {
-                    lb == self.line_bytes && s == self.set_mod.d && w == self.ways
-                })
-                .map(|i| pool.swap_remove(i).3)
-        });
-        let mut tags = pooled.unwrap_or_else(|| Vec::with_capacity(self.tags.len()));
-        tags.clear();
-        tags.extend_from_slice(&self.tags);
+        let body = match pooled_body(self.line_bytes, self.set_mod.d, self.ways) {
+            Some(mut body) => {
+                body.copy_from(&self.body);
+                body
+            }
+            None => self.body.clone(),
+        };
         CacheModel {
             line_bytes: self.line_bytes,
             line_shift: self.line_shift,
             set_mod: self.set_mod,
             ways: self.ways,
-            tags,
-            tick: self.tick,
-            epoch_base: self.epoch_base,
+            body,
             hits: self.hits,
             misses: self.misses,
         }
     }
 
     /// Consumes the cache. Kept for API continuity: dropping now parks
-    /// the tag array in the thread's retired-cache pool automatically.
+    /// the body in the thread's retired-cache pool automatically.
     pub fn recycle(self) {
         drop(self);
     }
 }
 
 impl Drop for CacheModel {
-    /// Parks the tag array (with its final tick, so a reuser's epoch
-    /// watermark invalidates every stale entry) in the thread's pool,
-    /// bounded at `CACHE_POOL_CAP` retired bodies.
+    /// Parks the body (with its epoch, so a reuser's next epoch
+    /// invalidates every stale set) in the thread's pool, bounded at
+    /// `CACHE_POOL_CAP` retired bodies.
     fn drop(&mut self) {
-        let tags = std::mem::take(&mut self.tags);
-        if tags.capacity() == 0 {
+        let body = std::mem::take(&mut self.body);
+        if body.tags.capacity() == 0 {
             return;
         }
         CACHE_POOL.with(|p| {
             let mut pool = p.borrow_mut();
             if pool.len() < CACHE_POOL_CAP {
-                pool.push((self.line_bytes, self.set_mod.d, self.ways, tags, self.tick));
+                pool.push((self.line_bytes, self.set_mod.d, self.ways, body));
             }
         });
     }
@@ -348,7 +379,9 @@ mod tests {
     }
 
     /// Reference model with the pre-batching per-element semantics:
-    /// runtime `/` and `%`, no hit promotion, one tick per access.
+    /// runtime `/` and `%`, a last-use tick per slot, one tick per access,
+    /// eviction of the minimum tick.
+    #[derive(Clone)]
     struct RefCache {
         line_bytes: u64,
         sets: usize,
@@ -389,6 +422,37 @@ mod tests {
             *slots.iter_mut().min_by_key(|(_, last)| *last).unwrap() = (line, self.tick);
             false
         }
+
+        fn reset(&mut self) {
+            self.tags.fill((u64::MAX, 0));
+            self.hits = 0;
+            self.misses = 0;
+        }
+    }
+
+    /// Steps a 64-bit LCG and returns its high bits.
+    fn next(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 20
+    }
+
+    /// Runs `n` accesses drawn by `addr` through both models, asserting
+    /// every classification and the final totals agree.
+    fn drive(
+        fast: &mut CacheModel,
+        reference: &mut RefCache,
+        state: &mut u64,
+        n: usize,
+        addr: impl Fn(u64) -> u64,
+    ) {
+        for i in 0..n {
+            let a = addr(next(state));
+            assert_eq!(fast.access(a), reference.access(a), "access {i} at {a}");
+        }
+        assert_eq!(fast.hits(), reference.hits);
+        assert_eq!(fast.misses(), reference.misses);
     }
 
     #[test]
@@ -399,15 +463,65 @@ mod tests {
         let mut fast = CacheModel::new(3 * 2 * 64, 64, 2);
         let mut reference = RefCache::new(3 * 2 * 64, 64, 2);
         let mut state = 0x9e3779b97f4a7c15u64;
-        for _ in 0..10_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let addr = (state >> 33) % (64 * 64); // 64 lines over 3 sets
-            assert_eq!(fast.access(addr), reference.access(addr));
-        }
-        assert_eq!(fast.hits(), reference.hits);
-        assert_eq!(fast.misses(), reference.misses);
+        // 64 lines over 3 sets.
+        drive(&mut fast, &mut reference, &mut state, 10_000, |r| {
+            r % (64 * 64)
+        });
+
+        // The A100 L2 (20480 sets x 16 ways) on a long stream mixing a
+        // hot region — 24 lines competing for each of 64 sets, so hits,
+        // deep-way promotions and evictions all occur — with cold lines
+        // scattered over the whole cache. Between phases the stream
+        // crosses every epoch transition: reset, fork, pool reuse, and
+        // an epoch wrap-around.
+        const CAP: u64 = 40 * 1024 * 1024;
+        let sets = 20480u64;
+        let addr = move |r: u64| {
+            let line = if r & 1 == 0 {
+                (r >> 1) % 64 + sets * ((r >> 8) % 24)
+            } else {
+                (r >> 1) % (1 << 20)
+            };
+            line * 128 + (r >> 40) % 128
+        };
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut fast = CacheModel::new(CAP, 128, 16);
+        let mut reference = RefCache::new(CAP, 128, 16);
+        assert_eq!(fast.body.stamps.len() as u64, sets);
+        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+
+        fast.reset();
+        reference.reset();
+        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+
+        // A fork continues from the parent's contents and counters; the
+        // parent's body parks in the pool once dropped.
+        let forked = fast.fork();
+        drop(std::mem::replace(&mut fast, forked));
+        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+
+        // Pool reuse: the retired warm body must come back empty.
+        drop(fast);
+        let mut fast = CacheModel::new(CAP, 128, 16);
+        let mut reference = RefCache::new(CAP, 128, 16);
+        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+
+        // Epoch wrap: stamp sets at epoch 1, then run the epoch up to the
+        // last value before wrap-around. The wrap must clear every stamp,
+        // or the sets stamped 1 would come back to life with stale tags.
+        fast.reset();
+        reference.reset();
+        fast.body.stamps.fill(0);
+        fast.body.epoch = 1;
+        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+        fast.reset();
+        reference.reset();
+        fast.body.epoch = u32::MAX;
+        drive(&mut fast, &mut reference, &mut state, 10_000, addr);
+        fast.reset();
+        reference.reset();
+        assert_eq!(fast.body.epoch, 1);
+        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
     }
 
     #[test]

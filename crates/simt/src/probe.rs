@@ -300,6 +300,21 @@ pub trait Probe {
         }
     }
 
+    /// Records one warp access made of contiguous row spans: each start
+    /// opens `len` consecutive elements `start..start + len` (the live
+    /// panel columns of one B row), spans in slice order. Semantically
+    /// identical to [`Probe::load_x`] on every element in that order —
+    /// the default does exactly that. [`CountingProbe`] overrides it to
+    /// classify each span arithmetically instead of element by element.
+    #[inline]
+    fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
+        for &s in starts {
+            for i in s..s + len {
+                self.load_x(i, bytes_per);
+            }
+        }
+    }
+
     /// Records one warp's batch of element writes into scatter space
     /// `space`, in lane order: identical to [`Probe::san_write`] per
     /// element. Sanitizers override it to probe their shadow epoch map
@@ -525,6 +540,8 @@ impl Probe for NoProbe {
     #[inline(always)]
     fn load_x_warp(&mut self, _: &[usize], _: u64) {}
     #[inline(always)]
+    fn load_x_rows(&mut self, _: &[usize], _: usize, _: u64) {}
+    #[inline(always)]
     fn san_write_warp(&mut self, _: u32, _: &[usize]) {}
     #[inline(always)]
     fn san_read_warp(&mut self, _: u32, _: &[usize]) {}
@@ -539,6 +556,25 @@ impl ShardableProbe for NoProbe {
     }
     #[inline(always)]
     fn merge_shard(&mut self, _shard: Self) {}
+}
+
+/// A run of `count` consecutive `x` touches on one cache line, starting
+/// at byte `addr`, waiting to be classified by one cache probe.
+#[derive(Debug, Clone, Copy)]
+struct XRun {
+    addr: u64,
+    line: u64,
+    count: u64,
+}
+
+impl XRun {
+    /// No pending touches. Line numbers stay below 2^63 (lines are at
+    /// least two bytes), so no real touch shares this line.
+    const EMPTY: XRun = XRun {
+        addr: 0,
+        line: u64::MAX,
+        count: 0,
+    };
 }
 
 /// The counting probe: accumulates [`KernelStats`] and models `x` locality
@@ -573,14 +609,54 @@ impl CountingProbe {
         }
     }
 
-    /// Charges the sector of one `x` touch, coalescing consecutive
-    /// same-sector touches of the current warp into a single access.
+    /// Charges the sectors of one contiguous `x` touch covering bytes
+    /// `a0..=a1` in rising order, with no gap wider than a sector (one
+    /// element: `a0 == a1`), coalescing consecutive same-sector touches
+    /// of the current warp into a single access: every sector from
+    /// `a0`'s to `a1`'s is charged once, except `a0`'s when it is the
+    /// sector the warp touched last.
     #[inline]
-    fn touch_sector(&mut self, addr: u64) {
-        let sector = addr / SECTOR_BYTES;
-        if sector != self.prev_sector {
-            self.stats.x_sectors += 1;
-            self.prev_sector = sector;
+    fn touch_sectors(&mut self, a0: u64, a1: u64) {
+        let (s0, s1) = (a0 / SECTOR_BYTES, a1 / SECTOR_BYTES);
+        self.stats.x_sectors += s1 - s0 + u64::from(s0 != self.prev_sector);
+        self.prev_sector = s1;
+    }
+
+    /// Adds `count` touches of `addr`'s line to the pending same-line
+    /// run, classifying the pending run first when `addr` is on another
+    /// line.
+    #[inline]
+    fn push_run(&mut self, run: &mut XRun, addr: u64, count: u64) {
+        let line = self.cache.line_of(addr);
+        if run.line == line {
+            run.count += count;
+        } else {
+            self.classify_run(*run);
+            *run = XRun { addr, line, count };
+        }
+    }
+
+    /// Classifies one same-line run with a single cache probe: the first
+    /// touch hits or misses, the rest are hits. Grouping is strictly
+    /// *runs*, never a sort or a unique-line pass: under LRU, two touches
+    /// of line A separated by a touch of line B are not equivalent to two
+    /// adjacent touches, so only adjacency-preserving grouping is
+    /// bit-identical to the per-element path.
+    #[inline]
+    fn classify_run(&mut self, run: XRun) {
+        if run.count == 0 {
+            return;
+        }
+        if self.cache.access_run(run.addr, run.count) {
+            self.stats.x_hits += run.count;
+        } else {
+            self.stats.x_hits += run.count - 1;
+            self.stats.x_misses += 1;
+            let line = self.cache.line_bytes();
+            self.stats.bytes_x_miss += line;
+            if let Some(pt) = &mut self.panel_traffic {
+                pt.bin_mut(self.cur_panel).bytes_x_miss += line;
+            }
         }
     }
 
@@ -642,53 +718,47 @@ impl Probe for CountingProbe {
         self.stats.bytes_y += elems * bytes_per;
     }
     fn load_x(&mut self, index: usize, bytes_per: u64) {
-        self.stats.x_requests += 1;
-        let addr = index as u64 * bytes_per;
-        self.touch_sector(addr);
-        if self.cache.access(addr) {
-            self.stats.x_hits += 1;
-        } else {
-            self.stats.x_misses += 1;
-            let line = self.cache.line_bytes();
-            self.stats.bytes_x_miss += line;
-            if let Some(pt) = &mut self.panel_traffic {
-                pt.bin_mut(self.cur_panel).bytes_x_miss += line;
-            }
-        }
+        self.load_x_warp(&[index], bytes_per);
     }
     /// Classifies each consecutive same-line run of the warp access with
-    /// one cache probe. Grouping is strictly *runs*, never a sort or a
-    /// unique-line pass: under LRU, two touches of line A separated by a
-    /// touch of line B are not equivalent to two adjacent touches, so
-    /// only adjacency-preserving grouping is bit-identical to the
-    /// per-element path.
+    /// one cache probe.
     fn load_x_warp(&mut self, indices: &[usize], bytes_per: u64) {
         self.stats.x_requests += indices.len() as u64;
+        let mut run = XRun::EMPTY;
         for &ix in indices {
-            self.touch_sector(ix as u64 * bytes_per);
+            let addr = ix as u64 * bytes_per;
+            self.touch_sectors(addr, addr);
+            self.push_run(&mut run, addr, 1);
         }
-        let mut i = 0;
-        while i < indices.len() {
-            let addr = indices[i] as u64 * bytes_per;
-            let line = self.cache.line_of(addr);
-            let mut j = i + 1;
-            while j < indices.len() && self.cache.line_of(indices[j] as u64 * bytes_per) == line {
-                j += 1;
-            }
-            let run = (j - i) as u64;
-            if self.cache.access_run(addr, run) {
-                self.stats.x_hits += run;
+        self.classify_run(run);
+    }
+    /// Classifies each span arithmetically: a span inside one cache line
+    /// is one same-line run (merged with the previous span's run when it
+    /// is on the same line) and charges its sectors in one step. A span
+    /// straddling lines, or with elements wider than a sector, falls
+    /// back to element-by-element runs through the same classifier.
+    fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
+        self.stats.x_requests += (starts.len() * len) as u64;
+        if len == 0 {
+            return;
+        }
+        let extent = (len as u64 - 1) * bytes_per;
+        let mut run = XRun::EMPTY;
+        for &s in starts {
+            let a0 = s as u64 * bytes_per;
+            let a1 = a0 + extent;
+            if bytes_per <= SECTOR_BYTES && self.cache.line_of(a0) == self.cache.line_of(a1) {
+                self.touch_sectors(a0, a1);
+                self.push_run(&mut run, a0, len as u64);
             } else {
-                self.stats.x_hits += run - 1;
-                self.stats.x_misses += 1;
-                let line = self.cache.line_bytes();
-                self.stats.bytes_x_miss += line;
-                if let Some(pt) = &mut self.panel_traffic {
-                    pt.bin_mut(self.cur_panel).bytes_x_miss += line;
+                for i in 0..len as u64 {
+                    let addr = a0 + i * bytes_per;
+                    self.touch_sectors(addr, addr);
+                    self.push_run(&mut run, addr, 1);
                 }
             }
-            i = j;
         }
+        self.classify_run(run);
     }
     fn mma(&mut self) {
         self.stats.mma_ops += 1;
@@ -899,6 +969,42 @@ mod tests {
     }
 
     #[test]
+    fn row_spans_match_per_element_exactly() {
+        // Spans inside one line, spans sharing a line (merged runs),
+        // spans straddling lines, repeated spans, and elements narrower
+        // and wider than a sector — sector coalescing, cache classes and
+        // the panel split must all equal the per-element path.
+        let patterns: &[&[usize]] = &[
+            &[0, 8, 16, 24],
+            &[5, 6, 100, 5],
+            &[13, 7, 29, 61],
+            &[3, 3, 3],
+            &[],
+        ];
+        for bytes_per in [2u64, 4, 8, 64] {
+            for len in [0usize, 1, 3, 5, 8] {
+                for &starts in patterns {
+                    let mut rows = CountingProbe::new(CacheModel::new(512, 64, 2));
+                    let mut scalar = CountingProbe::new(CacheModel::new(512, 64, 2));
+                    for p in [&mut rows, &mut scalar] {
+                        p.panel(Some(1));
+                        p.load_x(6, bytes_per); // a warm line and sector
+                    }
+                    rows.load_x_rows(starts, len, bytes_per);
+                    for &s in starts {
+                        for i in s..s + len {
+                            scalar.load_x(i, bytes_per);
+                        }
+                    }
+                    let case = format!("starts {starts:?} len {len} bytes {bytes_per}");
+                    assert_eq!(rows.stats(), scalar.stats(), "{case}");
+                    assert_eq!(rows.panel_traffic(), scalar.panel_traffic(), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn xbatch_flush_boundaries_are_invisible() {
         let indices: Vec<usize> = (0..100).map(|i| (i * 37) % 256).collect();
         let mut via_batch = CountingProbe::a100();
@@ -949,11 +1055,22 @@ mod tests {
         }
         let mut p = LogProbe(Vec::new());
         p.load_x_warp(&[5, 6], 8);
+        p.load_x_rows(&[40, 20], 2, 8);
         p.san_write_warp(space::Y, &[1, 2]);
         p.san_read_warp(space::AUX, &[3]);
         assert_eq!(
             p.0,
-            vec![(100, 5), (100, 6), (space::Y, 1), (space::Y, 2), (11, 3)]
+            vec![
+                (100, 5),
+                (100, 6),
+                (100, 40),
+                (100, 41),
+                (100, 20),
+                (100, 21),
+                (space::Y, 1),
+                (space::Y, 2),
+                (11, 3)
+            ]
         );
     }
 

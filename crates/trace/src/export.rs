@@ -3,7 +3,7 @@
 
 use dasp_simt::KernelStats;
 
-use crate::json::{escape, fmt_f64};
+use crate::json::{escape_json, fmt_f64};
 use crate::registry::{MetricValue, Registry};
 use crate::span::Trace;
 
@@ -60,7 +60,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                  \"args\":{{\"name\":\"{}\"}}}}\
                  ,{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
                  \"args\":{{\"sort_index\":{tid}}}}}",
-                escape(&crate::span::thread_name(tid)),
+                escape_json(&crate::span::thread_name(tid)),
             ));
         }
     }
@@ -72,7 +72,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"cat\":\"dasp\",\"pid\":1,\"tid\":{},\
              \"ts\":{},\"dur\":{},\"args\":{{\"span_id\":{}",
-            escape(&s.name),
+            escape_json(&s.name),
             s.tid,
             s.start_us,
             s.dur_us,
@@ -87,7 +87,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
             }
         }
         for (k, v) in &s.args {
-            out.push_str(&format!(",\"{}\":\"{}\"", escape(k), escape(v)));
+            out.push_str(&format!(",\"{}\":\"{}\"", escape_json(k), escape_json(v)));
         }
         out.push_str("}}");
     }
@@ -112,7 +112,7 @@ pub fn registry_to_json(registry: &Registry) -> String {
             out.push(',');
         }
         first = false;
-        out.push_str(&format!("\"{}\":", escape(&name)));
+        out.push_str(&format!("\"{}\":", escape_json(&name)));
         match value {
             MetricValue::Counter(c) => {
                 out.push_str(&format!("{{\"type\":\"counter\",\"value\":{c}}}"))

@@ -178,9 +178,9 @@ fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
 }
 
 /// Escapes `s` for inclusion inside a JSON string literal (no quotes
-/// added). Exporters share this so every emitted string passes
-/// [`validate_json`].
-pub(crate) fn escape(s: &str) -> String {
+/// added): quotes, backslashes and every control character. Exporters
+/// share this so every emitted string passes [`validate_json`].
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn escape_round_trips_through_validation() {
         let nasty = "quote \" backslash \\ newline \n tab \t ctrl \u{1}";
-        let doc = format!("\"{}\"", escape(nasty));
+        let doc = format!("\"{}\"", escape_json(nasty));
         assert!(validate_json(&doc).is_ok());
     }
 

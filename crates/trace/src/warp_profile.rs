@@ -166,6 +166,12 @@ impl<P: Probe> Probe for WarpProfiler<P> {
         }
         self.inner.load_x_warp(indices, bytes_per);
     }
+    fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
+        if let Some(t) = &mut self.current {
+            t.x_requests += (starts.len() * len) as u64;
+        }
+        self.inner.load_x_rows(starts, len, bytes_per);
+    }
     fn mma(&mut self) {
         if let Some(t) = &mut self.current {
             t.instructions += 1;
@@ -297,13 +303,14 @@ mod tests {
         let mut p = WarpProfiler::new(CountingProbe::new(CacheModel::new(1024, 64, 2)));
         p.warp_begin(0);
         p.load_x_warp(&[0, 1, 2, 100], 8);
+        p.load_x_rows(&[200, 300, 400], 5, 8);
         p.divergence_warp(&[0, 3, 0, 2]);
         p.warp_end(0);
         let (inner, profile) = p.into_parts();
-        assert_eq!(inner.stats().x_requests, 4);
+        assert_eq!(inner.stats().x_requests, 19);
         assert_eq!(inner.stats().divergent_regions, 2);
         assert_eq!(inner.stats().inactive_lanes, 5);
-        assert_eq!(profile.warps[0].x_requests, 4);
+        assert_eq!(profile.warps[0].x_requests, 19);
         assert_eq!(profile.warps[0].divergent_regions, 2);
         assert_eq!(profile.warps[0].inactive_lanes, 5);
     }

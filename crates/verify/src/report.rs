@@ -14,6 +14,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use dasp_trace::escape_json;
+
 /// The invariant classes the verifier checks. Every variant has a paired
 /// negative test (a planted violation the validator must flag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -120,14 +122,10 @@ impl Violation {
         format!(
             "{{\"invariant\":\"{}\",\"site\":\"{}\",\"detail\":\"{}\"}}",
             self.invariant.name(),
-            escape(&self.site),
-            escape(&self.detail)
+            escape_json(&self.site),
+            escape_json(&self.detail)
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl fmt::Display for Violation {
@@ -365,6 +363,25 @@ mod tests {
         assert!(j.contains("\"clean\":false"));
         assert!(j.contains("\"nnz_partition\":1"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+    }
+
+    #[test]
+    fn json_survives_adversarial_strings() {
+        // Quotes, backslashes, a stray escape sequence, every control
+        // character from NUL to U+001F, DEL, non-ASCII and a line
+        // separator, in both site and detail.
+        let control: String = (0u8..0x20).map(char::from).collect();
+        let nasty = format!("q\"b\\s\\u00zz/{control}\u{7f}é✓\u{2028}");
+        let mut r = VerifyReport::new();
+        r.record(Violation {
+            invariant: Invariant::CidRange,
+            site: nasty.clone(),
+            detail: nasty.clone(),
+        });
+        r.record(v(Invariant::RowRange));
+        let j = r.to_json();
+        assert_eq!(dasp_trace::validate_json(&j), Ok(()), "invalid JSON: {j:?}");
+        assert!(j.contains("\\u0000") && j.contains("\\n") && j.contains("\\\""));
     }
 
     #[test]
