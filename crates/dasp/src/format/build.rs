@@ -108,7 +108,17 @@ pub(crate) fn build_traced_with<S: Scalar>(
         "MAX_LEN must exceed the short-row bound"
     );
     let root = tracer.span("preprocess");
-    build_under(csr, params, &root, exec)
+    let (long, medium, short) = build_under(csr, params, &root, exec, |j| csr.vals[j], S::zero());
+    DaspMatrix {
+        rows: csr.rows,
+        cols: csr.cols,
+        nnz: csr.nnz(),
+        long,
+        medium,
+        short,
+        params,
+        plan: None,
+    }
 }
 
 /// Per-chunk categorize output: row ids by category, in row order.
@@ -119,17 +129,26 @@ struct Buckets {
     short: Vec<u32>,
 }
 
+/// The three category parts, each holding one value per slot.
+pub(crate) type Parts<V> = (LongPart<V>, MediumPart<V>, ShortPart<V>);
+
 /// The phase pipeline, recording its spans as children of `root` (which
 /// [`build_traced_with`] names `preprocess`; [`DaspPlan::analyze`] reuses
 /// this under its own root so analysis traces read identically).
 ///
+/// Only `csr`'s pattern steers the layout. Each slot holding CSR element
+/// `j` gets `val(j)` and every padding slot gets `pad`: the matrix build
+/// copies `csr.vals[j]` with zero padding, analysis records `j` itself.
+///
 /// [`DaspPlan::analyze`]: crate::format::DaspPlan::analyze
-pub(crate) fn build_under<S: Scalar>(
+pub(crate) fn build_under<S: Scalar, V: Copy + Send>(
     csr: &Csr<S>,
     params: DaspParams,
     root: &Span,
     exec: &Executor,
-) -> DaspMatrix<S> {
+    val: impl Fn(usize) -> V + Sync,
+    pad: V,
+) -> Parts<V> {
     // Categorize: each chunk classifies its row range into id buckets;
     // concatenating buckets in chunk order reproduces the sequential
     // row-order scan exactly.
@@ -203,33 +222,23 @@ pub(crate) fn build_under<S: Scalar>(
 
     let long = {
         let mut sp = root.child("preprocess.build.long");
-        let long = LongPart::build_csr(csr, &long_ids, exec);
+        let long = LongPart::build_csr(csr, &long_ids, &val, pad, exec);
         sp.add_arg("groups", long.num_groups());
         long
     };
     let medium = {
         let mut sp = root.child("preprocess.build.medium");
-        let medium = MediumPart::build_csr(csr, &medium_ids, params.threshold, exec);
+        let medium = MediumPart::build_csr(csr, &medium_ids, params.threshold, &val, pad, exec);
         sp.add_arg("rowblocks", medium.num_rowblocks());
         medium
     };
     let short = {
         let mut sp = root.child("preprocess.build.short");
-        let short = ShortPart::build_csr(csr, &short_ids, params.short_piecing, exec);
+        let short = ShortPart::build_csr(csr, &short_ids, params.short_piecing, &val, pad, exec);
         sp.add_arg("warps", short.n13_warps + short.n22_warps + short.n4_warps);
         short
     };
-
-    DaspMatrix {
-        rows: csr.rows,
-        cols: csr.cols,
-        nnz: csr.nnz(),
-        long,
-        medium,
-        short,
-        params,
-        plan: None,
-    }
+    (long, medium, short)
 }
 
 #[cfg(test)]

@@ -17,8 +17,15 @@ use crate::format::build::run_chunks;
 ///   group; length `rows.len() + 1`.
 /// * `rows` — original row id of each long row (implicit in the paper's
 ///   artifact; needed to scatter `y`).
+///
+/// The builder is generic over the per-slot value `S`: a [`DaspMatrix`]
+/// stores scalars, while [`DaspPlan::analyze`] builds the same layout over
+/// CSR element indices to get its gather map.
+///
+/// [`DaspMatrix`]: crate::format::DaspMatrix
+/// [`DaspPlan::analyze`]: crate::format::DaspPlan::analyze
 #[derive(Debug, Clone, PartialEq)]
-pub struct LongPart<S: Scalar> {
+pub struct LongPart<S> {
     /// Padded element values (`nnz_long_new` entries).
     pub vals: Vec<S>,
     /// Padded element column ids.
@@ -36,7 +43,7 @@ pub struct LongPart<S: Scalar> {
 /// long row carries at least `MAX_LEN + 1` elements, so chunks stay heavy.
 const MIN_CHUNK_ROWS: usize = 4;
 
-impl<S: Scalar> LongPart<S> {
+impl<S> LongPart<S> {
     /// An empty part.
     pub fn empty() -> Self {
         LongPart {
@@ -55,10 +62,20 @@ impl<S: Scalar> LongPart<S> {
 
     /// Builds the part from the long rows' ids: a sequential counting pass
     /// over the row lengths fixes every row's group range, then row chunks
-    /// fan out over `exec` and copy column ids and values straight from the
-    /// CSR arrays into their precomputed (disjoint) destinations. No
-    /// per-row staging buffers; output is bit-identical for any executor.
-    pub(crate) fn build_csr(csr: &Csr<S>, ids: &[u32], exec: &Executor) -> Self {
+    /// fan out over `exec` and copy column ids and `val(j)` of each CSR
+    /// element `j` straight into their precomputed (disjoint) destinations;
+    /// padding slots hold `pad`. No per-row staging buffers; output is
+    /// bit-identical for any executor.
+    pub(crate) fn build_csr<T: Scalar>(
+        csr: &Csr<T>,
+        ids: &[u32],
+        val: impl Fn(usize) -> S + Sync,
+        pad: S,
+        exec: &Executor,
+    ) -> Self
+    where
+        S: Copy + Send,
+    {
         let mut group_ptr = Vec::with_capacity(ids.len() + 1);
         group_ptr.push(0usize);
         let mut nnz_orig = 0usize;
@@ -70,7 +87,7 @@ impl<S: Scalar> LongPart<S> {
             group_ptr.push(prev + len.div_ceil(GROUP_ELEMS));
         }
         let total = *group_ptr.last().unwrap() * GROUP_ELEMS;
-        let mut vals = vec![S::zero(); total];
+        let mut vals = vec![pad; total];
         let mut cids = vec![0u32; total];
         {
             let sv = SharedSlice::new(&mut vals);
@@ -82,7 +99,7 @@ impl<S: Scalar> LongPart<S> {
                     let base = group_ptr[i] * GROUP_ELEMS;
                     for k in 0..csr.row_ptr[id + 1] - start {
                         sc.write(base + k, csr.col_idx[start + k]);
-                        sv.write(base + k, csr.vals[start + k]);
+                        sv.write(base + k, val(start + k));
                     }
                 }
             });
@@ -95,7 +112,9 @@ impl<S: Scalar> LongPart<S> {
             nnz_orig,
         }
     }
+}
 
+impl<S: Scalar> LongPart<S> {
     /// Appends one long row given its staged elements. Superseded by
     /// [`LongPart::build_csr`] on the build path; kept as the append-based
     /// reference for parity tests (and as a convenient fixture builder).
@@ -137,10 +156,14 @@ mod tests {
         Executor::seq()
     }
 
+    fn build(csr: &Csr<f64>, ids: &[u32], exec: &Executor) -> LongPart<f64> {
+        LongPart::build_csr(csr, ids, |j| csr.vals[j], 0.0, exec)
+    }
+
     #[test]
     fn pads_to_group_multiples() {
         let csr = csr_with(6, 300, &[(5, 300)]);
-        let p = LongPart::build_csr(&csr, &[5], &seq());
+        let p = build(&csr, &[5], &seq());
         // 300 elements -> 5 groups of 64 = 320 stored.
         assert_eq!(p.num_groups(), 5);
         assert_eq!(p.vals.len(), 320);
@@ -155,7 +178,7 @@ mod tests {
     #[test]
     fn exact_multiple_needs_no_padding() {
         let csr = csr_with(1, 320, &[(0, 320)]);
-        let p = LongPart::build_csr(&csr, &[0], &seq());
+        let p = build(&csr, &[0], &seq());
         assert_eq!(p.vals.len(), 320);
         assert_eq!(p.num_groups(), 5);
     }
@@ -163,7 +186,7 @@ mod tests {
     #[test]
     fn multiple_rows_accumulate_groups() {
         let csr = csr_with(10, 300, &[(1, 257), (9, 64)]);
-        let p = LongPart::build_csr(&csr, &[1, 9], &seq());
+        let p = build(&csr, &[1, 9], &seq());
         assert_eq!(p.group_ptr, vec![0, 5, 6]);
         assert_eq!(p.rows, vec![1, 9]);
         assert_eq!(p.vals.len(), 6 * 64);
@@ -176,8 +199,8 @@ mod tests {
             .collect();
         let csr = csr_with(40, 600, &lens);
         let ids: Vec<u32> = (0..40).collect();
-        let s = LongPart::build_csr(&csr, &ids, &Executor::seq());
-        let p = LongPart::build_csr(&csr, &ids, &Executor::par_with_threads(Some(4)));
+        let s = build(&csr, &ids, &Executor::seq());
+        let p = build(&csr, &ids, &Executor::par_with_threads(Some(4)));
         assert_eq!(s, p);
     }
 
@@ -185,7 +208,7 @@ mod tests {
     fn matches_append_based_reference() {
         let lens: Vec<(u32, usize)> = vec![(2, 300), (3, 257), (7, 411)];
         let csr = csr_with(8, 500, &lens);
-        let new = LongPart::build_csr(&csr, &[2, 3, 7], &seq());
+        let new = build(&csr, &[2, 3, 7], &seq());
         let mut reference = LongPart::<f64>::empty();
         for &(id, _) in &lens {
             let elems: Vec<(u32, f64)> = csr.row(id as usize).collect();

@@ -23,8 +23,11 @@ use crate::format::build::run_chunks;
 /// * `irreg_val` / `irreg_cid` / `irreg_ptr` — the paper's irregular
 ///   arrays, indexed by *sorted* medium-row position.
 /// * `rows` — sorted position to original row id.
+///
+/// Like [`LongPart`](crate::format::LongPart), the builder is generic over
+/// the per-slot value `S`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MediumPart<S: Scalar> {
+pub struct MediumPart<S> {
     /// Regular-block values (`nnz_reg_new` entries, multiple of 32).
     pub reg_val: Vec<S>,
     /// Regular-block column ids.
@@ -49,7 +52,7 @@ pub struct MediumPart<S: Scalar> {
 /// (a row-block holds 8 rows of at least 5 elements).
 const MIN_CHUNK_BLOCKS: usize = 16;
 
-impl<S: Scalar> MediumPart<S> {
+impl<S> MediumPart<S> {
     /// An empty part.
     pub fn empty() -> Self {
         MediumPart {
@@ -81,9 +84,20 @@ impl<S: Scalar> MediumPart<S> {
     /// sequential counting pass over the row lengths fixes each
     /// row-block's regular window count (and with it every element's
     /// destination), then row-block chunks fan out over `exec` and copy
-    /// elements straight from the CSR arrays — no per-row staging, and
-    /// bit-identical output for any executor.
-    pub(crate) fn build_csr(csr: &Csr<S>, sorted: &[u32], threshold: f64, exec: &Executor) -> Self {
+    /// column ids and `val(j)` of each CSR element `j` straight into place
+    /// (padding slots hold `pad`) — no per-row staging, and bit-identical
+    /// output for any executor.
+    pub(crate) fn build_csr<T: Scalar>(
+        csr: &Csr<T>,
+        sorted: &[u32],
+        threshold: f64,
+        val: impl Fn(usize) -> S + Sync,
+        pad: S,
+        exec: &Executor,
+    ) -> Self
+    where
+        S: Copy + Send,
+    {
         if sorted.is_empty() {
             return MediumPart::empty();
         }
@@ -134,10 +148,10 @@ impl<S: Scalar> MediumPart<S> {
 
         // Emit pass: copy each row's regular span and irregular remainder
         // into the precomputed (disjoint per row-block) destinations.
-        // Regular padding slots keep their prefilled (0, zero).
-        let mut reg_val = vec![S::zero(); *rowblock_ptr.last().unwrap()];
+        // Regular padding slots keep their prefilled (0, pad).
+        let mut reg_val = vec![pad; *rowblock_ptr.last().unwrap()];
         let mut reg_cid = vec![0u32; reg_val.len()];
-        let mut irreg_val = vec![S::zero(); *irreg_ptr.last().unwrap()];
+        let mut irreg_val = vec![pad; *irreg_ptr.last().unwrap()];
         let mut irreg_cid = vec![0u32; irreg_val.len()];
         {
             let srv = SharedSlice::new(&mut reg_val);
@@ -157,12 +171,12 @@ impl<S: Scalar> MediumPart<S> {
                         for pos in 0..reg_take {
                             let slot = base + (pos / MMA_K) * BLOCK_ELEMS + r * MMA_K + pos % MMA_K;
                             src.write(slot, csr.col_idx[start + pos]);
-                            srv.write(slot, csr.vals[start + pos]);
+                            srv.write(slot, val(start + pos));
                         }
                         let ibase = irreg_ptr[b * MMA_M + r];
                         for (t, pos) in (reg_take..len).enumerate() {
                             sic.write(ibase + t, csr.col_idx[start + pos]);
-                            siv.write(ibase + t, csr.vals[start + pos]);
+                            siv.write(ibase + t, val(start + pos));
                         }
                     }
                 }
@@ -179,7 +193,9 @@ impl<S: Scalar> MediumPart<S> {
             nnz_orig,
         }
     }
+}
 
+impl<S: Scalar> MediumPart<S> {
     /// The append-based reference builder the original build path used;
     /// kept for parity tests against [`MediumPart::build_csr`].
     ///
@@ -264,9 +280,13 @@ mod tests {
         coo.to_csr()
     }
 
+    fn build_with(csr: &Csr<f64>, ids: &[u32], threshold: f64, exec: &Executor) -> MediumPart<f64> {
+        MediumPart::build_csr(csr, ids, threshold, |j| csr.vals[j], 0.0, exec)
+    }
+
     fn build(lens: &[usize], threshold: f64) -> MediumPart<f64> {
         let ids: Vec<u32> = (0..lens.len() as u32).collect();
-        MediumPart::build_csr(&csr_of(lens), &ids, threshold, &Executor::seq())
+        build_with(&csr_of(lens), &ids, threshold, &Executor::seq())
     }
 
     #[test]
@@ -339,7 +359,7 @@ mod tests {
 
     #[test]
     fn empty_input_gives_empty_part() {
-        let p = MediumPart::<f64>::build_csr(&csr_of(&[]), &[], 0.75, &Executor::seq());
+        let p = build_with(&csr_of(&[]), &[], 0.75, &Executor::seq());
         assert_eq!(p.num_rowblocks(), 0);
         assert_eq!(p.rows.len(), 0);
     }
@@ -355,8 +375,8 @@ mod tests {
         let mut ids: Vec<u32> = (0..lens.len() as u32).collect();
         ids.sort_by_key(|&id| std::cmp::Reverse(lens[id as usize]));
 
-        let new = MediumPart::build_csr(&csr, &ids, 0.75, &Executor::seq());
-        let par = MediumPart::build_csr(&csr, &ids, 0.75, &Executor::par_with_threads(Some(4)));
+        let new = build_with(&csr, &ids, 0.75, &Executor::seq());
+        let par = build_with(&csr, &ids, 0.75, &Executor::par_with_threads(Some(4)));
         let staged: Vec<(u32, Vec<(u32, f64)>)> = ids
             .iter()
             .map(|&id| (id, csr.row(id as usize).collect()))

@@ -11,14 +11,14 @@
 //! the same structure (re-factorizations, time stepping) skip analysis
 //! entirely.
 //!
-//! The plan is derived by *position encoding*: analysis builds a synthetic
-//! `Csr<f64>` whose j-th value is `j + 1` (exact in f64 up to 2^53), runs
-//! the real zero-copy builder on it, and reads the resulting value arrays
-//! back — a nonzero value `v` in slot `s` means CSR element `v - 1` lands
-//! at `s`. Layout parity with [`DaspMatrix::from_csr`] therefore holds by
-//! construction: the plan *is* the builder's output. The map is stored in
-//! *gather* form (slot -> element), so deriving it, filling values, and
-//! refreshing them all stream the format arrays sequentially.
+//! The plan is the builder's own output: analysis runs the same zero-copy
+//! builder as [`DaspMatrix::from_csr`] on the caller's CSR, but has it
+//! store each CSR element's *index* `j` (as `u32`) where `from_csr` stores
+//! its value, and [`GATHER_PADDING`] where `from_csr` stores padding zeros.
+//! The four slot arrays that come back, laid end to end, *are* the gather
+//! map, so layout parity with `from_csr` holds by construction. The map is
+//! stored in *gather* form (slot -> element), so deriving it, filling
+//! values, and refreshing them all stream the format arrays sequentially.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,10 +27,10 @@ use std::sync::{Arc, Mutex};
 use dasp_fp16::Scalar;
 use dasp_simt::{Executor, SharedSlice};
 use dasp_sparse::Csr;
-use dasp_trace::{Registry, Tracer};
+use dasp_trace::{Registry, Span, Tracer};
 
 use crate::consts::{DaspParams, GROUP_ELEMS, MMA_K, MMA_M};
-use crate::format::build::{self, run_chunks};
+use crate::format::build::{self, run_chunks, Parts};
 use crate::format::{DaspMatrix, LongPart, MediumPart, ShortPart};
 
 /// Scatter elements per chunk when a fill/update runs on the parallel
@@ -169,8 +169,12 @@ impl DaspPlan {
     /// [`DaspPlan::analyze`] with the preprocessing phases recorded as
     /// spans (`preprocess.categorize`, `preprocess.sort`,
     /// `preprocess.build.{long,medium,short}`, plus a `preprocess.plan`
-    /// inversion child) under a `preprocess` root, on an explicit
-    /// executor.
+    /// child assembling the gather map) under a `preprocess` root, on an
+    /// explicit executor.
+    ///
+    /// Panics if `params.max_len <= 4` or if the pattern holds
+    /// [`GATHER_PADDING`] or more nonzeros (element indices travel as
+    /// `u32`).
     pub fn analyze_traced_with<S: Scalar>(
         csr: &Csr<S>,
         params: DaspParams,
@@ -181,64 +185,46 @@ impl DaspPlan {
             params.max_len > 4,
             "MAX_LEN must exceed the short-row bound"
         );
-        let root = tracer.span("preprocess");
         let nnz = csr.nnz();
         assert!(
-            (nnz as u64) < (1u64 << 53),
-            "position encoding requires nnz < 2^53"
+            nnz < PADDING as usize,
+            "element indices must stay below GATHER_PADDING"
         );
+        let root = tracer.span("preprocess");
 
-        // Position-encoded build: value j+1 marks CSR element j, so the
-        // builder's own output tells us where every element lands. Zero
-        // marks padding.
-        let pos = Csr::<f64> {
-            rows: csr.rows,
-            cols: csr.cols,
-            row_ptr: csr.row_ptr.clone(),
-            col_idx: csr.col_idx.clone(),
-            vals: (0..nnz).map(|j| (j + 1) as f64).collect(),
-        };
-        let m = build::build_under(&pos, params, &root, exec);
+        // The builder copies element indices instead of values: slot s of
+        // the four arrays holds the CSR element that fills it, or PADDING.
+        let parts = build::build_under(csr, params, &root, exec, |j| j as u32, PADDING);
+        Arc::new(Self::from_parts(
+            csr.rows, csr.cols, nnz, params, parts, &root,
+        ))
+    }
 
-        let long_len = m.long.vals.len();
-        let reg_len = m.medium.reg_val.len();
-        let irreg_len = m.medium.irreg_val.len();
-        let total = long_len + reg_len + irreg_len + m.short.vals.len();
+    /// Assembles a plan from parts whose slots hold CSR element indices:
+    /// the pattern arrays move over, and the four slot arrays laid end to
+    /// end become the gather map (a `preprocess.plan` child of `root`).
+    fn from_parts(
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+        params: DaspParams,
+        (long, medium, short): Parts<u32>,
+        root: &Span,
+    ) -> Self {
+        let slots = [&long.vals, &medium.reg_val, &medium.irreg_val, &short.vals];
+        let total: usize = slots.iter().map(|a| a.len()).sum();
         assert!(total <= u32::MAX as usize, "slot count exceeds u32 range");
-
-        let mut gather = vec![PADDING; total];
-        {
-            let mut sp = root.child("preprocess.plan");
-            sp.add_arg("slots", total);
-            sp.add_arg("scatter_bytes", total * 4);
-            let sg = SharedSlice::new(&mut gather);
-            // Decode each array in place: position value v at slot s means
-            // CSR element v - 1 fills s; zeros stay padding. Sequential
-            // reads, sequential writes.
-            let decode = |arr: &[f64], base: usize| {
-                run_chunks(exec, arr.len(), MIN_CHUNK_SCATTER, |lo, hi| {
-                    for (k, &v) in arr[lo..hi].iter().enumerate() {
-                        if v != 0.0 {
-                            sg.write(base + lo + k, (v as u64 - 1) as u32);
-                        }
-                    }
-                });
-            };
-            decode(&m.long.vals, 0);
-            decode(&m.medium.reg_val, long_len);
-            decode(&m.medium.irreg_val, long_len + reg_len);
-            decode(&m.short.vals, long_len + reg_len + irreg_len);
+        let mut sp = root.child("preprocess.plan");
+        sp.add_arg("slots", total);
+        sp.add_arg("scatter_bytes", total * 4);
+        let mut gather = Vec::with_capacity(total);
+        for a in slots {
+            gather.extend_from_slice(a);
         }
 
-        let DaspMatrix {
-            long,
-            medium,
-            short,
-            ..
-        } = m;
-        Arc::new(DaspPlan {
-            rows: csr.rows,
-            cols: csr.cols,
+        DaspPlan {
+            rows,
+            cols,
             nnz,
             params,
             long_rows: long.rows,
@@ -265,7 +251,7 @@ impl DaspPlan {
             perm1: short.perm1,
             short_nnz: short.nnz_orig,
             gather,
-        })
+        }
     }
 
     /// Number of rows of the analyzed pattern.
@@ -918,6 +904,7 @@ fn pattern_key<S: Scalar>(csr: &Csr<S>, params: DaspParams) -> u64 {
 mod tests {
     use super::*;
     use dasp_sparse::Coo;
+    use proptest::prelude::*;
 
     /// Rows in every category, with value `r*1000 + c` at `(r, c)`.
     fn mixed(seed: u64) -> Csr<f64> {
@@ -1126,6 +1113,127 @@ mod tests {
                 1,
                 "span {name}"
             );
+        }
+    }
+
+    /// The position-encoded derivation `analyze` used before the builder
+    /// learned to copy element indices: build a `Csr<f64>` whose j-th value
+    /// is `j + 1` through the matrix builder, then decode each nonzero
+    /// value `v` in slot `s` as "element `v - 1` fills `s`".
+    fn analyze_position_encoded(csr: &Csr<f64>, params: DaspParams, exec: &Executor) -> DaspPlan {
+        let pos = Csr::<f64> {
+            vals: (0..csr.nnz()).map(|j| (j + 1) as f64).collect(),
+            ..csr.clone()
+        };
+        let m = build::build_traced_with(&pos, params, &Tracer::disabled(), exec);
+        let decode = |vals: Vec<f64>| -> Vec<u32> {
+            vals.into_iter()
+                .map(|v| {
+                    if v != 0.0 {
+                        (v as u64 - 1) as u32
+                    } else {
+                        PADDING
+                    }
+                })
+                .collect()
+        };
+        let long = LongPart {
+            vals: decode(m.long.vals),
+            cids: m.long.cids,
+            group_ptr: m.long.group_ptr,
+            rows: m.long.rows,
+            nnz_orig: m.long.nnz_orig,
+        };
+        let medium = MediumPart {
+            reg_val: decode(m.medium.reg_val),
+            irreg_val: decode(m.medium.irreg_val),
+            reg_cid: m.medium.reg_cid,
+            rowblock_ptr: m.medium.rowblock_ptr,
+            irreg_cid: m.medium.irreg_cid,
+            irreg_ptr: m.medium.irreg_ptr,
+            rows: m.medium.rows,
+            nnz_orig: m.medium.nnz_orig,
+        };
+        let short = ShortPart {
+            vals: decode(m.short.vals),
+            cids: m.short.cids,
+            n13_warps: m.short.n13_warps,
+            n4_warps: m.short.n4_warps,
+            n22_warps: m.short.n22_warps,
+            n1: m.short.n1,
+            off4: m.short.off4,
+            off22: m.short.off22,
+            off1: m.short.off1,
+            perm13: m.short.perm13,
+            perm4: m.short.perm4,
+            perm22: m.short.perm22,
+            perm1: m.short.perm1,
+            nnz_orig: m.short.nnz_orig,
+        };
+        let root = Tracer::disabled().span("preprocess");
+        DaspPlan::from_parts(
+            csr.rows,
+            csr.cols,
+            csr.nnz(),
+            params,
+            (long, medium, short),
+            &root,
+        )
+    }
+
+    /// Row lengths drawn per row from `shape`: 0 = empty rows mixed in,
+    /// 1 = all short, 2 = all long, anything else = every category.
+    fn pattern(rows: usize, shape: u8, seed: u64) -> Csr<f64> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let cols = 700;
+        let mut coo = Coo::new(rows, cols);
+        for r in 0..rows {
+            let len = match shape {
+                0 => [0, 0, 3, 9][rng.gen_range(0..4usize)],
+                1 => rng.gen_range(1..=4usize),
+                2 => rng.gen_range(257..=600usize),
+                _ => match rng.gen_range(0..3u32) {
+                    0 => rng.gen_range(0..=4usize),
+                    1 => rng.gen_range(5..=256usize),
+                    _ => rng.gen_range(257..=600usize),
+                },
+            };
+            // Distinct columns: stride 3 is coprime to 700.
+            let start = rng.gen_range(0..cols);
+            for k in 0..len {
+                coo.push(r, (start + k * 3) % cols, 1.0);
+            }
+        }
+        coo.to_csr()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn index_threaded_analysis_matches_position_encoding(
+            rows in 1usize..90,
+            shape in 0u8..4,
+            seed in any::<u64>(),
+            long_at_6 in any::<bool>(),
+            low_threshold in any::<bool>(),
+            piecing in any::<bool>(),
+            reorder in any::<bool>(),
+        ) {
+            let csr = pattern(rows, shape, seed);
+            let params = DaspParams {
+                max_len: if long_at_6 { 5 } else { 256 },
+                threshold: if low_threshold { 0.1 } else { 0.75 },
+                short_piecing: piecing,
+                reorder,
+            };
+            for exec in [Executor::seq(), Executor::par_with_threads(Some(4))] {
+                let want = analyze_position_encoded(&csr, params, &exec);
+                let got = DaspPlan::analyze_traced_with(&csr, params, &Tracer::disabled(), &exec);
+                prop_assert!(*got == want, "plans differ under {params:?}");
+            }
         }
     }
 

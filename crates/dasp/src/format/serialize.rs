@@ -20,6 +20,14 @@
 //! structural [`DaspMatrix::validate`] (and [`DaspPlan`] validation, plus
 //! the plan-matrix pattern match) before returning, so corrupted or
 //! truncated files are rejected rather than producing wrong results.
+//!
+//! Arrays stream in chunks: the codec encodes up to [`CHUNK`] elements
+//! into one stack buffer per `write_all`, and decodes one `read_exact`
+//! per chunk, instead of issuing one call per element. A length prefix is
+//! checked against a sanity cap derived from the header, and at most
+//! [`PREALLOC_CLAMP`] elements are reserved up front, so a corrupt prefix
+//! cannot reserve a huge vector; past the clamp the array grows chunk by
+//! chunk as bytes actually arrive, and a short read is [`SerError::Io`].
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -106,66 +114,92 @@ fn read_len<R: Read>(r: &mut R, cap: u64) -> Result<usize, SerError> {
 }
 
 /// Pre-allocation clamp for length-prefixed arrays. A corrupt length prefix
-/// inside the sanity cap could still demand gigabytes up front; growing by
-/// push past this bound trades a few reallocations on huge (legitimate)
-/// arrays for corruption never reserving more than ~8 MiB speculatively.
+/// inside the sanity cap could still demand gigabytes up front; growing
+/// chunk by chunk past this bound trades a few reallocations on huge
+/// (legitimate) arrays for corruption never reserving more than ~8 MiB
+/// speculatively.
 const PREALLOC_CLAMP: usize = 1 << 20;
 
-fn write_usizes<W: Write>(w: &mut W, v: &[usize]) -> std::io::Result<()> {
+/// Elements staged per `write_all`/`read_exact` call by [`write_array`] and
+/// [`read_array`].
+const CHUNK: usize = 4096;
+
+/// Bytes of the staging buffer: a chunk of the widest (8-byte) element.
+const CHUNK_BYTES: usize = CHUNK * 8;
+
+/// Writes `v` as a length-prefixed array of `N`-byte little-endian
+/// elements, encoding up to [`CHUNK`] elements into one stack buffer per
+/// `write_all`.
+fn write_array<T, W: Write, const N: usize>(
+    w: &mut W,
+    v: &[T],
+    enc: impl Fn(&T) -> [u8; N],
+) -> std::io::Result<()> {
     write_u64(w, v.len() as u64)?;
-    for &x in v {
-        write_u64(w, x as u64)?;
+    let mut buf = [0u8; CHUNK_BYTES];
+    for chunk in v.chunks(CHUNK) {
+        let bytes = &mut buf[..chunk.len() * N];
+        for (dst, x) in bytes.chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&enc(x));
+        }
+        w.write_all(bytes)?;
     }
     Ok(())
+}
+
+/// Reads a length-prefixed array written by [`write_array`], one
+/// `read_exact` per [`CHUNK`] elements. The length must pass `cap`, at most
+/// [`PREALLOC_CLAMP`] elements are reserved up front, and a short read is
+/// [`SerError::Io`].
+fn read_array<T, R: Read, const N: usize>(
+    r: &mut R,
+    cap: u64,
+    dec: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, SerError> {
+    let n = read_len(r, cap)?;
+    let mut out = Vec::with_capacity(n.min(PREALLOC_CLAMP));
+    let mut buf = [0u8; CHUNK_BYTES];
+    let mut left = n;
+    while left > 0 {
+        let take = left.min(CHUNK);
+        let bytes = &mut buf[..take * N];
+        r.read_exact(bytes)?;
+        out.extend(
+            bytes
+                .chunks_exact(N)
+                .map(|b| dec(b.try_into().expect("chunks_exact yields N bytes"))),
+        );
+        left -= take;
+    }
+    Ok(out)
+}
+
+fn write_usizes<W: Write>(w: &mut W, v: &[usize]) -> std::io::Result<()> {
+    write_array(w, v, |&x| (x as u64).to_le_bytes())
 }
 
 fn read_usizes<R: Read>(r: &mut R, cap: u64) -> Result<Vec<usize>, SerError> {
-    let n = read_len(r, cap)?;
-    let mut out = Vec::with_capacity(n.min(PREALLOC_CLAMP));
-    for _ in 0..n {
-        out.push(read_u64(r)? as usize);
-    }
-    Ok(out)
+    read_array(r, cap, |b| u64::from_le_bytes(b) as usize)
 }
 
 fn write_u32s<W: Write>(w: &mut W, v: &[u32]) -> std::io::Result<()> {
-    write_u64(w, v.len() as u64)?;
-    for &x in v {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    Ok(())
+    write_array(w, v, |x| x.to_le_bytes())
 }
 
 fn read_u32s<R: Read>(r: &mut R, cap: u64) -> Result<Vec<u32>, SerError> {
-    let n = read_len(r, cap)?;
-    let mut out = Vec::with_capacity(n.min(PREALLOC_CLAMP));
-    let mut b = [0u8; 4];
-    for _ in 0..n {
-        r.read_exact(&mut b)?;
-        out.push(u32::from_le_bytes(b));
-    }
-    Ok(out)
+    read_array(r, cap, u32::from_le_bytes)
 }
 
+// Values travel as f64 bits: lossless for every supported storage width
+// (f16/f32/f64 all embed exactly in f64).
 fn write_scalars<S: Scalar, W: Write>(w: &mut W, v: &[S]) -> std::io::Result<()> {
-    write_u64(w, v.len() as u64)?;
-    for x in v {
-        // Values travel as f64 bits: lossless for every supported storage
-        // width (f16/f32/f64 all embed exactly in f64).
-        w.write_all(&x.to_f64().to_bits().to_le_bytes())?;
-    }
-    Ok(())
+    write_array(w, v, |x| x.to_f64().to_bits().to_le_bytes())
 }
 
 fn read_scalars<S: Scalar, R: Read>(r: &mut R, cap: u64) -> Result<Vec<S>, SerError> {
-    let n = read_len(r, cap)?;
-    let mut out = Vec::with_capacity(n.min(PREALLOC_CLAMP));
-    let mut b = [0u8; 8];
-    for _ in 0..n {
-        r.read_exact(&mut b)?;
-        out.push(S::from_f64(f64::from_bits(u64::from_le_bytes(b))));
-    }
-    Ok(out)
+    read_array(r, cap, |b| {
+        S::from_f64(f64::from_bits(u64::from_le_bytes(b)))
+    })
 }
 
 impl<S: Scalar> DaspMatrix<S> {
@@ -660,6 +694,253 @@ mod tests {
             DaspMatrix::<f64>::read_from(&mut buf.as_slice()).unwrap_err(),
             SerError::Malformed(_)
         ));
+    }
+
+    /// The per-element codec the chunked helpers replaced — one
+    /// `write_all`/`read_exact` per element — and a writer laying out both
+    /// containers with it. The chunked codec must reproduce its bytes.
+    mod reference {
+        use super::super::{read_len, write_u64, PREALLOC_CLAMP};
+        use super::*;
+
+        fn write_usizes<W: Write>(w: &mut W, v: &[usize]) -> std::io::Result<()> {
+            write_u64(w, v.len() as u64)?;
+            for &x in v {
+                write_u64(w, x as u64)?;
+            }
+            Ok(())
+        }
+
+        pub fn write_u32s<W: Write>(w: &mut W, v: &[u32]) -> std::io::Result<()> {
+            write_u64(w, v.len() as u64)?;
+            for &x in v {
+                w.write_all(&x.to_le_bytes())?;
+            }
+            Ok(())
+        }
+
+        fn write_scalars<S: Scalar, W: Write>(w: &mut W, v: &[S]) -> std::io::Result<()> {
+            write_u64(w, v.len() as u64)?;
+            for x in v {
+                w.write_all(&x.to_f64().to_bits().to_le_bytes())?;
+            }
+            Ok(())
+        }
+
+        pub fn read_u32s<R: Read>(r: &mut R, cap: u64) -> Result<Vec<u32>, SerError> {
+            let n = read_len(r, cap)?;
+            let mut out = Vec::with_capacity(n.min(PREALLOC_CLAMP));
+            let mut b = [0u8; 4];
+            for _ in 0..n {
+                r.read_exact(&mut b)?;
+                out.push(u32::from_le_bytes(b));
+            }
+            Ok(out)
+        }
+
+        pub fn read_scalars<S: Scalar, R: Read>(r: &mut R, cap: u64) -> Result<Vec<S>, SerError> {
+            let n = read_len(r, cap)?;
+            let mut out = Vec::with_capacity(n.min(PREALLOC_CLAMP));
+            let mut b = [0u8; 8];
+            for _ in 0..n {
+                r.read_exact(&mut b)?;
+                out.push(S::from_f64(f64::from_bits(u64::from_le_bytes(b))));
+            }
+            Ok(out)
+        }
+
+        /// `DaspMatrix::write_to`'s container, element by element.
+        pub fn write_matrix<S: Scalar>(m: &DaspMatrix<S>) -> Vec<u8> {
+            let w = &mut Vec::new();
+            w.extend_from_slice(MAGIC);
+            w.push(S::BYTES as u8);
+            let p = &m.params;
+            for h in [
+                m.rows as u64,
+                m.cols as u64,
+                m.nnz as u64,
+                p.max_len as u64,
+                p.threshold.to_bits(),
+                p.short_piecing as u64,
+                param_flags(p),
+            ] {
+                write_u64(w, h).unwrap();
+            }
+            let (l, md, s) = (&m.long, &m.medium, &m.short);
+            write_scalars(w, &l.vals).unwrap();
+            write_u32s(w, &l.cids).unwrap();
+            write_usizes(w, &l.group_ptr).unwrap();
+            write_u32s(w, &l.rows).unwrap();
+            write_u64(w, l.nnz_orig as u64).unwrap();
+            write_scalars(w, &md.reg_val).unwrap();
+            write_u32s(w, &md.reg_cid).unwrap();
+            write_usizes(w, &md.rowblock_ptr).unwrap();
+            write_scalars(w, &md.irreg_val).unwrap();
+            write_u32s(w, &md.irreg_cid).unwrap();
+            write_usizes(w, &md.irreg_ptr).unwrap();
+            write_u32s(w, &md.rows).unwrap();
+            write_u64(w, md.nnz_orig as u64).unwrap();
+            write_scalars(w, &s.vals).unwrap();
+            write_u32s(w, &s.cids).unwrap();
+            for h in [
+                s.n13_warps,
+                s.n4_warps,
+                s.n22_warps,
+                s.n1,
+                s.off4,
+                s.off22,
+                s.off1,
+            ] {
+                write_u64(w, h as u64).unwrap();
+            }
+            for perm in [&s.perm13, &s.perm4, &s.perm22, &s.perm1] {
+                write_u32s(w, perm).unwrap();
+            }
+            write_u64(w, s.nnz_orig as u64).unwrap();
+            match &m.plan {
+                Some(plan) => {
+                    w.push(1);
+                    write_plan(plan, w);
+                }
+                None => w.push(0),
+            }
+            std::mem::take(w)
+        }
+
+        /// `DaspPlan::write_to`'s container, element by element.
+        fn write_plan(p: &DaspPlan, w: &mut Vec<u8>) {
+            w.extend_from_slice(PLAN_MAGIC);
+            for h in [
+                p.rows as u64,
+                p.cols as u64,
+                p.nnz as u64,
+                p.params.max_len as u64,
+                p.params.threshold.to_bits(),
+                p.params.short_piecing as u64,
+                param_flags(&p.params),
+            ] {
+                write_u64(w, h).unwrap();
+            }
+            write_u32s(w, &p.long_rows).unwrap();
+            write_usizes(w, &p.long_group_ptr).unwrap();
+            write_u32s(w, &p.long_cids).unwrap();
+            write_u64(w, p.long_nnz as u64).unwrap();
+            write_u32s(w, &p.med_rows).unwrap();
+            write_usizes(w, &p.med_rowblock_ptr).unwrap();
+            write_u32s(w, &p.med_reg_cid).unwrap();
+            write_u32s(w, &p.med_irreg_cid).unwrap();
+            write_usizes(w, &p.med_irreg_ptr).unwrap();
+            write_u64(w, p.med_nnz as u64).unwrap();
+            write_u32s(w, &p.short_cids).unwrap();
+            for h in [
+                p.n13_warps,
+                p.n4_warps,
+                p.n22_warps,
+                p.n1,
+                p.off4,
+                p.off22,
+                p.off1,
+            ] {
+                write_u64(w, h as u64).unwrap();
+            }
+            for perm in [&p.perm13, &p.perm4, &p.perm22, &p.perm1] {
+                write_u32s(w, perm).unwrap();
+            }
+            write_u64(w, p.short_nnz as u64).unwrap();
+            write_u32s(w, &p.gather).unwrap();
+        }
+    }
+
+    /// One matrix of each generator class of the benchmark's five-class
+    /// mix, small enough for a debug test yet with arrays spanning several
+    /// chunks.
+    fn five_classes() -> Vec<Csr<f64>> {
+        vec![
+            dasp_matgen::circuit_like(2000, 3, 900, 1),
+            dasp_matgen::rmat(11, 6, 2),
+            dasp_matgen::banded(1200, 32, 12, 3),
+            dasp_matgen::stencil2d(60, 60, 4, 4),
+            dasp_matgen::uniform_random(3000, 3000, 3, 5),
+        ]
+    }
+
+    fn assert_reference_bytes<S: Scalar>(csr: &Csr<f64>, params: DaspParams) {
+        let csr: Csr<S> = csr.cast();
+        let plain = DaspMatrix::with_params(&csr, params);
+        let planned = DaspPlan::analyze(&csr, params).fill(&csr);
+        for m in [plain, planned] {
+            let mut bytes = Vec::new();
+            m.write_to(&mut bytes).unwrap();
+            assert!(
+                bytes == reference::write_matrix(&m),
+                "chunked bytes differ: {} B, plan {}, {params:?}",
+                S::BYTES,
+                m.plan().is_some()
+            );
+            let back = DaspMatrix::<S>::read_from(&mut bytes.as_slice()).unwrap();
+            assert_eq!(back, m);
+        }
+    }
+
+    #[test]
+    fn chunked_write_is_byte_identical_to_per_element_reference() {
+        for csr in five_classes() {
+            for reorder in [false, true] {
+                let params = DaspParams {
+                    reorder,
+                    ..DaspParams::default()
+                };
+                assert_reference_bytes::<f64>(&csr, params);
+                assert_reference_bytes::<f32>(&csr, params);
+                assert_reference_bytes::<F16>(&csr, params);
+            }
+        }
+    }
+
+    #[test]
+    fn arrays_round_trip_at_chunk_boundaries() {
+        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1] {
+            let ints: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
+            let wide: Vec<usize> = (0..n).map(|i| i << 33 | i).collect();
+            let vals: Vec<f64> = (0..n).map(|i| i as f64 * -0.375 + 1e-300).collect();
+
+            let mut buf = Vec::new();
+            write_u32s(&mut buf, &ints).unwrap();
+            write_usizes(&mut buf, &wide).unwrap();
+            write_scalars(&mut buf, &vals).unwrap();
+            assert_eq!(buf.len(), 3 * 8 + n * (4 + 8 + 8));
+            let mut r = buf.as_slice();
+            assert_eq!(read_u32s(&mut r, n as u64).unwrap(), ints);
+            assert_eq!(read_usizes(&mut r, n as u64).unwrap(), wide);
+            assert_eq!(read_scalars::<f64, _>(&mut r, n as u64).unwrap(), vals);
+            assert!(r.is_empty());
+
+            // Same bytes as the per-element codec, and readable by it.
+            let mut old = Vec::new();
+            reference::write_u32s(&mut old, &ints).unwrap();
+            assert_eq!(old, buf[..8 + 4 * n]);
+            let mut r = &buf[8 + 4 * n + 8 + 8 * n..];
+            assert_eq!(
+                reference::read_scalars::<f64, _>(&mut r, n as u64).unwrap(),
+                vals
+            );
+            let mut r = buf.as_slice();
+            assert_eq!(reference::read_u32s(&mut r, n as u64).unwrap(), ints);
+
+            // A read one element short of the prefix is an I/O error, and
+            // a prefix above the cap is malformed.
+            if n > 0 {
+                let cut = &buf[..8 + 4 * (n - 1)];
+                assert!(matches!(
+                    read_u32s(&mut &cut[..], n as u64),
+                    Err(SerError::Io(_))
+                ));
+                assert!(matches!(
+                    read_u32s(&mut buf.as_slice(), n as u64 - 1),
+                    Err(SerError::Malformed(_))
+                ));
+            }
+        }
     }
 
     #[test]

@@ -31,8 +31,11 @@ pub const NO_ROW: u32 = u32::MAX;
 /// original row ids ([`NO_ROW`] for padding). The slot order inside a warp
 /// follows the kernels' shuffle extraction: iteration `i` of the 4-MMA loop
 /// fills slots `i*8..(i+1)*8`.
+///
+/// Like [`LongPart`](crate::format::LongPart), the builder is generic over
+/// the per-slot value `S`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShortPart<S: Scalar> {
+pub struct ShortPart<S> {
     /// All packed element values: `[1&3 blocks][len-4 blocks][2&2 blocks][singles]`.
     pub vals: Vec<S>,
     /// Matching column ids (0 for padding).
@@ -71,7 +74,7 @@ type ShortRow<S> = (u32, Vec<(u32, S)>);
 /// executor (each slot copies at most 4 elements).
 const MIN_CHUNK_SLOTS: usize = 512;
 
-impl<S: Scalar> ShortPart<S> {
+impl<S> ShortPart<S> {
     /// An empty part.
     pub fn empty() -> Self {
         ShortPart {
@@ -110,10 +113,21 @@ impl<S: Scalar> ShortPart<S> {
     /// A sequential classification pass over the row lengths splits the ids
     /// into the four sub-categories and fixes the packed geometry; the
     /// emit phases then fan real packed-row slots out over `exec` and copy
-    /// elements straight from the CSR arrays into their precomputed
-    /// (disjoint) destinations, while padding slots keep their prefilled
-    /// zeros. No per-row staging; output is bit-identical for any executor.
-    pub(crate) fn build_csr(csr: &Csr<S>, ids: &[u32], piecing: bool, exec: &Executor) -> Self {
+    /// column ids and `val(j)` of each CSR element `j` straight into their
+    /// precomputed (disjoint) destinations, while padding slots keep their
+    /// prefilled `pad`. No per-row staging; output is bit-identical for any
+    /// executor.
+    pub(crate) fn build_csr<T: Scalar>(
+        csr: &Csr<T>,
+        ids: &[u32],
+        piecing: bool,
+        val: impl Fn(usize) -> S + Sync,
+        pad: S,
+        exec: &Executor,
+    ) -> Self
+    where
+        S: Copy + Send,
+    {
         // --- classification (row ids only; lengths come from row_ptr) -----
         let mut r1: Vec<u32> = Vec::new();
         let mut r2: Vec<u32> = Vec::new();
@@ -171,7 +185,7 @@ impl<S: Scalar> ShortPart<S> {
         let total = off1 + n1;
 
         // --- emit ----------------------------------------------------------
-        let mut vals = vec![S::zero(); total];
+        let mut vals = vec![pad; total];
         let mut cids = vec![0u32; total];
         let mut perm13 = vec![NO_ROW; n13_warps * 32];
         let mut perm4 = vec![NO_ROW; n4_warps * 32];
@@ -183,7 +197,7 @@ impl<S: Scalar> ShortPart<S> {
                 let start = csr.row_ptr[id as usize];
                 for k in 0..take {
                     sc.write(base + k, csr.col_idx[start + k]);
-                    sv.write(base + k, csr.vals[start + k]);
+                    sv.write(base + k, val(start + k));
                 }
             };
 
@@ -256,7 +270,9 @@ impl<S: Scalar> ShortPart<S> {
             nnz_orig,
         }
     }
+}
 
+impl<S: Scalar> ShortPart<S> {
     /// Builds the part from staged short rows, in original row order.
     /// Superseded by [`ShortPart::build_csr`] on the build path; kept as
     /// the append-based reference for parity tests.
@@ -436,9 +452,13 @@ mod tests {
         coo.to_csr()
     }
 
+    fn build_with(csr: &Csr<f64>, ids: &[u32], piecing: bool, exec: &Executor) -> ShortPart<f64> {
+        ShortPart::build_csr(csr, ids, piecing, |j| csr.vals[j], 0.0, exec)
+    }
+
     fn build(rows: &[(u32, usize)]) -> ShortPart<f64> {
         let ids: Vec<u32> = rows.iter().map(|&(id, _)| id).collect();
-        ShortPart::build_csr(&csr_of(rows), &ids, true, &Executor::seq())
+        build_with(&csr_of(rows), &ids, true, &Executor::seq())
     }
 
     #[test]
@@ -515,7 +535,7 @@ mod tests {
     #[test]
     fn empty_input_is_empty_part() {
         let empty = Coo::<f64>::new(1, 1).to_csr();
-        let p = ShortPart::<f64>::build_csr(&empty, &[], true, &Executor::seq());
+        let p = build_with(&empty, &[], true, &Executor::seq());
         assert_eq!(p.num_rows(), 0);
         assert_eq!(p.vals.len(), 0);
         assert_eq!(p.n13_warps + p.n4_warps + p.n22_warps + p.n1, 0);
@@ -534,9 +554,8 @@ mod tests {
             .collect();
 
         for piecing in [true, false] {
-            let new = ShortPart::build_csr(&csr, &ids, piecing, &Executor::seq());
-            let par =
-                ShortPart::build_csr(&csr, &ids, piecing, &Executor::par_with_threads(Some(4)));
+            let new = build_with(&csr, &ids, piecing, &Executor::seq());
+            let par = build_with(&csr, &ids, piecing, &Executor::par_with_threads(Some(4)));
             let reference = if piecing {
                 ShortPart::build(staged.clone())
             } else {

@@ -32,6 +32,35 @@ fn blob() -> Vec<u8> {
     buf
 }
 
+/// A blob whose larger arrays span several of the codec's I/O chunks
+/// (a few thousand elements each), with the plan trailer attached.
+fn multi_chunk_blob() -> Vec<u8> {
+    let csr = dasp_matgen::circuit_like(6000, 3, 900, 17);
+    let m = DaspPlan::analyze(&csr, DaspParams::default()).fill(&csr);
+    let mut buf = Vec::new();
+    m.write_to(&mut buf).unwrap();
+    buf
+}
+
+/// A reader over `data` recording the offset and length of every `read`
+/// call, so a test learns where the decoder's chunk boundaries fall
+/// without knowing the container layout.
+struct Recorder<'a> {
+    data: &'a [u8],
+    pos: usize,
+    reads: Vec<(usize, usize)>,
+}
+
+impl std::io::Read for Recorder<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.data.len() - self.pos);
+        self.reads.push((self.pos, buf.len()));
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
 /// Decode must not panic; an `Ok` result must still be fully valid.
 fn decode_is_sound(bytes: &[u8]) -> Result<(), String> {
     match DaspMatrix::<f64>::read_from(&mut &bytes[..]) {
@@ -64,6 +93,42 @@ fn every_truncation_yields_typed_error() {
             "truncation at {cut}/{} decoded Ok",
             bytes.len()
         );
+    }
+}
+
+#[test]
+fn multi_chunk_blob_cut_at_every_chunk_boundary_is_an_io_error() {
+    let bytes = multi_chunk_blob();
+    let mut rec = Recorder {
+        data: &bytes,
+        pos: 0,
+        reads: Vec::new(),
+    };
+    let m = DaspMatrix::<f64>::read_from(&mut rec).expect("pristine blob decodes");
+    assert!(m.plan().is_some());
+    assert_eq!(rec.pos, bytes.len(), "the reader consumes the whole blob");
+    // The blob must really be multi-chunk: the widest read (a full chunk
+    // of 8-byte elements) recurs back to back within one array.
+    let widest = rec.reads.iter().map(|&(_, len)| len).max().unwrap();
+    assert!(widest > 8, "arrays are read in chunks, not per element");
+    assert!(
+        rec.reads
+            .windows(2)
+            .any(|w| w[0].1 == widest && w[1].1 == widest),
+        "some array spans several full chunks"
+    );
+    for &(start, len) in &rec.reads {
+        for cut in [start.saturating_sub(1), start, start + 1, start + len - 1] {
+            if cut >= bytes.len() {
+                continue;
+            }
+            // Truncation surfaces as the reader's I/O error.
+            match DaspMatrix::<f64>::read_from(&mut &bytes[..cut]) {
+                Err(SerError::Io(_)) => {}
+                Err(e) => panic!("cut at {cut}/{}: expected Io, got {e}", bytes.len()),
+                Ok(_) => panic!("cut at {cut}/{} decoded Ok", bytes.len()),
+            }
+        }
     }
 }
 

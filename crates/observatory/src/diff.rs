@@ -32,8 +32,8 @@
 //! old snapshot but missing from the new one also fails (a silently
 //! dropped workload must not pass a perf gate).
 
-use crate::json::{escape, fmt_num};
 use crate::snapshot::{BenchSnapshot, Workload};
+use dasp_trace::{escape_json, fmt_f64};
 
 /// Thresholds for [`diff_snapshots`].
 #[derive(Debug, Clone, Copy)]
@@ -200,19 +200,19 @@ impl DiffReport {
         out.push_str(&format!("  \"new_seq\": {},\n", self.new_seq));
         out.push_str(&format!(
             "  \"wall_threshold\": {},\n",
-            fmt_num(self.config.wall_threshold)
+            fmt_f64(self.config.wall_threshold)
         ));
         out.push_str(&format!(
             "  \"mad_factor\": {},\n",
-            fmt_num(self.config.mad_factor)
+            fmt_f64(self.config.mad_factor)
         ));
         out.push_str(&format!(
             "  \"drift_floor\": {},\n",
-            fmt_num(self.config.drift_floor)
+            fmt_f64(self.config.drift_floor)
         ));
         out.push_str(&format!(
             "  \"modeled_threshold\": {},\n",
-            fmt_num(self.config.modeled_threshold)
+            fmt_f64(self.config.modeled_threshold)
         ));
         out.push_str(&format!("  \"regressions\": {},\n", self.failures().len()));
         out.push_str(&format!("  \"pass\": {},\n", !self.has_regression()));
@@ -224,15 +224,15 @@ impl DiffReport {
                  \"wall_old_us\": {}, \"wall_new_us\": {}, \"wall_rel\": {}, \
                  \"modeled_old_us\": {}, \"modeled_new_us\": {}, \"modeled_rel\": {}, \
                  \"why\": \"{}\"}}",
-                escape(&r.id),
+                escape_json(&r.id),
                 r.verdict.label(),
-                fmt_num(r.wall_old_us),
-                fmt_num(r.wall_new_us),
-                fmt_num(r.wall_rel),
-                fmt_num(r.modeled_old_us),
-                fmt_num(r.modeled_new_us),
-                fmt_num(r.modeled_rel),
-                escape(&r.why),
+                fmt_f64(r.wall_old_us),
+                fmt_f64(r.wall_new_us),
+                fmt_f64(r.wall_rel),
+                fmt_f64(r.modeled_old_us),
+                fmt_f64(r.modeled_new_us),
+                fmt_f64(r.modeled_rel),
+                escape_json(&r.why),
             ));
         }
         out.push_str("\n  ]\n}\n");
@@ -456,6 +456,22 @@ mod tests {
         assert!(dasp_trace::validate_json(&json).is_ok());
         assert!(json.contains("\"pass\": false"), "{json}");
         assert!(json.contains("\"verdict\": \"regressed\""), "{json}");
+    }
+
+    #[test]
+    fn adversarial_ids_round_trip_through_the_verdict_json() {
+        use crate::json::Json;
+        use crate::snapshot::tests::ADVERSARIAL;
+        let id = format!("spmv/{ADVERSARIAL}/dasp");
+        let old = snapshot(1, vec![workload(&id, 100.0, 1.0, 10.0)]);
+        let new = snapshot(2, vec![workload(&id, 150.0, 1.0, 10.0)]);
+        let json = diff_snapshots(&old, &new, DiffConfig::default()).to_json();
+        assert!(dasp_trace::validate_json(&json).is_ok(), "{json}");
+        let doc = Json::parse(&json).unwrap();
+        let rows = doc.get("rows").unwrap().as_arr().unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].req_str("id").unwrap(), id);
+        assert!(rows[0].req_str("why").unwrap().contains("wall"));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! A minimal JSON value parser and emitter helpers.
+//! A minimal JSON value parser.
 //!
-//! The workspace has no serde; `dasp-trace` *emits* JSON by hand and
+//! The workspace has no serde; `dasp-trace` *emits* JSON by hand (its
+//! `escape_json` and `fmt_f64` also serve the observatory's writers) and
 //! validates it, but the observatory must also *read* snapshots back
 //! (`dasp-bench diff` compares two `BENCH_*.json` files), so this module
 //! carries a small recursive-descent parser producing a [`Json`] tree.
@@ -277,32 +278,6 @@ fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         .map_err(|_| format!("bad number at byte {start}"))
 }
 
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes
-/// added).
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a JSON-legal number (non-finite values clamp to 0).
-pub(crate) fn fmt_num(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    format!("{v}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +308,7 @@ mod tests {
     fn unicode_and_escapes_round_trip() {
         let doc = Json::parse("\"caf\u{e9} \\u0041 \\t\"").unwrap();
         assert_eq!(doc.as_str().unwrap(), "café A \t");
-        let escaped = format!("\"{}\"", escape("q\" b\\ n\n"));
+        let escaped = format!("\"{}\"", dasp_trace::escape_json("q\" b\\ n\n"));
         assert_eq!(
             Json::parse(&escaped).unwrap().as_str().unwrap(),
             "q\" b\\ n\n"

@@ -13,7 +13,8 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::json::{escape, fmt_num, Json};
+use crate::json::Json;
+use dasp_trace::{escape_json, fmt_f64};
 
 /// Schema version this crate writes and reads.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -128,12 +129,21 @@ impl BenchSnapshot {
         out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
         out.push_str(&format!("  \"kind\": \"{SNAPSHOT_KIND}\",\n"));
         out.push_str(&format!("  \"seq\": {},\n", self.seq));
-        out.push_str(&format!("  \"git_rev\": \"{}\",\n", escape(&self.git_rev)));
-        out.push_str(&format!("  \"profile\": \"{}\",\n", escape(&self.profile)));
-        out.push_str(&format!("  \"device\": \"{}\",\n", escape(&self.device)));
+        out.push_str(&format!(
+            "  \"git_rev\": \"{}\",\n",
+            escape_json(&self.git_rev)
+        ));
+        out.push_str(&format!(
+            "  \"profile\": \"{}\",\n",
+            escape_json(&self.profile)
+        ));
+        out.push_str(&format!(
+            "  \"device\": \"{}\",\n",
+            escape_json(&self.device)
+        ));
         out.push_str(&format!(
             "  \"executor\": \"{}\",\n",
-            escape(&self.executor)
+            escape_json(&self.executor)
         ));
         out.push_str(&format!("  \"reps\": {},\n", self.reps));
         out.push_str("  \"workloads\": [");
@@ -197,18 +207,18 @@ fn workload_json(w: &Workload) -> String {
          \"modeled\": {{\"us\": {}, \"random_share\": {}, \"compute_share\": {}, \"misc_share\": {}, \"gflops\": {}}}, \
          \"traffic\": {{\"dram_bytes\": {}, \"bytes_val\": {}, \"bytes_idx\": {}, \"x_requests\": {}, \"x_hits\": {}}}, \
          \"ops\": {{\"mma_ops\": {}, \"fma_ops\": {}, \"launches\": {}}}}}",
-        escape(&w.id),
+        escape_json(&w.id),
         w.nnz,
         w.wall.reps,
-        fmt_num(w.wall.median_us),
-        fmt_num(w.wall.mad_us),
-        fmt_num(w.wall.min_us),
-        fmt_num(w.wall.max_us),
-        fmt_num(w.modeled.us),
-        fmt_num(w.modeled.random_share),
-        fmt_num(w.modeled.compute_share),
-        fmt_num(w.modeled.misc_share),
-        fmt_num(w.modeled.gflops),
+        fmt_f64(w.wall.median_us),
+        fmt_f64(w.wall.mad_us),
+        fmt_f64(w.wall.min_us),
+        fmt_f64(w.wall.max_us),
+        fmt_f64(w.modeled.us),
+        fmt_f64(w.modeled.random_share),
+        fmt_f64(w.modeled.compute_share),
+        fmt_f64(w.modeled.misc_share),
+        fmt_f64(w.modeled.gflops),
         w.traffic.dram_bytes,
         w.traffic.bytes_val,
         w.traffic.bytes_idx,
@@ -308,7 +318,7 @@ pub fn git_rev() -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     pub(crate) fn sample_workload(id: &str, median_us: f64, mad_us: f64) -> Workload {
@@ -374,6 +384,27 @@ mod tests {
             100.0
         );
         // Re-serializing the parsed snapshot reproduces identical bytes.
+        assert_eq!(back.to_json(), json);
+    }
+
+    /// Quotes, backslashes, every escape class, raw control characters,
+    /// DEL, non-ASCII and a JSON-vs-JavaScript line separator.
+    pub(crate) const ADVERSARIAL: &str =
+        "q\"b\\s/\n\r\t\u{0}\u{1}\u{1f}\u{7f} caf\u{e9} \u{1f980} \u{2028}\\u0041";
+
+    #[test]
+    fn adversarial_strings_round_trip() {
+        let mut snap = sample_snapshot();
+        snap.git_rev = ADVERSARIAL.to_string();
+        snap.profile = format!("{ADVERSARIAL}p");
+        snap.device = format!("d{ADVERSARIAL}");
+        snap.executor = "\\\"".to_string();
+        snap.workloads[0].id = ADVERSARIAL.to_string();
+        let json = snap.to_json();
+        assert!(dasp_trace::validate_json(&json).is_ok(), "{json}");
+        let back = BenchSnapshot::from_json(&json).unwrap();
+        snap.workloads.sort_by(|a, b| a.id.cmp(&b.id));
+        assert_eq!(back, snap);
         assert_eq!(back.to_json(), json);
     }
 

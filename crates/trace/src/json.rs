@@ -198,7 +198,7 @@ pub fn escape_json(s: &str) -> String {
 
 /// Formats an `f64` as a JSON-legal number (`null`-free: non-finite
 /// values are clamped to 0, which JSON cannot represent otherwise).
-pub(crate) fn fmt_f64(v: f64) -> String {
+pub fn fmt_f64(v: f64) -> String {
     if !v.is_finite() {
         return "0".to_string();
     }

@@ -47,7 +47,7 @@ mod span;
 mod warp_profile;
 
 pub use export::{chrome_trace_json, registry_to_csv, registry_to_json};
-pub use json::{escape_json, validate_json};
+pub use json::{escape_json, fmt_f64, validate_json};
 pub use registry::{log_bounds, Histogram, MetricValue, Registry};
 pub use span::{Span, SpanRecord, Trace, Tracer};
 pub use warp_profile::{WarpProfile, WarpProfiler, WarpTally};
