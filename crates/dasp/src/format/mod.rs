@@ -13,23 +13,23 @@
 //! Empty rows belong to no category; their `y` entries stay zero.
 
 mod build;
+mod check;
 mod long;
 mod medium;
 mod plan;
 mod reconstruct;
 mod reorder;
+mod report;
 mod serialize;
 mod short;
-mod validate;
 
+pub use check::{verify_matrix, verify_plan};
 pub use long::LongPart;
 pub use medium::MediumPart;
-pub use plan::{
-    DaspPlan, PlanCache, PlanView, RefreshError, DEFAULT_PLAN_CACHE_CAP, GATHER_PADDING,
-};
+pub use plan::{DaspPlan, PlanCache, RefreshError, DEFAULT_PLAN_CACHE_CAP, GATHER_PADDING};
+pub use report::{Invariant, VerifyReport, Violation, MAX_SITES};
 pub use serialize::SerError;
 pub use short::{ShortPart, NO_ROW};
-pub use validate::FormatError;
 
 use std::sync::Arc;
 

@@ -29,7 +29,7 @@ use dasp_simt::{Executor, SharedSlice};
 use dasp_sparse::Csr;
 use dasp_trace::{Registry, Span, Tracer};
 
-use crate::consts::{DaspParams, GROUP_ELEMS, MMA_K, MMA_M};
+use crate::consts::DaspParams;
 use crate::format::build::{self, run_chunks, Parts};
 use crate::format::{DaspMatrix, LongPart, MediumPart, ShortPart};
 
@@ -93,72 +93,6 @@ pub const GATHER_PADDING: u32 = u32::MAX;
 
 /// Internal alias; the public name is [`GATHER_PADDING`].
 const PADDING: u32 = GATHER_PADDING;
-
-/// A read-only borrow of every pattern array in a [`DaspPlan`].
-///
-/// The plan's fields are crate-private (the analysis pipeline owns their
-/// invariants), but external structural analysis — the `dasp-verify`
-/// crate's exhaustive validator — needs to inspect all of them. The view
-/// exposes exactly the serialized `DASPPLN1` surface, nothing more.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanView<'a> {
-    /// Analyzed pattern rows.
-    pub rows: usize,
-    /// Analyzed pattern columns.
-    pub cols: usize,
-    /// Analyzed pattern nonzeros.
-    pub nnz: usize,
-    /// Parameters the pattern was analyzed with.
-    pub params: DaspParams,
-    /// Long-category original row ids.
-    pub long_rows: &'a [u32],
-    /// Long-category group pointer (first group of each row).
-    pub long_group_ptr: &'a [usize],
-    /// Long-category padded column ids.
-    pub long_cids: &'a [u32],
-    /// Long-category original nonzero count.
-    pub long_nnz: usize,
-    /// Medium-category row ids in sorted order.
-    pub med_rows: &'a [u32],
-    /// Medium-category row-block pointer.
-    pub med_rowblock_ptr: &'a [usize],
-    /// Medium-category regular-block column ids.
-    pub med_reg_cid: &'a [u32],
-    /// Medium-category irregular column ids.
-    pub med_irreg_cid: &'a [u32],
-    /// Medium-category irregular per-row pointer.
-    pub med_irreg_ptr: &'a [usize],
-    /// Medium-category original nonzero count.
-    pub med_nnz: usize,
-    /// Short-category packed column ids.
-    pub short_cids: &'a [u32],
-    /// Warps in the 1&3 sub-category.
-    pub n13_warps: usize,
-    /// Warps in the length-4 sub-category.
-    pub n4_warps: usize,
-    /// Warps in the 2&2 sub-category.
-    pub n22_warps: usize,
-    /// Leftover singleton rows.
-    pub n1: usize,
-    /// Element offset of the length-4 blocks.
-    pub off4: usize,
-    /// Element offset of the 2&2 blocks.
-    pub off22: usize,
-    /// Element offset of the singletons.
-    pub off1: usize,
-    /// 1&3 y-slot to original-row permutation.
-    pub perm13: &'a [u32],
-    /// Length-4 permutation.
-    pub perm4: &'a [u32],
-    /// 2&2 permutation.
-    pub perm22: &'a [u32],
-    /// Singleton permutation.
-    pub perm1: &'a [u32],
-    /// Short-category original nonzero count.
-    pub short_nnz: usize,
-    /// Slot -> CSR-element gather map ([`GATHER_PADDING`] = padding slot).
-    pub gather: &'a [u32],
-}
 
 impl DaspPlan {
     /// Analyzes a pattern on the environment-selected executor.
@@ -272,41 +206,6 @@ impl DaspPlan {
     /// Parameters the pattern was analyzed with.
     pub fn params(&self) -> DaspParams {
         self.params
-    }
-
-    /// A read-only [`PlanView`] over every pattern array, for external
-    /// structural analysis (the `dasp-verify` crate).
-    pub fn view(&self) -> PlanView<'_> {
-        PlanView {
-            rows: self.rows,
-            cols: self.cols,
-            nnz: self.nnz,
-            params: self.params,
-            long_rows: &self.long_rows,
-            long_group_ptr: &self.long_group_ptr,
-            long_cids: &self.long_cids,
-            long_nnz: self.long_nnz,
-            med_rows: &self.med_rows,
-            med_rowblock_ptr: &self.med_rowblock_ptr,
-            med_reg_cid: &self.med_reg_cid,
-            med_irreg_cid: &self.med_irreg_cid,
-            med_irreg_ptr: &self.med_irreg_ptr,
-            med_nnz: self.med_nnz,
-            short_cids: &self.short_cids,
-            n13_warps: self.n13_warps,
-            n4_warps: self.n4_warps,
-            n22_warps: self.n22_warps,
-            n1: self.n1,
-            off4: self.off4,
-            off22: self.off22,
-            off1: self.off1,
-            perm13: &self.perm13,
-            perm4: &self.perm4,
-            perm22: &self.perm22,
-            perm1: &self.perm1,
-            short_nnz: self.short_nnz,
-            gather: &self.gather,
-        }
     }
 
     /// Total value slots (including padding) a filled matrix holds.
@@ -453,179 +352,6 @@ impl DaspPlan {
             });
         }
     }
-
-    /// Checks that `m`'s index structures are exactly the ones this plan
-    /// would produce, so attaching the plan to `m` is sound.
-    pub(crate) fn matches_matrix<S: Scalar>(&self, m: &DaspMatrix<S>) -> Result<(), String> {
-        fn check(ok: bool, what: &str) -> Result<(), String> {
-            if ok {
-                Ok(())
-            } else {
-                Err(format!("plan does not match matrix: {what} differ"))
-            }
-        }
-        check(
-            self.rows == m.rows && self.cols == m.cols && self.nnz == m.nnz,
-            "dimensions",
-        )?;
-        check(self.params == m.params, "params")?;
-        check(
-            self.long_rows == m.long.rows
-                && self.long_group_ptr == m.long.group_ptr
-                && self.long_cids == m.long.cids
-                && self.long_nnz == m.long.nnz_orig,
-            "long part patterns",
-        )?;
-        check(
-            self.med_rows == m.medium.rows
-                && self.med_rowblock_ptr == m.medium.rowblock_ptr
-                && self.med_reg_cid == m.medium.reg_cid
-                && self.med_irreg_cid == m.medium.irreg_cid
-                && self.med_irreg_ptr == m.medium.irreg_ptr
-                && self.med_nnz == m.medium.nnz_orig,
-            "medium part patterns",
-        )?;
-        check(
-            self.short_cids == m.short.cids
-                && self.n13_warps == m.short.n13_warps
-                && self.n4_warps == m.short.n4_warps
-                && self.n22_warps == m.short.n22_warps
-                && self.n1 == m.short.n1
-                && self.off4 == m.short.off4
-                && self.off22 == m.short.off22
-                && self.off1 == m.short.off1
-                && self.perm13 == m.short.perm13
-                && self.perm4 == m.short.perm4
-                && self.perm22 == m.short.perm22
-                && self.perm1 == m.short.perm1
-                && self.short_nnz == m.short.nnz_orig,
-            "short part patterns",
-        )
-    }
-
-    /// Structural validity: pointer monotonicity, array-length consistency,
-    /// offset arithmetic, and a bijective in-bounds scatter map. Used after
-    /// deserialization.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        fn check(ok: bool, what: &str) -> Result<(), String> {
-            if ok {
-                Ok(())
-            } else {
-                Err(format!("invalid plan: {what}"))
-            }
-        }
-        let mono = |p: &[usize]| p.first() == Some(&0) && p.windows(2).all(|w| w[0] <= w[1]);
-
-        check(mono(&self.long_group_ptr), "long group_ptr not monotonic")?;
-        check(
-            self.long_group_ptr.len() == self.long_rows.len() + 1,
-            "long group_ptr length",
-        )?;
-        check(
-            Some(self.long_cids.len())
-                == self.long_group_ptr.last().unwrap().checked_mul(GROUP_ELEMS),
-            "long cids length",
-        )?;
-
-        check(
-            mono(&self.med_rowblock_ptr),
-            "medium rowblock_ptr not monotonic",
-        )?;
-        check(mono(&self.med_irreg_ptr), "medium irreg_ptr not monotonic")?;
-        let n_blocks = self.med_rows.len().div_ceil(MMA_M);
-        check(
-            self.med_rowblock_ptr.len() == n_blocks + 1,
-            "medium rowblock_ptr length",
-        )?;
-        check(
-            self.med_irreg_ptr.len()
-                == if self.med_rows.is_empty() {
-                    1
-                } else {
-                    self.med_rows.len() + 1
-                },
-            "medium irreg_ptr length",
-        )?;
-        check(
-            self.med_reg_cid.len() == *self.med_rowblock_ptr.last().unwrap(),
-            "medium reg cids length",
-        )?;
-        check(
-            self.med_irreg_cid.len() == *self.med_irreg_ptr.last().unwrap(),
-            "medium irreg cids length",
-        )?;
-
-        check(
-            Some(self.perm13.len()) == self.n13_warps.checked_mul(32),
-            "perm13 length",
-        )?;
-        check(
-            Some(self.perm4.len()) == self.n4_warps.checked_mul(32),
-            "perm4 length",
-        )?;
-        check(
-            Some(self.perm22.len()) == self.n22_warps.checked_mul(32),
-            "perm22 length",
-        )?;
-        check(self.perm1.len() == self.n1, "perm1 length")?;
-        check(
-            Some(self.off4) == self.n13_warps.checked_mul(2 * MMA_M * MMA_K),
-            "off4 arithmetic",
-        )?;
-        check(
-            Some(self.off22)
-                == self
-                    .n4_warps
-                    .checked_mul(4 * MMA_M * MMA_K)
-                    .and_then(|e| e.checked_add(self.off4)),
-            "off22 arithmetic",
-        )?;
-        check(
-            Some(self.off1)
-                == self
-                    .n22_warps
-                    .checked_mul(2 * MMA_M * MMA_K)
-                    .and_then(|e| e.checked_add(self.off22)),
-            "off1 arithmetic",
-        )?;
-        check(
-            Some(self.short_cids.len()) == self.off1.checked_add(self.n1),
-            "short cids length",
-        )?;
-
-        check(
-            self.long_nnz
-                .checked_add(self.med_nnz)
-                .and_then(|s| s.checked_add(self.short_nnz))
-                == Some(self.nnz),
-            "category nnz partition",
-        )?;
-        check(self.gather.len() == self.total_slots(), "gather length")?;
-        // A bijection onto nnz needs at least nnz non-padding slots, so a
-        // corrupt header with nnz >> gather.len() can be rejected before
-        // allocating the seen-bitmap (nnz may be anything the deserializer's
-        // plausibility cap allows, up to 2^48).
-        check(self.nnz <= self.gather.len(), "nnz exceeds total slots")?;
-        let mut seen = vec![0u64; self.nnz.div_ceil(64)];
-        for &g in &self.gather {
-            if g == PADDING {
-                continue;
-            }
-            let g = g as usize;
-            check(g < self.nnz, "gather element out of bounds")?;
-            check(
-                seen[g / 64] & (1 << (g % 64)) == 0,
-                "gather element duplicated",
-            )?;
-            seen[g / 64] |= 1 << (g % 64);
-        }
-        let covered: u64 = seen.iter().map(|w| u64::from(w.count_ones())).sum();
-        check(
-            covered == self.nnz as u64,
-            "gather does not cover every element",
-        )?;
-        Ok(())
-    }
 }
 
 /// Bytes an O(nnz) value refresh moves: the gather map streamed once plus
@@ -715,7 +441,12 @@ impl<S: Scalar> DaspMatrix<S> {
     /// or from plain `from_csr`), enabling [`DaspMatrix::update_values`].
     /// The plan's pattern must match the matrix's index structures exactly.
     pub fn attach_plan(&mut self, plan: Arc<DaspPlan>) -> Result<(), RefreshError> {
-        plan.matches_matrix(self).map_err(RefreshError::Mismatch)?;
+        if plan.pattern() != self.pattern() {
+            return Err(RefreshError::Mismatch(format!(
+                "plan pattern ({}x{}, nnz {}) does not match the matrix pattern ({}x{}, nnz {})",
+                plan.rows, plan.cols, plan.nnz, self.rows, self.cols, self.nnz
+            )));
+        }
         self.plan = Some(plan);
         Ok(())
     }
@@ -903,6 +634,7 @@ fn pattern_key<S: Scalar>(csr: &Csr<S>, params: DaspParams) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::verify_plan;
     use dasp_sparse::Coo;
     use proptest::prelude::*;
 
@@ -934,7 +666,7 @@ mod tests {
     fn fill_matches_from_csr_bit_for_bit() {
         let csr = mixed(0);
         let plan = DaspPlan::analyze(&csr, DaspParams::default());
-        plan.validate().expect("analyzed plan validates");
+        assert!(verify_plan(&plan).is_clean(), "analyzed plan validates");
         let filled = plan.fill(&csr);
         let direct = DaspMatrix::from_csr(&csr);
         assert_eq!(filled, direct);
@@ -1241,7 +973,7 @@ mod tests {
     fn empty_matrix_plans_and_fills() {
         let csr = Csr::<f64>::empty(10, 10);
         let plan = DaspPlan::analyze(&csr, DaspParams::default());
-        plan.validate().expect("empty plan validates");
+        assert!(verify_plan(&plan).is_clean(), "empty plan validates");
         assert_eq!(plan.total_slots(), 0);
         let m = plan.fill(&csr);
         assert_eq!(m, DaspMatrix::from_csr(&csr));

@@ -15,10 +15,12 @@
 //!
 //! Version 2 appends the optional [`DaspPlan`] trailer so an analysis
 //! plan ships alongside (or, via [`DaspPlan::write_to`], ahead of) the
-//! values; `DASPFMT1` containers (no trailer) still read. Reading
-//! validates the magic, the scalar width against `S`, and runs the full
-//! structural [`DaspMatrix::validate`] (and [`DaspPlan`] validation, plus
-//! the plan-matrix pattern match) before returning, so corrupted or
+//! values; `DASPFMT1` containers (no trailer) still read. Reading checks
+//! the magic and the scalar width against `S`, decodes the matrix and its
+//! plan trailer, then runs the structural checker once — the exhaustive
+//! walk behind [`verify_matrix`](crate::format::verify_matrix), which
+//! covers the attached plan too — before returning; a standalone
+//! [`DaspPlan::read_from`] runs the same walk over the plan. Corrupted or
 //! truncated files are rejected rather than producing wrong results.
 //!
 //! Arrays stream in chunks: the codec encodes up to [`CHUNK`] elements
@@ -35,7 +37,9 @@ use std::sync::Arc;
 use dasp_fp16::Scalar;
 
 use crate::consts::DaspParams;
-use crate::format::{DaspMatrix, DaspPlan, FormatError, LongPart, MediumPart, ShortPart};
+use crate::format::check::first_breach;
+use crate::format::{verify_matrix, verify_plan, DaspMatrix, DaspPlan, Violation};
+use crate::format::{LongPart, MediumPart, ShortPart};
 
 const MAGIC_V1: &[u8; 8] = b"DASPFMT1";
 const MAGIC: &[u8; 8] = b"DASPFMT2";
@@ -68,8 +72,9 @@ pub enum SerError {
         /// Width of the requested `S`.
         expected: u8,
     },
-    /// The decoded structure fails [`DaspMatrix::validate`].
-    Invalid(FormatError),
+    /// The decoded structure breaks a format invariant: the first breach
+    /// the structural checker found.
+    Invalid(Violation),
 }
 
 impl std::fmt::Display for SerError {
@@ -258,8 +263,8 @@ impl<S: Scalar> DaspMatrix<S> {
         Ok(())
     }
 
-    /// Reads a converted format from `r`, validating structure before
-    /// returning.
+    /// Reads a converted format from `r`, checking the structure of the
+    /// matrix and its attached plan before returning.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Self, SerError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -347,22 +352,18 @@ impl<S: Scalar> DaspMatrix<S> {
             },
             plan: None,
         };
-        m.validate().map_err(SerError::Invalid)?;
         if has_plan_trailer {
             let mut has_plan = [0u8; 1];
             r.read_exact(&mut has_plan)?;
             match has_plan[0] {
                 0 => {}
-                1 => {
-                    let plan = DaspPlan::read_from(r)?;
-                    m.attach_plan(plan)
-                        .map_err(|e| SerError::Malformed(e.to_string()))?;
-                }
+                1 => m.plan = Some(Arc::new(DaspPlan::decode(r)?)),
                 b => {
                     return Err(SerError::Malformed(format!("bad plan marker {b}")));
                 }
             }
         }
+        first_breach(verify_matrix(&m)).map_err(SerError::Invalid)?;
         Ok(m)
     }
 }
@@ -411,10 +412,17 @@ impl DaspPlan {
         Ok(())
     }
 
-    /// Reads a `DASPPLN1` container, validating the plan's structure
-    /// (pointer monotonicity, offset arithmetic, bijective gather map)
+    /// Reads a `DASPPLN1` container, checking the plan's structure
+    /// (pointers, offsets, id ranges, row partition, bijective gather map)
     /// before returning.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Arc<Self>, SerError> {
+        let plan = Self::decode(r)?;
+        first_breach(verify_plan(&plan)).map_err(SerError::Invalid)?;
+        Ok(Arc::new(plan))
+    }
+
+    /// Decodes a `DASPPLN1` container without checking its structure.
+    fn decode<R: Read>(r: &mut R) -> Result<Self, SerError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != PLAN_MAGIC {
@@ -435,7 +443,7 @@ impl DaspPlan {
         // Same 64x fill bound as the matrix container.
         let cap = (nnz as u64 + rows as u64 + 1024) * 64;
 
-        let plan = DaspPlan {
+        Ok(DaspPlan {
             rows,
             cols,
             nnz,
@@ -469,9 +477,7 @@ impl DaspPlan {
             perm1: read_u32s(r, cap)?,
             short_nnz: read_u64(r)? as usize,
             gather: read_u32s(r, cap)?,
-        };
-        plan.validate().map_err(SerError::Malformed)?;
-        Ok(Arc::new(plan))
+        })
     }
 }
 

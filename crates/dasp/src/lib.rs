@@ -51,5 +51,5 @@ mod spmv;
 
 pub use consts::DaspParams;
 pub use format::{
-    CategoryStats, DaspMatrix, DaspPlan, PlanCache, PlanView, RefreshError, DEFAULT_PLAN_CACHE_CAP,
+    CategoryStats, DaspMatrix, DaspPlan, PlanCache, RefreshError, DEFAULT_PLAN_CACHE_CAP,
 };

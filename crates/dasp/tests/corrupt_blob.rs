@@ -3,15 +3,17 @@
 //! panic the reader. Every outcome is either a typed [`SerError`] or an
 //! `Ok` matrix that still passes full validation — a flip that lands in
 //! a value byte legitimately decodes, but it must never smuggle in a
-//! structurally broken matrix.
+//! structurally broken matrix. A standalone `DASPPLN1` plan whose header
+//! or row ids disagree with its arrays is a typed error as well.
 
 use dasp_core::consts::DaspParams;
-use dasp_core::format::{DaspMatrix, SerError};
+use dasp_core::format::{DaspMatrix, Invariant, SerError};
 use dasp_core::DaspPlan;
-use dasp_sparse::Coo;
+use dasp_sparse::{Coo, Csr};
 
-/// A small matrix exercising all three categories plus the plan trailer.
-fn blob() -> Vec<u8> {
+/// A small matrix exercising all three categories, analyzed with
+/// `max_len` 8.
+fn sample() -> (Csr<f64>, DaspParams) {
     let mut coo = Coo::new(24, 80);
     // One long row (> max_len 8), a few medium rows, and short rows of
     // every piecing length.
@@ -21,14 +23,27 @@ fn blob() -> Vec<u8> {
             coo.push(r, c, (r * 7 + c) as f64 * 0.25 - 3.0);
         }
     }
-    let csr = coo.to_csr();
     let params = DaspParams {
         max_len: 8,
         ..DaspParams::default()
     };
+    (coo.to_csr(), params)
+}
+
+/// The sample matrix with its plan trailer.
+fn blob() -> Vec<u8> {
+    let (csr, params) = sample();
     let m = DaspPlan::analyze(&csr, params).fill(&csr);
     let mut buf = Vec::new();
     m.write_to(&mut buf).unwrap();
+    buf
+}
+
+/// The sample's plan as a standalone `DASPPLN1` container.
+fn plan_blob() -> Vec<u8> {
+    let (csr, params) = sample();
+    let mut buf = Vec::new();
+    DaspPlan::analyze(&csr, params).write_to(&mut buf).unwrap();
     buf
 }
 
@@ -157,4 +172,53 @@ fn garbage_and_empty_inputs_are_rejected() {
     let n = huge.len();
     huge[n - 9..n - 1].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(decode_is_sound(&huge).is_ok());
+}
+
+/// Reads a standalone plan blob, returning the invariant its first
+/// breach names.
+fn plan_breach(bytes: &[u8]) -> Invariant {
+    match DaspPlan::read_from(&mut &bytes[..]) {
+        Err(SerError::Invalid(v)) => v.invariant,
+        Err(e) => panic!("expected a structural breach, got {e}"),
+        Ok(_) => panic!("corrupt plan decoded Ok"),
+    }
+}
+
+/// Byte offset just past the length-prefixed array of `width`-byte
+/// elements starting at `at`.
+fn skip_array(bytes: &[u8], at: usize, width: usize) -> usize {
+    let n = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    at + 8 + n as usize * width
+}
+
+#[test]
+fn plan_with_shrunk_rows_header_is_rejected() {
+    // Short rows 4..15 now lie past the claimed 10 rows: y scatters out
+    // of bounds.
+    let mut bytes = plan_blob();
+    bytes[8..16].copy_from_slice(&10u64.to_le_bytes());
+    assert_eq!(plan_breach(&bytes), Invariant::RowRange);
+}
+
+#[test]
+fn plan_with_shrunk_cols_header_is_rejected() {
+    // The long row's column ids reach 69, past the claimed 10 columns:
+    // x gathers out of bounds.
+    let mut bytes = plan_blob();
+    bytes[16..24].copy_from_slice(&10u64.to_le_bytes());
+    assert_eq!(plan_breach(&bytes), Invariant::CidRange);
+}
+
+#[test]
+fn plan_with_a_row_in_two_categories_is_rejected() {
+    // Give the first medium row the long row's id: a matrix filled from
+    // this plan would have two warps write one y element.
+    let mut bytes = plan_blob();
+    let long_rows = 8 + 7 * 8; // magic + header
+    let group_ptr = skip_array(&bytes, long_rows, 4);
+    let long_cids = skip_array(&bytes, group_ptr, 8);
+    let med_rows = skip_array(&bytes, long_cids, 4) + 8; // + long_nnz
+    let long_row: [u8; 4] = bytes[long_rows + 8..long_rows + 12].try_into().unwrap();
+    bytes[med_rows + 8..med_rows + 12].copy_from_slice(&long_row);
+    assert_eq!(plan_breach(&bytes), Invariant::RowPartition);
 }

@@ -460,8 +460,8 @@ mod tests {
 
     #[test]
     fn adversarial_ids_round_trip_through_the_verdict_json() {
-        use crate::json::Json;
         use crate::snapshot::tests::ADVERSARIAL;
+        use dasp_trace::Json;
         let id = format!("spmv/{ADVERSARIAL}/dasp");
         let old = snapshot(1, vec![workload(&id, 100.0, 1.0, 10.0)]);
         let new = snapshot(2, vec![workload(&id, 150.0, 1.0, 10.0)]);

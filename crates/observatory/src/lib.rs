@@ -22,8 +22,8 @@
 //!   overhead" row under the `dasp-bench` hot table.
 //!
 //! Like the rest of the workspace this crate has no external
-//! dependencies; the [`json`] module carries the small parser that reads
-//! snapshots back.
+//! dependencies; snapshots are read back with `dasp-trace`'s strict
+//! [`Json`] parser.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,14 +31,13 @@
 pub mod calltree;
 pub mod diff;
 pub mod interp;
-pub mod json;
 pub mod snapshot;
 pub mod suite;
 
 pub use calltree::CallTree;
+pub use dasp_trace::Json;
 pub use diff::{diff_snapshots, DiffConfig, DiffReport, DiffRow, Verdict};
 pub use interp::{probe_overhead_share, render_interp_table, run_interp_bench, InterpRecord};
-pub use json::Json;
 pub use snapshot::{
     next_seq, snapshot_path, BenchSnapshot, Modeled, OpsCounters, TrafficCounters, WallStats,
     Workload,

@@ -13,8 +13,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
-use dasp_trace::{escape_json, fmt_f64};
+use dasp_trace::{escape_json, fmt_f64, Json};
 
 /// Schema version this crate writes and reads.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -385,6 +384,19 @@ pub(crate) mod tests {
         );
         // Re-serializing the parsed snapshot reproduces identical bytes.
         assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn committed_snapshots_parse_and_round_trip_byte_stable() {
+        for (name, text) in [
+            ("BENCH_0001", include_str!("../../../BENCH_0001.json")),
+            ("BENCH_0002", include_str!("../../../BENCH_0002.json")),
+            ("BENCH_0003", include_str!("../../../BENCH_0003.json")),
+        ] {
+            let snap = BenchSnapshot::from_json(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(!snap.workloads.is_empty(), "{name}");
+            assert_eq!(snap.to_json(), text, "{name} re-serializes differently");
+        }
     }
 
     /// Quotes, backslashes, every escape class, raw control characters,

@@ -21,7 +21,9 @@
 //!   `warp_begin`/`warp_end` hooks to build per-warp nnz / instruction
 //!   load-imbalance histograms and divergence counts.
 //! * Exporters — [`chrome_trace_json`] (opens directly in Perfetto /
-//!   `chrome://tracing`), plus JSON and CSV for the registry.
+//!   `chrome://tracing`), plus JSON and CSV for the registry, over the
+//!   workspace's one JSON module ([`escape_json`], [`fmt_f64`], and the
+//!   strict [`Json`] parser behind [`validate_json`]).
 //!
 //! # Span naming scheme
 //!
@@ -47,7 +49,7 @@ mod span;
 mod warp_profile;
 
 pub use export::{chrome_trace_json, registry_to_csv, registry_to_json};
-pub use json::{escape_json, fmt_f64, validate_json};
+pub use json::{escape_json, fmt_f64, validate_json, Json};
 pub use registry::{log_bounds, Histogram, MetricValue, Registry};
 pub use span::{Span, SpanRecord, Trace, Tracer};
 pub use warp_profile::{WarpProfile, WarpProfiler, WarpTally};

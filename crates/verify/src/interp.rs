@@ -24,7 +24,7 @@ use dasp_fp16::Scalar;
 use dasp_simt::{space, Executor, Probe, ShardableProbe, ShflEvent};
 use dasp_sparse::{Coo, DenseMat};
 
-use crate::report::{Invariant, VerifyReport, Violation};
+use crate::{Invariant, VerifyReport, Violation};
 
 /// RHS columns per MMA panel (mirrors the kernels' `PANEL_WIDTH`).
 const PANEL_WIDTH: usize = 8;

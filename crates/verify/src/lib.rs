@@ -9,7 +9,9 @@
 //!    every invariant the kernels assume (pointer monotonicity, index
 //!    ranges, category partition, gather bijection, payload pairing,
 //!    reorder-flag consistency) and reporting **all** breaches, not just
-//!    the first.
+//!    the first. It is dasp-core's one structural checker, re-exported
+//!    here; the format readers and `DaspMatrix::validate` run the same
+//!    walk.
 //! 2. **Abstract interpretation** ([`verify_kernels`]) — runs each
 //!    kernel body once per shape-equivalence class on a tiny synthetic
 //!    representative under the sequential executor, turning the runtime
@@ -25,12 +27,11 @@
 #![warn(missing_docs)]
 
 mod interp;
-mod report;
-mod structural;
 
+pub use dasp_core::format::{
+    verify_matrix, verify_plan, Invariant, VerifyReport, Violation, MAX_SITES,
+};
 pub use interp::{verify_kernels, InterpOutcome, ShapeClasses, ShortClass, VerifyProbe};
-pub use report::{Invariant, VerifyReport, Violation, MAX_SITES};
-pub use structural::{verify_matrix, verify_plan};
 
 use dasp_core::format::DaspMatrix;
 use dasp_fp16::Scalar;

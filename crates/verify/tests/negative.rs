@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use dasp_core::consts::DaspParams;
-use dasp_core::format::{DaspMatrix, GATHER_PADDING};
-use dasp_core::{DaspPlan, PlanView};
+use dasp_core::format::DaspMatrix;
+use dasp_core::DaspPlan;
 use dasp_simt::{space, Probe, ShflEvent, ShflOp};
 use dasp_sparse::{Coo, Csr};
 use dasp_verify::{
@@ -161,80 +161,16 @@ fn exhaustive_report_collects_multiple_classes_in_one_pass() {
     assert!(r.count(Invariant::NnzPartition) > 0);
 }
 
-// ---- Plan-level invariants (via the PlanView borrow surface) --------
-
-fn planned_view(plan: &DaspPlan) -> PlanView<'_> {
-    plan.view()
-}
+// ---- Plan-level invariants ------------------------------------------
+// The gather-map mutations need the plan's private fields; they live in
+// dasp-core's `format::check` unit tests.
 
 #[test]
 fn plan_view_verifies_clean() {
     let csr = rich_csr();
     let plan = DaspPlan::analyze(&csr, params());
-    let r = verify_plan(&planned_view(&plan));
+    let r = verify_plan(&plan);
     assert!(r.is_clean(), "analyzed plan must verify clean: {r}");
-}
-
-#[test]
-fn gather_duplicate_is_flagged() {
-    let csr = rich_csr();
-    let plan = DaspPlan::analyze(&csr, params());
-    let mut gather: Vec<u32> = plan.view().gather.to_vec();
-    // Two slots feeding from the same CSR element: one original value
-    // would be scattered twice and another dropped on refresh.
-    let (a, b) = first_two_live(&gather);
-    gather[b] = gather[a];
-    let mut view = plan.view();
-    view.gather = &gather;
-    let r = verify_plan(&view);
-    assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
-}
-
-#[test]
-fn gather_out_of_bounds_is_flagged() {
-    let csr = rich_csr();
-    let plan = DaspPlan::analyze(&csr, params());
-    let mut gather: Vec<u32> = plan.view().gather.to_vec();
-    let (a, _) = first_two_live(&gather);
-    gather[a] = plan.nnz() as u32; // reads past the CSR value array
-    let mut view = plan.view();
-    view.gather = &gather;
-    let r = verify_plan(&view);
-    assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
-}
-
-#[test]
-fn gather_gap_is_flagged() {
-    let csr = rich_csr();
-    let plan = DaspPlan::analyze(&csr, params());
-    let mut gather: Vec<u32> = plan.view().gather.to_vec();
-    let (a, _) = first_two_live(&gather);
-    gather[a] = GATHER_PADDING; // element never scattered: stale value
-    let mut view = plan.view();
-    view.gather = &gather;
-    let r = verify_plan(&view);
-    assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
-}
-
-#[test]
-fn inflated_plan_nnz_is_rejected_without_huge_allocation() {
-    let csr = rich_csr();
-    let plan = DaspPlan::analyze(&csr, params());
-    let mut view = plan.view();
-    // A corrupt header nnz in the terabyte range must be rejected by the
-    // slot-count pre-check, not fed to a bitmap allocation.
-    view.nnz = 1 << 45;
-    let r = verify_plan(&view);
-    assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
-}
-
-fn first_two_live(gather: &[u32]) -> (usize, usize) {
-    let mut it = gather
-        .iter()
-        .enumerate()
-        .filter(|(_, &g)| g != GATHER_PADDING)
-        .map(|(i, _)| i);
-    (it.next().unwrap(), it.next().unwrap())
 }
 
 #[test]

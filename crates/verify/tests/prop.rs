@@ -1,7 +1,7 @@
 //! Property tests for the structural validator: every plan built from a
 //! random CSR — across scalar widths, reorder on/off, and a
 //! serialization round-trip — verifies clean, and single-field mutations
-//! of each invariant are rejected.
+//! of each invariant are rejected, by the verifier and by the reader.
 
 use dasp_core::consts::DaspParams;
 use dasp_core::format::DaspMatrix;
@@ -47,7 +47,7 @@ fn assert_accepts<S: Scalar>(csr: &Csr<S>, params: DaspParams) {
     let m = plan.fill(csr);
     let r = verify_matrix(&m);
     assert!(r.is_clean(), "built plan must verify clean: {r}");
-    assert!(verify_plan(&plan.view()).is_clean());
+    assert!(verify_plan(&plan).is_clean());
 
     // Serialization round-trip (matrix + DASPPLN1 trailer) stays clean.
     let mut buf = Vec::new();
@@ -142,6 +142,14 @@ proptest! {
         prop_assert!(
             r.count(expected) > 0,
             "mutation {which} must flag {expected}, got: {r}"
+        );
+        // The read path runs the same checker: the mutated matrix must not
+        // survive a serialization round-trip.
+        let mut buf = Vec::new();
+        m.write_to(&mut buf).unwrap();
+        prop_assert!(
+            DaspMatrix::<f64>::read_from(&mut buf.as_slice()).is_err(),
+            "mutation {which} ({expected}) read back Ok"
         );
     }
 }
