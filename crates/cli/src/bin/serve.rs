@@ -150,7 +150,13 @@ fn main() -> ExitCode {
         traced: o.profile,
         ..ServeConfig::default()
     });
-    let info = server.register(&name, &csr);
+    let info = match server.register(&name, &csr) {
+        Ok(info) => info,
+        Err(e) => {
+            eprintln!("cannot register {name}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!(
         "serving {name}: {}x{}, {} nnz | {} workers, window {} us, max batch {}, \
          coalesce {}, executor {}",
@@ -214,7 +220,7 @@ fn main() -> ExitCode {
         reg.gauge("format.plan_cache.evictions").unwrap_or(0.0),
     );
     if dasp_sanitize::enabled() {
-        println!("sanitizer:\n{}", dasp_sanitize::global_report());
+        println!("sanitize: {}", dasp_sanitize::global_report());
     }
 
     if o.profile {

@@ -47,15 +47,16 @@
 //!
 //! `--sanitize` runs every kernel under the compute sanitizer (racecheck,
 //! maskcheck, initcheck — see `dasp-sanitize`) in report mode, prints the
-//! fleet-wide diagnostic summary, and exits non-zero if any error-class
-//! diagnostic fired. `--sanitize-out REPORT.json` (implies `--sanitize`)
-//! additionally writes the structured report for CI artifacts. Output
-//! vectors are bit-identical with and without the flag.
+//! fleet-wide report, and exits non-zero if any error-class violation
+//! fired. `--sanitize-out REPORT.json` (implies `--sanitize`)
+//! additionally writes the structured report for CI artifacts — the same
+//! JSON shape as `--verify-plan-out`. Output vectors are bit-identical
+//! with and without the flag.
 //!
 //! `--verify-plan` is a standalone mode: it converts the matrix at the
 //! selected precision, runs the static verifier (`dasp-verify`) — the
-//! structural plan/format validator plus the abstract warp-program
-//! interpretation — prints the report, and exits non-zero on any
+//! structural plan/format validator plus the kernels' interpretation
+//! under the bounded sanitizer — prints the report, and exits non-zero on any
 //! violation without executing a single SpMV. `--verify-plan-out
 //! REPORT.json` (implies `--verify-plan`) writes the structured report
 //! for CI artifacts. `--reorder` and the precision flags apply.
@@ -263,8 +264,9 @@ fn main() -> ExitCode {
 
     if verify_plan {
         // Standalone mode: convert at the selected precision, statically
-        // verify the plan + format and abstractly interpret the kernels,
-        // then exit. No SpMV runs; the exit code is the verdict.
+        // verify the plan + format and interpret the kernels under the
+        // bounded sanitizer, then exit. No SpMV runs; the exit code is the
+        // verdict.
         fn run_verify<S: dasp_fp16::Scalar>(
             csr: &Csr<S>,
             params: DaspParams,
@@ -272,9 +274,9 @@ fn main() -> ExitCode {
         ) -> bool {
             let m = DaspMatrix::with_params(csr, params);
             let report = dasp_verify::verify_full(&m);
-            println!("{}", report.to_string().trim_end());
+            println!("verify: {}", report.to_string().trim_end());
             let registry = dasp_trace::Registry::new();
-            report.export_metrics(&registry);
+            report.export_metrics(&registry, "verify");
             println!(
                 "verify metrics: {}",
                 dasp_trace::registry_to_json(&registry)
@@ -491,12 +493,12 @@ fn main() -> ExitCode {
 /// entry of the run, mirrors its counters into a `dasp-trace` metrics
 /// registry (shown as one JSON line, the same shape the experiment
 /// drivers dump), and optionally writes the structured report for CI
-/// artifacts. Returns false if any error-class diagnostic fired.
+/// artifacts. Returns false if any error-class violation fired.
 fn sanitize_summary(out: Option<&str>) -> bool {
     let report = dasp_sanitize::global_report();
-    println!("{}", report.to_string().trim_end());
+    println!("sanitize: {}", report.to_string().trim_end());
     let registry = dasp_trace::Registry::new();
-    report.export_metrics(&registry);
+    report.export_metrics(&registry, "sanitize");
     println!(
         "sanitize metrics: {}",
         dasp_trace::registry_to_json(&registry)

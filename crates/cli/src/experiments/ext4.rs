@@ -126,7 +126,9 @@ fn run_cell(
         model: Some(a100()),
         ..ServeConfig::default()
     });
-    server.register("m", csr);
+    server
+        .register("m", csr)
+        .expect("suite matrices are well-formed");
     let specs: Vec<ClientSpec<f64>> = (0..clients)
         .map(|c| ClientSpec {
             tenant: format!("tenant-{c}"),

@@ -234,3 +234,76 @@ fn spmv_binary_verify_plan_mode() {
     let json = std::fs::read_to_string(&report).unwrap();
     assert!(json.contains("\"clean\":true"), "{json}");
 }
+
+#[test]
+fn spmv_binary_sanitize_and_verify_reports_share_one_shape() {
+    let dir = std::env::temp_dir().join("dasp_cli_sanitize_out_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("m.mtx");
+    let mut f = std::fs::File::create(&path).unwrap();
+    writeln!(f, "%%MatrixMarket matrix coordinate real general").unwrap();
+    writeln!(f, "8 8 12").unwrap();
+    for (r, c, v) in [
+        (1, 1, 2.0),
+        (1, 2, 1.0),
+        (2, 2, 3.0),
+        (3, 3, 1.5),
+        (3, 1, 0.5),
+        (4, 4, 2.5),
+        (5, 5, 1.0),
+        (5, 6, 0.75),
+        (6, 6, 4.0),
+        (6, 1, 0.25),
+        (7, 7, 1.25),
+        (8, 8, 0.5),
+    ] {
+        writeln!(f, "{r} {c} {v}").unwrap();
+    }
+    drop(f);
+
+    let sanitize_json = dir.join("sanitize.json");
+    let out = bin("dasp-spmv")
+        .arg(path.to_str().unwrap())
+        .args([
+            "--verify",
+            "--sanitize-out",
+            sanitize_json.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("sanitize: clean"), "{stdout}");
+    assert!(
+        stdout.contains("dasp.short"),
+        "clean line names the regions: {stdout}"
+    );
+
+    let verify_json = dir.join("verify.json");
+    let out = bin("dasp-spmv")
+        .arg(path.to_str().unwrap())
+        .args(["--verify-plan-out", verify_json.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+
+    let keys = |p: &std::path::Path| -> Vec<String> {
+        let text = std::fs::read_to_string(p).unwrap();
+        match dasp_trace::Json::parse(&text) {
+            Ok(dasp_trace::Json::Obj(fields)) => fields.into_iter().map(|(k, _)| k).collect(),
+            other => panic!("{}: not a JSON object: {other:?}", p.display()),
+        }
+    };
+    let (sanitize_keys, verify_keys) = (keys(&sanitize_json), keys(&verify_json));
+    assert_eq!(sanitize_keys, verify_keys);
+    for key in [
+        "clean",
+        "errors",
+        "checks_run",
+        "counts",
+        "per_region",
+        "sites",
+    ] {
+        assert!(sanitize_keys.iter().any(|k| k == key), "missing {key}");
+    }
+}

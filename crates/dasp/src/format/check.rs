@@ -11,7 +11,7 @@
 //! copy needs no second walk.
 //!
 //! Every entry point is a view onto this walk: [`verify_matrix`] and
-//! [`verify_plan`] return the exhaustive [`VerifyReport`],
+//! [`verify_plan`] return the exhaustive [`Report`],
 //! [`DaspMatrix::validate`] its first breach, and both container readers
 //! run it once before returning. All arithmetic is checked: a corrupt
 //! header must be *rejected*, never allowed to overflow or to provoke a
@@ -20,7 +20,7 @@
 use dasp_fp16::Scalar;
 
 use crate::consts::{DaspParams, BLOCK_ELEMS, GROUP_ELEMS, MMA_M};
-use crate::format::{DaspMatrix, DaspPlan, Invariant, VerifyReport, Violation};
+use crate::format::{DaspMatrix, DaspPlan, Invariant, Report, Violation};
 use crate::format::{GATHER_PADDING, NO_ROW};
 
 /// How many per-element breaches of one invariant at one site are recorded
@@ -126,7 +126,7 @@ impl DaspPlan {
 }
 
 /// The report's first retained site, as an error.
-pub(crate) fn first_breach(report: VerifyReport) -> Result<(), Violation> {
+pub(crate) fn first_breach(report: Report) -> Result<(), Violation> {
     report.sites.into_iter().next().map_or(Ok(()), Err)
 }
 
@@ -134,8 +134,8 @@ pub(crate) fn first_breach(report: VerifyReport) -> Result<(), Violation> {
 /// one rides on it) against every structural invariant the kernels
 /// assume. Pure: no allocation beyond two transient bitmaps, no
 /// mutation.
-pub fn verify_matrix<S: Scalar>(m: &DaspMatrix<S>) -> VerifyReport {
-    let mut report = VerifyReport::new();
+pub fn verify_matrix<S: Scalar>(m: &DaspMatrix<S>) -> Report {
+    let mut report = Report::new();
     let ctx = &mut Ctx {
         report: &mut report,
         prefix: "",
@@ -177,8 +177,8 @@ pub fn verify_matrix<S: Scalar>(m: &DaspMatrix<S>) -> VerifyReport {
 
 /// Exhaustively validates a standalone plan: the pattern walk (pointers,
 /// offsets, id ranges, row partition) plus the gather bijection.
-pub fn verify_plan(plan: &DaspPlan) -> VerifyReport {
-    let mut report = VerifyReport::new();
+pub fn verify_plan(plan: &DaspPlan) -> Report {
+    let mut report = Report::new();
     let ctx = &mut Ctx {
         report: &mut report,
         prefix: "plan.",
@@ -189,24 +189,27 @@ pub fn verify_plan(plan: &DaspPlan) -> VerifyReport {
 }
 
 struct Ctx<'r> {
-    report: &'r mut VerifyReport,
+    report: &'r mut Report,
     /// Prepended to every site: `"plan."` while walking a plan's pattern.
     prefix: &'static str,
 }
 
 impl Ctx<'_> {
-    fn record(&mut self, invariant: Invariant, site: &str, detail: String) {
-        self.report.record(Violation {
+    fn record(&mut self, invariant: Invariant, site: &str, detail: impl FnOnce() -> String) {
+        let prefix = self.prefix;
+        self.report.record(invariant, None, || Violation {
             invariant,
-            site: format!("{}{site}", self.prefix),
-            detail,
+            site: format!("{prefix}{site}"),
+            warp: None,
+            index: None,
+            detail: detail(),
         });
     }
 
     fn check(&mut self, ok: bool, inv: Invariant, site: &str, detail: impl FnOnce() -> String) {
         self.report.note_check();
         if !ok {
-            self.record(inv, site, detail());
+            self.record(inv, site, detail);
         }
     }
 
@@ -229,7 +232,7 @@ impl Ctx<'_> {
         }
         let failing = it.enumerate().filter(|&(_, x)| !pred(x));
         for (i, x) in failing.take(PER_SCAN_SITES) {
-            self.record(inv, site, detail(i, x));
+            self.record(inv, site, || detail(i, x));
         }
         if bad > PER_SCAN_SITES {
             let site = format!("{}{site}", self.prefix);

@@ -19,15 +19,14 @@ mod medium;
 mod plan;
 mod reconstruct;
 mod reorder;
-mod report;
 mod serialize;
 mod short;
 
 pub use check::{verify_matrix, verify_plan};
+pub use dasp_sanitize::{Invariant, Report, Violation, MAX_SITES};
 pub use long::LongPart;
 pub use medium::MediumPart;
 pub use plan::{DaspPlan, PlanCache, RefreshError, DEFAULT_PLAN_CACHE_CAP, GATHER_PADDING};
-pub use report::{Invariant, VerifyReport, Violation, MAX_SITES};
 pub use serialize::SerError;
 pub use short::{ShortPart, NO_ROW};
 

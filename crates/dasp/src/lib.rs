@@ -50,6 +50,10 @@ pub mod spmm;
 mod spmv;
 
 pub use consts::DaspParams;
+/// The check core: the compute sanitizer and the one [`Report`](sanitize::Report)
+/// every checker fills (re-exported so dependents reach it through this
+/// crate).
+pub use dasp_sanitize as sanitize;
 pub use format::{
     CategoryStats, DaspMatrix, DaspPlan, PlanCache, RefreshError, DEFAULT_PLAN_CACHE_CAP,
 };

@@ -103,8 +103,8 @@ impl<S: Scalar> DaspMatrix<S> {
     /// [`dasp_sanitize::enabled`]) the run is transparently re-dispatched
     /// through a [`dasp_sanitize::SanitizeProbe`] wrapping `probe`: `y` is
     /// bit-identical, order-independent counters merge back exactly, and
-    /// any diagnostics are published to the global
-    /// [`dasp_sanitize::SanitizeReport`] (aborting afterwards in `abort`
+    /// any violations are published to the global
+    /// [`dasp_sanitize::global_report`] (aborting afterwards in `abort`
     /// mode). A probe that is already sanitizing is never double-wrapped.
     pub fn spmv_into_traced_with<P: ShardableProbe>(
         &self,

@@ -169,7 +169,8 @@ pub fn measure<S: Scalar>(
     measure_with(method, csr, x, dev, &Executor::from_env())
 }
 
-/// [`measure`] under an explicit executor. `y` and the order-independent
+/// [`measure`] under an explicit executor: [`measure_traced_with`] with a
+/// disabled tracer, which records nothing. `y` and the order-independent
 /// counters are bit-identical across executors; only the x-cache hit/miss
 /// split (and thus the time estimate) is a per-shard approximation under
 /// the parallel executor — use the sequential executor for paper figures.
@@ -180,30 +181,7 @@ pub fn measure_with<S: Scalar>(
     dev: &DeviceModel,
     exec: &Executor,
 ) -> Measurement {
-    if method == MethodKind::VendorBsr {
-        // The paper evaluates BSR at block sizes 2/4/8 and reports the best.
-        return BsrSpmv::best_of(csr)
-            .into_iter()
-            .map(|h| {
-                let mut p = CountingProbe::new(dev.l2_cache());
-                let y = h.spmv_with(x, &mut p, exec);
-                package(method, csr, p.stats(), y, dev)
-            })
-            .min_by(|a, b| a.estimate.seconds.total_cmp(&b.estimate.seconds))
-            .expect("three candidates");
-    }
-
-    let mut probe = CountingProbe::new(dev.l2_cache());
-    let y = match method {
-        MethodKind::Dasp => DaspMatrix::from_csr(csr).spmv_with(x, &mut probe, exec),
-        MethodKind::VendorBsr => unreachable!("handled above"),
-        _ => {
-            let m = Baseline::build(method.name(), csr)
-                .expect("every non-DASP MethodKind maps to a Baseline");
-            m.spmv_with(x, &mut probe, exec)
-        }
-    };
-    package(method, csr, probe.stats(), y, dev)
+    measure_traced_with(method, csr, x, dev, &Tracer::disabled(), exec)
 }
 
 /// [`measure`] with tracing: DASP runs record preprocessing and per-kernel

@@ -1,31 +1,43 @@
-//! dasp-sanitize: a compute-sanitizer for the DASP SIMT simulator.
+//! dasp-sanitize: the one check core of the DASP workspace — a
+//! compute-sanitizer for the SIMT simulator and the report every checker
+//! fills.
 //!
-//! Three checkers, modeled on NVIDIA's `compute-sanitizer` tools, run
-//! against every kernel in the workspace without forking any kernel body:
+//! [`SanitizeProbe`] wraps any [`dasp_simt::Probe`] and checks the
+//! warp-program discipline the kernels rely on over the `san_*` hooks
+//! they emit, without forking any kernel body. Its checks, modeled on
+//! NVIDIA's `compute-sanitizer` tools, are named by the [`Invariant`]
+//! each enforces:
 //!
-//! * **racecheck** — element-granularity shadow write sets over every
-//!   [`dasp_simt::SharedSlice`] scatter target, catching cross-warp
-//!   write-write overlap and same-warp double writes within a launch;
-//! * **maskcheck** — the [`dasp_simt::checked`] shuffle variants report
-//!   out-of-mask source reads (release builds included), distinguishing
-//!   reads whose values are consumed (errors) from reads discarded by a
-//!   subsequent predicate (informational — the paper's extraction
-//!   shuffles do this by design);
-//! * **initcheck** — poison tracking over MMA accumulator fragment slots
-//!   and never-written auxiliary elements (e.g. the long kernel's
-//!   `warpVal` staging array, the segmented baselines' carries).
+//! * **racecheck** (`race`, `double_write`) — element-granularity shadow
+//!   write sets over every [`dasp_simt::SharedSlice`] scatter target,
+//!   catching cross-warp write-write overlap and same-warp double writes
+//!   within a launch;
+//! * **maskcheck** (`shfl_mask`) — the [`dasp_simt::checked`] shuffle
+//!   variants report out-of-mask source reads (release builds included);
+//!   reads a later predicate discards are the informational
+//!   `shfl_discarded` class, which the paper's extraction shuffles
+//!   produce by design;
+//! * **initcheck** (`frag_init`, `uninit_read`) — poison tracking over
+//!   MMA accumulator fragment slots and never-written scatter elements
+//!   (the long kernel's `warpVal` staging, the segmented baselines'
+//!   carries);
+//! * **boundscheck** (`access_bounds`) — x gathers and y / staging
+//!   accesses against the [`Bounds`] given at construction (none in
+//!   fleet mode).
 //!
-//! Everything hangs off [`SanitizeProbe`], a wrapper implementing
-//! [`dasp_simt::Probe`] + [`dasp_simt::ShardableProbe`] so diagnostics
-//! merge across `ParExecutor` shards exactly like `KernelStats` do.
-//! Findings aggregate into a [`SanitizeReport`] (per-kernel counts,
-//! first-N offending sites, JSON export, `dasp-trace` metrics export).
+//! The probe implements [`dasp_simt::ShardableProbe`], so findings merge
+//! across `ParExecutor` shards exactly like `KernelStats` do. They land in
+//! a [`Report`] of [`Violation`]s: exact per-invariant and per-region
+//! counts, the first [`MAX_SITES`] sites, JSON and `dasp-trace` metrics
+//! export. The same report carries `dasp-core`'s structural format check
+//! and `dasp-verify`'s kernel interpretation, which runs this probe with
+//! bounds on synthetic representatives.
 //!
 //! # Fleet mode: `DASP_SANITIZE`
 //!
 //! Setting `DASP_SANITIZE=1` (or `abort`) makes every SpMV/SpMM/baseline
 //! entry point wrap its probe in a [`SanitizeProbe`] transparently; any
-//! error-class diagnostic panics with the report, so `DASP_SANITIZE=1
+//! error-class violation panics with the report, so `DASP_SANITIZE=1
 //! cargo test` fails on the first detected bug. `DASP_SANITIZE=report`
 //! collects into the process-global report (see [`global_report`])
 //! without aborting — the mode the `dasp-spmv --sanitize` flag uses.
@@ -44,8 +56,8 @@
 mod probe;
 mod report;
 
-pub use probe::SanitizeProbe;
-pub use report::{Diagnostic, SanCounts, SanitizeReport, MAX_SITES};
+pub use probe::{Bounds, SanitizeProbe};
+pub use report::{Counts, Invariant, Report, Violation, MAX_SITES};
 
 use std::sync::{Mutex, OnceLock};
 
@@ -59,7 +71,7 @@ pub enum SanitizeMode {
     /// `report`: wrap, collect into the global report, never panic.
     Report,
     /// `1`, `true`, `abort`, ...: wrap and panic on any error-class
-    /// diagnostic, so test suites fail loudly.
+    /// violation, so test suites fail loudly.
     Abort,
 }
 
@@ -83,31 +95,31 @@ pub fn enabled() -> bool {
     mode() != SanitizeMode::Off
 }
 
-fn global() -> &'static Mutex<SanitizeReport> {
-    static GLOBAL: OnceLock<Mutex<SanitizeReport>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(SanitizeReport::new()))
+fn global() -> &'static Mutex<Report> {
+    static GLOBAL: OnceLock<Mutex<Report>> = OnceLock::new();
+    GLOBAL.get_or_init(|| Mutex::new(Report::new()))
 }
 
 /// Merges a report into the process-global accumulator (what
 /// [`global_report`] snapshots and `dasp-spmv --sanitize` prints).
-pub fn publish(report: &SanitizeReport) {
+pub fn publish(report: &Report) {
     global().lock().unwrap().merge(report);
 }
 
 /// Snapshot of everything published so far in this process.
-pub fn global_report() -> SanitizeReport {
+pub fn global_report() -> Report {
     global().lock().unwrap().clone()
 }
 
 /// Clears the process-global report (test isolation).
 pub fn reset_global() {
-    *global().lock().unwrap() = SanitizeReport::new();
+    *global().lock().unwrap() = Report::new();
 }
 
 /// Finishes a fleet-wrapped run: merges the sanitizer's forked shard back
 /// into the caller's probe, publishes the findings globally, and — in
 /// [`SanitizeMode::Abort`] — panics with the report if any error-class
-/// diagnostic fired. `entry` names the wrapped entry point for the panic
+/// violation fired. `entry` names the wrapped entry point for the panic
 /// message.
 pub fn fleet_finish<P: ShardableProbe>(
     entry: &'static str,
@@ -119,7 +131,7 @@ pub fn fleet_finish<P: ShardableProbe>(
     let clean = report.is_clean();
     publish(&report);
     if !clean && mode() == SanitizeMode::Abort {
-        panic!("DASP_SANITIZE caught diagnostics in `{entry}`:\n{report}");
+        panic!("DASP_SANITIZE caught violations in `{entry}`: {report}");
     }
 }
 
@@ -144,7 +156,7 @@ mod tests {
     fn publish_accumulates_globally() {
         // Serialized against other tests by the global lock itself; use a
         // distinctive region so concurrent publishes don't confuse us.
-        let mut r = SanitizeReport::new();
+        let mut r = Report::new();
         let mut p = SanitizeProbe::new(NoProbe);
         p.warp_begin(0);
         p.san_region("lib-test-region");
@@ -153,6 +165,6 @@ mod tests {
         r.merge(p.report());
         publish(&r);
         let g = global_report();
-        assert!(g.per_region["lib-test-region"].double_writes >= 1);
+        assert!(g.per_region["lib-test-region"][Invariant::DoubleWrite] >= 1);
     }
 }

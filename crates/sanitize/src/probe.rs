@@ -1,9 +1,9 @@
-//! [`SanitizeProbe`]: the probe wrapper that implements all three
-//! checkers on top of the `san_*` hooks.
+//! [`SanitizeProbe`]: the probe wrapper that implements every kernel
+//! check on top of the `san_*` hooks, and the [`Bounds`] it enforces.
 
-use dasp_simt::{KernelStats, Probe, ShardableProbe, ShflEvent};
+use dasp_simt::{space, KernelStats, Probe, ShardableProbe, ShflEvent};
 
-use crate::report::{Diagnostic, SanitizeReport};
+use crate::report::{Invariant, Report, Violation};
 
 /// Slot sentinel for "written outside any warp".
 const NO_WARP: usize = usize::MAX;
@@ -38,28 +38,120 @@ const EMPTY_SLOT: Slot = Slot {
     merged: false,
 };
 
+/// The index bounds a [`SanitizeProbe`] enforces
+/// ([`Invariant::AccessBounds`]). Spaces other than `y` and staging are
+/// not bounded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bounds {
+    /// x gathers (`load_x*`). SpMM reports B's linear indices, so its
+    /// bound is B's data length.
+    pub x: usize,
+    /// `space::Y` writes and reads (C's data length under SpMM).
+    pub y: usize,
+    /// `space::AUX` staging writes and reads.
+    pub aux: usize,
+}
+
+impl Bounds {
+    /// No bound: every index passes. The fleet wrap uses this, since the
+    /// kernels' own slices already bound every real access.
+    pub const NONE: Bounds = Bounds {
+        x: usize::MAX,
+        y: usize::MAX,
+        aux: usize::MAX,
+    };
+
+    fn of(&self, space: u32) -> usize {
+        match space {
+            space::Y => self.y,
+            space::AUX => self.aux,
+            _ => usize::MAX,
+        }
+    }
+}
+
+fn space_name(space: u32) -> &'static str {
+    match space {
+        space::Y => "y",
+        space::AUX => "staging",
+        _ => "space?",
+    }
+}
+
+/// Where a check fires: the active kernel region and warp.
+#[derive(Debug, Clone, Copy)]
+struct At {
+    region: &'static str,
+    warp: Option<usize>,
+}
+
+impl At {
+    /// Records a breach here; `detail` runs only if the site is retained.
+    fn flag(
+        self,
+        report: &mut Report,
+        invariant: Invariant,
+        index: Option<usize>,
+        detail: impl FnOnce() -> String,
+    ) {
+        report.record(invariant, Some(self.region), || Violation {
+            invariant,
+            site: self.region.to_string(),
+            warp: self.warp,
+            index,
+            detail: detail(),
+        });
+    }
+}
+
+/// The bounds rule over the `len` elements from `start`: each counts as
+/// one check, and each at or past `bound` is flagged. True when all are
+/// in bounds.
+#[inline]
+fn check_span(
+    report: &mut Report,
+    at: At,
+    (noun, verb): (&'static str, &'static str),
+    start: usize,
+    len: usize,
+    bound: usize,
+) -> bool {
+    report.checks_run += len as u64;
+    let end = start.saturating_add(len);
+    for index in start.max(bound)..end {
+        at.flag(report, Invariant::AccessBounds, Some(index), || {
+            format!("{noun} {verb} at {index} >= bound {bound}")
+        });
+    }
+    end <= bound
+}
+
 /// A sanitizing wrapper around any probe.
 ///
 /// Forwards every counting method to the inner probe unchanged (so `y`
 /// and all order-independent counters are bit-identical with or without
-/// the wrapper) while implementing the sanitizer hooks:
+/// the wrapper) while checking the kernels' warp-program discipline over
+/// the `san_*` hooks, every check counted into the report's
+/// `checks_run`:
 ///
-/// * **racecheck** — a dense per-space shadow map records which warp
-///   wrote each scatter element this epoch. A second write within one
-///   launch is a double-write (same warp) or cross-warp race (different
-///   warp). [`Probe::kernel_launch`] opens a new epoch: launches are
-///   device-synchronizing, so a later kernel legitimately rewrites
-///   earlier output. Slots are epoch-tagged, so opening an epoch is a
-///   counter bump, and a shadow probe is an array index — no hashing.
-///   The batched `san_*_warp` hooks classify a whole coalesced warp
-///   access against the map in one pass.
-/// * **maskcheck** — [`Probe::san_shfl`] events from the
-///   [`dasp_simt::checked`] shuffle variants become diagnostics;
-///   out-of-mask reads whose values are consumed are errors, discarded
-///   ones informational.
-/// * **initcheck** — a 64-bit poison mask over the warp's MMA
-///   accumulator fragment (32 lanes x 2 registers) plus never-written
-///   detection for scatter-space reads.
+/// * **racecheck** (`race`, `double_write`) — a dense per-space shadow
+///   map records which warp wrote each scatter element this epoch. A
+///   second write within one launch is a double write (same warp) or a
+///   race (different warp). [`Probe::kernel_launch`] opens a new epoch:
+///   launches are device-synchronizing, so a later kernel legitimately
+///   rewrites earlier output. Slots are epoch-tagged, so opening an epoch
+///   is a counter bump, and a shadow probe is an array index — no
+///   hashing. The batched `san_*_warp` hooks classify a whole coalesced
+///   warp access against the map in one pass.
+/// * **maskcheck** (`shfl_mask`, informational `shfl_discarded`) —
+///   [`Probe::san_shfl`] events from the [`dasp_simt::checked`] shuffle
+///   variants; out-of-mask reads whose values are consumed are errors,
+///   discarded ones informational.
+/// * **initcheck** (`frag_init`, `uninit_read`) — a 64-bit poison mask
+///   over the warp's MMA accumulator fragment (32 lanes x 2 registers)
+///   plus never-written detection for scatter-space reads.
+/// * **boundscheck** (`access_bounds`) — x gathers and y / staging
+///   accesses against the constructor's [`Bounds`].
 ///
 /// Implements [`ShardableProbe`]: a shard starts with the parent's write
 /// map as a read-only *inherited* epoch (writes before an `Executor::run`
@@ -69,8 +161,8 @@ const EMPTY_SLOT: Slot = Slot {
 #[derive(Debug)]
 pub struct SanitizeProbe<P> {
     inner: P,
-    region: &'static str,
-    warp: Option<usize>,
+    bounds: Bounds,
+    at: At,
     /// The racecheck epoch. Starts at 1 so zeroed slots are never live.
     epoch: u32,
     /// Dense shadow maps indexed by [`dasp_simt::space`] id, grown on
@@ -80,7 +172,7 @@ pub struct SanitizeProbe<P> {
     /// (bit `lane*2 + reg` set = slot holds a real value; clear =
     /// poisoned).
     frag: u64,
-    report: SanitizeReport,
+    report: Report,
 }
 
 /// The slot-classification core shared by the scalar and warp-batched
@@ -89,53 +181,59 @@ pub struct SanitizeProbe<P> {
 #[inline]
 fn classify_write(
     slot: &mut Slot,
-    report: &mut SanitizeReport,
+    report: &mut Report,
     epoch: u32,
-    warp: Option<usize>,
-    region: &'static str,
+    at: At,
     space: u32,
     index: usize,
 ) {
     if slot.write_epoch == epoch {
         // Second write this epoch: the first writer keeps the record.
-        let prev_warp = (slot.warp != NO_WARP).then_some(slot.warp);
-        let d = if prev_warp.is_some() && prev_warp == warp {
-            Diagnostic::DoubleWrite {
-                region,
-                space,
-                index,
-                warp,
-            }
+        let prev = (slot.warp != NO_WARP).then_some(slot.warp);
+        let name = space_name(space);
+        if prev.is_some() && prev == at.warp {
+            at.flag(report, Invariant::DoubleWrite, Some(index), || {
+                format!("{name}[{index}] written twice by one warp")
+            });
         } else {
-            Diagnostic::CrossWarpRace {
-                region,
-                other_region: slot.region,
-                space,
-                index,
-                warp,
-                other_warp: prev_warp,
-            }
-        };
-        report.record(d);
+            let other = slot.region;
+            at.flag(report, Invariant::Race, Some(index), || {
+                format!("{name}[{index}] also written by warp {prev:?} ({other})")
+            });
+        }
     } else {
         slot.write_epoch = epoch;
-        slot.warp = warp.unwrap_or(NO_WARP);
-        slot.region = region;
+        slot.warp = at.warp.unwrap_or(NO_WARP);
+        slot.region = at.region;
         slot.merged = false;
     }
 }
 
+#[inline]
+fn live(slot: Option<&Slot>, epoch: u32) -> bool {
+    slot.is_some_and(|s| s.write_epoch == epoch || s.inherit_epoch == epoch)
+}
+
 impl<P> SanitizeProbe<P> {
-    /// Wraps `inner` with empty shadow state.
+    /// Wraps `inner` with empty shadow state and no index bounds.
     pub fn new(inner: P) -> SanitizeProbe<P> {
+        SanitizeProbe::with_bounds(inner, Bounds::NONE)
+    }
+
+    /// Wraps `inner` with empty shadow state, flagging every access
+    /// outside `bounds`.
+    pub fn with_bounds(inner: P, bounds: Bounds) -> SanitizeProbe<P> {
         SanitizeProbe {
             inner,
-            region: "?",
-            warp: None,
+            bounds,
+            at: At {
+                region: "?",
+                warp: None,
+            },
             epoch: 1,
             maps: Vec::new(),
             frag: 0,
-            report: SanitizeReport::new(),
+            report: Report::new(),
         }
     }
 
@@ -164,7 +262,7 @@ impl<P> SanitizeProbe<P> {
     }
 
     /// The findings so far.
-    pub fn report(&self) -> &SanitizeReport {
+    pub fn report(&self) -> &Report {
         &self.report
     }
 
@@ -174,7 +272,7 @@ impl<P> SanitizeProbe<P> {
     }
 
     /// Unwraps into the inner probe and the accumulated report.
-    pub fn into_parts(self) -> (P, SanitizeReport) {
+    pub fn into_parts(self) -> (P, Report) {
         (self.inner, self.report)
     }
 }
@@ -200,14 +298,42 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
         self.inner.store_y(elems, bytes_per);
     }
     fn load_x(&mut self, index: usize, bytes_per: u64) {
+        check_span(
+            &mut self.report,
+            self.at,
+            ("x", "gather"),
+            index,
+            1,
+            self.bounds.x,
+        );
         self.inner.load_x(index, bytes_per);
     }
     fn load_x_warp(&mut self, indices: &[usize], bytes_per: u64) {
+        for &index in indices {
+            check_span(
+                &mut self.report,
+                self.at,
+                ("x", "gather"),
+                index,
+                1,
+                self.bounds.x,
+            );
+        }
         // Forward batched: the inner counting probe keeps its coalesced
         // cache-classification fast path under sanitizing.
         self.inner.load_x_warp(indices, bytes_per);
     }
     fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
+        for &start in starts {
+            check_span(
+                &mut self.report,
+                self.at,
+                ("x", "gather"),
+                start,
+                len,
+                self.bounds.x,
+            );
+        }
         self.inner.load_x_rows(starts, len, bytes_per);
     }
     fn divergence_warp(&mut self, inactive: &[u64]) {
@@ -224,12 +350,12 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
     }
     fn warp_begin(&mut self, warp_id: usize) {
         self.inner.warp_begin(warp_id);
-        self.warp = Some(warp_id);
+        self.at.warp = Some(warp_id);
         self.frag = 0;
     }
     fn warp_end(&mut self, warp_id: usize) {
         self.inner.warp_end(warp_id);
-        self.warp = None;
+        self.at.warp = None;
     }
     fn divergence(&mut self, inactive: u64) {
         self.inner.divergence(inactive);
@@ -245,92 +371,102 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
         true
     }
     fn san_region(&mut self, region: &'static str) {
-        self.region = region;
+        self.at.region = region;
         // Register the region even if it never produces a diagnostic: a
         // clean report then still lists every kernel that was checked,
         // which is what makes "clean" evidence of coverage.
         self.report.per_region.entry(region).or_default();
     }
     fn san_write(&mut self, space: u32, index: usize) {
-        let (epoch, warp, region) = (self.epoch, self.warp, self.region);
+        let (epoch, at, bound) = (self.epoch, self.at, self.bounds.of(space));
+        let what = (space_name(space), "write");
+        if !check_span(&mut self.report, at, what, index, 1, bound) {
+            return;
+        }
         self.map_for(space, index);
         let slot = &mut self.maps[space as usize][index];
-        classify_write(slot, &mut self.report, epoch, warp, region, space, index);
+        classify_write(slot, &mut self.report, epoch, at, space, index);
     }
     fn san_write_warp(&mut self, space: u32, indices: &[usize]) {
         // One map probe per warp access: grow once to the batch maximum,
         // then classify every lane by direct index with the epoch, warp
-        // and region loads hoisted out of the loop.
+        // and region loads hoisted out of the loop. A batch reaching past
+        // the bound takes the per-element path instead.
         let Some(&max) = indices.iter().max() else {
             return;
         };
-        let (epoch, warp, region) = (self.epoch, self.warp, self.region);
+        if max >= self.bounds.of(space) {
+            for &index in indices {
+                self.san_write(space, index);
+            }
+            return;
+        }
+        self.report.checks_run += indices.len() as u64;
+        let (epoch, at) = (self.epoch, self.at);
         self.map_for(space, max);
         let map = &mut self.maps[space as usize];
         for &index in indices {
-            classify_write(
-                &mut map[index],
-                &mut self.report,
-                epoch,
-                warp,
-                region,
-                space,
-                index,
-            );
+            classify_write(&mut map[index], &mut self.report, epoch, at, space, index);
         }
     }
     fn san_read(&mut self, space: u32, index: usize) {
-        let live = self
-            .maps
-            .get(space as usize)
-            .and_then(|m| m.get(index))
-            .is_some_and(|s| s.write_epoch == self.epoch || s.inherit_epoch == self.epoch);
-        if !live {
-            self.report.record(Diagnostic::UninitRead {
-                region: self.region,
-                space,
-                index,
-                warp: self.warp,
+        let (at, bound) = (self.at, self.bounds.of(space));
+        let what = (space_name(space), "read");
+        if !check_span(&mut self.report, at, what, index, 1, bound) {
+            return;
+        }
+        let map = self.maps.get(space as usize);
+        if !live(map.and_then(|m| m.get(index)), self.epoch) {
+            at.flag(&mut self.report, Invariant::UninitRead, Some(index), || {
+                format!("{}[{index}] read before any write", what.0)
             });
         }
     }
     fn san_read_warp(&mut self, space: u32, indices: &[usize]) {
-        let epoch = self.epoch;
+        if indices.iter().any(|&i| i >= self.bounds.of(space)) {
+            for &index in indices {
+                self.san_read(space, index);
+            }
+            return;
+        }
+        self.report.checks_run += indices.len() as u64;
+        let (epoch, at, name) = (self.epoch, self.at, space_name(space));
         let empty: &[Slot] = &[];
         let map = self.maps.get(space as usize).map_or(empty, Vec::as_slice);
         for &index in indices {
-            let live = map
-                .get(index)
-                .is_some_and(|s| s.write_epoch == epoch || s.inherit_epoch == epoch);
-            if !live {
-                self.report.record(Diagnostic::UninitRead {
-                    region: self.region,
-                    space,
-                    index,
-                    warp: self.warp,
+            if !live(map.get(index), epoch) {
+                at.flag(&mut self.report, Invariant::UninitRead, Some(index), || {
+                    format!("{name}[{index}] read before any write")
                 });
             }
         }
     }
     fn san_shfl(&mut self, event: &ShflEvent) {
-        let d = if event.used_lanes != 0 {
-            Diagnostic::ShflOobUsed {
-                region: self.region,
-                warp: self.warp,
-                op: event.op,
-                mask: event.mask,
-                lanes: event.used_lanes,
-            }
+        self.report.note_check();
+        let &ShflEvent {
+            op,
+            mask,
+            oob_lanes,
+            used_lanes,
+        } = event;
+        if used_lanes != 0 {
+            self.at
+                .flag(&mut self.report, Invariant::ShflMask, None, || {
+                    format!(
+                    "{} consumed out-of-mask reads on lanes {used_lanes:#010x} (mask {mask:#010x})",
+                    op.name()
+                )
+                });
         } else {
-            Diagnostic::ShflOobDiscarded {
-                region: self.region,
-                warp: self.warp,
-                op: event.op,
-                mask: event.mask,
-                lanes: event.oob_lanes,
-            }
-        };
-        self.report.record(d);
+            self.at
+                .flag(&mut self.report, Invariant::ShflDiscarded, None, || {
+                    format!(
+                        "{} read out-of-mask lanes {oob_lanes:#010x} (mask {mask:#010x}); \
+                         a predicate discards them",
+                        op.name()
+                    )
+                });
+        }
     }
     fn san_frag_clear(&mut self) {
         // An explicit acc_zero writes every C register: all slots defined.
@@ -340,14 +476,13 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
         self.frag |= touched;
     }
     fn san_frag_read(&mut self, lane: usize, reg: usize) {
+        self.report.note_check();
         let bit = lane * 2 + reg;
         if bit < 64 && self.frag & (1u64 << bit) == 0 {
-            self.report.record(Diagnostic::UninitFragRead {
-                region: self.region,
-                warp: self.warp,
-                lane,
-                reg,
-            });
+            self.at
+                .flag(&mut self.report, Invariant::FragInit, None, || {
+                    format!("accumulator slot (lane {lane}, reg {reg}) read with no MMA touch")
+                });
         }
     }
 }
@@ -366,11 +501,7 @@ impl<P: ShardableProbe> ShardableProbe for SanitizeProbe<P> {
             .map(|map| {
                 map.iter()
                     .map(|s| Slot {
-                        inherit_epoch: if s.write_epoch == epoch || s.inherit_epoch == epoch {
-                            epoch
-                        } else {
-                            0
-                        },
+                        inherit_epoch: if live(Some(s), epoch) { epoch } else { 0 },
                         ..EMPTY_SLOT
                     })
                     .collect()
@@ -378,12 +509,15 @@ impl<P: ShardableProbe> ShardableProbe for SanitizeProbe<P> {
             .collect();
         SanitizeProbe {
             inner: self.inner.fork_shard(),
-            region: self.region,
-            warp: None,
+            bounds: self.bounds,
+            at: At {
+                region: self.at.region,
+                warp: None,
+            },
             epoch,
             maps,
             frag: 0,
-            report: SanitizeReport::new(),
+            report: Report::new(),
         }
     }
 
@@ -412,13 +546,16 @@ impl<P: ShardableProbe> ShardableProbe for SanitizeProbe<P> {
                 if slot.write_epoch == epoch && slot.merged {
                     // Two sibling shards wrote the same element
                     // concurrently within this run.
-                    self.report.record(Diagnostic::CrossWarpRace {
+                    let warp = (rec.warp != NO_WARP).then_some(rec.warp);
+                    let other = (slot.warp != NO_WARP).then_some(slot.warp);
+                    let other_region = slot.region;
+                    let at = At {
                         region: rec.region,
-                        other_region: slot.region,
-                        space: space as u32,
-                        index,
-                        warp: (rec.warp != NO_WARP).then_some(rec.warp),
-                        other_warp: (slot.warp != NO_WARP).then_some(slot.warp),
+                        warp,
+                    };
+                    let name = space_name(space as u32);
+                    at.flag(&mut self.report, Invariant::Race, Some(index), || {
+                        format!("{name}[{index}] also written by warp {other:?} ({other_region})")
                     });
                 } else {
                     // Fresh element, or a legal post-barrier rewrite of a
@@ -460,15 +597,10 @@ mod tests {
         p.san_region("k");
         p.san_write(space::Y, 9);
         p.san_write(space::Y, 9);
-        assert_eq!(p.report().counts.double_writes, 1);
-        assert!(matches!(
-            p.report().sites[0],
-            Diagnostic::DoubleWrite {
-                index: 9,
-                warp: Some(3),
-                ..
-            }
-        ));
+        assert_eq!(p.report().count(Invariant::DoubleWrite), 1);
+        let v = &p.report().sites[0];
+        assert_eq!(v.invariant, Invariant::DoubleWrite);
+        assert_eq!((v.index, v.warp), (Some(9), Some(3)));
     }
 
     #[test]
@@ -480,7 +612,7 @@ mod tests {
         p.warp_begin(1);
         p.san_write(space::Y, 5);
         p.warp_end(1);
-        assert_eq!(p.report().counts.races, 1);
+        assert_eq!(p.report().count(Invariant::Race), 1);
     }
 
     #[test]
@@ -520,7 +652,7 @@ mod tests {
         let mut root = root;
         root.merge_shard(a);
         root.merge_shard(b);
-        assert_eq!(root.report().counts.races, 1);
+        assert_eq!(root.report().count(Invariant::Race), 1);
     }
 
     #[test]
@@ -561,9 +693,37 @@ mod tests {
         batched.san_write_warp(space::Y, &writes);
         batched.san_read_warp(space::Y, &reads);
         assert_eq!(scalar.report().counts, batched.report().counts);
-        assert_eq!(scalar.report().counts.double_writes, 1);
-        assert_eq!(scalar.report().counts.uninit_reads, 1);
+        assert_eq!(scalar.report().count(Invariant::DoubleWrite), 1);
+        assert_eq!(scalar.report().count(Invariant::UninitRead), 1);
         assert_eq!(scalar.report().sites.len(), batched.report().sites.len());
+    }
+
+    #[test]
+    fn bounds_flag_every_out_of_range_element_batched_or_not() {
+        let mut p = SanitizeProbe::with_bounds(
+            NoProbe,
+            Bounds {
+                x: 10,
+                y: 4,
+                aux: 2,
+            },
+        );
+        p.warp_begin(0);
+        p.load_x_rows(&[8], 4, 8); // 10 and 11 past the bound
+        p.load_x_warp(&[0, 10, 3], 8); // 10
+        p.san_write_warp(space::Y, &[1, 4, 5]); // 4 and 5
+        p.san_read_warp(space::AUX, &[0, 2]); // 2; 0 is in bounds but unwritten
+        let r = p.report();
+        assert_eq!(r.checks_run, 4 + 3 + 3 + 2);
+        assert_eq!(r.count(Invariant::UninitRead), 1);
+        let oob: Vec<_> = r
+            .sites
+            .iter()
+            .filter(|v| v.invariant == Invariant::AccessBounds)
+            .map(|v| v.index.unwrap())
+            .collect();
+        assert_eq!(oob, [10, 11, 10, 4, 5, 2]);
+        assert_eq!(r.count(Invariant::AccessBounds), 6);
     }
 
     #[test]
@@ -572,7 +732,7 @@ mod tests {
         p.warp_begin(0);
         p.san_region("k");
         p.san_read(space::AUX, 11);
-        assert_eq!(p.report().counts.uninit_reads, 1);
+        assert_eq!(p.report().count(Invariant::UninitRead), 1);
     }
 
     #[test]
@@ -584,15 +744,10 @@ mod tests {
         p.san_frag_mma(0b10); // slot (lane 0, reg 1) touched
         p.san_frag_read(0, 1); // fine
         p.san_frag_read(0, 0); // poisoned
-        assert_eq!(p.report().counts.uninit_frag_reads, 1);
-        assert!(matches!(
-            p.report().sites[0],
-            Diagnostic::UninitFragRead {
-                lane: 0,
-                reg: 0,
-                ..
-            }
-        ));
+        assert_eq!(p.report().count(Invariant::FragInit), 1);
+        let v = &p.report().sites[0];
+        assert_eq!(v.invariant, Invariant::FragInit);
+        assert!(v.detail.contains("(lane 0, reg 0)"), "{v}");
     }
 
     #[test]
@@ -615,7 +770,7 @@ mod tests {
         p.warp_end(0);
         p.warp_begin(1);
         p.san_frag_read(3, 0); // previous warp's fragment is gone
-        assert_eq!(p.report().counts.uninit_frag_reads, 1);
+        assert_eq!(p.report().count(Invariant::FragInit), 1);
     }
 
     #[test]
@@ -634,8 +789,8 @@ mod tests {
             oob_lanes: 0xff00,
             used_lanes: 0,
         });
-        assert_eq!(p.report().counts.shfl_oob_used, 1);
-        assert_eq!(p.report().counts.shfl_oob_discarded, 1);
+        assert_eq!(p.report().count(Invariant::ShflMask), 1);
+        assert_eq!(p.report().count(Invariant::ShflDiscarded), 1);
         assert!(!p.report().is_clean());
     }
 

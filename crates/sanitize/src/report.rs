@@ -1,474 +1,413 @@
-//! Structured sanitizer output: [`Diagnostic`] sites, [`SanCounts`], and
-//! the aggregated [`SanitizeReport`].
+//! The one report every checker fills: [`Violation`] sites keyed by the
+//! [`Invariant`] they break, aggregated into a bounded [`Report`].
+//!
+//! Three producers record here: `dasp-core`'s structural format checker,
+//! the compute sanitizer ([`SanitizeProbe`](crate::SanitizeProbe)) and
+//! `dasp-verify`'s kernel interpretation, which runs that same probe on
+//! synthetic representatives. Counts are exact, per invariant and per
+//! kernel region; only the site detail is capped at [`MAX_SITES`], and a
+//! site past the cap is never formatted.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Index;
 
-use dasp_simt::ShflOp;
+use dasp_trace::escape_json;
 
-/// One offending site found by a checker.
-///
-/// `region` strings come from [`dasp_simt::Probe::san_region`] and name
-/// the kernel (e.g. `"dasp.long.phase1"`, `"csr5"`); `warp` is the
-/// simulator warp id active when the diagnostic fired (`None` for
-/// host-side epilogue reads and shard-merge detections, which happen
-/// outside any warp).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Diagnostic {
-    /// Racecheck: two different warps wrote the same element of the same
-    /// scatter space within one launch.
-    CrossWarpRace {
-        /// Kernel region of the later write.
-        region: &'static str,
-        /// Kernel region of the earlier write.
-        other_region: &'static str,
-        /// Scatter space (see [`dasp_simt::space`]).
-        space: u32,
-        /// Element index within the space.
-        index: usize,
-        /// Warp issuing the later write.
-        warp: Option<usize>,
-        /// Warp that wrote first.
-        other_warp: Option<usize>,
-    },
-    /// Racecheck: one warp wrote the same element twice in one launch.
-    DoubleWrite {
-        /// Kernel region of the writes.
-        region: &'static str,
-        /// Scatter space.
-        space: u32,
-        /// Element index within the space.
-        index: usize,
-        /// The writing warp.
-        warp: Option<usize>,
-    },
-    /// Maskcheck: a shuffle read an out-of-mask source lane and the
-    /// kernel consumed the result.
-    ShflOobUsed {
-        /// Kernel region of the issue.
-        region: &'static str,
-        /// The issuing warp.
-        warp: Option<usize>,
-        /// The shuffle instruction.
-        op: ShflOp,
-        /// The active mask the instruction was issued with.
-        mask: u32,
-        /// Lanes whose out-of-mask read was consumed.
-        lanes: u32,
-    },
-    /// Maskcheck (informational): out-of-mask source reads whose results
-    /// a subsequent predicate discards — the hardware-UB pattern the
-    /// paper's extraction shuffles rely on. Never an error.
-    ShflOobDiscarded {
-        /// Kernel region of the issue.
-        region: &'static str,
-        /// The issuing warp.
-        warp: Option<usize>,
-        /// The shuffle instruction.
-        op: ShflOp,
-        /// The active mask the instruction was issued with.
-        mask: u32,
-        /// Lanes whose out-of-mask read was discarded.
-        lanes: u32,
-    },
-    /// Initcheck: an accumulator fragment slot was consumed without any
-    /// MMA touching it since the last clear.
-    UninitFragRead {
-        /// Kernel region of the read.
-        region: &'static str,
-        /// The reading warp.
-        warp: Option<usize>,
-        /// Fragment lane of the poisoned slot.
-        lane: usize,
-        /// Fragment register (0 or 1) of the poisoned slot.
-        reg: usize,
-    },
-    /// Initcheck: a scatter-space element was read that no write in the
-    /// launch (or inherited pre-barrier epoch) produced.
-    UninitRead {
-        /// Kernel region of the read.
-        region: &'static str,
-        /// Scatter space.
-        space: u32,
-        /// Element index within the space.
-        index: usize,
-        /// The reading warp.
-        warp: Option<usize>,
-    },
+/// The invariant classes the checkers enforce. Every variant has a paired
+/// negative test (a planted breach its checker must flag).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Invariant {
+    // ---- structural (pure function over matrix + plan) ----
+    /// A pointer array (`group_ptr`, `rowblock_ptr`, `irreg_ptr`) is not
+    /// monotone, does not start at 0, or breaks its stride rule.
+    PtrMonotone,
+    /// Array lengths or region offsets disagree with the counts that
+    /// describe them (includes arithmetic that would overflow).
+    LenConsistency,
+    /// A value payload array's length disagrees with its pattern array —
+    /// the "fp16 payload sizes exact" rule (vals and cids must pair 1:1
+    /// at every storage width).
+    PayloadSize,
+    /// A column index is `>= cols`.
+    CidRange,
+    /// A row id is `>= rows` (and is not the `NO_ROW` padding marker
+    /// where padding is legal).
+    RowRange,
+    /// The category partition is not disjoint: a row owns two slots.
+    RowPartition,
+    /// Per-category nonzero counts do not sum to the header `nnz`, or a
+    /// category claims more originals than it stores.
+    NnzPartition,
+    /// The plan's gather slot-map is not a bijection onto `0..nnz`.
+    GatherBijection,
+    /// The attached plan's pattern or shape disagrees with the matrix it
+    /// rides on.
+    PlanMatch,
+    /// The reorder flag is inconsistent between matrix params and plan
+    /// params (`FLAG_REORDER` round-trip rule).
+    ReorderFlag,
+
+    // ---- kernel (checked by `SanitizeProbe` over the `san_*` hooks) ----
+    /// A shuffle consumed a value read from an out-of-mask source lane.
+    ShflMask,
+    /// An accumulator fragment slot was read with no MMA or clear having
+    /// defined it since the warp began.
+    FragInit,
+    /// An x gather, or a y / staging access, fell outside its bound.
+    AccessBounds,
+    /// A y / staging element was read that no write in the launch (or
+    /// pre-barrier epoch) produced.
+    UninitRead,
+    /// Two different warps wrote the same element within one launch.
+    Race,
+    /// One warp wrote the same element twice within one launch.
+    DoubleWrite,
+    /// Informational, never an error: out-of-mask shuffle reads whose
+    /// results a predicate discards — the paper's extraction shuffles do
+    /// this by design.
+    ShflDiscarded,
 }
 
-impl Diagnostic {
-    /// True for diagnostics that indicate a real bug; false for the
-    /// informational [`Diagnostic::ShflOobDiscarded`] class.
-    pub fn is_error(&self) -> bool {
-        !matches!(self, Diagnostic::ShflOobDiscarded { .. })
-    }
+const CLASSES: usize = Invariant::ShflDiscarded as usize + 1;
 
-    /// The kernel region the diagnostic is attributed to.
-    pub fn region(&self) -> &'static str {
+impl Invariant {
+    /// Every class, in declaration order.
+    pub const ALL: [Invariant; CLASSES] = [
+        Invariant::PtrMonotone,
+        Invariant::LenConsistency,
+        Invariant::PayloadSize,
+        Invariant::CidRange,
+        Invariant::RowRange,
+        Invariant::RowPartition,
+        Invariant::NnzPartition,
+        Invariant::GatherBijection,
+        Invariant::PlanMatch,
+        Invariant::ReorderFlag,
+        Invariant::ShflMask,
+        Invariant::FragInit,
+        Invariant::AccessBounds,
+        Invariant::UninitRead,
+        Invariant::Race,
+        Invariant::DoubleWrite,
+        Invariant::ShflDiscarded,
+    ];
+
+    /// Short machine-readable tag (JSON key, metric name suffix).
+    pub fn name(&self) -> &'static str {
         match self {
-            Diagnostic::CrossWarpRace { region, .. }
-            | Diagnostic::DoubleWrite { region, .. }
-            | Diagnostic::ShflOobUsed { region, .. }
-            | Diagnostic::ShflOobDiscarded { region, .. }
-            | Diagnostic::UninitFragRead { region, .. }
-            | Diagnostic::UninitRead { region, .. } => region,
+            Invariant::PtrMonotone => "ptr_monotone",
+            Invariant::LenConsistency => "len_consistency",
+            Invariant::PayloadSize => "payload_size",
+            Invariant::CidRange => "cid_range",
+            Invariant::RowRange => "row_range",
+            Invariant::RowPartition => "row_partition",
+            Invariant::NnzPartition => "nnz_partition",
+            Invariant::GatherBijection => "gather_bijection",
+            Invariant::PlanMatch => "plan_match",
+            Invariant::ReorderFlag => "reorder_flag",
+            Invariant::ShflMask => "shfl_mask",
+            Invariant::FragInit => "frag_init",
+            Invariant::AccessBounds => "access_bounds",
+            Invariant::UninitRead => "uninit_read",
+            Invariant::Race => "race",
+            Invariant::DoubleWrite => "double_write",
+            Invariant::ShflDiscarded => "shfl_discarded",
         }
     }
 
-    /// Short machine-readable kind tag (JSON `kind` field).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Diagnostic::CrossWarpRace { .. } => "race",
-            Diagnostic::DoubleWrite { .. } => "double_write",
-            Diagnostic::ShflOobUsed { .. } => "shfl_oob_used",
-            Diagnostic::ShflOobDiscarded { .. } => "shfl_oob_discarded",
-            Diagnostic::UninitFragRead { .. } => "uninit_frag_read",
-            Diagnostic::UninitRead { .. } => "uninit_read",
+    /// False only for the informational [`Invariant::ShflDiscarded`].
+    pub fn is_error(&self) -> bool {
+        *self != Invariant::ShflDiscarded
+    }
+}
+
+impl fmt::Display for Invariant {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// One breached-invariant site.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// The invariant class broken.
+    pub invariant: Invariant,
+    /// Where: a format part (`"long"`, `"plan.short"`) or kernel region
+    /// (`"dasp.long.phase2"`).
+    pub site: String,
+    /// The simulator warp active when a kernel check fired (`None` for
+    /// structural checks, host-side reads and shard-merge detections,
+    /// which happen outside any warp).
+    pub warp: Option<usize>,
+    /// The element the check fired on (x / y / staging index), where one
+    /// applies.
+    pub index: Option<usize>,
+    /// Human-readable specifics (expected vs found, lanes, masks).
+    pub detail: String,
+}
+
+impl Violation {
+    fn to_json(&self) -> String {
+        let opt = |v: Option<usize>| v.map_or("null".to_string(), |v| v.to_string());
+        format!(
+            "{{\"invariant\":\"{}\",\"site\":\"{}\",\"warp\":{},\"index\":{},\"detail\":\"{}\"}}",
+            self.invariant.name(),
+            escape_json(&self.site),
+            opt(self.warp),
+            opt(self.index),
+            escape_json(&self.detail)
+        )
+    }
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} @ {}", self.invariant, self.site)?;
+        if let Some(w) = self.warp {
+            write!(f, " (warp {w})")?;
+        }
+        write!(f, ": {}", self.detail)
+    }
+}
+
+/// Exact per-invariant tallies (never truncated, unlike the site list).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counts([u64; CLASSES]);
+
+impl Default for Counts {
+    fn default() -> Counts {
+        Counts([0; CLASSES])
+    }
+}
+
+impl Counts {
+    /// Total error-class breaches (everything but
+    /// [`Invariant::ShflDiscarded`]).
+    pub fn errors(&self) -> u64 {
+        self.0.iter().sum::<u64>() - self[Invariant::ShflDiscarded]
+    }
+
+    /// The classes with a nonzero count, in declaration order.
+    pub fn nonzero(&self) -> impl Iterator<Item = (Invariant, u64)> + '_ {
+        Invariant::ALL
+            .into_iter()
+            .map(|inv| (inv, self[inv]))
+            .filter(|&(_, n)| n > 0)
+    }
+
+    fn merge(&mut self, other: &Counts) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
         }
     }
 
     fn to_json(self) -> String {
-        fn warp(w: Option<usize>) -> String {
-            match w {
-                Some(w) => w.to_string(),
-                None => "null".to_string(),
-            }
-        }
-        match self {
-            Diagnostic::CrossWarpRace {
-                region,
-                other_region,
-                space,
-                index,
-                warp: w,
-                other_warp,
-            } => format!(
-                "{{\"kind\":\"race\",\"region\":\"{region}\",\"other_region\":\"{other_region}\",\
-                 \"space\":{space},\"index\":{index},\"warp\":{},\"other_warp\":{}}}",
-                warp(w),
-                warp(other_warp)
-            ),
-            Diagnostic::DoubleWrite {
-                region,
-                space,
-                index,
-                warp: w,
-            } => format!(
-                "{{\"kind\":\"double_write\",\"region\":\"{region}\",\"space\":{space},\
-                 \"index\":{index},\"warp\":{}}}",
-                warp(w)
-            ),
-            Diagnostic::ShflOobUsed {
-                region,
-                warp: w,
-                op,
-                mask,
-                lanes,
-            }
-            | Diagnostic::ShflOobDiscarded {
-                region,
-                warp: w,
-                op,
-                mask,
-                lanes,
-            } => format!(
-                "{{\"kind\":\"{}\",\"region\":\"{region}\",\"op\":\"{}\",\"mask\":{mask},\
-                 \"lanes\":{lanes},\"warp\":{}}}",
-                self.kind(),
-                op.name(),
-                warp(w)
-            ),
-            Diagnostic::UninitFragRead {
-                region,
-                warp: w,
-                lane,
-                reg,
-            } => format!(
-                "{{\"kind\":\"uninit_frag_read\",\"region\":\"{region}\",\"lane\":{lane},\
-                 \"reg\":{reg},\"warp\":{}}}",
-                warp(w)
-            ),
-            Diagnostic::UninitRead {
-                region,
-                space,
-                index,
-                warp: w,
-            } => format!(
-                "{{\"kind\":\"uninit_read\",\"region\":\"{region}\",\"space\":{space},\
-                 \"index\":{index},\"warp\":{}}}",
-                warp(w)
-            ),
-        }
+        let by: Vec<String> = self
+            .nonzero()
+            .map(|(inv, n)| format!("\"{}\":{n}", inv.name()))
+            .collect();
+        format!("{{{}}}", by.join(","))
     }
 }
 
-impl fmt::Display for Diagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Diagnostic::CrossWarpRace {
-                region,
-                other_region,
-                space,
-                index,
-                warp,
-                other_warp,
-            } => write!(
-                f,
-                "RACE in {region}: warp {warp:?} and warp {other_warp:?} ({other_region}) both \
-                 wrote space {space} index {index}"
-            ),
-            Diagnostic::DoubleWrite {
-                region,
-                space,
-                index,
-                warp,
-            } => write!(
-                f,
-                "DOUBLE WRITE in {region}: warp {warp:?} wrote space {space} index {index} twice"
-            ),
-            Diagnostic::ShflOobUsed {
-                region,
-                warp,
-                op,
-                mask,
-                lanes,
-            } => write!(
-                f,
-                "SHFL OOB in {region}: warp {warp:?} {} consumed out-of-mask reads on lanes \
-                 {lanes:#010x} (mask {mask:#010x})",
-                op.name()
-            ),
-            Diagnostic::ShflOobDiscarded {
-                region,
-                warp,
-                op,
-                mask,
-                lanes,
-            } => write!(
-                f,
-                "shfl oob (discarded) in {region}: warp {warp:?} {} lanes {lanes:#010x} \
-                 (mask {mask:#010x})",
-                op.name()
-            ),
-            Diagnostic::UninitFragRead {
-                region,
-                warp,
-                lane,
-                reg,
-            } => write!(
-                f,
-                "UNINIT FRAG READ in {region}: warp {warp:?} consumed accumulator slot \
-                 (lane {lane}, reg {reg}) no MMA touched"
-            ),
-            Diagnostic::UninitRead {
-                region,
-                space,
-                index,
-                warp,
-            } => write!(
-                f,
-                "UNINIT READ in {region}: warp {warp:?} read space {space} index {index} \
-                 which was never written"
-            ),
-        }
+impl Index<Invariant> for Counts {
+    type Output = u64;
+    fn index(&self, inv: Invariant) -> &u64 {
+        &self.0[inv as usize]
     }
 }
 
-/// Per-checker diagnostic counts (full totals — unlike the site list,
-/// counts are never truncated).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SanCounts {
-    /// Cross-warp write-write races.
-    pub races: u64,
-    /// Same-warp double writes.
-    pub double_writes: u64,
-    /// Out-of-mask shuffle reads whose values were consumed.
-    pub shfl_oob_used: u64,
-    /// Out-of-mask shuffle reads discarded by predicates (informational).
-    pub shfl_oob_discarded: u64,
-    /// Reads of never-touched accumulator fragment slots.
-    pub uninit_frag_reads: u64,
-    /// Reads of never-written scatter-space elements.
-    pub uninit_reads: u64,
-}
-
-impl SanCounts {
-    /// Total error-class diagnostics (everything but discarded OOB).
-    pub fn errors(&self) -> u64 {
-        self.races
-            + self.double_writes
-            + self.shfl_oob_used
-            + self.uninit_frag_reads
-            + self.uninit_reads
-    }
-
-    /// Sums another count record into this one.
-    pub fn merge(&mut self, other: &SanCounts) {
-        self.races += other.races;
-        self.double_writes += other.double_writes;
-        self.shfl_oob_used += other.shfl_oob_used;
-        self.shfl_oob_discarded += other.shfl_oob_discarded;
-        self.uninit_frag_reads += other.uninit_frag_reads;
-        self.uninit_reads += other.uninit_reads;
-    }
-
-    fn bump(&mut self, d: &Diagnostic) {
-        match d {
-            Diagnostic::CrossWarpRace { .. } => self.races += 1,
-            Diagnostic::DoubleWrite { .. } => self.double_writes += 1,
-            Diagnostic::ShflOobUsed { .. } => self.shfl_oob_used += 1,
-            Diagnostic::ShflOobDiscarded { .. } => self.shfl_oob_discarded += 1,
-            Diagnostic::UninitFragRead { .. } => self.uninit_frag_reads += 1,
-            Diagnostic::UninitRead { .. } => self.uninit_reads += 1,
-        }
-    }
-}
-
-/// Maximum number of detailed offending sites a report retains (counts
-/// keep accumulating past the cap, compute-sanitizer style).
+/// Maximum number of detailed sites a report retains (counts keep
+/// accumulating past the cap, compute-sanitizer style).
 pub const MAX_SITES: usize = 32;
 
-/// Aggregated sanitizer findings: totals, per-kernel-region breakdown,
-/// and the first [`MAX_SITES`] offending sites.
+/// Aggregated findings: exact per-invariant and per-region counts, the
+/// number of checks executed, and the first [`MAX_SITES`] sites.
 #[derive(Debug, Clone, Default)]
-pub struct SanitizeReport {
+pub struct Report {
     /// Whole-run totals.
-    pub counts: SanCounts,
-    /// Totals broken down by kernel region.
-    pub per_region: BTreeMap<&'static str, SanCounts>,
-    /// The first [`MAX_SITES`] diagnostics, in detection order.
-    pub sites: Vec<Diagnostic>,
-    /// Diagnostics beyond the site cap (counted, not retained).
+    pub counts: Counts,
+    /// Totals by kernel region. A region a checked kernel entered is
+    /// listed even when clean, so a clean report names what it covered.
+    pub per_region: BTreeMap<&'static str, Counts>,
+    /// The first [`MAX_SITES`] violations, in detection order.
+    pub sites: Vec<Violation>,
+    /// Violations beyond the site cap (counted, not retained).
     pub dropped_sites: u64,
+    /// Checks executed, clean or not — distinguishes "clean because
+    /// checked" from "clean because skipped".
+    pub checks_run: u64,
 }
 
-impl SanitizeReport {
+impl Report {
     /// A report with nothing recorded.
-    pub fn new() -> SanitizeReport {
-        SanitizeReport::default()
+    pub fn new() -> Report {
+        Report::default()
     }
 
-    /// True when no error-class diagnostic was recorded (discarded OOB
-    /// shuffle reads are informational and do not dirty a run).
+    /// True when no error-class breach was recorded (discarded shuffle
+    /// reads are informational and do not dirty a run).
     pub fn is_clean(&self) -> bool {
-        self.counts.errors() == 0
+        self.errors() == 0
     }
 
-    /// Records one diagnostic: bumps totals and the per-region breakdown,
-    /// and retains the site if under the cap.
-    pub fn record(&mut self, d: Diagnostic) {
-        self.counts.bump(&d);
-        self.per_region.entry(d.region()).or_default().bump(&d);
+    /// Total error-class breaches.
+    pub fn errors(&self) -> u64 {
+        self.counts.errors()
+    }
+
+    /// Count recorded against one invariant class.
+    pub fn count(&self, inv: Invariant) -> u64 {
+        self.counts[inv]
+    }
+
+    /// Notes one executed check.
+    pub fn note_check(&mut self) {
+        self.checks_run += 1;
+    }
+
+    /// Counts one breach of `invariant` — in `region`'s row too, when a
+    /// kernel check fired — and retains the site `site` builds while
+    /// fewer than [`MAX_SITES`] are held. `site` runs only then.
+    pub fn record(
+        &mut self,
+        invariant: Invariant,
+        region: Option<&'static str>,
+        site: impl FnOnce() -> Violation,
+    ) {
+        let i = invariant as usize;
+        self.counts.0[i] += 1;
+        if let Some(r) = region {
+            self.per_region.entry(r).or_default().0[i] += 1;
+        }
         if self.sites.len() < MAX_SITES {
-            self.sites.push(d);
+            self.sites.push(site());
         } else {
             self.dropped_sites += 1;
         }
     }
 
-    /// Folds another report into this one (shard/launch merge).
-    pub fn merge(&mut self, other: &SanitizeReport) {
+    /// Records `n` further breaches of one structural invariant behind a
+    /// single summary site — keeps counts exact when a scan finds
+    /// thousands of identical breaches without flooding the site list.
+    pub fn record_bulk(&mut self, invariant: Invariant, site: &str, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.counts.0[invariant as usize] += n;
+        if self.sites.len() < MAX_SITES {
+            self.sites.push(Violation {
+                invariant,
+                site: site.to_string(),
+                warp: None,
+                index: None,
+                detail: format!("... {n} further element(s) break the same rule"),
+            });
+            self.dropped_sites += n - 1;
+        } else {
+            self.dropped_sites += n;
+        }
+    }
+
+    /// Folds another report into this one (shard, launch or layer merge).
+    pub fn merge(&mut self, other: &Report) {
         self.counts.merge(&other.counts);
         for (region, c) in &other.per_region {
             self.per_region.entry(region).or_default().merge(c);
         }
-        for d in &other.sites {
-            if self.sites.len() < MAX_SITES {
-                self.sites.push(*d);
-            } else {
-                self.dropped_sites += 1;
-            }
-        }
-        self.dropped_sites += other.dropped_sites;
+        let room = MAX_SITES.saturating_sub(self.sites.len());
+        let kept = other.sites.len().min(room);
+        self.sites.extend_from_slice(&other.sites[..kept]);
+        self.dropped_sites += (other.sites.len() - kept) as u64 + other.dropped_sites;
+        self.checks_run += other.checks_run;
     }
 
-    /// Serializes the report as a JSON object (counts, per-region
-    /// breakdown, sites) for CI artifacts and the `--sanitize-out` flag.
-    pub fn to_json(&self) -> String {
-        fn counts_json(c: &SanCounts) -> String {
-            format!(
-                "{{\"races\":{},\"double_writes\":{},\"shfl_oob_used\":{},\
-                 \"shfl_oob_discarded\":{},\"uninit_frag_reads\":{},\"uninit_reads\":{}}}",
-                c.races,
-                c.double_writes,
-                c.shfl_oob_used,
-                c.shfl_oob_discarded,
-                c.uninit_frag_reads,
-                c.uninit_reads
-            )
+    /// One-line summary of the error counts by class, for embedding in
+    /// rejection messages (`plan_match:1, ptr_monotone:3`).
+    pub fn summary(&self) -> String {
+        if self.is_clean() {
+            return format!("clean ({} checks)", self.checks_run);
         }
+        let by: Vec<String> = self
+            .counts
+            .nonzero()
+            .filter(|(inv, _)| inv.is_error())
+            .map(|(inv, n)| format!("{inv}:{n}"))
+            .collect();
+        format!("{} violation(s): {}", self.errors(), by.join(", "))
+    }
+
+    /// Serializes the report as one JSON object (the `--verify-plan-out`
+    /// and `--sanitize-out` artifacts). Count objects list nonzero
+    /// classes only.
+    pub fn to_json(&self) -> String {
         let regions: Vec<String> = self
             .per_region
             .iter()
-            .map(|(r, c)| format!("\"{r}\":{}", counts_json(c)))
+            .map(|(r, c)| format!("\"{}\":{}", escape_json(r), c.to_json()))
             .collect();
-        let sites: Vec<String> = self.sites.iter().map(|d| d.to_json()).collect();
+        let sites: Vec<String> = self.sites.iter().map(Violation::to_json).collect();
         format!(
-            "{{\"clean\":{},\"errors\":{},\"counts\":{},\"per_region\":{{{}}},\
+            "{{\"clean\":{},\"errors\":{},\"checks_run\":{},\"counts\":{},\"per_region\":{{{}}},\
              \"sites\":[{}],\"dropped_sites\":{}}}",
             self.is_clean(),
-            self.counts.errors(),
-            counts_json(&self.counts),
+            self.errors(),
+            self.checks_run,
+            self.counts.to_json(),
             regions.join(","),
             sites.join(","),
             self.dropped_sites
         )
     }
 
-    /// Publishes the counts into a `dasp-trace` metrics registry under
-    /// `sanitize.*` counter names.
-    pub fn export_metrics(&self, registry: &dasp_trace::Registry) {
-        registry.counter_add("sanitize.races", self.counts.races);
-        registry.counter_add("sanitize.double_writes", self.counts.double_writes);
-        registry.counter_add("sanitize.shfl_oob_used", self.counts.shfl_oob_used);
-        registry.counter_add(
-            "sanitize.shfl_oob_discarded",
-            self.counts.shfl_oob_discarded,
-        );
-        registry.counter_add("sanitize.uninit_frag_reads", self.counts.uninit_frag_reads);
-        registry.counter_add("sanitize.uninit_reads", self.counts.uninit_reads);
-        registry.counter_add("sanitize.errors", self.counts.errors());
+    /// Publishes the report into a `dasp-trace` registry as counters
+    /// `{prefix}.errors`, `{prefix}.checks_run` and `{prefix}.<class>`
+    /// for every class with a nonzero count.
+    pub fn export_metrics(&self, registry: &dasp_trace::Registry, prefix: &str) {
+        registry.counter_add(&format!("{prefix}.errors"), self.errors());
+        registry.counter_add(&format!("{prefix}.checks_run"), self.checks_run);
+        for (inv, n) in self.counts.nonzero() {
+            registry.counter_add(&format!("{prefix}.{inv}"), n);
+        }
     }
 }
 
-impl fmt::Display for SanitizeReport {
+impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_clean() && self.counts.shfl_oob_discarded == 0 {
-            let regions: Vec<&str> = self.per_region.keys().copied().collect();
-            return if regions.is_empty() {
-                write!(f, "sanitize: clean (0 diagnostics)")
-            } else {
+        let info = self.count(Invariant::ShflDiscarded);
+        if self.is_clean() {
+            write!(f, "clean ({} checks", self.checks_run)?;
+            if info > 0 {
+                write!(f, ", {info} discarded shuffle read(s)")?;
+            }
+            if !self.per_region.is_empty() {
+                let regions: Vec<&str> = self.per_region.keys().copied().collect();
                 write!(
                     f,
-                    "sanitize: clean (0 diagnostics across {} checked region(s): {})",
+                    " across {} region(s): {}",
                     regions.len(),
                     regions.join(", ")
-                )
-            };
+                )?;
+            }
+            return write!(f, ")");
         }
         writeln!(
             f,
-            "sanitize: {} error(s) — {} race, {} double-write, {} shfl-oob-used, \
-             {} uninit-frag, {} uninit-read ({} discarded-oob informational)",
-            self.counts.errors(),
-            self.counts.races,
-            self.counts.double_writes,
-            self.counts.shfl_oob_used,
-            self.counts.uninit_frag_reads,
-            self.counts.uninit_reads,
-            self.counts.shfl_oob_discarded
+            "{} violation(s) ({} checks, {info} discarded shuffle read(s))",
+            self.errors(),
+            self.checks_run
         )?;
-        for (region, c) in &self.per_region {
-            writeln!(
-                f,
-                "  {region}: {} error(s), {} informational",
-                c.errors(),
-                c.shfl_oob_discarded
-            )?;
+        for (inv, n) in self.counts.nonzero() {
+            writeln!(f, "  {inv}: {n}")?;
         }
-        for d in &self.sites {
-            writeln!(f, "  {d}")?;
+        for (region, c) in &self.per_region {
+            if c.errors() > 0 {
+                writeln!(f, "  in {region}: {} violation(s)", c.errors())?;
+            }
+        }
+        for v in &self.sites {
+            writeln!(f, "  {v}")?;
         }
         if self.dropped_sites > 0 {
             writeln!(
@@ -485,101 +424,152 @@ impl fmt::Display for SanitizeReport {
 mod tests {
     use super::*;
 
-    fn race() -> Diagnostic {
-        Diagnostic::CrossWarpRace {
-            region: "a",
-            other_region: "b",
-            space: 0,
-            index: 7,
-            warp: Some(1),
-            other_warp: Some(2),
+    fn v(inv: Invariant) -> Violation {
+        Violation {
+            invariant: inv,
+            site: "long".to_string(),
+            warp: None,
+            index: None,
+            detail: "cid 99 >= cols 10".to_string(),
         }
+    }
+
+    fn race(r: &mut Report) {
+        r.record(Invariant::Race, Some("a"), || Violation {
+            warp: Some(1),
+            index: Some(7),
+            ..v(Invariant::Race)
+        });
     }
 
     #[test]
     fn record_bumps_totals_and_regions() {
-        let mut r = SanitizeReport::new();
-        r.record(race());
-        r.record(Diagnostic::ShflOobDiscarded {
-            region: "a",
-            warp: None,
-            op: ShflOp::SyncVar,
-            mask: u32::MAX,
-            lanes: 3,
+        let mut r = Report::new();
+        race(&mut r);
+        r.record(Invariant::ShflDiscarded, Some("a"), || {
+            v(Invariant::ShflDiscarded)
         });
-        assert_eq!(r.counts.races, 1);
-        assert_eq!(r.counts.shfl_oob_discarded, 1);
-        assert_eq!(r.counts.errors(), 1);
+        r.record(Invariant::CidRange, None, || v(Invariant::CidRange));
+        r.record(Invariant::CidRange, None, || v(Invariant::CidRange));
+        assert_eq!(r.count(Invariant::Race), 1);
+        assert_eq!(r.count(Invariant::ShflDiscarded), 1);
+        assert_eq!(r.count(Invariant::CidRange), 2);
+        assert_eq!(r.errors(), 3);
         assert!(!r.is_clean());
-        assert_eq!(r.per_region["a"].races, 1);
-        assert_eq!(r.sites.len(), 2);
+        assert_eq!(r.per_region["a"][Invariant::Race], 1);
+        assert_eq!(r.per_region.len(), 1, "structural breaches have no region");
+        assert_eq!(r.sites.len(), 4);
     }
 
     #[test]
-    fn discarded_oob_alone_is_clean() {
-        let mut r = SanitizeReport::new();
-        r.record(Diagnostic::ShflOobDiscarded {
-            region: "x",
-            warp: Some(0),
-            op: ShflOp::SyncVar,
-            mask: 1,
-            lanes: 2,
+    fn discarded_shuffle_alone_is_clean() {
+        let mut r = Report::new();
+        r.record(Invariant::ShflDiscarded, Some("x"), || {
+            v(Invariant::ShflDiscarded)
         });
         assert!(r.is_clean());
+        assert!(r.to_string().starts_with("clean"), "{r}");
     }
 
     #[test]
-    fn site_cap_drops_but_keeps_counting() {
-        let mut r = SanitizeReport::new();
-        for _ in 0..(MAX_SITES + 5) {
-            r.record(race());
+    fn site_cap_drops_but_keeps_counting_and_formats_nothing_past_it() {
+        let mut r = Report::new();
+        for _ in 0..MAX_SITES {
+            race(&mut r);
+        }
+        for _ in 0..5 {
+            r.record(Invariant::Race, Some("a"), || {
+                panic!("formatted past the cap")
+            });
         }
         assert_eq!(r.sites.len(), MAX_SITES);
         assert_eq!(r.dropped_sites, 5);
-        assert_eq!(r.counts.races, (MAX_SITES + 5) as u64);
+        assert_eq!(r.count(Invariant::Race), (MAX_SITES + 5) as u64);
     }
 
     #[test]
-    fn merge_sums_counts_and_regions() {
-        let mut a = SanitizeReport::new();
-        a.record(race());
-        let mut b = SanitizeReport::new();
-        b.record(race());
-        b.record(Diagnostic::UninitRead {
-            region: "c",
-            space: 1,
-            index: 0,
-            warp: None,
+    fn bulk_records_count_exactly_behind_one_site() {
+        let mut r = Report::new();
+        r.record_bulk(Invariant::RowRange, "short", 40);
+        assert_eq!(r.count(Invariant::RowRange), 40);
+        assert_eq!(r.sites.len(), 1);
+        assert_eq!(r.dropped_sites, 39);
+    }
+
+    #[test]
+    fn merge_sums_counts_regions_and_checks() {
+        let mut a = Report::new();
+        race(&mut a);
+        a.record(Invariant::PtrMonotone, None, || v(Invariant::PtrMonotone));
+        a.note_check();
+        let mut b = Report::new();
+        race(&mut b);
+        b.record(Invariant::UninitRead, Some("c"), || {
+            v(Invariant::UninitRead)
         });
+        b.record(Invariant::PtrMonotone, None, || v(Invariant::PtrMonotone));
+        b.note_check();
         a.merge(&b);
-        assert_eq!(a.counts.races, 2);
-        assert_eq!(a.counts.uninit_reads, 1);
-        assert_eq!(a.per_region["a"].races, 2);
-        assert_eq!(a.per_region["c"].uninit_reads, 1);
+        assert_eq!(a.errors(), 5);
+        assert_eq!(a.checks_run, 2);
+        assert_eq!(a.count(Invariant::Race), 2);
+        assert_eq!(a.count(Invariant::PtrMonotone), 2);
+        assert_eq!(a.per_region["a"][Invariant::Race], 2);
+        assert_eq!(a.per_region["c"][Invariant::UninitRead], 1);
+        assert_eq!(a.sites.len(), 5);
     }
 
     #[test]
-    fn json_is_well_formed_enough() {
-        let mut r = SanitizeReport::new();
-        r.record(race());
+    fn json_parses_and_is_tagged() {
+        let mut r = Report::new();
+        race(&mut r);
+        r.record(Invariant::NnzPartition, None, || v(Invariant::NnzPartition));
         let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"clean\":false"));
-        assert!(j.contains("\"races\":1"));
-        assert!(j.contains("\"kind\":\"race\""));
-        // Balanced braces (hand-rolled JSON sanity).
-        let open = j.matches('{').count();
-        let close = j.matches('}').count();
-        assert_eq!(open, close);
+        let doc = dasp_trace::Json::parse(&j).expect("valid JSON");
+        assert_eq!(doc.get("clean"), Some(&dasp_trace::Json::Bool(false)));
+        let counts = doc.get("counts").unwrap();
+        assert_eq!(counts.get("race").and_then(|n| n.as_u64()), Some(1));
+        assert_eq!(
+            counts.get("nnz_partition").and_then(|n| n.as_u64()),
+            Some(1)
+        );
+        let site = &doc.get("sites").unwrap().as_arr().unwrap()[0];
+        assert_eq!(site.get("invariant").unwrap().as_str(), Some("race"));
+        assert_eq!(site.get("warp").and_then(|n| n.as_u64()), Some(1));
+        assert_eq!(site.get("index").and_then(|n| n.as_u64()), Some(7));
     }
 
     #[test]
-    fn metrics_export_lands_in_registry() {
+    fn json_survives_adversarial_strings() {
+        // Quotes, backslashes, a stray escape sequence, every control
+        // character from NUL to U+001F, DEL, non-ASCII and a line
+        // separator, in both site and detail.
+        let control: String = (0u8..0x20).map(char::from).collect();
+        let nasty = format!("q\"b\\s\\u00zz/{control}\u{7f}é✓\u{2028}");
+        let mut r = Report::new();
+        r.record(Invariant::CidRange, None, || Violation {
+            site: nasty.clone(),
+            detail: nasty.clone(),
+            ..v(Invariant::CidRange)
+        });
+        r.record(Invariant::RowRange, None, || v(Invariant::RowRange));
+        let j = r.to_json();
+        assert_eq!(dasp_trace::validate_json(&j), Ok(()), "invalid JSON: {j:?}");
+        assert!(j.contains("\\u0000") && j.contains("\\n") && j.contains("\\\""));
+    }
+
+    #[test]
+    fn metrics_export_lands_in_registry_under_the_prefix() {
         let reg = dasp_trace::Registry::new();
-        let mut r = SanitizeReport::new();
-        r.record(race());
-        r.export_metrics(&reg);
-        assert_eq!(reg.counter("sanitize.races"), Some(1));
-        assert_eq!(reg.counter("sanitize.errors"), Some(1));
+        let mut r = Report::new();
+        race(&mut r);
+        r.record(Invariant::PayloadSize, None, || v(Invariant::PayloadSize));
+        r.note_check();
+        r.export_metrics(&reg, "verify");
+        assert_eq!(reg.counter("verify.race"), Some(1));
+        assert_eq!(reg.counter("verify.payload_size"), Some(1));
+        assert_eq!(reg.counter("verify.errors"), Some(2));
+        assert_eq!(reg.counter("verify.checks_run"), Some(1));
+        assert_eq!(reg.counter("verify.uninit_read"), None);
     }
 }

@@ -6,7 +6,7 @@
 //! warp programs through the same executor + probe machinery the kernels
 //! use.
 
-use dasp_sanitize::{Diagnostic, SanitizeProbe};
+use dasp_sanitize::{Invariant, SanitizeProbe};
 use dasp_simt::{checked, space, Executor, NoProbe, ParExecutor, Probe, SharedSlice, ShflOp};
 
 /// Planted bug: every warp targets y[0] — the classic missing-ownership
@@ -33,11 +33,15 @@ fn racecheck_catches_cross_warp_scatter_seq() {
     }
     let r = probe.report();
     assert!(!r.is_clean());
-    assert_eq!(r.counts.races, 3, "warps 1..4 each collide with warp 0");
+    assert_eq!(
+        r.count(Invariant::Race),
+        3,
+        "warps 1..4 each collide with warp 0"
+    );
     assert!(r
         .sites
         .iter()
-        .any(|d| matches!(d, Diagnostic::CrossWarpRace { index: 0, .. })));
+        .any(|v| v.invariant == Invariant::Race && v.index == Some(0)));
 }
 
 /// The same planted race under the parallel executor: the overlap is only
@@ -62,10 +66,14 @@ fn racecheck_catches_cross_warp_scatter_par() {
     let r = probe.report();
     assert!(!r.is_clean());
     assert!(
-        r.counts.races >= 1,
+        r.count(Invariant::Race) >= 1,
         "cross-shard merge must flag the overlap"
     );
-    assert_eq!(r.counts.races, 3, "every warp after the first collides");
+    assert_eq!(
+        r.count(Invariant::Race),
+        3,
+        "every warp after the first collides"
+    );
 }
 
 /// Planted bug: one warp stores the same output element twice (e.g. a
@@ -79,11 +87,9 @@ fn racecheck_catches_same_warp_double_write() {
     probe.san_write(space::Y, 7);
     probe.san_write(space::Y, 7);
     probe.warp_end(0);
-    assert_eq!(probe.report().counts.double_writes, 1);
-    assert!(matches!(
-        probe.report().sites[0],
-        Diagnostic::DoubleWrite { index: 7, .. }
-    ));
+    assert_eq!(probe.report().count(Invariant::DoubleWrite), 1);
+    let v = &probe.report().sites[0];
+    assert_eq!((v.invariant, v.index), (Invariant::DoubleWrite, Some(7)));
 }
 
 /// Disjoint scatter (the correct pattern) stays clean under both
@@ -125,16 +131,12 @@ fn maskcheck_catches_out_of_mask_read_whose_value_is_used() {
     // 16-lane mask makes every active lane's source inactive.
     let _ = checked::shfl_down_sync(&mut probe, 0xffff, vals, 16);
     let r = probe.report();
-    assert_eq!(r.counts.shfl_oob_used, 1);
+    assert_eq!(r.count(Invariant::ShflMask), 1);
     assert!(!r.is_clean());
-    assert!(matches!(
-        r.sites[0],
-        Diagnostic::ShflOobUsed {
-            op: ShflOp::Down,
-            mask: 0xffff,
-            ..
-        }
-    ));
+    let v = &r.sites[0];
+    assert_eq!(v.invariant, Invariant::ShflMask);
+    assert!(v.detail.starts_with(ShflOp::Down.name()), "{v}");
+    assert!(v.detail.contains("(mask 0x0000ffff)"), "{v}");
 }
 
 /// The paper's own extraction pattern — out-of-mask variable-source reads
@@ -150,8 +152,8 @@ fn maskcheck_classifies_discarded_reads_as_benign() {
     let src: [i32; 32] = std::array::from_fn(|l| l as i32 + 8);
     let _ = checked::shfl_sync_var(&mut probe, 0xffff, vals, &src, 0x00ff);
     let r = probe.report();
-    assert_eq!(r.counts.shfl_oob_used, 0);
-    assert_eq!(r.counts.shfl_oob_discarded, 1);
+    assert_eq!(r.count(Invariant::ShflMask), 0);
+    assert_eq!(r.count(Invariant::ShflDiscarded), 1);
     assert!(r.is_clean(), "discarded reads must not dirty the report");
 }
 
@@ -168,15 +170,10 @@ fn initcheck_catches_uninitialized_fragment_read() {
     probe.san_frag_read(8, 0); // lane 8 = row 2: defined
     probe.san_frag_read(0, 0); // lane 0 = row 0: poison
     let r = probe.report();
-    assert_eq!(r.counts.uninit_frag_reads, 1);
-    assert!(matches!(
-        r.sites[0],
-        Diagnostic::UninitFragRead {
-            lane: 0,
-            reg: 0,
-            ..
-        }
-    ));
+    assert_eq!(r.count(Invariant::FragInit), 1);
+    let v = &r.sites[0];
+    assert_eq!(v.invariant, Invariant::FragInit);
+    assert!(v.detail.contains("(lane 0, reg 0)"), "{v}");
 }
 
 /// Planted bug: phase 2 reads an auxiliary staging element phase 1 never
@@ -196,11 +193,9 @@ fn initcheck_catches_never_written_aux_read() {
     probe.san_read(space::AUX, 2); // off-by-one: never written
     probe.warp_end(1);
     let r = probe.report();
-    assert_eq!(r.counts.uninit_reads, 1);
-    assert!(matches!(
-        r.sites.last().unwrap(),
-        Diagnostic::UninitRead { index: 2, .. }
-    ));
+    assert_eq!(r.count(Invariant::UninitRead), 1);
+    let v = r.sites.last().unwrap();
+    assert_eq!((v.invariant, v.index), (Invariant::UninitRead, Some(2)));
 }
 
 /// The planted diagnostics attribute to the region that was active when
@@ -215,9 +210,9 @@ fn diagnostics_attribute_to_regions() {
     probe.san_region("inject.kernel-b");
     probe.san_read(space::AUX, 0);
     let r = probe.report();
-    assert_eq!(r.per_region["inject.kernel-a"].double_writes, 1);
-    assert_eq!(r.per_region["inject.kernel-b"].uninit_reads, 1);
-    assert_eq!(r.per_region["inject.kernel-a"].uninit_reads, 0);
+    assert_eq!(r.per_region["inject.kernel-a"][Invariant::DoubleWrite], 1);
+    assert_eq!(r.per_region["inject.kernel-b"][Invariant::UninitRead], 1);
+    assert_eq!(r.per_region["inject.kernel-a"][Invariant::UninitRead], 0);
 }
 
 /// A wrapped run with planted bugs still merges its counters back into
@@ -234,7 +229,7 @@ fn fault_injection_does_not_perturb_counters() {
     sp.san_write(space::Y, 0); // planted double write
     sp.warp_end(0);
     let (inner, report) = sp.into_parts();
-    assert_eq!(report.counts.double_writes, 1);
+    assert_eq!(report.count(Invariant::DoubleWrite), 1);
     dasp_simt::ShardableProbe::merge_shard(&mut parent, inner);
     let s = parent.stats();
     assert_eq!(s.fma_ops, 17);

@@ -69,7 +69,7 @@
 //! let mut coo = Coo::<f64>::new(4, 4);
 //! for i in 0..4 { coo.push(i, i, 2.0); }
 //! let server = Server::start(ServeConfig::default());
-//! server.register("diag", &coo.to_csr());
+//! server.register("diag", &coo.to_csr()).unwrap();
 //! let h = server.handle();
 //! let t = h.spmv("tenant-a", "diag", vec![1.0; 4]).unwrap();
 //! assert_eq!(t.wait_vector().unwrap(), vec![2.0; 4]);

@@ -4,6 +4,7 @@ use std::sync::mpsc;
 
 use dasp_fp16::Scalar;
 use dasp_solver::{PowerOptions, PowerResult};
+use dasp_sparse::csr::CsrError;
 
 /// One unit of work against a resident matrix.
 #[derive(Debug, Clone)]
@@ -72,6 +73,17 @@ pub enum RejectReason {
         /// The verifier's summary (violation counts by invariant).
         detail: String,
     },
+    /// The CSR handed to [`Server::register`](crate::Server::register)
+    /// fails [`Csr::validate`](dasp_sparse::Csr::validate); converting it
+    /// could index out of bounds.
+    InvalidCsr(CsrError),
+    /// The format parameters or the input size are outside what the
+    /// converter accepts (`max_len <= 4`, or `nnz` reaching the gather
+    /// index limit).
+    InvalidParams {
+        /// Which precondition failed.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for RejectReason {
@@ -84,6 +96,8 @@ impl std::fmt::Display for RejectReason {
             RejectReason::BadShape { detail } => write!(f, "bad shape: {detail}"),
             RejectReason::ShuttingDown => write!(f, "server shutting down"),
             RejectReason::InvalidPlan { detail } => write!(f, "invalid plan: {detail}"),
+            RejectReason::InvalidCsr(e) => write!(f, "invalid CSR: {e}"),
+            RejectReason::InvalidParams { detail } => write!(f, "invalid params: {detail}"),
         }
     }
 }

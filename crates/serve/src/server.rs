@@ -8,6 +8,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use dasp_core::format::GATHER_PADDING;
 use dasp_core::{DaspMatrix, DaspParams, PlanCache};
 use dasp_fp16::Scalar;
 use dasp_perf::{estimate, precision_of};
@@ -238,19 +239,39 @@ impl<S: Scalar> Server<S> {
     /// Builds `csr` into the resident DASP format (through the shared
     /// plan cache, so same-pattern registrations skip analysis) and makes
     /// it addressable under `name`.
-    pub fn register(&self, name: &str, csr: &Csr<S>) -> RegisterInfo {
+    ///
+    /// The CSR is untrusted: a malformed one is refused with
+    /// [`RejectReason::InvalidCsr`] before any conversion runs, so it can
+    /// never panic the converter.
+    pub fn register(&self, name: &str, csr: &Csr<S>) -> Result<RegisterInfo, ServeError> {
         self.register_with_params(name, csr, DaspParams::default())
     }
 
-    /// [`Server::register`] with explicit format parameters.
+    /// [`Server::register`] with explicit format parameters. Parameters
+    /// or a size the converter does not accept (`max_len <= 4`, `nnz` at
+    /// or past [`GATHER_PADDING`]) are refused with
+    /// [`RejectReason::InvalidParams`].
     pub fn register_with_params(
         &self,
         name: &str,
         csr: &Csr<S>,
         params: DaspParams,
-    ) -> RegisterInfo {
-        let m = DaspMatrix::with_params_cached(csr, params, &self.inner.plan_cache);
-        self.make_resident(name, m)
+    ) -> Result<RegisterInfo, ServeError> {
+        if let Err(e) = csr.validate() {
+            return Err(self.reject(RejectReason::InvalidCsr(e)));
+        }
+        let detail = if params.max_len <= 4 {
+            format!(
+                "max_len {} must exceed the short-row bound 4",
+                params.max_len
+            )
+        } else if csr.nnz() >= GATHER_PADDING as usize {
+            format!("nnz {} reaches the gather index limit", csr.nnz())
+        } else {
+            let m = DaspMatrix::with_params_cached(csr, params, &self.inner.plan_cache);
+            return Ok(self.make_resident(name, m));
+        };
+        Err(self.reject(RejectReason::InvalidParams { detail }))
     }
 
     /// Registers an already-converted matrix, but only after it passes
@@ -258,9 +279,9 @@ impl<S: Scalar> Server<S> {
     /// plan breaks a kernel invariant is refused with
     /// [`RejectReason::InvalidPlan`] *before* it becomes resident, so a
     /// corrupt registration can never corrupt results or fault a worker.
-    /// Matrices built by [`Server::register`] come from the in-process
-    /// converter and skip this gate; this path is for matrices that
-    /// arrive pre-built (e.g. deserialized from untrusted bytes).
+    /// This path is for matrices that arrive pre-built (e.g. deserialized
+    /// from untrusted bytes); [`Server::register`] builds them with the
+    /// in-process converter instead.
     pub fn register_matrix(
         &self,
         name: &str,
@@ -268,10 +289,7 @@ impl<S: Scalar> Server<S> {
     ) -> Result<RegisterInfo, ServeError> {
         let report = dasp_verify::verify_full(&m);
         if !report.is_clean() {
-            self.inner
-                .registry
-                .counter_add(metrics::MATRICES_REJECTED, 1);
-            return Err(ServeError::Rejected(RejectReason::InvalidPlan {
+            return Err(self.reject(RejectReason::InvalidPlan {
                 detail: report.summary(),
             }));
         }
@@ -289,14 +307,19 @@ impl<S: Scalar> Server<S> {
         bytes: &mut impl std::io::Read,
     ) -> Result<RegisterInfo, ServeError> {
         let m = DaspMatrix::<S>::read_from(bytes).map_err(|e| {
-            self.inner
-                .registry
-                .counter_add(metrics::MATRICES_REJECTED, 1);
-            ServeError::Rejected(RejectReason::InvalidPlan {
+            self.reject(RejectReason::InvalidPlan {
                 detail: format!("decode failed: {e}"),
             })
         })?;
         self.register_matrix(name, m)
+    }
+
+    /// Counts a refused registration and wraps its reason.
+    fn reject(&self, reason: RejectReason) -> ServeError {
+        self.inner
+            .registry
+            .counter_add(metrics::MATRICES_REJECTED, 1);
+        ServeError::Rejected(reason)
     }
 
     fn make_resident(&self, name: &str, m: DaspMatrix<S>) -> RegisterInfo {

@@ -45,7 +45,7 @@ fn coalesced_matches_direct<S: Scalar>(exec: Executor) {
         executor: exec,
         ..ServeConfig::default()
     });
-    server.register("m", &csr);
+    server.register("m", &csr).unwrap();
     let clients: Vec<ClientSpec<S>> = (0..4)
         .map(|c| ClientSpec {
             tenant: format!("tenant-{c}"),
@@ -101,7 +101,7 @@ fn partial_panels_flush_at_their_width() {
 
     for k in 1..=7usize {
         let server = Server::<f64>::start(held_config());
-        server.register("m", &csr);
+        server.register("m", &csr).unwrap();
         let h = server.handle();
         // All k submissions enqueue ahead of the flush (same-thread sends
         // are FIFO), so the window never expires and the batch is exactly
@@ -144,7 +144,7 @@ fn refresh_orders_against_inflight_spmv() {
     assert_ne!(before_expected, after_expected);
 
     let server = Server::<f64>::start(held_config());
-    server.register("m", &csr);
+    server.register("m", &csr).unwrap();
     let h = server.handle();
     let t_before = h.spmv("t", "m", x.clone()).unwrap();
     let t_refresh = h.refresh("t", "m", csr_new.vals.clone()).unwrap();
@@ -176,7 +176,7 @@ fn spmm_requests_match_columnwise_spmv() {
     let expected: Vec<Vec<f64>> = columns.iter().map(|c| d.spmv(c, &mut NoProbe)).collect();
 
     let server = Server::<f64>::start(held_config());
-    server.register("m", &csr);
+    server.register("m", &csr).unwrap();
     let got = server
         .handle()
         .spmm("t", "m", columns)
@@ -200,7 +200,7 @@ fn pagerank_matches_direct_power_iteration() {
     let direct = power_iteration(&d, opts).unwrap();
 
     let server = Server::<f64>::start(held_config());
-    server.register("m", &csr);
+    server.register("m", &csr).unwrap();
     let reply = server
         .handle()
         .pagerank("t", "m", opts)
@@ -225,7 +225,7 @@ fn admission_rejects_bad_requests() {
         queue_cap: 1,
         ..held_config()
     });
-    server.register("m", &csr);
+    server.register("m", &csr).unwrap();
     let h = server.handle();
 
     let unknown = h.spmv("t", "nope", vec![0.0; 64]).unwrap().wait();
@@ -283,7 +283,7 @@ fn shutdown_drains_accepted_requests() {
     let expected: Vec<Vec<f64>> = xs.iter().map(|x| d.spmv(x, &mut NoProbe)).collect();
 
     let server = Server::<f64>::start(held_config());
-    server.register("m", &csr);
+    server.register("m", &csr).unwrap();
     let h = server.handle();
     let tickets: Vec<_> = xs
         .iter()
@@ -310,19 +310,19 @@ fn plan_cache_capacity_and_eviction_metric() {
         plan_cache_cap: Some(1),
         ..held_config()
     });
-    server.register("a", &a);
+    server.register("a", &a).unwrap();
     assert_eq!(
         server.registry().gauge("format.plan_cache.evictions"),
         Some(0.0)
     );
-    server.register("b", &b);
+    server.register("b", &b).unwrap();
     assert_eq!(
         server.registry().gauge("format.plan_cache.evictions"),
         Some(1.0),
         "registering a second pattern must evict from a capacity-1 cache"
     );
     // Same pattern again: a cache hit, no analysis, no eviction.
-    let info = server.register("b2", &b);
+    let info = server.register("b2", &b).unwrap();
     assert_eq!(info.nnz, b.vals.len());
     assert_eq!(server.registry().gauge("format.plan_cache.hits"), Some(1.0));
     server.shutdown();
@@ -337,7 +337,7 @@ fn per_tenant_metrics_are_recorded() {
         batch_window: Duration::from_micros(50),
         ..ServeConfig::default()
     });
-    server.register("m", &csr);
+    server.register("m", &csr).unwrap();
     let h = server.handle();
     let x = dasp_matgen::dense_vector(csr.cols, 0);
     for _ in 0..3 {
@@ -378,7 +378,7 @@ fn modeled_time_and_traces_are_collected() {
         traced: true,
         ..held_config()
     });
-    server.register("m", &csr);
+    server.register("m", &csr).unwrap();
     let h = server.handle();
     let x = dasp_matgen::dense_vector(csr.cols, 1);
     let t0 = h.spmv("t", "m", x.clone()).unwrap();
@@ -412,7 +412,7 @@ fn modeled_time_and_traces_are_collected() {
 fn registration_rejects_invalid_plans_and_keeps_serving() {
     let good = dasp_matgen::banded(64, 2, 4, 1);
     let server = Server::<f64>::start(held_config());
-    server.register("good", &good);
+    server.register("good", &good).unwrap();
 
     // A structurally broken matrix: its nnz no longer partitions across
     // the categories.
@@ -465,5 +465,66 @@ fn registration_rejects_invalid_plans_and_keeps_serving() {
     assert_eq!(
         report.registry.counter(metrics::MATRICES_REGISTERED),
         Some(2)
+    );
+}
+
+/// Untrusted CSR registration: each malformed CSR and a `max_len` at the
+/// short-row bound is refused with a typed reason before any conversion
+/// (no panic), and a resident matrix keeps answering bit-identically.
+#[test]
+fn register_rejects_malformed_csr_and_keeps_serving() {
+    let good = dasp_matgen::uniform_random(200, 100, 6, 5);
+    let server = Server::<f64>::start(held_config());
+    server.register("good", &good).unwrap();
+    let h = server.handle();
+    let x = dasp_matgen::dense_vector(good.cols, 9);
+    let expected = DaspMatrix::from_csr(&good).spmv(&x, &mut NoProbe);
+    let ask = |x: &[f64]| {
+        let t = h.spmv("t", "good", x.to_vec()).unwrap();
+        server.flush();
+        t.wait_vector().unwrap()
+    };
+    let before = ask(&x);
+    assert_eq!(before, expected);
+
+    type Mutation = (&'static str, fn(&mut Csr<f64>));
+    let mutations: [Mutation; 5] = [
+        ("column >= cols", |c| c.col_idx[3] = c.cols as u32),
+        ("short row_ptr", |c| {
+            c.row_ptr.pop();
+        }),
+        ("row_ptr past nnz", |c| *c.row_ptr.last_mut().unwrap() += 1),
+        ("short vals", |c| {
+            c.vals.pop();
+        }),
+        ("decreasing row_ptr", |c| c.row_ptr.swap(10, 11)),
+    ];
+    for (what, mutate) in mutations {
+        let mut bad = good.clone();
+        mutate(&mut bad);
+        match server.register("bad", &bad) {
+            Err(ServeError::Rejected(RejectReason::InvalidCsr(_))) => {}
+            other => panic!("{what}: expected InvalidCsr, got {other:?}"),
+        }
+    }
+    let params = dasp_core::DaspParams {
+        max_len: 4,
+        ..Default::default()
+    };
+    match server.register_with_params("bad", &good, params) {
+        Err(ServeError::Rejected(RejectReason::InvalidParams { detail })) => {
+            assert!(detail.contains("max_len 4"), "{detail}");
+        }
+        other => panic!("max_len 4: expected InvalidParams, got {other:?}"),
+    }
+
+    assert_eq!(ask(&x), before, "the resident matrix must answer unchanged");
+    let miss = h.spmv("t", "bad", x.clone()).unwrap().wait();
+    assert_eq!(miss, Err(ServeError::Rejected(RejectReason::UnknownMatrix)));
+    let report = server.shutdown();
+    assert_eq!(report.registry.counter(metrics::MATRICES_REJECTED), Some(6));
+    assert_eq!(
+        report.registry.counter(metrics::MATRICES_REGISTERED),
+        Some(1)
     );
 }

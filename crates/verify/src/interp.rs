@@ -1,4 +1,4 @@
-//! Layer 2: the abstract warp-program interpreter.
+//! Layer 2: kernel interpretation on shape representatives.
 //!
 //! The DASP kernels' control flow and access patterns are *data
 //! independent*: which elements are loaded, which lanes shuffle, and
@@ -6,13 +6,14 @@
 //! metadata (group counts, block fills, piecing sub-categories, tail
 //! masks) — never on the floating-point values. So instead of sanitizing
 //! every input at runtime, each kernel body is executed once per
-//! **shape-equivalence class** under [`SeqExecutor`] with a
-//! [`VerifyProbe`] attached: a tiny synthetic representative whose built
-//! format exercises exactly the category/mask/tail configurations the
-//! input occupies. A clean run proves — for every input in those classes
-//! whose plan passed the Layer-1 structural validator — that shuffle
-//! masks are well-formed, MMA fragment slots are written before read, and
-//! every x/y/staging access stays inside its validated bound.
+//! **shape-equivalence class** under [`SeqExecutor`], on a tiny synthetic
+//! representative whose built format exercises exactly the
+//! category/mask/tail configurations the input occupies. The probe is
+//! the compute sanitizer itself — [`SanitizeProbe`] with the
+//! representative's x / y / staging [`Bounds`] — so the verifier runs the
+//! same race, mask, fragment-init, uninit-read and bounds checks as the
+//! `DASP_SANITIZE` fleet, and a clean run proves them for every input in
+//! those classes whose plan passed the Layer-1 structural checker.
 //!
 //! [`SeqExecutor`]: dasp_simt::SeqExecutor
 
@@ -20,224 +21,13 @@ use std::collections::BTreeSet;
 
 use dasp_core::consts::DaspParams;
 use dasp_core::format::{DaspMatrix, NO_ROW};
+use dasp_core::sanitize::{Bounds, Report, SanitizeProbe};
 use dasp_fp16::Scalar;
-use dasp_simt::{space, Executor, Probe, ShardableProbe, ShflEvent};
+use dasp_simt::{Executor, NoProbe};
 use dasp_sparse::{Coo, DenseMat};
-
-use crate::{Invariant, VerifyReport, Violation};
 
 /// RHS columns per MMA panel (mirrors the kernels' `PANEL_WIDTH`).
 const PANEL_WIDTH: usize = 8;
-
-/// A probe that turns the kernels' `san_*` instrumentation into verifier
-/// violations: out-of-bounds x/y/staging accesses, consumed out-of-mask
-/// shuffles, uninitialized fragment reads, and staging reads no phase
-/// wrote. Performance counters are discarded — the probe's only output is
-/// its [`VerifyReport`].
-#[derive(Debug)]
-pub struct VerifyProbe {
-    report: VerifyReport,
-    /// Kernel regions visited (clean-run coverage evidence).
-    regions: BTreeSet<&'static str>,
-    region: &'static str,
-    /// Bound for x-vector gathers.
-    x_bound: usize,
-    /// Bound for `space::Y` scatters.
-    y_bound: usize,
-    /// Bound for `space::AUX` staging accesses.
-    aux_bound: usize,
-    /// Written-bit per AUX element (reads must follow a write).
-    aux_written: Vec<u64>,
-    /// Defined-slot mask over the current warp's accumulator fragment
-    /// (32 lanes x 2 regs; bit `lane*2 + reg`).
-    frag: u64,
-}
-
-impl VerifyProbe {
-    /// A probe enforcing the given x / y / staging bounds.
-    pub fn new(x_bound: usize, y_bound: usize, aux_bound: usize) -> VerifyProbe {
-        VerifyProbe {
-            report: VerifyReport::new(),
-            regions: BTreeSet::new(),
-            region: "<entry>",
-            x_bound,
-            y_bound,
-            aux_bound,
-            aux_written: vec![0u64; aux_bound.div_ceil(64)],
-            frag: 0,
-        }
-    }
-
-    /// The accumulated report.
-    pub fn report(&self) -> &VerifyReport {
-        &self.report
-    }
-
-    /// Consumes the probe, returning its report and the set of kernel
-    /// regions it observed.
-    pub fn finish(self) -> (VerifyReport, BTreeSet<&'static str>) {
-        (self.report, self.regions)
-    }
-
-    fn violate(&mut self, invariant: Invariant, detail: String) {
-        let region = self.region;
-        self.report.record(Violation {
-            invariant,
-            site: region.to_string(),
-            detail,
-        });
-    }
-
-    fn space_name(space: u32) -> &'static str {
-        match space {
-            space::Y => "y",
-            space::AUX => "staging",
-            _ => "space?",
-        }
-    }
-
-    fn bound_of(&self, space: u32) -> usize {
-        match space {
-            space::Y => self.y_bound,
-            space::AUX => self.aux_bound,
-            _ => 0,
-        }
-    }
-}
-
-impl Probe for VerifyProbe {
-    fn kernel_launch(&mut self, _blocks: u64, _warps_per_block: u64) {}
-    fn load_val(&mut self, _elems: u64, _bytes_per: u64) {}
-    fn load_idx(&mut self, _elems: u64, _bytes_per: u64) {}
-    fn load_meta(&mut self, _elems: u64, _bytes_per: u64) {}
-    fn store_y(&mut self, _elems: u64, _bytes_per: u64) {}
-    fn mma(&mut self) {}
-    fn fma(&mut self, _n: u64) {}
-    fn shfl(&mut self, _n: u64) {}
-
-    fn load_x(&mut self, index: usize, _bytes_per: u64) {
-        self.report.note_check();
-        if index >= self.x_bound {
-            let bound = self.x_bound;
-            self.violate(
-                Invariant::AccessBounds,
-                format!("x gather at {index} >= cols {bound}"),
-            );
-        }
-    }
-
-    fn warp_begin(&mut self, _warp_id: usize) {
-        self.frag = 0;
-    }
-
-    fn sanitizing(&self) -> bool {
-        true
-    }
-
-    fn san_region(&mut self, region: &'static str) {
-        self.region = region;
-        self.regions.insert(region);
-    }
-
-    fn san_write(&mut self, space: u32, index: usize) {
-        self.report.note_check();
-        let bound = self.bound_of(space);
-        if index >= bound {
-            self.violate(
-                Invariant::AccessBounds,
-                format!(
-                    "{} write at {index} >= bound {bound}",
-                    Self::space_name(space)
-                ),
-            );
-            return;
-        }
-        if space == space::AUX {
-            self.aux_written[index / 64] |= 1 << (index % 64);
-        }
-    }
-
-    fn san_read(&mut self, space: u32, index: usize) {
-        self.report.note_check();
-        let bound = self.bound_of(space);
-        if index >= bound {
-            self.violate(
-                Invariant::AccessBounds,
-                format!(
-                    "{} read at {index} >= bound {bound}",
-                    Self::space_name(space)
-                ),
-            );
-            return;
-        }
-        if space == space::AUX && self.aux_written[index / 64] & (1 << (index % 64)) == 0 {
-            self.violate(
-                Invariant::StagingInit,
-                format!("staging read at {index} before any write"),
-            );
-        }
-    }
-
-    fn san_shfl(&mut self, event: &ShflEvent) {
-        self.report.note_check();
-        if event.used_lanes != 0 {
-            let (op, mask, lanes) = (event.op, event.mask, event.used_lanes);
-            self.violate(
-                Invariant::ShflMask,
-                format!(
-                    "{} consumed out-of-mask lanes {lanes:#010x} (mask {mask:#010x})",
-                    op.name()
-                ),
-            );
-        }
-        // Discarded out-of-mask reads are the legal extraction pattern —
-        // the hardware keeps the lane's own value and a predicate drops it.
-    }
-
-    fn san_frag_clear(&mut self) {
-        self.frag = u64::MAX;
-    }
-
-    fn san_frag_mma(&mut self, touched: u64) {
-        self.frag |= touched;
-    }
-
-    fn san_frag_read(&mut self, lane: usize, reg: usize) {
-        self.report.note_check();
-        let bit = lane * 2 + reg;
-        if bit < 64 && self.frag & (1u64 << bit) == 0 {
-            self.violate(
-                Invariant::FragInit,
-                format!("accumulator slot (lane {lane}, reg {reg}) read with no MMA touch"),
-            );
-        }
-    }
-}
-
-impl ShardableProbe for VerifyProbe {
-    fn fork_shard(&self) -> Self {
-        VerifyProbe {
-            report: VerifyReport::new(),
-            regions: BTreeSet::new(),
-            region: self.region,
-            x_bound: self.x_bound,
-            y_bound: self.y_bound,
-            aux_bound: self.aux_bound,
-            // Shards inherit pre-fork staging writes (phase barriers flow
-            // through the merge, mirroring the sanitizer's epoch fold).
-            aux_written: self.aux_written.clone(),
-            frag: 0,
-        }
-    }
-
-    fn merge_shard(&mut self, shard: Self) {
-        self.report.merge(&shard.report);
-        self.regions.extend(shard.regions);
-        for (a, b) in self.aux_written.iter_mut().zip(&shard.aux_written) {
-            *a |= b;
-        }
-    }
-}
 
 /// Presence/tail configuration of one short sub-category.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -409,22 +199,23 @@ fn pair_count(c: ShortClass, per_warp: usize) -> usize {
     }
 }
 
-/// Outcome of one abstract interpretation: the violation report plus the
+/// Outcome of one kernel interpretation: the merged report plus the
 /// kernel regions actually visited (coverage evidence).
 #[derive(Debug)]
 pub struct InterpOutcome {
     /// Violations found across all representative runs.
-    pub report: VerifyReport,
-    /// Kernel regions the interpretation exercised.
+    pub report: Report,
+    /// Kernel regions the interpretation exercised: the report's
+    /// per-region keys.
     pub regions: BTreeSet<&'static str>,
     /// The shape classes the input occupies.
     pub classes: ShapeClasses,
 }
 
-/// Abstractly interprets every kernel configuration the matrix's shape
-/// classes exercise: builds the synthetic representative, runs SpMV plus
+/// Interprets every kernel configuration the matrix's shape classes
+/// exercise: builds the synthetic representative, runs SpMV plus
 /// full-panel and masked-tail SpMM under the sequential executor with a
-/// [`VerifyProbe`], and returns the merged findings.
+/// bounded [`SanitizeProbe`], and returns the merged findings.
 pub fn verify_kernels<S: Scalar>(m: &DaspMatrix<S>) -> InterpOutcome {
     let classes = ShapeClasses::of(m);
     let (coo, rep_params) = representative(&classes, &m.params);
@@ -433,35 +224,39 @@ pub fn verify_kernels<S: Scalar>(m: &DaspMatrix<S>) -> InterpOutcome {
     let exec = Executor::seq();
     let x = vec![1.0f64; rep.cols];
 
-    let mut report = VerifyReport::new();
-    let mut regions = BTreeSet::new();
-
     // SpMV: staging is one slot per long group.
-    let mut probe = VerifyProbe::new(rep.cols, rep.rows, rep.long.num_groups());
+    let mut probe = SanitizeProbe::with_bounds(
+        NoProbe,
+        Bounds {
+            x: rep.cols,
+            y: rep.rows,
+            aux: rep.long.num_groups(),
+        },
+    );
     let _y = rep.spmv_with(&x, &mut probe, &exec);
-    let (r, regs) = probe.finish();
-    report.merge(&r);
-    regions.extend(regs);
+    let (_, mut report) = probe.into_parts();
 
     // SpMM, one full panel (width 8) and a masked tail panel (width 3):
     // staging is group x panel x lane-column resident.
     for width in [PANEL_WIDTH, 3] {
         let b = DenseMat::from_columns(&vec![vec![1.0f64; rep.cols]; width]);
         let panels = width.div_ceil(PANEL_WIDTH);
-        let aux = rep.long.num_groups() * panels * PANEL_WIDTH;
         // SpMM's B gathers and Y scatters report *linear* indices into
         // their dense matrices (`DenseMat::lin_index`), so the bounds are
         // the full data lengths.
-        let mut probe = VerifyProbe::new(rep.cols * width, rep.rows * width, aux);
+        let bounds = Bounds {
+            x: rep.cols * width,
+            y: rep.rows * width,
+            aux: rep.long.num_groups() * panels * PANEL_WIDTH,
+        };
+        let mut probe = SanitizeProbe::with_bounds(NoProbe, bounds);
         let _y = rep.spmm_with(&b, &mut probe, &exec);
-        let (r, regs) = probe.finish();
-        report.merge(&r);
-        regions.extend(regs);
+        report.merge(probe.report());
     }
 
     InterpOutcome {
+        regions: report.per_region.keys().copied().collect(),
         report,
-        regions,
         classes,
     }
 }

@@ -1,7 +1,7 @@
 //! Static analysis for the DASP format: prove a matrix safe to execute
 //! *before* it becomes resident.
 //!
-//! Two layers:
+//! Two layers, both recording into the workspace's one [`Report`]:
 //!
 //! 1. **Structural validation** ([`verify_matrix`], [`verify_plan`]) —
 //!    an exhaustive "fsck for plans": a pure function over
@@ -12,12 +12,14 @@
 //!    the first. It is dasp-core's one structural checker, re-exported
 //!    here; the format readers and `DaspMatrix::validate` run the same
 //!    walk.
-//! 2. **Abstract interpretation** ([`verify_kernels`]) — runs each
-//!    kernel body once per shape-equivalence class on a tiny synthetic
-//!    representative under the sequential executor, turning the runtime
-//!    sanitizer's per-input `san_*` checks into input-independent
-//!    guarantees: well-formed shuffle masks, written-before-read MMA
-//!    fragments, in-bounds x/y/staging accesses.
+//! 2. **Kernel interpretation** ([`verify_kernels`]) — runs each kernel
+//!    body once per shape-equivalence class on a tiny synthetic
+//!    representative under the sequential executor and the compute
+//!    sanitizer's [`SanitizeProbe`](dasp_core::sanitize::SanitizeProbe)
+//!    with the representative's bounds, turning the sanitizer's
+//!    per-input checks into input-independent guarantees: no races or
+//!    double writes, well-formed shuffle masks, written-before-read MMA
+//!    fragments and staging, in-bounds x/y/staging accesses.
 //!
 //! [`verify_full`] composes both. The serving layer runs it at
 //! admission; `dasp-spmv --verify-plan` and the CI `verify` job run it
@@ -28,10 +30,9 @@
 
 mod interp;
 
-pub use dasp_core::format::{
-    verify_matrix, verify_plan, Invariant, VerifyReport, Violation, MAX_SITES,
-};
-pub use interp::{verify_kernels, InterpOutcome, ShapeClasses, ShortClass, VerifyProbe};
+pub use dasp_core::format::{verify_matrix, verify_plan};
+pub use dasp_core::sanitize::{Invariant, Report, Violation, MAX_SITES};
+pub use interp::{verify_kernels, InterpOutcome, ShapeClasses, ShortClass};
 
 use dasp_core::format::DaspMatrix;
 use dasp_fp16::Scalar;
@@ -45,7 +46,7 @@ use dasp_fp16::Scalar;
 /// class extraction walks the same arrays the validator just rejected,
 /// and a second report on a synthetic stand-in would only obscure the
 /// real findings.
-pub fn verify_full<S: Scalar>(m: &DaspMatrix<S>) -> VerifyReport {
+pub fn verify_full<S: Scalar>(m: &DaspMatrix<S>) -> Report {
     let mut report = verify_matrix(m);
     if report.is_clean() {
         report.merge(&verify_kernels(m).report);

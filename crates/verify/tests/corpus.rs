@@ -1,8 +1,8 @@
 //! The CI `verify` gate: every matrix in the bench corpus must pass both
 //! verification layers — the structural plan/format validator and the
-//! abstract warp-program interpretation — at default parameters and with
-//! reordering on. A failure here means a converter change broke a kernel
-//! invariant before any runtime test could notice.
+//! kernel interpretation under the bounded sanitizer — at default
+//! parameters and with reordering on. A failure here means a converter
+//! change broke a kernel invariant before any runtime test could notice.
 
 use dasp_core::consts::DaspParams;
 use dasp_core::DaspPlan;

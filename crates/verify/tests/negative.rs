@@ -7,12 +7,11 @@ use std::sync::Arc;
 
 use dasp_core::consts::DaspParams;
 use dasp_core::format::DaspMatrix;
+use dasp_core::sanitize::{Bounds, SanitizeProbe};
 use dasp_core::DaspPlan;
-use dasp_simt::{space, Probe, ShflEvent, ShflOp};
+use dasp_simt::{space, NoProbe, Probe, ShflEvent, ShflOp};
 use dasp_sparse::{Coo, Csr};
-use dasp_verify::{
-    verify_full, verify_kernels, verify_matrix, verify_plan, Invariant, VerifyProbe,
-};
+use dasp_verify::{verify_full, verify_kernels, verify_matrix, verify_plan, Invariant};
 
 /// A matrix with every category populated: long rows (1/2/3 groups
 /// against MAX_LEN 8), a full + partial medium block, and all four short
@@ -193,7 +192,7 @@ fn reorder_flag_violation_is_flagged() {
     assert!(r.count(Invariant::ReorderFlag) > 0, "{r}");
 }
 
-// ---- Layer 2: abstract interpretation -------------------------------
+// ---- Layer 2: kernel interpretation ---------------------------------
 
 #[test]
 fn interpretation_is_clean_and_covers_all_categories() {
@@ -223,9 +222,14 @@ fn verify_full_composes_both_layers() {
     assert!(r.count(Invariant::CidRange) > 0);
 }
 
+/// The verifier's probe: the sanitizer with x / y / staging bounds.
+fn probe(x: usize, y: usize, aux: usize) -> SanitizeProbe<NoProbe> {
+    SanitizeProbe::with_bounds(NoProbe, Bounds { x, y, aux })
+}
+
 #[test]
 fn probe_flags_consumed_oob_shuffle() {
-    let mut p = VerifyProbe::new(16, 16, 4);
+    let mut p = probe(16, 16, 4);
     p.san_shfl(&ShflEvent {
         op: ShflOp::Down,
         mask: 0xffff,
@@ -234,7 +238,7 @@ fn probe_flags_consumed_oob_shuffle() {
     });
     assert!(p.report().count(Invariant::ShflMask) > 0);
     // Discarded OOB reads are the legal extraction pattern: no violation.
-    let mut q = VerifyProbe::new(16, 16, 4);
+    let mut q = probe(16, 16, 4);
     q.san_shfl(&ShflEvent {
         op: ShflOp::SyncVar,
         mask: 0xffff,
@@ -246,7 +250,7 @@ fn probe_flags_consumed_oob_shuffle() {
 
 #[test]
 fn probe_flags_uninit_fragment_read() {
-    let mut p = VerifyProbe::new(16, 16, 4);
+    let mut p = probe(16, 16, 4);
     p.warp_begin(0);
     p.san_frag_mma(0b10); // only (lane 0, reg 1) defined
     p.san_frag_read(0, 1);
@@ -254,7 +258,7 @@ fn probe_flags_uninit_fragment_read() {
     p.san_frag_read(0, 0);
     assert!(p.report().count(Invariant::FragInit) > 0);
     // A cleared accumulator defines every slot.
-    let mut q = VerifyProbe::new(16, 16, 4);
+    let mut q = probe(16, 16, 4);
     q.warp_begin(0);
     q.san_frag_clear();
     q.san_frag_read(31, 1);
@@ -263,7 +267,7 @@ fn probe_flags_uninit_fragment_read() {
 
 #[test]
 fn probe_flags_out_of_bounds_accesses() {
-    let mut p = VerifyProbe::new(16, 8, 4);
+    let mut p = probe(16, 8, 4);
     p.load_x(15, 8);
     p.san_write(space::Y, 7);
     assert!(p.report().is_clean());
@@ -277,12 +281,32 @@ fn probe_flags_out_of_bounds_accesses() {
 
 #[test]
 fn probe_flags_staging_read_before_write() {
-    let mut p = VerifyProbe::new(16, 8, 4);
+    let mut p = probe(16, 8, 4);
     p.san_write(space::AUX, 1);
     p.san_read(space::AUX, 1);
     assert!(p.report().is_clean());
     p.san_read(space::AUX, 2);
-    assert!(p.report().count(Invariant::StagingInit) > 0);
+    assert!(p.report().count(Invariant::UninitRead) > 0);
+}
+
+#[test]
+fn probe_flags_two_warps_writing_one_y_element_as_a_race() {
+    let mut p = probe(16, 8, 4);
+    p.kernel_launch(1, 2);
+    for w in 0..2 {
+        p.warp_begin(w);
+        p.san_region("inject.race");
+        p.san_write(space::Y, 5);
+        p.warp_end(w);
+    }
+    let r = p.report();
+    assert_eq!(r.count(Invariant::Race), 1, "{r}");
+    let v = &r.sites[0];
+    assert_eq!(
+        (v.invariant, v.index, v.warp),
+        (Invariant::Race, Some(5), Some(1))
+    );
+    assert_eq!(r.per_region["inject.race"][Invariant::Race], 1);
 }
 
 #[test]
