@@ -48,14 +48,16 @@ impl<S: Scalar> BsrSpmv<S> {
         self.bsr.fill_ratio()
     }
 
-    /// Computes `y = A x` on the process-default executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
     /// Computes `y = A x` under the given executor: one warp per block row,
     /// dense blocks, each warp owning a disjoint `bs`-row band of `y`.
+    ///
+    /// Sanitized in fleet mode (`DASP_SANITIZE`, see
+    /// [`dasp_sanitize::fleet!`]); `y` is bit-identical either way.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
+        dasp_sanitize::fleet!("bsr", probe => self.spmv_kernel(x, probe, exec))
+    }
+
+    fn spmv_kernel<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         let b = &self.bsr;
         assert_eq!(x.len(), b.cols);
         let mut y = vec![S::zero(); b.rows];
@@ -73,7 +75,6 @@ impl<S: Scalar> BsrSpmv<S> {
 
         let shared = SharedSlice::new(&mut y);
         exec.run(b.mb, probe, |bi, p| self.block_row_warp(x, &shared, bi, p));
-        drop(shared);
         y
     }
 
@@ -139,7 +140,7 @@ mod tests {
         let x: Vec<f64> = (0..17).map(|i| (i % 5) as f64 - 2.0).collect();
         let want = spmv_exact(&csr, &x);
         for bs in [2, 4, 8] {
-            let y = BsrSpmv::new(&csr, bs).spmv(&x, &mut NoProbe);
+            let y = BsrSpmv::new(&csr, bs).spmv_with(&x, &mut NoProbe, &Executor::from_env());
             assert_matches(&y, &want, 1e-12);
         }
     }
@@ -157,7 +158,7 @@ mod tests {
         let h = BsrSpmv::new(&csr, 4);
         assert_eq!(h.fill_ratio(), 4.0);
         let mut probe = CountingProbe::a100();
-        let _ = h.spmv(&[1.0; 16], &mut probe);
+        let _ = h.spmv_with(&[1.0; 16], &mut probe, &Executor::from_env());
         // 4 blocks x 16 dense values x 8 bytes.
         assert_eq!(probe.stats().bytes_val, 4 * 16 * 8);
         assert_eq!(probe.stats().fma_ops, 4 * 16);

@@ -162,11 +162,6 @@ impl<S: Scalar> Csr5<S> {
         self.sigma
     }
 
-    /// Computes `y = A x` on the process-default executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
     /// Computes `y = A x` under the given executor: one warp per tile,
     /// segmented sums over the bit flags, boundary rows accumulated across
     /// tiles.
@@ -180,7 +175,14 @@ impl<S: Scalar> Csr5<S> {
     /// sequential epilogue folds the carries into `y` in ascending tile
     /// order, reproducing the sequential per-row contribution order
     /// bit-for-bit.
+    ///
+    /// Sanitized in fleet mode (`DASP_SANITIZE`, see
+    /// [`dasp_sanitize::fleet!`]); `y` is bit-identical either way.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
+        dasp_sanitize::fleet!("csr5", probe => self.spmv_kernel(x, probe, exec))
+    }
+
+    fn spmv_kernel<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         assert_eq!(x.len(), self.cols);
         let mut y = vec![S::zero(); self.rows];
         if self.nnz == 0 {
@@ -313,7 +315,7 @@ mod tests {
         let csr = coo.to_csr();
         let x: Vec<f64> = (0..cols).map(|i| 0.2 + (i % 9) as f64 * 0.1).collect();
         let m = Csr5::with_sigma(&csr, sigma);
-        let y = m.spmv(&x, &mut NoProbe);
+        let y = m.spmv_with(&x, &mut NoProbe, &Executor::from_env());
         assert_matches(&y, &spmv_exact(&csr, &x), 1e-9);
     }
 
@@ -365,7 +367,7 @@ mod tests {
         let m = Csr5::with_sigma(&csr, 16);
         assert_eq!(m.num_tiles(), 3); // 1048 nnz / 512 = 2.05
         let mut probe = CountingProbe::a100();
-        let _ = m.spmv(&vec![1.0f64; 1024], &mut probe);
+        let _ = m.spmv_with(&vec![1.0f64; 1024], &mut probe, &Executor::from_env());
         assert_eq!(probe.stats().fma_ops, 2 * 3 * 512);
         assert_eq!(probe.stats().bytes_val, 1048 * 8);
     }
@@ -381,7 +383,7 @@ mod tests {
                                                    // And all of them still compute correctly.
         for csr in [short, medium, long] {
             let x: Vec<f64> = (0..csr.cols).map(|i| (i % 5) as f64 * 0.2).collect();
-            let y = Csr5::auto(&csr).spmv(&x, &mut NoProbe);
+            let y = Csr5::auto(&csr).spmv_with(&x, &mut NoProbe, &Executor::from_env());
             crate::reference::assert_matches(&y, &csr.spmv_reference(&x), 1e-9);
         }
     }
@@ -391,6 +393,9 @@ mod tests {
         let csr = Csr::<f64>::empty(4, 4);
         let m = Csr5::new(&csr);
         assert_eq!(m.num_tiles(), 0);
-        assert_eq!(m.spmv(&[0.0; 4], &mut NoProbe), vec![0.0; 4]);
+        assert_eq!(
+            m.spmv_with(&[0.0; 4], &mut NoProbe, &Executor::from_env()),
+            vec![0.0; 4]
+        );
     }
 }

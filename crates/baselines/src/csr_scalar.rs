@@ -34,14 +34,16 @@ impl<S: Scalar> CsrScalar<S> {
         CsrScalar { csr: csr.clone() }
     }
 
-    /// Computes `y = A x` on the process-default executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
     /// Computes `y = A x` under the given executor. Each warp owns a
     /// disjoint 32-row band, so the warp bodies parallelize directly.
+    ///
+    /// Sanitized in fleet mode (`DASP_SANITIZE`, see
+    /// [`dasp_sanitize::fleet!`]); `y` is bit-identical either way.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
+        dasp_sanitize::fleet!("csr-scalar", probe => self.spmv_kernel(x, probe, exec))
+    }
+
+    fn spmv_kernel<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         let csr = &self.csr;
         assert_eq!(x.len(), csr.cols);
         let mut y = vec![S::zero(); csr.rows];
@@ -58,15 +60,7 @@ impl<S: Scalar> CsrScalar<S> {
         exec.run(n_warps, probe, |w, p| {
             csr_scalar_warp(csr, x, &shared, w, p)
         });
-        drop(shared);
         y
-    }
-
-    /// Computes `Y = A B` for a panel of right-hand sides on the
-    /// process-default executor — the scalar reference SpMM the DASP SpMM
-    /// kernels are compared against.
-    pub fn spmm<P: ShardableProbe>(&self, b: &DenseMat<S>, probe: &mut P) -> DenseMat<S> {
-        self.spmm_with(b, probe, &Executor::from_env())
     }
 
     /// Computes `Y = A B` under the given executor. Traffic model mirrors
@@ -74,8 +68,19 @@ impl<S: Scalar> CsrScalar<S> {
     /// value and column index loads once per panel sweep, then one FMA
     /// and one B gather per live column, so per-RHS A traffic shrinks
     /// with the width here too (the comparison isolates the MMA packing,
-    /// not the amortization itself).
+    /// not the amortization itself). This is the scalar reference SpMM
+    /// the DASP SpMM kernels are compared against; like
+    /// [`CsrScalar::spmv_with`] it is sanitized in fleet mode.
     pub fn spmm_with<P: ShardableProbe>(
+        &self,
+        b: &DenseMat<S>,
+        probe: &mut P,
+        exec: &Executor,
+    ) -> DenseMat<S> {
+        dasp_sanitize::fleet!("csr-scalar.spmm", probe => self.spmm_kernel(b, probe, exec))
+    }
+
+    fn spmm_kernel<P: ShardableProbe>(
         &self,
         b: &DenseMat<S>,
         probe: &mut P,
@@ -98,7 +103,6 @@ impl<S: Scalar> CsrScalar<S> {
         exec.run(n_warps * panels, probe, |wid, p| {
             csr_scalar_spmm_warp(csr, b, &shared, y_rows, n_warps, wid, p)
         });
-        drop(shared);
         y
     }
 }
@@ -221,7 +225,7 @@ mod tests {
         let csr = sample();
         let x: Vec<f64> = (0..40).map(|i| (i as f64) * 0.25 - 3.0).collect();
         let m = CsrScalar::new(&csr);
-        let y = m.spmv(&x, &mut NoProbe);
+        let y = m.spmv_with(&x, &mut NoProbe, &Executor::from_env());
         assert_matches(&y, &spmv_exact(&csr, &x), 1e-12);
     }
 
@@ -238,7 +242,7 @@ mod tests {
         let csr = m.to_csr();
         let x = vec![1.0f64; 32];
         let mut probe = CountingProbe::a100();
-        let y = CsrScalar::new(&csr).spmv(&x, &mut probe);
+        let y = CsrScalar::new(&csr).spmv_with(&x, &mut probe, &Executor::from_env());
         let s = probe.stats();
         assert_eq!(s.fma_ops, 320);
         // Traffic is the actual element count, not the issued slots.
@@ -249,7 +253,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let csr = Csr::<f64>::empty(3, 3);
-        let y = CsrScalar::new(&csr).spmv(&[0.0; 3], &mut NoProbe);
+        let y = CsrScalar::new(&csr).spmv_with(&[0.0; 3], &mut NoProbe, &Executor::from_env());
         assert_eq!(y, vec![0.0; 3]);
     }
 
@@ -266,10 +270,10 @@ mod tests {
                 })
                 .collect();
             let b = DenseMat::from_columns(&columns);
-            let y = m.spmm(&b, &mut NoProbe);
+            let y = m.spmm_with(&b, &mut NoProbe, &Executor::from_env());
             assert_eq!((y.rows(), y.cols()), (40, width));
             for (j, col) in columns.iter().enumerate() {
-                let want = m.spmv(col, &mut NoProbe);
+                let want = m.spmv_with(col, &mut NoProbe, &Executor::from_env());
                 let got = y.column(j);
                 for r in 0..40 {
                     assert_eq!(
@@ -292,12 +296,12 @@ mod tests {
         let m = CsrScalar::new(&csr);
         let x = vec![1.0f64; 40];
         let mut p1 = CountingProbe::a100();
-        m.spmv(&x, &mut p1);
+        m.spmv_with(&x, &mut p1, &Executor::from_env());
         let s1 = p1.stats();
 
         let b = DenseMat::from_columns(&vec![x.clone(); 8]);
         let mut p8 = CountingProbe::a100();
-        m.spmm(&b, &mut p8);
+        m.spmm_with(&b, &mut p8, &Executor::from_env());
         let s8 = p8.stats();
         // A streams once per 8-wide panel; FMA slots and B gathers scale
         // with the width.

@@ -44,14 +44,16 @@ impl<S: Scalar> CsrVector<S> {
         self.threads_per_row
     }
 
-    /// Computes `y = A x` on the process-default executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
     /// Computes `y = A x` under the given executor. Each warp owns a
     /// disjoint group of `32 / threads_per_row` consecutive rows.
+    ///
+    /// Sanitized in fleet mode (`DASP_SANITIZE`, see
+    /// [`dasp_sanitize::fleet!`]); `y` is bit-identical either way.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
+        dasp_sanitize::fleet!("csr-vector", probe => self.spmv_kernel(x, probe, exec))
+    }
+
+    fn spmv_kernel<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         let csr = &self.csr;
         assert_eq!(x.len(), csr.cols);
         let mut y = vec![S::zero(); csr.rows];
@@ -75,7 +77,6 @@ impl<S: Scalar> CsrVector<S> {
         exec.run(n_warps, probe, |w, p| {
             csr_vector_warp(csr, x, &shared, self.threads_per_row, w, p)
         });
-        drop(shared);
         y
     }
 }
@@ -145,7 +146,7 @@ mod tests {
         }
         let csr = m.to_csr();
         let x: Vec<f64> = (0..50).map(|i| 1.0 / (i + 1) as f64).collect();
-        let y = CsrVector::new(&csr).spmv(&x, &mut NoProbe);
+        let y = CsrVector::new(&csr).spmv_with(&x, &mut NoProbe, &Executor::from_env());
         assert_matches(&y, &spmv_exact(&csr, &x), 1e-12);
     }
 
@@ -173,7 +174,7 @@ mod tests {
         let v = CsrVector::new(&csr);
         // 1 row, mean 9 -> tpr 16 -> issued = 16.
         let mut probe = CountingProbe::a100();
-        let _ = v.spmv(&vec![1.0; 64], &mut probe);
+        let _ = v.spmv_with(&vec![1.0; 64], &mut probe, &Executor::from_env());
         assert_eq!(probe.stats().fma_ops, 16);
         assert_eq!(probe.stats().shfl_ops, 4);
     }

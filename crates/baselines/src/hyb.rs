@@ -100,11 +100,6 @@ impl<S: Scalar> Hyb<S> {
         (self.ell_vals.len() + self.coo.len()) as f64 / self.nnz as f64
     }
 
-    /// Computes `y = A x` on the process-default executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
     /// Computes `y = A x` under the given executor: thread-per-row over the
     /// ELL slab (warps own disjoint 32-row bands), element-wise atomics
     /// over the COO tail.
@@ -113,7 +108,14 @@ impl<S: Scalar> Hyb<S> {
     /// element, so its result depends on accumulation order; it therefore
     /// always runs sequentially on the calling thread, under both
     /// executors, keeping the output bit-identical across them.
+    ///
+    /// Sanitized in fleet mode (`DASP_SANITIZE`, see
+    /// [`dasp_sanitize::fleet!`]); `y` is bit-identical either way.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
+        dasp_sanitize::fleet!("hyb", probe => self.spmv_kernel(x, probe, exec))
+    }
+
+    fn spmv_kernel<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         assert_eq!(x.len(), self.cols);
         let mut y = vec![S::zero(); self.rows];
         if self.rows == 0 || self.nnz == 0 {
@@ -202,7 +204,7 @@ mod tests {
 
     fn check(csr: &Csr<f64>) {
         let x: Vec<f64> = (0..csr.cols).map(|i| 0.2 + (i % 6) as f64 * 0.15).collect();
-        let y = Hyb::new(csr).spmv(&x, &mut NoProbe);
+        let y = Hyb::new(csr).spmv_with(&x, &mut NoProbe, &Executor::from_env());
         assert_matches(&y, &spmv_exact(csr, &x), 1e-9);
     }
 
@@ -249,7 +251,11 @@ mod tests {
         let h = Hyb::with_width(&csr, 0);
         assert_eq!(h.coo_len(), csr.nnz());
         let x = vec![1.0; 50];
-        assert_matches(&h.spmv(&x, &mut NoProbe), &spmv_exact(&csr, &x), 1e-9);
+        assert_matches(
+            &h.spmv_with(&x, &mut NoProbe, &Executor::from_env()),
+            &spmv_exact(&csr, &x),
+            1e-9,
+        );
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl<S: Scalar> LsrbCsr<S> {
         self.seg_first_row.len()
     }
 
-    /// Computes `y = A x` on the process-default executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
     /// Computes `y = A x` under the given executor.
     ///
     /// Segments do not own disjoint rows — a row can span segments — so
@@ -77,7 +72,14 @@ impl<S: Scalar> LsrbCsr<S> {
     /// rows that start inside the segment (their `y` still zero), and a
     /// sequential epilogue folds carries in ascending segment order,
     /// keeping `y` bit-identical to the sequential run.
+    ///
+    /// Sanitized in fleet mode (`DASP_SANITIZE`, see
+    /// [`dasp_sanitize::fleet!`]); `y` is bit-identical either way.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
+        dasp_sanitize::fleet!("lsrb-csr", probe => self.spmv_kernel(x, probe, exec))
+    }
+
+    fn spmv_kernel<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         let csr = &self.csr;
         assert_eq!(x.len(), csr.cols);
         let mut y = vec![S::zero(); csr.rows];
@@ -181,7 +183,7 @@ mod tests {
     fn check(csr: &Csr<f64>) {
         let x: Vec<f64> = (0..csr.cols).map(|i| 0.1 * (i % 13) as f64 - 0.5).collect();
         let m = LsrbCsr::new(csr);
-        let y = m.spmv(&x, &mut NoProbe);
+        let y = m.spmv_with(&x, &mut NoProbe, &Executor::from_env());
         assert_matches(&y, &spmv_exact(csr, &x), 1e-9);
     }
 
@@ -221,7 +223,7 @@ mod tests {
         let m = LsrbCsr::new(&csr);
         assert_eq!(m.num_segments(), 4);
         let mut probe = CountingProbe::a100();
-        let _ = m.spmv(&vec![1.0; 100], &mut probe);
+        let _ = m.spmv_with(&vec![1.0; 100], &mut probe, &Executor::from_env());
         assert_eq!(probe.stats().shfl_ops, 4 * 48);
     }
 }

@@ -58,11 +58,6 @@ impl<S: Scalar> MergeCsr<S> {
         (lo, d - lo)
     }
 
-    /// Computes `y = A x` on the process-default executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
     /// Computes `y = A x` under the given executor.
     ///
     /// Merge segments do not own disjoint rows — rows span segment
@@ -74,7 +69,14 @@ impl<S: Scalar> MergeCsr<S> {
     /// `y` still zero), and the sequential epilogue folds carries in
     /// ascending segment order, keeping `y` bit-identical to the
     /// sequential run.
+    ///
+    /// Sanitized in fleet mode (`DASP_SANITIZE`, see
+    /// [`dasp_sanitize::fleet!`]); `y` is bit-identical either way.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
+        dasp_sanitize::fleet!("merge-csr", probe => self.spmv_kernel(x, probe, exec))
+    }
+
+    fn spmv_kernel<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         let csr = &self.csr;
         assert_eq!(x.len(), csr.cols);
         let mut y = vec![S::zero(); csr.rows];
@@ -186,7 +188,7 @@ mod tests {
 
     fn check(csr: &Csr<f64>) {
         let x: Vec<f64> = (0..csr.cols).map(|i| 0.3 + (i % 7) as f64 * 0.1).collect();
-        let y = MergeCsr::new(csr).spmv(&x, &mut NoProbe);
+        let y = MergeCsr::new(csr).spmv_with(&x, &mut NoProbe, &Executor::from_env());
         assert_matches(&y, &spmv_exact(csr, &x), 1e-9);
     }
 
@@ -249,7 +251,7 @@ mod tests {
         let csr = coo.to_csr();
         let m = MergeCsr::new(&csr);
         let mut probe = CountingProbe::a100();
-        let _ = m.spmv(&vec![1.0; 4096], &mut probe);
+        let _ = m.spmv_with(&vec![1.0; 4096], &mut probe, &Executor::from_env());
         let s = probe.stats();
         let total_items = (csr.rows + csr.nnz()) as u64;
         // Issued slots are within one warp-round of the item count.

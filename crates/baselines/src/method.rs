@@ -3,13 +3,14 @@
 use dasp_fp16::Scalar;
 use dasp_simt::{Executor, ShardableProbe};
 use dasp_sparse::Csr;
+use dasp_trace::Tracer;
 
 use crate::{BsrSpmv, Csr5, CsrScalar, CsrVector, Hyb, LsrbCsr, MergeCsr, SellCSigma, TileSpmv};
 
-/// One of the six baseline SpMV methods, behind a single `spmv` entry
-/// point. The BSR variant carries its block size; the paper's "best of
-/// 2/4/8" rule is applied by the experiment driver, which builds all three
-/// and keeps the fastest.
+/// One of the nine baseline SpMV methods, behind one dispatch verb. The
+/// BSR variant carries its block size; the paper's "best of 2/4/8" rule
+/// is applied by the experiment driver, which builds all three and keeps
+/// the fastest.
 #[derive(Debug, Clone)]
 pub enum Baseline<S: Scalar> {
     /// One-thread-per-row CSR (Algorithm 1).
@@ -65,62 +66,31 @@ impl<S: Scalar> Baseline<S> {
         }
     }
 
-    /// [`Baseline::spmv`] with a `spmv.kernel.<name>` span carrying the
-    /// probe counter delta for the run, mirroring the naming the DASP
-    /// kernels use so baseline and DASP traces line up in one timeline.
-    /// With a disabled tracer this is exactly `spmv`.
-    pub fn spmv_traced<P: ShardableProbe>(
-        &self,
-        x: &[S],
-        probe: &mut P,
-        tracer: &dasp_trace::Tracer,
-    ) -> Vec<S> {
-        self.spmv_traced_with(x, probe, tracer, &Executor::from_env())
+    /// Computes `y = A x` with the wrapped method on the process-default
+    /// executor, untraced.
+    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
+        self.spmv_traced_with(x, probe, &Tracer::disabled(), &Executor::from_env())
     }
 
-    /// [`Baseline::spmv_with`] wrapped in a `spmv.kernel.<name>` span.
-    /// Under the parallel executor the probe shards merge before the span
-    /// closes, so the span's counter delta is complete either way.
+    /// Computes `y = A x` with the wrapped method under the given executor
+    /// inside a `spmv.kernel.<name>` span carrying the probe counter delta
+    /// for the run, mirroring the naming the DASP kernels use so baseline
+    /// and DASP traces line up in one timeline. Under the parallel
+    /// executor the probe shards merge before the span closes, so the
+    /// span's counter delta is complete either way. Every method's output
+    /// and merged order-independent counters are bit-identical across
+    /// executors. Plain dispatch: each method's own `spmv_with` applies
+    /// the fleet sanitizer (`DASP_SANITIZE`).
     pub fn spmv_traced_with<P: ShardableProbe>(
         &self,
         x: &[S],
         probe: &mut P,
-        tracer: &dasp_trace::Tracer,
+        tracer: &Tracer,
         exec: &Executor,
     ) -> Vec<S> {
         let mut sp = tracer.span(&format!("spmv.kernel.{}", self.name()));
         let before = probe.stats_snapshot();
-        let y = self.spmv_with(x, probe, exec);
-        sp.set_stats(probe.stats_snapshot().delta(&before));
-        y
-    }
-
-    /// Computes `y = A x` with the wrapped method on the process-default
-    /// executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
-    /// Computes `y = A x` with the wrapped method under the given
-    /// executor. Every method's output and merged order-independent
-    /// counters are bit-identical across executors.
-    ///
-    /// When `DASP_SANITIZE` is set the run transparently re-dispatches
-    /// through a [`dasp_sanitize::SanitizeProbe`] wrapping `probe` (the
-    /// output stays bit-identical); diagnostics publish under the
-    /// method's [`Baseline::name`].
-    pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
-        if dasp_sanitize::enabled() && !probe.sanitizing() {
-            let mut sp = dasp_sanitize::SanitizeProbe::forked(probe);
-            let y = self.spmv_with_impl(x, &mut sp, exec);
-            dasp_sanitize::fleet_finish(self.name(), sp, probe);
-            return y;
-        }
-        self.spmv_with_impl(x, probe, exec)
-    }
-
-    fn spmv_with_impl<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
-        match self {
+        let y = match self {
             Baseline::CsrScalar(m) => m.spmv_with(x, probe, exec),
             Baseline::CsrVector(m) => m.spmv_with(x, probe, exec),
             Baseline::Csr5(m) => m.spmv_with(x, probe, exec),
@@ -130,7 +100,9 @@ impl<S: Scalar> Baseline<S> {
             Baseline::MergeCsr(m) => m.spmv_with(x, probe, exec),
             Baseline::Sell(m) => m.spmv_with(x, probe, exec),
             Baseline::Hyb(m) => m.spmv_with(x, probe, exec),
-        }
+        };
+        sp.set_stats(probe.stats_snapshot().delta(&before));
+        y
     }
 }
 

@@ -119,16 +119,18 @@ impl<S: Scalar> SellCSigma<S> {
         self.chunk_width.len()
     }
 
-    /// Computes `y = A x` on the process-default executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
     /// Computes `y = A x` under the given executor: one warp per chunk, one
     /// lane per row, no reductions. Chunks own disjoint rows (the sorting
     /// permutation is a bijection), so the warp bodies parallelize
     /// directly.
+    ///
+    /// Sanitized in fleet mode (`DASP_SANITIZE`, see
+    /// [`dasp_sanitize::fleet!`]); `y` is bit-identical either way.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
+        dasp_sanitize::fleet!("sell", probe => self.spmv_kernel(x, probe, exec))
+    }
+
+    fn spmv_kernel<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         assert_eq!(x.len(), self.cols);
         let mut y = vec![S::zero(); self.rows];
         if self.rows == 0 || self.nnz == 0 {
@@ -142,7 +144,6 @@ impl<S: Scalar> SellCSigma<S> {
 
         let shared = SharedSlice::new(&mut y);
         exec.run(n_chunks, probe, |ch, p| self.chunk_warp(x, &shared, ch, p));
-        drop(shared);
         y
     }
 
@@ -191,7 +192,7 @@ mod tests {
     fn check(csr: &Csr<f64>, sigma: usize) {
         let x: Vec<f64> = (0..csr.cols).map(|i| 0.4 + (i % 9) as f64 * 0.1).collect();
         let m = SellCSigma::with_sigma(csr, sigma);
-        let y = m.spmv(&x, &mut NoProbe);
+        let y = m.spmv_with(&x, &mut NoProbe, &Executor::from_env());
         assert_matches(&y, &spmv_exact(csr, &x), 1e-9);
     }
 
@@ -248,7 +249,7 @@ mod tests {
         let csr = coo.to_csr();
         let m = SellCSigma::with_sigma(&csr, 32);
         let mut probe = CountingProbe::a100();
-        let _ = m.spmv(&vec![1.0; 64], &mut probe);
+        let _ = m.spmv_with(&vec![1.0; 64], &mut probe, &Executor::from_env());
         assert_eq!(probe.stats().fma_ops, 20 * 32);
     }
 }

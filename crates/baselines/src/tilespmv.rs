@@ -151,14 +151,16 @@ impl<S: Scalar> TileSpmv<S> {
         self.nnz as f64 / self.tiles.len() as f64
     }
 
-    /// Computes `y = A x` on the process-default executor.
-    pub fn spmv<P: ShardableProbe>(&self, x: &[S], probe: &mut P) -> Vec<S> {
-        self.spmv_with(x, probe, &Executor::from_env())
-    }
-
     /// Computes `y = A x` under the given executor: one warp per tile row
     /// of tiles, each owning a disjoint 16-row band of `y`.
+    ///
+    /// Sanitized in fleet mode (`DASP_SANITIZE`, see
+    /// [`dasp_sanitize::fleet!`]); `y` is bit-identical either way.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
+        dasp_sanitize::fleet!("tilespmv", probe => self.spmv_kernel(x, probe, exec))
+    }
+
+    fn spmv_kernel<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         assert_eq!(x.len(), self.cols);
         let mut y = vec![S::zero(); self.rows];
         let n_tile_rows = self.tile_row_ptr.len() - 1;
@@ -174,7 +176,6 @@ impl<S: Scalar> TileSpmv<S> {
         exec.run(n_tile_rows, probe, |ti, p| {
             self.tile_row_warp(x, &shared, ti, p)
         });
-        drop(shared);
         y
     }
 
@@ -240,7 +241,7 @@ mod tests {
     fn check(csr: &Csr<f64>) {
         let x: Vec<f64> = (0..csr.cols).map(|i| 0.5 + (i % 11) as f64 * 0.2).collect();
         let m = TileSpmv::new(csr);
-        let y = m.spmv(&x, &mut NoProbe);
+        let y = m.spmv_with(&x, &mut NoProbe, &Executor::from_env());
         assert_matches(&y, &spmv_exact(csr, &x), 1e-9);
     }
 
@@ -289,7 +290,7 @@ mod tests {
         let m = TileSpmv::new(&csr);
         assert_eq!(m.num_tiles(), 10);
         let mut probe = CountingProbe::a100();
-        let _ = m.spmv(&vec![1.0; 160], &mut probe);
+        let _ = m.spmv_with(&vec![1.0; 160], &mut probe, &Executor::from_env());
         let s = probe.stats();
         // 10 elements of value traffic vs much larger metadata traffic.
         assert!(

@@ -3,7 +3,7 @@
 
 use dasp_baselines::{Baseline, BsrSpmv};
 use dasp_fp16::F16;
-use dasp_simt::NoProbe;
+use dasp_simt::{Executor, NoProbe};
 use dasp_sparse::{Coo, Csr};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -81,7 +81,7 @@ proptest! {
         let x: Vec<f64> = (0..90).map(|i| (i % 5) as f64 - 2.0).collect();
         let want = csr.spmv_reference(&x);
         for h in BsrSpmv::best_of(&csr) {
-            let got = h.spmv(&x, &mut NoProbe);
+            let got = h.spmv_with(&x, &mut NoProbe, &Executor::from_env());
             for (i, (&a, &b)) in got.iter().zip(&want).enumerate() {
                 prop_assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "bs={} row {i}", h.bsr().block_size);
             }

@@ -8,6 +8,7 @@
 use dasp_baselines::Baseline;
 use dasp_simt::{CountingProbe, Executor, ParExecutor};
 use dasp_sparse::{Coo, Csr};
+use dasp_trace::Tracer;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -66,9 +67,9 @@ fn assert_parity(name: &str, csr: &Csr<f64>, seed: u64) {
     let x: Vec<f64> = (0..csr.cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
 
     let mut p_seq = CountingProbe::a100();
-    let y_seq = m.spmv_with(&x, &mut p_seq, &Executor::seq());
+    let y_seq = m.spmv_traced_with(&x, &mut p_seq, &Tracer::disabled(), &Executor::seq());
     let mut p_par = CountingProbe::a100();
-    let y_par = m.spmv_with(&x, &mut p_par, &forced_par());
+    let y_par = m.spmv_traced_with(&x, &mut p_par, &Tracer::disabled(), &forced_par());
 
     for (i, (a, b)) in y_seq.iter().zip(&y_par).enumerate() {
         assert_eq!(

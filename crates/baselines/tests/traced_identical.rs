@@ -4,7 +4,7 @@
 //! the emitted span must carry the run's counter delta.
 
 use dasp_baselines::Baseline;
-use dasp_simt::{CountingProbe, NoProbe};
+use dasp_simt::{CountingProbe, Executor, NoProbe};
 use dasp_sparse::{Coo, Csr};
 use dasp_trace::{Tracer, WarpProfiler};
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ proptest! {
 
             let tracer = Tracer::new();
             let mut profiler = WarpProfiler::new(CountingProbe::a100());
-            let inst = m.spmv_traced(&x, &mut profiler, &tracer);
+            let inst = m.spmv_traced_with(&x, &mut profiler, &tracer, &Executor::from_env());
             prop_assert_eq!(&inst, &bare, "{} must be unchanged by instrumentation", name);
 
             // The run left exactly one span, named for the method and
@@ -81,7 +81,7 @@ proptest! {
             let mut plain = CountingProbe::a100();
             let y_plain = m.spmv(&x, &mut plain);
             let mut traced = CountingProbe::a100();
-            let y_traced = m.spmv_traced(&x, &mut traced, &Tracer::disabled());
+            let y_traced = m.spmv_traced_with(&x, &mut traced, &Tracer::disabled(), &Executor::from_env());
             prop_assert_eq!(y_plain, y_traced);
             prop_assert_eq!(plain.stats(), traced.stats(), "{} disabled-tracer path adds counts", name);
         }

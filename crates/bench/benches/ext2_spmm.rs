@@ -7,11 +7,12 @@
 //! to worse-than-looped on the host too.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dasp_core::DaspMatrix;
+use dasp_core::{DaspMatrix, DaspParams};
 use dasp_matgen::{banded, dense_vector, rmat};
-use dasp_perf::{a100, measure_looped_spmv_with, measure_spmm_with, MethodKind};
+use dasp_perf::{a100, measure_looped_spmv_with, measure_spmm_traced_with, MethodKind};
 use dasp_simt::{Executor, NoProbe};
 use dasp_sparse::{Csr, DenseMat};
+use dasp_trace::Tracer;
 
 fn rhs(csr: &Csr<f64>, width: usize) -> DenseMat<f64> {
     let columns: Vec<Vec<f64>> = (0..width)
@@ -51,7 +52,8 @@ fn bench(c: &mut Criterion) {
         // The modeled comparison, printed once per matrix so a bench run
         // doubles as a quick ext2 spot check.
         let dev = a100();
-        let spmm = measure_spmm_with(MethodKind::Dasp, csr, &b8, &dev, &exec);
+        let (params, off) = (DaspParams::default(), Tracer::disabled());
+        let spmm = measure_spmm_traced_with(MethodKind::Dasp, csr, &b8, params, &dev, &off, &exec);
         let looped = measure_looped_spmv_with(MethodKind::Dasp, csr, &b8, &dev, &exec);
         println!(
             "{name}: modeled A100 width-8 speedup {:.2}x (A+idx per RHS {:.0} B vs {:.0} B)",

@@ -39,6 +39,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use dasp_bench::suite_matrices;
+use dasp_cli::{out, outln};
 use dasp_observatory::suite::{device_by_name, render_suite_table};
 use dasp_observatory::{
     diff_snapshots, next_seq, render_interp_table, run_interp_bench, run_suite, snapshot_path,
@@ -169,20 +170,20 @@ fn record(mut args: impl Iterator<Item = String>) -> ExitCode {
         }
     }
 
-    print!("{}", render_suite_table(&outcome.snapshot));
+    out!("{}", render_suite_table(&outcome.snapshot));
     if top > 0 {
-        println!("\nhot regions (exclusive time, traced runs):");
-        print!("{}", outcome.calltree.render_hot_table(top));
+        outln!("\nhot regions (exclusive time, traced runs):");
+        out!("{}", outcome.calltree.render_hot_table(top));
         if interp {
             // The "interpreter overhead" row: probe-hook share of the
             // instrumented wall per kernel, so regressions in the batched
             // probe discipline show up by name right under the hot table.
             eprintln!("running interpreter-throughput microbench...");
             let records = run_interp_bench(reps.min(15));
-            print!("{}", render_interp_table(&records));
+            out!("{}", render_interp_table(&records));
         }
     }
-    println!("\nwrote {}", path.display());
+    outln!("\nwrote {}", path.display());
     ExitCode::SUCCESS
 }
 
@@ -259,7 +260,7 @@ fn diff(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 
     let report = diff_snapshots(old, new, cfg);
-    print!("{}", report.render_table());
+    out!("{}", report.render_table());
     if let Some(p) = &json_out {
         if let Err(e) = std::fs::write(p, report.to_json()) {
             eprintln!("cannot write {}: {e}", p.display());

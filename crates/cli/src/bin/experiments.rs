@@ -21,6 +21,7 @@ use dasp_cli::experiments::{
     ext2, ext3, ext4, ext_merge, fig01, fig02, fig09, fig10, fig11, fig12, fig13, metrics_dump,
     table1, table2,
 };
+use dasp_cli::outln;
 use dasp_cli::output::{f2, f3, text_table, write_csv};
 use dasp_perf::MethodKind;
 
@@ -46,7 +47,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: dasp-experiments [--out DIR] [--metrics-out DIR] \
                      [fig1|fig2|fig9|fig10|fig11|fig12|fig13|table1|table2|ext1|ext2|ext3|ext4|all]"
                 );
@@ -116,7 +117,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    println!("\nCSV outputs in {}", out_dir.display());
+    outln!("\nCSV outputs in {}", out_dir.display());
     ExitCode::SUCCESS
 }
 
@@ -126,7 +127,7 @@ fn run_metrics_dump(dir: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(dir.join("metrics.json"), &d.metrics_json)?;
     std::fs::write(dir.join("metrics.csv"), &d.metrics_csv)?;
     std::fs::write(dir.join("trace.json"), &d.trace_json)?;
-    println!(
+    outln!(
         "== Metrics dump: {} matrices, {} spans, {} metrics -> {} ==",
         d.matrices,
         d.spans,
@@ -138,22 +139,22 @@ fn run_metrics_dump(dir: &std::path::Path) -> std::io::Result<()> {
 
 fn run_ext_merge(out: &std::path::Path) {
     let f = ext_merge::run();
-    println!("== Extension: DASP vs related-work formats the paper cites ==");
-    println!(
+    outln!("== Extension: DASP vs related-work formats the paper cites ==");
+    outln!(
         "vs merge-csr:    geomean {}x  max {}x  wins {}/{}  (load balance neutralized; remaining gap = MMA compute path)",
         f2(f.summary.geomean),
         f2(f.summary.max),
         f.summary.wins,
         f.summary.total
     );
-    println!(
+    outln!(
         "vs sell-c-sigma: geomean {}x  max {}x  wins {}/{}",
         f2(f.summary_sell.geomean),
         f2(f.summary_sell.max),
         f.summary_sell.wins,
         f.summary_sell.total
     );
-    println!(
+    outln!(
         "vs hyb:          geomean {}x  max {}x  wins {}/{}\n",
         f2(f.summary_hyb.geomean),
         f2(f.summary_hyb.max),
@@ -189,9 +190,9 @@ fn run_ext_merge(out: &std::path::Path) {
 
 fn run_ext2(out: &std::path::Path) {
     let f = ext2::run();
-    println!("== Extension 2: multi-RHS SpMM vs looped SpMV (A100 model) ==");
+    outln!("== Extension 2: multi-RHS SpMM vs looped SpMV (A100 model) ==");
     for s in &f.summaries {
-        println!(
+        outln!(
             "{}: geomean speedup {}x at width 8 (A+idx amortization {}x; \
              speedup < 8x because B gathers, y stores and MMA issues scale with the width)",
             s.precision,
@@ -199,7 +200,7 @@ fn run_ext2(out: &std::path::Path) {
             f2(s.amortization_w8)
         );
     }
-    println!();
+    outln!();
     let _ = write_csv(
         out,
         "ext2_spmm_amortization.csv",
@@ -235,9 +236,9 @@ fn run_ext2(out: &std::path::Path) {
 
 fn run_ext3(out: &std::path::Path) {
     let f = ext3::run();
-    println!("== Extension 3: large-N SpMM on RMAT, A-resident tiling (A100 model) ==");
+    outln!("== Extension 3: large-N SpMM on RMAT, A-resident tiling (A100 model) ==");
     for s in &f.summaries {
-        println!(
+        outln!(
             "N={:>3}: geomean {}x vs looped SpMM-8, {}x vs CSR-scalar \
              (max |fill delta| under reorder: {} — provably 0)",
             s.rhs_width,
@@ -246,7 +247,7 @@ fn run_ext3(out: &std::path::Path) {
             s.max_fill_delta
         );
     }
-    println!();
+    outln!();
     let _ = write_csv(
         out,
         "ext3_large_n_spmm.csv",
@@ -294,24 +295,24 @@ fn run_ext3(out: &std::path::Path) {
 
 fn run_ext4(out: &std::path::Path) {
     let f = ext4::run();
-    println!(
+    outln!(
         "== Extension 4: dasp-serve request coalescing under load \
          (A100 model, {} us window) ==",
         ext4::BATCH_WINDOW.as_micros()
     );
     for s in &f.summaries {
-        println!(
+        outln!(
             "{} x{:>2} clients: geomean modeled-throughput speedup {}x from coalescing",
             s.executor,
             s.clients,
             f2(s.speedup)
         );
     }
-    println!(
+    outln!(
         "bit-identity mismatches across all cells: {} (must be 0)",
         f.mismatches
     );
-    println!();
+    outln!();
     let _ = write_csv(
         out,
         "ext4_serve_latency.csv",
@@ -357,7 +358,7 @@ fn run_ext4(out: &std::path::Path) {
 
 fn run_table1() {
     let t = table1::run();
-    println!("== Table 1: hardware and algorithms ==");
+    outln!("== Table 1: hardware and algorithms ==");
     let rows: Vec<Vec<String>> = t
         .devices
         .iter()
@@ -370,16 +371,16 @@ fn run_table1() {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         text_table(&["device", "bw GB/s", "fp64 TC TF", "fp16 TC TF"], &rows)
     );
-    println!("algorithms: {}\n", t.algorithms.join(", "));
+    outln!("algorithms: {}\n", t.algorithms.join(", "));
 }
 
 fn run_table2(out: &std::path::Path) {
     let t = table2::run();
-    println!("== Table 2: 21 representative matrices (paper vs analog) ==");
+    outln!("== Table 2: 21 representative matrices (paper vs analog) ==");
     let rows: Vec<Vec<String>> = t
         .rows
         .iter()
@@ -395,7 +396,7 @@ fn run_table2(out: &std::path::Path) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         text_table(
             &[
@@ -441,13 +442,13 @@ fn run_table2(out: &std::path::Path) {
 
 fn run_fig1(out: &std::path::Path) {
     let f = fig01::run();
-    println!("== Figure 1: FP64 bandwidth on large matrices (A100 model) ==");
-    println!(
+    outln!("== Figure 1: FP64 bandwidth on large matrices (A100 model) ==");
+    outln!(
         "matrices: {}   measured-peak: {} GB/s",
         f.rows.len(),
         f.peak_bw
     );
-    println!(
+    outln!(
         "geomean bandwidth GB/s  csr5: {}  cusparse-csr: {}  dasp: {}\n",
         f2(f.geomeans.0),
         f2(f.geomeans.1),
@@ -474,8 +475,8 @@ fn run_fig1(out: &std::path::Path) {
 
 fn run_fig2(out: &std::path::Path) {
     let f = fig02::run();
-    println!("== Figure 2: CSR SpMV time breakdown (A100 model) ==");
-    println!(
+    outln!("== Figure 2: CSR SpMV time breakdown (A100 model) ==");
+    outln!(
         "corpus mean shares   random: {:.1}%  compute: {:.1}%  misc: {:.1}%   (paper: 25.1 / 21.1 / 53.8)\n",
         100.0 * f.mean.0,
         100.0 * f.mean.1,
@@ -502,9 +503,9 @@ fn run_fig2(out: &std::path::Path) {
 
 fn run_fig9(out: &std::path::Path) {
     let f = fig09::run();
-    println!("== Figure 9: FP16 DASP vs cuSPARSE-CSR (corpus) ==");
+    outln!("== Figure 9: FP16 DASP vs cuSPARSE-CSR (corpus) ==");
     for d in &f.devices {
-        println!(
+        outln!(
             "{}: geomean {}x  max {}x  wins {}/{}   (paper: 1.70x A100 / 1.75x H800)",
             d.device,
             f2(d.summary.geomean),
@@ -530,12 +531,12 @@ fn run_fig9(out: &std::path::Path) {
                 .collect::<Vec<_>>(),
         );
     }
-    println!();
+    outln!();
 }
 
 fn run_fig10(out: &std::path::Path) {
     let f = fig10::run();
-    println!("== Figure 10: FP64, six methods on the A100 (corpus) ==");
+    outln!("== Figure 10: FP64, six methods on the A100 (corpus) ==");
     let paper = [
         ("csr5", 1.46),
         ("tilespmv", 2.09),
@@ -561,7 +562,7 @@ fn run_fig10(out: &std::path::Path) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         text_table(
             &["dasp vs", "geomean", "max", "wins", "paper geomean"],
@@ -596,7 +597,7 @@ fn run_fig10(out: &std::path::Path) {
 
 fn run_fig11(out: &std::path::Path) {
     let f = fig11::run();
-    println!("== Figure 11a: FP64 GFlops, 21 representative matrices (A100) ==");
+    outln!("== Figure 11a: FP64 GFlops, 21 representative matrices (A100) ==");
     let methods: Vec<&str> = MethodKind::fp64_set().iter().map(|m| m.name()).collect();
     let mut header = vec!["matrix"];
     header.extend(methods.iter().copied());
@@ -609,10 +610,10 @@ fn run_fig11(out: &std::path::Path) {
             v
         })
         .collect();
-    println!("{}", text_table(&header, &rows));
+    outln!("{}", text_table(&header, &rows));
     let _ = write_csv(out, "fig11a_fp64_representative.csv", &header, &rows);
 
-    println!("== Figure 11b: FP16 GFlops, 21 representative matrices ==");
+    outln!("== Figure 11b: FP16 GFlops, 21 representative matrices ==");
     let header16 = [
         "matrix",
         "a100_dasp",
@@ -633,13 +634,13 @@ fn run_fig11(out: &std::path::Path) {
             ]
         })
         .collect();
-    println!("{}", text_table(&header16, &rows16));
+    outln!("{}", text_table(&header16, &rows16));
     let _ = write_csv(out, "fig11b_fp16_representative.csv", &header16, &rows16);
 }
 
 fn run_fig12(out: &std::path::Path) {
     let f = fig12::run();
-    println!("== Figure 12: category ratios, 21 representative matrices ==");
+    outln!("== Figure 12: category ratios, 21 representative matrices ==");
     let header = [
         "matrix",
         "rows_long",
@@ -668,13 +669,13 @@ fn run_fig12(out: &std::path::Path) {
             ]
         })
         .collect();
-    println!("{}", text_table(&header, &rows));
+    outln!("{}", text_table(&header, &rows));
     let _ = write_csv(out, "fig12_categories.csv", &header, &rows);
 }
 
 fn run_fig13(out: &std::path::Path) {
     let f = fig13::run();
-    println!("== Figure 13: preprocessing cost (CPU wall-clock) ==");
+    outln!("== Figure 13: preprocessing cost (CPU wall-clock) ==");
     let fmt_row = |r: &fig13::Row| {
         vec![
             r.name.clone(),
@@ -709,9 +710,9 @@ fn run_fig13(out: &std::path::Path) {
         "break_even",
     ];
     let rows: Vec<Vec<String>> = pick.iter().map(|&i| fmt_row(&f.rows[i])).collect();
-    println!("{}", text_table(&header, &rows));
+    outln!("{}", text_table(&header, &rows));
     let (refresh_speedup, par_speedup) = f.summary_ratios();
-    println!(
+    outln!(
         "analysis/execute split: update_values is {refresh_speedup:.1}x faster than a full \
          rebuild (geomean); 4-thread analysis is {par_speedup:.2}x faster than sequential"
     );

@@ -22,6 +22,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use dasp_cli::outln;
 use dasp_core::DaspMatrix;
 use dasp_observatory::CallTree;
 use dasp_perf::a100;
@@ -84,7 +85,7 @@ fn parse_opts() -> Result<Opts, String> {
             "--profile" => o.profile = true,
             "--metrics" => o.metrics = true,
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: dasp-serve [--matrix banded|rmat|stencil] [--clients N] \
                      [--requests N] [--window-us U] [--workers N] [--max-batch N] \
                      [--executor seq|par] [--no-coalesce] [--profile] [--metrics]"
@@ -157,7 +158,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
+    outln!(
         "serving {name}: {}x{}, {} nnz | {} workers, window {} us, max batch {}, \
          coalesce {}, executor {}",
         info.rows,
@@ -186,7 +187,7 @@ fn main() -> ExitCode {
         },
     );
 
-    println!(
+    outln!(
         "{} requests in {:.1} ms wall | p50 {:.0} us, p99 {:.0} us | \
          {} batches, mean width {:.2}",
         report.requests,
@@ -196,7 +197,7 @@ fn main() -> ExitCode {
         report.batches,
         report.mean_batch_width,
     );
-    println!(
+    outln!(
         "modeled A100 busy {:.3} ms -> {:.0} requests per modeled GPU second",
         report.modeled_busy_seconds * 1e3,
         report.modeled_throughput_rps,
@@ -205,7 +206,7 @@ fn main() -> ExitCode {
     let final_report = server.shutdown();
     let reg = &final_report.registry;
     let flush = |n: &str| reg.counter(n).unwrap_or(0);
-    println!(
+    outln!(
         "flush causes: full {}, window {}, barrier {}, drain {}, solo {}",
         flush(metrics::FLUSH_FULL),
         flush(metrics::FLUSH_WINDOW),
@@ -213,14 +214,14 @@ fn main() -> ExitCode {
         flush(metrics::FLUSH_DRAIN),
         flush(metrics::FLUSH_SOLO),
     );
-    println!(
+    outln!(
         "plan cache: {:.0} hits, {:.0} misses, {:.0} evictions",
         reg.gauge("format.plan_cache.hits").unwrap_or(0.0),
         reg.gauge("format.plan_cache.misses").unwrap_or(0.0),
         reg.gauge("format.plan_cache.evictions").unwrap_or(0.0),
     );
     if dasp_sanitize::enabled() {
-        println!("sanitize: {}", dasp_sanitize::global_report());
+        outln!("sanitize: {}", dasp_sanitize::global_report());
     }
 
     if o.profile {
@@ -232,20 +233,20 @@ fn main() -> ExitCode {
             }
         }
         if let Some(tree) = tree {
-            println!(
+            outln!(
                 "\nhot spans across {} worker traces:",
                 final_report.traces.len()
             );
-            println!("{}", tree.render_hot_table(12));
+            outln!("{}", tree.render_hot_table(12));
         }
     }
     if o.metrics {
-        println!("\nregistry:");
+        outln!("\nregistry:");
         for (k, v) in reg.snapshot() {
             match v {
-                MetricValue::Counter(c) => println!("  {k} = {c}"),
-                MetricValue::Gauge(g) => println!("  {k} = {g}"),
-                MetricValue::Histogram(h) => println!(
+                MetricValue::Counter(c) => outln!("  {k} = {c}"),
+                MetricValue::Gauge(g) => outln!("  {k} = {g}"),
+                MetricValue::Histogram(h) => outln!(
                     "  {k}: n={} mean={:.2} p50={:.2} p99={:.2} max={:.2}",
                     h.count,
                     h.mean(),
@@ -264,6 +265,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    println!("all replies bit-identical to direct spmv");
+    outln!("all replies bit-identical to direct spmv");
     ExitCode::SUCCESS
 }

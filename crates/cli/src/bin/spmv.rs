@@ -69,6 +69,7 @@ use std::io::BufReader;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use dasp_cli::outln;
 use dasp_core::{DaspMatrix, DaspParams, DaspPlan, PlanCache};
 use dasp_fp16::F16;
 use dasp_matgen::dense_vector;
@@ -177,7 +178,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!(
+                outln!(
                     "usage: dasp-spmv MATRIX.mtx [--method NAME] [--device a100|h800] [--fp16] [--fp32] [--verify] [--compare] [--executor seq|par] [--threads N] [--trace OUT.json] [--refresh-values N] [--rhs N] [--reorder] [--sanitize] [--sanitize-out REPORT.json] [--verify-plan] [--verify-plan-out REPORT.json]"
                 );
                 return ExitCode::SUCCESS;
@@ -236,7 +237,7 @@ fn main() -> ExitCode {
         }
     };
     let csr = coo.to_csr();
-    println!(
+    outln!(
         "{}: {} x {}, {} nonzeros; method {}; device {}; {}; executor {}",
         path,
         csr.rows,
@@ -274,10 +275,10 @@ fn main() -> ExitCode {
         ) -> bool {
             let m = DaspMatrix::with_params(csr, params);
             let report = dasp_verify::verify_full(&m);
-            println!("verify: {}", report.to_string().trim_end());
+            outln!("verify: {}", report.to_string().trim_end());
             let registry = dasp_trace::Registry::new();
             report.export_metrics(&registry, "verify");
-            println!(
+            outln!(
                 "verify metrics: {}",
                 dasp_trace::registry_to_json(&registry)
             );
@@ -286,7 +287,7 @@ fn main() -> ExitCode {
                     eprintln!("cannot write verify report {path}: {e}");
                     return false;
                 }
-                println!("verify report: {path}");
+                outln!("verify report: {path}");
             }
             report.is_clean()
         }
@@ -328,13 +329,16 @@ fn main() -> ExitCode {
                 })
                 .collect();
             rows.sort_by(|a, b| a.1.total_cmp(&b.1));
-            println!(
+            outln!(
                 "{:>13}  {:>12}  {:>9}  {:>8}",
-                "method", "est. time us", "gflops", "vs best"
+                "method",
+                "est. time us",
+                "gflops",
+                "vs best"
             );
             let best = rows[0].1;
             for (mk, t, g) in &rows {
-                println!(
+                outln!(
                     "{:>13}  {:>12.3}  {:>9.2}  {:>7.2}x",
                     mk.name(),
                     t * 1e6,
@@ -445,28 +449,37 @@ fn main() -> ExitCode {
             eprintln!("VERIFY FAILED on {bad} rows");
             return ExitCode::FAILURE;
         }
-        println!("verify: OK ({} rows)", want.len());
+        outln!("verify: OK ({} rows)", want.len());
     }
 
     let e = &m.estimate;
-    println!("estimated time : {:.3} us", e.seconds * 1e6);
-    println!("gflops         : {:.2}", m.gflops);
-    println!("bandwidth      : {:.2} GB/s", m.bandwidth_gbs);
+    outln!("estimated time : {:.3} us", e.seconds * 1e6);
+    outln!("gflops         : {:.2}", m.gflops);
+    outln!("bandwidth      : {:.2} GB/s", m.bandwidth_gbs);
     let (r, c, mi) = e.shares();
-    println!(
+    outln!(
         "attribution    : random {:.1}%  compute {:.1}%  misc {:.1}%",
         r * 100.0,
         c * 100.0,
         mi * 100.0
     );
     let s = &m.stats;
-    println!(
+    outln!(
         "traffic        : val {} B, idx {} B, meta {} B, y {} B, x-miss {} B ({} hits / {} misses)",
-        s.bytes_val, s.bytes_idx, s.bytes_meta, s.bytes_y, s.bytes_x_miss, s.x_hits, s.x_misses
+        s.bytes_val,
+        s.bytes_idx,
+        s.bytes_meta,
+        s.bytes_y,
+        s.bytes_x_miss,
+        s.x_hits,
+        s.x_misses
     );
-    println!(
+    outln!(
         "instructions   : {} mma, {} fma, {} shfl, {} launches",
-        s.mma_ops, s.fma_ops, s.shfl_ops, s.launches
+        s.mma_ops,
+        s.fma_ops,
+        s.shfl_ops,
+        s.launches
     );
     if let Some(n) = refresh_values {
         if fp16 {
@@ -496,10 +509,10 @@ fn main() -> ExitCode {
 /// artifacts. Returns false if any error-class violation fired.
 fn sanitize_summary(out: Option<&str>) -> bool {
     let report = dasp_sanitize::global_report();
-    println!("sanitize: {}", report.to_string().trim_end());
+    outln!("sanitize: {}", report.to_string().trim_end());
     let registry = dasp_trace::Registry::new();
     report.export_metrics(&registry, "sanitize");
-    println!(
+    outln!(
         "sanitize metrics: {}",
         dasp_trace::registry_to_json(&registry)
     );
@@ -508,7 +521,7 @@ fn sanitize_summary(out: Option<&str>) -> bool {
             eprintln!("cannot write sanitize report {path}: {e}");
             return false;
         }
-        println!("sanitize report: {path}");
+        outln!("sanitize report: {path}");
     }
     report.is_clean()
 }
@@ -526,7 +539,7 @@ fn rhs_report<S: dasp_fp16::Scalar>(
     dev: &DeviceModel,
     exec: &Executor,
 ) -> bool {
-    use dasp_perf::{measure_looped_spmv_with, measure_spmm_params_traced_with};
+    use dasp_perf::{measure_looped_spmv_with, measure_spmm_traced_with};
     use dasp_trace::Tracer;
     let columns: Vec<Vec<S>> = (0..width)
         .map(|j| {
@@ -537,43 +550,42 @@ fn rhs_report<S: dasp_fp16::Scalar>(
         })
         .collect();
     let b = dasp_sparse::DenseMat::from_columns(&columns);
-    let spmm =
-        measure_spmm_params_traced_with(method, csr, &b, params, dev, &Tracer::disabled(), exec);
+    let spmm = measure_spmm_traced_with(method, csr, &b, params, dev, &Tracer::disabled(), exec);
     let looped = measure_looped_spmv_with(method, csr, &b, dev, exec);
-    println!(
+    outln!(
         "-- multi-RHS SpMM, {width} right-hand sides ({} panels{}) --",
         b.num_panels(),
         if params.reorder { ", reordered" } else { "" }
     );
-    println!(
+    outln!(
         "spmm           : {:.3} us, {:.2} gflops",
         spmm.estimate.seconds * 1e6,
         spmm.gflops
     );
-    println!(
+    outln!(
         "looped spmv    : {:.3} us, {:.2} gflops",
         looped.estimate.seconds * 1e6,
         looped.gflops
     );
-    println!(
+    outln!(
         "A+idx per RHS  : {:.0} B (spmm) vs {:.0} B (looped) -> {:.2}x amortized",
         spmm.a_idx_bytes_per_rhs,
         looped.a_idx_bytes_per_rhs,
         looped.a_idx_bytes_per_rhs / spmm.a_idx_bytes_per_rhs.max(1.0)
     );
-    println!(
+    outln!(
         "est. speedup   : {:.2}x",
         looped.estimate.seconds / spmm.estimate.seconds
     );
     if let Some(pt) = &spmm.panel_traffic {
-        println!(
+        outln!(
             "panel split    : shared {} B dram (val {} B, idx {} B)",
             pt.shared.dram_bytes(),
             pt.shared.bytes_val,
             pt.shared.bytes_idx
         );
         for (k, bin) in pt.panels.iter().enumerate() {
-            println!(
+            outln!(
                 "  panel {k:>3}    : {} B dram (val {} B, idx {} B, x-miss {} B)",
                 bin.dram_bytes(),
                 bin.bytes_val,
@@ -603,7 +615,7 @@ fn rhs_report<S: dasp_fp16::Scalar>(
             eprintln!("VERIFY FAILED on {bad} entries across {width} columns");
             return false;
         }
-        println!("verify: OK ({width} columns x {} rows)", csr.rows);
+        outln!("verify: OK ({width} columns x {} rows)", csr.rows);
     }
     true
 }
@@ -639,25 +651,25 @@ fn refresh_demo<S: dasp_fp16::Scalar>(csr: &Csr<S>, n: usize, tracer: &Tracer, e
     let _ = DaspMatrix::with_params_cached(csr, params, &cache);
     let _ = DaspMatrix::with_params_cached(csr, params, &cache);
 
-    println!("-- analysis/execute split ({} value refreshes) --", n);
-    println!("full rebuild   : {full_us:.1} us (from_csr: analysis + values fused)");
-    println!("analysis       : {analyze_us:.1} us (pattern only, reusable DaspPlan)");
-    println!("execute (fill) : {fill_us:.1} us (values scattered through the plan)");
-    println!(
+    outln!("-- analysis/execute split ({} value refreshes) --", n);
+    outln!("full rebuild   : {full_us:.1} us (from_csr: analysis + values fused)");
+    outln!("analysis       : {analyze_us:.1} us (pattern only, reusable DaspPlan)");
+    outln!("execute (fill) : {fill_us:.1} us (values scattered through the plan)");
+    outln!(
         "update_values  : {update_us:.1} us avg over {n} refreshes ({:.1}x faster than rebuild)",
         full_us / update_us.max(1e-9)
     );
     let saved = full_us - update_us;
     if saved > 0.0 {
         let k = ((analyze_us + fill_us - update_us) / saved).ceil().max(1.0);
-        println!(
+        outln!(
             "break-even     : plan amortizes after {k:.0} value refresh{}",
             if k > 1.0 { "es" } else { "" }
         );
     } else {
-        println!("break-even     : never (refresh is not faster than rebuild here)");
+        outln!("break-even     : never (refresh is not faster than rebuild here)");
     }
-    println!(
+    outln!(
         "plan cache     : {} hit / {} miss across 2 cached builds",
         cache.hits(),
         cache.misses()
@@ -668,6 +680,6 @@ fn refresh_demo<S: dasp_fp16::Scalar>(csr: &Csr<S>, n: usize, tracer: &Tracer, e
 fn write_trace(path: &str, tracer: &Tracer) -> std::io::Result<()> {
     let trace = tracer.take_trace();
     std::fs::write(path, chrome_trace_json(&trace))?;
-    println!("trace          : {} spans -> {path}", trace.spans.len());
+    outln!("trace          : {} spans -> {path}", trace.spans.len());
     Ok(())
 }

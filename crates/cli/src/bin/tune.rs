@@ -12,6 +12,7 @@
 
 use std::process::ExitCode;
 
+use dasp_cli::outln;
 use dasp_core::{DaspMatrix, DaspParams};
 use dasp_matgen::dense_vector;
 use dasp_perf::{a100, estimate, h800, DeviceModel, Precision};
@@ -41,7 +42,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                println!("usage: dasp-tune [MATRIX.mtx] [--device a100|h800]");
+                outln!("usage: dasp-tune [MATRIX.mtx] [--device a100|h800]");
                 return ExitCode::SUCCESS;
             }
             p if !p.starts_with('-') => path = Some(p.to_string()),
@@ -76,17 +77,15 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            println!("tuning {p}");
+            outln!("tuning {p}");
             coo.to_csr()
         }
         None => {
-            println!(
-                "tuning a synthetic mixed-structure matrix (pass a .mtx path to tune your own)"
-            );
+            outln!("tuning a synthetic mixed-structure matrix (pass a .mtx path to tune your own)");
             dasp_matgen::circuit_like(40_000, 6, 4000, 7)
         }
     };
-    println!(
+    outln!(
         "matrix: {} x {}, {} nonzeros; device {}",
         csr.rows,
         csr.cols,
@@ -110,13 +109,17 @@ fn main() -> ExitCode {
     }
     results.sort_by(|a, b| a.1.total_cmp(&b.1));
 
-    println!(
+    outln!(
         "{:>8} {:>10} {:>8} {:>12} {:>9}",
-        "max_len", "threshold", "piecing", "est time us", "vs best"
+        "max_len",
+        "threshold",
+        "piecing",
+        "est time us",
+        "vs best"
     );
     let best = results[0].1;
     for (p, t) in &results {
-        println!(
+        outln!(
             "{:>8} {:>10.2} {:>8} {:>12.2} {:>8.2}x",
             p.max_len,
             p.threshold,
@@ -130,7 +133,7 @@ fn main() -> ExitCode {
         .find(|(p, _)| *p == DaspParams::default())
         .map(|(_, t)| *t)
         .unwrap_or(best);
-    println!(
+    outln!(
         "\npaper defaults (256 / 0.75 / piecing) are {:.2}x off the tuned best",
         default_t / best
     );

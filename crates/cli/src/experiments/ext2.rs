@@ -17,13 +17,15 @@
 //! B-side gathers, the `y` stores, and the MMA issues scale with the
 //! width and only the A stream amortizes.
 
+use dasp_core::DaspParams;
 use dasp_fp16::{Scalar, F16};
 use dasp_matgen::{dense_vector, NamedMatrix};
 use dasp_perf::{
-    a100, geomean, measure_looped_spmv_with, measure_spmm_with, DeviceModel, MethodKind,
+    a100, geomean, measure_looped_spmv_with, measure_spmm_traced_with, DeviceModel, MethodKind,
 };
 use dasp_simt::Executor;
 use dasp_sparse::{Csr, DenseMat};
+use dasp_trace::Tracer;
 
 use crate::experiments::common::full_corpus;
 
@@ -93,7 +95,15 @@ fn sweep<S: Scalar>(
     let mut last_per_rhs = f64::INFINITY;
     for &width in &WIDTHS {
         let b = DenseMat::from_columns(&columns[..width]);
-        let spmm = measure_spmm_with(MethodKind::Dasp, &csr, &b, dev, exec);
+        let spmm = measure_spmm_traced_with(
+            MethodKind::Dasp,
+            &csr,
+            &b,
+            DaspParams::default(),
+            dev,
+            &Tracer::disabled(),
+            exec,
+        );
         let looped = measure_looped_spmv_with(MethodKind::Dasp, &csr, &b, dev, exec);
         assert_eq!(
             spmm.y, looped.y,

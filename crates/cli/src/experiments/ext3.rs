@@ -30,9 +30,7 @@
 use dasp_core::{DaspMatrix, DaspParams};
 use dasp_fp16::{Scalar, F16};
 use dasp_matgen::dense_vector;
-use dasp_perf::{
-    a100, geomean, measure_spmm_params_traced_with, measure_spmm_with, DeviceModel, MethodKind,
-};
+use dasp_perf::{a100, geomean, measure_spmm_traced_with, DeviceModel, MethodKind};
 use dasp_simt::Executor;
 use dasp_sparse::{Csr, DenseMat};
 use dasp_trace::Tracer;
@@ -121,7 +119,16 @@ fn looped_spmm8<S: Scalar>(
     let mut y = Vec::new();
     for chunk in columns.chunks(8) {
         let b = DenseMat::from_columns(chunk);
-        let m = measure_spmm_with(MethodKind::Dasp, csr, &b, dev, exec);
+        let off = Tracer::disabled();
+        let m = measure_spmm_traced_with(
+            MethodKind::Dasp,
+            csr,
+            &b,
+            DaspParams::default(),
+            dev,
+            &off,
+            exec,
+        );
         seconds += m.estimate.seconds;
         a_idx += m.stats.bytes_val + m.stats.bytes_idx;
         y.extend(m.y);
@@ -159,18 +166,13 @@ fn sweep<S: Scalar>(
             .collect();
         let b = DenseMat::from_columns(&columns);
 
-        let tiled = measure_spmm_with(MethodKind::Dasp, &csr, &b, dev, exec);
+        let (plain, off) = (DaspParams::default(), Tracer::disabled());
+        let tiled = measure_spmm_traced_with(MethodKind::Dasp, &csr, &b, plain, dev, &off, exec);
         let (l8_seconds, l8_a_idx, l8_y) = looped_spmm8(&csr, &columns, dev, exec);
-        let csr_scalar = measure_spmm_with(MethodKind::CsrScalar, &csr, &b, dev, exec);
-        let reordered = measure_spmm_params_traced_with(
-            MethodKind::Dasp,
-            &csr,
-            &b,
-            reorder,
-            dev,
-            &Tracer::disabled(),
-            exec,
-        );
+        let csr_scalar =
+            measure_spmm_traced_with(MethodKind::CsrScalar, &csr, &b, plain, dev, &off, exec);
+        let reordered =
+            measure_spmm_traced_with(MethodKind::Dasp, &csr, &b, reorder, dev, &off, exec);
 
         assert_eq!(
             tiled.y, l8_y,

@@ -11,8 +11,8 @@
 
 use dasp_core::{DaspParams, PlanCache};
 use dasp_matgen::{banded, circuit_like, dense_vector, rmat};
-use dasp_perf::{a100, measure_traced, record_measurement, MethodKind};
-use dasp_simt::CountingProbe;
+use dasp_perf::{a100, measure_traced_with, record_measurement, MethodKind};
+use dasp_simt::{CountingProbe, Executor};
 use dasp_sparse::Csr;
 use dasp_trace::{
     chrome_trace_json, registry_to_csv, registry_to_json, Registry, Tracer, WarpProfiler,
@@ -59,7 +59,7 @@ pub fn run() -> MetricsDump {
     for (name, csr) in &matrices {
         let x = dense_vector(csr.cols, 42);
         for method in MethodKind::fp64_set() {
-            let m = measure_traced(method, csr, &x, &dev, &tracer);
+            let m = measure_traced_with(method, csr, &x, &dev, &tracer, &Executor::from_env());
             record_measurement(&m, &registry);
         }
         // Per-warp load distribution for DASP vs the scalar-CSR strawman —
@@ -67,7 +67,7 @@ pub fn run() -> MetricsDump {
         // through the pattern-keyed plan cache (and once more, so each
         // matrix contributes a hit), leaving traced `preprocess.fill`
         // spans with their scatter-byte args and cache gauges behind.
-        let exec = dasp_simt::Executor::from_env();
+        let exec = Executor::from_env();
         let params = DaspParams::default();
         let dasp = plans
             .plan_for_traced_with(csr, params, &tracer, &exec)
@@ -81,7 +81,7 @@ pub fn run() -> MetricsDump {
             .record_into(&registry, "warp.dasp", &WARP_BOUNDS);
         let scalar = dasp_baselines::CsrVector::new(csr);
         let mut p = WarpProfiler::new(CountingProbe::new(dev.l2_cache()));
-        let _ = scalar.spmv(&x, &mut p);
+        let _ = scalar.spmv_with(&x, &mut p, &exec);
         p.profile()
             .record_into(&registry, "warp.cusparse-csr", &WARP_BOUNDS);
         // Category occupancy and zero-fill overhead (paper Fig. 12).

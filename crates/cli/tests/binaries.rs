@@ -1,4 +1,4 @@
-//! Integration tests driving the two binaries end to end.
+//! Integration tests driving the binaries end to end.
 
 use std::io::Write;
 use std::process::Command;
@@ -7,6 +7,33 @@ fn bin(name: &str) -> Command {
     Command::new(
         env!(concat!("CARGO_BIN_EXE_", "dasp-experiments")).replace("dasp-experiments", name),
     )
+}
+
+/// Writes the 8×8 mixed-category fixture several tests share.
+fn small_matrix(dir: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("m.mtx");
+    let mut f = std::fs::File::create(&path).unwrap();
+    writeln!(f, "%%MatrixMarket matrix coordinate real general").unwrap();
+    writeln!(f, "8 8 12").unwrap();
+    for (r, c, v) in [
+        (1, 1, 2.0),
+        (1, 2, 1.0),
+        (2, 2, 3.0),
+        (3, 3, 1.5),
+        (3, 1, 0.5),
+        (4, 4, 2.5),
+        (5, 5, 1.0),
+        (5, 6, 0.75),
+        (6, 6, 4.0),
+        (6, 1, 0.25),
+        (7, 7, 1.25),
+        (8, 8, 0.5),
+    ] {
+        writeln!(f, "{r} {c} {v}").unwrap();
+    }
+    path
 }
 
 #[test]
@@ -237,30 +264,8 @@ fn spmv_binary_verify_plan_mode() {
 
 #[test]
 fn spmv_binary_sanitize_and_verify_reports_share_one_shape() {
-    let dir = std::env::temp_dir().join("dasp_cli_sanitize_out_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("m.mtx");
-    let mut f = std::fs::File::create(&path).unwrap();
-    writeln!(f, "%%MatrixMarket matrix coordinate real general").unwrap();
-    writeln!(f, "8 8 12").unwrap();
-    for (r, c, v) in [
-        (1, 1, 2.0),
-        (1, 2, 1.0),
-        (2, 2, 3.0),
-        (3, 3, 1.5),
-        (3, 1, 0.5),
-        (4, 4, 2.5),
-        (5, 5, 1.0),
-        (5, 6, 0.75),
-        (6, 6, 4.0),
-        (6, 1, 0.25),
-        (7, 7, 1.25),
-        (8, 8, 0.5),
-    ] {
-        writeln!(f, "{r} {c} {v}").unwrap();
-    }
-    drop(f);
-
+    let path = small_matrix("dasp_cli_sanitize_out_test");
+    let dir = path.parent().unwrap();
     let sanitize_json = dir.join("sanitize.json");
     let out = bin("dasp-spmv")
         .arg(path.to_str().unwrap())
@@ -306,4 +311,87 @@ fn spmv_binary_sanitize_and_verify_reports_share_one_shape() {
     ] {
         assert!(sanitize_keys.iter().any(|k| k == key), "missing {key}");
     }
+}
+
+#[test]
+fn spmv_binary_compare_sanitize_covers_every_method() {
+    let path = small_matrix("dasp_cli_compare_sanitize_test");
+    let report = path.with_file_name("sanitize.json");
+    let out = bin("dasp-spmv")
+        .arg(path.to_str().unwrap())
+        .args(["--compare", "--sanitize-out", report.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let text = std::fs::read_to_string(&report).unwrap();
+    let json = dasp_trace::Json::parse(&text).expect("report parses");
+    let regions: Vec<&str> = match json.get("per_region") {
+        Some(dasp_trace::Json::Obj(fields)) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("per_region is not an object: {other:?}"),
+    };
+    // One kernel region per baseline (vendor BSR's best-of-2/4/8 runs
+    // included) plus the DASP kernels.
+    for region in [
+        "bsr",
+        "csr-scalar",
+        "csr-vector",
+        "csr5",
+        "hyb",
+        "lsrb-csr",
+        "merge-csr",
+        "sell",
+        "tilespmv",
+    ] {
+        assert!(regions.contains(&region), "no {region} region: {regions:?}");
+    }
+    assert!(
+        regions.iter().any(|r| r.starts_with("dasp.")),
+        "no DASP region: {regions:?}"
+    );
+}
+
+/// Runs `name` with stdout a pipe whose read end is already closed, so
+/// its first write fails with a broken pipe.
+fn run_with_closed_stdout(name: &str, args: &[&str]) -> std::process::Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    bin(name)
+        .args(args)
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .expect("binary runs")
+}
+
+#[test]
+fn binaries_exit_normally_when_stdout_closes() {
+    let path = small_matrix("dasp_cli_closed_stdout_test");
+    let m = path.to_str().unwrap();
+    let verify_json = path.with_file_name("verify.json");
+    let results = path.with_file_name("results");
+    let snapshot = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_0003.json");
+    let runs: [(&str, Vec<&str>); 6] = [
+        (
+            "dasp-spmv",
+            vec![m, "--verify-plan-out", verify_json.to_str().unwrap()],
+        ),
+        ("dasp-spmv", vec![m, "--verify", "--compare"]),
+        ("dasp-tune", vec![m]),
+        (
+            "dasp-experiments",
+            vec!["--out", results.to_str().unwrap(), "table2"],
+        ),
+        ("dasp-bench", vec!["diff", snapshot, snapshot]),
+        ("dasp-serve", vec!["--clients", "1", "--requests", "2"]),
+    ];
+    for (name, args) in runs {
+        let out = run_with_closed_stdout(name, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{name} {args:?}: {stderr}");
+    }
+    // The verdict still lands where it was asked for.
+    let json = std::fs::read_to_string(&verify_json).unwrap();
+    assert!(json.contains("\"clean\":true"), "{json}");
 }

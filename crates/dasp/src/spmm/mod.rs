@@ -29,8 +29,8 @@
 //! `0 * b` products, and adding `±0.0` to a running accumulator that
 //! starts at `+0.0` can never flip a bit under round-to-nearest (opposite
 //! -sign zero sums and exact cancellations both round to `+0.0`). That is
-//! what makes every output column of `spmm` **bit-identical** to the
-//! corresponding single-vector `spmv`: per output `C[r][j]` the FMA chain
+//! what makes every output column of the SpMM product **bit-identical** to
+//! the corresponding single-vector SpMV: per output `C[r][j]` the FMA chain
 //! is the exact `k`-ordered sequence SpMV issues, interleaved only with
 //! bit-inert zero adds. (The one caveat: a non-finite A or B value would
 //! turn a masked `0 * b` into a NaN — the kernels, like the rest of this
@@ -118,17 +118,12 @@ pub(crate) fn extract_rows<S: Scalar, P: Probe>(
 }
 
 impl<S: Scalar> DaspMatrix<S> {
-    /// Computes `Y = A B` with the multi-RHS DASP kernels under the
-    /// process-default executor ([`Executor::from_env`]).
+    /// Computes `Y = A B` with the multi-RHS DASP kernels under an
+    /// explicit executor, untraced.
     ///
     /// `b.rows()` must equal the matrix's column count. Every column of
     /// the result is bit-identical to [`DaspMatrix::spmv`] of the same
     /// column of `b`.
-    pub fn spmm<P: ShardableProbe>(&self, b: &DenseMat<S>, probe: &mut P) -> DenseMat<S> {
-        self.spmm_with(b, probe, &Executor::from_env())
-    }
-
-    /// [`DaspMatrix::spmm`] under an explicit executor.
     pub fn spmm_with<P: ShardableProbe>(
         &self,
         b: &DenseMat<S>,
@@ -136,39 +131,27 @@ impl<S: Scalar> DaspMatrix<S> {
         exec: &Executor,
     ) -> DenseMat<S> {
         let mut y = DenseMat::zeros(self.rows, b.cols());
-        self.spmm_into_traced_with(b, &mut y, probe, &Tracer::disabled(), exec);
-        y
-    }
-
-    /// [`DaspMatrix::spmm`] with spans: records a `spmm` root span (with
-    /// `rhs_width` and panel-count args) and one child per category
-    /// kernel.
-    pub fn spmm_traced<P: ShardableProbe>(
-        &self,
-        b: &DenseMat<S>,
-        probe: &mut P,
-        tracer: &Tracer,
-    ) -> DenseMat<S> {
-        let mut y = DenseMat::zeros(self.rows, b.cols());
-        self.spmm_into_traced_with(b, &mut y, probe, tracer, &Executor::from_env());
+        self.spmm_into(b, &mut y, probe, &Tracer::disabled(), exec);
         y
     }
 
     /// Computes `Y = A B` into a caller-provided panel matrix — the
-    /// single dispatch every other SpMM entry point funnels through.
+    /// single SpMM dispatch that [`DaspMatrix::spmm_with`] and the
+    /// batched SpMV verb [`DaspMatrix::spmv_batch_into`] funnel through.
     ///
-    /// Records a `spmm` root span plus `spmm.{long,medium,short}`
-    /// children, each carrying its probe counter delta and an `rhs_width`
-    /// arg so traces can attribute bytes-per-vector (the four short
-    /// sub-kernels share one launch and one span, as in SpMV). Panels run
-    /// **innermost**: each warp holds its A block register-resident and
-    /// sweeps every RHS panel before advancing, under whichever executor
-    /// is selected — `ShardableProbe` merge semantics are identical to
-    /// the SpMV kernels'.
+    /// Records a `spmm` root span (with `rhs_width` and panel-count args)
+    /// plus `spmm.{long,medium,short}` children, each carrying its probe
+    /// counter delta and an `rhs_width` arg so traces can attribute
+    /// bytes-per-vector (the four short sub-kernels share one launch and
+    /// one span, as in SpMV). Panels run **innermost**: each warp holds
+    /// its A block register-resident and sweeps every RHS panel before
+    /// advancing, under whichever executor is selected —
+    /// `ShardableProbe` merge semantics are identical to the SpMV
+    /// kernels'.
     ///
     /// Like SpMV, the run transparently re-dispatches through a
     /// [`dasp_sanitize::SanitizeProbe`] when `DASP_SANITIZE` is set.
-    pub fn spmm_into_traced_with<P: ShardableProbe>(
+    pub fn spmm_into<P: ShardableProbe>(
         &self,
         b: &DenseMat<S>,
         y: &mut DenseMat<S>,
@@ -176,16 +159,10 @@ impl<S: Scalar> DaspMatrix<S> {
         tracer: &Tracer,
         exec: &Executor,
     ) {
-        if dasp_sanitize::enabled() && !probe.sanitizing() {
-            let mut sp = dasp_sanitize::SanitizeProbe::forked(probe);
-            self.spmm_into_traced_with_impl(b, y, &mut sp, tracer, exec);
-            dasp_sanitize::fleet_finish("spmm", sp, probe);
-        } else {
-            self.spmm_into_traced_with_impl(b, y, probe, tracer, exec);
-        }
+        dasp_sanitize::fleet!("spmm", probe => self.spmm_kernels(b, y, probe, tracer, exec))
     }
 
-    fn spmm_into_traced_with_impl<P: ShardableProbe>(
+    fn spmm_kernels<P: ShardableProbe>(
         &self,
         b: &DenseMat<S>,
         y: &mut DenseMat<S>,

@@ -1,9 +1,13 @@
-//! The SpMV entry point: dispatches all category kernels.
+//! The SpMV verbs. [`DaspMatrix::spmv_into`] dispatches all category
+//! kernels and is the one funnel: [`DaspMatrix::spmv`] and
+//! [`DaspMatrix::spmv_with`] allocate `y` and call it untraced, and
+//! [`DaspMatrix::spmv_batch_into`] sends a single column through it and
+//! wider batches through [`DaspMatrix::spmm_into`].
 
 #![allow(clippy::needless_range_loop)]
 
 use dasp_fp16::Scalar;
-use dasp_simt::{Executor, NoProbe, ParExecutor, ShardableProbe, SharedSlice};
+use dasp_simt::{Executor, ShardableProbe};
 use dasp_trace::Tracer;
 
 use crate::format::DaspMatrix;
@@ -24,69 +28,18 @@ impl<S: Scalar> DaspMatrix<S> {
         self.spmv_with(x, probe, &Executor::from_env())
     }
 
-    /// [`DaspMatrix::spmv`] under an explicit executor.
+    /// [`DaspMatrix::spmv`] under an explicit executor, untraced.
     pub fn spmv_with<P: ShardableProbe>(&self, x: &[S], probe: &mut P, exec: &Executor) -> Vec<S> {
         let mut y = vec![S::zero(); self.rows];
-        self.spmv_into_with(x, &mut y, probe, exec);
+        self.spmv_into(x, &mut y, probe, &Tracer::disabled(), exec);
         y
     }
 
-    /// Computes `y = A x` into a caller-provided buffer (no allocation):
-    /// the solver-loop API. `y` is fully overwritten; rows with no
+    /// Computes `y = A x` into a caller-provided buffer under an explicit
+    /// tracer and executor — the single SpMV dispatch every other entry
+    /// point funnels through. `y` is fully overwritten; rows with no
     /// nonzeros are set to zero.
-    pub fn spmv_into<P: ShardableProbe>(&self, x: &[S], y: &mut [S], probe: &mut P) {
-        self.spmv_into_with(x, y, probe, &Executor::from_env());
-    }
-
-    /// [`DaspMatrix::spmv_into`] under an explicit executor.
-    pub fn spmv_into_with<P: ShardableProbe>(
-        &self,
-        x: &[S],
-        y: &mut [S],
-        probe: &mut P,
-        exec: &Executor,
-    ) {
-        self.spmv_into_traced_with(x, y, probe, &Tracer::disabled(), exec);
-    }
-
-    /// [`DaspMatrix::spmv`] with spans: returns the result vector while
-    /// recording a `spmv` root span with one child per kernel.
-    pub fn spmv_traced<P: ShardableProbe>(
-        &self,
-        x: &[S],
-        probe: &mut P,
-        tracer: &Tracer,
-    ) -> Vec<S> {
-        self.spmv_traced_with(x, probe, tracer, &Executor::from_env())
-    }
-
-    /// [`DaspMatrix::spmv_traced`] under an explicit executor.
-    pub fn spmv_traced_with<P: ShardableProbe>(
-        &self,
-        x: &[S],
-        probe: &mut P,
-        tracer: &Tracer,
-        exec: &Executor,
-    ) -> Vec<S> {
-        let mut y = vec![S::zero(); self.rows];
-        self.spmv_into_traced_with(x, &mut y, probe, tracer, exec);
-        y
-    }
-
-    /// [`DaspMatrix::spmv_into_traced_with`] under the process-default
-    /// executor.
-    pub fn spmv_into_traced<P: ShardableProbe>(
-        &self,
-        x: &[S],
-        y: &mut [S],
-        probe: &mut P,
-        tracer: &Tracer,
-    ) {
-        self.spmv_into_traced_with(x, y, probe, tracer, &Executor::from_env());
-    }
-
-    /// [`DaspMatrix::spmv_into`] with spans, under an explicit executor —
-    /// the single dispatch every other SpMV entry point funnels through.
+    ///
     /// Records a `spmv` root span and a
     /// `spmv.kernel.{long,medium,short13,short4,short22,short1}`
     /// child per kernel that runs; each span carries the probe counter
@@ -95,18 +48,18 @@ impl<S: Scalar> DaspMatrix<S> {
     /// shard merge completes inside each kernel, so the deltas still
     /// attribute correctly), so the children's deltas sum to the root's.
     /// The shared short-category launch accounting is recorded inside the
-    /// `short13` span. With a disabled tracer every span is inert and this
-    /// *is* the plain `spmv_into_with` path — the probe call sequence (and
-    /// thus `y` and all counters) is identical either way.
+    /// `short13` span. With a disabled tracer ([`Tracer::disabled`]) every
+    /// span is inert — the probe call sequence (and thus `y` and all
+    /// counters) is identical either way.
     ///
     /// When fleet-wide sanitizing is on (`DASP_SANITIZE`, see
-    /// [`dasp_sanitize::enabled`]) the run is transparently re-dispatched
+    /// [`dasp_sanitize::fleet!`]) the run is transparently re-dispatched
     /// through a [`dasp_sanitize::SanitizeProbe`] wrapping `probe`: `y` is
     /// bit-identical, order-independent counters merge back exactly, and
     /// any violations are published to the global
     /// [`dasp_sanitize::global_report`] (aborting afterwards in `abort`
     /// mode). A probe that is already sanitizing is never double-wrapped.
-    pub fn spmv_into_traced_with<P: ShardableProbe>(
+    pub fn spmv_into<P: ShardableProbe>(
         &self,
         x: &[S],
         y: &mut [S],
@@ -114,16 +67,10 @@ impl<S: Scalar> DaspMatrix<S> {
         tracer: &Tracer,
         exec: &Executor,
     ) {
-        if dasp_sanitize::enabled() && !probe.sanitizing() {
-            let mut sp = dasp_sanitize::SanitizeProbe::forked(probe);
-            self.spmv_into_traced_with_impl(x, y, &mut sp, tracer, exec);
-            dasp_sanitize::fleet_finish("spmv", sp, probe);
-        } else {
-            self.spmv_into_traced_with_impl(x, y, probe, tracer, exec);
-        }
+        dasp_sanitize::fleet!("spmv", probe => self.spmv_kernels(x, y, probe, tracer, exec))
     }
 
-    fn spmv_into_traced_with_impl<P: ShardableProbe>(
+    fn spmv_kernels<P: ShardableProbe>(
         &self,
         x: &[S],
         y: &mut [S],
@@ -223,93 +170,25 @@ impl<S: Scalar> DaspMatrix<S> {
         root.set_stats(probe.stats_snapshot().delta(&run_before));
     }
 
-    /// Multi-threaded `y = A x` across CPU cores: [`DaspMatrix::spmv_with`]
-    /// on the default [`ParExecutor`] with no instrumentation.
+    /// Computes `Y = A X` for several right-hand sides (`xs[j]` is the
+    /// j-th input vector) into caller-owned scratch: the batched SpMV
+    /// verb for request servers, solver loops and power iterations that
+    /// run many batches through one pair of long-lived buffers. `b` and
+    /// `y` are reshaped in place ([`dasp_sparse::DenseMat::reset`]) —
+    /// after warm-up no panel storage is allocated per call, only grown
+    /// when a batch exceeds every previous width. On return column `j` of
+    /// `y` is bit-identical to `spmv(xs[j])`.
     ///
-    /// Exploits the same independence the GPU does: every warp owns a
-    /// disjoint set of output rows (or a disjoint `warpVal` slot), so warp
-    /// bodies fan out over threads through [`dasp_simt::SharedSlice`].
-    /// Results are bit-identical to [`DaspMatrix::spmv`]. For
-    /// *instrumented* parallel runs, pass a probe to
-    /// [`DaspMatrix::spmv_with`] with [`Executor::par`] instead.
-    pub fn spmv_par(&self, x: &[S]) -> Vec<S> {
-        self.spmv_with(x, &mut NoProbe, &Executor::par())
-    }
-
-    /// Computes `Y = A X` for several right-hand sides (column-major:
-    /// `xs[j]` is the j-th input vector). Batches of two or more columns
-    /// — any count, there is no width cap — route through the SpMM
-    /// kernels ([`DaspMatrix::spmm`]): the columns pack into
-    /// [`dasp_sparse::DenseMat`] panels of up to 8 and the A-resident
-    /// sweep streams each A fragment and its index bytes **once for the
-    /// whole batch**, however many panels that is. Every output column
-    /// is bit-identical to the single-vector [`DaspMatrix::spmv`] of
-    /// that column, so callers observe the loop semantics at panel
-    /// traffic cost. Single-column (and empty) batches fall back to the
-    /// plain SpMV path.
-    pub fn spmv_batch<P: ShardableProbe>(&self, xs: &[Vec<S>], probe: &mut P) -> Vec<Vec<S>> {
-        if xs.len() >= 2 {
-            let b = dasp_sparse::DenseMat::from_columns(xs);
-            let y = self.spmm(&b, probe);
-            return (0..xs.len()).map(|j| y.column(j)).collect();
-        }
-        let mut out: Vec<Vec<S>> = xs.iter().map(|_| vec![S::zero(); self.rows]).collect();
-        for (x, y) in xs.iter().zip(out.iter_mut()) {
-            self.spmv_into(x, y, probe);
-        }
-        out
-    }
-
-    /// [`DaspMatrix::spmv_batch`] under an explicit [`ParExecutor`].
-    /// Batches of two or more columns run the SpMM kernels with the panel
-    /// *warps* fanned out over the executor's threads (probe shards merge
-    /// in chunk order, so order-independent counters equal
-    /// [`DaspMatrix::spmv_batch`]'s exactly and every output column stays
-    /// bit-identical to its single-vector SpMV). A single column fans out
-    /// the one column's own kernel warps.
-    ///
-    /// `par.seq_threshold()` applies to the warp count of each kernel;
-    /// use [`ParExecutor::with_seq_threshold`]`(0)` to force threading
-    /// even for tiny grids.
-    pub fn spmv_batch_par<P: ShardableProbe>(
-        &self,
-        xs: &[Vec<S>],
-        probe: &mut P,
-        par: &ParExecutor,
-    ) -> Vec<Vec<S>> {
-        if xs.len() >= 2 {
-            let b = dasp_sparse::DenseMat::from_columns(xs);
-            let y = self.spmm_with(&b, probe, &Executor::Par(*par));
-            return (0..xs.len()).map(|j| y.column(j)).collect();
-        }
-        // Slots start as empty (non-allocating) vectors: SharedSlice::write
-        // replaces without dropping, so the placeholder must own nothing.
-        let mut out: Vec<Vec<S>> = xs.iter().map(|_| Vec::new()).collect();
-        {
-            let slots = SharedSlice::new(&mut out);
-            par.run(xs.len(), probe, |j, p| {
-                let mut y = vec![S::zero(); self.rows];
-                self.spmv_into_with(&xs[j], &mut y, p, &Executor::seq());
-                slots.write(j, y);
-            });
-        }
-        out
-    }
-
-    /// [`DaspMatrix::spmv_batch`] into caller-owned scratch: the hot-path
-    /// variant for request servers and solver loops that run many batches
-    /// through one pair of long-lived buffers. `b` and `y` are reshaped
-    /// in place ([`dasp_sparse::DenseMat::reset`]) — after warm-up no
-    /// panel storage is allocated per call, only grown when a batch
-    /// exceeds every previous width. On return `y` holds the product;
-    /// column `j` of `y` is bit-identical to `spmv(xs[j])`.
-    ///
-    /// Width >= 2 routes through the SpMM panel sweep exactly as
-    /// [`DaspMatrix::spmv_batch`]; a single column runs the plain SpMV
-    /// kernels writing straight into `y`'s (degenerate, stride-1) panel
-    /// storage, so solo requests keep their single-vector counter
-    /// profile.
-    pub fn spmv_batch_into_traced_with<P: ShardableProbe>(
+    /// Batches of two or more columns — any count, there is no width cap
+    /// — pack into `b`'s panels of up to 8 and run the SpMM kernels
+    /// ([`DaspMatrix::spmm_into`]): the A-resident sweep streams each A
+    /// fragment and its index bytes **once for the whole batch**, however
+    /// many panels that is, and under a parallel executor the panel warps
+    /// fan out over its threads. A single column runs the plain SpMV
+    /// kernels ([`DaspMatrix::spmv_into`]) writing straight into `y`'s
+    /// (degenerate, stride-1) panel storage, so solo requests keep their
+    /// single-vector counter profile.
+    pub fn spmv_batch_into<P: ShardableProbe>(
         &self,
         xs: &[&[S]],
         b: &mut dasp_sparse::DenseMat<S>,
@@ -320,22 +199,14 @@ impl<S: Scalar> DaspMatrix<S> {
     ) {
         y.reset(self.rows, xs.len());
         if xs.len() == 1 {
-            self.spmv_into_traced_with(xs[0], y.data_mut(), probe, tracer, exec);
+            self.spmv_into(xs[0], y.data_mut(), probe, tracer, exec);
             return;
         }
         b.reset(self.cols, xs.len());
         for (j, x) in xs.iter().enumerate() {
             b.set_column(j, x);
         }
-        self.spmm_into_traced_with(b, y, probe, tracer, exec);
-    }
-
-    /// Convenience wrapper taking and returning `f64` regardless of the
-    /// storage precision (useful for solvers; conversion costs are not
-    /// probed).
-    pub fn spmv_f64<P: ShardableProbe>(&self, x: &[f64], probe: &mut P) -> Vec<f64> {
-        let xs: Vec<S> = x.iter().map(|&v| S::from_f64(v)).collect();
-        self.spmv(&xs, probe).iter().map(|v| v.to_f64()).collect()
+        self.spmm_into(b, y, probe, tracer, exec);
     }
 }
 
@@ -436,16 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_f64_wrapper_round_trips() {
-        let csr = dense_mixed_matrix();
-        let d = DaspMatrix::<f64>::from_csr(&csr);
-        let x: Vec<f64> = (0..600).map(|i| (i % 3) as f64).collect();
-        let via_wrapper = d.spmv_f64(&x, &mut NoProbe);
-        let direct = d.spmv(&x, &mut NoProbe);
-        assert_eq!(via_wrapper, direct);
-    }
-
-    #[test]
     #[should_panic(expected = "x length")]
     fn wrong_x_length_panics() {
         let csr = dense_mixed_matrix();
@@ -458,7 +319,21 @@ mod tests {
 mod par_tests {
     use super::*;
     use dasp_simt::NoProbe;
-    use dasp_sparse::{Coo, Csr};
+    use dasp_sparse::{Coo, Csr, DenseMat};
+
+    /// `Y = A X` through [`DaspMatrix::spmv_batch_into`], returned as
+    /// columns.
+    fn spmv_batch<P: ShardableProbe>(
+        d: &DaspMatrix<f64>,
+        xs: &[Vec<f64>],
+        probe: &mut P,
+        exec: &Executor,
+    ) -> Vec<Vec<f64>> {
+        let refs: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
+        let (mut b, mut y) = (DenseMat::zeros(0, 0), DenseMat::zeros(0, 0));
+        d.spmv_batch_into(&refs, &mut b, &mut y, probe, &Tracer::disabled(), exec);
+        (0..xs.len()).map(|j| y.column(j)).collect()
+    }
 
     fn mixed(seed: u64, rows: usize, cols: usize) -> Csr<f64> {
         use rand::rngs::SmallRng;
@@ -494,7 +369,7 @@ mod par_tests {
             let d = DaspMatrix::from_csr(&csr);
             let x = dasp_matgen::dense_vector(csr.cols, seed);
             let seq = d.spmv(&x, &mut NoProbe);
-            let par = d.spmv_par(&x);
+            let par = d.spmv_with(&x, &mut NoProbe, &Executor::par());
             assert_eq!(seq, par, "seed {seed}");
         }
     }
@@ -507,7 +382,7 @@ mod par_tests {
         let d = DaspMatrix::from_csr(&csr);
         let x = dasp_matgen::dense_vector(csr.cols, 7);
         let seq = d.spmv(&x, &mut NoProbe);
-        let par = d.spmv_par(&x);
+        let par = d.spmv_with(&x, &mut NoProbe, &Executor::par());
         assert_eq!(seq, par);
     }
 
@@ -518,7 +393,7 @@ mod par_tests {
         let xs: Vec<Vec<f64>> = (0..4)
             .map(|j| dasp_matgen::dense_vector(csr.cols, j))
             .collect();
-        let batch = d.spmv_batch(&xs, &mut NoProbe);
+        let batch = spmv_batch(&d, &xs, &mut NoProbe, &Executor::from_env());
         for (j, x) in xs.iter().enumerate() {
             assert_eq!(batch[j], d.spmv(x, &mut NoProbe), "column {j}");
         }
@@ -534,7 +409,7 @@ mod par_tests {
             .map(|j| dasp_matgen::dense_vector(csr.cols, 100 + j))
             .collect();
         let mut probe = CountingProbe::a100();
-        let batch = d.spmv_batch(&xs, &mut probe);
+        let batch = spmv_batch(&d, &xs, &mut probe, &Executor::from_env());
         for (j, x) in xs.iter().enumerate() {
             assert_eq!(batch[j], d.spmv(x, &mut NoProbe), "column {j}");
         }
@@ -547,9 +422,6 @@ mod par_tests {
 
     #[test]
     fn batch_into_reuses_scratch_and_matches_spmv() {
-        use dasp_simt::Executor;
-        use dasp_sparse::DenseMat;
-        use dasp_trace::Tracer;
         let csr = mixed(5, 300, 400);
         let d = DaspMatrix::from_csr(&csr);
         let mut b = DenseMat::<f64>::zeros(0, 0);
@@ -564,7 +436,7 @@ mod par_tests {
                 .map(|j| dasp_matgen::dense_vector(csr.cols, 40 + (i * 8 + j) as u64))
                 .collect();
             let refs: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
-            d.spmv_batch_into_traced_with(
+            d.spmv_batch_into(
                 &refs,
                 &mut b,
                 &mut y,
@@ -587,20 +459,17 @@ mod par_tests {
 
     #[test]
     fn batch_into_matches_spmv_batch_across_executors() {
-        use dasp_simt::Executor;
-        use dasp_sparse::DenseMat;
-        use dasp_trace::Tracer;
         let csr = mixed(7, 500, 600);
         let d = DaspMatrix::from_csr(&csr);
         let xs: Vec<Vec<f64>> = (0..5)
             .map(|j| dasp_matgen::dense_vector(csr.cols, j))
             .collect();
-        let want = d.spmv_batch(&xs, &mut NoProbe);
+        let want = spmv_batch(&d, &xs, &mut NoProbe, &Executor::from_env());
         for exec in [Executor::seq(), Executor::par()] {
             let refs: Vec<&[f64]> = xs.iter().map(|v| v.as_slice()).collect();
             let mut b = DenseMat::zeros(0, 0);
             let mut y = DenseMat::zeros(0, 0);
-            d.spmv_batch_into_traced_with(
+            d.spmv_batch_into(
                 &refs,
                 &mut b,
                 &mut y,
@@ -617,12 +486,15 @@ mod par_tests {
     #[test]
     fn parallel_handles_empty_matrix() {
         let d = DaspMatrix::from_csr(&Csr::<f64>::empty(5, 5));
-        assert_eq!(d.spmv_par(&[0.0; 5]), vec![0.0; 5]);
+        assert_eq!(
+            d.spmv_with(&[0.0; 5], &mut NoProbe, &Executor::par()),
+            vec![0.0; 5]
+        );
     }
 
     #[test]
     fn instrumented_parallel_counters_match_sequential() {
-        use dasp_simt::{CountingProbe, Executor};
+        use dasp_simt::CountingProbe;
         let csr = mixed(11, 2_000, 1_500);
         let d = DaspMatrix::from_csr(&csr);
         let x = dasp_matgen::dense_vector(csr.cols, 3);
@@ -638,27 +510,6 @@ mod par_tests {
         assert_eq!(
             par_probe.stats().x_hits + par_probe.stats().x_misses,
             par_probe.stats().x_requests
-        );
-    }
-
-    #[test]
-    fn batch_par_fans_columns_and_merges_counters() {
-        use dasp_simt::{CountingProbe, ParExecutor};
-        let csr = mixed(5, 300, 400);
-        let d = DaspMatrix::from_csr(&csr);
-        let xs: Vec<Vec<f64>> = (0..4)
-            .map(|j| dasp_matgen::dense_vector(csr.cols, j))
-            .collect();
-        let mut seq_probe = CountingProbe::a100();
-        let batch = d.spmv_batch(&xs, &mut seq_probe);
-        let mut par_probe = CountingProbe::a100();
-        // threshold 0: thread even four columns.
-        let par = ParExecutor::new().with_seq_threshold(0);
-        let batch_par = d.spmv_batch_par(&xs, &mut par_probe, &par);
-        assert_eq!(batch, batch_par);
-        assert_eq!(
-            seq_probe.stats().order_independent(),
-            par_probe.stats().order_independent()
         );
     }
 }

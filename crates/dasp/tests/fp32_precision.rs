@@ -3,7 +3,7 @@
 //! precision regime of AlphaSparse (which the paper mentions in §4.1).
 
 use dasp_core::DaspMatrix;
-use dasp_simt::NoProbe;
+use dasp_simt::{Executor, NoProbe};
 use dasp_sparse::Csr;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -61,7 +61,7 @@ proptest! {
         let d = DaspMatrix::from_csr(&csr);
         let x: Vec<f32> = (0..500).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
         let seq = d.spmv(&x, &mut NoProbe);
-        let par = d.spmv_par(&x);
+        let par = d.spmv_with(&x, &mut NoProbe, &Executor::par());
         prop_assert_eq!(seq, par);
     }
 }

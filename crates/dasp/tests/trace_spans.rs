@@ -2,9 +2,22 @@
 //! and the zero-cost guarantee of the disabled-tracer path.
 
 use dasp_core::DaspMatrix;
-use dasp_simt::{CountingProbe, KernelStats, NoProbe};
+use dasp_simt::{CountingProbe, Executor, KernelStats, NoProbe, ShardableProbe};
 use dasp_sparse::{Coo, Csr};
 use dasp_trace::{chrome_trace_json, validate_json, Tracer, WarpProfiler};
+
+/// `y = A x` through the SpMV funnel with `tracer`, under the
+/// process-default executor.
+fn spmv_traced<P: ShardableProbe>(
+    d: &DaspMatrix<f64>,
+    x: &[f64],
+    probe: &mut P,
+    tracer: &Tracer,
+) -> Vec<f64> {
+    let mut y = vec![0.0; d.rows];
+    d.spmv_into(x, &mut y, probe, tracer, &Executor::from_env());
+    y
+}
 
 /// A matrix exercising every category kernel: long rows (>256 nnz), medium
 /// rows, and short rows of every length 1..=4 (plus empties), in counts
@@ -76,7 +89,7 @@ fn trace_covers_kernels_and_phases_with_exact_deltas() {
     let tracer = Tracer::new();
     let d = DaspMatrix::from_csr_traced(&csr, &tracer);
     let mut probe = CountingProbe::a100();
-    let y_traced = d.spmv_traced(&x, &mut probe, &tracer);
+    let y_traced = spmv_traced(&d, &x, &mut probe, &tracer);
     let traced_stats = probe.stats();
     let trace = tracer.take_trace();
 
@@ -142,7 +155,7 @@ fn disabled_tracer_adds_zero_counted_instructions() {
 
     let d = DaspMatrix::from_csr_traced(&csr, &disabled);
     let mut probe = CountingProbe::a100();
-    let y = d.spmv_traced(&x, &mut probe, &disabled);
+    let y = spmv_traced(&d, &x, &mut probe, &disabled);
 
     assert_eq!(y, y_plain);
     assert_eq!(probe.stats(), plain_probe.stats());
@@ -163,7 +176,7 @@ fn fully_instrumented_run_is_bit_identical_to_noprobe() {
 
     let tracer = Tracer::new();
     let mut profiler = WarpProfiler::new(CountingProbe::a100());
-    let y_inst = d.spmv_traced(&x, &mut profiler, &tracer);
+    let y_inst = spmv_traced(&d, &x, &mut profiler, &tracer);
 
     assert_eq!(y_inst, y_bare);
     let (_, profile) = profiler.into_parts();
@@ -224,7 +237,7 @@ mod properties {
 
             let tracer = Tracer::new();
             let mut profiler = WarpProfiler::new(CountingProbe::a100());
-            let inst = d.spmv_traced(&x, &mut profiler, &tracer);
+            let inst = spmv_traced(&d, &x, &mut profiler, &tracer);
             prop_assert_eq!(&inst, &bare);
 
             let trace = tracer.take_trace();
@@ -249,7 +262,7 @@ fn empty_matrix_traces_cleanly() {
     let tracer = Tracer::new();
     let d = DaspMatrix::from_csr_traced(&csr, &tracer);
     let mut probe = CountingProbe::a100();
-    let y = d.spmv_traced(&[0.0; 8], &mut probe, &tracer);
+    let y = spmv_traced(&d, &[0.0; 8], &mut probe, &tracer);
     assert_eq!(y, vec![0.0; 8]);
     let trace = tracer.take_trace();
     trace.check_balanced().expect("balanced");

@@ -11,10 +11,10 @@
 //! work targets) and then one extra traced run, unreported in the wall
 //! series, that supplies the modeled time, the counters, and the spans.
 
+use dasp_core::DaspParams;
 use dasp_matgen::dense_vector;
 use dasp_perf::{
-    a100, h800, measure_spmm_traced_with, measure_spmm_with, measure_traced_with, measure_with,
-    DeviceModel, MethodKind, WallSeries,
+    a100, h800, measure_spmm_traced_with, measure_traced_with, DeviceModel, MethodKind, WallSeries,
 };
 use dasp_simt::Executor;
 use dasp_sparse::{Csr, DenseMat};
@@ -132,7 +132,8 @@ pub fn run_suite(cfg: &SuiteConfig, matrices: &[(&str, Csr<f64>)]) -> SuiteOutco
                 id: format!("spmv/{mat_name}/{}", method.name()),
                 nnz,
                 run: Box::new(move || {
-                    let _ = measure_with(method, csr, &x_run, &dev, &exec);
+                    let _ =
+                        measure_traced_with(method, csr, &x_run, &dev, &Tracer::disabled(), &exec);
                 }),
                 traced: Box::new(move |t| {
                     let m = measure_traced_with(method, csr, &x_traced, &dev, t, &exec);
@@ -157,10 +158,12 @@ pub fn run_suite(cfg: &SuiteConfig, matrices: &[(&str, Csr<f64>)]) -> SuiteOutco
                     id: format!("spmm/{mat_name}/{}/rhs{width}", method.name()),
                     nnz,
                     run: Box::new(move || {
-                        let _ = measure_spmm_with(method, csr, &b_run, &dev, &exec);
+                        let (p, off) = (DaspParams::default(), Tracer::disabled());
+                        let _ = measure_spmm_traced_with(method, csr, &b_run, p, &dev, &off, &exec);
                     }),
                     traced: Box::new(move |t| {
-                        let m = measure_spmm_traced_with(method, csr, &b_traced, &dev, t, &exec);
+                        let p = DaspParams::default();
+                        let m = measure_spmm_traced_with(method, csr, &b_traced, p, &dev, t, &exec);
                         (
                             modeled(m.estimate.seconds, m.estimate.shares(), m.gflops),
                             traffic(&m.stats),

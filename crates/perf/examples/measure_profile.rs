@@ -1,4 +1,4 @@
-//! Phase breakdown of one `measure_with`-shaped run: format build vs
+//! Phase breakdown of one untraced `measure_traced_with` run: format build vs
 //! instrumented kernel vs packaging, for the workloads that drag the
 //! suite's wall-clock trajectory. Run with `cargo run --release -p
 //! dasp-perf --example measure_profile`.
@@ -7,10 +7,12 @@ use std::time::Instant;
 
 use dasp_baselines::Baseline;
 use dasp_core::DaspMatrix;
+use dasp_core::DaspParams;
 use dasp_matgen::{banded, dense_vector};
-use dasp_perf::{a100, measure_spmm_with, measure_with, MethodKind};
+use dasp_perf::{a100, measure_spmm_traced_with, measure_traced_with, MethodKind};
 use dasp_simt::{CountingProbe, Executor};
 use dasp_sparse::DenseMat;
+use dasp_trace::Tracer;
 
 fn best_us(mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -50,9 +52,10 @@ fn main() {
         })
     );
     println!(
-        "  dasp measure_with   {:8.1} us",
+        "  dasp measure        {:8.1} us",
         best_us(|| {
-            let _ = measure_with(MethodKind::Dasp, &csr, &x, &dev, &exec);
+            let off = Tracer::disabled();
+            let _ = measure_traced_with(MethodKind::Dasp, &csr, &x, &dev, &off, &exec);
         })
     );
     let cols: Vec<Vec<f64>> = (0..8).map(|j| dense_vector(csr.cols, 50 + j)).collect();
@@ -67,7 +70,8 @@ fn main() {
     println!(
         "  dasp measure_spmm8  {:8.1} us",
         best_us(|| {
-            let _ = measure_spmm_with(MethodKind::Dasp, &csr, &b, &dev, &exec);
+            let (p, off) = (DaspParams::default(), Tracer::disabled());
+            let _ = measure_spmm_traced_with(MethodKind::Dasp, &csr, &b, p, &dev, &off, &exec);
         })
     );
 
@@ -82,7 +86,9 @@ fn main() {
     println!(
         "  csrscalar msr_spmm1 {:8.1} us",
         best_us(|| {
-            let _ = measure_spmm_with(MethodKind::CsrScalar, &csr, &b1, &dev, &exec);
+            let (p, off) = (DaspParams::default(), Tracer::disabled());
+            let _ =
+                measure_spmm_traced_with(MethodKind::CsrScalar, &csr, &b1, p, &dev, &off, &exec);
         })
     );
     println!(
@@ -100,7 +106,7 @@ fn main() {
         let m = Baseline::build(name, &csr).unwrap();
         let run = best_us(|| {
             let mut p = CountingProbe::new(dev.l2_cache());
-            let _ = m.spmv_with(&x, &mut p, &exec);
+            let _ = m.spmv_traced_with(&x, &mut p, &Tracer::disabled(), &exec);
         });
         let kind = MethodKind::all()
             .iter()
@@ -108,7 +114,7 @@ fn main() {
             .find(|k| k.name() == name)
             .unwrap();
         let total = best_us(|| {
-            let _ = measure_with(kind, &csr, &x, &dev, &exec);
+            let _ = measure_traced_with(kind, &csr, &x, &dev, &Tracer::disabled(), &exec);
         });
         println!("  {name:14} build {build:8.1} us  run {run:8.1} us  measure {total:8.1} us");
     }

@@ -47,9 +47,7 @@ pub use estimate::{estimate, Estimate};
 pub use metrics::{effective_bandwidth_gbs, gflops};
 pub use report::{geomean, speedup_summary, SpeedupSummary};
 pub use runner::{
-    measure, measure_looped_spmv, measure_looped_spmv_with, measure_spmm,
-    measure_spmm_params_traced_with, measure_spmm_traced_with, measure_spmm_with, measure_traced,
-    measure_traced_with, measure_with, precision_of, record_measurement, record_spmm_measurement,
-    Measurement, MethodKind, SpmmMeasurement,
+    measure, measure_looped_spmv_with, measure_spmm_traced_with, measure_traced_with, precision_of,
+    record_measurement, record_spmm_measurement, Measurement, MethodKind, SpmmMeasurement,
 };
 pub use series::{median, WallSeries};

@@ -158,47 +158,31 @@ fn package<S: Scalar>(
 /// Runs `method` on `csr` (input vector `x`) under a counting probe with
 /// `dev`'s L2 model and returns the measurement. Format conversion happens
 /// inside (it is not part of the estimated kernel time — preprocessing is
-/// measured separately, as in the paper's Fig. 13). The executor comes
-/// from the environment ([`Executor::from_env`]).
+/// measured separately, as in the paper's Fig. 13). Untraced; the executor
+/// comes from the environment ([`Executor::from_env`]).
 pub fn measure<S: Scalar>(
     method: MethodKind,
     csr: &Csr<S>,
     x: &[S],
     dev: &DeviceModel,
 ) -> Measurement {
-    measure_with(method, csr, x, dev, &Executor::from_env())
+    measure_traced_with(
+        method,
+        csr,
+        x,
+        dev,
+        &Tracer::disabled(),
+        &Executor::from_env(),
+    )
 }
 
-/// [`measure`] under an explicit executor: [`measure_traced_with`] with a
-/// disabled tracer, which records nothing. `y` and the order-independent
-/// counters are bit-identical across executors; only the x-cache hit/miss
-/// split (and thus the time estimate) is a per-shard approximation under
-/// the parallel executor — use the sequential executor for paper figures.
-pub fn measure_with<S: Scalar>(
-    method: MethodKind,
-    csr: &Csr<S>,
-    x: &[S],
-    dev: &DeviceModel,
-    exec: &Executor,
-) -> Measurement {
-    measure_traced_with(method, csr, x, dev, &Tracer::disabled(), exec)
-}
-
-/// [`measure`] with tracing: DASP runs record preprocessing and per-kernel
-/// spans, baselines record a `spmv.kernel.<name>` span. Counters and `y`
-/// are identical to the untraced path. The executor comes from the
-/// environment ([`Executor::from_env`]).
-pub fn measure_traced<S: Scalar>(
-    method: MethodKind,
-    csr: &Csr<S>,
-    x: &[S],
-    dev: &DeviceModel,
-    tracer: &Tracer,
-) -> Measurement {
-    measure_traced_with(method, csr, x, dev, tracer, &Executor::from_env())
-}
-
-/// [`measure_traced`] under an explicit executor.
+/// [`measure`] under an explicit tracer and executor. DASP runs record
+/// preprocessing and per-kernel spans, baselines a `spmv.kernel.<name>`
+/// span; with [`Tracer::disabled`] nothing is recorded, and counters and
+/// `y` are identical either way. `y` and the order-independent counters
+/// are bit-identical across executors; only the x-cache hit/miss split
+/// (and thus the time estimate) is a per-shard approximation under the
+/// parallel executor — use the sequential executor for paper figures.
 pub fn measure_traced_with<S: Scalar>(
     method: MethodKind,
     csr: &Csr<S>,
@@ -211,7 +195,8 @@ pub fn measure_traced_with<S: Scalar>(
         MethodKind::Dasp => {
             let mut probe = CountingProbe::new(dev.l2_cache());
             let d = DaspMatrix::from_csr_traced(csr, tracer);
-            let y = d.spmv_traced_with(x, &mut probe, tracer, exec);
+            let mut y = vec![S::zero(); csr.rows];
+            d.spmv_into(x, &mut y, &mut probe, tracer, exec);
             package(method, csr, probe.stats(), y, dev)
         }
         MethodKind::VendorBsr => {
@@ -296,58 +281,16 @@ fn package_spmm<S: Scalar>(
 }
 
 /// Measures `Y = A B` with the panel-at-a-time SpMM kernels under a
-/// counting probe with `dev`'s L2 model. Supported methods: [`MethodKind::Dasp`]
-/// (the multi-RHS MMA kernels) and [`MethodKind::CsrScalar`] (the scalar
-/// reference SpMM). The executor comes from the environment.
-pub fn measure_spmm<S: Scalar>(
-    method: MethodKind,
-    csr: &Csr<S>,
-    b: &DenseMat<S>,
-    dev: &DeviceModel,
-) -> SpmmMeasurement {
-    measure_spmm_with(method, csr, b, dev, &Executor::from_env())
-}
-
-/// [`measure_spmm`] under an explicit executor.
-pub fn measure_spmm_with<S: Scalar>(
-    method: MethodKind,
-    csr: &Csr<S>,
-    b: &DenseMat<S>,
-    dev: &DeviceModel,
-    exec: &Executor,
-) -> SpmmMeasurement {
-    measure_spmm_traced_with(method, csr, b, dev, &Tracer::disabled(), exec)
-}
-
-/// [`measure_spmm`] with tracing under an explicit executor: the DASP path
-/// records the `spmm` root span with its per-category children (each
-/// carrying an `rhs_width` arg); the scalar reference records nothing
-/// extra. Counters and `Y` are identical to the untraced path.
-pub fn measure_spmm_traced_with<S: Scalar>(
-    method: MethodKind,
-    csr: &Csr<S>,
-    b: &DenseMat<S>,
-    dev: &DeviceModel,
-    tracer: &Tracer,
-    exec: &Executor,
-) -> SpmmMeasurement {
-    measure_spmm_params_traced_with(
-        method,
-        csr,
-        b,
-        dasp_core::DaspParams::default(),
-        dev,
-        tracer,
-        exec,
-    )
-}
-
-/// [`measure_spmm_traced_with`] with explicit [`dasp_core::DaspParams`]
-/// for the DASP build — the hook the `--reorder` CLI flag and the ext3
+/// counting probe with `dev`'s L2 model. Supported methods:
+/// [`MethodKind::Dasp`] (the multi-RHS MMA kernels, built with `params`)
+/// and [`MethodKind::CsrScalar`] (the scalar reference SpMM, which ignores
+/// `params`). `params` is the hook the `--reorder` CLI flag and the ext3
 /// reorder ablation use (`params.reorder` toggles the row-similarity
-/// pass; `y` is bit-identical either way, only x-locality moves).
-/// Non-DASP methods ignore the params.
-pub fn measure_spmm_params_traced_with<S: Scalar>(
+/// pass; `Y` is bit-identical either way, only x-locality moves). The
+/// DASP path records the `spmm` root span with its per-category children
+/// (each carrying an `rhs_width` arg) on `tracer`; the scalar reference
+/// records nothing extra. Counters and `Y` do not depend on the tracer.
+pub fn measure_spmm_traced_with<S: Scalar>(
     method: MethodKind,
     csr: &Csr<S>,
     b: &DenseMat<S>,
@@ -361,7 +304,7 @@ pub fn measure_spmm_params_traced_with<S: Scalar>(
         MethodKind::Dasp => {
             let d = DaspMatrix::with_params_traced(csr, params, tracer);
             let mut y = DenseMat::zeros(csr.rows, b.cols());
-            d.spmm_into_traced_with(b, &mut y, &mut probe, tracer, exec);
+            d.spmm_into(b, &mut y, &mut probe, tracer, exec);
             y
         }
         MethodKind::CsrScalar => CsrScalar::new(csr).spmm_with(b, &mut probe, exec),
@@ -374,20 +317,11 @@ pub fn measure_spmm_params_traced_with<S: Scalar>(
     package_spmm(method, csr, false, probe.stats(), panel_traffic, cols, dev)
 }
 
-/// Measures the looped-SpMV baseline for the same product: one full
-/// single-vector SpMV per column of `b`, counters summed across the loop
-/// (A and its indices re-stream once per column — the traffic SpMM
-/// amortizes away). Any [`MethodKind`] with an SpMV kernel works.
-pub fn measure_looped_spmv<S: Scalar>(
-    method: MethodKind,
-    csr: &Csr<S>,
-    b: &DenseMat<S>,
-    dev: &DeviceModel,
-) -> SpmmMeasurement {
-    measure_looped_spmv_with(method, csr, b, dev, &Executor::from_env())
-}
-
-/// [`measure_looped_spmv`] under an explicit executor.
+/// Measures the looped-SpMV baseline for the same product under an
+/// explicit executor: one full single-vector SpMV per column of `b`,
+/// counters summed across the loop (A and its indices re-stream once per
+/// column — the traffic SpMM amortizes away). Any [`MethodKind`] with an
+/// SpMV kernel works.
 pub fn measure_looped_spmv_with<S: Scalar>(
     method: MethodKind,
     csr: &Csr<S>,
@@ -400,7 +334,7 @@ pub fn measure_looped_spmv_with<S: Scalar>(
     for j in 0..b.cols() {
         // Fresh probe per column: consecutive kernels do not share an
         // x-cache on hardware either (the vector changes every launch).
-        let m = measure_with(method, csr, &b.column(j), dev, exec);
+        let m = measure_traced_with(method, csr, &b.column(j), dev, &Tracer::disabled(), exec);
         stats.merge(&m.stats);
         cols.push(m.y);
     }
@@ -516,7 +450,15 @@ mod tests {
         let b = DenseMat::from_columns(&cols);
         let dev = a100();
         let exec = Executor::seq();
-        let spmm = measure_spmm_with(MethodKind::Dasp, &csr, &b, &dev, &exec);
+        let spmm = measure_spmm_traced_with(
+            MethodKind::Dasp,
+            &csr,
+            &b,
+            dasp_core::DaspParams::default(),
+            &dev,
+            &Tracer::disabled(),
+            &exec,
+        );
         let looped = measure_looped_spmv_with(MethodKind::Dasp, &csr, &b, &dev, &exec);
         // Same values, column for column, bit for bit.
         assert_eq!(spmm.y, looped.y);
@@ -542,7 +484,15 @@ mod tests {
             .collect();
         let b = DenseMat::from_columns(&cols);
         let registry = dasp_trace::Registry::default();
-        let m = measure_spmm_with(MethodKind::Dasp, &csr, &b, &a100(), &Executor::seq());
+        let m = measure_spmm_traced_with(
+            MethodKind::Dasp,
+            &csr,
+            &b,
+            dasp_core::DaspParams::default(),
+            &a100(),
+            &Tracer::disabled(),
+            &Executor::seq(),
+        );
         record_spmm_measurement(&m, &registry);
         let l = measure_looped_spmv_with(MethodKind::Dasp, &csr, &b, &a100(), &Executor::seq());
         record_spmm_measurement(&l, &registry);
@@ -564,7 +514,15 @@ mod tests {
             .collect();
         let b = DenseMat::from_columns(&cols);
         let dev = a100();
-        let m = measure_spmm_with(MethodKind::Dasp, &csr, &b, &dev, &Executor::seq());
+        let m = measure_spmm_traced_with(
+            MethodKind::Dasp,
+            &csr,
+            &b,
+            dasp_core::DaspParams::default(),
+            &dev,
+            &Tracer::disabled(),
+            &Executor::seq(),
+        );
         let pt = m
             .panel_traffic
             .as_ref()

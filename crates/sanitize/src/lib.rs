@@ -35,10 +35,13 @@
 //!
 //! # Fleet mode: `DASP_SANITIZE`
 //!
-//! Setting `DASP_SANITIZE=1` (or `abort`) makes every SpMV/SpMM/baseline
-//! entry point wrap its probe in a [`SanitizeProbe`] transparently; any
-//! error-class violation panics with the report, so `DASP_SANITIZE=1
-//! cargo test` fails on the first detected bug. `DASP_SANITIZE=report`
+//! Setting `DASP_SANITIZE=1` (or `abort`) makes every kernel verb wrap
+//! its probe in a [`SanitizeProbe`] transparently — the DASP funnels
+//! `spmv_into`/`spmm_into` (which every other DASP verb goes through) and
+//! each baseline's `spmv_with` plus `CsrScalar::spmm_with`, all through
+//! the one [`fleet!`] re-dispatch. Any error-class violation panics
+//! with the report, so `DASP_SANITIZE=1 cargo test` fails on the first
+//! detected bug. `DASP_SANITIZE=report`
 //! collects into the process-global report (see [`global_report`])
 //! without aborting — the mode the `dasp-spmv --sanitize` flag uses.
 //!
@@ -114,6 +117,33 @@ pub fn global_report() -> Report {
 /// Clears the process-global report (test isolation).
 pub fn reset_global() {
     *global().lock().unwrap() = Report::new();
+}
+
+/// Runs a kernel entry's body under the fleet sanitizer when
+/// `DASP_SANITIZE` is on — the one re-dispatch every SpMV/SpMM verb goes
+/// through.
+///
+/// `fleet!(entry, probe => body)` evaluates `body` with `probe` (a
+/// `&mut P` for some [`ShardableProbe`] `P`) rebound to a
+/// [`SanitizeProbe`] forked from it, then hands the shard back through
+/// [`fleet_finish`]; with sanitizing off, or when `probe` is already a
+/// sanitizer, `body` runs on `probe` itself. A macro rather than a
+/// function because `body` is instantiated at two probe types.
+#[macro_export]
+macro_rules! fleet {
+    ($entry:expr, $probe:ident => $body:expr) => {
+        if $crate::enabled() && !$probe.sanitizing() {
+            let mut sanitizer = $crate::SanitizeProbe::forked(&*$probe);
+            let out = {
+                let $probe = &mut sanitizer;
+                $body
+            };
+            $crate::fleet_finish($entry, sanitizer, $probe);
+            out
+        } else {
+            $body
+        }
+    };
 }
 
 /// Finishes a fleet-wrapped run: merges the sanitizer's forked shard back

@@ -40,9 +40,10 @@
 //! * **Coalescing.** Consecutive single-vector SpMV requests at the head
 //!   of a queue (any tenant) merge into one batch of up to
 //!   `max_batch` columns and run through
-//!   [`dasp_core::DaspMatrix::spmv_batch_into_traced_with`] — the SpMM
-//!   panel sweep, which streams A's values and indices **once for the
-//!   whole batch**. Every response is bit-identical to a direct
+//!   [`dasp_core::DaspMatrix::spmv_batch_into`], the batched SpMV verb —
+//!   the SpMM panel sweep, which streams A's values and indices **once
+//!   for the whole batch**; SpMM requests run
+//!   [`dasp_core::DaspMatrix::spmm_into`]. Every response is bit-identical to a direct
 //!   single-vector `spmv` of the same request (the SpMM kernels'
 //!   column-equivalence guarantee).
 //! * **Bounded wait.** A partial batch flushes as soon as the oldest

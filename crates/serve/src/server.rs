@@ -759,7 +759,7 @@ fn run_batch<S: Scalar, P: ShardableProbe>(
                 _ => unreachable!("coalesced batches contain only SpMV requests"),
             })
             .collect();
-        m.spmv_batch_into_traced_with(
+        m.spmv_batch_into(
             &xs,
             &mut scratch.b,
             &mut scratch.y,
@@ -784,7 +784,7 @@ fn run_batch<S: Scalar, P: ShardableProbe>(
                 scratch.b.set_column(j, c);
             }
             scratch.y.reset(m.rows, k);
-            m.spmm_into_traced_with(&scratch.b, &mut scratch.y, probe, &scratch.tracer, &exec);
+            m.spmm_into(&scratch.b, &mut scratch.y, probe, &scratch.tracer, &exec);
             let ys: Vec<Vec<S>> = (0..k).map(|j| scratch.y.column(j)).collect();
             finish(inner, env, Reply::Columns(ys), &scratch.lat_bounds);
         }

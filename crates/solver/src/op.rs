@@ -5,6 +5,7 @@
 use dasp_core::{DaspMatrix, RefreshError};
 use dasp_simt::{Executor, NoProbe};
 use dasp_sparse::{Csr, DenseMat};
+use dasp_trace::Tracer;
 
 use crate::SolveError;
 
@@ -90,7 +91,7 @@ impl LinearOperator for DaspMatrix<f64> {
         } else {
             Executor::seq()
         };
-        self.spmv_into_with(x, y, &mut NoProbe, &exec);
+        self.spmv_into(x, y, &mut NoProbe, &Tracer::disabled(), &exec);
     }
     fn apply_multi(&self, xs: &[Vec<f64>], ys: &mut [Vec<f64>]) {
         assert_eq!(xs.len(), ys.len(), "batch width mismatch");

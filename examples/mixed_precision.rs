@@ -17,7 +17,7 @@ use dasp_repro::dasp::DaspMatrix;
 use dasp_repro::fp16::F16;
 use dasp_repro::matgen;
 use dasp_repro::perf::{a100, estimate, measure, MethodKind, Precision};
-use dasp_repro::simt::{CountingProbe, NoProbe};
+use dasp_repro::simt::{CountingProbe, Executor, NoProbe};
 use dasp_repro::sparse::{Coo, Csr};
 
 /// A strictly diagonally dominant system (Jacobi converges).
@@ -82,7 +82,8 @@ fn main() {
 
     // FP64 path.
     let d64 = DaspMatrix::from_csr(&a);
-    let apply64 = |x: &[f64]| d64.spmv_par(x);
+    let par = Executor::par();
+    let apply64 = |x: &[f64]| d64.spmv_with(x, &mut NoProbe, &par);
     let (x64, it64, res64) = jacobi_refine(&a, &b, &apply64, 1e-12, 500);
 
     // Mixed path: the matrix lives in FP16; residual/update stay FP64.

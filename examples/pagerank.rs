@@ -7,11 +7,14 @@
 //! cargo run --release --example pagerank
 //! ```
 
-use dasp_repro::dasp::DaspMatrix;
+use dasp_repro::dasp::{DaspMatrix, DaspParams};
 use dasp_repro::matgen;
-use dasp_repro::perf::{a100, measure, measure_looped_spmv, measure_spmm, MethodKind};
-use dasp_repro::simt::{NoProbe, ParExecutor};
+use dasp_repro::perf::{
+    a100, measure, measure_looped_spmv_with, measure_spmm_traced_with, MethodKind,
+};
+use dasp_repro::simt::{Executor, NoProbe};
 use dasp_repro::sparse::{Coo, Csr, DenseMat};
+use dasp_repro::trace::Tracer;
 
 /// Column-normalizes an adjacency matrix and transposes it, producing the
 /// PageRank iteration matrix `M = A^T D^{-1}` (so `rank = M rank`).
@@ -52,8 +55,9 @@ fn main() {
     let d = 0.85;
     let mut rank = vec![1.0 / n as f64; n];
     let mut iters = 0;
+    let par = Executor::par(); // multi-threaded across CPU cores
     for k in 1..=200 {
-        let mv = dasp.spmv_par(&rank); // multi-threaded across CPU cores
+        let mv = dasp.spmv_with(&rank, &mut NoProbe, &par);
         let mut delta = 0.0;
         let teleport = (1.0 - d) / n as f64;
         let mut next = vec![0.0; n];
@@ -100,7 +104,6 @@ fn main() {
     // B-columns, so the graph (A values + column indices) streams once
     // per iteration instead of once per seed.
     let seeds: Vec<usize> = top.iter().take(8).map(|&(v, _)| v).collect();
-    let par = ParExecutor::new();
     let mut ranks: Vec<Vec<f64>> = seeds
         .iter()
         .map(|&s| {
@@ -111,8 +114,11 @@ fn main() {
         .collect();
     let mut iters_multi = 0;
     let mut last_delta = f64::INFINITY;
+    let (mut b, mut y) = (DenseMat::zeros(0, 0), DenseMat::zeros(0, 0));
     for k in 1..=200 {
-        let mvs = dasp.spmv_batch_par(&ranks, &mut NoProbe, &par);
+        let xs: Vec<&[f64]> = ranks.iter().map(|r| r.as_slice()).collect();
+        dasp.spmv_batch_into(&xs, &mut b, &mut y, &mut NoProbe, &Tracer::disabled(), &par);
+        let mvs: Vec<Vec<f64>> = (0..ranks.len()).map(|j| y.column(j)).collect();
         let mut max_delta = 0.0f64;
         for (s, (rank, mv)) in seeds.iter().zip(ranks.iter_mut().zip(&mvs)) {
             let mut next = vec![0.0; n];
@@ -151,8 +157,9 @@ fn main() {
     // The amortization, quantified on the modeled A100: one 8-wide SpMM
     // vs eight single-vector SpMVs.
     let b8 = DenseMat::from_columns(&ranks);
-    let spmm = measure_spmm(MethodKind::Dasp, &m, &b8, &dev);
-    let looped = measure_looped_spmv(MethodKind::Dasp, &m, &b8, &dev);
+    let (params, off, seq) = (DaspParams::default(), Tracer::disabled(), Executor::seq());
+    let spmm = measure_spmm_traced_with(MethodKind::Dasp, &m, &b8, params, &dev, &off, &seq);
+    let looped = measure_looped_spmv_with(MethodKind::Dasp, &m, &b8, &dev, &seq);
     println!(
         "8-seed iteration traffic: spmm {:.2} MB A+idx vs looped {:.2} MB ({:.2}x est. speedup)",
         spmm.a_idx_bytes_per_rhs * 8.0 / 1e6,

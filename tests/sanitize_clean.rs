@@ -16,6 +16,7 @@ use dasp_repro::fp16::{Scalar, F16};
 use dasp_repro::sanitize::SanitizeProbe;
 use dasp_repro::simt::{Executor, NoProbe, ParExecutor};
 use dasp_repro::sparse::{Coo, Csr, DenseMat};
+use dasp_repro::trace::Tracer;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -150,9 +151,9 @@ fn baselines_are_clean_and_bit_identical() {
     ] {
         let m = Baseline::build(name, &csr).unwrap();
         for exec in [Executor::seq(), forced_par()] {
-            let y_plain = m.spmv_with(&x, &mut NoProbe, &exec);
+            let y_plain = m.spmv_traced_with(&x, &mut NoProbe, &Tracer::disabled(), &exec);
             let mut sp = SanitizeProbe::new(NoProbe);
-            let y_san = m.spmv_with(&x, &mut sp, &exec);
+            let y_san = m.spmv_traced_with(&x, &mut sp, &Tracer::disabled(), &exec);
             let report = sp.report();
             assert!(report.is_clean(), "{name} diagnostics: {report}");
             assert_eq!(bits(&y_plain), bits(&y_san), "{name}: perturbed y");
