@@ -34,23 +34,17 @@ pub fn bench_matrices() -> Vec<(&'static str, Csr<f64>)> {
 }
 
 /// The observatory suite's workload matrices: the same four structural
-/// classes as [`bench_matrices`], at full size (`quick == false`) or
-/// scaled down (`quick == true`) for CI runs and the committed
-/// `BENCH_*.json` trajectory, where wall-clock budget matters more than
-/// the bandwidth-bound regime. Class names are identical across the two
-/// profiles so snapshot workload ids stay comparable; only the noise on a
-/// given machine decides which profile a diff should compare.
-pub fn suite_matrices(quick: bool) -> Vec<(&'static str, Csr<f64>)> {
-    if quick {
-        vec![
-            ("banded", dasp_matgen::banded(2_000, 24, 16, 901)),
-            ("stencil", dasp_matgen::stencil2d(48, 48, 5, 902)),
-            ("rmat", dasp_matgen::rmat(10, 8, 903)),
-            ("circuit", dasp_matgen::circuit_like(3_000, 6, 400, 904)),
-        ]
-    } else {
-        bench_matrices()
-    }
+/// classes as [`bench_matrices`], scaled down so one traced pass over the
+/// whole suite stays a few seconds even in a debug build. Their modeled
+/// rows are the committed `BENCH_*.json` golden file, so any change here
+/// is a re-baseline.
+pub fn suite_matrices() -> Vec<(&'static str, Csr<f64>)> {
+    vec![
+        ("banded", dasp_matgen::banded(2_000, 24, 16, 901)),
+        ("stencil", dasp_matgen::stencil2d(48, 48, 5, 902)),
+        ("rmat", dasp_matgen::rmat(10, 8, 903)),
+        ("circuit", dasp_matgen::circuit_like(3_000, 6, 400, 904)),
+    ]
 }
 
 /// Runs one instrumented measurement and prints the modeled metric so the

@@ -395,3 +395,58 @@ fn binaries_exit_normally_when_stdout_closes() {
     let json = std::fs::read_to_string(&verify_json).unwrap();
     assert!(json.contains("\"clean\":true"), "{json}");
 }
+
+/// Replaces the first value of `"key": N` in a snapshot with `edit(N)`.
+fn edit_first(snapshot: &str, key: &str, edit: impl Fn(&str) -> String) -> String {
+    let tag = format!("\"{key}\": ");
+    let start = snapshot.find(&tag).expect("key present") + tag.len();
+    let len = snapshot[start..].find([',', '}']).expect("value ends");
+    let value = &snapshot[start..start + len];
+    format!(
+        "{}{}{}",
+        &snapshot[..start],
+        edit(value),
+        &snapshot[start + len..]
+    )
+}
+
+#[test]
+fn bench_record_matches_the_committed_head_exactly() {
+    let dir = std::env::temp_dir().join("dasp_cli_bench_record_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let head = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_0003.json");
+    std::fs::copy(head, dir.join("BENCH_0003.json")).unwrap();
+    let run = |args: &[&str]| {
+        bin("dasp-bench")
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap()
+    };
+
+    // CI's own invocation: a bare file name, whose parent is "", still
+    // stamps the directory's next sequence number.
+    let out = run(&["record", "--out", "BENCH_ci.json"]);
+    assert!(out.status.success(), "{out:?}");
+    let fresh = std::fs::read_to_string(dir.join("BENCH_ci.json")).unwrap();
+    assert!(fresh.contains("\"seq\": 4,"), "{fresh}");
+
+    let out = run(&["diff", "BENCH_0003.json", "BENCH_ci.json"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("PASS: all 72 workloads identical (seq 3 -> 4)"));
+
+    // One ulp of modeled time, or one count of one counter, fails.
+    let next_ulp = |v: &str| f64::from_bits(v.parse::<f64>().unwrap().to_bits() + 1).to_string();
+    let plus_one = |v: &str| (v.parse::<u64>().unwrap() + 1).to_string();
+    for (key, edited) in [
+        ("us", edit_first(&fresh, "us", next_ulp)),
+        ("x_hits", edit_first(&fresh, "x_hits", plus_one)),
+    ] {
+        std::fs::write(dir.join("BENCH_edit.json"), edited).unwrap();
+        let out = run(&["diff", "BENCH_0003.json", "BENCH_edit.json"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{key}: {stdout}");
+        assert!(stdout.contains(&format!(".{key} ")), "{key}: {stdout}");
+    }
+}

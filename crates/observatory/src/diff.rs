@@ -1,81 +1,26 @@
-//! Noise-aware regression comparison between two snapshots.
+//! Exact comparison between two snapshots.
 //!
-//! Wall-clock medians are noisy, so a naive percent threshold either
-//! false-positives on quiet machines or misses real slowdowns on loud
-//! ones. The gate here requires **both** conditions:
-//!
-//! 1. the relative change exceeds the threshold (default 10%), and
-//! 2. the absolute change exceeds `mad_factor` (default 2) times the
-//!    combined standard error of the two medians.
-//!
-//! Each snapshot records the per-workload sample MAD; the uncertainty of
-//! a *median* of `n` samples is about `1.4826 * MAD / sqrt(n)` (the
-//! normal-consistent MAD scaling), and the two runs' errors add in
-//! quadrature. Using the raw MAD sum instead would conflate sample
-//! spread with median uncertainty: the suite's interleaved sampling
-//! deliberately lets each series absorb machine drift, so raw MADs run
-//! 5–10% of the median and a band of `3 * (mad_old + mad_new)` would
-//! swallow real 20% slowdowns.
-//!
-//! The band additionally has a **relative drift floor** (default 15% of
-//! the old median). Within-run statistics cannot see *between-run*
-//! machine drift — on a loaded shared host an entire run's sweeps can be
-//! 10–15% slower than a run a minute earlier, with every sample shifted
-//! together so the MAD stays small. The floor encodes that a shift a
-//! co-tenant can produce is not attributable to the code under test;
-//! only slowdowns past both the standard-error band and the floor fail
-//! the gate.
-//!
-//! Modeled GPU time is deterministic for a given build, so it gets a
-//! plain (tighter) relative threshold with no noise band. A workload that
-//! regresses on either axis fails the diff; a workload present in the
-//! old snapshot but missing from the new one also fails (a silently
-//! dropped workload must not pass a perf gate).
+//! Every field a snapshot holds is deterministic: the suite pins the
+//! device model and the sequential executor, and the model and counters
+//! are pure functions of the kernels. So the gate has no threshold and no
+//! noise band. A workload fails when it appears, disappears, or differs
+//! in `nnz` or in any of its 13 modeled, traffic or ops fields; the only
+//! way to move a modeled number is to commit a new `BENCH_<seq>.json` and
+//! say why.
 
 use crate::snapshot::{BenchSnapshot, Workload};
 use dasp_trace::{escape_json, fmt_f64};
 
-/// Thresholds for [`diff_snapshots`].
-#[derive(Debug, Clone, Copy)]
-pub struct DiffConfig {
-    /// Relative wall-clock change above which a slowdown is suspect.
-    pub wall_threshold: f64,
-    /// Noise multiplier: the absolute wall change must also exceed
-    /// `mad_factor` times the combined standard error of the two medians
-    /// (`1.4826 * mad / sqrt(reps)` per side, added in quadrature).
-    pub mad_factor: f64,
-    /// Floor on the wall noise band as a fraction of the old median,
-    /// covering between-run machine drift invisible to within-run MADs
-    /// (whole runs shift together on a loaded host). The band is
-    /// `max(mad_factor * se, drift_floor * old_median)`.
-    pub drift_floor: f64,
-    /// Relative threshold for the deterministic modeled time.
-    pub modeled_threshold: f64,
-}
-
-impl Default for DiffConfig {
-    fn default() -> Self {
-        DiffConfig {
-            wall_threshold: 0.10,
-            mad_factor: 2.0,
-            drift_floor: 0.15,
-            modeled_threshold: 0.02,
-        }
-    }
-}
-
 /// Per-workload outcome of a diff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Within the noise bands on every axis.
+    /// Every field identical.
     Ok,
-    /// Slower beyond threshold + noise on at least one axis.
-    Regressed,
-    /// Faster beyond threshold + noise (and regressed on no axis).
-    Improved,
+    /// At least one field differs.
+    Changed,
     /// Present only in the new snapshot.
     New,
-    /// Present only in the old snapshot — fails the gate.
+    /// Present only in the old snapshot.
     Missing,
 }
 
@@ -84,8 +29,7 @@ impl Verdict {
     pub fn label(&self) -> &'static str {
         match self {
             Verdict::Ok => "ok",
-            Verdict::Regressed => "regressed",
-            Verdict::Improved => "improved",
+            Verdict::Changed => "changed",
             Verdict::New => "new",
             Verdict::Missing => "missing",
         }
@@ -99,20 +43,12 @@ pub struct DiffRow {
     pub id: String,
     /// Outcome.
     pub verdict: Verdict,
-    /// Old wall median, microseconds (0 for [`Verdict::New`]).
-    pub wall_old_us: f64,
-    /// New wall median, microseconds (0 for [`Verdict::Missing`]).
-    pub wall_new_us: f64,
-    /// Relative wall change (`new/old - 1`; 0 when either side absent).
-    pub wall_rel: f64,
-    /// Old modeled time, microseconds.
+    /// Old modeled time, microseconds (0 for [`Verdict::New`]).
     pub modeled_old_us: f64,
-    /// New modeled time, microseconds.
+    /// New modeled time, microseconds (0 for [`Verdict::Missing`]).
     pub modeled_new_us: f64,
-    /// Relative modeled change.
-    pub modeled_rel: f64,
-    /// Human explanation when the verdict is not `Ok` (which axis, by how
-    /// much, against what noise band).
+    /// Every differing field as `name old -> new`, or why the row is
+    /// unpaired; empty when the verdict is `Ok`.
     pub why: String,
 }
 
@@ -123,62 +59,51 @@ pub struct DiffReport {
     pub old_seq: u64,
     /// Sequence number of the new snapshot.
     pub new_seq: u64,
-    /// Thresholds used.
-    pub config: DiffConfig,
     /// Per-workload rows, sorted by id.
     pub rows: Vec<DiffRow>,
 }
 
 impl DiffReport {
-    /// Rows that fail the gate (regressed or missing).
+    /// Rows that fail the gate: every row that is not `Ok`.
     pub fn failures(&self) -> Vec<&DiffRow> {
         self.rows
             .iter()
-            .filter(|r| matches!(r.verdict, Verdict::Regressed | Verdict::Missing))
+            .filter(|r| r.verdict != Verdict::Ok)
             .collect()
     }
 
-    /// Whether the diff should fail a gate.
-    pub fn has_regression(&self) -> bool {
-        !self.failures().is_empty()
+    /// Whether every workload is identical on both sides.
+    pub fn passes(&self) -> bool {
+        self.failures().is_empty()
     }
 
     /// Renders the human comparison table plus a one-line verdict.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<34}  {:>9}  {:>9}  {:>7}  {:>9}  {:>9}  {:>7}  verdict\n",
-            "workload", "wall_old", "wall_new", "wall%", "model_old", "model_new", "model%"
+            "{:<34}  {:>9}  {:>9}  verdict\n",
+            "workload", "model_old", "model_new"
         ));
         for r in &self.rows {
             out.push_str(&format!(
-                "{:<34}  {:>9.1}  {:>9.1}  {:>+6.1}%  {:>9.2}  {:>9.2}  {:>+6.1}%  {}{}\n",
+                "{:<34}  {:>9.2}  {:>9.2}  {}\n",
                 r.id,
-                r.wall_old_us,
-                r.wall_new_us,
-                100.0 * r.wall_rel,
                 r.modeled_old_us,
                 r.modeled_new_us,
-                100.0 * r.modeled_rel,
                 r.verdict.label(),
-                if r.why.is_empty() {
-                    String::new()
-                } else {
-                    format!(" ({})", r.why)
-                }
             ));
         }
         let fails = self.failures();
         if fails.is_empty() {
             out.push_str(&format!(
-                "\nPASS: no regressions across {} workloads (seq {} -> {}).\n",
+                "\nPASS: all {} workloads identical (seq {} -> {}).\n",
                 self.rows.len(),
                 self.old_seq,
                 self.new_seq
             ));
         } else {
             out.push_str(&format!(
-                "\nFAIL: {} regression(s) (seq {} -> {}):\n",
+                "\nFAIL: {} workload(s) differ (seq {} -> {}):\n",
                 fails.len(),
                 self.old_seq,
                 self.new_seq
@@ -194,44 +119,22 @@ impl DiffReport {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema_version\": 1,\n");
+        out.push_str("  \"schema_version\": 2,\n");
         out.push_str("  \"kind\": \"dasp-bench-diff\",\n");
         out.push_str(&format!("  \"old_seq\": {},\n", self.old_seq));
         out.push_str(&format!("  \"new_seq\": {},\n", self.new_seq));
-        out.push_str(&format!(
-            "  \"wall_threshold\": {},\n",
-            fmt_f64(self.config.wall_threshold)
-        ));
-        out.push_str(&format!(
-            "  \"mad_factor\": {},\n",
-            fmt_f64(self.config.mad_factor)
-        ));
-        out.push_str(&format!(
-            "  \"drift_floor\": {},\n",
-            fmt_f64(self.config.drift_floor)
-        ));
-        out.push_str(&format!(
-            "  \"modeled_threshold\": {},\n",
-            fmt_f64(self.config.modeled_threshold)
-        ));
-        out.push_str(&format!("  \"regressions\": {},\n", self.failures().len()));
-        out.push_str(&format!("  \"pass\": {},\n", !self.has_regression()));
+        out.push_str(&format!("  \"failures\": {},\n", self.failures().len()));
+        out.push_str(&format!("  \"pass\": {},\n", self.passes()));
         out.push_str("  \"rows\": [");
         for (i, r) in self.rows.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str(&format!(
                 "    {{\"id\": \"{}\", \"verdict\": \"{}\", \
-                 \"wall_old_us\": {}, \"wall_new_us\": {}, \"wall_rel\": {}, \
-                 \"modeled_old_us\": {}, \"modeled_new_us\": {}, \"modeled_rel\": {}, \
-                 \"why\": \"{}\"}}",
+                 \"modeled_old_us\": {}, \"modeled_new_us\": {}, \"why\": \"{}\"}}",
                 escape_json(&r.id),
                 r.verdict.label(),
-                fmt_f64(r.wall_old_us),
-                fmt_f64(r.wall_new_us),
-                fmt_f64(r.wall_rel),
                 fmt_f64(r.modeled_old_us),
                 fmt_f64(r.modeled_new_us),
-                fmt_f64(r.modeled_rel),
                 escape_json(&r.why),
             ));
         }
@@ -240,45 +143,29 @@ impl DiffReport {
     }
 }
 
-fn rel(old: f64, new: f64) -> f64 {
-    if old <= 0.0 {
-        0.0
-    } else {
-        new / old - 1.0
-    }
-}
-
 /// Compares `new` against `old` workload by workload.
-pub fn diff_snapshots(old: &BenchSnapshot, new: &BenchSnapshot, cfg: DiffConfig) -> DiffReport {
+pub fn diff_snapshots(old: &BenchSnapshot, new: &BenchSnapshot) -> DiffReport {
     let mut rows = Vec::new();
     for ow in &old.workloads {
-        match new.workload(&ow.id) {
-            Some(nw) => rows.push(compare(ow, nw, &cfg)),
-            None => rows.push(DiffRow {
+        rows.push(match new.workload(&ow.id) {
+            Some(nw) => compare(ow, nw),
+            None => DiffRow {
                 id: ow.id.clone(),
                 verdict: Verdict::Missing,
-                wall_old_us: ow.wall.median_us,
-                wall_new_us: 0.0,
-                wall_rel: 0.0,
                 modeled_old_us: ow.modeled.us,
                 modeled_new_us: 0.0,
-                modeled_rel: 0.0,
                 why: "workload missing from new snapshot".to_string(),
-            }),
-        }
+            },
+        });
     }
     for nw in &new.workloads {
         if old.workload(&nw.id).is_none() {
             rows.push(DiffRow {
                 id: nw.id.clone(),
                 verdict: Verdict::New,
-                wall_old_us: 0.0,
-                wall_new_us: nw.wall.median_us,
-                wall_rel: 0.0,
                 modeled_old_us: 0.0,
                 modeled_new_us: nw.modeled.us,
-                modeled_rel: 0.0,
-                why: "new workload (no baseline)".to_string(),
+                why: "workload absent from old snapshot".to_string(),
             });
         }
     }
@@ -286,66 +173,50 @@ pub fn diff_snapshots(old: &BenchSnapshot, new: &BenchSnapshot, cfg: DiffConfig)
     DiffReport {
         old_seq: old.seq,
         new_seq: new.seq,
-        config: cfg,
         rows,
     }
 }
 
-/// Standard error of a series' median: normal-consistent MAD scaling
-/// over root-n.
-fn median_se_us(w: &crate::snapshot::WallStats) -> f64 {
-    1.4826 * w.mad_us / (w.reps.max(1) as f64).sqrt()
-}
-
-fn compare(ow: &Workload, nw: &Workload, cfg: &DiffConfig) -> DiffRow {
-    let wall_rel = rel(ow.wall.median_us, nw.wall.median_us);
-    let modeled_rel = rel(ow.modeled.us, nw.modeled.us);
-    let se = (median_se_us(&ow.wall).powi(2) + median_se_us(&nw.wall).powi(2)).sqrt();
-    let noise_us = (cfg.mad_factor * se).max(cfg.drift_floor * ow.wall.median_us);
-    let wall_delta = nw.wall.median_us - ow.wall.median_us;
-
-    // Both conditions must hold for wall verdicts: past the relative
-    // threshold AND outside the combined noise band.
-    let wall_signif = wall_rel.abs() > cfg.wall_threshold && wall_delta.abs() > noise_us;
-    let wall_regressed = wall_signif && wall_delta > 0.0;
-    let wall_improved = wall_signif && wall_delta < 0.0;
-
-    let modeled_regressed = modeled_rel > cfg.modeled_threshold;
-    let modeled_improved = modeled_rel < -cfg.modeled_threshold;
-
+fn compare(ow: &Workload, nw: &Workload) -> DiffRow {
     let mut why = Vec::new();
-    if wall_regressed {
-        why.push(format!(
-            "wall {:+.1}% exceeds {:.0}% and noise band ±{:.1}us",
-            100.0 * wall_rel,
-            100.0 * cfg.wall_threshold,
-            noise_us
-        ));
+    let (om, nm) = (&ow.modeled, &nw.modeled);
+    for (name, old, new) in [
+        ("modeled.us", om.us, nm.us),
+        ("modeled.random_share", om.random_share, nm.random_share),
+        ("modeled.compute_share", om.compute_share, nm.compute_share),
+        ("modeled.misc_share", om.misc_share, nm.misc_share),
+        ("modeled.gflops", om.gflops, nm.gflops),
+    ] {
+        // By bit pattern: a 1-ulp move is a change.
+        if old.to_bits() != new.to_bits() {
+            why.push(format!("{name} {old} -> {new}"));
+        }
     }
-    if modeled_regressed {
-        why.push(format!(
-            "modeled {:+.1}% exceeds {:.0}%",
-            100.0 * modeled_rel,
-            100.0 * cfg.modeled_threshold
-        ));
+    let (ot, nt, oo, no) = (&ow.traffic, &nw.traffic, &ow.ops, &nw.ops);
+    for (name, old, new) in [
+        ("nnz", ow.nnz, nw.nnz),
+        ("traffic.dram_bytes", ot.dram_bytes, nt.dram_bytes),
+        ("traffic.bytes_val", ot.bytes_val, nt.bytes_val),
+        ("traffic.bytes_idx", ot.bytes_idx, nt.bytes_idx),
+        ("traffic.x_requests", ot.x_requests, nt.x_requests),
+        ("traffic.x_hits", ot.x_hits, nt.x_hits),
+        ("ops.mma_ops", oo.mma_ops, no.mma_ops),
+        ("ops.fma_ops", oo.fma_ops, no.fma_ops),
+        ("ops.launches", oo.launches, no.launches),
+    ] {
+        if old != new {
+            why.push(format!("{name} {old} -> {new}"));
+        }
     }
-
-    let verdict = if wall_regressed || modeled_regressed {
-        Verdict::Regressed
-    } else if wall_improved || modeled_improved {
-        Verdict::Improved
-    } else {
-        Verdict::Ok
-    };
     DiffRow {
         id: ow.id.clone(),
-        verdict,
-        wall_old_us: ow.wall.median_us,
-        wall_new_us: nw.wall.median_us,
-        wall_rel,
+        verdict: if why.is_empty() {
+            Verdict::Ok
+        } else {
+            Verdict::Changed
+        },
         modeled_old_us: ow.modeled.us,
         modeled_new_us: nw.modeled.us,
-        modeled_rel,
         why: why.join("; "),
     }
 }
@@ -353,109 +224,71 @@ fn compare(ow: &Workload, nw: &Workload, cfg: &DiffConfig) -> DiffRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{Modeled, OpsCounters, TrafficCounters, WallStats};
+    use crate::snapshot::tests::{sample_snapshot, sample_workload};
 
-    fn workload(id: &str, median_us: f64, mad_us: f64, modeled_us: f64) -> Workload {
-        Workload {
-            id: id.to_string(),
-            nnz: 1000,
-            wall: WallStats {
-                reps: 5,
-                median_us,
-                mad_us,
-                min_us: median_us - mad_us,
-                max_us: median_us + mad_us,
-            },
-            modeled: Modeled {
-                us: modeled_us,
-                random_share: 0.25,
-                compute_share: 0.21,
-                misc_share: 0.54,
-                gflops: 100.0,
-            },
-            traffic: TrafficCounters::default(),
-            ops: OpsCounters::default(),
-        }
+    const ID: &str = "spmv/banded/dasp";
+
+    /// Diffs the sample snapshot against a copy with `edit` applied.
+    fn diff_after(edit: impl FnOnce(&mut BenchSnapshot)) -> DiffReport {
+        let old = sample_snapshot();
+        let mut new = old.clone();
+        new.seq = 2;
+        edit(&mut new);
+        diff_snapshots(&old, &new)
     }
 
-    fn snapshot(seq: u64, workloads: Vec<Workload>) -> BenchSnapshot {
-        BenchSnapshot {
-            seq,
-            git_rev: "test".to_string(),
-            profile: "quick".to_string(),
-            device: "a100".to_string(),
-            executor: "seq".to_string(),
-            reps: 5,
-            workloads,
-        }
+    fn edit_workload(edit: impl FnOnce(&mut Workload)) -> DiffReport {
+        diff_after(|s| edit(s.workloads.iter_mut().find(|w| w.id == ID).unwrap()))
     }
 
-    #[test]
-    fn noisy_shift_within_mad_band_is_not_a_regression() {
-        // 12% slower clears the 10% threshold, but with MADs of 8us over
-        // 5 reps each median's se is 1.4826*8/sqrt(5) = 5.3us, combined
-        // 7.5us, band 2*7.5 = 15us — a 12us shift stays inside it. The
-        // drift floor is lowered below the shift so the se band alone
-        // carries this test.
-        let old = snapshot(1, vec![workload("spmv/banded/dasp", 100.0, 8.0, 10.0)]);
-        let new = snapshot(2, vec![workload("spmv/banded/dasp", 112.0, 8.0, 10.0)]);
-        let cfg = DiffConfig {
-            drift_floor: 0.05,
-            ..DiffConfig::default()
-        };
-        let report = diff_snapshots(&old, &new, cfg);
-        assert!(!report.has_regression(), "{}", report.render_table());
-        assert_eq!(report.rows[0].verdict, Verdict::Ok);
-    }
-
-    #[test]
-    fn between_run_drift_under_the_floor_is_not_a_regression() {
-        // A whole run 13% slower with tiny MADs: within-run statistics
-        // look rock solid (se band ~1us), but the default 15% drift
-        // floor recognizes this as machine drift, not a code regression.
-        let old = snapshot(1, vec![workload("spmv/banded/dasp", 100.0, 1.0, 10.0)]);
-        let new = snapshot(2, vec![workload("spmv/banded/dasp", 113.0, 1.0, 10.0)]);
-        let report = diff_snapshots(&old, &new, DiffConfig::default());
-        assert!(!report.has_regression(), "{}", report.render_table());
-        assert_eq!(report.rows[0].verdict, Verdict::Ok);
-        // Zeroing the floor exposes the same shift as a regression.
-        let no_floor = DiffConfig {
-            drift_floor: 0.0,
-            ..DiffConfig::default()
-        };
-        assert!(diff_snapshots(&old, &new, no_floor).has_regression());
-    }
-
-    #[test]
-    fn planted_twenty_percent_slowdown_is_flagged_by_name() {
-        let old = snapshot(
-            1,
-            vec![
-                workload("spmv/banded/dasp", 100.0, 1.0, 10.0),
-                workload("spmv/rmat/csr5", 200.0, 1.0, 20.0),
-            ],
-        );
-        let new = snapshot(
-            2,
-            vec![
-                workload("spmv/banded/dasp", 120.0, 1.0, 10.0),
-                workload("spmv/rmat/csr5", 201.0, 1.0, 20.0),
-            ],
-        );
-        let report = diff_snapshots(&old, &new, DiffConfig::default());
-        assert!(report.has_regression());
+    /// Asserts the diff fails on exactly one row, `id`, with `verdict`
+    /// and a reason naming `needle`.
+    fn assert_fails(report: &DiffReport, id: &str, verdict: Verdict, needle: &str) {
         let fails = report.failures();
-        assert_eq!(fails.len(), 1);
-        assert_eq!(fails[0].id, "spmv/banded/dasp");
-        assert_eq!(fails[0].verdict, Verdict::Regressed);
-        // The offending workload is named in both renderings.
-        let table = report.render_table();
-        assert!(table.contains("FAIL: 1 regression"), "{table}");
-        assert!(table.contains("spmv/banded/dasp: wall"), "{table}");
-        let json = report.to_json();
-        assert!(dasp_trace::validate_json(&json).is_ok());
-        assert!(json.contains("\"pass\": false"), "{json}");
-        assert!(json.contains("\"verdict\": \"regressed\""), "{json}");
+        assert_eq!(fails.len(), 1, "{}", report.render_table());
+        assert_eq!((fails[0].id.as_str(), fails[0].verdict), (id, verdict));
+        assert!(fails[0].why.contains(needle), "{}", fails[0].why);
+        assert!(report.render_table().contains("FAIL: 1 workload"));
+        assert!(report.to_json().contains("\"pass\": false"));
+    }
+
+    #[test]
+    fn identical_snapshots_pass_cleanly() {
+        let report = diff_after(|_| {});
+        assert!(report.passes());
+        assert!(report.rows.iter().all(|r| r.verdict == Verdict::Ok));
+        assert!(report.render_table().contains("PASS"), "table");
+        assert!(report.to_json().contains("\"pass\": true"));
+    }
+
+    #[test]
+    fn one_ulp_of_modeled_time_fails() {
+        let report = edit_workload(|w| w.modeled.us = f64::from_bits(w.modeled.us.to_bits() + 1));
+        assert_fails(&report, ID, Verdict::Changed, "modeled.us");
+    }
+
+    #[test]
+    fn one_count_of_any_counter_fails() {
+        for (needle, edit) in [
+            (
+                "traffic.x_hits",
+                (|w| w.traffic.x_hits += 1) as fn(&mut Workload),
+            ),
+            ("traffic.x_hits", |w| w.traffic.x_hits -= 1),
+            ("ops.mma_ops", |w| w.ops.mma_ops += 1),
+            ("ops.mma_ops", |w| w.ops.mma_ops -= 1),
+            ("nnz", |w| w.nnz += 1),
+        ] {
+            assert_fails(&edit_workload(edit), ID, Verdict::Changed, needle);
+        }
+    }
+
+    #[test]
+    fn new_and_missing_rows_fail() {
+        let report = diff_after(|s| s.workloads.push(sample_workload("spmv/rmat/dasp", 9.0)));
+        assert_fails(&report, "spmv/rmat/dasp", Verdict::New, "absent");
+        let report = diff_after(|s| s.workloads.retain(|w| w.id != ID));
+        assert_fails(&report, ID, Verdict::Missing, "missing");
     }
 
     #[test]
@@ -463,95 +296,21 @@ mod tests {
         use crate::snapshot::tests::ADVERSARIAL;
         use dasp_trace::Json;
         let id = format!("spmv/{ADVERSARIAL}/dasp");
-        let old = snapshot(1, vec![workload(&id, 100.0, 1.0, 10.0)]);
-        let new = snapshot(2, vec![workload(&id, 150.0, 1.0, 10.0)]);
-        let json = diff_snapshots(&old, &new, DiffConfig::default()).to_json();
+        let old = BenchSnapshot {
+            workloads: vec![sample_workload(&id, 10.0)],
+            ..sample_snapshot()
+        };
+        let mut new = old.clone();
+        new.workloads[0].modeled.us = 15.0;
+        let json = diff_snapshots(&old, &new).to_json();
         assert!(dasp_trace::validate_json(&json).is_ok(), "{json}");
         let doc = Json::parse(&json).unwrap();
         let rows = doc.get("rows").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].req_str("id").unwrap(), id);
-        assert!(rows[0].req_str("why").unwrap().contains("wall"));
-    }
-
-    #[test]
-    fn identical_snapshots_pass_cleanly() {
-        let snap = snapshot(1, vec![workload("spmv/banded/dasp", 100.0, 2.0, 10.0)]);
-        let report = diff_snapshots(&snap, &snap, DiffConfig::default());
-        assert!(!report.has_regression());
-        assert!(report.render_table().contains("PASS"), "table");
-        assert!(report.to_json().contains("\"pass\": true"));
-    }
-
-    #[test]
-    fn large_speedup_is_reported_as_improvement_not_failure() {
-        let old = snapshot(1, vec![workload("spmv/banded/dasp", 100.0, 1.0, 10.0)]);
-        let new = snapshot(2, vec![workload("spmv/banded/dasp", 70.0, 1.0, 9.9)]);
-        let report = diff_snapshots(&old, &new, DiffConfig::default());
-        assert!(!report.has_regression());
-        assert_eq!(report.rows[0].verdict, Verdict::Improved);
-    }
-
-    #[test]
-    fn modeled_time_regression_needs_no_noise_band() {
-        // Wall identical, but the deterministic model says 5% slower.
-        let old = snapshot(1, vec![workload("spmv/banded/dasp", 100.0, 5.0, 10.0)]);
-        let new = snapshot(2, vec![workload("spmv/banded/dasp", 100.0, 5.0, 10.5)]);
-        let report = diff_snapshots(&old, &new, DiffConfig::default());
-        assert!(report.has_regression());
-        assert!(
-            report.failures()[0].why.contains("modeled"),
-            "{:?}",
-            report.rows
-        );
-    }
-
-    #[test]
-    fn missing_workload_fails_and_new_workload_passes() {
-        let old = snapshot(
-            1,
-            vec![
-                workload("spmv/banded/dasp", 100.0, 1.0, 10.0),
-                workload("spmv/banded/hyb", 150.0, 1.0, 15.0),
-            ],
-        );
-        let new = snapshot(
-            2,
-            vec![
-                workload("spmv/banded/dasp", 100.0, 1.0, 10.0),
-                workload("spmv/banded/sell-c-sigma", 90.0, 1.0, 9.0),
-            ],
-        );
-        let report = diff_snapshots(&old, &new, DiffConfig::default());
-        assert!(report.has_regression());
-        let by_id = |id: &str| report.rows.iter().find(|r| r.id == id).unwrap();
-        assert_eq!(by_id("spmv/banded/hyb").verdict, Verdict::Missing);
-        assert_eq!(by_id("spmv/banded/sell-c-sigma").verdict, Verdict::New);
-        assert_eq!(report.failures().len(), 1);
-    }
-
-    #[test]
-    fn custom_thresholds_change_the_gate() {
-        let old = snapshot(1, vec![workload("w", 100.0, 0.5, 10.0)]);
-        let new = snapshot(2, vec![workload("w", 106.0, 0.5, 10.0)]);
-        // Default 10% threshold: 6% is fine.
-        assert!(!diff_snapshots(&old, &new, DiffConfig::default()).has_regression());
-        // Tightened to 5% with a matching floor: now it fails (the noise
-        // band, 2 combined standard errors = 0.9us, is far below the 6us
-        // shift).
-        let tight = DiffConfig {
-            wall_threshold: 0.05,
-            drift_floor: 0.02,
-            ..DiffConfig::default()
-        };
-        assert!(diff_snapshots(&old, &new, tight).has_regression());
-        // Same thresholds but a huge mad_factor swallows it again.
-        let forgiving = DiffConfig {
-            wall_threshold: 0.05,
-            mad_factor: 30.0,
-            drift_floor: 0.02,
-            ..DiffConfig::default()
-        };
-        assert!(!diff_snapshots(&old, &new, forgiving).has_regression());
+        assert!(rows[0]
+            .req_str("why")
+            .unwrap()
+            .contains("modeled.us 10 -> 15"));
     }
 }

@@ -1,25 +1,24 @@
-//! `dasp-observatory` — the repo's performance observatory.
+//! `dasp-observatory` — the repo's modeled-time golden file.
 //!
-//! The simulator work in this workspace only pays off if its performance
-//! story is *trackable*: every PR should be able to answer "did the
-//! simulated kernels get slower to run, and did the modeled GPU time
-//! move?" without anyone eyeballing bench logs. This crate supplies the
-//! three pieces the `dasp-bench` CLI wires together:
+//! Every PR should be able to answer "did the modeled GPU time, traffic
+//! or instruction mix of any kernel move?" without anyone eyeballing
+//! bench logs. Those numbers are deterministic, so the answer is an
+//! exact comparison. Host wall time is perfbench's job, not this
+//! crate's. This crate supplies the pieces the `dasp-bench` CLI wires
+//! together:
 //!
-//! * [`suite`] — a deterministic benchmark suite runner sweeping the four
+//! * [`suite`] — a deterministic suite runner sweeping the four
 //!   structural matrix classes × all ten SpMV methods (plus the SpMM
-//!   widths), recording wall-clock series (median + MAD), the roofline
-//!   model's GPU-time estimate, and traffic/attribution counters.
+//!   widths) once, traced, pinned to the A100 model and the sequential
+//!   executor, recording the roofline model's GPU-time estimate and the
+//!   traffic/op counters.
 //! * [`calltree`] — aggregation of `dasp-trace` spans into a hierarchical
 //!   inclusive/exclusive profile, with a top-N hot-region table and
 //!   collapsed-stack (flamegraph) export.
 //! * [`snapshot`] / [`diff`] — a versioned `BENCH_<seq>.json` snapshot
-//!   schema committed at the repo root to form a perf trajectory, and a
-//!   noise-aware regression comparator over two snapshots (median ± MAD
-//!   bands) with a human table and a machine-readable verdict.
-//! * [`interp`] — an interpreter-throughput microbench (warp-ops/sec per
-//!   DASP kernel, probe hooks vs. lane math) feeding the "interpreter
-//!   overhead" row under the `dasp-bench` hot table.
+//!   schema committed at the repo root as the golden file, and an exact
+//!   comparator over two snapshots with a human table and a
+//!   machine-readable verdict.
 //!
 //! Like the rest of the workspace this crate has no external
 //! dependencies; snapshots are read back with `dasp-trace`'s strict
@@ -30,16 +29,13 @@
 
 pub mod calltree;
 pub mod diff;
-pub mod interp;
 pub mod snapshot;
 pub mod suite;
 
 pub use calltree::CallTree;
 pub use dasp_trace::Json;
-pub use diff::{diff_snapshots, DiffConfig, DiffReport, DiffRow, Verdict};
-pub use interp::{probe_overhead_share, render_interp_table, run_interp_bench, InterpRecord};
+pub use diff::{diff_snapshots, DiffReport, DiffRow, Verdict};
 pub use snapshot::{
-    next_seq, snapshot_path, BenchSnapshot, Modeled, OpsCounters, TrafficCounters, WallStats,
-    Workload,
+    next_seq, snapshot_path, BenchSnapshot, Modeled, OpsCounters, TrafficCounters, Workload,
 };
-pub use suite::{run_suite, SuiteConfig, SuiteOutcome};
+pub use suite::{run_suite, SuiteOutcome};

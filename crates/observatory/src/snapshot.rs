@@ -1,12 +1,11 @@
 //! The versioned `BENCH_<seq>.json` snapshot schema.
 //!
 //! A snapshot is one suite run frozen to disk: schema/version header,
-//! provenance (git revision, device, executor, matrix profile, rep
-//! count), and one entry per workload carrying the wall-clock series
-//! summary, the roofline model's estimate, and the traffic/op counters.
-//! Snapshots committed at the repo root (`BENCH_0001.json`,
-//! `BENCH_0002.json`, …) form the performance trajectory; `dasp-bench
-//! diff` compares any two.
+//! provenance (git revision, device model), and one entry per workload
+//! carrying the roofline model's estimate and the traffic/op counters.
+//! Every field is deterministic, so the head of the snapshots committed
+//! at the repo root (`BENCH_0001.json`, `BENCH_0002.json`, …) is a golden
+//! file: `dasp-bench diff` holds a fresh record to it exactly.
 //!
 //! Emission is deterministic — workloads sort by id, keys are in fixed
 //! order — so re-serializing a parsed snapshot is byte-stable.
@@ -16,33 +15,15 @@ use std::path::{Path, PathBuf};
 use dasp_trace::{escape_json, fmt_f64, Json};
 
 /// Schema version this crate writes and reads.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The `kind` discriminator every snapshot carries.
 pub const SNAPSHOT_KIND: &str = "dasp-bench-snapshot";
 
-/// Summary of a wall-clock sample series for one workload.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WallStats {
-    /// Number of timed repetitions.
-    pub reps: u64,
-    /// Median of the samples, microseconds.
-    pub median_us: f64,
-    /// Median absolute deviation (unscaled), microseconds — the noise
-    /// floor the diff gate widens its bands by.
-    pub mad_us: f64,
-    /// Fastest sample, microseconds.
-    pub min_us: f64,
-    /// Slowest sample, microseconds.
-    pub max_us: f64,
-}
-
 /// The roofline model's view of one workload.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Modeled {
-    /// Estimated GPU kernel time, microseconds. Deterministic for a given
-    /// build, so the diff gate holds it to a plain threshold with no
-    /// noise band.
+    /// Estimated GPU kernel time, microseconds.
     pub us: f64,
     /// RANDOM ACCESS share of attributed time (0..=1).
     pub random_share: f64,
@@ -85,10 +66,8 @@ pub struct OpsCounters {
 pub struct Workload {
     /// Stable id, e.g. `spmv/banded/dasp` or `spmm/rmat/dasp/rhs8`.
     pub id: String,
-    /// Matrix nonzeros (provenance; also catches profile mismatches).
+    /// Matrix nonzeros (provenance; also catches a changed suite matrix).
     pub nnz: u64,
-    /// Wall-clock series summary.
-    pub wall: WallStats,
     /// Modeled GPU time and attribution.
     pub modeled: Modeled,
     /// Traffic counters.
@@ -105,14 +84,8 @@ pub struct BenchSnapshot {
     /// Short git revision the run was built from (`unknown` outside a
     /// checkout).
     pub git_rev: String,
-    /// Matrix profile: `quick` or `full`.
-    pub profile: String,
     /// Device model name, e.g. `a100`.
     pub device: String,
-    /// Executor: `seq` or `par`.
-    pub executor: String,
-    /// Wall-clock repetitions per workload.
-    pub reps: u64,
     /// Per-workload records, sorted by id.
     pub workloads: Vec<Workload>,
 }
@@ -133,18 +106,9 @@ impl BenchSnapshot {
             escape_json(&self.git_rev)
         ));
         out.push_str(&format!(
-            "  \"profile\": \"{}\",\n",
-            escape_json(&self.profile)
-        ));
-        out.push_str(&format!(
             "  \"device\": \"{}\",\n",
             escape_json(&self.device)
         ));
-        out.push_str(&format!(
-            "  \"executor\": \"{}\",\n",
-            escape_json(&self.executor)
-        ));
-        out.push_str(&format!("  \"reps\": {},\n", self.reps));
         out.push_str("  \"workloads\": [");
         for (i, w) in ws.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -185,10 +149,7 @@ impl BenchSnapshot {
         Ok(BenchSnapshot {
             seq: doc.req_u64("seq")?,
             git_rev: doc.req_str("git_rev")?.to_string(),
-            profile: doc.req_str("profile")?.to_string(),
             device: doc.req_str("device")?.to_string(),
-            executor: doc.req_str("executor")?.to_string(),
-            reps: doc.req_u64("reps")?,
             workloads,
         })
     }
@@ -202,17 +163,11 @@ impl BenchSnapshot {
 fn workload_json(w: &Workload) -> String {
     format!(
         "{{\"id\": \"{}\", \"nnz\": {}, \
-         \"wall\": {{\"reps\": {}, \"median_us\": {}, \"mad_us\": {}, \"min_us\": {}, \"max_us\": {}}}, \
          \"modeled\": {{\"us\": {}, \"random_share\": {}, \"compute_share\": {}, \"misc_share\": {}, \"gflops\": {}}}, \
          \"traffic\": {{\"dram_bytes\": {}, \"bytes_val\": {}, \"bytes_idx\": {}, \"x_requests\": {}, \"x_hits\": {}}}, \
          \"ops\": {{\"mma_ops\": {}, \"fma_ops\": {}, \"launches\": {}}}}}",
         escape_json(&w.id),
         w.nnz,
-        w.wall.reps,
-        fmt_f64(w.wall.median_us),
-        fmt_f64(w.wall.mad_us),
-        fmt_f64(w.wall.min_us),
-        fmt_f64(w.wall.max_us),
         fmt_f64(w.modeled.us),
         fmt_f64(w.modeled.random_share),
         fmt_f64(w.modeled.compute_share),
@@ -230,20 +185,12 @@ fn workload_json(w: &Workload) -> String {
 }
 
 fn parse_workload(w: &Json) -> Result<Workload, String> {
-    let wall = w.get("wall").ok_or("missing `wall`")?;
     let modeled = w.get("modeled").ok_or("missing `modeled`")?;
     let traffic = w.get("traffic").ok_or("missing `traffic`")?;
     let ops = w.get("ops").ok_or("missing `ops`")?;
     Ok(Workload {
         id: w.req_str("id")?.to_string(),
         nnz: w.req_u64("nnz")?,
-        wall: WallStats {
-            reps: wall.req_u64("reps")?,
-            median_us: wall.req_f64("median_us")?,
-            mad_us: wall.req_f64("mad_us")?,
-            min_us: wall.req_f64("min_us")?,
-            max_us: wall.req_f64("max_us")?,
-        },
         modeled: Modeled {
             us: modeled.req_f64("us")?,
             random_share: modeled.req_f64("random_share")?,
@@ -268,8 +215,14 @@ fn parse_workload(w: &Json) -> Result<Workload, String> {
 
 /// The next free sequence number in `dir`: one past the highest
 /// `BENCH_<n>.json` present, or 1 in a fresh directory. Non-matching
-/// files are ignored.
+/// files are ignored. An empty `dir` — the parent of a bare file name —
+/// means the current directory.
 pub fn next_seq(dir: &Path) -> u64 {
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
     let mut max = 0u64;
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {
@@ -320,19 +273,12 @@ pub fn git_rev() -> String {
 pub(crate) mod tests {
     use super::*;
 
-    pub(crate) fn sample_workload(id: &str, median_us: f64, mad_us: f64) -> Workload {
+    pub(crate) fn sample_workload(id: &str, modeled_us: f64) -> Workload {
         Workload {
             id: id.to_string(),
             nnz: 1000,
-            wall: WallStats {
-                reps: 5,
-                median_us,
-                mad_us,
-                min_us: median_us - mad_us,
-                max_us: median_us + 2.0 * mad_us,
-            },
             modeled: Modeled {
-                us: 12.5,
+                us: modeled_us,
                 random_share: 0.25,
                 compute_share: 0.21,
                 misc_share: 0.54,
@@ -357,14 +303,11 @@ pub(crate) mod tests {
         BenchSnapshot {
             seq: 1,
             git_rev: "abc1234".to_string(),
-            profile: "quick".to_string(),
             device: "a100".to_string(),
-            executor: "seq".to_string(),
-            reps: 5,
             workloads: vec![
-                sample_workload("spmv/banded/dasp", 100.0, 3.0),
-                sample_workload("spmv/banded/csr-scalar", 220.0, 5.0),
-                sample_workload("spmm/rmat/dasp/rhs8", 400.0, 9.0),
+                sample_workload("spmv/banded/dasp", 10.0),
+                sample_workload("spmv/banded/csr-scalar", 22.0),
+                sample_workload("spmm/rmat/dasp/rhs8", 40.0),
             ],
         }
     }
@@ -378,10 +321,7 @@ pub(crate) mod tests {
         // Workloads come back sorted by id regardless of input order.
         assert_eq!(back.workloads.len(), 3);
         assert!(back.workloads.windows(2).all(|p| p[0].id < p[1].id));
-        assert_eq!(
-            back.workload("spmv/banded/dasp").unwrap().wall.median_us,
-            100.0
-        );
+        assert_eq!(back.workload("spmv/banded/dasp").unwrap().modeled.us, 10.0);
         // Re-serializing the parsed snapshot reproduces identical bytes.
         assert_eq!(back.to_json(), json);
     }
@@ -408,9 +348,7 @@ pub(crate) mod tests {
     fn adversarial_strings_round_trip() {
         let mut snap = sample_snapshot();
         snap.git_rev = ADVERSARIAL.to_string();
-        snap.profile = format!("{ADVERSARIAL}p");
         snap.device = format!("d{ADVERSARIAL}");
-        snap.executor = "\\\"".to_string();
         snap.workloads[0].id = ADVERSARIAL.to_string();
         let json = snap.to_json();
         assert!(dasp_trace::validate_json(&json).is_ok(), "{json}");
@@ -424,7 +362,7 @@ pub(crate) mod tests {
     fn from_json_rejects_wrong_schema_or_kind() {
         let snap = sample_snapshot();
         let json = snap.to_json();
-        let wrong_version = json.replacen("\"schema_version\": 1", "\"schema_version\": 99", 1);
+        let wrong_version = json.replacen("\"schema_version\": 2", "\"schema_version\": 99", 1);
         assert!(BenchSnapshot::from_json(&wrong_version)
             .unwrap_err()
             .contains("schema_version"));
@@ -438,14 +376,17 @@ pub(crate) mod tests {
     fn from_json_rejects_duplicate_and_malformed_workloads() {
         let mut snap = sample_snapshot();
         snap.workloads
-            .push(sample_workload("spmv/banded/dasp", 1.0, 0.1));
+            .push(sample_workload("spmv/banded/dasp", 1.0));
         let err = BenchSnapshot::from_json(&snap.to_json()).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
 
         let good = sample_snapshot().to_json();
-        let no_wall = good.replacen("\"wall\"", "\"wal\"", 1);
-        let err = BenchSnapshot::from_json(&no_wall).unwrap_err();
-        assert!(err.contains("workloads[") && err.contains("wall"), "{err}");
+        let no_modeled = good.replacen("\"modeled\"", "\"modele\"", 1);
+        let err = BenchSnapshot::from_json(&no_modeled).unwrap_err();
+        assert!(
+            err.contains("workloads[") && err.contains("modeled"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod estimate;
 pub mod metrics;
 pub mod report;
 pub mod runner;
-pub mod series;
 
 pub use device::{a100, h800, DeviceModel, Precision};
 pub use estimate::{estimate, Estimate};
@@ -50,4 +49,3 @@ pub use runner::{
     measure, measure_looped_spmv_with, measure_spmm_traced_with, measure_traced_with, precision_of,
     record_measurement, record_spmm_measurement, Measurement, MethodKind, SpmmMeasurement,
 };
-pub use series::{median, WallSeries};

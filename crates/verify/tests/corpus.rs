@@ -36,10 +36,10 @@ fn bench_corpus_verifies_clean() {
 
 #[test]
 fn bench_suite_matrices_cover_all_interpreted_regions() {
-    // The quick-profile suite matrices must, between them, drive the
+    // The observatory suite matrices must, between them, drive the
     // interpreter through every kernel region it knows about.
     let mut regions = std::collections::BTreeSet::new();
-    for (_, csr) in dasp_bench::suite_matrices(true) {
+    for (_, csr) in dasp_bench::suite_matrices() {
         let m = DaspPlan::analyze(&csr, DaspParams::default()).fill(&csr);
         let outcome = verify_kernels(&m);
         assert!(outcome.report.is_clean(), "{}", outcome.report);
