@@ -122,10 +122,12 @@ pub fn spmm_medium_warp<S: Scalar, P: Probe>(
     if rows_here < WARP_SIZE {
         probe.divergence((WARP_SIZE - rows_here) as u64);
     }
-    // B accesses of the whole irregular tail stream through one batch in
-    // lane-then-element-then-panel-then-jj order: consecutive panels of
-    // one element issue back to back, which is what the A-resident sweep
-    // buys the cache model.
+    // B accesses of the irregular tail stream in lane-then-element-then-
+    // panel-then-jj order: consecutive panels of one element issue back
+    // to back, which is what the A-resident sweep buys the cache model.
+    // The batch flushes at the end of each panel's span, while that panel
+    // is still hinted, so every miss is charged to the panel that caused
+    // it.
     let mut xb = XBatch::new(S::BYTES);
     let mut v = WarpScratch::lease::<[S::Acc; PANEL_WIDTH]>(panels, [S::acc_zero(); PANEL_WIDTH]);
     for lane in 0..lane_cap {
@@ -150,6 +152,7 @@ pub fn spmm_medium_warp<S: Scalar, P: Probe>(
                     v[panel][jj] = S::acc_mul_add(v[panel][jj], a, bp[c * w_p + jj]);
                     xb.push(probe, b.lin_index(panel, c, jj));
                 }
+                xb.flush(probe);
             }
         }
         probe.panel(None);
@@ -170,6 +173,5 @@ pub fn spmm_medium_warp<S: Scalar, P: Probe>(
             probe.store_y(w_p as u64, S::BYTES);
         }
     }
-    xb.flush(probe);
     probe.warp_end(mw);
 }

@@ -59,7 +59,9 @@
 //! sequence, so the counters are those of element-wise accounting, while
 //! a counting probe classifies each span in one step. The scalar paths
 //! (the medium kernel's irregular tail and the singleton kernel) batch
-//! their per-element gathers through [`dasp_simt::XBatch`]. The
+//! their per-element gathers through [`dasp_simt::XBatch`], flushed at
+//! the end of each panel's span while that panel is hinted, so each miss
+//! is charged to the panel that caused it. The
 //! kernels hint [`dasp_simt::Probe::panel`] around their loads, so a
 //! counting probe can split `dram`/`val`/`idx` bytes into a shared
 //! (A-resident) bin and per-panel bins. Partial panels only gather and

@@ -316,9 +316,10 @@ pub fn spmm_short1_warp<S: Scalar, P: Probe>(
     if live > part.n1 {
         probe.divergence((live - part.n1) as u64);
     }
-    // One warp-scoped batch for all singleton rows: B accesses stream in
-    // t-then-panel-then-jj order — every panel of one element back to
-    // back, as the A-resident sweep issues them.
+    // B accesses stream in t-then-panel-then-jj order — every panel of
+    // one element back to back, as the A-resident sweep issues them. The
+    // batch flushes at the end of each panel's span, while that panel is
+    // still hinted, so every miss is charged to the panel that caused it.
     let mut xb = XBatch::new(S::BYTES);
     for t in w * WARP_SIZE..live.min(part.n1) {
         let e = part.off1 + t;
@@ -339,12 +340,12 @@ pub fn spmm_short1_warp<S: Scalar, P: Probe>(
                 y.write(idx, S::from_acc(v));
                 writes[jj] = idx;
             }
+            xb.flush(probe);
             probe.fma(w_p as u64);
             probe.san_write_warp(space::Y, &writes[..w_p]);
             probe.store_y(w_p as u64, S::BYTES);
         }
     }
-    xb.flush(probe);
     probe.warp_end(w);
 }
 

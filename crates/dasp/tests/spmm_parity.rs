@@ -230,3 +230,39 @@ fn degenerate_shapes() {
     let y = de.spmm_with(&random_rhs::<f64>(5, 3, 1), &mut NoProbe, &Executor::seq());
     assert!(y.data().iter().all(|v| v.to_bits() == 0));
 }
+
+/// The scalar singleton kernel charges each B-gather miss to the panel
+/// that caused it: on a cold cache that evicts nothing, panel `p`'s
+/// `bytes_x_miss` is exactly the distinct B lines panel `p` touches,
+/// times the line size.
+#[test]
+fn singleton_gathers_charge_misses_to_their_own_panel() {
+    let (rows, cols, width) = (200, 300, 16);
+    let mut rng = SmallRng::seed_from_u64(17);
+    let mut coo = Coo::new(rows, cols);
+    for r in 0..rows {
+        coo.push(r, rng.gen_range(0..cols), rng.gen_range(-1.0..1.0));
+    }
+    let csr: Csr<f64> = coo.to_csr();
+    let d = DaspMatrix::from_csr(&csr);
+    assert_eq!(d.short.n1, rows, "every row must take the singleton kernel");
+
+    let b = random_rhs::<f64>(cols, width, 3);
+    let mut probe = CountingProbe::a100();
+    d.spmm_with(&b, &mut probe, &Executor::seq());
+    let pt = probe.panel_traffic().expect("SpMM hints panels");
+    assert_eq!(pt.panels.len(), b.num_panels());
+    let line = 128u64;
+    for (p, bin) in pt.panels.iter().enumerate() {
+        let lines: std::collections::BTreeSet<u64> = csr
+            .col_idx
+            .iter()
+            .flat_map(|&c| (0..b.panel_width(p)).map(move |jj| (p, c as usize, jj)))
+            .map(|(p, c, jj)| b.lin_index(p, c, jj) as u64 * f64::BYTES / line)
+            .collect();
+        assert_eq!(bin.bytes_x_miss, lines.len() as u64 * line, "panel {p}");
+    }
+    assert_eq!(pt.shared.bytes_x_miss, 0);
+    let total: u64 = pt.panels.iter().map(|bin| bin.bytes_x_miss).sum();
+    assert_eq!(total, probe.stats().bytes_x_miss);
+}

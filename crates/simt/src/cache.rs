@@ -5,6 +5,16 @@
 //! breakdown — as hits (served on chip) or misses (DRAM line fills). The
 //! matrix arrays themselves are streamed exactly once, so only `x` benefits
 //! from modelling.
+//!
+//! The model keeps two exact representations of one LRU state. Line ℓ
+//! maps to set ℓ mod S, so the lines below S·W (sets × ways) can never
+//! put more than W lines in a set: while every touch since the last reset
+//! is below S·W, nothing is evicted and a touch hits exactly when its
+//! line was touched since that reset. In that *dense* mode a touch is one
+//! read and one write of a per-line last-touch tick. The first touch at
+//! or above S·W (or the tick running out) *spills* into the per-set
+//! most-recently-used-first tag lists, rebuilt from the ticks, which then
+//! serve every access until the next reset.
 
 /// Strength-reduced `% sets` for the hot set-index computation.
 ///
@@ -46,59 +56,115 @@ impl FastMod {
 }
 
 /// Retired cache bodies retained per thread for [`CacheModel::new`] reuse.
-/// The L2 geometries carry multi-megabyte tag arrays; two covers the
-/// common churn (one live model plus one between measurements), with
-/// headroom for fork chains.
+/// The L2 geometries carry multi-megabyte arrays; two covers the common
+/// churn (one live model plus one between measurements), with headroom
+/// for fork chains.
 const CACHE_POOL_CAP: usize = 4;
 
-/// The tag arrays and epoch state of one cache geometry, detached from
-/// the counters: what the pool parks and [`CacheModel::fork`] copies.
-#[derive(Debug, Clone, Default)]
+/// A reset that finds the tick past this value zeroes the tick array and
+/// restarts the ticks, so the ticks reach `u32::MAX` only when more than
+/// 2^31 same-line runs fall between two resets.
+const TICK_RESTART: u32 = 1 << 31;
+
+/// The LRU state of one cache geometry, detached from the counters: what
+/// the pool parks and [`CacheModel::fork`] copies. Exactly one of the two
+/// representations is live, chosen by `dense`.
+#[derive(Debug, Default)]
 struct Body {
+    /// `last[line]`: the tick of the line's last touch, one entry per line
+    /// below `sets * ways`. A line is cached iff its tick exceeds `base`.
+    /// Every entry is at most `tick`. Live while `dense`.
+    last: Vec<u32>,
+    /// The tick of the last reset.
+    base: u32,
+    /// The tick of the last touch; each same-line run takes one.
+    tick: u32,
+    /// Whether `last` (rather than `tags`) holds the state.
+    dense: bool,
     /// `tags[set * ways + way]`: the line number + 1 held by that way,
     /// each set in most-recently-used-first order; 0 is an empty way.
+    /// Live while not `dense`; allocated by the first spill.
     tags: Vec<u64>,
-    /// `stamps[set]`: the epoch the set was last touched in. A set whose
-    /// stamp differs from `epoch` is empty, whatever its tags say.
-    stamps: Vec<u32>,
-    epoch: u32,
 }
 
 impl Body {
-    fn cold(sets: usize, ways: usize) -> Body {
-        // Stamps start at 0 and the epoch at 1: every set starts stale.
+    /// An empty body for a geometry of `lines` = sets × ways lines.
+    fn cold(lines: usize) -> Body {
         Body {
-            tags: vec![0; sets * ways],
-            stamps: vec![0; sets],
-            epoch: 1,
+            last: vec![0; lines],
+            base: 0,
+            tick: 0,
+            dense: true,
+            tags: Vec::new(),
         }
     }
 
-    /// Overwrites `self` with `src`, reusing `self`'s allocations.
+    /// Overwrites `self` with `src`'s live representation, reusing
+    /// `self`'s allocations (same geometry).
     fn copy_from(&mut self, src: &Body) {
-        self.tags.clear();
-        self.tags.extend_from_slice(&src.tags);
-        self.stamps.clear();
-        self.stamps.extend_from_slice(&src.stamps);
-        self.epoch = src.epoch;
+        if src.dense {
+            self.last.copy_from_slice(&src.last);
+            self.base = src.base;
+            self.tick = src.tick;
+        } else {
+            self.tags.clear();
+            self.tags.extend_from_slice(&src.tags);
+            // `last` keeps this body's own ticks; taking the larger tick
+            // keeps each of them at most `tick`, so the next reset still
+            // empties the dense representation.
+            self.tick = self.tick.max(src.tick);
+        }
+        self.dense = src.dense;
     }
 
-    /// Advances the epoch, which empties every set without touching the
-    /// tags. On wrap-around the stamps are cleared once, so no stale set
-    /// can ever carry the new epoch.
-    fn invalidate(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.fill(0);
-            self.epoch = 1;
+    /// Empties the cache and returns to dense mode: every tick is at
+    /// most `tick`, so moving `base` up to it makes every line a miss.
+    /// O(1), apart from one zeroing of `last` per 2^31 ticks.
+    fn reset(&mut self) {
+        if self.tick > TICK_RESTART {
+            self.last.fill(0);
+            self.tick = 0;
         }
+        self.base = self.tick;
+        self.dense = true;
+    }
+
+    /// Leaves dense mode: rebuilds every set's most-recently-used-first
+    /// tag list from the ticks of its (at most `ways`) cached lines.
+    fn spill(&mut self, sets: usize, ways: usize) {
+        self.tags.resize(self.last.len(), 0);
+        let mut cached: Vec<(u32, u64)> = Vec::with_capacity(ways);
+        for (set, slots) in self.tags.chunks_exact_mut(ways).enumerate() {
+            cached.clear();
+            for line in (set..self.last.len()).step_by(sets) {
+                let t = self.last[line];
+                if t > self.base {
+                    cached.push((t, line as u64));
+                }
+            }
+            cached.sort_unstable_by_key(|&(t, _)| std::cmp::Reverse(t));
+            slots.fill(0);
+            for (slot, &(_, line)) in slots.iter_mut().zip(&cached) {
+                *slot = line + 1;
+            }
+        }
+        self.dense = false;
+    }
+}
+
+impl Clone for Body {
+    /// Copies only the live representation.
+    fn clone(&self) -> Body {
+        let mut body = Body::cold(self.last.len());
+        body.copy_from(self);
+        body
     }
 }
 
 thread_local! {
     /// Retired cache bodies by geometry: `(line_bytes, sets, ways, body)`.
-    /// Reusing one skips both the allocation and the O(capacity) tag
-    /// fill: [`Body::invalidate`] empties every stale set in O(1).
+    /// Reusing one skips the allocation, and [`Body::reset`] empties it
+    /// in O(1).
     static CACHE_POOL: std::cell::RefCell<Vec<(u64, u64, usize, Body)>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -119,20 +185,22 @@ fn pooled_body(line_bytes: u64, sets: u64, ways: usize) -> Option<Body> {
 /// Addresses are byte addresses; the cache tracks tags only (no data), which
 /// is all the traffic model needs.
 ///
-/// Each set keeps its tags in **most-recently-used-first order**, so LRU
-/// needs no timestamps: a hit at way *w* rotates ways `0..=w` to bring
-/// the line to the front, and a miss shifts the whole set down one way,
-/// dropping the least recently used tag off the end, and installs the
-/// line at way 0.
+/// After construction or [`CacheModel::reset`] the model is in dense
+/// mode: each line below sets × ways has a `u32` last-touch tick (1.3 MB
+/// for the A100 geometry), and a touch hits iff the line's tick is newer
+/// than the reset. The first touch at or above sets × ways, or the tick
+/// reaching `u32::MAX`, spills into per-set tag lists in
+/// **most-recently-used-first order** (LRU needs no timestamps there: a
+/// hit at way *w* rotates ways `0..=w` to bring the line to the front,
+/// and a miss shifts the whole set down one way, dropping the least
+/// recently used tag off the end, and installs the line at way 0). Both
+/// modes classify every access exactly as a per-access LRU would.
 ///
-/// Construction, [`CacheModel::reset`], and drop are all O(1) amortized:
-/// instead of filling the multi-megabyte tag array with an "empty"
-/// pattern, every set carries a `u32` epoch stamp, and a set whose stamp
-/// is not the current epoch is empty (its tags are cleared lazily on its
-/// next access). Retired bodies park in a per-thread pool keyed by
-/// geometry, so back-to-back instrumented runs stop paying an allocate +
-/// fill per [`crate::probe::CountingProbe`]; a reused body gets a fresh
-/// epoch, so it is bit-identical to a cold one.
+/// Construction, reset, and drop are all O(1) amortized: a reset moves
+/// the tick base instead of clearing an array, and retired bodies park in
+/// a per-thread pool keyed by geometry, so back-to-back instrumented runs
+/// stop paying an allocation per [`crate::probe::CountingProbe`]; a
+/// reused body is bit-identical to a cold one.
 #[derive(Debug, Clone)]
 pub struct CacheModel {
     line_bytes: u64,
@@ -154,8 +222,8 @@ impl CacheModel {
     /// stored tag) from wrapping onto the empty tag 0.
     ///
     /// Reuses a retired body of the same geometry from the calling
-    /// thread's pool when one is available (epoch-invalidated, so the
-    /// new model starts observably empty); allocates cold otherwise.
+    /// thread's pool when one is available (reset, so the new model
+    /// starts observably empty); allocates cold otherwise.
     pub fn new(capacity_bytes: u64, line_bytes: u64, ways: usize) -> Self {
         assert!(
             line_bytes.is_power_of_two() && line_bytes > 1,
@@ -165,10 +233,10 @@ impl CacheModel {
         let sets = ((capacity_bytes / line_bytes) as usize / ways).max(1);
         let body = match pooled_body(line_bytes, sets as u64, ways) {
             Some(mut body) => {
-                body.invalidate();
+                body.reset();
                 body
             }
-            None => Body::cold(sets, ways),
+            None => Body::cold(sets * ways),
         };
         CacheModel {
             line_bytes,
@@ -214,23 +282,45 @@ impl CacheModel {
     /// Accesses the same line `count` times in a row (one coalesced warp
     /// access's same-line run): the first access classifies against the
     /// cache, the remaining `count - 1` are guaranteed hits. Returns
-    /// whether the *first* access hit. End state (tags and hit/miss
+    /// whether the *first* access hit. End state (LRU order and hit/miss
     /// totals) is bit-identical to calling [`CacheModel::access`]
     /// `count` times with addresses on `addr`'s line.
+    #[inline]
     pub fn access_run(&mut self, addr: u64, count: u64) -> bool {
         debug_assert!(count > 0);
         let line = addr >> self.line_shift;
+        let body = &mut self.body;
+        let hit = if body.dense && body.tick < u32::MAX && line < body.last.len() as u64 {
+            body.tick += 1;
+            let last = &mut body.last[line as usize];
+            let hit = *last > body.base;
+            *last = body.tick;
+            hit
+        } else {
+            self.access_tags(line)
+        };
+        if hit {
+            self.hits += count;
+        } else {
+            self.misses += 1;
+            self.hits += count - 1;
+        }
+        hit
+    }
+
+    /// Classifies one touch of `line` against the tag lists (tag mode),
+    /// spilling first when still dense. Kept out of line, so only the
+    /// dense path inlines into the probe.
+    #[inline(never)]
+    fn access_tags(&mut self, line: u64) -> bool {
+        if self.body.dense {
+            self.body.spill(self.set_mod.d as usize, self.ways);
+        }
         // `line_bytes >= 2` keeps the line below 2^63, so `line + 1`
         // never wraps onto the empty tag.
         let tag = line + 1;
-        let set = self.set_mod.rem(line);
-        let base = set * self.ways;
+        let base = self.set_mod.rem(line) * self.ways;
         let slots = &mut self.body.tags[base..base + self.ways];
-        let stamp = &mut self.body.stamps[set];
-        if *stamp != self.body.epoch {
-            *stamp = self.body.epoch;
-            slots.fill(0);
-        }
         match slots.iter().position(|&t| t == tag) {
             Some(way) => {
                 // Hit: ways 0..way move down one, the line goes to the
@@ -238,17 +328,13 @@ impl CacheModel {
                 // is almost always 0 and nothing moves.
                 slots.copy_within(0..way, 1);
                 slots[0] = tag;
-                self.hits += count;
                 true
             }
             None => {
                 // Miss: the least recently used way (the last one, or an
-                // empty way while the set is filling) falls off the end,
-                // then the rest of the run hits the installed line.
+                // empty way while the set is filling) falls off the end.
                 slots.copy_within(0..self.ways - 1, 1);
                 slots[0] = tag;
-                self.misses += 1;
-                self.hits += count - 1;
                 false
             }
         }
@@ -264,19 +350,21 @@ impl CacheModel {
         self.misses
     }
 
-    /// Clears contents and statistics. O(1): the epoch advances, turning
-    /// every set stale without touching the tag array.
+    /// Clears contents and statistics and returns to dense mode. O(1):
+    /// the tick base moves up, turning every line stale without touching
+    /// either array.
     pub fn reset(&mut self) {
-        self.body.invalidate();
+        self.body.reset();
         self.hits = 0;
         self.misses = 0;
     }
 
-    /// A copy of this cache whose tag array comes from the calling
-    /// thread's retired-cache pool instead of a fresh allocation.
-    /// Executor shards fork one cache per launch; with pooling the
-    /// multi-megabyte tag copy is an amortized `memcpy` instead of an
-    /// allocate + copy + free per launch.
+    /// A copy of this cache whose arrays come from the calling thread's
+    /// retired-cache pool instead of a fresh allocation. Only the live
+    /// representation is copied (the tick array in dense mode, the tags
+    /// after a spill). Executor shards fork one cache per launch; with
+    /// pooling the copy is an amortized `memcpy` instead of an allocate +
+    /// copy + free per launch.
     pub fn fork(&self) -> CacheModel {
         let body = match pooled_body(self.line_bytes, self.set_mod.d, self.ways) {
             Some(mut body) => {
@@ -295,21 +383,14 @@ impl CacheModel {
             misses: self.misses,
         }
     }
-
-    /// Consumes the cache. Kept for API continuity: dropping now parks
-    /// the body in the thread's retired-cache pool automatically.
-    pub fn recycle(self) {
-        drop(self);
-    }
 }
 
 impl Drop for CacheModel {
-    /// Parks the body (with its epoch, so a reuser's next epoch
-    /// invalidates every stale set) in the thread's pool, bounded at
-    /// `CACHE_POOL_CAP` retired bodies.
+    /// Parks the body in the thread's pool, bounded at `CACHE_POOL_CAP`
+    /// retired bodies; its next user resets it.
     fn drop(&mut self) {
         let body = std::mem::take(&mut self.body);
-        if body.tags.capacity() == 0 {
+        if body.last.capacity() == 0 {
             return;
         }
         CACHE_POOL.with(|p| {
@@ -459,69 +540,112 @@ mod tests {
     fn fast_path_matches_reference_model() {
         // Non-power-of-two set count (3 sets) exercises the fastmod path;
         // a pseudo-random address stream with reuse exercises hits,
-        // misses, evictions, and hit promotion.
+        // misses, evictions, and hit promotion. 64 lines over 6 slots
+        // spill on the first touch at or above line 6.
         let mut fast = CacheModel::new(3 * 2 * 64, 64, 2);
         let mut reference = RefCache::new(3 * 2 * 64, 64, 2);
         let mut state = 0x9e3779b97f4a7c15u64;
-        // 64 lines over 3 sets.
         drive(&mut fast, &mut reference, &mut state, 10_000, |r| {
             r % (64 * 64)
         });
+        assert!(!fast.body.dense);
+        drop(fast);
 
-        // The A100 L2 (20480 sets x 16 ways) on a long stream mixing a
-        // hot region — 24 lines competing for each of 64 sets, so hits,
-        // deep-way promotions and evictions all occur — with cold lines
-        // scattered over the whole cache. Between phases the stream
-        // crosses every epoch transition: reset, fork, pool reuse, and
-        // an epoch wrap-around.
+        // The A100 L2: 20480 sets x 16 ways, so S·W = 327680 lines. The
+        // dense stream stays below S·W: a hot region of 16 lines in each
+        // of 64 sets (every set full, deep-way hits) plus cold lines over
+        // all of it. The full stream adds 8 more lines to each hot set —
+        // 24 lines competing for 16 ways, so evictions occur — and cold
+        // lines up to 2^20. Between phases the stream crosses every mode
+        // transition: a spill mid-run, reset after a spill, fork in each
+        // mode, pool reuse of a spilled body and a tick wrap.
         const CAP: u64 = 40 * 1024 * 1024;
         let sets = 20480u64;
-        let addr = move |r: u64| {
-            let line = if r & 1 == 0 {
-                (r >> 1) % 64 + sets * ((r >> 8) % 24)
-            } else {
-                (r >> 1) % (1 << 20)
-            };
-            line * 128 + (r >> 40) % 128
+        let stream = move |hot_lines: u64, cold_lines: u64| {
+            move |r: u64| {
+                let line = if r & 1 == 0 {
+                    (r >> 1) % 64 + sets * ((r >> 8) % hot_lines)
+                } else {
+                    (r >> 1) % cold_lines
+                };
+                line * 128 + (r >> 40) % 128
+            }
         };
+        let dense = stream(16, sets * 16);
+        let full = stream(24, 1 << 20);
         let mut state = 0x2545f4914f6cdd1du64;
         let mut fast = CacheModel::new(CAP, 128, 16);
         let mut reference = RefCache::new(CAP, 128, 16);
-        assert_eq!(fast.body.stamps.len() as u64, sets);
-        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+        assert_eq!(fast.body.last.len() as u64, sets * 16);
+        drive(&mut fast, &mut reference, &mut state, 30_000, dense);
+        assert!(fast.body.dense);
 
+        // Dense to tags in the middle of one run.
+        drive(&mut fast, &mut reference, &mut state, 30_000, full);
+        assert!(!fast.body.dense);
+
+        // A reset after a spill returns to dense mode.
         fast.reset();
         reference.reset();
-        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+        assert!(fast.body.dense);
+        drive(&mut fast, &mut reference, &mut state, 30_000, dense);
 
-        // A fork continues from the parent's contents and counters; the
+        // A fork continues from the parent's contents and counters, in
+        // dense mode (then spills on its own) and in tag mode; the
         // parent's body parks in the pool once dropped.
         let forked = fast.fork();
+        assert!(forked.body.dense);
         drop(std::mem::replace(&mut fast, forked));
-        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+        drive(&mut fast, &mut reference, &mut state, 10_000, dense);
+        drive(&mut fast, &mut reference, &mut state, 30_000, full);
+        let forked = fast.fork();
+        assert!(!forked.body.dense);
+        drop(std::mem::replace(&mut fast, forked));
+        drive(&mut fast, &mut reference, &mut state, 30_000, full);
 
-        // Pool reuse: the retired warm body must come back empty.
+        // A tag-mode fork into a pooled body whose own ticks are newer
+        // than the parent's must take the larger tick, or those stale
+        // ticks would read as hits after the next reset.
+        drop(fast.fork());
+        let mut newer = CacheModel::new(CAP, 128, 16);
+        newer.body.tick = 1 << 30;
+        newer.body.base = 1 << 30;
+        for line in 0..1000u64 {
+            newer.access(line * 128);
+        }
+        drop(newer);
+        let forked = fast.fork();
+        assert!(forked.body.tick > 1 << 30);
+        drop(std::mem::replace(&mut fast, forked));
+        drive(&mut fast, &mut reference, &mut state, 10_000, full);
+        fast.reset();
+        reference.reset();
+        drive(&mut fast, &mut reference, &mut state, 30_000, dense);
+
+        // Pool reuse of a spilled body: it must come back empty and dense.
+        drive(&mut fast, &mut reference, &mut state, 10_000, full);
+        assert!(!fast.body.dense);
         drop(fast);
         let mut fast = CacheModel::new(CAP, 128, 16);
         let mut reference = RefCache::new(CAP, 128, 16);
-        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+        assert!(fast.body.dense);
+        drive(&mut fast, &mut reference, &mut state, 30_000, dense);
 
-        // Epoch wrap: stamp sets at epoch 1, then run the epoch up to the
-        // last value before wrap-around. The wrap must clear every stamp,
-        // or the sets stamped 1 would come back to life with stale tags.
+        // Tick wrap: 5000 ticks before `u32::MAX` the dense stream must
+        // spill in the middle of the run, and the next reset restarts
+        // the ticks from zero.
         fast.reset();
         reference.reset();
-        fast.body.stamps.fill(0);
-        fast.body.epoch = 1;
-        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+        fast.body.tick = u32::MAX - 5000;
+        fast.body.base = fast.body.tick;
+        drive(&mut fast, &mut reference, &mut state, 30_000, dense);
+        assert!(!fast.body.dense);
+        assert_eq!(fast.body.tick, u32::MAX);
         fast.reset();
         reference.reset();
-        fast.body.epoch = u32::MAX;
-        drive(&mut fast, &mut reference, &mut state, 10_000, addr);
-        fast.reset();
-        reference.reset();
-        assert_eq!(fast.body.epoch, 1);
-        drive(&mut fast, &mut reference, &mut state, 30_000, addr);
+        assert!(fast.body.dense);
+        assert_eq!(fast.body.tick, 0);
+        drive(&mut fast, &mut reference, &mut state, 30_000, dense);
     }
 
     #[test]
@@ -557,7 +681,7 @@ mod tests {
     #[test]
     fn pooled_reuse_is_observably_fresh() {
         // Warm a model, retire it, build the same geometry again: the
-        // reused body (epoch-invalidated, not re-filled) must classify
+        // reused body (reset, not re-filled) must classify
         // exactly like a cold cache — and like a per-element reference.
         let trace: Vec<u64> = (0..2000u64)
             .map(|i| (i.wrapping_mul(2654435761) >> 8) % (1 << 16))

@@ -37,10 +37,10 @@
 //! launch (typically a whole-launch buffer leased before the `run` call
 //! on the sequential path, or per-warp buffers leased inside the body on
 //! either path) — a `ScratchLease` is not `Send` and cannot be captured
-//! by the parallel body by value. Probe shards recycle their cache tag
-//! arrays the same way: [`ShardableProbe::merge_shard`] returns the
-//! shard's tag buffer to the merging thread's pool, so repeated parallel
-//! launches stop allocating after warm-up.
+//! by the parallel body by value. Probe shards reuse their cache arrays
+//! the same way: [`ShardableProbe::merge_shard`] drops the shard, which
+//! parks its cache body in the merging thread's pool, so repeated
+//! parallel launches stop allocating after warm-up.
 
 use std::sync::OnceLock;
 

@@ -801,10 +801,11 @@ impl Probe for CountingProbe {
 impl ShardableProbe for CountingProbe {
     /// Zeroed counters, *warm* cache: the shard starts from a copy of the
     /// parent's cache contents so its hit/miss classification approximates
-    /// the sequential run rather than restarting cold. The copy's tag
-    /// array comes from the forking thread's retired-cache pool (see
-    /// [`CacheModel::fork`]), so back-to-back launches reuse the same
-    /// allocations.
+    /// the sequential run rather than restarting cold. The copy takes only
+    /// the cache's live representation (the per-line tick array, or the
+    /// tags after a spill) into a body from the forking thread's
+    /// retired-cache pool (see [`CacheModel::fork`]), so back-to-back
+    /// launches reuse the same allocations.
     fn fork_shard(&self) -> Self {
         CountingProbe {
             stats: KernelStats::default(),
@@ -821,7 +822,7 @@ impl ShardableProbe for CountingProbe {
                 .get_or_insert_with(PanelTraffic::default)
                 .merge(theirs);
         }
-        shard.cache.recycle();
+        // Dropping the shard parks its cache body in this thread's pool.
     }
 }
 

@@ -6,7 +6,7 @@
 //! keeps returned buffers in a thread-local pool keyed by element type;
 //! a lease hands out a length-`n` buffer (recycled capacity when
 //! available) and returns it to the pool on drop. (The cache model's
-//! tag arrays pool separately, keyed by geometry — see
+//! tick and tag arrays pool separately, keyed by geometry — see
 //! `crate::cache`.)
 //!
 //! Pooling is per OS thread: the sequential executor leases from the
