@@ -295,11 +295,7 @@ fn run_ext3(out: &std::path::Path) {
 
 fn run_ext4(out: &std::path::Path) {
     let f = ext4::run();
-    outln!(
-        "== Extension 4: dasp-serve request coalescing under load \
-         (A100 model, {} us window) ==",
-        ext4::BATCH_WINDOW.as_micros()
-    );
+    outln!("== Extension 4: dasp-serve request coalescing under load (A100 model) ==");
     for s in &f.summaries {
         outln!(
             "{} x{:>2} clients: geomean modeled-throughput speedup {}x from coalescing",

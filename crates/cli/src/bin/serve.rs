@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! dasp-serve [--matrix banded|rmat|stencil] [--clients N] [--requests N]
-//!            [--window-us U] [--workers N] [--max-batch N]
+//!            [--workers N] [--max-batch N]
 //!            [--executor seq|par] [--no-coalesce] [--profile] [--metrics]
 //! ```
 //!
@@ -20,7 +20,6 @@
 //! kernel through the compute sanitizer, unchanged.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use dasp_cli::outln;
 use dasp_core::DaspMatrix;
@@ -35,7 +34,6 @@ struct Opts {
     matrix: String,
     clients: usize,
     requests: usize,
-    window_us: u64,
     workers: usize,
     max_batch: usize,
     coalesce: bool,
@@ -50,7 +48,6 @@ fn parse_opts() -> Result<Opts, String> {
         matrix: "banded".to_string(),
         clients: 16,
         requests: 32,
-        window_us: 200,
         workers: 2,
         max_batch: 8,
         coalesce: true,
@@ -69,7 +66,6 @@ fn parse_opts() -> Result<Opts, String> {
             "--matrix" => o.matrix = value("--matrix")?,
             "--clients" => o.clients = parse_num(&value("--clients")?, "--clients")?,
             "--requests" => o.requests = parse_num(&value("--requests")?, "--requests")?,
-            "--window-us" => o.window_us = parse_num(&value("--window-us")?, "--window-us")? as u64,
             "--workers" => o.workers = parse_num(&value("--workers")?, "--workers")?,
             "--max-batch" => o.max_batch = parse_num(&value("--max-batch")?, "--max-batch")?,
             "--no-coalesce" => o.coalesce = false,
@@ -87,7 +83,7 @@ fn parse_opts() -> Result<Opts, String> {
             "--help" | "-h" => {
                 outln!(
                     "usage: dasp-serve [--matrix banded|rmat|stencil] [--clients N] \
-                     [--requests N] [--window-us U] [--workers N] [--max-batch N] \
+                     [--requests N] [--workers N] [--max-batch N] \
                      [--executor seq|par] [--no-coalesce] [--profile] [--metrics]"
                 );
                 std::process::exit(0);
@@ -143,7 +139,6 @@ fn main() -> ExitCode {
 
     let server = Server::<f64>::start(ServeConfig {
         workers: o.workers,
-        batch_window: Duration::from_micros(o.window_us),
         max_batch: o.max_batch,
         coalesce: o.coalesce,
         executor: o.executor,
@@ -159,13 +154,12 @@ fn main() -> ExitCode {
         }
     };
     outln!(
-        "serving {name}: {}x{}, {} nnz | {} workers, window {} us, max batch {}, \
-         coalesce {}, executor {}",
+        "serving {name}: {}x{}, {} nnz | {} workers, max batch {}, coalesce {}, \
+         executor {}",
         info.rows,
         info.cols,
         info.nnz,
         o.workers,
-        o.window_us,
         o.max_batch,
         o.coalesce,
         o.executor_label,

@@ -9,8 +9,8 @@
 //! each matrix, executor and offered load (closed-loop client count),
 //! the same workload runs with coalescing on and off and reports
 //!
-//! * end-to-end p50/p99 latency (wall clock, includes the batching
-//!   window — the bounded cost coalescing adds at low load),
+//! * end-to-end p50/p99 latency (wall clock; a coalesced request also
+//!   waits out the job running ahead of it),
 //! * mean coalesced batch width,
 //! * modeled A100 GPU busy time and **modeled throughput**
 //!   (requests per modeled GPU second — the device-side capacity the
@@ -20,10 +20,9 @@
 //! same request; a single mismatch fails the run. The headline is the
 //! coalescing-on over coalescing-off modeled-throughput ratio at the
 //! highest client count: the acceptance floor is a **1.5× geomean** at
-//! saturating load. At one client the ratio is ~1 (nothing to merge) and
-//! p50 is dominated by the batching window — the honest cost column.
-
-use std::time::Duration;
+//! saturating load. At one client the ratio is ~1: the dispatcher is
+//! work-conserving, so a lone request runs at once at width 1, with
+//! nothing to merge and no window to wait out.
 
 use dasp_core::DaspMatrix;
 use dasp_perf::{a100, geomean};
@@ -36,9 +35,6 @@ pub const CLIENT_COUNTS: [usize; 4] = [1, 4, 16, 32];
 
 /// Requests each client issues per cell.
 pub const REQUESTS_PER_CLIENT: usize = 16;
-
-/// The batching window every server in the sweep runs with.
-pub const BATCH_WINDOW: Duration = Duration::from_micros(200);
 
 /// One (matrix, executor, coalesce, clients) measurement cell.
 pub struct Row {
@@ -120,7 +116,6 @@ fn run_cell(
     // state, so each configuration gets its own registry.
     let server = Server::<f64>::start(ServeConfig {
         workers: 2,
-        batch_window: BATCH_WINDOW,
         coalesce,
         executor: executor.1,
         model: Some(a100()),

@@ -9,17 +9,18 @@ use dasp_simt::Executor;
 /// Configuration for a [`crate::Server`].
 ///
 /// The defaults are a reasonable interactive profile: coalescing on, an
-/// 8-wide batch cap (one full `mma.m8n8k4` B panel), a 200 µs batching
-/// window, two workers, and the environment-selected executor.
+/// 8-wide batch cap (one full `mma.m8n8k4` B panel), two workers, and the
+/// environment-selected executor.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads executing batches. At most one job per matrix is in
     /// flight at a time (the per-matrix FIFO guarantee), so extra workers
     /// buy parallelism *across* resident matrices, not within one.
     pub workers: usize,
-    /// The bounded batching wait: a partial batch flushes once its oldest
-    /// request has waited this long. Zero flushes every dispatcher pass
-    /// (coalescing still merges whatever is simultaneously queued).
+    /// Unread. The dispatcher is work-conserving: it never holds a request
+    /// while its matrix is idle, and the running job is the only batching
+    /// window. The field is kept until the benchmark, which sets every
+    /// field of this struct, drops it.
     pub batch_window: Duration,
     /// Maximum coalesced batch width. 8 fills one MMA B panel; larger
     /// values run the large-N panel-tiled sweep (A traffic is
@@ -55,7 +56,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 2,
-            batch_window: Duration::from_micros(200),
+            batch_window: Duration::ZERO,
             max_batch: 8,
             coalesce: true,
             queue_cap: 1024,

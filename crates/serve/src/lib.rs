@@ -10,9 +10,10 @@
 //! [`dasp_core::PlanCache`]), accepts concurrent requests from many
 //! tenants, and **coalesces concurrent single-vector SpMV requests
 //! against the same matrix into panel-width batches** routed through the
-//! tiled SpMM path — with a bounded-wait batching window so latency
-//! degrades gracefully at low load instead of stalling behind a batch
-//! that never fills.
+//! tiled SpMM path. Batching is work-conserving: a request for an idle
+//! matrix dispatches at once, and only what queues behind a running
+//! kernel is coalesced, so batch width grows with load and a lone request
+//! never waits for a batch that will not fill.
 //!
 //! Everything is `std`-only (thread pool + channels, no async runtime —
 //! the build environment is offline), matching the rest of the
@@ -23,7 +24,7 @@
 //! ```text
 //! clients ──spmv/spmm/refresh/pagerank──▶ [dispatcher thread]
 //!                                          per-matrix FIFO queues
-//!                                          coalescing + batching window
+//!                                          work-conserving coalescing
 //!                                               │ batches (≤ max_batch)
 //!                                               ▼
 //!                                         [worker pool]
@@ -46,11 +47,13 @@
 //!   [`dasp_core::DaspMatrix::spmm_into`]. Every response is bit-identical to a direct
 //!   single-vector `spmv` of the same request (the SpMM kernels'
 //!   column-equivalence guarantee).
-//! * **Bounded wait.** A partial batch flushes as soon as the oldest
-//!   queued request has waited `batch_window`, when the batch fills, when
-//!   a non-coalescible request (SpMM / refresh / PageRank) is queued
-//!   behind it, or at shutdown — so worst-case added latency at low load
-//!   is the window, never unbounded.
+//! * **Work-conserving.** The dispatcher never holds a request while its
+//!   matrix is idle. A lone SpMV goes out at width 1; the SpMVs that
+//!   queue while a job runs go out together when it finishes, up to
+//!   `max_batch` and up to the first non-coalescible request (SpMM /
+//!   refresh / PageRank) behind them. The running job is the batching
+//!   window, so no timer adds latency at low load, and under load the
+//!   panels fill by themselves.
 //! * **Observability.** A [`dasp_trace::Registry`] carries request
 //!   counters, per-tenant latency histograms
 //!   ([`dasp_trace::Histogram::quantile`] gives p50/p99), queue-depth

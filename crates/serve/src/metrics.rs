@@ -9,8 +9,9 @@ use dasp_trace::log_bounds;
 
 /// End-to-end request latency (submit to reply), microseconds.
 pub const LATENCY_US: &str = "serve.latency_us";
-/// Time a request spent queued before its batch dispatched, microseconds
-/// — bounded by the batching window plus scheduling jitter at low load.
+/// Time a request spent queued before its batch dispatched, microseconds.
+/// At low load only dispatcher scheduling: a request for an idle matrix
+/// dispatches at once; under load, the rest of the job running ahead of it.
 pub const QUEUE_WAIT_US: &str = "serve.queue_wait_us";
 /// Coalesced batch width at flush (1 for solo dispatches).
 pub const BATCH_WIDTH: &str = "serve.batch.width";
@@ -20,7 +21,8 @@ pub const MODELED_BATCH_US: &str = "serve.modeled.batch_us";
 
 /// Requests admitted to a queue.
 pub const ACCEPTED: &str = "serve.requests.accepted";
-/// Requests refused (queue full / unknown matrix / bad shape / drain).
+/// Requests refused (queue full / unknown matrix / bad shape / non-finite
+/// payload / drain).
 pub const REJECTED: &str = "serve.requests.rejected";
 /// Requests answered successfully.
 pub const COMPLETED: &str = "serve.requests.completed";
@@ -35,11 +37,14 @@ pub const MATRICES_REJECTED: &str = "serve.matrices.rejected";
 
 /// Flushes that dispatched a full `max_batch`-wide batch.
 pub const FLUSH_FULL: &str = "serve.flush.full";
-/// Flushes forced by the batching window expiring.
+/// Partial batches dispatched because their matrix went idle: a lone
+/// SpMV on an idle matrix, or the SpMVs that queued behind a finished job
+/// (fewer than `max_batch`, nothing else queued behind them). The running
+/// job is the batching window; no timer is involved.
 pub const FLUSH_WINDOW: &str = "serve.flush.window";
-/// Flushes forced by a non-coalescible request queued behind the batch.
+/// Partial batches ended by a non-coalescible request queued behind them.
 pub const FLUSH_BARRIER: &str = "serve.flush.barrier";
-/// Flushes forced by shutdown drain or an explicit flush.
+/// Partial batches dispatched while the server drains at shutdown.
 pub const FLUSH_DRAIN: &str = "serve.flush.drain";
 /// Solo dispatches (non-SpMV work, or coalescing disabled).
 pub const FLUSH_SOLO: &str = "serve.flush.solo";

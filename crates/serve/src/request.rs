@@ -1,6 +1,7 @@
 //! Request, reply, and ticket types of the serving API.
 
 use std::sync::mpsc;
+use std::time::Duration;
 
 use dasp_fp16::Scalar;
 use dasp_solver::{PowerOptions, PowerResult};
@@ -45,6 +46,48 @@ impl<S: Scalar> Work<S> {
             Work::PageRank { .. } => "pagerank",
         }
     }
+
+    /// Names the first NaN or Inf in the payload, if any.
+    pub(crate) fn non_finite(&self) -> Option<String> {
+        match self {
+            Work::Spmv { x } => first_non_finite(x).map(|(i, e)| format!("x[{i}] is {e}")),
+            Work::Spmm { columns } => columns.iter().enumerate().find_map(|(j, c)| {
+                first_non_finite(c).map(|(i, e)| format!("column {j} element {i} is {e}"))
+            }),
+            Work::Refresh { .. } | Work::PageRank { .. } => None,
+        }
+    }
+}
+
+/// The index and value of the first NaN or Inf in `v`. It runs on every
+/// submission and nearly every payload is finite, so chunks are first
+/// tested without branches: `d - d` is `+0.0` for a finite `d` and NaN
+/// otherwise, and a NaN sticks in a sum, which eight independent sums let
+/// the compiler vectorize. Only a chunk that fails is searched.
+fn first_non_finite<S: Scalar>(v: &[S]) -> Option<(usize, f64)> {
+    const CHUNK: usize = 256;
+    let finite = |c: &[S]| {
+        let mut sums = [0.0f64; 8];
+        let lanes = c.chunks_exact(8);
+        let tail: f64 = lanes
+            .remainder()
+            .iter()
+            .map(|e| e.to_f64() - e.to_f64())
+            .sum();
+        for l in lanes {
+            for (s, e) in sums.iter_mut().zip(l) {
+                *s += e.to_f64() - e.to_f64();
+            }
+        }
+        sums.iter().sum::<f64>() + tail == 0.0
+    };
+    let k = v.chunks(CHUNK).position(|c| !finite(c))? * CHUNK;
+    v[k..]
+        .iter()
+        .map(|e| e.to_f64())
+        .enumerate()
+        .find(|(_, e)| !e.is_finite())
+        .map(|(i, e)| (k + i, e))
 }
 
 /// Why the server refused a request without executing it.
@@ -62,6 +105,17 @@ pub enum RejectReason {
     /// The request's dimensions do not match the matrix.
     BadShape {
         /// Human-readable mismatch description.
+        detail: String,
+    },
+    /// An SpMV `x` or an SpMM column holds a NaN or an infinity. A
+    /// coalesced panel multiplies the masked-out zeros of each A fragment
+    /// by every `x` lane, and `0 · Inf` is NaN, so such an `x` would not
+    /// get its solo reply. Refresh values are not scanned: a non-finite
+    /// matrix value meets only zeroed-out fragment rows, never the
+    /// product of another row, so it keeps coalesced ≡ solo, and the
+    /// scan would cost a full extra pass over `nnz` values per refresh.
+    NonFinite {
+        /// Which element is not finite.
         detail: String,
     },
     /// The server is draining; no new work is admitted.
@@ -94,6 +148,7 @@ impl std::fmt::Display for RejectReason {
             }
             RejectReason::UnknownMatrix => write!(f, "unknown matrix"),
             RejectReason::BadShape { detail } => write!(f, "bad shape: {detail}"),
+            RejectReason::NonFinite { detail } => write!(f, "non-finite input: {detail}"),
             RejectReason::ShuttingDown => write!(f, "server shutting down"),
             RejectReason::InvalidPlan { detail } => write!(f, "invalid plan: {detail}"),
             RejectReason::InvalidCsr(e) => write!(f, "invalid CSR: {e}"),
@@ -135,6 +190,9 @@ pub enum ServeError {
     Rejected(RejectReason),
     /// The request ran and failed.
     Failed(String),
+    /// [`Ticket::wait_timeout`] ran out before the reply arrived. The
+    /// request is still queued or running; the ticket can wait again.
+    TimedOut,
 }
 
 impl std::fmt::Display for ServeError {
@@ -144,6 +202,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Dropped => write!(f, "reply channel dropped"),
             ServeError::Rejected(r) => write!(f, "rejected: {r}"),
             ServeError::Failed(e) => write!(f, "failed: {e}"),
+            ServeError::TimedOut => write!(f, "timed out waiting for the reply"),
         }
     }
 }
@@ -161,12 +220,17 @@ pub struct Ticket<S: Scalar> {
 impl<S: Scalar> Ticket<S> {
     /// Blocks until the reply arrives.
     pub fn wait(self) -> Result<Reply<S>, ServeError> {
-        match self.rx.recv() {
-            Ok(Reply::Rejected(r)) => Err(ServeError::Rejected(r)),
-            Ok(Reply::Failed(e)) => Err(ServeError::Failed(e)),
-            Ok(r) => Ok(r),
-            Err(_) => Err(ServeError::Dropped),
-        }
+        settle(self.rx.recv().map_err(|_| ServeError::Dropped))
+    }
+
+    /// Blocks until the reply arrives or `timeout` passes, whichever is
+    /// first; the latter is [`ServeError::TimedOut`], after which the
+    /// ticket may wait again.
+    pub fn wait_timeout(&self, timeout: Duration) -> Result<Reply<S>, ServeError> {
+        settle(self.rx.recv_timeout(timeout).map_err(|e| match e {
+            mpsc::RecvTimeoutError::Timeout => ServeError::TimedOut,
+            mpsc::RecvTimeoutError::Disconnected => ServeError::Dropped,
+        }))
     }
 
     /// [`Ticket::wait`] for an SpMV request: unwraps the vector reply.
@@ -192,6 +256,15 @@ impl<S: Scalar> Ticket<S> {
     }
 }
 
+/// Turns a refusal or a failure reply into its error.
+fn settle<S: Scalar>(reply: Result<Reply<S>, ServeError>) -> Result<Reply<S>, ServeError> {
+    match reply? {
+        Reply::Rejected(r) => Err(ServeError::Rejected(r)),
+        Reply::Failed(e) => Err(ServeError::Failed(e)),
+        r => Ok(r),
+    }
+}
+
 fn reply_kind<S: Scalar>(r: &Reply<S>) -> &'static str {
     match r {
         Reply::Vector(_) => "vector",
@@ -200,5 +273,28 @@ fn reply_kind<S: Scalar>(r: &Reply<S>) -> &'static str {
         Reply::Eigen(_) => "eigen",
         Reply::Rejected(_) => "rejected",
         Reply::Failed(_) => "failed",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every position a non-finite value can take in the chunked scan:
+    /// the first lane, a lane boundary, a chunk boundary, the last full
+    /// lane group and the remainder past it.
+    #[test]
+    fn first_non_finite_finds_every_position() {
+        let clean: Vec<f64> = (0..301).map(|i| i as f64 - 150.5).collect();
+        assert_eq!(first_non_finite(&clean), None);
+        for at in [0, 7, 8, 255, 256, 295, 296, 300] {
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let mut v = clean.clone();
+                v[at] = bad;
+                let (i, e) = first_non_finite(&v).expect("a non-finite value");
+                assert_eq!(i, at);
+                assert_eq!(e.to_bits(), bad.to_bits());
+            }
+        }
     }
 }

@@ -43,8 +43,43 @@ struct Inner<S: Scalar> {
 }
 
 impl<S: Scalar> Inner<S> {
+    fn new(config: ServeConfig) -> Inner<S> {
+        let config = config.normalized();
+        Inner {
+            registry: Arc::new(Registry::new()),
+            plan_cache: config.build_plan_cache(),
+            slots: Mutex::new(HashMap::new()),
+            traces: Mutex::new(Vec::new()),
+            config,
+        }
+    }
+
     fn slot(&self, name: &str) -> Option<Arc<Slot<S>>> {
         self.slots.lock().expect("slots lock").get(name).cloned()
+    }
+
+    fn make_resident(&self, name: &str, m: DaspMatrix<S>) -> RegisterInfo {
+        let info = RegisterInfo {
+            rows: m.rows,
+            cols: m.cols,
+            nnz: m.nnz,
+            replaced: false,
+        };
+        let slot = Arc::new(Slot {
+            rows: m.rows,
+            cols: m.cols,
+            nnz: m.nnz,
+            matrix: Mutex::new(m),
+        });
+        let replaced = self
+            .slots
+            .lock()
+            .expect("slots lock")
+            .insert(name.to_string(), slot)
+            .is_some();
+        self.registry.counter_add(metrics::MATRICES_REGISTERED, 1);
+        self.plan_cache.export_metrics(&self.registry);
+        RegisterInfo { replaced, ..info }
     }
 }
 
@@ -61,7 +96,6 @@ struct Envelope<S: Scalar> {
 enum Msg<S: Scalar> {
     Req(Envelope<S>),
     Done { matrix: String },
-    Flush,
     Shutdown,
 }
 
@@ -102,6 +136,7 @@ pub struct ShutdownReport {
 pub struct ServerHandle<S: Scalar> {
     tx: mpsc::Sender<Msg<S>>,
     closed: Arc<AtomicBool>,
+    registry: Arc<Registry>,
 }
 
 impl<S: Scalar> Clone for ServerHandle<S> {
@@ -109,12 +144,19 @@ impl<S: Scalar> Clone for ServerHandle<S> {
         ServerHandle {
             tx: self.tx.clone(),
             closed: self.closed.clone(),
+            registry: self.registry.clone(),
         }
     }
 }
 
 impl<S: Scalar> ServerHandle<S> {
     /// Submits one unit of work against a resident matrix.
+    ///
+    /// An SpMV `x` or SpMM column holding NaN or Inf is refused here, with
+    /// [`RejectReason::NonFinite`] on the returned ticket: the masked MMA
+    /// turns `0 · Inf` into NaN, so such an `x` would break the rule that a
+    /// coalesced reply equals the solo one. The O(cols) scan runs on the
+    /// submitting thread, not on the dispatcher every matrix shares.
     pub fn submit(
         &self,
         tenant: &str,
@@ -125,6 +167,11 @@ impl<S: Scalar> ServerHandle<S> {
             return Err(ServeError::Closed);
         }
         let (reply, rx) = mpsc::channel();
+        if let Some(detail) = work.non_finite() {
+            self.registry.counter_add(metrics::REJECTED, 1);
+            let _ = reply.send(Reply::Rejected(RejectReason::NonFinite { detail }));
+            return Ok(Ticket { rx });
+        }
         let env = Envelope {
             tenant: tenant.to_string(),
             matrix: matrix.to_string(),
@@ -193,16 +240,7 @@ pub struct Server<S: Scalar> {
 impl<S: Scalar> Server<S> {
     /// Starts the dispatcher and worker threads.
     pub fn start(config: ServeConfig) -> Server<S> {
-        let config = config.normalized();
-        let registry = Arc::new(Registry::new());
-        let plan_cache = config.build_plan_cache();
-        let inner = Arc::new(Inner {
-            registry,
-            plan_cache,
-            slots: Mutex::new(HashMap::new()),
-            traces: Mutex::new(Vec::new()),
-            config,
-        });
+        let inner = Arc::new(Inner::new(config));
 
         let (tx, rx) = mpsc::channel::<Msg<S>>();
         let (job_tx, job_rx) = mpsc::channel::<Job<S>>();
@@ -269,7 +307,7 @@ impl<S: Scalar> Server<S> {
             format!("nnz {} reaches the gather index limit", csr.nnz())
         } else {
             let m = DaspMatrix::with_params_cached(csr, params, &self.inner.plan_cache);
-            return Ok(self.make_resident(name, m));
+            return Ok(self.inner.make_resident(name, m));
         };
         Err(self.reject(RejectReason::InvalidParams { detail }))
     }
@@ -293,7 +331,7 @@ impl<S: Scalar> Server<S> {
                 detail: report.summary(),
             }));
         }
-        Ok(self.make_resident(name, m))
+        Ok(self.inner.make_resident(name, m))
     }
 
     /// Reads a `DASPFMT2` blob and admits it through the same
@@ -322,50 +360,18 @@ impl<S: Scalar> Server<S> {
         ServeError::Rejected(reason)
     }
 
-    fn make_resident(&self, name: &str, m: DaspMatrix<S>) -> RegisterInfo {
-        let info = RegisterInfo {
-            rows: m.rows,
-            cols: m.cols,
-            nnz: m.nnz,
-            replaced: false,
-        };
-        let slot = Arc::new(Slot {
-            rows: m.rows,
-            cols: m.cols,
-            nnz: m.nnz,
-            matrix: Mutex::new(m),
-        });
-        let replaced = self
-            .inner
-            .slots
-            .lock()
-            .expect("slots lock")
-            .insert(name.to_string(), slot)
-            .is_some();
-        self.inner
-            .registry
-            .counter_add(metrics::MATRICES_REGISTERED, 1);
-        self.inner.plan_cache.export_metrics(&self.inner.registry);
-        RegisterInfo { replaced, ..info }
-    }
-
     /// A cloneable submission handle.
     pub fn handle(&self) -> ServerHandle<S> {
         ServerHandle {
             tx: self.tx.clone(),
             closed: self.closed.clone(),
+            registry: self.inner.registry.clone(),
         }
     }
 
     /// The server's metric registry (live; snapshot at any time).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.inner.registry
-    }
-
-    /// Asks the dispatcher to flush all partial batches now rather than
-    /// waiting out the batching window.
-    pub fn flush(&self) {
-        let _ = self.tx.send(Msg::Flush);
     }
 
     /// Stops admitting work, drains every queue (pending requests still
@@ -429,65 +435,25 @@ fn dispatcher_loop<S: Scalar>(
         if draining && queues.values().all(|q| q.pending.is_empty() && !q.inflight) {
             break;
         }
-
-        // Wait for the next message — bounded by the earliest batching-
-        // window deadline among coalescing queue heads, so partial batches
-        // flush on time even when no new messages arrive.
-        let msg = if draining {
-            // Drain mode flushes everything eagerly; only Done messages
-            // (and late requests, rejected below) arrive here.
-            match rx.recv() {
-                Ok(m) => Some(m),
-                Err(_) => break,
-            }
-        } else {
-            match next_deadline(&queues, &inner.config) {
-                None => rx.recv().ok(),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if deadline <= now {
-                        rx.try_recv().ok()
-                    } else {
-                        match rx.recv_timeout(deadline - now) {
-                            Ok(m) => Some(m),
-                            Err(mpsc::RecvTimeoutError::Timeout) => None,
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                }
-            }
-        };
-
-        let mut force = false;
+        let Ok(msg) = rx.recv() else { break };
         match msg {
-            None => {} // window deadline: fall through to the flush pass
-            Some(Msg::Req(env)) => {
+            Msg::Req(env) => {
                 if draining {
                     reject(&inner, env, RejectReason::ShuttingDown);
                 } else {
                     admit(&inner, &mut queues, env);
                 }
             }
-            Some(Msg::Done { matrix }) => {
+            Msg::Done { matrix } => {
                 if let Some(q) = queues.get_mut(&matrix) {
                     q.inflight = false;
                 }
             }
-            Some(Msg::Flush) => force = true,
-            Some(Msg::Shutdown) => draining = true,
+            Msg::Shutdown => draining = true,
         }
 
-        let now = Instant::now();
         for (name, q) in queues.iter_mut() {
-            try_flush(
-                &inner,
-                name,
-                q,
-                &job_tx,
-                now,
-                force || draining,
-                &wait_bounds,
-            );
+            try_flush(&inner, name, q, &job_tx, draining, &wait_bounds);
         }
 
         let depth: usize = queues.values().map(|q| q.pending.len()).sum();
@@ -498,20 +464,6 @@ fn dispatcher_loop<S: Scalar>(
             .gauge_set(metrics::QUEUE_DEPTH_PEAK, peak_depth as f64);
     }
     // Dropping job_tx here ends the worker loops.
-}
-
-/// The earliest instant at which some queue's partial batch must flush,
-/// if any queue is actually waiting on the window.
-fn next_deadline<S: Scalar>(
-    queues: &HashMap<String, MatrixQueue<S>>,
-    config: &ServeConfig,
-) -> Option<Instant> {
-    queues
-        .values()
-        .filter(|q| !q.inflight && !q.pending.is_empty())
-        .filter(|q| config.coalesce && matches!(q.pending[0].work, Work::Spmv { .. }))
-        .map(|q| q.pending[0].submitted + config.batch_window)
-        .min()
 }
 
 fn admit<S: Scalar>(
@@ -594,64 +546,61 @@ fn reject<S: Scalar>(inner: &Inner<S>, env: Envelope<S>, reason: RejectReason) {
     let _ = env.reply.send(Reply::Rejected(reason));
 }
 
-/// Decides whether (and how wide) to dispatch from one matrix queue.
+/// Dispatches the queue head of an idle matrix at once (work-conserving):
+/// a lone SpMV goes out at width 1, and the SpMVs that queued while the
+/// previous job ran go out together, up to `max_batch`.
 fn try_flush<S: Scalar>(
     inner: &Inner<S>,
     name: &str,
     q: &mut MatrixQueue<S>,
     job_tx: &mpsc::Sender<Job<S>>,
-    now: Instant,
-    force: bool,
+    draining: bool,
     wait_bounds: &[f64],
 ) {
     // One job per matrix in flight: the per-matrix FIFO guarantee that
     // makes refresh an ordering barrier.
-    while !q.inflight && !q.pending.is_empty() {
-        let head_is_spmv = matches!(q.pending[0].work, Work::Spmv { .. });
-        let width = if !head_is_spmv || !inner.config.coalesce {
-            inner.registry.counter_add(metrics::FLUSH_SOLO, 1);
-            1
-        } else {
-            let run = q
-                .pending
-                .iter()
-                .take_while(|e| matches!(e.work, Work::Spmv { .. }))
-                .count();
-            let width = run.min(inner.config.max_batch);
-            let full = width >= inner.config.max_batch;
-            let barrier = run < q.pending.len();
-            let due = now.duration_since(q.pending[0].submitted) >= inner.config.batch_window;
-            if !(full || barrier || due || force) {
-                return; // keep waiting for the batch to fill
-            }
-            let cause = if full {
-                metrics::FLUSH_FULL
-            } else if barrier {
-                metrics::FLUSH_BARRIER
-            } else if due {
-                metrics::FLUSH_WINDOW
-            } else {
-                metrics::FLUSH_DRAIN
-            };
-            inner.registry.counter_add(cause, 1);
-            width
-        };
-
-        let batch: Vec<Envelope<S>> = q.pending.drain(..width).collect();
-        for env in &batch {
-            let waited = now.duration_since(env.submitted).as_secs_f64() * 1e6;
-            inner
-                .registry
-                .observe(metrics::QUEUE_WAIT_US, waited, wait_bounds);
-        }
-        let slot = inner.slot(name).expect("slot validated at admission");
-        q.inflight = true;
-        let _ = job_tx.send(Job {
-            matrix: name.to_string(),
-            slot,
-            batch,
-        });
+    if q.inflight || q.pending.is_empty() {
+        return;
     }
+    let head_is_spmv = matches!(q.pending[0].work, Work::Spmv { .. });
+    let width = if !head_is_spmv || !inner.config.coalesce {
+        inner.registry.counter_add(metrics::FLUSH_SOLO, 1);
+        1
+    } else {
+        let run = q
+            .pending
+            .iter()
+            .take_while(|e| matches!(e.work, Work::Spmv { .. }))
+            .count();
+        let width = run.min(inner.config.max_batch);
+        let cause = if width >= inner.config.max_batch {
+            metrics::FLUSH_FULL
+        } else if run < q.pending.len() {
+            metrics::FLUSH_BARRIER
+        } else if draining {
+            metrics::FLUSH_DRAIN
+        } else {
+            metrics::FLUSH_WINDOW
+        };
+        inner.registry.counter_add(cause, 1);
+        width
+    };
+
+    let now = Instant::now();
+    let batch: Vec<Envelope<S>> = q.pending.drain(..width).collect();
+    for env in &batch {
+        let waited = now.duration_since(env.submitted).as_secs_f64() * 1e6;
+        inner
+            .registry
+            .observe(metrics::QUEUE_WAIT_US, waited, wait_bounds);
+    }
+    let slot = inner.slot(name).expect("slot validated at admission");
+    q.inflight = true;
+    let _ = job_tx.send(Job {
+        matrix: name.to_string(),
+        slot,
+        batch,
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -857,5 +806,340 @@ impl<S: Scalar, P: ShardableProbe> LinearOperator for ProbedF64Op<'_, S, P> {
         for (o, v) in y.iter_mut().zip(ys) {
             *o = v.to_f64();
         }
+    }
+}
+
+/// Deterministic dispatcher tests: `dispatcher_loop` runs on its own
+/// thread against a fake worker. The test owns the job channel, runs each
+/// job itself through the real worker path (`execute_job`, so replies go
+/// through `spmv_batch_into`) and sends `Msg::Done` when it chooses, so
+/// what queues behind an in-flight job is decided by the test, not by
+/// thread timing.
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use super::*;
+
+    /// How long a test waits for a job or reply it is owed; reached only
+    /// when the dispatcher is broken.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    struct Harness {
+        inner: Arc<Inner<f64>>,
+        handle: ServerHandle<f64>,
+        jobs: mpsc::Receiver<Job<f64>>,
+        dispatcher: JoinHandle<()>,
+        scratch: Scratch<f64>,
+    }
+
+    impl Harness {
+        fn start(config: ServeConfig) -> Harness {
+            let inner = Arc::new(Inner::new(ServeConfig {
+                executor: Executor::seq(),
+                ..config
+            }));
+            let (tx, rx) = mpsc::channel();
+            let (job_tx, jobs) = mpsc::channel();
+            let dispatcher = {
+                let inner = inner.clone();
+                std::thread::spawn(move || dispatcher_loop(inner, rx, job_tx))
+            };
+            let handle = ServerHandle {
+                tx,
+                closed: Arc::new(AtomicBool::new(false)),
+                registry: inner.registry.clone(),
+            };
+            Harness {
+                inner,
+                handle,
+                jobs,
+                dispatcher,
+                scratch: Scratch::new(false),
+            }
+        }
+
+        /// A harness with `csr` resident as `"m"`, and the matrix built
+        /// the same way for computing solo replies.
+        fn with_matrix(config: ServeConfig, csr: &Csr<f64>) -> (Harness, DaspMatrix<f64>) {
+            let h = Harness::start(config);
+            let m = DaspMatrix::with_params_cached(csr, DaspParams::default(), &h.inner.plan_cache);
+            h.inner.make_resident("m", m);
+            (h, DaspMatrix::from_csr(csr))
+        }
+
+        fn spmv(&self, x: &[f64]) -> Ticket<f64> {
+            self.handle.spmv("t", "m", x.to_vec()).unwrap()
+        }
+
+        /// The next job the dispatcher sends.
+        fn job(&self) -> Job<f64> {
+            self.jobs.recv_timeout(PATIENCE).expect("a dispatched job")
+        }
+
+        /// Asserts that the dispatcher, having handled every message sent
+        /// so far, sent no job. The dispatcher answers a request for an
+        /// unknown matrix in order, so its reply marks that point.
+        fn idle(&self) {
+            let t = self.handle.spmv("t", "unknown", vec![0.0]).unwrap();
+            assert_eq!(
+                t.wait(),
+                Err(ServeError::Rejected(RejectReason::UnknownMatrix))
+            );
+            assert!(self.jobs.try_recv().is_err(), "unexpected dispatch");
+        }
+
+        /// Runs `job` as a worker would, then reports it done.
+        fn finish(&mut self, job: Job<f64>) -> usize {
+            let (width, matrix) = (job.batch.len(), job.matrix.clone());
+            execute_job(&self.inner, &mut self.scratch, job);
+            self.handle.tx.send(Msg::Done { matrix }).unwrap();
+            width
+        }
+
+        /// Drains (running every job still owed) and stops the dispatcher.
+        fn shutdown(mut self) -> Arc<Registry> {
+            self.handle.tx.send(Msg::Shutdown).unwrap();
+            loop {
+                match self.jobs.recv_timeout(PATIENCE) {
+                    Ok(job) => {
+                        self.finish(job);
+                    }
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                    Err(mpsc::RecvTimeoutError::Timeout) => panic!("dispatcher did not drain"),
+                }
+            }
+            self.dispatcher.join().expect("dispatcher thread");
+            self.inner.registry.clone()
+        }
+    }
+
+    fn vectors(cols: usize, n: u64) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|j| dasp_matgen::dense_vector(cols, 50 + j))
+            .collect()
+    }
+
+    #[test]
+    fn lone_spmv_on_idle_matrix_dispatches_at_width_one() {
+        let csr = dasp_matgen::banded(96, 4, 5, 11);
+        let (mut h, d) = Harness::with_matrix(ServeConfig::default(), &csr);
+        let x = dasp_matgen::dense_vector(csr.cols, 1);
+        let t = h.spmv(&x);
+        // No Done, no flush and no timer: the idle matrix takes it at once.
+        let job = h.job();
+        assert_eq!(h.finish(job), 1);
+        assert_eq!(t.wait_vector().unwrap(), d.spmv(&x, &mut NoProbe));
+        let reg = h.shutdown();
+        assert_eq!(reg.counter(metrics::FLUSH_WINDOW), Some(1));
+    }
+
+    /// k SpMVs queued behind an in-flight job leave together at its
+    /// `Done`: one job of width k for every partial width, `max_batch`
+    /// then the rest past it, each reply bit-identical to solo.
+    #[test]
+    fn partial_panels_flush_at_their_width() {
+        let csr = dasp_matgen::banded(96, 4, 5, 11);
+        let xs = vectors(csr.cols, 9);
+        for k in 1..=xs.len() {
+            let (mut h, d) = Harness::with_matrix(ServeConfig::default(), &csr);
+            let lead = h.spmv(&xs[0]);
+            let first = h.job();
+            let tickets: Vec<_> = xs[..k].iter().map(|x| h.spmv(x)).collect();
+            h.idle();
+            assert_eq!(h.finish(first), 1);
+            let widths: Vec<usize> = xs[..k].chunks(8).map(|c| c.len()).collect();
+            for &w in &widths {
+                let job = h.job();
+                h.idle();
+                assert_eq!(h.finish(job), w, "k = {k}");
+            }
+            assert_eq!(lead.wait_vector().unwrap(), d.spmv(&xs[0], &mut NoProbe));
+            for (j, t) in tickets.into_iter().enumerate() {
+                let want = d.spmv(&xs[j], &mut NoProbe);
+                assert_eq!(t.wait_vector().unwrap(), want, "k = {k}, column {j}");
+            }
+            let reg = h.shutdown();
+            let full = (k / 8) as u64;
+            assert_eq!(reg.counter(metrics::FLUSH_FULL).unwrap_or(0), full);
+            let window = 1 + u64::from(k % 8 != 0);
+            assert_eq!(reg.counter(metrics::FLUSH_WINDOW), Some(window));
+        }
+    }
+
+    /// A refresh is an ordering barrier: the SpMV queued ahead of it
+    /// leaves alone and sees the old values; the one behind it waits for
+    /// the refresh and sees the new ones, bit for bit.
+    #[test]
+    fn refresh_orders_against_inflight_spmv() {
+        let csr = dasp_matgen::banded(128, 3, 6, 7);
+        let mut csr_new = csr.clone();
+        for v in csr_new.vals.iter_mut() {
+            *v *= 2.0;
+        }
+        let (mut h, d_old) = Harness::with_matrix(ServeConfig::default(), &csr);
+        let x = dasp_matgen::dense_vector(csr.cols, 3);
+        let before = d_old.spmv(&x, &mut NoProbe);
+        let after = DaspMatrix::from_csr(&csr_new).spmv(&x, &mut NoProbe);
+        assert_ne!(before, after);
+
+        let t_lead = h.spmv(&x);
+        let lead = h.job();
+        let t_before = h.spmv(&x);
+        let t_refresh = h.handle.refresh("t", "m", csr_new.vals.clone()).unwrap();
+        let t_after = h.spmv(&x);
+        h.idle();
+        h.finish(lead);
+        for kind in ["spmv", "refresh", "spmv"] {
+            let job = h.job();
+            h.idle();
+            assert_eq!(job.batch[0].work.kind(), kind);
+            assert_eq!(h.finish(job), 1);
+        }
+        assert_eq!(t_lead.wait_vector().unwrap(), before);
+        assert_eq!(t_before.wait_vector().unwrap(), before);
+        assert!(matches!(t_refresh.wait().unwrap(), Reply::Refreshed));
+        assert_eq!(t_after.wait_vector().unwrap(), after);
+
+        let reg = h.shutdown();
+        assert_eq!(reg.counter(metrics::REFRESHES), Some(1));
+        assert_eq!(reg.counter(metrics::FLUSH_BARRIER), Some(1));
+        assert_eq!(reg.counter(metrics::FLUSH_SOLO), Some(1));
+        assert_eq!(reg.counter(metrics::FLUSH_WINDOW), Some(2));
+    }
+
+    /// The queue cap counts what waits behind the in-flight job.
+    #[test]
+    fn queue_full_while_matrix_in_flight() {
+        let csr = dasp_matgen::banded(64, 2, 4, 1);
+        let config = ServeConfig {
+            queue_cap: 1,
+            ..ServeConfig::default()
+        };
+        let (mut h, d) = Harness::with_matrix(config, &csr);
+        let x = dasp_matgen::dense_vector(csr.cols, 2);
+        let want = d.spmv(&x, &mut NoProbe);
+        let t0 = h.spmv(&x);
+        let j0 = h.job();
+        let t1 = h.spmv(&x);
+        assert_eq!(
+            h.spmv(&x).wait(),
+            Err(ServeError::Rejected(RejectReason::QueueFull {
+                depth: 1,
+                cap: 1
+            }))
+        );
+        h.finish(j0);
+        let j1 = h.job();
+        h.finish(j1);
+        assert_eq!(t0.wait_vector().unwrap(), want);
+        assert_eq!(t1.wait_vector().unwrap(), want);
+        h.shutdown();
+    }
+
+    #[test]
+    fn wait_timeout_gives_up_behind_an_unfinished_job() {
+        let csr = dasp_matgen::banded(64, 2, 4, 1);
+        let (mut h, d) = Harness::with_matrix(ServeConfig::default(), &csr);
+        let x = dasp_matgen::dense_vector(csr.cols, 4);
+        let t0 = h.spmv(&x);
+        let j0 = h.job();
+        let t1 = h.spmv(&x);
+        let short = Duration::from_millis(20);
+        assert_eq!(t1.wait_timeout(short), Err(ServeError::TimedOut));
+        h.finish(j0);
+        let j1 = h.job();
+        h.finish(j1);
+        let want = Reply::Vector(d.spmv(&x, &mut NoProbe));
+        assert_eq!(t0.wait_timeout(PATIENCE), Ok(want.clone()));
+        assert_eq!(t1.wait_timeout(PATIENCE), Ok(want));
+        h.shutdown();
+    }
+
+    /// A NaN or Inf in `x` or an SpMM column is refused at submission,
+    /// and the finite requests queued around the refused one still
+    /// coalesce bit-identically.
+    #[test]
+    fn non_finite_inputs_are_refused_and_neighbours_stay_bit_identical() {
+        let csr = dasp_matgen::banded(96, 4, 5, 11);
+        let xs = vectors(csr.cols, 3);
+        let (mut h, d) = Harness::with_matrix(ServeConfig::default(), &csr);
+        let lead = h.spmv(&xs[0]);
+        let j0 = h.job();
+        let t1 = h.spmv(&xs[1]);
+        let mut inf = xs[1].clone();
+        inf[5] = f64::INFINITY;
+        let mut nan = xs[2].clone();
+        nan[7] = f64::NAN;
+        let refused = [
+            h.spmv(&inf),
+            h.handle.spmm("t", "m", vec![xs[2].clone(), nan]).unwrap(),
+        ];
+        let t2 = h.spmv(&xs[2]);
+        for t in refused {
+            assert!(
+                matches!(
+                    t.wait(),
+                    Err(ServeError::Rejected(RejectReason::NonFinite { .. }))
+                ),
+                "a non-finite input must be refused"
+            );
+        }
+        h.idle();
+        h.finish(j0);
+        let j1 = h.job();
+        assert_eq!(h.finish(j1), 2);
+        for (t, x) in [(lead, &xs[0]), (t1, &xs[1]), (t2, &xs[2])] {
+            assert_eq!(t.wait_vector().unwrap(), d.spmv(x, &mut NoProbe));
+        }
+        h.shutdown();
+    }
+
+    /// Refresh values are admitted unscanned because a non-finite matrix
+    /// value keeps coalesced ≡ solo: after an Inf and a NaN are refreshed
+    /// in, a coalesced panel still answers every column bit for bit (NaN
+    /// payloads included) as the solo SpMV of the same matrix does.
+    #[test]
+    fn non_finite_matrix_values_keep_coalesced_equal_to_solo() {
+        // R-MAT rows span the short, medium and long kernels; one
+        // non-finite value lands in a row of each length class.
+        let csr = dasp_matgen::rmat(9, 8, 17);
+        let mut bad = csr.clone();
+        let lens: Vec<usize> = csr.row_ptr.windows(2).map(|w| w[1] - w[0]).collect();
+        let classes: [fn(usize) -> bool; 4] = [
+            |n| n == 1,
+            |n| (2..=4).contains(&n),
+            |n| (5..=64).contains(&n),
+            |n| n > 64,
+        ];
+        for (k, class) in classes.iter().enumerate() {
+            let r = lens
+                .iter()
+                .position(|&n| class(n))
+                .expect("a row of the class");
+            bad.vals[csr.row_ptr[r]] = [f64::INFINITY, f64::NAN][k % 2];
+        }
+        let d_bad = DaspMatrix::from_csr(&bad);
+        let xs = vectors(csr.cols, 3);
+        let (mut h, _) = Harness::with_matrix(ServeConfig::default(), &csr);
+        let lead = h.spmv(&xs[0]);
+        let j0 = h.job();
+        let refresh = h.handle.refresh("t", "m", bad.vals.clone()).unwrap();
+        let tickets: Vec<_> = xs.iter().map(|x| h.spmv(x)).collect();
+        h.finish(j0);
+        let j1 = h.job();
+        assert_eq!(j1.batch[0].work.kind(), "refresh");
+        h.finish(j1);
+        let j2 = h.job();
+        assert_eq!(h.finish(j2), xs.len());
+        lead.wait_vector().unwrap();
+        assert!(matches!(refresh.wait().unwrap(), Reply::Refreshed));
+        let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for (t, x) in tickets.into_iter().zip(&xs) {
+            let solo = d_bad.spmv(x, &mut NoProbe);
+            assert!(solo.iter().any(|e| !e.is_finite()));
+            assert_eq!(bits(&t.wait_vector().unwrap()), bits(&solo));
+        }
+        h.shutdown();
     }
 }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Kick the tires: a release build, the experiment smoke (Fig. 2 and
-# Table 2 on the small corpus) and the exact modeled gate (a fresh
-# `dasp-bench record` must diff clean against the trajectory head, the
-# highest-numbered committed BENCH_<seq>.json). Stops with a non-zero
-# exit at the first failure.
+# Table 2 on the small corpus), a serving smoke (`dasp-serve` at 1 and
+# 16 closed-loop clients; it exits non-zero on any reply that is not
+# bit-identical to a direct SpMV, or on any failed request) and the
+# exact modeled gate (a fresh `dasp-bench record` must diff clean
+# against the trajectory head, the highest-numbered committed
+# BENCH_<seq>.json). Stops with a non-zero exit at the first failure.
 #
 #   scripts/kick-tires.sh
 #
@@ -20,6 +22,10 @@ cargo build --release --workspace
 
 echo "== experiment smoke: fig2 table2 (small corpus)"
 DASP_CORPUS_SEEDS=1 ./target/release/dasp-experiments fig2 table2
+
+echo "== serving smoke: dasp-serve at 1 and 16 clients"
+./target/release/dasp-serve --clients 1 --requests 16
+./target/release/dasp-serve --clients 16 --requests 32
 
 head=$(ls BENCH_[0-9]*.json | sort | tail -n 1)
 echo "== golden file: fresh record vs $head (exact)"
