@@ -109,7 +109,7 @@ impl<S: Scalar> BsrSpmv<S> {
             let r = bi * bs + rr;
             if r < b.rows {
                 y.write(r, S::from_acc(*a));
-                probe.san_write(space::Y, r);
+                probe.san_write(space::Y, &[r]);
                 probe.store_y(1, S::BYTES);
             }
         }

@@ -205,7 +205,7 @@ impl<S: Scalar> Csr5<S> {
         // The cross-tile accumulation the hardware kernel does with
         // atomics; unprobed (every spill was already counted as a store).
         for (t, &c) in carry.iter().enumerate() {
-            probe.san_read(space::AUX, t);
+            probe.san_read(space::AUX, &[t]);
             let row = self.tile_first_row[t] as usize;
             y[row] = acc_spill(y[row], c);
         }
@@ -260,11 +260,11 @@ impl<S: Scalar> Csr5<S> {
                 // Close the previous segment.
                 if first_spill {
                     carry.write(t, acc);
-                    probe.san_write(space::AUX, t);
+                    probe.san_write(space::AUX, &[t]);
                     first_spill = false;
                 } else {
                     y.write(segs[seg_idx] as usize, acc_spill(S::zero(), acc));
-                    probe.san_write(space::Y, segs[seg_idx] as usize);
+                    probe.san_write(space::Y, &[segs[seg_idx] as usize]);
                 }
                 probe.store_y(1, S::BYTES);
                 seg_idx += 1;
@@ -282,10 +282,10 @@ impl<S: Scalar> Csr5<S> {
         }
         if first_spill {
             carry.write(t, acc);
-            probe.san_write(space::AUX, t);
+            probe.san_write(space::AUX, &[t]);
         } else {
             y.write(segs[seg_idx] as usize, acc_spill(S::zero(), acc));
-            probe.san_write(space::Y, segs[seg_idx] as usize);
+            probe.san_write(space::Y, &[segs[seg_idx] as usize]);
         }
         xb.flush(probe);
         probe.store_y(1, S::BYTES);

@@ -147,7 +147,7 @@ pub fn csr_scalar_spmm_warp<S: Scalar, P: Probe>(
         for jj in 0..w_p {
             let idx = panel * y_rows * PANEL_WIDTH + i * w_p + jj;
             y.write(idx, S::from_acc(sum[jj]));
-            probe.san_write(space::Y, idx);
+            probe.san_write(space::Y, &[idx]);
         }
         probe.store_y(w_p as u64, S::BYTES);
     }
@@ -193,7 +193,7 @@ pub fn csr_scalar_warp<S: Scalar, P: Probe>(
         probe.load_val(len as u64, S::BYTES);
         probe.load_idx(len as u64, 4);
         y.write(i, S::from_acc(sum));
-        probe.san_write(space::Y, i);
+        probe.san_write(space::Y, &[i]);
         probe.store_y(1, S::BYTES);
     }
     xb.flush(probe);

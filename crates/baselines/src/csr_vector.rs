@@ -122,7 +122,7 @@ pub fn csr_vector_warp<S: Scalar, P: Probe>(
         // Sub-warp tree reduction.
         probe.shfl(tpr.trailing_zeros() as u64);
         y.write(i, S::from_acc(sum));
-        probe.san_write(space::Y, i);
+        probe.san_write(space::Y, &[i]);
         probe.store_y(1, S::BYTES);
     }
     xb.flush(probe);

@@ -185,11 +185,11 @@ impl<S: Scalar> Hyb<S> {
                     acc[r - lo] = S::acc_mul_add(acc[r - lo], v, x[c]);
                 }
             }
-            probe.load_x_warp(&xi[..nx], S::BYTES);
+            probe.load_x(&xi[..nx], S::BYTES);
         }
         for r in lo..hi {
             y.write(r, S::from_acc(acc[r - lo]));
-            probe.san_write(space::Y, r);
+            probe.san_write(space::Y, &[r]);
         }
         probe.warp_end(w);
     }

@@ -101,7 +101,7 @@ impl<S: Scalar> LsrbCsr<S> {
             });
         }
         for (s, &c) in carry.iter().enumerate() {
-            probe.san_read(space::AUX, s);
+            probe.san_read(space::AUX, &[s]);
             let row = self.seg_first_row[s] as usize;
             y[row] = spill(y[row], c);
         }
@@ -142,11 +142,11 @@ impl<S: Scalar> LsrbCsr<S> {
                 // close this row's contribution (carry if it spans)
                 if first_spill {
                     carry.write(s, acc);
-                    probe.san_write(space::AUX, s);
+                    probe.san_write(space::AUX, &[s]);
                     first_spill = false;
                 } else {
                     y.write(row, spill(S::zero(), acc));
-                    probe.san_write(space::Y, row);
+                    probe.san_write(space::Y, &[row]);
                 }
                 probe.store_y(1, S::BYTES);
                 acc = S::acc_zero();
@@ -163,10 +163,10 @@ impl<S: Scalar> LsrbCsr<S> {
         xb.flush(probe);
         if first_spill {
             carry.write(s, acc);
-            probe.san_write(space::AUX, s);
+            probe.san_write(space::AUX, &[s]);
         } else {
             y.write(row, spill(S::zero(), acc));
-            probe.san_write(space::Y, row);
+            probe.san_write(space::Y, &[row]);
         }
         probe.store_y(1, S::BYTES);
         probe.warp_end(s);

@@ -101,7 +101,7 @@ impl<S: Scalar> MergeCsr<S> {
         }
         for (seg, &(row, c)) in carry.iter().enumerate() {
             if row != u32::MAX {
-                probe.san_read(space::AUX, seg);
+                probe.san_read(space::AUX, &[seg]);
                 y[row as usize] = spill(y[row as usize], c);
             }
         }
@@ -144,11 +144,11 @@ impl<S: Scalar> MergeCsr<S> {
                 probe.load_meta(1, 4);
                 if first_spill {
                     carry.write(seg, (row as u32, acc));
-                    probe.san_write(space::AUX, seg);
+                    probe.san_write(space::AUX, &[seg]);
                     first_spill = false;
                 } else {
                     y.write(row, spill(S::zero(), acc));
-                    probe.san_write(space::Y, row);
+                    probe.san_write(space::Y, &[row]);
                 }
                 probe.store_y(1, S::BYTES);
                 acc = S::acc_zero();
@@ -168,10 +168,10 @@ impl<S: Scalar> MergeCsr<S> {
         if row < csr.rows {
             if first_spill {
                 carry.write(seg, (row as u32, acc));
-                probe.san_write(space::AUX, seg);
+                probe.san_write(space::AUX, &[seg]);
             } else {
                 y.write(row, spill(S::zero(), acc));
-                probe.san_write(space::Y, row);
+                probe.san_write(space::Y, &[row]);
             }
             probe.store_y(1, S::BYTES);
         }

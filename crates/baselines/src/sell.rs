@@ -170,12 +170,12 @@ impl<S: Scalar> SellCSigma<S> {
                 xi[lane] = c;
                 *a = S::acc_mul_add(*a, self.vals[e], x[c]);
             }
-            probe.load_x_warp(&xi[..lanes], S::BYTES);
+            probe.load_x(&xi[..lanes], S::BYTES);
         }
         for (lane, a) in acc.iter().enumerate().take(lanes) {
             let row = self.perm[ch * CHUNK + lane] as usize;
             y.write(row, S::from_acc(*a));
-            probe.san_write(space::Y, row);
+            probe.san_write(space::Y, &[row]);
             probe.store_y(1, S::BYTES);
         }
         probe.warp_end(ch);

@@ -207,7 +207,7 @@ impl<S: Scalar> TileSpmv<S> {
             for (lc, xi_e) in xi[..nx].iter_mut().enumerate() {
                 *xi_e = xbase + lc;
             }
-            probe.load_x_warp(&xi[..nx], S::BYTES);
+            probe.load_x(&xi[..nx], S::BYTES);
             // Tiles are 16 wide but warps are 32 wide: half the lanes
             // idle through each sweep, and every tile pays a format-
             // dispatch branch before its compute. Both show up as
@@ -223,7 +223,7 @@ impl<S: Scalar> TileSpmv<S> {
             let r = ti * TILE_DIM + lr;
             if r < self.rows {
                 y.write(r, S::from_acc(*a));
-                probe.san_write(space::Y, r);
+                probe.san_write(space::Y, &[r]);
                 probe.store_y(1, S::BYTES);
             }
         }

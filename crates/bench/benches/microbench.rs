@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dasp_fp16::{f16_bits_to_f32, f32_to_f16_bits, F16};
 use dasp_simt::mma::{acc_zero, mma_m8n8k4};
 use dasp_simt::warp::per_lane;
-use dasp_simt::{full_mask, shfl_down_sync, warp_reduce, CacheModel};
+use dasp_simt::{full_mask, shfl_down_sync, warp_reduce, CacheModel, NoProbe};
 
 fn configure<M: criterion::measurement::Measurement>(g: &mut criterion::BenchmarkGroup<M>) {
     g.sample_size(20);
@@ -37,10 +37,10 @@ fn bench(c: &mut Criterion) {
         })
     });
     g.bench_function("shfl_down", |bch| {
-        bch.iter(|| shfl_down_sync(full_mask(), black_box(a), 9))
+        bch.iter(|| shfl_down_sync(&mut NoProbe, full_mask(), black_box(a), 9))
     });
     g.bench_function("warp_reduce", |bch| {
-        bch.iter(|| warp_reduce(full_mask(), black_box(a), |x, y| x + y))
+        bch.iter(|| warp_reduce(&mut NoProbe, full_mask(), black_box(a), |x, y| x + y))
     });
     g.finish();
 
@@ -49,12 +49,12 @@ fn bench(c: &mut Criterion) {
     g.bench_function("hit_stream", |bch| {
         let mut cache = CacheModel::a100_l2();
         for i in 0..1024u64 {
-            cache.access(i * 8);
+            cache.access_run(i * 8, 1);
         }
         let mut i = 0u64;
         bch.iter(|| {
             i = (i + 1) % 1024;
-            cache.access(i * 8)
+            cache.access_run(i * 8, 1)
         })
     });
     g.bench_function("miss_stream", |bch| {
@@ -62,7 +62,7 @@ fn bench(c: &mut Criterion) {
         let mut i = 0u64;
         bch.iter(|| {
             i += 128;
-            cache.access(i * 997) // strided to defeat the tiny cache
+            cache.access_run(i * 997, 1) // strided to defeat the tiny cache
         })
     });
     g.finish();

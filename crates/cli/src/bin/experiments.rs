@@ -8,13 +8,15 @@
 //! ```
 //!
 //! Each experiment prints a text summary and writes a CSV into the output
-//! directory (default `./results`).
+//! directory (default `./results`). A CSV that cannot be written stops the
+//! run with exit status 1 and a message naming the file.
 //!
 //! `--metrics-out DIR` additionally runs an instrumented sweep and writes
 //! `metrics.json` / `metrics.csv` (the metrics registry) and `trace.json`
 //! (Chrome Trace Event Format, opens in Perfetto) into `DIR`.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use dasp_cli::experiments::{
@@ -72,44 +74,9 @@ fn main() -> ExitCode {
     let all = targets.iter().any(|t| t == "all");
     let want = |name: &str| all || targets.iter().any(|t| t == name);
 
-    if want("table1") {
-        run_table1();
-    }
-    if want("table2") {
-        run_table2(&out_dir);
-    }
-    if want("fig1") {
-        run_fig1(&out_dir);
-    }
-    if want("fig2") {
-        run_fig2(&out_dir);
-    }
-    if want("fig9") {
-        run_fig9(&out_dir);
-    }
-    if want("fig10") {
-        run_fig10(&out_dir);
-    }
-    if want("fig11") {
-        run_fig11(&out_dir);
-    }
-    if want("fig12") {
-        run_fig12(&out_dir);
-    }
-    if want("fig13") {
-        run_fig13(&out_dir);
-    }
-    if want("ext1") {
-        run_ext_merge(&out_dir);
-    }
-    if want("ext2") {
-        run_ext2(&out_dir);
-    }
-    if want("ext3") {
-        run_ext3(&out_dir);
-    }
-    if want("ext4") {
-        run_ext4(&out_dir);
+    if let Err(e) = run_targets(want, &out_dir) {
+        eprintln!("dasp-experiments: {e}");
+        return ExitCode::FAILURE;
     }
     if let Some(dir) = &metrics_out {
         if let Err(e) = run_metrics_dump(dir) {
@@ -121,7 +88,52 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_metrics_dump(dir: &std::path::Path) -> std::io::Result<()> {
+/// Runs every wanted experiment in paper order, stopping at the first
+/// CSV that cannot be written.
+fn run_targets(want: impl Fn(&str) -> bool, out: &Path) -> io::Result<()> {
+    if want("table1") {
+        run_table1();
+    }
+    if want("table2") {
+        run_table2(out)?;
+    }
+    if want("fig1") {
+        run_fig1(out)?;
+    }
+    if want("fig2") {
+        run_fig2(out)?;
+    }
+    if want("fig9") {
+        run_fig9(out)?;
+    }
+    if want("fig10") {
+        run_fig10(out)?;
+    }
+    if want("fig11") {
+        run_fig11(out)?;
+    }
+    if want("fig12") {
+        run_fig12(out)?;
+    }
+    if want("fig13") {
+        run_fig13(out)?;
+    }
+    if want("ext1") {
+        run_ext_merge(out)?;
+    }
+    if want("ext2") {
+        run_ext2(out)?;
+    }
+    if want("ext3") {
+        run_ext3(out)?;
+    }
+    if want("ext4") {
+        run_ext4(out)?;
+    }
+    Ok(())
+}
+
+fn run_metrics_dump(dir: &Path) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let d = metrics_dump::run();
     std::fs::write(dir.join("metrics.json"), &d.metrics_json)?;
@@ -137,7 +149,7 @@ fn run_metrics_dump(dir: &std::path::Path) -> std::io::Result<()> {
     Ok(())
 }
 
-fn run_ext_merge(out: &std::path::Path) {
+fn run_ext_merge(out: &Path) -> io::Result<()> {
     let f = ext_merge::run();
     outln!("== Extension: DASP vs related-work formats the paper cites ==");
     outln!(
@@ -161,7 +173,7 @@ fn run_ext_merge(out: &std::path::Path) {
         f.summary_hyb.wins,
         f.summary_hyb.total
     );
-    let _ = write_csv(
+    write_csv(
         out,
         "ext_related_work.csv",
         &[
@@ -185,10 +197,11 @@ fn run_ext_merge(out: &std::path::Path) {
                 ]
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(())
 }
 
-fn run_ext2(out: &std::path::Path) {
+fn run_ext2(out: &Path) -> io::Result<()> {
     let f = ext2::run();
     outln!("== Extension 2: multi-RHS SpMM vs looped SpMV (A100 model) ==");
     for s in &f.summaries {
@@ -201,7 +214,7 @@ fn run_ext2(out: &std::path::Path) {
         );
     }
     outln!();
-    let _ = write_csv(
+    write_csv(
         out,
         "ext2_spmm_amortization.csv",
         &[
@@ -231,10 +244,11 @@ fn run_ext2(out: &std::path::Path) {
                 ]
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(())
 }
 
-fn run_ext3(out: &std::path::Path) {
+fn run_ext3(out: &Path) -> io::Result<()> {
     let f = ext3::run();
     outln!("== Extension 3: large-N SpMM on RMAT, A-resident tiling (A100 model) ==");
     for s in &f.summaries {
@@ -248,7 +262,7 @@ fn run_ext3(out: &std::path::Path) {
         );
     }
     outln!();
-    let _ = write_csv(
+    write_csv(
         out,
         "ext3_large_n_spmm.csv",
         &[
@@ -290,10 +304,11 @@ fn run_ext3(out: &std::path::Path) {
                 ]
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(())
 }
 
-fn run_ext4(out: &std::path::Path) {
+fn run_ext4(out: &Path) -> io::Result<()> {
     let f = ext4::run();
     outln!("== Extension 4: dasp-serve request coalescing under load (A100 model) ==");
     for s in &f.summaries {
@@ -309,7 +324,7 @@ fn run_ext4(out: &std::path::Path) {
         f.mismatches
     );
     outln!();
-    let _ = write_csv(
+    write_csv(
         out,
         "ext4_serve_latency.csv",
         &[
@@ -349,7 +364,8 @@ fn run_ext4(out: &std::path::Path) {
                 ]
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(())
 }
 
 fn run_table1() {
@@ -374,7 +390,7 @@ fn run_table1() {
     outln!("algorithms: {}\n", t.algorithms.join(", "));
 }
 
-fn run_table2(out: &std::path::Path) {
+fn run_table2(out: &Path) -> io::Result<()> {
     let t = table2::run();
     outln!("== Table 2: 21 representative matrices (paper vs analog) ==");
     let rows: Vec<Vec<String>> = t
@@ -407,7 +423,7 @@ fn run_table2(out: &std::path::Path) {
             &rows
         )
     );
-    let _ = write_csv(
+    write_csv(
         out,
         "table2.csv",
         &[
@@ -433,10 +449,11 @@ fn run_table2(out: &std::path::Path) {
                 ]
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(())
 }
 
-fn run_fig1(out: &std::path::Path) {
+fn run_fig1(out: &Path) -> io::Result<()> {
     let f = fig01::run();
     outln!("== Figure 1: FP64 bandwidth on large matrices (A100 model) ==");
     outln!(
@@ -450,7 +467,7 @@ fn run_fig1(out: &std::path::Path) {
         f2(f.geomeans.1),
         f2(f.geomeans.2)
     );
-    let _ = write_csv(
+    write_csv(
         out,
         "fig01_bandwidth.csv",
         &["matrix", "nnz", "csr5_gbs", "cusparse_csr_gbs", "dasp_gbs"],
@@ -466,10 +483,11 @@ fn run_fig1(out: &std::path::Path) {
                 ]
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(())
 }
 
-fn run_fig2(out: &std::path::Path) {
+fn run_fig2(out: &Path) -> io::Result<()> {
     let f = fig02::run();
     outln!("== Figure 2: CSR SpMV time breakdown (A100 model) ==");
     outln!(
@@ -478,7 +496,7 @@ fn run_fig2(out: &std::path::Path) {
         100.0 * f.mean.1,
         100.0 * f.mean.2
     );
-    let _ = write_csv(
+    write_csv(
         out,
         "fig02_breakdown.csv",
         &["matrix", "nnz", "random", "compute", "misc"],
@@ -494,10 +512,11 @@ fn run_fig2(out: &std::path::Path) {
                 ]
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(())
 }
 
-fn run_fig9(out: &std::path::Path) {
+fn run_fig9(out: &Path) -> io::Result<()> {
     let f = fig09::run();
     outln!("== Figure 9: FP16 DASP vs cuSPARSE-CSR (corpus) ==");
     for d in &f.devices {
@@ -509,7 +528,7 @@ fn run_fig9(out: &std::path::Path) {
             d.summary.wins,
             d.summary.total
         );
-        let _ = write_csv(
+        write_csv(
             out,
             &format!("fig09_fp16_{}.csv", d.device.to_lowercase()),
             &["matrix", "nnz", "dasp_gflops", "cusparse_gflops", "speedup"],
@@ -525,12 +544,13 @@ fn run_fig9(out: &std::path::Path) {
                     ]
                 })
                 .collect::<Vec<_>>(),
-        );
+        )?;
     }
     outln!();
+    Ok(())
 }
 
-fn run_fig10(out: &std::path::Path) {
+fn run_fig10(out: &Path) -> io::Result<()> {
     let f = fig10::run();
     outln!("== Figure 10: FP64, six methods on the A100 (corpus) ==");
     let paper = [
@@ -576,7 +596,7 @@ fn run_fig10(out: &std::path::Path) {
         "cusparse_bsr",
         "cusparse_csr",
     ];
-    let _ = write_csv(
+    write_csv(
         out,
         "fig10_fp64_gflops.csv",
         &header,
@@ -588,10 +608,11 @@ fn run_fig10(out: &std::path::Path) {
                 v
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(())
 }
 
-fn run_fig11(out: &std::path::Path) {
+fn run_fig11(out: &Path) -> io::Result<()> {
     let f = fig11::run();
     outln!("== Figure 11a: FP64 GFlops, 21 representative matrices (A100) ==");
     let methods: Vec<&str> = MethodKind::fp64_set().iter().map(|m| m.name()).collect();
@@ -607,7 +628,7 @@ fn run_fig11(out: &std::path::Path) {
         })
         .collect();
     outln!("{}", text_table(&header, &rows));
-    let _ = write_csv(out, "fig11a_fp64_representative.csv", &header, &rows);
+    write_csv(out, "fig11a_fp64_representative.csv", &header, &rows)?;
 
     outln!("== Figure 11b: FP16 GFlops, 21 representative matrices ==");
     let header16 = [
@@ -631,10 +652,11 @@ fn run_fig11(out: &std::path::Path) {
         })
         .collect();
     outln!("{}", text_table(&header16, &rows16));
-    let _ = write_csv(out, "fig11b_fp16_representative.csv", &header16, &rows16);
+    write_csv(out, "fig11b_fp16_representative.csv", &header16, &rows16)?;
+    Ok(())
 }
 
-fn run_fig12(out: &std::path::Path) {
+fn run_fig12(out: &Path) -> io::Result<()> {
     let f = fig12::run();
     outln!("== Figure 12: category ratios, 21 representative matrices ==");
     let header = [
@@ -666,10 +688,11 @@ fn run_fig12(out: &std::path::Path) {
         })
         .collect();
     outln!("{}", text_table(&header, &rows));
-    let _ = write_csv(out, "fig12_categories.csv", &header, &rows);
+    write_csv(out, "fig12_categories.csv", &header, &rows)?;
+    Ok(())
 }
 
-fn run_fig13(out: &std::path::Path) {
+fn run_fig13(out: &Path) -> io::Result<()> {
     let f = fig13::run();
     outln!("== Figure 13: preprocessing cost (CPU wall-clock) ==");
     let fmt_row = |r: &fig13::Row| {
@@ -712,10 +735,11 @@ fn run_fig13(out: &std::path::Path) {
         "analysis/execute split: update_values is {refresh_speedup:.1}x faster than a full \
          rebuild (geomean); 4-thread analysis is {par_speedup:.2}x faster than sequential"
     );
-    let _ = write_csv(
+    write_csv(
         out,
         "fig13_preprocessing.csv",
         &header,
         &f.rows.iter().map(fmt_row).collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(())
 }

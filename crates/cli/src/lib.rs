@@ -4,8 +4,7 @@
 //! the workload, run every method on the simulated device, verify each
 //! result against the exact CPU reference, estimate times, aggregate — and
 //! returns printable rows. The `dasp-experiments` binary dispatches to
-//! them and writes CSVs next to a text summary; the Criterion benches in
-//! `dasp-bench` reuse the same entry points.
+//! them and writes CSVs next to a text summary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,7 @@
 //! Text-table and CSV output helpers shared by the experiment drivers.
 
 use std::fs;
+use std::io;
 use std::path::Path;
 
 /// Renders rows as a fixed-width text table with a header rule.
@@ -34,16 +35,13 @@ pub fn text_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes a CSV file into `dir`, creating the directory if needed.
-pub fn write_csv(
-    dir: &Path,
-    name: &str,
-    header: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    fs::create_dir_all(dir)?;
-    let csv = dasp_perf::report::to_csv(header, rows);
-    fs::write(dir.join(name), csv)
+/// Writes a CSV file into `dir`, creating the directory if needed. The
+/// error names the file that could not be written.
+pub fn write_csv(dir: &Path, name: &str, header: &[&str], rows: &[Vec<String>]) -> io::Result<()> {
+    let path = dir.join(name);
+    fs::create_dir_all(dir)
+        .and_then(|()| fs::write(&path, dasp_perf::report::to_csv(header, rows)))
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))
 }
 
 /// Formats a float with 2 decimal places.

@@ -213,6 +213,25 @@ fn conflicting_precision_flags_are_rejected() {
 }
 
 #[test]
+fn experiments_binary_fails_when_a_csv_cannot_be_written() {
+    // `--out` names a regular file, so no CSV can go under it.
+    let dir = std::env::temp_dir().join("dasp_cli_unwritable_out");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("not_a_dir");
+    std::fs::write(&file, "").unwrap();
+    let out = bin("dasp-experiments")
+        .args(["--out", file.to_str().unwrap(), "table2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let csv = file.join("table2.csv");
+    assert!(err.contains(csv.to_str().unwrap()), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("CSV outputs in"), "{stdout}");
+}
+
+#[test]
 fn unknown_experiment_target_is_rejected() {
     let out = bin("dasp-experiments").arg("bogus123").output().unwrap();
     assert!(!out.status.success());

@@ -3,10 +3,9 @@
 #![allow(clippy::needless_range_loop)]
 
 use dasp_fp16::Scalar;
-use dasp_simt::checked;
 use dasp_simt::mma::{diag_position, AccFrag, MMA_M};
 use dasp_simt::warp::{full_mask, per_lane, WARP_SIZE};
-use dasp_simt::{space, Probe, SharedSlice};
+use dasp_simt::{shfl_sync_var, space, Probe, SharedSlice};
 
 use crate::format::NO_ROW;
 
@@ -23,8 +22,7 @@ pub(crate) fn load_block<T: Copy>(src: &[T], offset: usize) -> [T; WARP_SIZE] {
 }
 
 /// Gathers each lane's `x[cids[lane]]` for one block, issuing a single
-/// batched probe access (lane order, so cache classification is
-/// bit-identical to 32 per-element `load_x` calls).
+/// probe access in lane order.
 #[inline]
 pub(crate) fn gather_x<S: Scalar, P: Probe>(
     x: &[S],
@@ -32,7 +30,7 @@ pub(crate) fn gather_x<S: Scalar, P: Probe>(
     probe: &mut P,
 ) -> [S; WARP_SIZE] {
     let xi: [usize; WARP_SIZE] = per_lane(|l| cids[l] as usize);
-    probe.load_x_warp(&xi, S::BYTES);
+    probe.load_x(&xi, S::BYTES);
     per_lane(|l| x[xi[l]])
 }
 
@@ -57,7 +55,7 @@ pub(crate) fn write_permuted<S: Scalar, P: Probe>(
             nw += 1;
         }
     }
-    probe.san_write_warp(space::Y, &writes[..nw]);
+    probe.san_write(space::Y, &writes[..nw]);
     probe.store_y(nw as u64, S::BYTES);
     let inactive = (perm.len() - nw) as u64;
     if inactive > 0 {
@@ -89,8 +87,8 @@ pub(crate) fn extract_diagonals<S: Scalar, P: Probe>(
     // Only lanes i*8..(i+1)*8 consume their shuffled value; the negative
     // targets on lower lanes are the paper's discarded-read pattern.
     let used: u32 = 0xffu32 << (i * 8);
-    let t0 = checked::shfl_sync_var(probe, full_mask(), y0, &target, used);
-    let t1 = checked::shfl_sync_var(probe, full_mask(), y1, &target4, used);
+    let t0 = shfl_sync_var(probe, full_mask(), y0, &target, used);
+    let t1 = shfl_sync_var(probe, full_mask(), y1, &target4, used);
     probe.shfl(2);
     for lane in 0..WARP_SIZE {
         if lane >> 3 == i {

@@ -12,7 +12,9 @@
 use dasp_fp16::Scalar;
 use dasp_simt::mma::{acc_zero, diag_position, mma_m8n8k4_diag, DIAG_SLOTS, MMA_M};
 use dasp_simt::warp::{full_mask, per_lane, WARP_SIZE};
-use dasp_simt::{checked, space, Executor, Probe, ShardableProbe, SharedSlice};
+use dasp_simt::{
+    shfl_down_sync, shfl_sync, space, warp_reduce, Executor, Probe, ShardableProbe, SharedSlice,
+};
 
 use dasp_simt::WarpScratch;
 
@@ -46,17 +48,6 @@ pub fn spmv_long_with<S: Scalar, P: ShardableProbe>(
     exec.run(part.rows.len(), probe, |lr, p| {
         long_phase2_warp(part, &warp_val, &shared, lr, p)
     });
-}
-
-/// [`spmv_long_with`] on the sequential executor: the deterministic
-/// measurement path, also used by unit tests.
-pub fn spmv_long<S: Scalar, P: ShardableProbe>(
-    part: &LongPart<S>,
-    x: &[S],
-    y: &mut [S],
-    probe: &mut P,
-) {
-    spmv_long_with(part, x, y, probe, &Executor::seq());
 }
 
 /// Phase-1 warp body: warp `g` computes one 64-element group's partial sum
@@ -93,22 +84,22 @@ pub fn long_phase1_warp<S: Scalar, P: Probe>(
     let mut y0: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][0]);
     let mut y1: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][1]);
     for delta in [9usize, 18] {
-        let d = checked::shfl_down_sync(probe, mask, y0, delta);
+        let d = shfl_down_sync(probe, mask, y0, delta);
         for l in 0..WARP_SIZE {
             y0[l] = S::acc_add(y0[l], d[l]);
         }
-        let d = checked::shfl_down_sync(probe, mask, y1, delta);
+        let d = shfl_down_sync(probe, mask, y1, delta);
         for l in 0..WARP_SIZE {
             y1[l] = S::acc_add(y1[l], d[l]);
         }
     }
-    let b = checked::shfl_sync(probe, mask, y1, 4);
+    let b = shfl_sync(probe, mask, y1, 4);
     for l in 0..WARP_SIZE {
         y0[l] = S::acc_add(y0[l], b[l]);
     }
     probe.shfl(5);
     warp_val.write(g, y0[0]);
-    probe.san_write(space::AUX, g);
+    probe.san_write(space::AUX, &[g]);
     probe.store_y(1, S::ACC_BYTES);
     probe.warp_end(g);
 }
@@ -150,14 +141,14 @@ pub fn long_phase2_warp<S: Scalar, P: Probe>(
         for lane in 0..n {
             thread_val[lane] = S::acc_add(thread_val[lane], warp_val[stride_idx[lane]]);
         }
-        probe.san_read_warp(space::AUX, &stride_idx[..n]);
+        probe.san_read(space::AUX, &stride_idx[..n]);
         probe.load_meta(n as u64, S::ACC_BYTES); // warpVal read-back
         base += WARP_SIZE;
     }
-    let reduced = checked::warp_reduce(probe, mask, thread_val, |a, b| S::acc_add(a, b));
+    let reduced = warp_reduce(probe, mask, thread_val, |a, b| S::acc_add(a, b));
     probe.shfl(dasp_simt::shuffle::WARP_REDUCE_SHFLS);
     y.write(orig_row as usize, S::from_acc(reduced[0]));
-    probe.san_write(space::Y, orig_row as usize);
+    probe.san_write(space::Y, &[orig_row as usize]);
     probe.store_y(1, S::BYTES);
     probe.warp_end(lr);
 }
@@ -186,7 +177,7 @@ mod tests {
         }
         let x: Vec<f64> = (0..cols).map(|i| 0.5 + (i % 13) as f64 * 0.1).collect();
         let mut y = vec![0.0f64; csr.rows];
-        spmv_long(&part, &x, &mut y, &mut NoProbe);
+        spmv_long_with(&part, &x, &mut y, &mut NoProbe, &Executor::seq());
         let want = csr.spmv_reference(&x);
         for r in 0..csr.rows {
             assert!(
@@ -237,7 +228,7 @@ mod tests {
         let x = vec![1.0f64; 128];
         let mut y = vec![0.0f64; 1];
         let mut probe = CountingProbe::a100();
-        spmv_long(&part, &x, &mut y, &mut probe);
+        spmv_long_with(&part, &x, &mut y, &mut probe, &Executor::seq());
         let s = probe.stats();
         assert_eq!(y[0], 128.0);
         assert_eq!(s.launches, 0); // launch accounting lives in spmv()
@@ -251,7 +242,7 @@ mod tests {
         let part = crate::format::LongPart::<f64>::empty();
         let mut y = vec![0.0f64; 3];
         let mut probe = CountingProbe::a100();
-        spmv_long(&part, &[1.0], &mut y, &mut probe);
+        spmv_long_with(&part, &[1.0], &mut y, &mut probe, &Executor::seq());
         assert_eq!(probe.stats().launches, 0);
         assert_eq!(y, vec![0.0; 3]);
     }

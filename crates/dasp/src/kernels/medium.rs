@@ -32,16 +32,6 @@ pub fn spmv_medium_with<S: Scalar, P: ShardableProbe>(
     });
 }
 
-/// [`spmv_medium_with`] on the sequential executor.
-pub fn spmv_medium<S: Scalar, P: ShardableProbe>(
-    part: &MediumPart<S>,
-    x: &[S],
-    y: &mut [S],
-    probe: &mut P,
-) {
-    spmv_medium_with(part, x, y, probe, &Executor::seq());
-}
-
 /// Number of warps the medium kernel launches for `part`.
 pub fn medium_warps<S: Scalar>(part: &MediumPart<S>) -> usize {
     if part.rows.is_empty() {
@@ -102,7 +92,7 @@ pub fn medium_warp<S: Scalar, P: Probe>(
     }
     // Per-row counters are batched (one probe call per row, not per
     // element) and x accesses stream through an XBatch whose flush
-    // boundaries are observationally equivalent to per-element calls.
+    // boundaries change nothing the probe records.
     let mut xb = XBatch::new(S::BYTES);
     let mut writes = [0usize; WARP_SIZE];
     let mut n_writes = 0;
@@ -128,7 +118,7 @@ pub fn medium_warp<S: Scalar, P: Probe>(
         probe.store_y(1, S::BYTES);
     }
     xb.flush(probe);
-    probe.san_write_warp(space::Y, &writes[..n_writes]);
+    probe.san_write(space::Y, &writes[..n_writes]);
     probe.warp_end(wid);
 }
 
@@ -159,7 +149,7 @@ mod tests {
         let part = build_medium(&csr);
         let x: Vec<f64> = (0..cols).map(|i| 1.0 - (i % 7) as f64 * 0.2).collect();
         let mut y = vec![0.0f64; csr.rows];
-        spmv_medium(&part, &x, &mut y, &mut NoProbe);
+        spmv_medium_with(&part, &x, &mut y, &mut NoProbe, &Executor::seq());
         let want = csr.spmv_reference(&x);
         for r in 0..csr.rows {
             assert!(
@@ -222,7 +212,7 @@ mod tests {
         let x = vec![1.0f64; 64];
         let mut y = vec![0.0f64; 8];
         let mut probe = CountingProbe::a100();
-        spmv_medium(&part, &x, &mut y, &mut probe);
+        spmv_medium_with(&part, &x, &mut y, &mut probe, &Executor::seq());
         let s = probe.stats();
         assert_eq!(s.mma_ops, 2);
         assert_eq!(s.fma_ops, 0);
@@ -236,7 +226,7 @@ mod tests {
         let part = MediumPart::<f64>::empty();
         let mut probe = CountingProbe::a100();
         let mut y = vec![0.0f64; 2];
-        spmv_medium(&part, &[1.0], &mut y, &mut probe);
+        spmv_medium_with(&part, &[1.0], &mut y, &mut probe, &Executor::seq());
         assert_eq!(probe.stats().launches, 0);
     }
 }

@@ -25,11 +25,11 @@ mod short13;
 mod short22;
 mod short4;
 
-pub use long::{long_phase1_warp, long_phase2_warp, spmv_long, spmv_long_with};
-pub use medium::{medium_warp, medium_warps, spmv_medium, spmv_medium_with};
-pub use short1::{short1_warp, short1_warps, spmv_short1, spmv_short1_with};
-pub use short13::{short13_warp, spmv_short13, spmv_short13_with};
-pub use short22::{short22_warp, spmv_short22, spmv_short22_with};
-pub use short4::{short4_warp, spmv_short4, spmv_short4_with};
+pub use long::{long_phase1_warp, long_phase2_warp, spmv_long_with};
+pub use medium::{medium_warp, medium_warps, spmv_medium_with};
+pub use short1::{short1_warp, short1_warps, spmv_short1_with};
+pub use short13::{short13_warp, spmv_short13_with};
+pub use short22::{short22_warp, spmv_short22_with};
+pub use short4::{short4_warp, spmv_short4_with};
 
 pub(crate) use helpers::{extract_diagonals, gather_x, load_block, write_permuted};

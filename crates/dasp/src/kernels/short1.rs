@@ -29,16 +29,6 @@ pub fn spmv_short1_with<S: Scalar, P: ShardableProbe>(
     });
 }
 
-/// [`spmv_short1_with`] on the sequential executor.
-pub fn spmv_short1<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
-    x: &[S],
-    y: &mut [S],
-    probe: &mut P,
-) {
-    spmv_short1_with(part, x, y, probe, &Executor::seq());
-}
-
 /// Warp body: warp `w`'s 32 threads each compute one singleton row's
 /// product.
 pub fn short1_warp<S: Scalar, P: Probe>(
@@ -69,13 +59,13 @@ pub fn short1_warp<S: Scalar, P: Probe>(
     }
     probe.load_val(n as u64, S::BYTES);
     probe.load_idx(n as u64, 4);
-    probe.load_x_warp(&xi[..n], S::BYTES);
+    probe.load_x(&xi[..n], S::BYTES);
     probe.fma(n as u64);
     for (lane, t) in (lo..hi).enumerate() {
         let v = S::mul_to_acc(part.vals[part.off1 + t], x[xi[lane]]);
         y.write(writes[lane], S::from_acc(v));
     }
-    probe.san_write_warp(space::Y, &writes[..n]);
+    probe.san_write(space::Y, &writes[..n]);
     probe.store_y(n as u64, S::BYTES);
     probe.warp_end(w);
 }
@@ -102,7 +92,7 @@ mod tests {
         assert_eq!(part.n1, n);
         let x: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
         let mut y = vec![0.0f64; n];
-        spmv_short1(&part, &x, &mut y, &mut NoProbe);
+        spmv_short1_with(&part, &x, &mut y, &mut NoProbe, &Executor::seq());
         let want = csr.spmv_reference(&x);
         assert_eq!(y, want);
     }
@@ -120,7 +110,7 @@ mod tests {
         let x = vec![1.0f64; 5];
         let mut y = vec![0.0f64; 5];
         let mut probe = CountingProbe::a100();
-        spmv_short1(&part, &x, &mut y, &mut probe);
+        spmv_short1_with(&part, &x, &mut y, &mut probe, &Executor::seq());
         let s = probe.stats();
         assert_eq!(s.fma_ops, 5);
         assert_eq!(s.mma_ops, 0);

@@ -31,16 +31,6 @@ pub fn spmv_short13_with<S: Scalar, P: ShardableProbe>(
     });
 }
 
-/// [`spmv_short13_with`] on the sequential executor.
-pub fn spmv_short13<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
-    x: &[S],
-    y: &mut [S],
-    probe: &mut P,
-) {
-    spmv_short13_with(part, x, y, probe, &Executor::seq());
-}
-
 /// Warp body: warp `w` computes two 8x4 blocks (four MMA passes) and
 /// writes its 32 permuted `y` slots.
 pub fn short13_warp<S: Scalar, P: Probe>(
@@ -79,7 +69,7 @@ pub fn short13_warp<S: Scalar, P: Probe>(
                 nx += 1;
             }
         }
-        probe.load_x_warp(&xi[..nx], S::BYTES);
+        probe.load_x(&xi[..nx], S::BYTES);
         let frag_x: [S; WARP_SIZE] = per_lane(|l| {
             if (l & 3 == 0) == even {
                 x[cids[l] as usize]
@@ -141,7 +131,7 @@ mod tests {
         assert_eq!(part.n4_warps, 0);
         let x: Vec<f64> = (0..cols).map(|i| 0.3 + (i % 5) as f64).collect();
         let mut y = vec![0.0f64; csr.rows];
-        spmv_short13(&part, &x, &mut y, &mut NoProbe);
+        spmv_short13_with(&part, &x, &mut y, &mut NoProbe, &Executor::seq());
         let want = csr.spmv_reference(&x);
         for r in 0..csr.rows {
             assert!(
@@ -187,7 +177,7 @@ mod tests {
         let x = vec![1.0f64; 64];
         let mut y = vec![0.0f64; 32];
         let mut probe = CountingProbe::a100();
-        spmv_short13(&part, &x, &mut y, &mut probe);
+        spmv_short13_with(&part, &x, &mut y, &mut probe, &Executor::seq());
         let s = probe.stats();
         // One warp, two blocks: A loaded once per block (64 elements), x
         // requested once per element slot (8 + 24 per block).
@@ -202,7 +192,7 @@ mod tests {
         let part = ShortPart::<f64>::build(Vec::new());
         let mut probe = CountingProbe::a100();
         let mut y = vec![0.0f64; 2];
-        spmv_short13(&part, &[1.0], &mut y, &mut probe);
+        spmv_short13_with(&part, &[1.0], &mut y, &mut probe, &Executor::seq());
         assert_eq!(probe.stats().launches, 0);
     }
 }

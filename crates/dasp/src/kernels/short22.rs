@@ -28,16 +28,6 @@ pub fn spmv_short22_with<S: Scalar, P: ShardableProbe>(
     });
 }
 
-/// [`spmv_short22_with`] on the sequential executor.
-pub fn spmv_short22<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
-    x: &[S],
-    y: &mut [S],
-    probe: &mut P,
-) {
-    spmv_short22_with(part, x, y, probe, &Executor::seq());
-}
-
 /// Warp body: warp `w` computes two 8x4 blocks of 2&2-pieced rows and
 /// writes its 32 permuted `y` slots.
 pub fn short22_warp<S: Scalar, P: Probe>(
@@ -75,7 +65,7 @@ pub fn short22_warp<S: Scalar, P: Probe>(
                 nx += 1;
             }
         }
-        probe.load_x_warp(&xi[..nx], S::BYTES);
+        probe.load_x(&xi[..nx], S::BYTES);
         let frag_x: [S; WARP_SIZE] = per_lane(|l| {
             if (l & 3 < 2) == even {
                 x[cids[l] as usize]
@@ -131,7 +121,7 @@ mod tests {
         assert_eq!(part.n4_warps, 0);
         let x: Vec<f64> = (0..cols).map(|i| 1.0 + (i % 3) as f64 * 0.5).collect();
         let mut y = vec![0.0f64; csr.rows];
-        spmv_short22(&part, &x, &mut y, &mut NoProbe);
+        spmv_short22_with(&part, &x, &mut y, &mut NoProbe, &Executor::seq());
         let want = csr.spmv_reference(&x);
         for r in 0..csr.rows {
             assert!(

@@ -29,16 +29,6 @@ pub fn spmv_short4_with<S: Scalar, P: ShardableProbe>(
     });
 }
 
-/// [`spmv_short4_with`] on the sequential executor.
-pub fn spmv_short4<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
-    x: &[S],
-    y: &mut [S],
-    probe: &mut P,
-) {
-    spmv_short4_with(part, x, y, probe, &Executor::seq());
-}
-
 /// Warp body: warp `w` computes four complete 8x4 blocks and writes its 32
 /// permuted `y` slots.
 pub fn short4_warp<S: Scalar, P: Probe>(
@@ -103,7 +93,7 @@ mod tests {
         assert_eq!(part.n13_warps + part.n22_warps, 0);
         let x: Vec<f64> = (0..cols).map(|i| 0.5 + (i % 4) as f64 * 0.25).collect();
         let mut y = vec![0.0f64; csr.rows];
-        spmv_short4(&part, &x, &mut y, &mut NoProbe);
+        spmv_short4_with(&part, &x, &mut y, &mut NoProbe, &Executor::seq());
         let want = csr.spmv_reference(&x);
         for r in 0..csr.rows {
             assert!(
@@ -150,7 +140,7 @@ mod tests {
         assert!(part.n4_warps >= 2);
         let x = vec![1.0f64; 64];
         let mut y_full = vec![0.0f64; 100];
-        spmv_short4(&part, &x, &mut y_full, &mut NoProbe);
+        spmv_short4_with(&part, &x, &mut y_full, &mut NoProbe, &Executor::seq());
         let mut y_split = vec![0.0f64; 100];
         {
             let shared = SharedSlice::new(&mut y_split);

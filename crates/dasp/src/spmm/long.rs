@@ -13,7 +13,7 @@ use dasp_fp16::Scalar;
 use dasp_simt::mma::{acc_zero, mma_m8n8k4_row_segment, row_slots, AccFrag, MMA_K, MMA_M};
 use dasp_simt::warp::{full_mask, per_lane, WARP_SIZE};
 use dasp_simt::SharedSlice;
-use dasp_simt::{checked, space, Executor, Probe, ShardableProbe};
+use dasp_simt::{shfl_down_sync, space, warp_reduce, Executor, Probe, ShardableProbe};
 use dasp_sparse::{DenseMat, PANEL_WIDTH};
 
 use dasp_simt::WarpScratch;
@@ -120,11 +120,11 @@ pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
         let mut y0: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][0]);
         let mut y1: [S::Acc; WARP_SIZE] = per_lane(|l| acc[l][1]);
         for delta in [8usize, 16, 4] {
-            let d = checked::shfl_down_sync(probe, mask, y0, delta);
+            let d = shfl_down_sync(probe, mask, y0, delta);
             for l in 0..WARP_SIZE {
                 y0[l] = S::acc_add(y0[l], d[l]);
             }
-            let d = checked::shfl_down_sync(probe, mask, y1, delta);
+            let d = shfl_down_sync(probe, mask, y1, delta);
             for l in 0..WARP_SIZE {
                 y1[l] = S::acc_add(y1[l], d[l]);
             }
@@ -141,7 +141,7 @@ pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
             warp_val.write((g * panels + panel) * PANEL_WIDTH + jj, v);
             writes[jj] = (g * panels + panel) * PANEL_WIDTH + jj;
         }
-        probe.san_write_warp(space::AUX, &writes[..w_p]);
+        probe.san_write(space::AUX, &writes[..w_p]);
         probe.store_y(w_p as u64, S::ACC_BYTES);
     }
     probe.warp_end(g);
@@ -191,17 +191,17 @@ pub fn spmm_long_phase2_warp<S: Scalar, P: Probe>(
                 for lane in 0..n {
                     thread_val[lane] = S::acc_add(thread_val[lane], warp_val[stride_idx[lane]]);
                 }
-                probe.san_read_warp(space::AUX, &stride_idx[..n]);
+                probe.san_read(space::AUX, &stride_idx[..n]);
                 probe.load_meta(n as u64, S::ACC_BYTES);
                 base += WARP_SIZE;
             }
-            let reduced = checked::warp_reduce(probe, mask, thread_val, |a, b| S::acc_add(a, b));
+            let reduced = warp_reduce(probe, mask, thread_val, |a, b| S::acc_add(a, b));
             probe.shfl(dasp_simt::shuffle::WARP_REDUCE_SHFLS);
             let idx = panel * y_rows * PANEL_WIDTH + orig_row * w_p + jj;
             y.write(idx, S::from_acc(reduced[0]));
             writes[jj] = idx;
         }
-        probe.san_write_warp(space::Y, &writes[..w_p]);
+        probe.san_write(space::Y, &writes[..w_p]);
         probe.store_y(w_p as u64, S::BYTES);
     }
     probe.warp_end(lr);

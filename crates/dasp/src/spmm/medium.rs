@@ -169,7 +169,7 @@ pub fn spmm_medium_warp<S: Scalar, P: Probe>(
                 y.write(idx, S::from_acc(v[panel][jj]));
                 writes[jj] = idx;
             }
-            probe.san_write_warp(space::Y, &writes[..w_p]);
+            probe.san_write(space::Y, &writes[..w_p]);
             probe.store_y(w_p as u64, S::BYTES);
         }
     }

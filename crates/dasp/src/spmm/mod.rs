@@ -32,9 +32,9 @@
 //! what makes every output column of the SpMM product **bit-identical** to
 //! the corresponding single-vector SpMV: per output `C[r][j]` the FMA chain
 //! is the exact `k`-ordered sequence SpMV issues, interleaved only with
-//! bit-inert zero adds. (The one caveat: a non-finite A or B value would
-//! turn a masked `0 * b` into a NaN — the kernels, like the rest of this
-//! stack, assume finite inputs.)
+//! bit-inert zero adds. (The one caveat: a non-finite B element turns a
+//! masked `0 * b` into a NaN the SpMV of that column never computes. A
+//! non-finite A value cannot: A enters only products SpMV issues too.)
 //!
 //! The piecing short kernels mask the **B side** per pass exactly like
 //! SpMV masks its `x` gather (length-1 piece first, then the length-3
@@ -55,9 +55,9 @@
 //! [`dasp_simt::Probe::load_x_rows`] call: one start per lane, each
 //! opening the panel's `w_p` live columns of that lane's B row, in lane
 //! order (row segment, then `k`, then column — the order of the panel's
-//! eight MMA issues). The call is defined as the per-element `load_x`
-//! sequence, so the counters are those of element-wise accounting, while
-//! a counting probe classifies each span in one step. The scalar paths
+//! eight MMA issues). The call records exactly what `load_x` over those
+//! elements in that order records, while a counting probe classifies
+//! each span in one step. The scalar paths
 //! (the medium kernel's irregular tail and the singleton kernel) batch
 //! their per-element gathers through [`dasp_simt::XBatch`], flushed at
 //! the end of each panel's span while that panel is hinted, so each miss

@@ -342,7 +342,7 @@ pub fn spmm_short1_warp<S: Scalar, P: Probe>(
             }
             xb.flush(probe);
             probe.fma(w_p as u64);
-            probe.san_write_warp(space::Y, &writes[..w_p]);
+            probe.san_write(space::Y, &writes[..w_p]);
             probe.store_y(w_p as u64, S::BYTES);
         }
     }
@@ -379,7 +379,7 @@ fn write_permuted<S: Scalar, P: Probe>(
             inactive += 1;
         }
     }
-    probe.san_write_warp(space::Y, &writes[..nw]);
+    probe.san_write(space::Y, &writes[..nw]);
     probe.store_y(nw as u64, S::BYTES);
     if inactive > 0 {
         probe.divergence(inactive);

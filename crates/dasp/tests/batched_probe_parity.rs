@@ -1,16 +1,15 @@
-//! The batched-probe contract, end to end on the DASP pipeline: every
-//! warp-granular hook (`load_x_warp`, `load_x_rows`, `san_*_warp`,
-//! `divergence_warp`) is defined as per-element-equivalent, so running
-//! the kernels against a probe that only implements the *per-element*
-//! hooks — forcing the trait's default decomposition of every batched
-//! call — must produce exactly the same [`KernelStats`] and
-//! [`PanelTraffic`] as the natively-batching [`CountingProbe`],
-//! **including** the cache-order-dependent fields (`x_hits`, `x_misses`,
-//! `bytes_x_miss`).
+//! The probe's split contract, end to end on the DASP pipeline: within
+//! one warp, splitting an access into consecutive slices changes no
+//! [`KernelStats`] field. So running the kernels against a probe that
+//! cuts every `load_x` / `load_x_rows` slice into one-element calls must
+//! produce exactly the same [`KernelStats`] and [`PanelTraffic`] as the
+//! [`CountingProbe`] fed whole warp accesses, **including** the
+//! cache-order-dependent fields (`x_hits`, `x_misses`, `bytes_x_miss`)
+//! and the sector count (`x_sectors`).
 //!
-//! This pins the refactor's central invariant: batching changed how many
-//! probe calls the kernels make, never which element accesses they
-//! describe or the order they describe them in.
+//! This pins that the kernels' warp-granular calls change how many probe
+//! calls they make, never which element accesses they describe or the
+//! order they describe them in.
 
 use dasp_core::DaspMatrix;
 use dasp_fp16::{Scalar, F16};
@@ -22,10 +21,9 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Wraps a [`CountingProbe`] but forwards **only** the per-element hooks:
-/// the `Probe` trait's default batched implementations then decompose
-/// every `*_warp` call a kernel makes back into scalar calls on the
-/// inner probe, reproducing the pre-refactor call sequence exactly.
+/// Wraps a [`CountingProbe`] but hands it every `x` access one element
+/// at a time: each slice a kernel passes is cut into one-element
+/// `load_x` calls on the inner probe, in order.
 struct PerElementOnly(CountingProbe);
 
 impl Probe for PerElementOnly {
@@ -44,8 +42,17 @@ impl Probe for PerElementOnly {
     fn store_y(&mut self, elems: u64, bytes_per: u64) {
         self.0.store_y(elems, bytes_per)
     }
-    fn load_x(&mut self, index: usize, bytes_per: u64) {
-        self.0.load_x(index, bytes_per)
+    fn load_x(&mut self, indices: &[usize], bytes_per: u64) {
+        for &i in indices {
+            self.0.load_x(&[i], bytes_per)
+        }
+    }
+    fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
+        for &s in starts {
+            for i in s..s + len {
+                self.0.load_x(&[i], bytes_per)
+            }
+        }
     }
     fn mma(&mut self) {
         self.0.mma()
@@ -71,10 +78,6 @@ impl Probe for PerElementOnly {
     fn stats_snapshot(&self) -> KernelStats {
         self.0.stats_snapshot()
     }
-    // Deliberately NO batched-hook overrides: `load_x_warp`,
-    // `load_x_rows`, `san_write_warp`, `san_read_warp`, and
-    // `divergence_warp` all fall back to the trait defaults, which loop
-    // the scalar hooks above.
 }
 
 impl ShardableProbe for PerElementOnly {
@@ -134,7 +137,7 @@ fn random_matrix(
 }
 
 /// Runs the full SpMV + SpMM pipeline at precision `S` under `exec`
-/// twice — natively batched vs. forced per-element decomposition — and
+/// twice — whole warp accesses vs. one-element slices — and
 /// asserts the stats are field-for-field identical (cache classification
 /// included) and the outputs bit-identical.
 fn assert_batched_parity<S: Scalar>(csr: &Csr<S>, seed: u64, exec: &Executor) {
@@ -159,7 +162,7 @@ fn assert_batched_parity<S: Scalar>(csr: &Csr<S>, seed: u64, exec: &Executor) {
     assert_eq!(
         batched.stats(),
         scalar.0.stats(),
-        "spmv stats diverged between batched and per-element probe paths"
+        "spmv stats diverged between whole and one-element probe calls"
     );
 
     // SpMM drives the multi-RHS kernel family: a partial panel only (3),
@@ -194,7 +197,7 @@ fn assert_batched_parity<S: Scalar>(csr: &Csr<S>, seed: u64, exec: &Executor) {
         assert_eq!(
             batched.stats(),
             scalar.0.stats(),
-            "spmm width {width} stats diverged between batched and per-element probe paths"
+            "spmm width {width} stats diverged between whole and one-element probe calls"
         );
         assert_eq!(
             batched.panel_traffic(),

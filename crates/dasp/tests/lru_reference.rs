@@ -21,8 +21,8 @@ use rand::{Rng, SeedableRng};
 /// Line size of every geometry below.
 const LINE: u64 = 128;
 
-/// A per-element LRU cache as a probe: every batched hook falls back to
-/// the trait's per-element `load_x` decomposition.
+/// A per-element LRU cache as a probe: every slice a kernel passes is
+/// cut into one-element touches, in order.
 #[derive(Clone)]
 struct LruProbe {
     sets: u64,
@@ -56,7 +56,26 @@ impl Probe for LruProbe {
     fn load_idx(&mut self, _elems: u64, _bytes_per: u64) {}
     fn load_meta(&mut self, _elems: u64, _bytes_per: u64) {}
     fn store_y(&mut self, _elems: u64, _bytes_per: u64) {}
-    fn load_x(&mut self, index: usize, bytes_per: u64) {
+    fn load_x(&mut self, indices: &[usize], bytes_per: u64) {
+        for &i in indices {
+            self.touch(i, bytes_per);
+        }
+    }
+    fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
+        for &s in starts {
+            for i in s..s + len {
+                self.touch(i, bytes_per);
+            }
+        }
+    }
+    fn mma(&mut self) {}
+    fn fma(&mut self, _n: u64) {}
+    fn shfl(&mut self, _n: u64) {}
+}
+
+impl LruProbe {
+    /// One touch of `x[index]` against the per-set LRU lists.
+    fn touch(&mut self, index: usize, bytes_per: u64) {
         let line = index as u64 * bytes_per / LINE;
         self.first_line.get_or_insert(line);
         self.max_line = self.max_line.max(line);
@@ -72,9 +91,6 @@ impl Probe for LruProbe {
         }
         set.push(line);
     }
-    fn mma(&mut self) {}
-    fn fma(&mut self, _n: u64) {}
-    fn shfl(&mut self, _n: u64) {}
 }
 
 /// The counting probe's shard contract: zeroed counters, warm cache. The

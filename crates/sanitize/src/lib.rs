@@ -12,8 +12,8 @@
 //!   write sets over every [`dasp_simt::SharedSlice`] scatter target,
 //!   catching cross-warp write-write overlap and same-warp double writes
 //!   within a launch;
-//! * **maskcheck** (`shfl_mask`) — the [`dasp_simt::checked`] shuffle
-//!   variants report out-of-mask source reads (release builds included);
+//! * **maskcheck** (`shfl_mask`) — the [`dasp_simt::shuffle`] functions
+//!   report out-of-mask source reads (release builds included);
 //!   reads a later predicate discards are the informational
 //!   `shfl_discarded` class, which the paper's extraction shuffles
 //!   produce by design;
@@ -190,8 +190,8 @@ mod tests {
         let mut p = SanitizeProbe::new(NoProbe);
         p.warp_begin(0);
         p.san_region("lib-test-region");
-        p.san_write(space::Y, 0);
-        p.san_write(space::Y, 0);
+        p.san_write(space::Y, &[0]);
+        p.san_write(space::Y, &[0]);
         r.merge(p.report());
         publish(&r);
         let g = global_report();

@@ -43,8 +43,8 @@ const EMPTY_SLOT: Slot = Slot {
 /// not bounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bounds {
-    /// x gathers (`load_x*`). SpMM reports B's linear indices, so its
-    /// bound is B's data length.
+    /// x gathers (`load_x`, `load_x_rows`). SpMM reports B's linear
+    /// indices, so its bound is B's data length.
     pub x: usize,
     /// `space::Y` writes and reads (C's data length under SpMM).
     pub y: usize,
@@ -141,11 +141,11 @@ fn check_span(
 ///   launches are device-synchronizing, so a later kernel legitimately
 ///   rewrites earlier output. Slots are epoch-tagged, so opening an epoch
 ///   is a counter bump, and a shadow probe is an array index — no
-///   hashing. The batched `san_*_warp` hooks classify a whole coalesced
-///   warp access against the map in one pass.
+///   hashing. [`Probe::san_write`] and [`Probe::san_read`] classify a
+///   whole coalesced warp access against the map in one pass.
 /// * **maskcheck** (`shfl_mask`, informational `shfl_discarded`) —
-///   [`Probe::san_shfl`] events from the [`dasp_simt::checked`] shuffle
-///   variants; out-of-mask reads whose values are consumed are errors,
+///   [`Probe::san_shfl`] events from the [`dasp_simt::shuffle`]
+///   functions; out-of-mask reads whose values are consumed are errors,
 ///   discarded ones informational.
 /// * **initcheck** (`frag_init`, `uninit_read`) — a 64-bit poison mask
 ///   over the warp's MMA accumulator fragment (32 lanes x 2 registers)
@@ -175,9 +175,9 @@ pub struct SanitizeProbe<P> {
     report: Report,
 }
 
-/// The slot-classification core shared by the scalar and warp-batched
-/// write hooks (free function so callers can hold disjoint field
-/// borrows of the maps and the report).
+/// The slot-classification core shared by the batched write hook and its
+/// out-of-bounds fallback (free function so callers can hold disjoint
+/// field borrows of the maps and the report).
 #[inline]
 fn classify_write(
     slot: &mut Slot,
@@ -251,6 +251,35 @@ impl<P> SanitizeProbe<P> {
         map
     }
 
+    /// One write checked on its own: the fallback of [`Probe::san_write`]
+    /// for a warp access reaching past the bound.
+    fn write_one(&mut self, space: u32, index: usize) {
+        let (epoch, at, bound) = (self.epoch, self.at, self.bounds.of(space));
+        let what = (space_name(space), "write");
+        if !check_span(&mut self.report, at, what, index, 1, bound) {
+            return;
+        }
+        self.map_for(space, index);
+        let slot = &mut self.maps[space as usize][index];
+        classify_write(slot, &mut self.report, epoch, at, space, index);
+    }
+
+    /// One read checked on its own: the fallback of [`Probe::san_read`]
+    /// for a warp access reaching past the bound.
+    fn read_one(&mut self, space: u32, index: usize) {
+        let (at, bound) = (self.at, self.bounds.of(space));
+        let what = (space_name(space), "read");
+        if !check_span(&mut self.report, at, what, index, 1, bound) {
+            return;
+        }
+        let map = self.maps.get(space as usize);
+        if !live(map.and_then(|m| m.get(index)), self.epoch) {
+            at.flag(&mut self.report, Invariant::UninitRead, Some(index), || {
+                format!("{}[{index}] read before any write", what.0)
+            });
+        }
+    }
+
     /// Wraps a zeroed shard of `parent` — the fleet-wrap entry used by
     /// the `DASP_SANITIZE` path, so the parent probe's own counters are
     /// not disturbed until [`crate::fleet_finish`] merges the shard back.
@@ -297,18 +326,7 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
     fn store_y(&mut self, elems: u64, bytes_per: u64) {
         self.inner.store_y(elems, bytes_per);
     }
-    fn load_x(&mut self, index: usize, bytes_per: u64) {
-        check_span(
-            &mut self.report,
-            self.at,
-            ("x", "gather"),
-            index,
-            1,
-            self.bounds.x,
-        );
-        self.inner.load_x(index, bytes_per);
-    }
-    fn load_x_warp(&mut self, indices: &[usize], bytes_per: u64) {
+    fn load_x(&mut self, indices: &[usize], bytes_per: u64) {
         for &index in indices {
             check_span(
                 &mut self.report,
@@ -321,7 +339,7 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
         }
         // Forward batched: the inner counting probe keeps its coalesced
         // cache-classification fast path under sanitizing.
-        self.inner.load_x_warp(indices, bytes_per);
+        self.inner.load_x(indices, bytes_per);
     }
     fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
         for &start in starts {
@@ -335,9 +353,6 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
             );
         }
         self.inner.load_x_rows(starts, len, bytes_per);
-    }
-    fn divergence_warp(&mut self, inactive: &[u64]) {
-        self.inner.divergence_warp(inactive);
     }
     fn mma(&mut self) {
         self.inner.mma();
@@ -377,27 +392,17 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
         // which is what makes "clean" evidence of coverage.
         self.report.per_region.entry(region).or_default();
     }
-    fn san_write(&mut self, space: u32, index: usize) {
-        let (epoch, at, bound) = (self.epoch, self.at, self.bounds.of(space));
-        let what = (space_name(space), "write");
-        if !check_span(&mut self.report, at, what, index, 1, bound) {
-            return;
-        }
-        self.map_for(space, index);
-        let slot = &mut self.maps[space as usize][index];
-        classify_write(slot, &mut self.report, epoch, at, space, index);
-    }
-    fn san_write_warp(&mut self, space: u32, indices: &[usize]) {
+    fn san_write(&mut self, space: u32, indices: &[usize]) {
         // One map probe per warp access: grow once to the batch maximum,
         // then classify every lane by direct index with the epoch, warp
         // and region loads hoisted out of the loop. A batch reaching past
-        // the bound takes the per-element path instead.
+        // the bound checks element by element instead.
         let Some(&max) = indices.iter().max() else {
             return;
         };
         if max >= self.bounds.of(space) {
             for &index in indices {
-                self.san_write(space, index);
+                self.write_one(space, index);
             }
             return;
         }
@@ -409,23 +414,10 @@ impl<P: Probe> Probe for SanitizeProbe<P> {
             classify_write(&mut map[index], &mut self.report, epoch, at, space, index);
         }
     }
-    fn san_read(&mut self, space: u32, index: usize) {
-        let (at, bound) = (self.at, self.bounds.of(space));
-        let what = (space_name(space), "read");
-        if !check_span(&mut self.report, at, what, index, 1, bound) {
-            return;
-        }
-        let map = self.maps.get(space as usize);
-        if !live(map.and_then(|m| m.get(index)), self.epoch) {
-            at.flag(&mut self.report, Invariant::UninitRead, Some(index), || {
-                format!("{}[{index}] read before any write", what.0)
-            });
-        }
-    }
-    fn san_read_warp(&mut self, space: u32, indices: &[usize]) {
+    fn san_read(&mut self, space: u32, indices: &[usize]) {
         if indices.iter().any(|&i| i >= self.bounds.of(space)) {
             for &index in indices {
-                self.san_read(space, index);
+                self.read_one(space, index);
             }
             return;
         }
@@ -583,8 +575,8 @@ mod tests {
         p.kernel_launch(1, 1);
         p.warp_begin(0);
         p.san_region("k");
-        p.san_write(space::Y, 0);
-        p.san_write(space::Y, 1);
+        p.san_write(space::Y, &[0]);
+        p.san_write(space::Y, &[1]);
         p.warp_end(0);
         assert!(p.report().is_clean());
         assert_eq!(p.report().counts, Default::default());
@@ -595,8 +587,8 @@ mod tests {
         let mut p = SanitizeProbe::new(NoProbe);
         p.warp_begin(3);
         p.san_region("k");
-        p.san_write(space::Y, 9);
-        p.san_write(space::Y, 9);
+        p.san_write(space::Y, &[9]);
+        p.san_write(space::Y, &[9]);
         assert_eq!(p.report().count(Invariant::DoubleWrite), 1);
         let v = &p.report().sites[0];
         assert_eq!(v.invariant, Invariant::DoubleWrite);
@@ -607,10 +599,10 @@ mod tests {
     fn cross_warp_race_sequential() {
         let mut p = SanitizeProbe::new(NoProbe);
         p.warp_begin(0);
-        p.san_write(space::Y, 5);
+        p.san_write(space::Y, &[5]);
         p.warp_end(0);
         p.warp_begin(1);
-        p.san_write(space::Y, 5);
+        p.san_write(space::Y, &[5]);
         p.warp_end(1);
         assert_eq!(p.report().count(Invariant::Race), 1);
     }
@@ -619,8 +611,8 @@ mod tests {
     fn spaces_do_not_alias() {
         let mut p = SanitizeProbe::new(NoProbe);
         p.warp_begin(0);
-        p.san_write(space::Y, 5);
-        p.san_write(space::AUX, 5);
+        p.san_write(space::Y, &[5]);
+        p.san_write(space::AUX, &[5]);
         assert!(p.report().is_clean());
     }
 
@@ -629,11 +621,11 @@ mod tests {
         let mut p = SanitizeProbe::new(NoProbe);
         p.kernel_launch(1, 1);
         p.warp_begin(0);
-        p.san_write(space::Y, 2);
+        p.san_write(space::Y, &[2]);
         p.warp_end(0);
         p.kernel_launch(1, 1);
         p.warp_begin(0);
-        p.san_write(space::Y, 2); // legal: new launch rewrites old output
+        p.san_write(space::Y, &[2]); // legal: new launch rewrites old output
         p.warp_end(0);
         assert!(p.report().is_clean());
     }
@@ -644,10 +636,10 @@ mod tests {
         let mut a = root.fork_shard();
         let mut b = root.fork_shard();
         a.warp_begin(0);
-        a.san_write(space::Y, 7);
+        a.san_write(space::Y, &[7]);
         a.warp_end(0);
         b.warp_begin(1);
-        b.san_write(space::Y, 7);
+        b.san_write(space::Y, &[7]);
         b.warp_end(1);
         let mut root = root;
         root.merge_shard(a);
@@ -659,47 +651,82 @@ mod tests {
     fn shards_read_inherited_writes() {
         let mut root = SanitizeProbe::new(NoProbe);
         root.warp_begin(0);
-        root.san_write(space::AUX, 4);
+        root.san_write(space::AUX, &[4]);
         root.warp_end(0);
         let mut shard = root.fork_shard();
         shard.warp_begin(9);
         shard.san_region("phase2");
-        shard.san_read(space::AUX, 4); // written pre-fork: initialized
-        shard.san_write(space::AUX, 4); // rewrite post-barrier: legal
+        shard.san_read(space::AUX, &[4]); // written pre-fork: initialized
+        shard.san_write(space::AUX, &[4]); // rewrite post-barrier: legal
         shard.warp_end(9);
         root.merge_shard(shard);
         assert!(root.report().is_clean());
     }
 
-    #[test]
-    fn batched_san_hooks_match_per_element() {
-        let mut scalar = SanitizeProbe::new(NoProbe);
-        let mut batched = SanitizeProbe::new(NoProbe);
-        for p in [&mut scalar, &mut batched] {
-            p.kernel_launch(1, 1);
-            p.warp_begin(2);
-            p.san_region("k");
+    /// Cuts `xs` into consecutive slices at pseudo-random points drawn
+    /// from `seed`: seed 0 keeps it whole, seed 1 makes every element its
+    /// own slice.
+    fn random_split(xs: &[usize], seed: u64) -> Vec<&[usize]> {
+        let mut state = seed;
+        let mut parts = Vec::new();
+        let mut start = 0;
+        for i in 1..xs.len() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if seed == 1 || (seed != 0 && state >> 62 == 0) {
+                parts.push(&xs[start..i]);
+                start = i;
+            }
         }
-        // Duplicate index (double write), fresh indices, then reads of a
-        // written and an unwritten element.
-        let writes = [3usize, 9, 3, 40];
-        let reads = [3usize, 7];
-        for &i in &writes {
-            scalar.san_write(space::Y, i);
-        }
-        for &i in &reads {
-            scalar.san_read(space::Y, i);
-        }
-        batched.san_write_warp(space::Y, &writes);
-        batched.san_read_warp(space::Y, &reads);
-        assert_eq!(scalar.report().counts, batched.report().counts);
-        assert_eq!(scalar.report().count(Invariant::DoubleWrite), 1);
-        assert_eq!(scalar.report().count(Invariant::UninitRead), 1);
-        assert_eq!(scalar.report().sites.len(), batched.report().sites.len());
+        parts.push(&xs[start..]);
+        parts
     }
 
     #[test]
-    fn bounds_flag_every_out_of_range_element_batched_or_not() {
+    fn san_hooks_are_invariant_under_random_splits() {
+        // One warp's writes and reads recorded whole and cut into random
+        // consecutive slices. The writes repeat two indices (double
+        // writes) and one reaches past the y bound, so a slice holding it
+        // takes the element-by-element fallback; the reads cover written,
+        // unwritten and out-of-bounds elements.
+        let writes = [3usize, 9, 3, 40, 12, 41, 9, 0, 17];
+        let reads = [3usize, 7, 44, 0, 12, 1];
+        let record = |seed| {
+            let bounds = Bounds {
+                x: usize::MAX,
+                y: 41,
+                aux: 8,
+            };
+            let mut p = SanitizeProbe::with_bounds(NoProbe, bounds);
+            p.kernel_launch(1, 1);
+            p.warp_begin(2);
+            p.san_region("k");
+            for part in random_split(&writes, seed) {
+                p.san_write(space::Y, part);
+            }
+            for part in random_split(&reads, seed) {
+                p.san_read(space::Y, part);
+            }
+            p.into_parts().1
+        };
+        let whole = record(0);
+        assert_eq!(whole.checks_run, 15);
+        assert_eq!(whole.count(Invariant::DoubleWrite), 2);
+        assert_eq!(whole.count(Invariant::UninitRead), 2);
+        assert_eq!(whole.count(Invariant::AccessBounds), 2);
+        for seed in 1..64 {
+            let r = record(seed);
+            assert_eq!(r.checks_run, whole.checks_run, "seed {seed}");
+            assert_eq!(r.counts, whole.counts, "seed {seed}");
+            assert_eq!(r.per_region, whole.per_region, "seed {seed}");
+            assert_eq!(r.sites, whole.sites, "seed {seed}");
+            assert_eq!(r.dropped_sites, whole.dropped_sites, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn bounds_flag_every_out_of_range_element() {
         let mut p = SanitizeProbe::with_bounds(
             NoProbe,
             Bounds {
@@ -710,9 +737,9 @@ mod tests {
         );
         p.warp_begin(0);
         p.load_x_rows(&[8], 4, 8); // 10 and 11 past the bound
-        p.load_x_warp(&[0, 10, 3], 8); // 10
-        p.san_write_warp(space::Y, &[1, 4, 5]); // 4 and 5
-        p.san_read_warp(space::AUX, &[0, 2]); // 2; 0 is in bounds but unwritten
+        p.load_x(&[0, 10, 3], 8); // 10
+        p.san_write(space::Y, &[1, 4, 5]); // 4 and 5
+        p.san_read(space::AUX, &[0, 2]); // 2; 0 is in bounds but unwritten
         let r = p.report();
         assert_eq!(r.checks_run, 4 + 3 + 3 + 2);
         assert_eq!(r.count(Invariant::UninitRead), 1);
@@ -731,7 +758,7 @@ mod tests {
         let mut p = SanitizeProbe::new(NoProbe);
         p.warp_begin(0);
         p.san_region("k");
-        p.san_read(space::AUX, 11);
+        p.san_read(space::AUX, &[11]);
         assert_eq!(p.report().count(Invariant::UninitRead), 1);
     }
 
@@ -799,10 +826,10 @@ mod tests {
         use dasp_simt::CountingProbe;
         let mut plain = CountingProbe::a100();
         plain.fma(5);
-        plain.load_x(0, 8);
+        plain.load_x(&[0], 8);
         let mut wrapped = SanitizeProbe::new(CountingProbe::a100());
         wrapped.fma(5);
-        wrapped.load_x(0, 8);
+        wrapped.load_x(&[0], 8);
         assert_eq!(plain.stats(), wrapped.stats_snapshot());
     }
 }

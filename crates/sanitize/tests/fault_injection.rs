@@ -7,7 +7,10 @@
 //! use.
 
 use dasp_sanitize::{Invariant, SanitizeProbe};
-use dasp_simt::{checked, space, Executor, NoProbe, ParExecutor, Probe, SharedSlice, ShflOp};
+use dasp_simt::{
+    shfl_down_sync, shfl_sync_var, space, Executor, NoProbe, ParExecutor, Probe, SharedSlice,
+    ShflOp,
+};
 
 /// Planted bug: every warp targets y[0] — the classic missing-ownership
 /// scatter race. Racecheck must flag it under the sequential executor.
@@ -27,7 +30,7 @@ fn racecheck_catches_cross_warp_scatter_seq() {
             p.warp_begin(w);
             p.san_region("inject.race");
             y_s.write(w, w as f64);
-            p.san_write(space::Y, 0);
+            p.san_write(space::Y, &[0]);
             p.warp_end(w);
         });
     }
@@ -59,7 +62,7 @@ fn racecheck_catches_cross_warp_scatter_par() {
             p.warp_begin(w);
             p.san_region("inject.race.par");
             y_s.write(w, w as f64);
-            p.san_write(space::Y, 0);
+            p.san_write(space::Y, &[0]);
             p.warp_end(w);
         });
     }
@@ -84,8 +87,8 @@ fn racecheck_catches_same_warp_double_write() {
     probe.kernel_launch(1, 1);
     probe.warp_begin(0);
     probe.san_region("inject.double");
-    probe.san_write(space::Y, 7);
-    probe.san_write(space::Y, 7);
+    probe.san_write(space::Y, &[7]);
+    probe.san_write(space::Y, &[7]);
     probe.warp_end(0);
     assert_eq!(probe.report().count(Invariant::DoubleWrite), 1);
     let v = &probe.report().sites[0];
@@ -109,7 +112,7 @@ fn racecheck_disjoint_scatter_is_clean() {
                 p.warp_begin(w);
                 p.san_region("inject.disjoint");
                 y_s.write(w, w as f64);
-                p.san_write(space::Y, w);
+                p.san_write(space::Y, &[w]);
                 p.warp_end(w);
             });
         }
@@ -129,7 +132,7 @@ fn maskcheck_catches_out_of_mask_read_whose_value_is_used() {
     let vals: [f64; 32] = std::array::from_fn(|l| l as f64);
     // Correct code would pass delta < 16 or mask = full; delta 16 under a
     // 16-lane mask makes every active lane's source inactive.
-    let _ = checked::shfl_down_sync(&mut probe, 0xffff, vals, 16);
+    let _ = shfl_down_sync(&mut probe, 0xffff, vals, 16);
     let r = probe.report();
     assert_eq!(r.count(Invariant::ShflMask), 1);
     assert!(!r.is_clean());
@@ -150,7 +153,7 @@ fn maskcheck_classifies_discarded_reads_as_benign() {
     // Lanes 8..16 read sources 16..24 (outside the 16-lane mask), but
     // `used` says only lanes 0..8 are consumed afterwards.
     let src: [i32; 32] = std::array::from_fn(|l| l as i32 + 8);
-    let _ = checked::shfl_sync_var(&mut probe, 0xffff, vals, &src, 0x00ff);
+    let _ = shfl_sync_var(&mut probe, 0xffff, vals, &src, 0x00ff);
     let r = probe.report();
     assert_eq!(r.count(Invariant::ShflMask), 0);
     assert_eq!(r.count(Invariant::ShflDiscarded), 1);
@@ -184,13 +187,13 @@ fn initcheck_catches_never_written_aux_read() {
     probe.kernel_launch(1, 1);
     probe.warp_begin(0);
     probe.san_region("inject.aux.write");
-    probe.san_write(space::AUX, 0);
-    probe.san_write(space::AUX, 1);
+    probe.san_write(space::AUX, &[0]);
+    probe.san_write(space::AUX, &[1]);
     probe.warp_end(0);
     probe.warp_begin(1);
     probe.san_region("inject.aux.read");
-    probe.san_read(space::AUX, 1); // written: fine
-    probe.san_read(space::AUX, 2); // off-by-one: never written
+    probe.san_read(space::AUX, &[1]); // written: fine
+    probe.san_read(space::AUX, &[2]); // off-by-one: never written
     probe.warp_end(1);
     let r = probe.report();
     assert_eq!(r.count(Invariant::UninitRead), 1);
@@ -205,10 +208,10 @@ fn diagnostics_attribute_to_regions() {
     let mut probe = SanitizeProbe::new(NoProbe);
     probe.warp_begin(0);
     probe.san_region("inject.kernel-a");
-    probe.san_write(space::Y, 1);
-    probe.san_write(space::Y, 1);
+    probe.san_write(space::Y, &[1]);
+    probe.san_write(space::Y, &[1]);
     probe.san_region("inject.kernel-b");
-    probe.san_read(space::AUX, 0);
+    probe.san_read(space::AUX, &[0]);
     let r = probe.report();
     assert_eq!(r.per_region["inject.kernel-a"][Invariant::DoubleWrite], 1);
     assert_eq!(r.per_region["inject.kernel-b"][Invariant::UninitRead], 1);
@@ -224,9 +227,9 @@ fn fault_injection_does_not_perturb_counters() {
     let mut sp = SanitizeProbe::forked(&parent);
     sp.warp_begin(0);
     sp.fma(17);
-    sp.load_x(3, 8);
-    sp.san_write(space::Y, 0);
-    sp.san_write(space::Y, 0); // planted double write
+    sp.load_x(&[3], 8);
+    sp.san_write(space::Y, &[0]);
+    sp.san_write(space::Y, &[0]); // planted double write
     sp.warp_end(0);
     let (inner, report) = sp.into_parts();
     assert_eq!(report.count(Invariant::DoubleWrite), 1);

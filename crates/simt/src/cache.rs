@@ -210,8 +210,6 @@ pub struct CacheModel {
     set_mod: FastMod,
     ways: usize,
     body: Body,
-    hits: u64,
-    misses: u64,
 }
 
 impl CacheModel {
@@ -244,8 +242,6 @@ impl CacheModel {
             set_mod: FastMod::new(sets as u64),
             ways,
             body,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -273,24 +269,19 @@ impl CacheModel {
         addr >> self.line_shift
     }
 
-    /// Accesses `addr`; returns `true` on hit. Misses install the line.
-    #[inline]
-    pub fn access(&mut self, addr: u64) -> bool {
-        self.access_run(addr, 1)
-    }
-
     /// Accesses the same line `count` times in a row (one coalesced warp
-    /// access's same-line run): the first access classifies against the
-    /// cache, the remaining `count - 1` are guaranteed hits. Returns
-    /// whether the *first* access hit. End state (LRU order and hit/miss
-    /// totals) is bit-identical to calling [`CacheModel::access`]
-    /// `count` times with addresses on `addr`'s line.
+    /// access's same-line run; a single access passes 1): the first
+    /// access classifies against the cache, and misses install the line;
+    /// the remaining `count - 1` are guaranteed hits. Returns whether the
+    /// *first* access hit. The LRU end state does not depend on `count`,
+    /// so a run is bit-identical to `count` single accesses on `addr`'s
+    /// line.
     #[inline]
     pub fn access_run(&mut self, addr: u64, count: u64) -> bool {
         debug_assert!(count > 0);
         let line = addr >> self.line_shift;
         let body = &mut self.body;
-        let hit = if body.dense && body.tick < u32::MAX && line < body.last.len() as u64 {
+        if body.dense && body.tick < u32::MAX && line < body.last.len() as u64 {
             body.tick += 1;
             let last = &mut body.last[line as usize];
             let hit = *last > body.base;
@@ -298,14 +289,7 @@ impl CacheModel {
             hit
         } else {
             self.access_tags(line)
-        };
-        if hit {
-            self.hits += count;
-        } else {
-            self.misses += 1;
-            self.hits += count - 1;
         }
-        hit
     }
 
     /// Classifies one touch of `line` against the tag lists (tag mode),
@@ -340,23 +324,10 @@ impl CacheModel {
         }
     }
 
-    /// Total hits recorded so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total misses recorded so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Clears contents and statistics and returns to dense mode. O(1):
-    /// the tick base moves up, turning every line stale without touching
-    /// either array.
+    /// Clears contents and returns to dense mode. O(1): the tick base
+    /// moves up, turning every line stale without touching either array.
     pub fn reset(&mut self) {
         self.body.reset();
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// A copy of this cache whose arrays come from the calling thread's
@@ -379,8 +350,6 @@ impl CacheModel {
             set_mod: self.set_mod,
             ways: self.ways,
             body,
-            hits: self.hits,
-            misses: self.misses,
         }
     }
 }
@@ -409,12 +378,10 @@ mod tests {
     #[test]
     fn repeated_access_hits() {
         let mut c = CacheModel::new(1024, 64, 2);
-        assert!(!c.access(0));
-        assert!(c.access(0));
-        assert!(c.access(63)); // same line
-        assert!(!c.access(64)); // next line
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
+        assert!(!c.access_run(0, 1));
+        assert!(c.access_run(0, 1));
+        assert!(c.access_run(63, 1)); // same line
+        assert!(!c.access_run(64, 1)); // next line
     }
 
     #[test]
@@ -422,12 +389,12 @@ mod tests {
         // 2 ways, 64-byte lines, 2 sets (256 B total). Lines 0, 2, 4 all map
         // to set 0.
         let mut c = CacheModel::new(256, 64, 2);
-        assert!(!c.access(0)); // line 0 -> set 0
-        assert!(!c.access(128)); // line 2 -> set 0
-        assert!(c.access(0)); // refresh line 0
-        assert!(!c.access(256)); // line 4 -> set 0, evicts line 2 (LRU)
-        assert!(c.access(0)); // line 0 still resident
-        assert!(!c.access(128)); // line 2 was evicted
+        assert!(!c.access_run(0, 1)); // line 0 -> set 0
+        assert!(!c.access_run(128, 1)); // line 2 -> set 0
+        assert!(c.access_run(0, 1)); // refresh line 0
+        assert!(!c.access_run(256, 1)); // line 4 -> set 0, evicts line 2 (LRU)
+        assert!(c.access_run(0, 1)); // line 0 still resident
+        assert!(!c.access_run(128, 1)); // line 2 was evicted
     }
 
     #[test]
@@ -437,26 +404,23 @@ mod tests {
         // second sweep misses everywhere with LRU.
         for pass in 0..2 {
             for i in 0..64u64 {
-                let hit = c.access(i * 64);
+                let hit = c.access_run(i * 64, 1);
                 assert!(!hit, "pass {pass} line {i}");
             }
         }
-        assert_eq!(c.misses(), 128);
     }
 
     #[test]
     fn small_working_set_is_all_hits_after_warmup() {
         let mut c = CacheModel::a100_l2();
         for i in 0..1000u64 {
-            c.access(i * 8);
+            c.access_run(i * 8, 1);
         }
-        let misses_after_warm = c.misses();
         for _ in 0..10 {
             for i in 0..1000u64 {
-                c.access(i * 8);
+                assert!(c.access_run(i * 8, 1), "x[{i}] missed after warm-up");
             }
         }
-        assert_eq!(c.misses(), misses_after_warm);
     }
 
     /// Reference model with the pre-batching per-element semantics:
@@ -469,8 +433,6 @@ mod tests {
         ways: usize,
         tags: Vec<(u64, u64)>,
         tick: u64,
-        hits: u64,
-        misses: u64,
     }
 
     impl RefCache {
@@ -482,8 +444,6 @@ mod tests {
                 ways,
                 tags: vec![(u64::MAX, 0); sets * ways],
                 tick: 0,
-                hits: 0,
-                misses: 0,
             }
         }
 
@@ -495,19 +455,15 @@ mod tests {
             for slot in slots.iter_mut() {
                 if slot.0 == line {
                     slot.1 = self.tick;
-                    self.hits += 1;
                     return true;
                 }
             }
-            self.misses += 1;
             *slots.iter_mut().min_by_key(|(_, last)| *last).unwrap() = (line, self.tick);
             false
         }
 
         fn reset(&mut self) {
             self.tags.fill((u64::MAX, 0));
-            self.hits = 0;
-            self.misses = 0;
         }
     }
 
@@ -520,7 +476,7 @@ mod tests {
     }
 
     /// Runs `n` accesses drawn by `addr` through both models, asserting
-    /// every classification and the final totals agree.
+    /// every classification agrees.
     fn drive(
         fast: &mut CacheModel,
         reference: &mut RefCache,
@@ -530,10 +486,12 @@ mod tests {
     ) {
         for i in 0..n {
             let a = addr(next(state));
-            assert_eq!(fast.access(a), reference.access(a), "access {i} at {a}");
+            assert_eq!(
+                fast.access_run(a, 1),
+                reference.access(a),
+                "access {i} at {a}"
+            );
         }
-        assert_eq!(fast.hits(), reference.hits);
-        assert_eq!(fast.misses(), reference.misses);
     }
 
     #[test]
@@ -590,7 +548,7 @@ mod tests {
         assert!(fast.body.dense);
         drive(&mut fast, &mut reference, &mut state, 30_000, dense);
 
-        // A fork continues from the parent's contents and counters, in
+        // A fork continues from the parent's contents, in
         // dense mode (then spills on its own) and in tag mode; the
         // parent's body parks in the pool once dropped.
         let forked = fast.fork();
@@ -611,7 +569,7 @@ mod tests {
         newer.body.tick = 1 << 30;
         newer.body.base = 1 << 30;
         for line in 0..1000u64 {
-            newer.access(line * 128);
+            newer.access_run(line * 128, 1);
         }
         drop(newer);
         let forked = fast.fork();
@@ -659,12 +617,14 @@ mod tests {
             let first = a.access_run(addr, n);
             let mut want_first = None;
             for k in 0..n {
-                let h = b.access(addr + k % 8); // same line, varied offsets
+                let h = b.access_run(addr + k % 8, 1); // same line, varied offsets
                 want_first.get_or_insert(h);
             }
             assert_eq!(Some(first), want_first, "addr {addr} run {n}");
-            assert_eq!(a.hits(), b.hits());
-            assert_eq!(a.misses(), b.misses());
+        }
+        // Both end in the same LRU state.
+        for &(addr, _) in pattern {
+            assert_eq!(a.access_run(addr, 1), b.access_run(addr, 1), "addr {addr}");
         }
     }
 
@@ -688,25 +648,22 @@ mod tests {
             .collect();
         let cold_outcome: Vec<bool> = {
             let mut cold = CacheModel::new(4096, 64, 4);
-            trace.iter().map(|&a| cold.access(a)).collect()
+            trace.iter().map(|&a| cold.access_run(a, 1)).collect()
         };
         for round in 0..3 {
             // Same geometry: after the first round this hits the pool.
             let mut c = CacheModel::new(4096, 64, 4);
-            let outcome: Vec<bool> = trace.iter().map(|&a| c.access(a)).collect();
+            let outcome: Vec<bool> = trace.iter().map(|&a| c.access_run(a, 1)).collect();
             assert_eq!(outcome, cold_outcome, "round {round}");
-            assert_eq!(c.hits(), cold_outcome.iter().filter(|&&h| h).count() as u64);
         }
     }
 
     #[test]
     fn reset_clears_state() {
         let mut c = CacheModel::new(256, 64, 2);
-        c.access(0);
-        c.access(0);
+        c.access_run(0, 1);
+        c.access_run(0, 1);
         c.reset();
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-        assert!(!c.access(0));
+        assert!(!c.access_run(0, 1));
     }
 }

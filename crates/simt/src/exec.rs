@@ -322,7 +322,7 @@ mod tests {
             p.warp_begin(w);
             p.fma((w % 7) as u64 + 1);
             p.load_val(w as u64, 8);
-            p.load_x(w * 3 % 64, 8);
+            p.load_x(&[w * 3 % 64], 8);
             p.divergence((w % 5) as u64);
         };
         let mut seq = CountingProbe::new(CacheModel::new(4096, 64, 4));
@@ -387,7 +387,7 @@ mod tests {
     fn single_thread_parallel_is_exactly_sequential() {
         // threads=1 takes the inline path: identical cache evolution, so
         // even the order-dependent fields match.
-        let body = |w: usize, p: &mut CountingProbe| p.load_x(w % 97, 8);
+        let body = |w: usize, p: &mut CountingProbe| p.load_x(&[w % 97], 8);
         let mut seq = CountingProbe::new(CacheModel::new(1024, 64, 2));
         SeqExecutor.run(200, &mut seq, body);
         let mut par = CountingProbe::new(CacheModel::new(1024, 64, 2));

@@ -5,7 +5,8 @@
 //!
 //! 1. the PTX `mma.sync.aligned.m8n8k4.row.col.f64` tensor-core instruction
 //!    and its per-lane fragment layout (paper Fig. 4),
-//! 2. the warp shuffle instructions `__shfl_sync` / `__shfl_down_sync`,
+//! 2. the warp shuffle instructions `__shfl_sync` (with one source lane
+//!    or a per-lane one) and `__shfl_down_sync`,
 //! 3. the SIMT grid/block/warp execution model.
 //!
 //! None of those exist on a CPU, so this crate implements them as a
@@ -49,8 +50,8 @@
 //! # Module map
 //!
 //! * [`warp`] — warp width, lane-id helpers, lane-array constructors.
-//! * [`shuffle`] — `shfl_sync`/`shfl_down_sync`/`shfl_up_sync`/`shfl_xor_sync`
-//!   plus a tree `warp_reduce`.
+//! * [`shuffle`] — `shfl_sync`/`shfl_sync_var`/`shfl_down_sync` plus a
+//!   tree `warp_reduce`, each mask-checked through its probe.
 //! * [`mma`] — the `m8n8k4` MMA unit with the PTX fragment layout, and
 //!   pack/unpack helpers used by tests.
 //! * [`probe`] — the [`Probe`] trait, the zero-cost [`NoProbe`], the
@@ -89,8 +90,5 @@ pub use probe::{
     XBatch, SECTOR_BYTES,
 };
 pub use scratch::{ScratchLease, WarpScratch};
-pub use shuffle::{
-    all_sync, any_sync, ballot_sync, checked, shfl_down_sync, shfl_sync, shfl_sync_var,
-    shfl_up_sync, shfl_xor_sync, warp_reduce, ShflEvent, ShflOp,
-};
+pub use shuffle::{shfl_down_sync, shfl_sync, shfl_sync_var, warp_reduce, ShflEvent, ShflOp};
 pub use warp::{full_mask, lane_ids, lanes, WARP_SIZE};

@@ -272,8 +272,22 @@ pub trait Probe {
     fn load_meta(&mut self, elems: u64, bytes_per: u64);
     /// Records a streamed write of `elems` result values.
     fn store_y(&mut self, elems: u64, bytes_per: u64);
-    /// Records one element load of `x[index]`, classified by the cache.
-    fn load_x(&mut self, index: usize, bytes_per: u64);
+    /// Records one coalesced warp access: `indices.len()` element loads
+    /// of the dense vector `x` issued together by the lanes of one warp,
+    /// **in lane order**, classified by the cache. Within one warp,
+    /// splitting an access into consecutive slices changes nothing a
+    /// probe records, so any flush boundary a kernel chooses (see
+    /// [`XBatch`]) is observationally equivalent. [`CountingProbe`]
+    /// classifies each consecutive same-line run with a single cache
+    /// probe.
+    fn load_x(&mut self, indices: &[usize], bytes_per: u64);
+    /// Records one warp access made of contiguous row spans: each start
+    /// opens `len` consecutive elements `start..start + len` (the live
+    /// panel columns of one B row), spans in slice order. Records exactly
+    /// what [`Probe::load_x`] on those elements in that order records;
+    /// [`CountingProbe`] classifies each span arithmetically instead of
+    /// element by element.
+    fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64);
     /// Records one warp-wide MMA issue.
     fn mma(&mut self);
     /// Records `n` scalar FMA issues (already batched: one call accounts a
@@ -281,72 +295,6 @@ pub trait Probe {
     fn fma(&mut self, n: u64);
     /// Records `n` warp shuffle issues (batched like [`Probe::fma`]).
     fn shfl(&mut self, n: u64);
-
-    // --- Batched warp-granular hooks (defaults decompose into the
-    // --- per-element hooks above, so every probe keeps working; hot
-    // --- probes override them to pay one dispatch per warp access) -----
-
-    /// Records one coalesced warp access: `indices.len()` element loads
-    /// of the dense vector `x` issued together by the lanes of one warp,
-    /// **in lane order**. Semantically identical to calling
-    /// [`Probe::load_x`] once per element — the default does exactly
-    /// that — so any flush boundary a kernel chooses is observationally
-    /// equivalent. [`CountingProbe`] overrides it to classify each
-    /// consecutive same-line run with a single cache probe.
-    #[inline]
-    fn load_x_warp(&mut self, indices: &[usize], bytes_per: u64) {
-        for &i in indices {
-            self.load_x(i, bytes_per);
-        }
-    }
-
-    /// Records one warp access made of contiguous row spans: each start
-    /// opens `len` consecutive elements `start..start + len` (the live
-    /// panel columns of one B row), spans in slice order. Semantically
-    /// identical to [`Probe::load_x`] on every element in that order —
-    /// the default does exactly that. [`CountingProbe`] overrides it to
-    /// classify each span arithmetically instead of element by element.
-    #[inline]
-    fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
-        for &s in starts {
-            for i in s..s + len {
-                self.load_x(i, bytes_per);
-            }
-        }
-    }
-
-    /// Records one warp's batch of element writes into scatter space
-    /// `space`, in lane order: identical to [`Probe::san_write`] per
-    /// element. Sanitizers override it to probe their shadow epoch map
-    /// once per warp access.
-    #[inline]
-    fn san_write_warp(&mut self, space: u32, indices: &[usize]) {
-        for &i in indices {
-            self.san_write(space, i);
-        }
-    }
-
-    /// Records one warp's batch of element reads from scatter space
-    /// `space`, in lane order: identical to [`Probe::san_read`] per
-    /// element.
-    #[inline]
-    fn san_read_warp(&mut self, space: u32, indices: &[usize]) {
-        for &i in indices {
-            self.san_read(space, i);
-        }
-    }
-
-    /// Records a batch of warp-level divergent regions in one call:
-    /// `inactive[r]` is region `r`'s predicated-off lane count.
-    /// Identical to one [`Probe::divergence`] call per slice element
-    /// (zero entries count as fully active regions, exactly as a zero
-    /// argument to `divergence` does).
-    #[inline]
-    fn divergence_warp(&mut self, inactive: &[u64]) {
-        for &i in inactive {
-            self.divergence(i);
-        }
-    }
 
     // --- Observability hooks (default no-ops, so existing probes and the
     // --- zero-cost path are unaffected) ---------------------------------
@@ -389,11 +337,11 @@ pub trait Probe {
     // --- Sanitizer hooks (default no-ops; implemented by the
     // --- `dasp-sanitize` crate's `SanitizeProbe`) -----------------------
 
-    /// True when this probe is a sanitizer. Gates the checked shuffle
-    /// variants in [`crate::shuffle::checked`]: when `true`, out-of-mask
-    /// source reads are *reported* through [`Probe::san_shfl`] (release
-    /// builds included); when `false`, they fall back to the historical
-    /// `debug_assert!` and the hardware's keep-own-value semantics.
+    /// True when this probe is a sanitizer. Gates the shuffles' mask
+    /// checks in [`crate::shuffle`]: when `true`, out-of-mask source reads
+    /// are *reported* through [`Probe::san_shfl`] (release builds
+    /// included); when `false`, a consumed one trips a `debug_assert!`
+    /// and the hardware's keep-own-value semantics apply.
     #[inline(always)]
     fn sanitizing(&self) -> bool {
         false
@@ -404,23 +352,24 @@ pub trait Probe {
     #[inline(always)]
     fn san_region(&mut self, _region: &'static str) {}
 
-    /// Records one element write into scatter space `space` (see
-    /// [`space`]) at element `index`. Racecheck flags a second write to
-    /// the same `(space, index)` within one launch: same warp →
-    /// double-write, different warp → cross-warp race.
+    /// Records one warp's element writes into scatter space `space` (see
+    /// [`space`]) at `indices`, in lane order (a single-element write
+    /// passes `&[index]`). Racecheck flags a second write to the same
+    /// `(space, index)` within one launch: same warp → double-write,
+    /// different warp → cross-warp race.
     #[inline(always)]
-    fn san_write(&mut self, _space: u32, _index: usize) {}
+    fn san_write(&mut self, _space: u32, _indices: &[usize]) {}
 
-    /// Records one element read from scatter space `space` at `index`
-    /// that the kernel expects an earlier-in-launch (or pre-barrier)
-    /// write to have produced. Initcheck flags reads of never-written
-    /// slots.
+    /// Records one warp's element reads from scatter space `space` at
+    /// `indices`, in lane order, that the kernel expects an
+    /// earlier-in-launch (or pre-barrier) write to have produced.
+    /// Initcheck flags reads of never-written slots.
     #[inline(always)]
-    fn san_read(&mut self, _space: u32, _index: usize) {}
+    fn san_read(&mut self, _space: u32, _indices: &[usize]) {}
 
-    /// Reports the mask-check outcome of one shuffle/vote issue (only
-    /// called by the [`crate::shuffle::checked`] variants, and only when
-    /// an out-of-mask source read occurred).
+    /// Reports the mask-check outcome of one shuffle issue (only called
+    /// by the [`crate::shuffle`] functions, and only when an out-of-mask
+    /// source read occurred).
     #[inline(always)]
     fn san_shfl(&mut self, _event: &ShflEvent) {}
 
@@ -447,15 +396,16 @@ pub trait Probe {
 }
 
 /// Accumulates up to one warp's worth ([`crate::warp::WARP_SIZE`]) of
-/// `x`-element indices and flushes them as a single
-/// [`Probe::load_x_warp`] call.
+/// `x`-element indices and flushes them as a single [`Probe::load_x`]
+/// call.
 ///
 /// Kernels whose `x` accesses are data-dependent (per-row loops of the
 /// baselines, irregular tails) push indices in issue order and flush at
 /// the end of the warp body; the batch auto-flushes when full, so the
 /// probe sees the same element sequence chunked at warp granularity.
-/// Since `load_x_warp` is defined as per-element-equivalent, flush
-/// boundaries never change the observed statistics.
+/// Since splitting a warp's access into consecutive slices changes
+/// nothing a probe records, flush boundaries never change the observed
+/// statistics.
 #[derive(Debug)]
 pub struct XBatch {
     buf: [usize; crate::warp::WARP_SIZE],
@@ -491,7 +441,7 @@ impl XBatch {
     #[inline]
     pub fn flush<P: Probe>(&mut self, probe: &mut P) {
         if self.len > 0 {
-            probe.load_x_warp(&self.buf[..self.len], self.bytes_per);
+            probe.load_x(&self.buf[..self.len], self.bytes_per);
             self.len = 0;
         }
     }
@@ -530,23 +480,15 @@ impl Probe for NoProbe {
     #[inline(always)]
     fn store_y(&mut self, _: u64, _: u64) {}
     #[inline(always)]
-    fn load_x(&mut self, _: usize, _: u64) {}
+    fn load_x(&mut self, _: &[usize], _: u64) {}
+    #[inline(always)]
+    fn load_x_rows(&mut self, _: &[usize], _: usize, _: u64) {}
     #[inline(always)]
     fn mma(&mut self) {}
     #[inline(always)]
     fn fma(&mut self, _: u64) {}
     #[inline(always)]
     fn shfl(&mut self, _: u64) {}
-    #[inline(always)]
-    fn load_x_warp(&mut self, _: &[usize], _: u64) {}
-    #[inline(always)]
-    fn load_x_rows(&mut self, _: &[usize], _: usize, _: u64) {}
-    #[inline(always)]
-    fn san_write_warp(&mut self, _: u32, _: &[usize]) {}
-    #[inline(always)]
-    fn san_read_warp(&mut self, _: u32, _: &[usize]) {}
-    #[inline(always)]
-    fn divergence_warp(&mut self, _: &[u64]) {}
 }
 
 impl ShardableProbe for NoProbe {
@@ -592,8 +534,8 @@ pub struct CountingProbe {
     /// none): consecutive same-sector touches coalesce into one
     /// [`KernelStats::x_sectors`] access. Reset at `warp_begin` so the
     /// count is a pure per-warp function of the access pattern —
-    /// identical under every executor and for the per-element
-    /// decomposition of a batched call.
+    /// identical under every executor and however a warp's access is
+    /// split into calls.
     prev_sector: u64,
 }
 
@@ -641,7 +583,7 @@ impl CountingProbe {
     /// *runs*, never a sort or a unique-line pass: under LRU, two touches
     /// of line A separated by a touch of line B are not equivalent to two
     /// adjacent touches, so only adjacency-preserving grouping is
-    /// bit-identical to the per-element path.
+    /// bit-identical to classifying one touch at a time.
     #[inline]
     fn classify_run(&mut self, run: XRun) {
         if run.count == 0 {
@@ -717,12 +659,9 @@ impl Probe for CountingProbe {
     fn store_y(&mut self, elems: u64, bytes_per: u64) {
         self.stats.bytes_y += elems * bytes_per;
     }
-    fn load_x(&mut self, index: usize, bytes_per: u64) {
-        self.load_x_warp(&[index], bytes_per);
-    }
     /// Classifies each consecutive same-line run of the warp access with
     /// one cache probe.
-    fn load_x_warp(&mut self, indices: &[usize], bytes_per: u64) {
+    fn load_x(&mut self, indices: &[usize], bytes_per: u64) {
         self.stats.x_requests += indices.len() as u64;
         let mut run = XRun::EMPTY;
         for &ix in indices {
@@ -783,14 +722,6 @@ impl Probe for CountingProbe {
         if inactive > 0 {
             self.stats.divergent_regions += 1;
             self.stats.inactive_lanes += inactive;
-        }
-    }
-    fn divergence_warp(&mut self, inactive: &[u64]) {
-        for &i in inactive {
-            if i > 0 {
-                self.stats.divergent_regions += 1;
-                self.stats.inactive_lanes += i;
-            }
         }
     }
     fn stats_snapshot(&self) -> KernelStats {
@@ -860,7 +791,7 @@ mod tests {
         let mut p = CountingProbe::new(CacheModel::new(1024, 64, 2));
         // 8 f64 elements share one 64-byte line.
         for i in 0..8 {
-            p.load_x(i, 8);
+            p.load_x(&[i], 8);
         }
         let s = p.stats();
         assert_eq!(s.x_requests, 8);
@@ -904,11 +835,11 @@ mod tests {
     #[test]
     fn fork_shard_zeroes_counters_but_keeps_cache_warm() {
         let mut p = CountingProbe::new(CacheModel::new(1024, 64, 2));
-        p.load_x(0, 8); // warm the line holding x[0..8]
+        p.load_x(&[0], 8); // warm the line holding x[0..8]
         p.fma(10);
         let mut shard = p.fork_shard();
         assert_eq!(shard.stats(), KernelStats::default());
-        shard.load_x(1, 8); // same line: hits in the warm copy
+        shard.load_x(&[1], 8); // same line: hits in the warm copy
         let s = shard.stats();
         assert_eq!(s.x_hits, 1);
         assert_eq!(s.x_misses, 0);
@@ -947,25 +878,59 @@ mod tests {
         assert_eq!(o.bytes_x_miss, 0);
     }
 
+    /// Cuts `xs` into consecutive slices at pseudo-random points drawn
+    /// from `seed`: seed 0 keeps it whole, seed 1 makes every element its
+    /// own slice.
+    fn random_split(xs: &[usize], seed: u64) -> Vec<&[usize]> {
+        let mut state = seed;
+        let mut parts = Vec::new();
+        let mut start = 0;
+        for i in 1..xs.len() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if seed == 1 || (seed != 0 && state >> 62 == 0) {
+                parts.push(&xs[start..i]);
+                start = i;
+            }
+        }
+        parts.push(&xs[start..]);
+        parts
+    }
+
     #[test]
-    fn batched_load_x_matches_per_element_exactly() {
-        // Same index stream, batched vs scalar, including a pattern that
-        // revisits a line after touching another (the case where naive
-        // unique-line grouping would diverge from LRU).
+    fn load_x_is_invariant_under_random_splits() {
+        // One warp's index stream recorded whole and cut into random
+        // consecutive slices. The streams revisit a line after touching
+        // another (where unique-line grouping would diverge from LRU),
+        // evict from the one-way cache and repeat sectors, so x_hits,
+        // x_misses and x_sectors all move.
+        let long: Vec<usize> = (0..96).map(|i| (i * 37) % 300).collect();
         let streams: &[&[usize]] = &[
             &[0, 1, 2, 3, 4, 5, 6, 7],        // one line
             &[0, 100, 0, 100, 0],             // alternating lines
             &[0, 1, 100, 0, 31, 200, 200, 0], // runs + revisits
             &[7],                             // single element
+            &long,
         ];
-        for &stream in streams {
-            let mut batched = CountingProbe::new(CacheModel::new(256, 64, 1));
-            let mut scalar = CountingProbe::new(CacheModel::new(256, 64, 1));
-            batched.load_x_warp(stream, 8);
-            for &i in stream {
-                scalar.load_x(i, 8);
+        for bytes_per in [2u64, 8, 64] {
+            for &stream in streams {
+                let record = |seed| {
+                    let mut p = CountingProbe::new(CacheModel::new(256, 64, 1));
+                    p.warp_begin(0);
+                    for part in random_split(stream, seed) {
+                        p.load_x(part, bytes_per);
+                    }
+                    p.stats()
+                };
+                let whole = record(0);
+                assert_eq!(whole.x_requests, stream.len() as u64);
+                assert_eq!(whole.x_hits + whole.x_misses, whole.x_requests);
+                for seed in 1..32 {
+                    let case = format!("stream {stream:?} bytes {bytes_per} seed {seed}");
+                    assert_eq!(record(seed), whole, "{case}");
+                }
             }
-            assert_eq!(batched.stats(), scalar.stats(), "stream {stream:?}");
         }
     }
 
@@ -974,7 +939,7 @@ mod tests {
         // Spans inside one line, spans sharing a line (merged runs),
         // spans straddling lines, repeated spans, and elements narrower
         // and wider than a sector — sector coalescing, cache classes and
-        // the panel split must all equal the per-element path.
+        // the panel split must all equal one-element `load_x` calls.
         let patterns: &[&[usize]] = &[
             &[0, 8, 16, 24],
             &[5, 6, 100, 5],
@@ -989,12 +954,12 @@ mod tests {
                     let mut scalar = CountingProbe::new(CacheModel::new(512, 64, 2));
                     for p in [&mut rows, &mut scalar] {
                         p.panel(Some(1));
-                        p.load_x(6, bytes_per); // a warm line and sector
+                        p.load_x(&[6], bytes_per); // a warm line and sector
                     }
                     rows.load_x_rows(starts, len, bytes_per);
                     for &s in starts {
                         for i in s..s + len {
-                            scalar.load_x(i, bytes_per);
+                            scalar.load_x(&[i], bytes_per);
                         }
                     }
                     let case = format!("starts {starts:?} len {len} bytes {bytes_per}");
@@ -1007,72 +972,24 @@ mod tests {
 
     #[test]
     fn xbatch_flush_boundaries_are_invisible() {
+        // XBatch cuts the stream after every 32nd element; whole, one
+        // element at a time or cut anywhere else, it records the same.
         let indices: Vec<usize> = (0..100).map(|i| (i * 37) % 256).collect();
         let mut via_batch = CountingProbe::a100();
+        via_batch.warp_begin(0);
         let mut b = XBatch::new(8);
         for &i in &indices {
             b.push(&mut via_batch, i);
         }
         b.flush(&mut via_batch);
-        let mut scalar = CountingProbe::a100();
-        for &i in &indices {
-            scalar.load_x(i, 8);
+        for seed in 0..16 {
+            let mut split = CountingProbe::a100();
+            split.warp_begin(0);
+            for part in random_split(&indices, seed) {
+                split.load_x(part, 8);
+            }
+            assert_eq!(via_batch.stats(), split.stats(), "seed {seed}");
         }
-        assert_eq!(via_batch.stats(), scalar.stats());
-    }
-
-    #[test]
-    fn divergence_warp_counts_only_nonzero_regions() {
-        let mut p = CountingProbe::a100();
-        p.divergence_warp(&[0, 3, 0, 5]);
-        let s = p.stats();
-        assert_eq!(s.divergent_regions, 2);
-        assert_eq!(s.inactive_lanes, 8);
-    }
-
-    #[test]
-    fn default_batched_hooks_decompose_to_per_element() {
-        // A probe that only implements the per-element hooks must see the
-        // identical call sequence through the defaults.
-        struct LogProbe(Vec<(u32, usize)>);
-        impl Probe for LogProbe {
-            fn kernel_launch(&mut self, _: u64, _: u64) {}
-            fn load_val(&mut self, _: u64, _: u64) {}
-            fn load_idx(&mut self, _: u64, _: u64) {}
-            fn load_meta(&mut self, _: u64, _: u64) {}
-            fn store_y(&mut self, _: u64, _: u64) {}
-            fn load_x(&mut self, index: usize, _: u64) {
-                self.0.push((100, index));
-            }
-            fn mma(&mut self) {}
-            fn fma(&mut self, _: u64) {}
-            fn shfl(&mut self, _: u64) {}
-            fn san_write(&mut self, space: u32, index: usize) {
-                self.0.push((space, index));
-            }
-            fn san_read(&mut self, space: u32, index: usize) {
-                self.0.push((10 + space, index));
-            }
-        }
-        let mut p = LogProbe(Vec::new());
-        p.load_x_warp(&[5, 6], 8);
-        p.load_x_rows(&[40, 20], 2, 8);
-        p.san_write_warp(space::Y, &[1, 2]);
-        p.san_read_warp(space::AUX, &[3]);
-        assert_eq!(
-            p.0,
-            vec![
-                (100, 5),
-                (100, 6),
-                (100, 40),
-                (100, 41),
-                (100, 20),
-                (100, 21),
-                (space::Y, 1),
-                (space::Y, 2),
-                (11, 3)
-            ]
-        );
     }
 
     #[test]
@@ -1086,10 +1003,10 @@ mod tests {
         p.load_val(32, 8); // shared A values
         p.load_idx(32, 4); // shared A indices
         p.panel(Some(0));
-        p.load_x(0, 8); // panel 0 B gather: miss
+        p.load_x(&[0], 8); // panel 0 B gather: miss
         p.panel(Some(1));
-        p.load_x(1000, 8); // panel 1 B gather: miss
-        p.load_x(1000, 8); // hit: no split bytes
+        p.load_x(&[1000], 8); // panel 1 B gather: miss
+        p.load_x(&[1000], 8); // hit: no split bytes
         p.panel(None);
 
         let s = p.stats();
@@ -1131,7 +1048,7 @@ mod tests {
         let mut p = CountingProbe::new(CacheModel::new(1024, 64, 2));
         p.load_val(10, 8);
         for _ in 0..100 {
-            p.load_x(0, 8); // same element: 1 miss, 99 hits
+            p.load_x(&[0], 8); // same element: 1 miss, 99 hits
         }
         let s = p.stats();
         assert_eq!(s.dram_bytes(), 80 + 64);

@@ -1,22 +1,30 @@
 //! Warp shuffle instructions.
 //!
-//! These reproduce the semantics of the CUDA `__shfl_*_sync` intrinsics with
-//! the default width of 32:
+//! These reproduce the semantics of the CUDA `__shfl_*_sync` intrinsics
+//! the paper's kernels use, with the default width of 32:
 //!
 //! * `shfl_sync(mask, var, src)` — every lane reads lane `src % 32`.
+//! * `shfl_sync_var(mask, var, src)` — lane `i` reads lane `src[i] % 32`
+//!   (CUDA's per-lane source operand).
 //! * `shfl_down_sync(mask, var, delta)` — lane `i` reads lane `i + delta`;
 //!   lanes for which `i + delta >= 32` keep their own value.
-//! * `shfl_up_sync(mask, var, delta)` — lane `i` reads lane `i - delta`;
-//!   lanes for which `i < delta` keep their own value.
-//! * `shfl_xor_sync(mask, var, lane_mask)` — lane `i` reads lane
-//!   `i ^ lane_mask`.
+//! * [`warp_reduce`] — the 5-step `shfl_down_sync` tree.
 //!
-//! The `mask` argument names the participating lanes. Reading from a lane
-//! outside the mask is undefined behaviour on hardware; the simulator makes
-//! it loud instead (a debug assertion), which catches divergence bugs the
-//! paper's kernels must not contain. Lanes not named in the mask keep their
-//! input value.
+//! The `mask` argument names the participating lanes; lanes not named in
+//! it keep their input value. Reading from a lane outside the mask is
+//! undefined behaviour on hardware; the simulator resolves it as a read
+//! of that lane's value and hands the out-of-mask lane set to the
+//! [`Probe`] every function takes. When [`Probe::sanitizing`] is true,
+//! a non-empty set is delivered as a [`ShflEvent`] through
+//! [`Probe::san_shfl`] — in `--release` builds too. Otherwise an
+//! out-of-mask read whose value the kernel consumes trips a
+//! `debug_assert!`, and release builds keep full speed (the mask
+//! bookkeeping is dead code the optimizer removes).
+//!
+//! The functions do **not** bump [`Probe::shfl`]: kernels account their
+//! shuffle issues themselves.
 
+use crate::probe::Probe;
 use crate::warp::WARP_SIZE;
 
 #[inline]
@@ -24,57 +32,65 @@ fn in_mask(mask: u32, lane: usize) -> bool {
     mask & (1u32 << lane) != 0
 }
 
-/// How a shuffle variant disposes of out-of-mask source reads — the only
-/// place the plain and [`checked`] variants differ. The lane movement
-/// itself exists once, in [`shfl_with`].
-trait MaskPolicy {
-    /// Receives the instruction's out-of-mask read set (`oob` has one bit
-    /// per active lane that read an inactive source; possibly zero).
-    fn resolve(&mut self, op: ShflOp, mask: u32, oob: u32);
+/// Which shuffle instruction a [`ShflEvent`] describes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ShflOp {
+    /// `shfl_sync` (single-source broadcast).
+    Sync,
+    /// `shfl_sync_var` (per-lane source operand).
+    SyncVar,
+    /// `shfl_down_sync`.
+    Down,
 }
 
-/// Plain-variant policy: out-of-mask reads trip a debug assertion;
-/// release builds keep the hardware's keep-own-value resolution at full
-/// speed (the bookkeeping is dead code the optimizer removes).
-struct AssertOob;
-
-impl MaskPolicy for AssertOob {
-    #[inline(always)]
-    fn resolve(&mut self, op: ShflOp, mask: u32, oob: u32) {
-        debug_assert!(
-            oob == 0,
-            "{} reads out-of-mask source lanes (reading lanes {:#010x}, mask {:#010x})",
-            op.name(),
-            oob,
-            mask
-        );
-        let _ = (op, mask, oob);
+impl ShflOp {
+    /// Instruction mnemonic for diagnostics.
+    pub fn name(self) -> &'static str {
+        match self {
+            ShflOp::Sync => "shfl_sync",
+            ShflOp::SyncVar => "shfl_sync_var",
+            ShflOp::Down => "shfl_down_sync",
+        }
     }
 }
 
-/// Policy of the plain [`shfl_sync_var`]: out-of-mask reads are expected
-/// (the paper's kernels compute negative shuffle targets on lanes whose
-/// results are discarded), so nothing is checked. The [`checked`] variant
-/// exists for callers that can name the consumed lanes.
-struct IgnoreOob;
-
-impl MaskPolicy for IgnoreOob {
-    #[inline(always)]
-    fn resolve(&mut self, _: ShflOp, _: u32, _: u32) {}
+/// The mask-check outcome of one shuffle issue, reported through
+/// [`Probe::san_shfl`] whenever at least one lane read a source lane
+/// outside the active mask.
+///
+/// On hardware an out-of-mask source read is undefined behaviour; the
+/// simulator resolves it as a read of the source lane's value.
+/// `used_lanes` distinguishes the two severities: an out-of-mask read
+/// whose result the kernel consumes is a real bug, while one discarded by
+/// a subsequent predicate (the paper's Algorithms 3/4 compute negative
+/// shuffle targets on lanes whose results are never used) is benign and
+/// only reported informationally.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShflEvent {
+    /// The instruction that produced the event.
+    pub op: ShflOp,
+    /// The active-lane mask the instruction was issued with.
+    pub mask: u32,
+    /// Lanes that read a source lane outside `mask` (bit per lane).
+    pub oob_lanes: u32,
+    /// Subset of `oob_lanes` whose shuffled value the kernel consumes.
+    pub used_lanes: u32,
 }
 
-/// The generic shuffle implementation every variant wraps: each active
-/// lane gathers `var[src_of(lane)]` (`None` keeps its own value — the
-/// *defined* resolution for down/up/xor shifts past the warp edge);
-/// inactive lanes keep their input. Out-of-mask sources resolve as
-/// keep-read (the simulator's pinned stand-in for hardware UB) and are
-/// handed to `policy`.
+/// The lane movement every shuffle wraps: each active lane gathers
+/// `var[src_of(lane)]` (`None` keeps its own value — the *defined*
+/// resolution for a shift past the warp edge); inactive lanes keep their
+/// input. Out-of-mask sources on the lanes in `used` are consumed reads;
+/// the rest are discarded. A non-empty out-of-mask set goes to the probe
+/// when it sanitizes, and a consumed one trips a `debug_assert!`
+/// otherwise.
 #[inline(always)]
-fn shfl_with<T: Copy, M: MaskPolicy>(
+fn shfl_with<T: Copy, P: Probe>(
+    probe: &mut P,
     op: ShflOp,
     mask: u32,
     var: [T; WARP_SIZE],
-    mut policy: M,
+    used: u32,
     src_of: impl Fn(usize) -> Option<usize>,
 ) -> [T; WARP_SIZE] {
     let mut out = var;
@@ -89,15 +105,40 @@ fn shfl_with<T: Copy, M: MaskPolicy>(
             }
         }
     }
-    policy.resolve(op, mask, oob);
+    if oob != 0 {
+        let used = oob & used;
+        if probe.sanitizing() {
+            probe.san_shfl(&ShflEvent {
+                op,
+                mask,
+                oob_lanes: oob,
+                used_lanes: used,
+            });
+        } else {
+            debug_assert!(
+                used == 0,
+                "{} reads out-of-mask lanes {:#010x} (mask {:#010x}) whose values are used",
+                op.name(),
+                oob,
+                mask
+            );
+        }
+    }
     out
 }
 
-/// `__shfl_sync`: broadcast from `src_lane` (mod 32) to all lanes in `mask`.
+/// `__shfl_sync`: broadcast from `src_lane` (mod 32) to all lanes in
+/// `mask`. An out-of-mask source is read, and consumed, by *every* active
+/// lane.
 #[inline]
-pub fn shfl_sync<T: Copy>(mask: u32, var: [T; WARP_SIZE], src_lane: usize) -> [T; WARP_SIZE] {
+pub fn shfl_sync<T: Copy, P: Probe>(
+    probe: &mut P,
+    mask: u32,
+    var: [T; WARP_SIZE],
+    src_lane: usize,
+) -> [T; WARP_SIZE] {
     let src = src_lane % WARP_SIZE;
-    shfl_with(ShflOp::Sync, mask, var, AssertOob, |_| Some(src))
+    shfl_with(probe, ShflOp::Sync, mask, var, u32::MAX, |_| Some(src))
 }
 
 /// `__shfl_sync` with a *per-lane* source operand, as CUDA allows: lane `i`
@@ -105,57 +146,54 @@ pub fn shfl_sync<T: Copy>(mask: u32, var: [T; WARP_SIZE], src_lane: usize) -> [T
 /// hardware's treatment of out-of-range `srcLane`), and may be negative —
 /// the paper's Algorithms 3/4 compute `((laneid - i*8) >> 1) * 9`, which is
 /// negative on lanes below `i*8` whose results are discarded by the
-/// subsequent predicate.
+/// subsequent predicate. `used` names the lanes whose shuffled values the
+/// kernel consumes afterwards: an out-of-mask read on a used lane is an
+/// error, on any other lane it is reported as discarded (benign).
 #[inline]
-pub fn shfl_sync_var<T: Copy>(
+pub fn shfl_sync_var<T: Copy, P: Probe>(
+    probe: &mut P,
     mask: u32,
     var: [T; WARP_SIZE],
     src: &[i32; WARP_SIZE],
+    used: u32,
 ) -> [T; WARP_SIZE] {
-    shfl_with(ShflOp::SyncVar, mask, var, IgnoreOob, |lane| {
+    shfl_with(probe, ShflOp::SyncVar, mask, var, used, |lane| {
         Some(src[lane].rem_euclid(WARP_SIZE as i32) as usize)
     })
 }
 
-/// `__shfl_down_sync`: lane `i` reads lane `i + delta`; out-of-range lanes
-/// keep their own value.
+/// `__shfl_down_sync`: lane `i` reads lane `i + delta`; lanes shifted past
+/// the warp end keep their own value (defined behaviour, not reported).
+/// In-range reads from inactive lanes are consumed out-of-mask reads.
 #[inline]
-pub fn shfl_down_sync<T: Copy>(mask: u32, var: [T; WARP_SIZE], delta: usize) -> [T; WARP_SIZE] {
-    shfl_with(ShflOp::Down, mask, var, AssertOob, |lane| {
+pub fn shfl_down_sync<T: Copy, P: Probe>(
+    probe: &mut P,
+    mask: u32,
+    var: [T; WARP_SIZE],
+    delta: usize,
+) -> [T; WARP_SIZE] {
+    shfl_with(probe, ShflOp::Down, mask, var, u32::MAX, |lane| {
         (lane + delta < WARP_SIZE).then_some(lane + delta)
     })
 }
 
-/// `__shfl_up_sync`: lane `i` reads lane `i - delta`; lanes `< delta` keep
-/// their own value.
+/// The classic 5-step shuffle-down tree reduction (`warpReduceSum` in the
+/// paper's Algorithm 2). After the call, **lane 0** holds `combine`
+/// applied over all 32 lanes; other lanes hold partial sums. Each step's
+/// mask check goes to `probe`; the issues themselves number
+/// [`WARP_REDUCE_SHFLS`].
+///
+/// Returns the full lane array so callers can also use partials.
 #[inline]
-pub fn shfl_up_sync<T: Copy>(mask: u32, var: [T; WARP_SIZE], delta: usize) -> [T; WARP_SIZE] {
-    shfl_with(ShflOp::Up, mask, var, AssertOob, |lane| {
-        lane.checked_sub(delta)
-    })
-}
-
-/// `__shfl_xor_sync`: lane `i` reads lane `i ^ lane_mask` (the butterfly
-/// pattern used by tree reductions).
-#[inline]
-pub fn shfl_xor_sync<T: Copy>(mask: u32, var: [T; WARP_SIZE], lane_mask: usize) -> [T; WARP_SIZE] {
-    shfl_with(ShflOp::Xor, mask, var, AssertOob, |lane| {
-        (lane ^ lane_mask < WARP_SIZE).then_some(lane ^ lane_mask)
-    })
-}
-
-/// The shared body of the plain and checked [`warp_reduce`]s: the 5-step
-/// shuffle-down tree over whichever shuffle `step` supplies.
-#[inline(always)]
-fn warp_reduce_with<T: Copy, F: Fn(T, T) -> T>(
+pub fn warp_reduce<T: Copy, F: Fn(T, T) -> T, P: Probe>(
+    probe: &mut P,
     mask: u32,
     mut var: [T; WARP_SIZE],
     combine: F,
-    mut step: impl FnMut([T; WARP_SIZE], usize) -> [T; WARP_SIZE],
 ) -> [T; WARP_SIZE] {
     let mut offset = WARP_SIZE / 2;
     while offset > 0 {
-        let shifted = step(var, offset);
+        let shifted = shfl_down_sync(probe, mask, var, offset);
         for lane in 0..WARP_SIZE {
             if in_mask(mask, lane) {
                 var[lane] = combine(var[lane], shifted[lane]);
@@ -166,43 +204,52 @@ fn warp_reduce_with<T: Copy, F: Fn(T, T) -> T>(
     var
 }
 
-/// The classic 5-step shuffle-down tree reduction (`warpReduceSum` in the
-/// paper's Algorithm 2). After the call, **lane 0** holds
-/// `combine` applied over all 32 lanes; other lanes hold partial sums.
-///
-/// Returns the full lane array so callers can also use partials, and the
-/// number of shuffle issues (5) so probes can account for them.
-#[inline]
-pub fn warp_reduce<T: Copy, F: Fn(T, T) -> T>(
-    mask: u32,
-    var: [T; WARP_SIZE],
-    combine: F,
-) -> [T; WARP_SIZE] {
-    warp_reduce_with(mask, var, combine, |v, o| shfl_down_sync(mask, v, o))
-}
-
 /// Number of shuffle instructions issued by one [`warp_reduce`] call.
 pub const WARP_REDUCE_SHFLS: u64 = 5;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::NoProbe;
     use crate::warp::{full_mask, per_lane};
+
+    /// Minimal sanitizing probe that records shuffle events.
+    #[derive(Default)]
+    struct Recorder(Vec<ShflEvent>);
+
+    impl Probe for Recorder {
+        fn kernel_launch(&mut self, _: u64, _: u64) {}
+        fn load_val(&mut self, _: u64, _: u64) {}
+        fn load_idx(&mut self, _: u64, _: u64) {}
+        fn load_meta(&mut self, _: u64, _: u64) {}
+        fn store_y(&mut self, _: u64, _: u64) {}
+        fn load_x(&mut self, _: &[usize], _: u64) {}
+        fn load_x_rows(&mut self, _: &[usize], _: usize, _: u64) {}
+        fn mma(&mut self) {}
+        fn fma(&mut self, _: u64) {}
+        fn shfl(&mut self, _: u64) {}
+        fn sanitizing(&self) -> bool {
+            true
+        }
+        fn san_shfl(&mut self, event: &ShflEvent) {
+            self.0.push(*event);
+        }
+    }
 
     #[test]
     fn shfl_broadcasts_single_lane() {
         let v = per_lane(|l| l as i64 * 10);
-        let out = shfl_sync(full_mask(), v, 7);
+        let out = shfl_sync(&mut NoProbe, full_mask(), v, 7);
         assert!(out.iter().all(|&x| x == 70));
         // src_lane wraps mod 32 like the hardware
-        let out = shfl_sync(full_mask(), v, 35);
+        let out = shfl_sync(&mut NoProbe, full_mask(), v, 35);
         assert!(out.iter().all(|&x| x == 30));
     }
 
     #[test]
     fn shfl_down_shifts_and_clamps() {
         let v = per_lane(|l| l as i64);
-        let out = shfl_down_sync(full_mask(), v, 9);
+        let out = shfl_down_sync(&mut NoProbe, full_mask(), v, 9);
         for lane in 0..WARP_SIZE {
             let expect = if lane + 9 < WARP_SIZE {
                 (lane + 9) as i64
@@ -214,43 +261,16 @@ mod tests {
     }
 
     #[test]
-    fn shfl_up_shifts_and_clamps() {
-        let v = per_lane(|l| l as i64);
-        let out = shfl_up_sync(full_mask(), v, 4);
-        for lane in 0..WARP_SIZE {
-            let expect = if lane >= 4 {
-                (lane - 4) as i64
-            } else {
-                lane as i64
-            };
-            assert_eq!(out[lane], expect, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn shfl_xor_is_a_butterfly() {
-        let v = per_lane(|l| l as i64);
-        let out = shfl_xor_sync(full_mask(), v, 1);
-        for lane in 0..WARP_SIZE {
-            assert_eq!(out[lane], (lane ^ 1) as i64);
-        }
-        // xor with 16 swaps halves
-        let out = shfl_xor_sync(full_mask(), v, 16);
-        assert_eq!(out[0], 16);
-        assert_eq!(out[31], 15);
-    }
-
-    #[test]
     fn warp_reduce_sums_all_lanes_into_lane0() {
         let v = per_lane(|l| l as i64);
-        let out = warp_reduce(full_mask(), v, |a, b| a + b);
+        let out = warp_reduce(&mut NoProbe, full_mask(), v, |a, b| a + b);
         assert_eq!(out[0], (0..32).sum::<i64>());
     }
 
     #[test]
     fn warp_reduce_with_max() {
         let v = per_lane(|l| ((l * 7) % 31) as i64);
-        let out = warp_reduce(full_mask(), v, |a, b| a.max(b));
+        let out = warp_reduce(&mut NoProbe, full_mask(), v, |a, b| a.max(b));
         assert_eq!(out[0], *v.iter().max().unwrap());
     }
 
@@ -259,7 +279,7 @@ mod tests {
         // Only lanes 0..8 active.
         let mask = 0xff;
         let v = per_lane(|l| l as i64);
-        let out = shfl_sync(mask, v, 3);
+        let out = shfl_sync(&mut NoProbe, mask, v, 3);
         for lane in 0..8 {
             assert_eq!(out[lane], 3);
         }
@@ -282,40 +302,27 @@ mod tests {
             y1[lane] = (k + 10) as f64; // 10,11,12,13
         }
         let m = full_mask();
-        let d = shfl_down_sync(m, y0, 9);
-        for l in 0..WARP_SIZE {
-            y0[l] += d[l];
+        let p = &mut NoProbe;
+        for y in [&mut y0, &mut y1] {
+            for delta in [9, 18] {
+                let d = shfl_down_sync(p, m, *y, delta);
+                for l in 0..WARP_SIZE {
+                    y[l] += d[l];
+                }
+            }
         }
-        let d = shfl_down_sync(m, y0, 18);
-        for l in 0..WARP_SIZE {
-            y0[l] += d[l];
-        }
-        let d = shfl_down_sync(m, y1, 9);
-        for l in 0..WARP_SIZE {
-            y1[l] += d[l];
-        }
-        let d = shfl_down_sync(m, y1, 18);
-        for l in 0..WARP_SIZE {
-            y1[l] += d[l];
-        }
-        let b = shfl_sync(m, y1, 4);
+        let b = shfl_sync(p, m, y1, 4);
         for l in 0..WARP_SIZE {
             y0[l] += b[l];
         }
         assert_eq!(y0[0], (1 + 2 + 3 + 4 + 10 + 11 + 12 + 13) as f64);
     }
-}
-
-#[cfg(test)]
-mod var_tests {
-    use super::*;
-    use crate::warp::{full_mask, per_lane};
 
     #[test]
     fn per_lane_sources_gather_arbitrarily() {
         let v = per_lane(|l| l as i64 * 3);
         let src: [i32; WARP_SIZE] = core::array::from_fn(|l| (31 - l) as i32);
-        let out = shfl_sync_var(full_mask(), v, &src);
+        let out = shfl_sync_var(&mut NoProbe, full_mask(), v, &src, full_mask());
         for lane in 0..WARP_SIZE {
             assert_eq!(out[lane], (31 - lane) as i64 * 3);
         }
@@ -325,7 +332,7 @@ mod var_tests {
     fn negative_sources_wrap_modulo_32() {
         let v = per_lane(|l| l as i64);
         let src = [-9i32; WARP_SIZE]; // -9 mod 32 = 23
-        let out = shfl_sync_var(full_mask(), v, &src);
+        let out = shfl_sync_var(&mut NoProbe, full_mask(), v, &src, full_mask());
         assert!(out.iter().all(|&x| x == 23));
     }
 
@@ -345,365 +352,31 @@ mod var_tests {
         let i = 0usize;
         let target: [i32; WARP_SIZE] =
             core::array::from_fn(|l| ((l as i32 - (i as i32) * 8) >> 1) * 9);
-        let t0 = shfl_sync_var(full_mask(), y0, &target);
-        let t1 = shfl_sync_var(full_mask(), y1, &core::array::from_fn(|l| target[l] + 4));
+        let target4 = core::array::from_fn(|l| target[l] + 4);
+        let m = full_mask();
+        let t0 = shfl_sync_var(&mut NoProbe, m, y0, &target, m);
+        let t1 = shfl_sync_var(&mut NoProbe, m, y1, &target4, m);
         for lane in 0..8 {
             let res = if lane & 1 == 0 { t0[lane] } else { t1[lane] };
             assert_eq!(res, lane as f64, "lane {lane}");
         }
     }
-}
 
-/// `__ballot_sync`: returns the bitmask of active lanes whose predicate is
-/// true (every active lane receives the same mask).
-#[inline]
-pub fn ballot_sync(mask: u32, pred: [bool; WARP_SIZE]) -> u32 {
-    let mut out = 0u32;
-    for (lane, &p) in pred.iter().enumerate() {
-        if in_mask(mask, lane) && p {
-            out |= 1 << lane;
-        }
-    }
-    out
-}
-
-/// `__any_sync`: true iff any active lane's predicate is true.
-#[inline]
-pub fn any_sync(mask: u32, pred: [bool; WARP_SIZE]) -> bool {
-    ballot_sync(mask, pred) != 0
-}
-
-/// `__all_sync`: true iff every active lane's predicate is true.
-#[inline]
-pub fn all_sync(mask: u32, pred: [bool; WARP_SIZE]) -> bool {
-    ballot_sync(mask, pred) == mask
-}
-
-/// Which shuffle/vote instruction a [`ShflEvent`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShflOp {
-    /// `shfl_sync` (single-source broadcast).
-    Sync,
-    /// `shfl_sync_var` (per-lane source operand).
-    SyncVar,
-    /// `shfl_down_sync`.
-    Down,
-    /// `shfl_up_sync`.
-    Up,
-    /// `shfl_xor_sync`.
-    Xor,
-    /// `ballot_sync` (vote).
-    Ballot,
-}
-
-impl ShflOp {
-    /// Instruction mnemonic for diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShflOp::Sync => "shfl_sync",
-            ShflOp::SyncVar => "shfl_sync_var",
-            ShflOp::Down => "shfl_down_sync",
-            ShflOp::Up => "shfl_up_sync",
-            ShflOp::Xor => "shfl_xor_sync",
-            ShflOp::Ballot => "ballot_sync",
-        }
-    }
-}
-
-/// The mask-check outcome of one shuffle/vote issue, reported through
-/// [`crate::Probe::san_shfl`] by the [`checked`] variants whenever at least
-/// one lane read a source lane outside the active mask.
-///
-/// On hardware an out-of-mask source read is undefined behaviour; the
-/// simulator resolves it as keep-own-value. `used_lanes` distinguishes the
-/// two severities: an out-of-mask read whose result the kernel consumes is
-/// a real bug, while one discarded by a subsequent predicate (the paper's
-/// Algorithms 3/4 compute negative shuffle targets on lanes whose results
-/// are never used) is benign and only reported informationally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShflEvent {
-    /// The instruction that produced the event.
-    pub op: ShflOp,
-    /// The active-lane mask the instruction was issued with.
-    pub mask: u32,
-    /// Lanes that read a source lane outside `mask` (bit per lane).
-    pub oob_lanes: u32,
-    /// Subset of `oob_lanes` whose shuffled value the kernel consumes.
-    pub used_lanes: u32,
-}
-
-/// Checked shuffle/vote variants: identical lane semantics to the plain
-/// functions, but out-of-mask source reads are *reported* instead of
-/// (only) debug-asserted.
-///
-/// Each variant takes a [`crate::Probe`]. When [`crate::Probe::sanitizing`]
-/// is true, a non-zero out-of-mask lane set is delivered as a
-/// [`ShflEvent`] through [`crate::Probe::san_shfl`] — in `--release`
-/// builds too, which is what the plain functions' `debug_assert!`s cannot
-/// do. When the probe is not sanitizing, an out-of-mask read whose value
-/// would be consumed trips the same `debug_assert!` as the plain path, and
-/// release builds keep the hardware's UB-as-keep-own-value semantics at
-/// full speed (the mask bookkeeping is dead code the optimizer removes).
-///
-/// The variants deliberately do **not** bump [`crate::Probe::shfl`]
-/// counters: kernels keep their existing issue accounting, so migrating a
-/// kernel to the checked calls changes no statistics.
-pub mod checked {
-    use super::*;
-    use crate::probe::Probe;
-
-    /// Which lanes' shuffled values the kernel consumes — determines the
-    /// `used` subset a reported event carries.
-    enum Used {
-        /// Every reading lane consumes its value (down/up/xor/broadcast).
-        Reads,
-        /// Only the given lane set is consumed (`shfl_sync_var` callers
-        /// name it); out-of-mask reads elsewhere are benign.
-        Only(u32),
-        /// No out-of-mask value is ever consumed (ballot drops votes).
-        None,
-    }
-
-    /// The checked variants' mask policy: a non-empty out-of-mask set is
-    /// delivered as a [`ShflEvent`] through [`Probe::san_shfl`] when the
-    /// probe is sanitizing (release builds included); otherwise a
-    /// *consumed* out-of-mask read trips the same `debug_assert!` as the
-    /// plain path.
-    struct ReportOob<'p, P> {
-        probe: &'p mut P,
-        used: Used,
-    }
-
-    impl<P: Probe> MaskPolicy for ReportOob<'_, P> {
-        #[inline]
-        fn resolve(&mut self, op: ShflOp, mask: u32, oob: u32) {
-            if oob == 0 {
-                return;
-            }
-            let used = match self.used {
-                Used::Reads => oob,
-                Used::Only(u) => oob & u,
-                Used::None => 0,
-            };
-            if self.probe.sanitizing() {
-                self.probe.san_shfl(&ShflEvent {
-                    op,
-                    mask,
-                    oob_lanes: oob,
-                    used_lanes: used,
-                });
-            } else {
-                debug_assert!(
-                    used == 0,
-                    "{} reads out-of-mask lanes {:#010x} (mask {:#010x}) whose values are used",
-                    op.name(),
-                    oob,
-                    mask
-                );
-            }
-        }
-    }
-
-    /// Checked [`shfl_sync`](super::shfl_sync): broadcast from `src_lane`.
-    /// An out-of-mask source is read by *every* active lane.
-    #[inline]
-    pub fn shfl_sync<T: Copy, P: Probe>(
-        probe: &mut P,
-        mask: u32,
-        var: [T; WARP_SIZE],
-        src_lane: usize,
-    ) -> [T; WARP_SIZE] {
-        let src = src_lane % WARP_SIZE;
-        let policy = ReportOob {
-            probe,
-            used: Used::Reads,
-        };
-        shfl_with(ShflOp::Sync, mask, var, policy, |_| Some(src))
-    }
-
-    /// Checked [`shfl_sync_var`](super::shfl_sync_var). `used` names the
-    /// lanes whose shuffled values the kernel consumes afterwards: an
-    /// out-of-mask read on a used lane is an error, on any other lane it
-    /// is reported as discarded (benign).
-    #[inline]
-    pub fn shfl_sync_var<T: Copy, P: Probe>(
-        probe: &mut P,
-        mask: u32,
-        var: [T; WARP_SIZE],
-        src: &[i32; WARP_SIZE],
-        used: u32,
-    ) -> [T; WARP_SIZE] {
-        let policy = ReportOob {
-            probe,
-            used: Used::Only(used),
-        };
-        shfl_with(ShflOp::SyncVar, mask, var, policy, |lane| {
-            Some(src[lane].rem_euclid(WARP_SIZE as i32) as usize)
-        })
-    }
-
-    /// Checked [`shfl_down_sync`](super::shfl_down_sync). In-range reads
-    /// from inactive lanes are reported; lanes shifted past the warp end
-    /// keep their own value (defined behaviour, not reported).
-    #[inline]
-    pub fn shfl_down_sync<T: Copy, P: Probe>(
-        probe: &mut P,
-        mask: u32,
-        var: [T; WARP_SIZE],
-        delta: usize,
-    ) -> [T; WARP_SIZE] {
-        let policy = ReportOob {
-            probe,
-            used: Used::Reads,
-        };
-        shfl_with(ShflOp::Down, mask, var, policy, |lane| {
-            (lane + delta < WARP_SIZE).then_some(lane + delta)
-        })
-    }
-
-    /// Checked [`shfl_up_sync`](super::shfl_up_sync).
-    #[inline]
-    pub fn shfl_up_sync<T: Copy, P: Probe>(
-        probe: &mut P,
-        mask: u32,
-        var: [T; WARP_SIZE],
-        delta: usize,
-    ) -> [T; WARP_SIZE] {
-        let policy = ReportOob {
-            probe,
-            used: Used::Reads,
-        };
-        shfl_with(ShflOp::Up, mask, var, policy, |lane| {
-            lane.checked_sub(delta)
-        })
-    }
-
-    /// Checked [`shfl_xor_sync`](super::shfl_xor_sync).
-    #[inline]
-    pub fn shfl_xor_sync<T: Copy, P: Probe>(
-        probe: &mut P,
-        mask: u32,
-        var: [T; WARP_SIZE],
-        lane_mask: usize,
-    ) -> [T; WARP_SIZE] {
-        let policy = ReportOob {
-            probe,
-            used: Used::Reads,
-        };
-        shfl_with(ShflOp::Xor, mask, var, policy, |lane| {
-            (lane ^ lane_mask < WARP_SIZE).then_some(lane ^ lane_mask)
-        })
-    }
-
-    /// Checked [`ballot_sync`](super::ballot_sync). The result never
-    /// includes out-of-mask lanes (defined behaviour), but a true
-    /// predicate on an inactive lane usually means a diverged lane's vote
-    /// is being silently dropped — reported as a discarded (benign)
-    /// event, never asserted.
-    #[inline]
-    pub fn ballot_sync<P: Probe>(probe: &mut P, mask: u32, pred: [bool; WARP_SIZE]) -> u32 {
-        let mut dropped = 0u32;
-        for (lane, &p) in pred.iter().enumerate() {
-            if p && !in_mask(mask, lane) {
-                dropped |= 1 << lane;
-            }
-        }
-        ReportOob {
-            probe,
-            used: Used::None,
-        }
-        .resolve(ShflOp::Ballot, mask, dropped);
-        super::ballot_sync(mask, pred)
-    }
-
-    /// Checked [`warp_reduce`](super::warp_reduce): the same 5-step
-    /// shuffle-down tree, with each step's mask check reported.
-    #[inline]
-    pub fn warp_reduce<T: Copy, F: Fn(T, T) -> T, P: Probe>(
-        probe: &mut P,
-        mask: u32,
-        var: [T; WARP_SIZE],
-        combine: F,
-    ) -> [T; WARP_SIZE] {
-        warp_reduce_with(mask, var, combine, |v, o| shfl_down_sync(probe, mask, v, o))
-    }
-}
-
-#[cfg(test)]
-mod checked_tests {
-    use super::*;
-    use crate::probe::{NoProbe, Probe};
-    use crate::warp::{full_mask, per_lane};
-
-    /// Minimal sanitizing probe that records shuffle events.
-    #[derive(Default)]
-    struct Recorder(Vec<ShflEvent>);
-
-    impl Probe for Recorder {
-        fn kernel_launch(&mut self, _: u64, _: u64) {}
-        fn load_val(&mut self, _: u64, _: u64) {}
-        fn load_idx(&mut self, _: u64, _: u64) {}
-        fn load_meta(&mut self, _: u64, _: u64) {}
-        fn store_y(&mut self, _: u64, _: u64) {}
-        fn load_x(&mut self, _: usize, _: u64) {}
-        fn mma(&mut self) {}
-        fn fma(&mut self, _: u64) {}
-        fn shfl(&mut self, _: u64) {}
-        fn sanitizing(&self) -> bool {
-            true
-        }
-        fn san_shfl(&mut self, event: &ShflEvent) {
-            self.0.push(*event);
-        }
-    }
-
-    #[test]
-    fn checked_variants_match_plain_semantics() {
-        let v = per_lane(|l| l as i64);
-        let m = full_mask();
-        let mut p = NoProbe;
-        assert_eq!(checked::shfl_sync(&mut p, m, v, 7), shfl_sync(m, v, 7));
-        assert_eq!(
-            checked::shfl_down_sync(&mut p, m, v, 9),
-            shfl_down_sync(m, v, 9)
-        );
-        assert_eq!(
-            checked::shfl_up_sync(&mut p, m, v, 4),
-            shfl_up_sync(m, v, 4)
-        );
-        assert_eq!(
-            checked::shfl_xor_sync(&mut p, m, v, 16),
-            shfl_xor_sync(m, v, 16)
-        );
-        let src: [i32; WARP_SIZE] = core::array::from_fn(|l| (31 - l) as i32);
-        assert_eq!(
-            checked::shfl_sync_var(&mut p, m, v, &src, m),
-            shfl_sync_var(m, v, &src)
-        );
-        let pred = per_lane(|l| l % 3 == 0);
-        assert_eq!(checked::ballot_sync(&mut p, m, pred), ballot_sync(m, pred));
-        assert_eq!(
-            checked::warp_reduce(&mut p, m, v, |a, b| a + b),
-            warp_reduce(m, v, |a, b| a + b)
-        );
-    }
-
-    // This test is the release-mode regression for the promoted mask
-    // checks: it runs under `cargo test --release` (where the plain
-    // functions' debug_assert!s compile away) and must still observe the
-    // diagnostic.
+    // This test is the release-mode regression for the mask checks: it
+    // runs under `cargo test --release` (where the debug_assert!s compile
+    // away) and must still observe the diagnostic.
     #[test]
     fn out_of_mask_read_fires_even_in_release() {
         let v = per_lane(|l| l as i64);
         let mut rec = Recorder::default();
         // Lanes 0..8 active; lane 7 reads lane 7+1=8, which is inactive.
-        let out = checked::shfl_down_sync(&mut rec, 0xff, v, 1);
+        let out = shfl_down_sync(&mut rec, 0xff, v, 1);
         assert_eq!(rec.0.len(), 1);
         let ev = rec.0[0];
         assert_eq!(ev.op, ShflOp::Down);
         assert_eq!(ev.oob_lanes, 1 << 7);
         assert_eq!(ev.used_lanes, 1 << 7);
-        // UB-as-keep-own-value semantics preserved: lane 7 read lane 8's
+        // UB resolved as a read of the source lane: lane 7 read lane 8's
         // value (the simulator's defined resolution).
         assert_eq!(out[7], 8);
     }
@@ -715,7 +388,7 @@ mod checked_tests {
         // Lanes 0..16 active; lanes 8..16 read lanes 16..24 (inactive) but
         // their results are not in the used set.
         let src: [i32; WARP_SIZE] = core::array::from_fn(|l| (l + 8) as i32);
-        let _ = checked::shfl_sync_var(&mut rec, 0xffff, v, &src, 0x00ff);
+        let _ = shfl_sync_var(&mut rec, 0xffff, v, &src, 0x00ff);
         assert_eq!(rec.0.len(), 1);
         let ev = rec.0[0];
         assert_eq!(ev.op, ShflOp::SyncVar);
@@ -727,7 +400,7 @@ mod checked_tests {
     fn broadcast_from_inactive_lane_flags_all_active_lanes() {
         let v = per_lane(|l| l as i64);
         let mut rec = Recorder::default();
-        let _ = checked::shfl_sync(&mut rec, 0x0f, v, 20);
+        let _ = shfl_sync(&mut rec, 0x0f, v, 20);
         assert_eq!(rec.0.len(), 1);
         assert_eq!(rec.0[0].oob_lanes, 0x0f);
         assert_eq!(rec.0[0].used_lanes, 0x0f);
@@ -737,80 +410,8 @@ mod checked_tests {
     fn in_mask_shuffles_report_nothing() {
         let v = per_lane(|l| l as i64);
         let mut rec = Recorder::default();
-        let _ = checked::warp_reduce(&mut rec, full_mask(), v, |a, b| a + b);
-        let _ = checked::shfl_sync(&mut rec, full_mask(), v, 3);
+        let _ = warp_reduce(&mut rec, full_mask(), v, |a, b| a + b);
+        let _ = shfl_sync(&mut rec, full_mask(), v, 3);
         assert!(rec.0.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod vote_tests {
-    use super::*;
-    use crate::warp::{full_mask, per_lane};
-
-    #[test]
-    fn ballot_collects_predicate_lanes() {
-        let pred = per_lane(|l| l % 3 == 0);
-        let mask = ballot_sync(full_mask(), pred);
-        for lane in 0..WARP_SIZE {
-            assert_eq!(mask >> lane & 1 == 1, lane % 3 == 0, "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn ballot_respects_active_mask() {
-        let pred = [true; WARP_SIZE];
-        assert_eq!(ballot_sync(0x0000_00ff, pred), 0xff);
-    }
-
-    #[test]
-    fn ballot_never_sets_bits_outside_mask() {
-        // All-true predicates on every lane: only masked lanes may vote,
-        // regardless of the mask's shape.
-        let pred = [true; WARP_SIZE];
-        for mask in [
-            0x0000_0001,
-            0x8000_0000,
-            0x0f0f_0f0f,
-            0xffff_0000,
-            0x5555_5555,
-        ] {
-            let got = ballot_sync(mask, pred);
-            assert_eq!(got, mask, "mask {mask:#010x}");
-            assert_eq!(got & !mask, 0, "out-of-mask bit set for {mask:#010x}");
-        }
-        // Mixed predicates: the result is exactly the intersection.
-        let pred = per_lane(|l| l % 2 == 0);
-        let got = ballot_sync(0x0000_ffff, pred);
-        assert_eq!(got, 0x0000_5555);
-    }
-
-    #[test]
-    fn ballot_with_empty_mask_is_zero() {
-        // Full divergence: no lane participates, so no predicate — however
-        // emphatic — contributes a bit.
-        assert_eq!(ballot_sync(0, [true; WARP_SIZE]), 0);
-        assert_eq!(ballot_sync(0, [false; WARP_SIZE]), 0);
-        assert!(!any_sync(0, [true; WARP_SIZE]));
-        // Degenerate but consistent: ballot(0) == mask(0), so all_sync
-        // over an empty mask is vacuously true (CUDA leaves this UB; the
-        // simulator pins the vacuous-truth reading).
-        assert!(all_sync(0, [false; WARP_SIZE]));
-    }
-
-    #[test]
-    fn any_and_all_follow_ballot() {
-        let none = [false; WARP_SIZE];
-        let all = [true; WARP_SIZE];
-        let one = per_lane(|l| l == 17);
-        let m = full_mask();
-        assert!(!any_sync(m, none));
-        assert!(any_sync(m, one));
-        assert!(any_sync(m, all));
-        assert!(!all_sync(m, none));
-        assert!(!all_sync(m, one));
-        assert!(all_sync(m, all));
-        // With a partial mask, inactive lanes don't matter.
-        assert!(all_sync(0xff, per_lane(|l| l < 8)));
     }
 }

@@ -3,9 +3,7 @@
 
 use dasp_simt::mma::{acc_zero, mma_m8n8k4, pack_a, pack_b, unpack_c, MMA_K, MMA_M, MMA_N};
 use dasp_simt::warp::{full_mask, per_lane, WARP_SIZE};
-use dasp_simt::{
-    shfl_down_sync, shfl_sync, shfl_sync_var, shfl_up_sync, shfl_xor_sync, warp_reduce, CacheModel,
-};
+use dasp_simt::{shfl_sync, shfl_sync_var, warp_reduce, CacheModel, NoProbe};
 use proptest::prelude::*;
 
 fn small_f64() -> impl Strategy<Value = f64> {
@@ -64,67 +62,38 @@ proptest! {
     }
 
     #[test]
-    fn shfl_up_and_down_are_inverse_on_interior_lanes(
-        vals in proptest::collection::vec(any::<i64>(), 32),
-        delta in 0usize..32,
-    ) {
-        let v: [i64; 32] = core::array::from_fn(|l| vals[l]);
-        let down = shfl_down_sync(full_mask(), v, delta);
-        let back = shfl_up_sync(full_mask(), down, delta);
-        // down: out[l] = v[l + delta] for l + delta < 32; up then restores
-        // every lane >= delta: back[l] = out[l - delta] = v[l].
-        for lane in delta..WARP_SIZE {
-            prop_assert_eq!(back[lane], v[lane], "lane {}", lane);
-        }
-    }
-
-    #[test]
-    fn shfl_xor_is_involution(
-        vals in proptest::collection::vec(any::<i64>(), 32),
-        mask in 0usize..32,
-    ) {
-        let v: [i64; 32] = core::array::from_fn(|l| vals[l]);
-        let twice = shfl_xor_sync(full_mask(), shfl_xor_sync(full_mask(), v, mask), mask);
-        prop_assert_eq!(twice, v);
-    }
-
-    #[test]
     fn broadcast_equals_variable_shuffle_with_constant_source(
         vals in proptest::collection::vec(any::<i64>(), 32),
         src in 0usize..32,
     ) {
         let v: [i64; 32] = core::array::from_fn(|l| vals[l]);
-        let a = shfl_sync(full_mask(), v, src);
+        let a = shfl_sync(&mut NoProbe, full_mask(), v, src);
         let srcs: [i32; 32] = [src as i32; 32];
-        let b = shfl_sync_var(full_mask(), v, &srcs);
+        let b = shfl_sync_var(&mut NoProbe, full_mask(), v, &srcs, full_mask());
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn warp_reduce_sum_equals_lane_sum(vals in proptest::collection::vec(-1000i64..1000, 32)) {
         let v: [i64; 32] = core::array::from_fn(|l| vals[l]);
-        let out = warp_reduce(full_mask(), v, |a, b| a + b);
+        let out = warp_reduce(&mut NoProbe, full_mask(), v, |a, b| a + b);
         prop_assert_eq!(out[0], vals.iter().sum::<i64>());
     }
 
     #[test]
-    fn cache_hits_plus_misses_equals_accesses(
+    fn cache_replay_after_reset_is_identical(
         addrs in proptest::collection::vec(0u64..100_000, 1..400),
         capacity_pow in 8u32..16,
         ways in 1usize..8,
     ) {
         let mut c = CacheModel::new(1u64 << capacity_pow, 64, ways);
-        for &a in &addrs {
-            c.access(a);
-        }
-        prop_assert_eq!(c.hits() + c.misses(), addrs.len() as u64);
-        // Replaying the exact trace after reset gives identical counts.
-        let (h, m) = (c.hits(), c.misses());
+        let first: Vec<bool> = addrs.iter().map(|&a| c.access_run(a, 1)).collect();
+        // The first touch of a line always misses.
+        prop_assert!(!first[0]);
+        // Replaying the exact trace after reset classifies it identically.
         c.reset();
-        for &a in &addrs {
-            c.access(a);
-        }
-        prop_assert_eq!((c.hits(), c.misses()), (h, m));
+        let again: Vec<bool> = addrs.iter().map(|&a| c.access_run(a, 1)).collect();
+        prop_assert_eq!(first, again);
     }
 
     #[test]
@@ -138,13 +107,11 @@ proptest! {
         let stride = 2 * stride_half + 1;
         let mut c = CacheModel::new(64 * 128, 128, 8);
         for i in 0..n as u64 {
-            c.access(i * 128 * stride);
+            c.access_run(i * 128 * stride, 1);
         }
-        let misses_first = c.misses();
         for i in 0..n as u64 {
-            c.access(i * 128 * stride);
+            prop_assert!(c.access_run(i * 128 * stride, 1), "second pass must be all hits");
         }
-        prop_assert_eq!(c.misses(), misses_first, "second pass must be all hits");
     }
 
     #[test]

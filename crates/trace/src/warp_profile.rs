@@ -152,19 +152,11 @@ impl<P: Probe> Probe for WarpProfiler<P> {
     fn store_y(&mut self, elems: u64, bytes_per: u64) {
         self.inner.store_y(elems, bytes_per);
     }
-    fn load_x(&mut self, index: usize, bytes_per: u64) {
-        if let Some(t) = &mut self.current {
-            t.x_requests += 1;
-        }
-        self.inner.load_x(index, bytes_per);
-    }
-    fn load_x_warp(&mut self, indices: &[usize], bytes_per: u64) {
-        // Forward batched so the inner probe keeps its warp-granular fast
-        // path under tracing; the tally is the same as per-element.
+    fn load_x(&mut self, indices: &[usize], bytes_per: u64) {
         if let Some(t) = &mut self.current {
             t.x_requests += indices.len() as u64;
         }
-        self.inner.load_x_warp(indices, bytes_per);
+        self.inner.load_x(indices, bytes_per);
     }
     fn load_x_rows(&mut self, starts: &[usize], len: usize, bytes_per: u64) {
         if let Some(t) = &mut self.current {
@@ -219,17 +211,6 @@ impl<P: Probe> Probe for WarpProfiler<P> {
             }
         }
         self.inner.divergence(inactive);
-    }
-    fn divergence_warp(&mut self, inactive: &[u64]) {
-        if let Some(t) = &mut self.current {
-            for &n in inactive {
-                if n > 0 {
-                    t.divergent_regions += 1;
-                    t.inactive_lanes += n;
-                }
-            }
-        }
-        self.inner.divergence_warp(inactive);
     }
     fn stats_snapshot(&self) -> KernelStats {
         self.inner.stats_snapshot()
@@ -299,12 +280,14 @@ mod tests {
     }
 
     #[test]
-    fn batched_hooks_tally_and_forward() {
+    fn x_gathers_and_divergence_tally_and_forward() {
         let mut p = WarpProfiler::new(CountingProbe::new(CacheModel::new(1024, 64, 2)));
         p.warp_begin(0);
-        p.load_x_warp(&[0, 1, 2, 100], 8);
+        p.load_x(&[0, 1, 2, 100], 8);
         p.load_x_rows(&[200, 300, 400], 5, 8);
-        p.divergence_warp(&[0, 3, 0, 2]);
+        for inactive in [0, 3, 0, 2] {
+            p.divergence(inactive);
+        }
         p.warp_end(0);
         let (inner, profile) = p.into_parts();
         assert_eq!(inner.stats().x_requests, 19);

@@ -268,24 +268,24 @@ fn probe_flags_uninit_fragment_read() {
 #[test]
 fn probe_flags_out_of_bounds_accesses() {
     let mut p = probe(16, 8, 4);
-    p.load_x(15, 8);
-    p.san_write(space::Y, 7);
+    p.load_x(&[15], 8);
+    p.san_write(space::Y, &[7]);
     assert!(p.report().is_clean());
-    p.load_x(16, 8);
+    p.load_x(&[16], 8);
     assert!(p.report().count(Invariant::AccessBounds) > 0);
-    p.san_write(space::Y, 8);
+    p.san_write(space::Y, &[8]);
     assert_eq!(p.report().count(Invariant::AccessBounds), 2);
-    p.san_write(space::AUX, 4);
+    p.san_write(space::AUX, &[4]);
     assert_eq!(p.report().count(Invariant::AccessBounds), 3);
 }
 
 #[test]
 fn probe_flags_staging_read_before_write() {
     let mut p = probe(16, 8, 4);
-    p.san_write(space::AUX, 1);
-    p.san_read(space::AUX, 1);
+    p.san_write(space::AUX, &[1]);
+    p.san_read(space::AUX, &[1]);
     assert!(p.report().is_clean());
-    p.san_read(space::AUX, 2);
+    p.san_read(space::AUX, &[2]);
     assert!(p.report().count(Invariant::UninitRead) > 0);
 }
 
@@ -296,7 +296,7 @@ fn probe_flags_two_warps_writing_one_y_element_as_a_race() {
     for w in 0..2 {
         p.warp_begin(w);
         p.san_region("inject.race");
-        p.san_write(space::Y, 5);
+        p.san_write(space::Y, &[5]);
         p.warp_end(w);
     }
     let r = p.report();
