@@ -14,7 +14,7 @@ use dasp_sparse::Csr;
 use dasp_trace::{Span, Tracer};
 
 use crate::consts::DaspParams;
-use crate::format::{DaspMatrix, LongPart, MediumPart, ShortPart};
+use crate::format::{DaspMatrix, LongPart, MediumPart, Piecing, ShortPart};
 
 /// Rows per categorize chunk: classifying a row is a two-load affair, so
 /// chunks must stay large for the fan-out to pay.
@@ -235,7 +235,9 @@ pub(crate) fn build_under<S: Scalar, V: Copy + Send>(
     let short = {
         let mut sp = root.child("preprocess.build.short");
         let short = ShortPart::build_csr(csr, &short_ids, params.short_piecing, &val, pad, exec);
-        sp.add_arg("warps", short.n13_warps + short.n22_warps + short.n4_warps);
+        // The MMA sections' warps; the singleton warps are not counted.
+        let warps: usize = Piecing::ALL.iter().map(|p| p.warps(&short)).sum();
+        sp.add_arg("warps", warps);
         short
     };
     (long, medium, short)

@@ -20,7 +20,7 @@
 use dasp_fp16::Scalar;
 
 use crate::consts::{DaspParams, BLOCK_ELEMS, GROUP_ELEMS, MMA_M};
-use crate::format::{DaspMatrix, DaspPlan, Invariant, Report, Violation};
+use crate::format::{DaspMatrix, DaspPlan, Invariant, Piecing, Report, Violation};
 use crate::format::{GATHER_PADDING, NO_ROW};
 
 /// How many per-element breaches of one invariant at one site are recorded
@@ -311,22 +311,17 @@ fn walk(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
         },
     );
 
-    // Short: the four regions lie back to back — 1&3 warps hold two
-    // blocks, len-4 warps four, 2&2 warps two — then the singletons.
-    let end_13 = p.n13_warps.checked_mul(2 * BLOCK_ELEMS);
-    let end_4 = p
-        .n4_warps
-        .checked_mul(4 * BLOCK_ELEMS)
-        .and_then(|e| e.checked_add(p.off4));
-    let end_22 = p
-        .n22_warps
-        .checked_mul(2 * BLOCK_ELEMS)
-        .and_then(|e| e.checked_add(p.off22));
-    for (off, end, site, region) in [
-        (p.off4, end_13, "short.off4", "1&3"),
-        (p.off22, end_4, "short.off22", "len-4"),
-        (p.off1, end_22, "short.off1", "2&2"),
-    ] {
+    // Short: the three MMA sections lie back to back in launch order,
+    // each warp holding its section's blocks, then the singletons.
+    let sections = [
+        (p.n13_warps, 0, p.off4, "short.off4", "1&3"),
+        (p.n4_warps, p.off4, p.off22, "short.off22", "len-4"),
+        (p.n22_warps, p.off22, p.off1, "short.off1", "2&2"),
+    ];
+    for (piecing, (warps, start, off, site, region)) in Piecing::ALL.into_iter().zip(sections) {
+        let end = warps
+            .checked_mul(piecing.blocks_per_warp() * BLOCK_ELEMS)
+            .and_then(|e| e.checked_add(start));
         ctx.check(Some(off) == end, Invariant::LenConsistency, site, || {
             format!("offset {off} != {region} region end {end:?}")
         });

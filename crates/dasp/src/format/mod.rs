@@ -28,7 +28,7 @@ pub use long::LongPart;
 pub use medium::MediumPart;
 pub use plan::{DaspPlan, PlanCache, RefreshError, DEFAULT_PLAN_CACHE_CAP, GATHER_PADDING};
 pub use serialize::SerError;
-pub use short::{ShortPart, NO_ROW};
+pub use short::{Piecing, ShortPart, NO_ROW};
 
 use std::sync::Arc;
 

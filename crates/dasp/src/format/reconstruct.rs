@@ -15,8 +15,7 @@ use dasp_fp16::Scalar;
 use dasp_sparse::{Coo, Csr};
 
 use crate::consts::{BLOCK_ELEMS, GROUP_ELEMS, MMA_K, MMA_M};
-use crate::format::short::NO_ROW;
-use crate::format::DaspMatrix;
+use crate::format::{DaspMatrix, Piecing, NO_ROW};
 
 impl<S: Scalar> DaspMatrix<S> {
     /// Rebuilds the CSR matrix from the blocked format (see module docs
@@ -63,56 +62,20 @@ impl<S: Scalar> DaspMatrix<S> {
             }
         }
 
-        // Short rows: walk each sub-category's packed slots through the
-        // same slot -> (warp, iteration, lane) order the kernels use.
+        // Short rows: walk each MMA section's packed rows through the
+        // piecing table, each piece's `k` range to its perm entry.
         let s = &self.short;
-        // 1&3: packed row `slot` holds [one | three x3].
-        for w in 0..s.n13_warps {
-            for slot in 0..2 * MMA_M {
-                let (b, r) = ((w * 2 * MMA_M + slot) / MMA_M, slot % MMA_M);
-                let base = b * BLOCK_ELEMS + r * MMA_K;
-                let i0 = (b % 2) * 2;
-                let one_row = s.perm13[w * 32 + i0 * MMA_M + r];
-                let three_row = s.perm13[w * 32 + (i0 + 1) * MMA_M + r];
-                if one_row != NO_ROW {
-                    push(one_row, s.cids[base], s.vals[base]);
-                }
-                if three_row != NO_ROW {
-                    for k in 1..4 {
-                        push(three_row, s.cids[base + k], s.vals[base + k]);
+        for piecing in Piecing::ALL {
+            let (off, perm) = (piecing.off(s), piecing.perm(s));
+            for slot in 0..piecing.warps(s) * piecing.rows_per_warp() {
+                let base = off + slot * MMA_K;
+                for (piece, &(k_start, k_len)) in piecing.pieces().iter().enumerate() {
+                    let row = perm[piecing.perm_slot(slot, piece)];
+                    if row != NO_ROW {
+                        for k in base + k_start..base + k_start + k_len {
+                            push(row, s.cids[k], s.vals[k]);
+                        }
                     }
-                }
-            }
-        }
-        // Length-4 rows.
-        for w in 0..s.n4_warps {
-            for slot in 0..4 * MMA_M {
-                let (b, r) = ((w * 4 + slot / MMA_M), slot % MMA_M);
-                let base = s.off4 + b * BLOCK_ELEMS + r * MMA_K;
-                let i = b % 4;
-                let row = s.perm4[w * 32 + i * MMA_M + r];
-                if row != NO_ROW {
-                    for k in 0..4 {
-                        push(row, s.cids[base + k], s.vals[base + k]);
-                    }
-                }
-            }
-        }
-        // 2&2 pairs.
-        for w in 0..s.n22_warps {
-            for slot in 0..2 * MMA_M {
-                let (b, r) = ((w * 2 * MMA_M + slot) / MMA_M, slot % MMA_M);
-                let base = s.off22 + b * BLOCK_ELEMS + r * MMA_K;
-                let i0 = (b % 2) * 2;
-                let a_row = s.perm22[w * 32 + i0 * MMA_M + r];
-                let b_row = s.perm22[w * 32 + (i0 + 1) * MMA_M + r];
-                if a_row != NO_ROW {
-                    push(a_row, s.cids[base], s.vals[base]);
-                    push(a_row, s.cids[base + 1], s.vals[base + 1]);
-                }
-                if b_row != NO_ROW {
-                    push(b_row, s.cids[base + 2], s.vals[base + 2]);
-                    push(b_row, s.cids[base + 3], s.vals[base + 3]);
                 }
             }
         }

@@ -2,10 +2,10 @@
 //! Fig. 5).
 
 use dasp_fp16::Scalar;
-use dasp_simt::{Executor, SharedSlice};
+use dasp_simt::{Executor, SharedSlice, WARP_SIZE};
 use dasp_sparse::Csr;
 
-use crate::consts::{MMA_K, MMA_M};
+use crate::consts::{BLOCK_ELEMS, MMA_K, MMA_M};
 use crate::format::build::run_chunks;
 
 /// Sentinel in the permutation arrays marking a padding slot with no
@@ -28,9 +28,9 @@ pub const NO_ROW: u32 = u32::MAX;
 ///
 /// Each sub-category is padded with all-zero packed rows up to its warp
 /// granularity, and `perm*` arrays map each warp's 32 `y` slots back to
-/// original row ids ([`NO_ROW`] for padding). The slot order inside a warp
-/// follows the kernels' shuffle extraction: iteration `i` of the 4-MMA loop
-/// fills slots `i*8..(i+1)*8`.
+/// original row ids ([`NO_ROW`] for padding). The [`Piecing`] table is
+/// the one owner of the three MMA sections' geometry: blocks per warp,
+/// lanes per pass and the slot each piece's result lands in.
 ///
 /// Like [`LongPart`](crate::format::LongPart), the builder is generic over
 /// the per-slot value `S`.
@@ -74,6 +74,141 @@ type ShortRow<S> = (u32, Vec<(u32, S)>);
 /// executor (each slot copies at most 4 elements).
 const MIN_CHUNK_SLOTS: usize = 512;
 
+/// MMA passes per short warp: four `mma.m8n8k4` issues, each filling
+/// eight of the warp's 32 result slots.
+const PASSES: usize = WARP_SIZE / MMA_M;
+
+/// The piecing table: how each MMA section of [`ShortPart`] packs short
+/// rows into 4-slot packed rows, and the one owner of that geometry
+/// (paper §3.3.3, Algorithm 4).
+///
+/// All three sections run one warp program: four `mma.m8n8k4` passes
+/// over blocks of eight packed rows. A packed row holds `P` pieces (two
+/// for 1&3 and 2&2, one for length-4), so a warp owns `4 / P` blocks and
+/// pass `i` works on block `i / P` and piece `i % P`. The block's A loads
+/// once, on piece 0, and each pass gathers `x` only on its piece's `k`
+/// positions, its [lane mask](Piecing::lane_mask). Pass `i`'s eight row
+/// results fill the warp's result slots `i*8..(i+1)*8`, and the section's
+/// [perm](Piecing::perm) maps each slot back to its original row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Piecing {
+    /// A length-1 row at `k = 0` and a length-3 row at `k = 1..4`.
+    OneThree,
+    /// One row of up to four elements: the length-4 rows plus the
+    /// zero-padded leftovers of the other lengths.
+    Four,
+    /// Two length-2 rows, at `k = 0..2` and `k = 2..4`.
+    TwoTwo,
+}
+
+impl Piecing {
+    /// The sections in launch and storage order: 1&3, length-4, 2&2.
+    pub const ALL: [Piecing; 3] = [Piecing::OneThree, Piecing::Four, Piecing::TwoTwo];
+
+    /// Each piece's `(k_start, k_len)` within a packed row.
+    pub const fn pieces(self) -> &'static [(usize, usize)] {
+        match self {
+            Piecing::OneThree => &[(0, 1), (1, 3)],
+            Piecing::Four => &[(0, MMA_K)],
+            Piecing::TwoTwo => &[(0, 2), (2, 2)],
+        }
+    }
+
+    /// Passes per block `P`: the number of pieces in a packed row.
+    pub const fn passes(self) -> usize {
+        match self {
+            Piecing::Four => 1,
+            Piecing::OneThree | Piecing::TwoTwo => 2,
+        }
+    }
+
+    /// Blocks one warp owns: `4 / P`.
+    pub const fn blocks_per_warp(self) -> usize {
+        PASSES / self.passes()
+    }
+
+    /// Packed rows one warp owns.
+    pub const fn rows_per_warp(self) -> usize {
+        self.blocks_per_warp() * MMA_M
+    }
+
+    /// The lanes that gather on `piece`: lane `l` holds block element
+    /// `k = l % 4` of row `l / 4`, so the piece's `k` bits repeat over
+    /// the eight rows.
+    pub const fn lane_mask(self, piece: usize) -> u32 {
+        let (start, len) = self.pieces()[piece];
+        (((1u32 << len) - 1) << start) * 0x1111_1111
+    }
+
+    /// Warps of this section in `part`.
+    pub fn warps<S>(self, part: &ShortPart<S>) -> usize {
+        match self {
+            Piecing::OneThree => part.n13_warps,
+            Piecing::Four => part.n4_warps,
+            Piecing::TwoTwo => part.n22_warps,
+        }
+    }
+
+    /// Element offset of this section in `part.vals`/`part.cids`.
+    pub(crate) fn off<S>(self, part: &ShortPart<S>) -> usize {
+        match self {
+            Piecing::OneThree => 0,
+            Piecing::Four => part.off4,
+            Piecing::TwoTwo => part.off22,
+        }
+    }
+
+    /// Result slot to original row for this section; 32 per warp.
+    pub fn perm<S>(self, part: &ShortPart<S>) -> &[u32] {
+        match self {
+            Piecing::OneThree => &part.perm13,
+            Piecing::Four => &part.perm4,
+            Piecing::TwoTwo => &part.perm22,
+        }
+    }
+
+    /// Element offset of warp `w`'s block `block`.
+    pub(crate) fn block_offset<S>(self, part: &ShortPart<S>, w: usize, block: usize) -> usize {
+        self.off(part) + (w * self.blocks_per_warp() + block) * BLOCK_ELEMS
+    }
+
+    /// The perm entry holding piece `piece` of packed row `slot` (counted
+    /// from the section's start): `w·32 + ((b % (4/P))·P + piece)·8 + r`
+    /// for block `b = slot / 8`, row `r = slot % 8` and warp
+    /// `w = b / (4/P)`. A warp's 32 entries are its four passes' eight
+    /// rows in pass order, so that is `(b·P + piece)·8 + r`.
+    pub(crate) const fn perm_slot(self, slot: usize, piece: usize) -> usize {
+        ((slot / MMA_M) * self.passes() + piece) * MMA_M + slot % MMA_M
+    }
+
+    /// The sanitizer region of the SpMV warp body.
+    pub const fn spmv_region(self) -> &'static str {
+        match self {
+            Piecing::OneThree => "dasp.short13",
+            Piecing::Four => "dasp.short4",
+            Piecing::TwoTwo => "dasp.short22",
+        }
+    }
+
+    /// The sanitizer region of the SpMM warp body.
+    pub(crate) const fn spmm_region(self) -> &'static str {
+        match self {
+            Piecing::OneThree => "spmm.short13",
+            Piecing::Four => "spmm.short4",
+            Piecing::TwoTwo => "spmm.short22",
+        }
+    }
+
+    /// The trace span of the SpMV launch.
+    pub(crate) const fn span(self) -> &'static str {
+        match self {
+            Piecing::OneThree => "spmv.kernel.short13",
+            Piecing::Four => "spmv.kernel.short4",
+            Piecing::TwoTwo => "spmv.kernel.short22",
+        }
+    }
+}
+
 impl<S> ShortPart<S> {
     /// An empty part.
     pub fn empty() -> Self {
@@ -97,9 +232,10 @@ impl<S> ShortPart<S> {
 
     /// Number of short rows across all sub-categories.
     pub fn num_rows(&self) -> usize {
-        self.perm13.iter().filter(|&&r| r != NO_ROW).count()
-            + self.perm4.iter().filter(|&&r| r != NO_ROW).count()
-            + self.perm22.iter().filter(|&&r| r != NO_ROW).count()
+        Piecing::ALL
+            .iter()
+            .map(|p| p.perm(self).iter().filter(|&&r| r != NO_ROW).count())
+            .sum::<usize>()
             + self.n1
     }
 
@@ -111,10 +247,11 @@ impl<S> ShortPart<S> {
     /// value traffic and x loads).
     ///
     /// A sequential classification pass over the row lengths splits the ids
-    /// into the four sub-categories and fixes the packed geometry; the
-    /// emit phases then fan real packed-row slots out over `exec` and copy
-    /// column ids and `val(j)` of each CSR element `j` straight into their
-    /// precomputed (disjoint) destinations, while padding slots keep their
+    /// into the four sub-categories and fixes the packed geometry; one
+    /// emit loop over the [`Piecing`] table then fans each section's real
+    /// packed-row slots out over `exec`, copying column ids and `val(j)`
+    /// of each CSR element `j` of each piece straight into its
+    /// precomputed (disjoint) destination, while padding slots keep their
     /// prefilled `pad`. No per-row staging; output is bit-identical for any
     /// executor.
     pub(crate) fn build_csr<T: Scalar>(
@@ -151,45 +288,39 @@ impl<S> ShortPart<S> {
             }
         }
 
-        // --- geometry ------------------------------------------------------
+        // --- sections: the row ids of each piece, one list per piece --------
         let pairs13 = r1.len().min(r3.len());
         let (ones, singles) = r1.split_at(pairs13);
         let (threes, leftover3) = r3.split_at(pairs13);
-        // A packed row per pair; warp granularity = 16 packed rows.
-        let n13_warps = pairs13.div_ceil(2 * MMA_M);
-        let packed13 = n13_warps * 2 * MMA_M;
-
-        // Pure length-4 slots: fours, then leftover threes (padded with one
+        // Length-4 slots: fours, then leftover threes (padded with one
         // zero), then an odd leftover length-2 row (padded with two zeros;
         // the paper leaves this case unspecified, padding keeps it in the
-        // MMA path). Each slot copies `row_len` real elements.
+        // MMA path).
         let mut fours: Vec<u32> = r4;
         fours.extend_from_slice(leftover3);
-        let mut twos: &[u32] = &r2;
-        if twos.len() % 2 == 1 {
-            let (rest, odd) = twos.split_at(twos.len() - 1);
-            fours.push(odd[0]);
-            twos = rest;
+        if r2.len() % 2 == 1 {
+            fours.push(r2.pop().expect("odd length checked"));
         }
-        let n4_warps = fours.len().div_ceil(4 * MMA_M);
-        let packed4 = n4_warps * 4 * MMA_M;
+        let (first2, second2): (Vec<u32>, Vec<u32>) =
+            r2.chunks_exact(2).map(|pair| (pair[0], pair[1])).unzip();
+        let sections: [&[&[u32]]; 3] = [&[ones, threes], &[&fours], &[&first2, &second2]];
 
-        let pairs22 = twos.len() / 2;
-        let n22_warps = pairs22.div_ceil(2 * MMA_M);
-        let packed22 = n22_warps * 2 * MMA_M;
-
+        // --- geometry: sections back to back, each padded to whole warps ---
+        let mut warps = [0usize; 3];
+        let mut offs = [0usize; 3];
+        let mut end = 0;
+        for (k, (p, pieces)) in Piecing::ALL.into_iter().zip(sections).enumerate() {
+            warps[k] = pieces[0].len().div_ceil(p.rows_per_warp());
+            offs[k] = end;
+            end += warps[k] * p.blocks_per_warp() * BLOCK_ELEMS;
+        }
         let n1 = singles.len();
-        let off4 = packed13 * MMA_K;
-        let off22 = off4 + packed4 * MMA_K;
-        let off1 = off22 + packed22 * MMA_K;
-        let total = off1 + n1;
+        let off1 = end;
 
         // --- emit ----------------------------------------------------------
-        let mut vals = vec![pad; total];
-        let mut cids = vec![0u32; total];
-        let mut perm13 = vec![NO_ROW; n13_warps * 32];
-        let mut perm4 = vec![NO_ROW; n4_warps * 32];
-        let mut perm22 = vec![NO_ROW; n22_warps * 32];
+        let mut vals = vec![pad; off1 + n1];
+        let mut cids = vec![0u32; off1 + n1];
+        let mut perms = warps.map(|w| vec![NO_ROW; w * WARP_SIZE]);
         {
             let sv = SharedSlice::new(&mut vals);
             let sc = SharedSlice::new(&mut cids);
@@ -201,49 +332,26 @@ impl<S> ShortPart<S> {
                 }
             };
 
-            // 1&3 pieced: packed row `slot` = [one | three0 three1 three2],
-            // living in block b = slot/8, local row r = slot%8, warp w = b/2,
-            // with the "1" piece extracted at iteration i0 = (b%2)*2.
-            let sp13 = SharedSlice::new(&mut perm13);
-            run_chunks(exec, pairs13, MIN_CHUNK_SLOTS, |lo, hi| {
-                for slot in lo..hi {
-                    let (b, r) = (slot / MMA_M, slot % MMA_M);
-                    let w = b / 2;
-                    let i0 = (b % 2) * 2;
-                    let base = slot * MMA_K;
-                    copy_row(ones[slot], base, 1);
-                    copy_row(threes[slot], base + 1, 3);
-                    sp13.write(w * 32 + i0 * MMA_M + r, ones[slot]);
-                    sp13.write(w * 32 + (i0 + 1) * MMA_M + r, threes[slot]);
-                }
-            });
-
-            // Pure length-4 (plus padded leftovers).
-            let sp4 = SharedSlice::new(&mut perm4);
-            run_chunks(exec, fours.len(), MIN_CHUNK_SLOTS, |lo, hi| {
-                for (k, &id) in fours[lo..hi].iter().enumerate() {
-                    let slot = lo + k;
-                    let (b, r) = (slot / MMA_M, slot % MMA_M);
-                    let (w, i) = (b / 4, b % 4);
-                    copy_row(id, off4 + slot * MMA_K, csr.row_len(id as usize));
-                    sp4.write(w * 32 + i * MMA_M + r, id);
-                }
-            });
-
-            // 2&2 pieced.
-            let sp22 = SharedSlice::new(&mut perm22);
-            run_chunks(exec, pairs22, MIN_CHUNK_SLOTS, |lo, hi| {
-                for slot in lo..hi {
-                    let (b, r) = (slot / MMA_M, slot % MMA_M);
-                    let w = b / 2;
-                    let i0 = (b % 2) * 2;
-                    let base = off22 + slot * MMA_K;
-                    copy_row(twos[2 * slot], base, 2);
-                    copy_row(twos[2 * slot + 1], base + 2, 2);
-                    sp22.write(w * 32 + i0 * MMA_M + r, twos[2 * slot]);
-                    sp22.write(w * 32 + (i0 + 1) * MMA_M + r, twos[2 * slot + 1]);
-                }
-            });
+            // Piece `piece` of packed row `slot` copies its row to
+            // `k_start` of the slot and names the row in its perm entry.
+            for (((p, pieces), perm), off) in Piecing::ALL
+                .into_iter()
+                .zip(sections)
+                .zip(&mut perms)
+                .zip(offs)
+            {
+                let sp = SharedSlice::new(perm);
+                run_chunks(exec, pieces[0].len(), MIN_CHUNK_SLOTS, |lo, hi| {
+                    for (piece, (ids, &(k_start, _))) in pieces.iter().zip(p.pieces()).enumerate() {
+                        for (k, &id) in ids[lo..hi].iter().enumerate() {
+                            let slot = lo + k;
+                            let base = off + slot * MMA_K + k_start;
+                            copy_row(id, base, csr.row_len(id as usize));
+                            sp.write(p.perm_slot(slot, piece), id);
+                        }
+                    }
+                });
+            }
 
             // Leftover singletons.
             run_chunks(exec, n1, MIN_CHUNK_SLOTS, |lo, hi| {
@@ -253,15 +361,16 @@ impl<S> ShortPart<S> {
             });
         }
 
+        let [perm13, perm4, perm22] = perms;
         ShortPart {
             vals,
             cids,
-            n13_warps,
-            n4_warps,
-            n22_warps,
+            n13_warps: warps[0],
+            n4_warps: warps[1],
+            n22_warps: warps[2],
             n1,
-            off4,
-            off22,
+            off4: offs[1],
+            off22: offs[2],
             off1,
             perm13,
             perm4,
@@ -273,6 +382,13 @@ impl<S> ShortPart<S> {
 }
 
 impl<S: Scalar> ShortPart<S> {
+    /// Warps of the one short-category launch: the three MMA sections'
+    /// warps plus the singleton kernel's.
+    pub fn launch_warps(&self) -> usize {
+        Piecing::ALL.iter().map(|p| p.warps(self)).sum::<usize>()
+            + crate::kernels::short1_warps(self)
+    }
+
     /// Builds the part from staged short rows, in original row order.
     /// Superseded by [`ShortPart::build_csr`] on the build path; kept as
     /// the append-based reference for parity tests.

@@ -23,7 +23,7 @@ pub(crate) fn load_block<T: Copy>(src: &[T], offset: usize) -> [T; WARP_SIZE] {
 
 /// Gathers each lane's `x[cids[lane]]` for one block, issuing a single
 /// probe access in lane order.
-#[inline]
+#[inline(always)]
 pub(crate) fn gather_x<S: Scalar, P: Probe>(
     x: &[S],
     cids: &[u32; WARP_SIZE],
@@ -39,7 +39,7 @@ pub(crate) fn gather_x<S: Scalar, P: Probe>(
 /// `y[perm[lane]]`; padding lanes are predicated off and counted as one
 /// divergent region. The shadow-write probe and the store-traffic bump
 /// are issued once for the whole warp.
-#[inline]
+#[inline(always)]
 pub(crate) fn write_permuted<S: Scalar, P: Probe>(
     perm: &[u32],
     res: &[S::Acc; WARP_SIZE],
@@ -68,7 +68,7 @@ pub(crate) fn write_permuted<S: Scalar, P: Probe>(
 /// the accumulator fragment; two variable-source shuffles with
 /// `target = ((laneid - i*8) >> 1) * 9` move them to lanes `i*8..(i+1)*8`,
 /// where even lanes take register 0 and odd lanes register 1.
-#[inline]
+#[inline(always)]
 pub(crate) fn extract_diagonals<S: Scalar, P: Probe>(
     acc: &AccFrag<S>,
     i: usize,

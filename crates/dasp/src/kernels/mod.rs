@@ -9,9 +9,9 @@
 //! Each kernel exists exactly once, as a *warp body* (`*_warp`) plus a
 //! `spmv_*_with` driver that runs the body under any
 //! [`dasp_simt::Executor`] — sequential for the deterministic measurement
-//! path, parallel for instrumented multi-threaded runs. The bare `spmv_*`
-//! entry points are the sequential-executor conveniences used by unit
-//! tests.
+//! path, parallel for instrumented multi-threaded runs. The three MMA
+//! short-row sections share one pass-masked body, [`pieced_warp`], driven
+//! by the section's [`Piecing`](crate::format::Piecing).
 //!
 //! Lane loops intentionally index multiple warp registers by `lane`; the
 //! range-loop lint is disabled to keep the lockstep reading.
@@ -20,16 +20,12 @@
 mod helpers;
 mod long;
 mod medium;
+mod pieced;
 mod short1;
-mod short13;
-mod short22;
-mod short4;
 
 pub use long::{long_phase1_warp, long_phase2_warp, spmv_long_with};
 pub use medium::{medium_warp, medium_warps, spmv_medium_with};
+pub use pieced::{pieced_warp, spmv_pieced_with};
 pub use short1::{short1_warp, short1_warps, spmv_short1_with};
-pub use short13::{short13_warp, spmv_short13_with};
-pub use short22::{short22_warp, spmv_short22_with};
-pub use short4::{short4_warp, spmv_short4_with};
 
 pub(crate) use helpers::{extract_diagonals, gather_x, load_block, write_permuted};

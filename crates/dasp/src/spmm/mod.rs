@@ -36,13 +36,15 @@
 //! masked `0 * b` into a NaN the SpMV of that column never computes. A
 //! non-finite A value cannot: A enters only products SpMV issues too.)
 //!
-//! The piecing short kernels mask the **B side** per pass exactly like
-//! SpMV masks its `x` gather (length-1 piece first, then the length-3
-//! piece), so even the `a * 0` products of the piecing passes replicate
-//! SpMV's own sequence. The long kernel's partial-sum collapse reproduces
-//! SpMV's exact add association `[(C0+C2)+(C4+C6)] + [(C1+C3)+(C5+C7)]`
-//! per column with a `shfl_down 8, 16, 4` tree (SpMV's `9, 18, bcast-4`
-//! sequence is the single-column diagonal special case of the same tree).
+//! The short-rows MMA body masks the **B side** per pass exactly like
+//! SpMV masks its `x` gather: both read the pass's piece and lane mask
+//! from the one [`Piecing`] table (for 1&3, the length-1 piece first,
+//! then the length-3 piece), so even the `a * 0` products of the pieced
+//! passes replicate SpMV's own sequence. The long kernel's partial-sum
+//! collapse reproduces SpMV's exact add association
+//! `[(C0+C2)+(C4+C6)] + [(C1+C3)+(C5+C7)]` per column with a
+//! `shfl_down 8, 16, 4` tree (SpMV's `9, 18, bcast-4` sequence is the
+//! single-column diagonal special case of the same tree).
 //!
 //! # Probe accounting
 //!
@@ -78,8 +80,8 @@ use dasp_simt::{Executor, Probe, ShardableProbe, SharedSlice};
 use dasp_sparse::{DenseMat, PANEL_WIDTH};
 use dasp_trace::Tracer;
 
-use crate::format::DaspMatrix;
-use crate::kernels::short1_warps;
+use crate::format::{DaspMatrix, Piecing};
+use crate::kernels::medium_warps;
 
 mod long;
 mod medium;
@@ -87,7 +89,7 @@ mod short;
 
 pub use long::spmm_long_with;
 pub use medium::spmm_medium_with;
-pub use short::{spmm_short13_with, spmm_short1_with, spmm_short22_with, spmm_short4_with};
+pub use short::{spmm_pieced_with, spmm_short1_with};
 
 /// Per-lane result registers for one warp: each of the 32 output slots
 /// holds its row's value for every panel column.
@@ -222,27 +224,21 @@ impl<S: Scalar> DaspMatrix<S> {
             sp.add_arg("rowblocks", self.medium.num_rowblocks());
             sp.add_arg("rhs_width", width);
             let before = probe.stats_snapshot();
-            let warps = self
-                .medium
-                .num_rowblocks()
-                .div_ceil(crate::consts::loop_num(self.medium.rows.len()));
+            let warps = medium_warps(&self.medium);
             probe.kernel_launch(warps.div_ceil(WARPS_PER_BLOCK) as u64, wpb);
             spmm_medium_with(&self.medium, b, &y_slice, y_rows, probe, exec);
             sp.set_stats(probe.stats_snapshot().delta(&before));
         }
-        let short_warps = self.short.n13_warps
-            + self.short.n4_warps
-            + self.short.n22_warps
-            + short1_warps(&self.short);
+        let short_warps = self.short.launch_warps();
         if short_warps > 0 {
             let mut sp = root.child("spmm.short");
             sp.add_arg("warps", short_warps);
             sp.add_arg("rhs_width", width);
             let before = probe.stats_snapshot();
             probe.kernel_launch(short_warps.div_ceil(WARPS_PER_BLOCK) as u64, wpb);
-            spmm_short13_with(&self.short, b, &y_slice, y_rows, probe, exec);
-            spmm_short4_with(&self.short, b, &y_slice, y_rows, probe, exec);
-            spmm_short22_with(&self.short, b, &y_slice, y_rows, probe, exec);
+            for piecing in Piecing::ALL {
+                spmm_pieced_with(&self.short, piecing, b, &y_slice, y_rows, probe, exec);
+            }
             spmm_short1_with(&self.short, b, &y_slice, y_rows, probe, exec);
             sp.set_stats(probe.stats_snapshot().delta(&before));
         }

@@ -1,14 +1,14 @@
-//! Multi-RHS short-rows kernels (1&3 piecing, 2&2 piecing, pure-4s, and
-//! the scalar leftover singletons).
+//! Multi-RHS short-rows kernels: one pass-masked MMA body for the 1&3,
+//! length-4 and 2&2 sections, and the scalar leftover singletons.
 //!
-//! The piecing kernels replicate SpMV's pass structure exactly: A loads
-//! once per block — held register-resident across **every RHS panel** —
-//! and the B side is masked per pass (the length-1 piece's `k` position
-//! first, then the complementary positions), so each pass's masked
-//! products (including the `a * 0` fills SpMV itself issues) reproduce
-//! the single-vector sequence per column. Each pass widens to 8 masked-A
-//! MMA issues per panel, one per row-segment, sharing the pass's
-//! per-panel accumulator.
+//! The MMA body replicates SpMV's pass structure exactly: pass `i` takes
+//! block `i / P` and piece `i % P` of the section's [`Piecing`]; the
+//! block's A loads once, on piece 0 — held register-resident across
+//! **every RHS panel** — and the B side is masked to the piece's `k`
+//! positions, so each pass's masked products (including the `a * 0`
+//! fills SpMV itself issues) reproduce the single-vector sequence per
+//! column. Each pass widens to 8 masked-A MMA issues per panel, one per
+//! row-segment, sharing the pass's per-panel accumulator.
 
 use dasp_fp16::Scalar;
 use dasp_simt::mma::{acc_zero, mma_m8n8k4_row_segment, row_slots, AccFrag, MMA_K, MMA_M};
@@ -17,116 +17,78 @@ use dasp_simt::{space, Executor, Probe, ShardableProbe, SharedSlice, WarpScratch
 use dasp_sparse::{DenseMat, PANEL_WIDTH};
 
 use crate::consts::BLOCK_ELEMS;
-use crate::format::{ShortPart, NO_ROW};
+use crate::format::{Piecing, ShortPart, NO_ROW};
 use crate::kernels::{load_block, short1_warps};
 use crate::spmm::{extract_rows, PanelRes};
 
-/// Runs the 1&3 short-rows SpMM under the given executor.
-pub fn spmm_short13_with<S: Scalar, P: ShardableProbe>(
+/// Runs one short section's SpMM under the given executor.
+pub fn spmm_pieced_with<S: Scalar, P: ShardableProbe>(
     part: &ShortPart<S>,
+    piecing: Piecing,
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
     y_rows: usize,
     probe: &mut P,
     exec: &Executor,
 ) {
-    exec.run(part.n13_warps, probe, |w, p| {
-        pieced_warp(part, b, y, y_rows, w, Piecing::OneThree, p)
+    exec.run(piecing.warps(part), probe, |w, p| {
+        pieced_warp(part, piecing, b, y, y_rows, w, p)
     });
 }
 
-/// Runs the 2&2 short-rows SpMM under the given executor.
-pub fn spmm_short22_with<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
-    b: &DenseMat<S>,
-    y: &SharedSlice<S>,
-    y_rows: usize,
-    probe: &mut P,
-    exec: &Executor,
-) {
-    exec.run(part.n22_warps, probe, |w, p| {
-        pieced_warp(part, b, y, y_rows, w, Piecing::TwoTwo, p)
-    });
-}
-
-/// Which piecing split a pass-masked warp computes.
-#[derive(Clone, Copy)]
-enum Piecing {
-    /// 1&3: even passes take block column 0, odd passes columns 1..3.
-    OneThree,
-    /// 2&2: even passes take block columns 0..1, odd passes columns 2..3.
-    TwoTwo,
-}
-
-impl Piecing {
-    #[inline]
-    fn active(self, pass: usize, k: usize) -> bool {
-        let even = pass & 1 == 0;
-        match self {
-            Piecing::OneThree => {
-                if even {
-                    k == 0
-                } else {
-                    k != 0
-                }
-            }
-            Piecing::TwoTwo => {
-                if even {
-                    k < 2
-                } else {
-                    k >= 2
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn base(self, part_off22: usize, w: usize) -> usize {
-        match self {
-            Piecing::OneThree => w * 2 * BLOCK_ELEMS,
-            Piecing::TwoTwo => part_off22 + w * 2 * BLOCK_ELEMS,
-        }
-    }
-
-    #[inline]
-    fn region(self) -> &'static str {
-        match self {
-            Piecing::OneThree => "spmm.short13",
-            Piecing::TwoTwo => "spmm.short22",
-        }
-    }
-}
-
-/// Shared warp body of the two piecing kernels: two 8x4 blocks in four
-/// pass-masked MMA sweeps over every RHS panel, writing 32 permuted
-/// output slots per panel.
+/// Warp body: the section's blocks in four pass-masked MMA sweeps over
+/// every RHS panel, writing 32 permuted output slots per panel.
+#[allow(clippy::too_many_arguments)]
 fn pieced_warp<S: Scalar, P: Probe>(
     part: &ShortPart<S>,
+    piecing: Piecing,
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
     y_rows: usize,
     w: usize,
+    probe: &mut P,
+) {
+    // The body is inlined once per piecing: with the piecing a constant,
+    // the pass loops unroll into a fixed four-pass sequence.
+    match piecing {
+        Piecing::OneThree => pass_masked(part, Piecing::OneThree, b, y, y_rows, w, probe),
+        Piecing::Four => pass_masked(part, Piecing::Four, b, y, y_rows, w, probe),
+        Piecing::TwoTwo => pass_masked(part, Piecing::TwoTwo, b, y, y_rows, w, probe),
+    }
+}
+
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn pass_masked<S: Scalar, P: Probe>(
+    part: &ShortPart<S>,
     piecing: Piecing,
+    b: &DenseMat<S>,
+    y: &SharedSlice<S>,
+    y_rows: usize,
+    w: usize,
     probe: &mut P,
 ) {
     let panels = b.num_panels();
     probe.warp_begin(w);
-    probe.san_region(piecing.region());
+    probe.san_region(piecing.spmm_region());
     let mut res =
         WarpScratch::lease::<PanelRes<S>>(panels, [[S::acc_zero(); PANEL_WIDTH]; WARP_SIZE]);
     let mut accs = WarpScratch::lease::<AccFrag<S>>(panels, acc_zero::<S>());
     let mut block_a: [S; WARP_SIZE] = [S::zero(); WARP_SIZE];
     let mut cids: [u32; WARP_SIZE] = [0; WARP_SIZE];
-    let mut offset = piecing.base(part.off22, w);
 
     for i in 0..4usize {
+        // Pass `i` works on block `i / P` and piece `i % P`.
+        let (block, piece) = (i / piecing.passes(), i % piecing.passes());
+        let mask = piecing.lane_mask(piece);
         for acc in accs.iter_mut() {
             *acc = acc_zero::<S>();
         }
         probe.san_frag_clear();
-        if i & 1 == 0 {
-            // Even pass: the block's A values and ids load once — for
-            // every panel — and stay in registers for the odd pass.
+        if piece == 0 {
+            // The block's A values and ids load once — for every panel
+            // and every piece — and stay in registers.
+            let offset = piecing.block_offset(part, w, block);
             probe.panel(None);
             block_a = load_block(&part.vals, offset);
             cids = load_block(&part.cids, offset);
@@ -138,26 +100,25 @@ fn pieced_warp<S: Scalar, P: Probe>(
             let w_p = b.panel_width(panel);
             let bp = b.panel(panel);
             // One batched B access per panel: a row span of the w_p live
-            // columns per lane on an active k position of the pass, in
-            // lane order (the row-segment-then-k-then-jj order of the
-            // issues below).
+            // columns per lane of the piece, in lane order (the
+            // row-segment-then-k-then-jj order of the issues below).
             let mut starts = [0usize; WARP_SIZE];
             let mut ns = 0;
             for l in 0..WARP_SIZE {
-                if piecing.active(i, l & 3) {
+                if mask >> l & 1 != 0 {
                     starts[ns] = b.lin_index(panel, cids[l] as usize, 0);
                     ns += 1;
                 }
             }
             probe.load_x_rows(&starts[..ns], w_p, S::BYTES);
             for r in 0..MMA_M {
-                // B-side pass mask: only the pass's piece positions
-                // gather; the rest stay zero, exactly like SpMV's masked
-                // x fragment. Dead fragment columns of a partial panel
-                // also stay zero (the panel stores no padding).
+                // B-side pass mask: only the piece's `k` positions gather;
+                // the rest stay zero, exactly like SpMV's masked x
+                // fragment. Dead fragment columns of a partial panel also
+                // stay zero (the panel stores no padding).
                 let frag_b: [S; WARP_SIZE] = per_lane(|l| {
                     let (k, jj) = (l & 3, l >> 2);
-                    if piecing.active(i, k) && jj < w_p {
+                    if mask >> l & 1 != 0 && jj < w_p {
                         bp[cids[r * MMA_K + k] as usize * w_p + jj]
                     } else {
                         S::zero()
@@ -171,114 +132,15 @@ fn pieced_warp<S: Scalar, P: Probe>(
                 probe.san_frag_mma(row_slots(r));
             }
         }
-        if i & 1 == 1 {
-            offset += BLOCK_ELEMS;
-        }
         for (panel, acc) in accs.iter().enumerate() {
             extract_rows::<S, P>(acc, i, &mut res[panel], probe);
         }
     }
 
     probe.panel(None);
-    let perm = match piecing {
-        Piecing::OneThree => &part.perm13,
-        Piecing::TwoTwo => &part.perm22,
-    };
+    let perm = &piecing.perm(part)[w * WARP_SIZE..(w + 1) * WARP_SIZE];
     for (panel, res_p) in res.iter().enumerate() {
-        write_permuted(
-            perm,
-            w,
-            res_p,
-            b.panel_width(panel),
-            panel,
-            y,
-            y_rows,
-            probe,
-        );
-    }
-    probe.warp_end(w);
-}
-
-/// Runs the length-4 short-rows SpMM under the given executor.
-pub fn spmm_short4_with<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
-    b: &DenseMat<S>,
-    y: &SharedSlice<S>,
-    y_rows: usize,
-    probe: &mut P,
-    exec: &Executor,
-) {
-    exec.run(part.n4_warps, probe, |w, p| {
-        spmm_short4_warp(part, b, y, y_rows, w, p)
-    });
-}
-
-/// Warp body: warp `w` computes four complete 8x4 blocks against every
-/// live column of every RHS panel, each block's A loaded exactly once.
-pub fn spmm_short4_warp<S: Scalar, P: Probe>(
-    part: &ShortPart<S>,
-    b: &DenseMat<S>,
-    y: &SharedSlice<S>,
-    y_rows: usize,
-    w: usize,
-    probe: &mut P,
-) {
-    let panels = b.num_panels();
-    probe.warp_begin(w);
-    probe.san_region("spmm.short4");
-    let mut res =
-        WarpScratch::lease::<PanelRes<S>>(panels, [[S::acc_zero(); PANEL_WIDTH]; WARP_SIZE]);
-    let mut accs = WarpScratch::lease::<AccFrag<S>>(panels, acc_zero::<S>());
-    for i in 0..4usize {
-        let offset = part.off4 + (w * 4 + i) * BLOCK_ELEMS;
-        for acc in accs.iter_mut() {
-            *acc = acc_zero::<S>();
-        }
-        probe.san_frag_clear();
-        probe.panel(None);
-        let block_a: [S; WARP_SIZE] = load_block(&part.vals, offset);
-        let cids = load_block(&part.cids, offset);
-        probe.load_val(BLOCK_ELEMS as u64, S::BYTES);
-        probe.load_idx(BLOCK_ELEMS as u64, 4);
-        for panel in 0..panels {
-            probe.panel(Some(panel));
-            let w_p = b.panel_width(panel);
-            let bp = b.panel(panel);
-            // One batched B access per panel: a row span of the w_p live
-            // columns per lane's column id, in lane order (the
-            // row-segment-then-k-then-jj order of the issues below).
-            let starts: [usize; WARP_SIZE] = per_lane(|l| b.lin_index(panel, cids[l] as usize, 0));
-            probe.load_x_rows(&starts, w_p, S::BYTES);
-            for r in 0..MMA_M {
-                let frag_b: [S; WARP_SIZE] = per_lane(|l| {
-                    let jj = l >> 2;
-                    if jj < w_p {
-                        bp[cids[r * MMA_K + (l & 3)] as usize * w_p + jj]
-                    } else {
-                        S::zero()
-                    }
-                });
-                mma_m8n8k4_row_segment::<S>(&mut accs[panel], &block_a, &frag_b, r);
-                probe.mma();
-                probe.san_frag_mma(row_slots(r));
-            }
-        }
-        for (panel, acc) in accs.iter().enumerate() {
-            extract_rows::<S, P>(acc, i, &mut res[panel], probe);
-        }
-    }
-    probe.panel(None);
-    for (panel, res_p) in res.iter().enumerate() {
-        write_permuted(
-            &part.perm4,
-            w,
-            res_p,
-            b.panel_width(panel),
-            panel,
-            y,
-            y_rows,
-            probe,
-        );
+        write_permuted(perm, res_p, b.panel_width(panel), panel, y, y_rows, probe);
     }
     probe.warp_end(w);
 }
@@ -349,12 +211,10 @@ pub fn spmm_short1_warp<S: Scalar, P: Probe>(
     probe.warp_end(w);
 }
 
-/// Write-back shared by the three MMA short kernels: permuted slots with
+/// Write-back of the MMA short body: the warp's 32 permuted slots, with
 /// `NO_ROW` padding predicated off.
-#[allow(clippy::too_many_arguments)]
 fn write_permuted<S: Scalar, P: Probe>(
     perm: &[u32],
-    w: usize,
     res: &PanelRes<S>,
     w_p: usize,
     panel: usize,
@@ -366,8 +226,7 @@ fn write_permuted<S: Scalar, P: Probe>(
     let mut writes = [0usize; WARP_SIZE * PANEL_WIDTH];
     let mut nw = 0;
     let mut inactive = 0u64;
-    for lane in 0..WARP_SIZE {
-        let row = perm[w * WARP_SIZE + lane];
+    for (lane, &row) in perm.iter().enumerate() {
         if row != NO_ROW {
             for jj in 0..w_p {
                 let idx = panel * y_rows * PANEL_WIDTH + row as usize * w_p + jj;

@@ -10,10 +10,9 @@ use dasp_fp16::Scalar;
 use dasp_simt::{Executor, ShardableProbe};
 use dasp_trace::Tracer;
 
-use crate::format::DaspMatrix;
+use crate::format::{DaspMatrix, Piecing};
 use crate::kernels::{
-    short1_warps, spmv_long_with, spmv_medium_with, spmv_short13_with, spmv_short1_with,
-    spmv_short22_with, spmv_short4_with,
+    medium_warps, spmv_long_with, spmv_medium_with, spmv_pieced_with, spmv_short1_with,
 };
 
 impl<S: Scalar> DaspMatrix<S> {
@@ -122,50 +121,30 @@ impl<S: Scalar> DaspMatrix<S> {
             let mut sp = root.child("spmv.kernel.medium");
             sp.add_arg("rowblocks", self.medium.num_rowblocks());
             let before = probe.stats_snapshot();
-            let warps = self
-                .medium
-                .num_rowblocks()
-                .div_ceil(crate::consts::loop_num(self.medium.rows.len()));
+            let warps = medium_warps(&self.medium);
             probe.kernel_launch(warps.div_ceil(WARPS_PER_BLOCK) as u64, wpb);
             spmv_medium_with(&self.medium, x, y, probe, exec);
             sp.set_stats(probe.stats_snapshot().delta(&before));
         }
-        let short_warps = self.short.n13_warps
-            + self.short.n4_warps
-            + self.short.n22_warps
-            + short1_warps(&self.short);
+        let short_warps = self.short.launch_warps();
         if short_warps > 0 {
-            {
-                let mut sp = root.child("spmv.kernel.short13");
-                sp.add_arg("warps", self.short.n13_warps);
+            for piecing in Piecing::ALL {
+                let mut sp = root.child(piecing.span());
+                sp.add_arg("warps", piecing.warps(&self.short));
                 let before = probe.stats_snapshot();
-                // One launch covers all four short sub-kernels; its
-                // block/warp counts land in this span's delta.
-                probe.kernel_launch(short_warps.div_ceil(WARPS_PER_BLOCK) as u64, wpb);
-                spmv_short13_with(&self.short, x, y, probe, exec);
+                if piecing == Piecing::OneThree {
+                    // One launch covers all four short sub-kernels; its
+                    // block/warp counts land in this span's delta.
+                    probe.kernel_launch(short_warps.div_ceil(WARPS_PER_BLOCK) as u64, wpb);
+                }
+                spmv_pieced_with(&self.short, piecing, x, y, probe, exec);
                 sp.set_stats(probe.stats_snapshot().delta(&before));
             }
-            {
-                let mut sp = root.child("spmv.kernel.short4");
-                sp.add_arg("warps", self.short.n4_warps);
-                let before = probe.stats_snapshot();
-                spmv_short4_with(&self.short, x, y, probe, exec);
-                sp.set_stats(probe.stats_snapshot().delta(&before));
-            }
-            {
-                let mut sp = root.child("spmv.kernel.short22");
-                sp.add_arg("warps", self.short.n22_warps);
-                let before = probe.stats_snapshot();
-                spmv_short22_with(&self.short, x, y, probe, exec);
-                sp.set_stats(probe.stats_snapshot().delta(&before));
-            }
-            {
-                let mut sp = root.child("spmv.kernel.short1");
-                sp.add_arg("rows", self.short.n1);
-                let before = probe.stats_snapshot();
-                spmv_short1_with(&self.short, x, y, probe, exec);
-                sp.set_stats(probe.stats_snapshot().delta(&before));
-            }
+            let mut sp = root.child("spmv.kernel.short1");
+            sp.add_arg("rows", self.short.n1);
+            let before = probe.stats_snapshot();
+            spmv_short1_with(&self.short, x, y, probe, exec);
+            sp.set_stats(probe.stats_snapshot().delta(&before));
         }
         root.set_stats(probe.stats_snapshot().delta(&run_before));
     }

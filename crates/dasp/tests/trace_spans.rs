@@ -1,9 +1,10 @@
 //! Observability acceptance tests: span coverage, exact delta attribution,
 //! and the zero-cost guarantee of the disabled-tracer path.
 
+use dasp_core::format::{Piecing, NO_ROW};
 use dasp_core::DaspMatrix;
 use dasp_simt::{CountingProbe, Executor, KernelStats, NoProbe, ShardableProbe};
-use dasp_sparse::{Coo, Csr};
+use dasp_sparse::{Coo, Csr, DenseMat};
 use dasp_trace::{chrome_trace_json, validate_json, Tracer, WarpProfiler};
 
 /// `y = A x` through the SpMV funnel with `tracer`, under the
@@ -21,9 +22,10 @@ fn spmv_traced<P: ShardableProbe>(
 
 /// A matrix exercising every category kernel: long rows (>256 nnz), medium
 /// rows, and short rows of every length 1..=4 (plus empties), in counts
-/// that leave work for all four short sub-kernels.
+/// that leave work for all four short sub-kernels and a padded last warp
+/// in each of the three MMA short sections.
 fn all_category_matrix() -> Csr<f64> {
-    let mut coo = Coo::<f64>::new(220, 700);
+    let mut coo = Coo::<f64>::new(224, 700);
     let mut push_row = |r: usize, len: usize| {
         for k in 0..len {
             // Stride 3 is coprime with 700, so columns stay distinct for
@@ -50,6 +52,10 @@ fn all_category_matrix() -> Csr<f64> {
     }
     for r in 200..220 {
         push_row(r, 1);
+    }
+    // One more 1&3 pair, length-4 row and 2&2 pair than whole warps hold.
+    for (r, len) in (220..224).zip([3, 4, 2, 2]) {
+        push_row(r, len);
     }
     coo.to_csr()
 }
@@ -139,6 +145,126 @@ fn trace_covers_kernels_and_phases_with_exact_deltas() {
     for name in KERNEL_SPANS.iter().chain(PREPROCESS_SPANS.iter()) {
         assert!(json.contains(name), "{name} present in the export");
     }
+}
+
+/// A `KernelStats` from its 17 counters, in declaration order.
+const fn stats(fields: [u64; 17]) -> KernelStats {
+    let [bytes_val, bytes_idx, bytes_meta, bytes_y, x_requests, x_hits, x_misses, bytes_x_miss, x_sectors, mma_ops, fma_ops, shfl_ops, warps, blocks, launches, divergent_regions, inactive_lanes] =
+        fields;
+    KernelStats {
+        bytes_val,
+        bytes_idx,
+        bytes_meta,
+        bytes_y,
+        x_requests,
+        x_hits,
+        x_misses,
+        bytes_x_miss,
+        x_sectors,
+        mma_ops,
+        fma_ops,
+        shfl_ops,
+        warps,
+        blocks,
+        launches,
+        divergent_regions,
+        inactive_lanes,
+    }
+}
+
+/// Every `spmv.kernel.*` span's A100 counter delta for
+/// [`all_category_matrix`], fields in `KernelStats` declaration order.
+/// They pin which sub-kernel owns each byte, issue and launch, which the
+/// workload totals alone do not.
+const SPMV_SPAN_GOLDEN: [(&str, KernelStats); 6] = [
+    (
+        "spmv.kernel.long",
+        stats([
+            6144, 3072, 112, 112, 768, 724, 44, 5632, 352, 24, 0, 70, 12, 3, 1, 2, 52,
+        ]),
+    ),
+    (
+        "spmv.kernel.medium",
+        stats([
+            29960, 14980, 344, 304, 3745, 3745, 0, 0, 3029, 100, 545, 10, 8, 2, 1, 5, 122,
+        ]),
+    ),
+    (
+        "spmv.kernel.short13",
+        stats([
+            1536, 768, 0, 528, 192, 192, 0, 0, 117, 12, 0, 24, 8, 2, 1, 1, 30,
+        ]),
+    ),
+    (
+        "spmv.kernel.short4",
+        stats([
+            2048, 1024, 0, 264, 256, 256, 0, 0, 108, 8, 0, 16, 0, 0, 0, 1, 31,
+        ]),
+    ),
+    (
+        "spmv.kernel.short22",
+        stats([
+            1024, 512, 0, 272, 128, 128, 0, 0, 62, 8, 0, 16, 0, 0, 0, 1, 30,
+        ]),
+    ),
+    (
+        "spmv.kernel.short1",
+        stats([152, 76, 0, 152, 19, 19, 0, 0, 19, 0, 19, 0, 0, 0, 0, 1, 13]),
+    ),
+];
+
+/// The `spmm.short` span's delta at width 13 (one full and one partial
+/// panel), recorded alongside [`SPMV_SPAN_GOLDEN`].
+const SPMM_SHORT_GOLDEN: KernelStats = stats([
+    4760, 2380, 0, 15808, 7735, 7735, 0, 0, 2380, 448, 247, 112, 8, 2, 1, 7, 195,
+]);
+
+/// Per-span counters are pinned exactly: a change that moved traffic or
+/// launch accounting between sub-kernels, or between the MMA sections,
+/// fails here even where every workload total still matches.
+#[test]
+fn per_span_counters_match_the_golden_record() {
+    let csr = all_category_matrix();
+    let x = x_for(&csr);
+    let d = DaspMatrix::from_csr(&csr);
+    for piecing in Piecing::ALL {
+        let perm = piecing.perm(&d.short);
+        assert!(
+            perm.chunks(32).any(|w| w.contains(&NO_ROW)),
+            "{piecing:?} has a padded warp"
+        );
+    }
+
+    let tracer = Tracer::new();
+    let mut y = vec![0.0; d.rows];
+    d.spmv_into(
+        &x,
+        &mut y,
+        &mut CountingProbe::a100(),
+        &tracer,
+        &Executor::seq(),
+    );
+    let trace = tracer.take_trace();
+    for (name, want) in SPMV_SPAN_GOLDEN {
+        assert_eq!(trace.find(name).and_then(|s| s.stats), Some(want), "{name}");
+    }
+
+    let cols: Vec<Vec<f64>> = (0..13)
+        .map(|j| x.iter().map(|v| v * (j as f64 + 1.0)).collect())
+        .collect();
+    let b = DenseMat::from_columns(&cols);
+    let mut yb = DenseMat::zeros(d.rows, 13);
+    let tracer = Tracer::new();
+    d.spmm_into(
+        &b,
+        &mut yb,
+        &mut CountingProbe::a100(),
+        &tracer,
+        &Executor::seq(),
+    );
+    let trace = tracer.take_trace();
+    let short = trace.find("spmm.short").and_then(|s| s.stats);
+    assert_eq!(short, Some(SPMM_SHORT_GOLDEN));
 }
 
 /// The zero-cost guarantee: running through the traced entry points with a

@@ -1,5 +1,7 @@
 //! Aggregation helpers for the experiment reports.
 
+use dasp_trace::escape_csv;
+
 /// Geometric mean of a sequence of positive values; `None` when the input
 /// is empty or contains non-positive values.
 pub fn geomean(values: &[f64]) -> Option<f64> {
@@ -47,17 +49,6 @@ pub fn speedup_summary(pairs: &[(f64, f64)]) -> Option<SpeedupSummary> {
     })
 }
 
-/// Quotes one CSV field per RFC 4180 when it needs it: fields containing
-/// commas, double quotes, or newlines are wrapped in quotes with inner
-/// quotes doubled; everything else passes through unchanged.
-fn csv_escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
 /// Writes rows as a CSV string: a header line, then one line per row.
 /// Fields are escaped per RFC 4180, so matrix names containing commas or
 /// quotes (SuiteSparse group/name strings do) survive a round trip.
@@ -66,7 +57,7 @@ pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
     out.push_str(
         &header
             .iter()
-            .map(|h| csv_escape(h))
+            .map(|h| escape_csv(h))
             .collect::<Vec<_>>()
             .join(","),
     );
@@ -74,7 +65,7 @@ pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
     for row in rows {
         out.push_str(
             &row.iter()
-                .map(|f| csv_escape(f))
+                .map(|f| escape_csv(f))
                 .collect::<Vec<_>>()
                 .join(","),
         );

@@ -145,9 +145,11 @@ pub fn registry_to_json(registry: &Registry) -> String {
     out
 }
 
-/// Quotes one CSV field per RFC 4180: fields containing commas, quotes,
-/// or newlines are wrapped in double quotes with inner quotes doubled.
-fn csv_field(s: &str) -> String {
+/// Quotes one CSV field per RFC 4180 when it needs it: fields containing
+/// commas, double quotes, or newlines are wrapped in double quotes with
+/// inner quotes doubled; everything else passes through unchanged. The
+/// workspace's one CSV escaper, as [`escape_json`] is its JSON one.
+pub fn escape_csv(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
@@ -166,10 +168,10 @@ pub fn registry_to_csv(registry: &Registry) -> String {
     for (name, value) in registry.snapshot() {
         match value {
             MetricValue::Counter(c) => {
-                out.push_str(&format!("{},counter,{c},\n", csv_field(&name)));
+                out.push_str(&format!("{},counter,{c},\n", escape_csv(&name)));
             }
             MetricValue::Gauge(g) => {
-                out.push_str(&format!("{},gauge,{},\n", csv_field(&name), fmt_f64(g)));
+                out.push_str(&format!("{},gauge,{},\n", escape_csv(&name), fmt_f64(g)));
             }
             MetricValue::Histogram(h) => {
                 let mut detail: Vec<String> = h
@@ -194,9 +196,9 @@ pub fn registry_to_csv(registry: &Registry) -> String {
                 detail.push(format!("p99:{}", fmt_f64(h.quantile(0.99))));
                 out.push_str(&format!(
                     "{},histogram,{},{}\n",
-                    csv_field(&name),
+                    escape_csv(&name),
                     h.count,
-                    csv_field(&detail.join(","))
+                    escape_csv(&detail.join(","))
                 ));
             }
         }

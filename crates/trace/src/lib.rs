@@ -23,14 +23,15 @@
 //! * Exporters — [`chrome_trace_json`] (opens directly in Perfetto /
 //!   `chrome://tracing`), plus JSON and CSV for the registry, over the
 //!   workspace's one JSON module ([`escape_json`], [`fmt_f64`], and the
-//!   strict [`Json`] parser behind [`validate_json`]).
+//!   strict [`Json`] parser behind [`validate_json`]) and its one CSV
+//!   field escaper ([`escape_csv`]).
 //!
 //! # Span naming scheme
 //!
 //! Dotted hierarchies mirror the stack: `preprocess.categorize`,
 //! `preprocess.sort`, `preprocess.build.long|medium|short`, `spmv`,
 //! `spmv.kernel.long`, `spmv.kernel.medium`, `spmv.kernel.short13`,
-//! `spmv.kernel.short22`, `spmv.kernel.short4`, `spmv.kernel.short1`,
+//! `spmv.kernel.short4`, `spmv.kernel.short22`, `spmv.kernel.short1`,
 //! and for baselines `spmv.kernel.<method>`. Metric names follow the same
 //! convention (`spmv.x_hit_rate`, `format.fill_rate`,
 //! `warp.nnz_histogram`, `solver.cg.spmv_seconds`).
@@ -48,7 +49,7 @@ mod registry;
 mod span;
 mod warp_profile;
 
-pub use export::{chrome_trace_json, registry_to_csv, registry_to_json};
+pub use export::{chrome_trace_json, escape_csv, registry_to_csv, registry_to_json};
 pub use json::{escape_json, fmt_f64, validate_json, Json};
 pub use registry::{log_bounds, Histogram, MetricValue, Registry};
 pub use span::{Span, SpanRecord, Trace, Tracer};

@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 
 use dasp_core::consts::DaspParams;
-use dasp_core::format::{DaspMatrix, NO_ROW};
+use dasp_core::format::{DaspMatrix, Piecing, NO_ROW};
 use dasp_core::sanitize::{Bounds, Report, SanitizeProbe};
 use dasp_fp16::Scalar;
 use dasp_simt::{Executor, NoProbe};
@@ -61,12 +61,9 @@ pub struct ShapeClasses {
     pub med_has_reg: bool,
     /// Irregular (per-row remainder) medium elements present.
     pub med_has_irreg: bool,
-    /// 1&3-pieced sub-category configuration.
-    pub s13: ShortClass,
-    /// Pure length-4 sub-category configuration.
-    pub s4: ShortClass,
-    /// 2&2-pieced sub-category configuration.
-    pub s22: ShortClass,
+    /// Configuration of each MMA short section, indexed like
+    /// [`Piecing::ALL`] (1&3, length-4, 2&2).
+    pub short: [ShortClass; 3],
     /// Leftover singletons present.
     pub s1: bool,
 }
@@ -86,15 +83,8 @@ impl ShapeClasses {
         c.med_partial_block = !med_rows.is_multiple_of(8);
         c.med_has_reg = !m.medium.reg_cid.is_empty();
         c.med_has_irreg = !m.medium.irreg_cid.is_empty();
-        for (perm, warps, class) in [
-            (&m.short.perm13, m.short.n13_warps, &mut c.s13),
-            (&m.short.perm4, m.short.n4_warps, &mut c.s4),
-            (&m.short.perm22, m.short.n22_warps, &mut c.s22),
-        ] {
-            if warps == 0 {
-                continue;
-            }
-            for w in perm.chunks(32) {
+        for (piecing, class) in Piecing::ALL.into_iter().zip(&mut c.short) {
+            for w in piecing.perm(&m.short).chunks(32) {
                 if w.contains(&NO_ROW) {
                     class.partial_warp = true;
                 } else {
@@ -117,14 +107,10 @@ impl ShapeClasses {
         if self.med_full_block || self.med_partial_block {
             r.push("dasp.medium");
         }
-        if self.s13.present() {
-            r.push("dasp.short13");
-        }
-        if self.s4.present() {
-            r.push("dasp.short4");
-        }
-        if self.s22.present() {
-            r.push("dasp.short22");
+        for (piecing, class) in Piecing::ALL.into_iter().zip(&self.short) {
+            if class.present() {
+                r.push(piecing.spmv_region());
+            }
         }
         if self.s1 {
             r.push("dasp.short1");
@@ -161,15 +147,12 @@ fn representative(classes: &ShapeClasses, params: &DaspParams) -> (Coo<f64>, Das
     if classes.med_partial_block {
         lens.extend(std::iter::repeat_n(med_len, 3));
     }
-    // Short sub-categories; counts per warp: 16 1&3 pairs, 32 len-4 rows,
-    // 16 2&2 pairs.
-    let pairs13 = pair_count(classes.s13, 16);
-    for _ in 0..pairs13 {
-        lens.push(1);
-        lens.push(3);
+    // Short sections: one row per piece of each packed row.
+    for (piecing, &class) in Piecing::ALL.into_iter().zip(&classes.short) {
+        for _ in 0..pair_count(class, piecing.rows_per_warp()) {
+            lens.extend(piecing.pieces().iter().map(|&(_, len)| len));
+        }
     }
-    lens.extend(std::iter::repeat_n(4, pair_count(classes.s4, 32)));
-    lens.extend(std::iter::repeat_n(2, 2 * pair_count(classes.s22, 16)));
     if classes.s1 {
         // A lone length-1 row with no length-3 partner lands in singles
         // when piecing is on (and in the len-4 category when off — which
@@ -187,7 +170,7 @@ fn representative(classes: &ShapeClasses, params: &DaspParams) -> (Coo<f64>, Das
     (coo, rep_params)
 }
 
-/// How many packing units (pairs or rows) reproduce a sub-category's warp
+/// How many packed rows (pairs or rows) reproduce a section's warp
 /// configuration: a full warp needs `per_warp` units, a padded tail warp
 /// needs one spare unit, both need `per_warp + 1`.
 fn pair_count(c: ShortClass, per_warp: usize) -> usize {
