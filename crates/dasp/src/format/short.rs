@@ -132,12 +132,18 @@ impl Piecing {
         self.blocks_per_warp() * MMA_M
     }
 
-    /// The lanes that gather on `piece`: lane `l` holds block element
-    /// `k = l % 4` of row `l / 4`, so the piece's `k` bits repeat over
-    /// the eight rows.
-    pub const fn lane_mask(self, piece: usize) -> u32 {
+    /// The `k` positions of a packed row that `piece` covers, one bit per
+    /// `k` (bit `k_start` up).
+    pub const fn k_mask(self, piece: usize) -> u32 {
         let (start, len) = self.pieces()[piece];
-        (((1u32 << len) - 1) << start) * 0x1111_1111
+        ((1u32 << len) - 1) << start
+    }
+
+    /// The lanes that gather on `piece`: lane `l` holds block element
+    /// `k = l % 4` of row `l / 4`, so the piece's [`k_mask`](Self::k_mask)
+    /// repeats over the eight rows.
+    pub const fn lane_mask(self, piece: usize) -> u32 {
+        self.k_mask(piece) * 0x1111_1111
     }
 
     /// Warps of this section in `part`.

@@ -213,6 +213,9 @@ mod tests {
         assert_eq!(Piecing::Four.lane_mask(0), 0xFFFF_FFFF);
         for p in Piecing::ALL {
             assert_eq!(p.passes(), p.pieces().len());
+            for piece in 0..p.passes() {
+                assert_eq!(p.lane_mask(piece), p.k_mask(piece) * 0x1111_1111, "{p:?}");
+            }
             let union = (0..p.passes()).fold(0, |m, piece| m | p.lane_mask(piece));
             assert_eq!(union, u32::MAX, "{p:?} pieces cover the block");
         }

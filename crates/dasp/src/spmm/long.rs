@@ -10,7 +10,7 @@
 //! one accumulator slot per (group, panel, column).
 
 use dasp_fp16::Scalar;
-use dasp_simt::mma::{acc_zero, mma_m8n8k4_row_segment, row_slots, AccFrag, MMA_K, MMA_M};
+use dasp_simt::mma::{acc_zero, mma_m8n8k4_row_panel, row_slots, AccFrag, MMA_M};
 use dasp_simt::warp::{full_mask, per_lane, WARP_SIZE};
 use dasp_simt::SharedSlice;
 use dasp_simt::{shfl_down_sync, space, warp_reduce, Executor, Probe, ShardableProbe};
@@ -86,21 +86,13 @@ pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
             let starts: [usize; WARP_SIZE] = per_lane(|l| b.lin_index(panel, cids[l] as usize, 0));
             probe.load_x_rows(&starts, w_p, S::BYTES);
             for r in 0..MMA_M {
-                // Pack row-segment r's gathered B rows across the live
-                // fragment columns; dead columns of a partial panel
-                // gather an explicit zero (the panel stores no padding).
-                // Element (r, k) sits at lane r*4+k, so its column id is
-                // cids[r*4+k]. The A-side row mask happens inside the
-                // row-segment MMA variant, which skips the inert 0*b adds.
-                let frag_b: [S; WARP_SIZE] = per_lane(|l| {
-                    let jj = l >> 2;
-                    if jj < w_p {
-                        bp[cids[r * MMA_K + (l & 3)] as usize * w_p + jj]
-                    } else {
-                        S::zero()
-                    }
-                });
-                mma_m8n8k4_row_segment::<S>(&mut accs[panel], &block_a, &frag_b, r);
+                // Row segment r reads its B rows straight from the panel:
+                // element (r, k) sits at lane r*4+k, so its B row is panel
+                // row cids[r*4+k], and the dead columns of a partial
+                // panel multiply an explicit zero (the panel stores no
+                // padding). The A-side row mask happens inside the
+                // row-panel MMA variant, which skips the inert 0*b adds.
+                mma_m8n8k4_row_panel::<S>(&mut accs[panel], &block_a, bp, &cids, w_p, 0xF, r);
                 probe.mma();
                 probe.san_frag_mma(row_slots(r));
             }

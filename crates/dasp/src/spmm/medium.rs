@@ -10,7 +10,7 @@
 //! FMA fanned across every panel's live columns.
 
 use dasp_fp16::Scalar;
-use dasp_simt::mma::{acc_zero, mma_m8n8k4_row_segment, row_slots, AccFrag, MMA_K, MMA_M};
+use dasp_simt::mma::{acc_zero, mma_m8n8k4_row_panel, row_slots, AccFrag, MMA_M};
 use dasp_simt::warp::{per_lane, WARP_SIZE};
 use dasp_simt::{space, Executor, Probe, ShardableProbe, SharedSlice, WarpScratch, XBatch};
 use dasp_sparse::{DenseMat, PANEL_WIDTH};
@@ -92,17 +92,10 @@ pub fn spmm_medium_warp<S: Scalar, P: Probe>(
                     per_lane(|l| b.lin_index(panel, cids[l] as usize, 0));
                 probe.load_x_rows(&starts, w_p, S::BYTES);
                 for r in 0..MMA_M {
-                    // Dead fragment columns of a partial panel gather an
-                    // explicit zero (the panel stores no padding).
-                    let frag_b: [S; WARP_SIZE] = per_lane(|l| {
-                        let jj = l >> 2;
-                        if jj < w_p {
-                            bp[cids[r * MMA_K + (l & 3)] as usize * w_p + jj]
-                        } else {
-                            S::zero()
-                        }
-                    });
-                    mma_m8n8k4_row_segment::<S>(&mut accs[panel], &block_a, &frag_b, r);
+                    // B rows come straight from the panel; dead columns
+                    // of a partial panel multiply an explicit zero (the
+                    // panel stores no padding).
+                    mma_m8n8k4_row_panel::<S>(&mut accs[panel], &block_a, bp, &cids, w_p, 0xF, r);
                     probe.mma();
                     probe.san_frag_mma(row_slots(r));
                 }

@@ -20,8 +20,13 @@
 //! B fragment and reads the eight inner products off the accumulator
 //! diagonal — possible only because each segment gets its own B column.
 //! With 8 live right-hand sides the B fragment is fully occupied by RHS
-//! columns (`B[k][j] = X_j[cid(r, k)]`), which is a *per-segment* gather:
-//! one MMA issue now computes one row-segment against all 8 vectors, so a
+//! columns (`B[k][j] = X_j[cid(r, k)]`), which is a *per-segment* gather.
+//! In the row-major panel that gather is `B`'s row `k` = the `w_p`
+//! contiguous elements of panel row `cid(r, k)`, so the interpreter reads
+//! them in place ([`dasp_simt::mma::mma_m8n8k4_row_panel`]) instead of
+//! packing a 32-lane fragment; positions the issue leaves dead multiply
+//! an explicit zero, as the hardware's zeroed fragment lanes would.
+//! One MMA issue now computes one row-segment against all 8 vectors, so a
 //! block takes 8 issues per panel instead of 1 per vector — the **same**
 //! MMA count as looped SpMV, while A traffic drops 8x. Per segment `r` the
 //! A fragment is masked to row `r` (other rows zeroed), so all 8 issues
@@ -37,10 +42,12 @@
 //! non-finite A value cannot: A enters only products SpMV issues too.)
 //!
 //! The short-rows MMA body masks the **B side** per pass exactly like
-//! SpMV masks its `x` gather: both read the pass's piece and lane mask
+//! SpMV masks its `x` gather: both read the pass's piece and its masks
 //! from the one [`Piecing`] table (for 1&3, the length-1 piece first,
-//! then the length-3 piece), so even the `a * 0` products of the pieced
-//! passes replicate SpMV's own sequence. The long kernel's partial-sum
+//! then the length-3 piece). The `k` positions outside the piece read no
+//! panel row and multiply an explicit zero, so even the `a * 0` products
+//! of the pieced passes replicate SpMV's own sequence — a non-finite A
+//! value turns into the same NaN on both. The long kernel's partial-sum
 //! collapse reproduces SpMV's exact add association
 //! `[(C0+C2)+(C4+C6)] + [(C1+C3)+(C5+C7)]` per column with a
 //! `shfl_down 8, 16, 4` tree (SpMV's `9, 18, bcast-4` sequence is the
@@ -69,7 +76,7 @@
 //! (A-resident) bin and per-panel bins. Partial panels only gather and
 //! store their live columns; the last panel stores no padding at all
 //! (its stride is its live width), and the dead B-fragment columns of a
-//! partial panel read an explicit zero.
+//! partial panel multiply an explicit zero.
 
 #![allow(clippy::needless_range_loop)]
 

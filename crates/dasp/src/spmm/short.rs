@@ -5,14 +5,15 @@
 //! block `i / P` and piece `i % P` of the section's [`Piecing`]; the
 //! block's A loads once, on piece 0 — held register-resident across
 //! **every RHS panel** — and the B side is masked to the piece's `k`
-//! positions, so each pass's masked products (including the `a * 0`
-//! fills SpMV itself issues) reproduce the single-vector sequence per
-//! column. Each pass widens to 8 masked-A MMA issues per panel, one per
-//! row-segment, sharing the pass's per-panel accumulator.
+//! positions: those read their B rows straight from the panel, the rest
+//! multiply an explicit zero, so each pass's masked products (including
+//! the `a * 0` fills SpMV itself issues) reproduce the single-vector
+//! sequence per column. Each pass widens to 8 masked-A MMA issues per
+//! panel, one per row-segment, sharing the pass's per-panel accumulator.
 
 use dasp_fp16::Scalar;
-use dasp_simt::mma::{acc_zero, mma_m8n8k4_row_segment, row_slots, AccFrag, MMA_K, MMA_M};
-use dasp_simt::warp::{per_lane, WARP_SIZE};
+use dasp_simt::mma::{acc_zero, mma_m8n8k4_row_panel, row_slots, AccFrag, MMA_M};
+use dasp_simt::warp::WARP_SIZE;
 use dasp_simt::{space, Executor, Probe, ShardableProbe, SharedSlice, WarpScratch, XBatch};
 use dasp_sparse::{DenseMat, PANEL_WIDTH};
 
@@ -80,7 +81,7 @@ fn pass_masked<S: Scalar, P: Probe>(
     for i in 0..4usize {
         // Pass `i` works on block `i / P` and piece `i % P`.
         let (block, piece) = (i / piecing.passes(), i % piecing.passes());
-        let mask = piecing.lane_mask(piece);
+        let (kmask, mask) = (piecing.k_mask(piece), piecing.lane_mask(piece));
         for acc in accs.iter_mut() {
             *acc = acc_zero::<S>();
         }
@@ -112,22 +113,15 @@ fn pass_masked<S: Scalar, P: Probe>(
             }
             probe.load_x_rows(&starts[..ns], w_p, S::BYTES);
             for r in 0..MMA_M {
-                // B-side pass mask: only the piece's `k` positions gather;
-                // the rest stay zero, exactly like SpMV's masked x
-                // fragment. Dead fragment columns of a partial panel also
-                // stay zero (the panel stores no padding).
-                let frag_b: [S; WARP_SIZE] = per_lane(|l| {
-                    let (k, jj) = (l & 3, l >> 2);
-                    if mask >> l & 1 != 0 && jj < w_p {
-                        bp[cids[r * MMA_K + k] as usize * w_p + jj]
-                    } else {
-                        S::zero()
-                    }
-                });
-                // Row-segment issue: A masked to row r (the mask and the
+                // Row-segment issue, A masked to row r (the mask and the
                 // other rows' inert 0*b adds are skipped — see the
-                // variant's docs).
-                mma_m8n8k4_row_segment::<S>(&mut accs[panel], &block_a, &frag_b, r);
+                // variant's docs). B rows come straight from the panel,
+                // masked to the piece's `k` positions: the rest multiply
+                // an explicit zero, exactly like SpMV's masked x
+                // fragment, and so do the dead columns of a partial
+                // panel (the panel stores no padding). Every row segment
+                // covers the same `k` positions.
+                mma_m8n8k4_row_panel::<S>(&mut accs[panel], &block_a, bp, &cids, w_p, kmask, r);
                 probe.mma();
                 probe.san_frag_mma(row_slots(r));
             }

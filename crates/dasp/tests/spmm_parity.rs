@@ -7,9 +7,12 @@
 //! bytes_idx`) is streamed **once** regardless of the RHS width: the
 //! A-resident panel sweep amortizes it over every panel.
 
+use dasp_core::format::Piecing;
 use dasp_core::DaspMatrix;
 use dasp_fp16::{Scalar, F16};
-use dasp_simt::{CountingProbe, Executor, NoProbe, ParExecutor};
+use dasp_simt::{
+    CountingProbe, Executor, KernelStats, NoProbe, PanelTraffic, ParExecutor, TrafficBin,
+};
 use dasp_sparse::{Coo, Csr, DenseMat, PANEL_WIDTH};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -265,4 +268,176 @@ fn singleton_gathers_charge_misses_to_their_own_panel() {
     assert_eq!(pt.shared.bytes_x_miss, 0);
     let total: u64 = pt.panels.iter().map(|bin| bin.bytes_x_miss).sum();
     assert_eq!(total, probe.stats().bytes_x_miss);
+}
+
+/// One matrix on every SpMM path: two long rows, medium rows, short rows
+/// of lengths 0..=4 (1&3 pairs, 2&2 pairs, length-4 rows) and leftover
+/// singletons. Columns step by 3 from a per-row start; 3 is coprime with
+/// the 700 columns, so no row repeats a column.
+fn every_path_matrix() -> Csr<f64> {
+    let cols = 700;
+    let lens = [300, 420]
+        .into_iter()
+        .chain((0..38).map(|r| 5 + (r * 13) % 200))
+        .chain((0..160).map(|r| r % 5))
+        .chain([1; 20]);
+    let mut rng = SmallRng::seed_from_u64(128);
+    let mut coo = Coo::new(220, cols);
+    for (r, len) in lens.enumerate() {
+        for k in 0..len {
+            coo.push(r, (r * 17 + k * 3) % cols, rng.gen_range(-1.0..1.0));
+        }
+    }
+    coo.to_csr()
+}
+
+/// The A100 counters and panel split of one SpMM run of
+/// [`every_path_matrix`] at `width` with a seed-`width` RHS.
+fn spmm_record<S: Scalar>(width: usize, exec: &Executor) -> (KernelStats, PanelTraffic) {
+    let d = DaspMatrix::from_csr(&every_path_matrix().cast::<S>());
+    let b = random_rhs::<S>(d.cols, width, width as u64);
+    let mut probe = CountingProbe::a100();
+    d.spmm_with(&b, &mut probe, exec);
+    let pt = probe.panel_traffic().expect("SpMM hints panels").clone();
+    (probe.stats(), pt)
+}
+
+/// A recorded seq run: precision, width, the 17 `KernelStats` counters in
+/// declaration order, and each panel's B-miss bytes. The A values and
+/// indices all load in the shared bin, so the panels carry no A bytes.
+type Record = (&'static str, usize, [u64; 17], &'static [u64]);
+
+/// [`spmm_record`] under `Executor::seq()`. How the MMA bodies read B is
+/// invisible to the probe, so these counters move only when what the
+/// kernels load, issue or launch moves.
+const RECORDS: [Record; 4] = [
+    (
+        "fp64",
+        128,
+        [
+            37400, 18700, 12648, 204800, 598400, 592800, 5600, 716800, 149600, 17408, 65920, 3104,
+            28, 7, 3, 8, 186,
+        ],
+        &[44800; 16],
+    ),
+    (
+        "fp16",
+        128,
+        [
+            9350, 18700, 6504, 54272, 598400, 597000, 1400, 179200, 71552, 17408, 65920, 3104, 28,
+            7, 3, 8, 186,
+        ],
+        &[
+            11136, 11264, 11136, 11264, 11136, 11264, 11136, 11264, 11136, 11264, 11136, 11264,
+            11136, 11264, 11136, 11264,
+        ],
+    ),
+    (
+        "fp64",
+        131,
+        [
+            37400, 18700, 12936, 209600, 612425, 606693, 5732, 733696, 156304, 18496, 67465, 3248,
+            28, 7, 3, 8, 186,
+        ],
+        &[
+            44800, 44800, 44800, 44800, 44800, 44800, 44800, 44800, 44800, 44800, 44800, 44800,
+            44800, 44800, 44800, 44800, 16896,
+        ],
+    ),
+    (
+        "fp16",
+        131,
+        [
+            9350, 18700, 6648, 55544, 612425, 610992, 1433, 183424, 74829, 18496, 67465, 3248, 28,
+            7, 3, 8, 186,
+        ],
+        &[
+            11136, 11264, 11136, 11264, 11136, 11264, 11136, 11264, 11136, 11264, 11136, 11264,
+            11136, 11264, 11136, 11264, 4224,
+        ],
+    ),
+];
+
+/// Checks [`spmm_record`] against [`RECORDS`]: exactly under the seq
+/// executor, and on the order-independent counters and A bytes under the
+/// forced-par one (its shards warm separate caches).
+fn assert_record<S: Scalar>(width: usize) {
+    let (_, _, fields, panel_miss) = RECORDS
+        .iter()
+        .find(|r| (r.0, r.1) == (S::NAME, width))
+        .expect("a record per precision and width");
+    let [bytes_val, bytes_idx, bytes_meta, bytes_y, x_requests, x_hits, x_misses, bytes_x_miss, x_sectors, mma_ops, fma_ops, shfl_ops, warps, blocks, launches, divergent_regions, inactive_lanes] =
+        *fields;
+    let want = KernelStats {
+        bytes_val,
+        bytes_idx,
+        bytes_meta,
+        bytes_y,
+        x_requests,
+        x_hits,
+        x_misses,
+        bytes_x_miss,
+        x_sectors,
+        mma_ops,
+        fma_ops,
+        shfl_ops,
+        warps,
+        blocks,
+        launches,
+        divergent_regions,
+        inactive_lanes,
+    };
+    let want_pt = PanelTraffic {
+        shared: TrafficBin {
+            bytes_val,
+            bytes_idx,
+            bytes_x_miss: 0,
+        },
+        panels: panel_miss
+            .iter()
+            .map(|&bytes_x_miss| TrafficBin {
+                bytes_x_miss,
+                ..TrafficBin::default()
+            })
+            .collect(),
+    };
+    let (stats, pt) = spmm_record::<S>(width, &Executor::seq());
+    assert_eq!(stats, want, "{} width {width}", S::NAME);
+    assert_eq!(pt, want_pt, "{} width {width}", S::NAME);
+
+    let (stats, pt) = spmm_record::<S>(width, &forced_par());
+    assert_eq!(stats.order_independent(), want.order_independent());
+    assert_eq!(
+        pt.shared.bytes_val + pt.shared.bytes_idx,
+        bytes_val + bytes_idx
+    );
+    assert_eq!(pt.panels.len(), panel_miss.len());
+    assert!(pt
+        .panels
+        .iter()
+        .all(|bin| bin.bytes_val + bin.bytes_idx == 0));
+}
+
+/// Full-width SpMM as the benchmark runs it: width 128 (16 panels) and
+/// 131 (a partial 17th) on a matrix that takes every kernel path, fp64
+/// and F16, seq and forced par. Every column is bit-identical to SpMV,
+/// and the counters and panel split equal the record.
+#[test]
+fn full_width_spmm_matches_spmv_and_the_recorded_counters() {
+    let csr = every_path_matrix();
+    let d = DaspMatrix::from_csr(&csr);
+    assert!(d.long.num_groups() > 0, "long rows");
+    assert!(!d.medium.rows.is_empty(), "medium rows");
+    assert!(d.short.n1 > 0, "leftover singletons");
+    for piecing in Piecing::ALL {
+        assert!(piecing.warps(&d.short) > 0, "{piecing:?} rows");
+    }
+    for width in [128, 131] {
+        for exec in [Executor::seq(), forced_par()] {
+            assert_column_slicing::<f64>(&csr, width, width as u64, &exec);
+            assert_column_slicing::<F16>(&csr.cast(), width, width as u64, &exec);
+        }
+        assert_record::<f64>(width);
+        assert_record::<F16>(width);
+    }
 }

@@ -119,37 +119,78 @@ pub fn mma_m8n8k4_diag<S: Scalar>(
     }
 }
 
-/// Row-segment `mma.m8n8k4`: updates exactly row `r` of `C` — the
-/// [`row_slots`]`(r)` positions — as if `A` were masked to row `r` and the
-/// full issue run.
+/// Row-segment `mma.m8n8k4` with B read straight from a row-major RHS
+/// panel: updates exactly row `r` of `C` — the [`row_slots`]`(r)`
+/// positions — as if `A` were masked to row `r`, `B` gathered from the
+/// panel, and the full issue run.
 ///
-/// This is the interpreter shortcut for the masked-A SpMM segment scheme:
-/// the kernels build `frag_a` by zeroing every row but `r`, so rows other
-/// than `r` only ever receive `0 * b` products — bit-inert on an
-/// accumulator that started at `+0.0` (adding `±0.0` can never flip a
+/// This is the interpreter shortcut for the masked-A SpMM segment scheme.
+/// Row segment `r`'s B fragment is `B[k][col] = panel[cids[r*4+k]*w + col]`
+/// for the live `k` positions (bit `k` of `kmask`) and the `w` live
+/// columns; every other position is an explicit zero. Rather than packing
+/// that fragment lane by lane, each live `k` copies its `w` contiguous
+/// panel elements as one row of a zeroed 4×8 B tile — a full panel
+/// (`w == 8`) as one fixed-width 8-element row, a narrower one element
+/// by element — and the tile then runs the full issue's row loop, whose
+/// 8-wide column loop vectorizes.
+/// Masked-off `k` positions and dead columns multiply an explicit zero,
+/// so row `r`'s eight chains are the same k-ascending `acc_mul_add`
+/// sequences [`mma_m8n8k4`] runs for those slots, the `a * 0` fills
+/// included — bit-identical, non-finite `A[r][k]` too.
+///
+/// Rows other than `r` would only receive `0 * b` products — bit-inert on
+/// an accumulator that started at `+0.0` (adding `±0.0` can never flip a
 /// bit under round-to-nearest; see the `dasp-core` SpMM module docs for
-/// the full argument, including the finite-inputs caveat). Callers pass
-/// the **unmasked** block fragment plus `r`; only the `A[r][k]` lanes
-/// (`r*4 + k`) are read, so the mask itself is also skipped. Row `r`'s
-/// eight chains are the same k-ascending sequences [`mma_m8n8k4`] runs
-/// for those slots — bit-identical.
-#[inline]
-pub fn mma_m8n8k4_row_segment<S: Scalar>(
+/// the full argument), so they are skipped, and so is the A-side mask:
+/// callers pass the **unmasked** block fragment, of which only the
+/// `A[r][k]` lanes (`r*4 + k`) are read. The one departure from the full
+/// issue: a non-finite B element leaves the other rows untouched, where
+/// the full issue would turn their slots in its column into NaN.
+/// Masked-off `k` positions read no panel element, so their `cids` may
+/// hold anything.
+// Always inlined: called out of line once per row segment, it made bare
+// fp64 SpMM at panel widths 2–8 7–27% slower (2-vCPU x86-64 VM).
+#[inline(always)]
+pub fn mma_m8n8k4_row_panel<S: Scalar>(
     acc: &mut AccFrag<S>,
     frag_a: &[S; WARP_SIZE],
-    frag_b: &[S; WARP_SIZE],
+    panel: &[S],
+    cids: &[u32; WARP_SIZE],
+    w: usize,
+    kmask: u32,
     r: usize,
 ) {
+    debug_assert!((1..=MMA_N).contains(&w), "panel width {w}");
     let lanes = r * 4;
     let mut c_row = [S::acc_zero(); MMA_N];
     for col in 0..MMA_N {
         c_row[col] = acc[lanes + (col >> 1)][col & 1];
     }
+    // B's row k is panel row cids[r*4+k], at the lane of A[r][k]; rows
+    // outside kmask and the dead columns stay zero.
+    let mut b = [[S::zero(); MMA_N]; MMA_K];
     for k in 0..MMA_K {
-        // A[r][k] sits at lane r*4+k; B[k][col] at lane col*4+k.
+        if kmask >> k & 1 != 0 {
+            let start = cids[lanes + k] as usize * w;
+            let row = &panel[start..start + w];
+            if w == MMA_N {
+                b[k] = row.try_into().expect("row is MMA_N long");
+            } else {
+                // Element by element: `copy_from_slice` of a run-time
+                // length is a `memcpy` call, which costs more than the
+                // narrow row it copies.
+                for (col, v) in b[k].iter_mut().enumerate() {
+                    if let Some(x) = row.get(col) {
+                        *v = *x;
+                    }
+                }
+            }
+        }
+    }
+    for k in 0..MMA_K {
         let av = frag_a[lanes + k];
         for col in 0..MMA_N {
-            c_row[col] = S::acc_mul_add(c_row[col], av, frag_b[col * 4 + k]);
+            c_row[col] = S::acc_mul_add(c_row[col], av, b[k][col]);
         }
     }
     for col in 0..MMA_N {
@@ -433,28 +474,102 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_segment_variant_matches_masked_full_mma_bitwise() {
-        // The SpMM contract: row_segment(acc, block_a, b, r) on the unmasked
-        // block must reproduce a full MMA with A masked to row r, on every
-        // slot — the other rows' inert 0*b adds included.
-        for seed in 0..16 {
-            let a = pack_a(&arbitrary_a(seed));
-            let b = pack_b(&arbitrary_b(seed));
-            let mut full = acc_zero::<f64>();
-            let mut seg = acc_zero::<f64>();
-            for r in 0..MMA_M {
-                let masked: [f64; WARP_SIZE] =
-                    core::array::from_fn(|l| if l >> 2 == r { a[l] } else { 0.0 });
-                mma_m8n8k4::<f64>(&mut full, &masked, &b);
-                mma_m8n8k4_row_segment::<f64>(&mut seg, &a, &b, r);
-            }
-            for lane in 0..WARP_SIZE {
-                for reg in 0..2 {
+    /// Rows of panel storage in the row-panel tests: more than the eight
+    /// distinct column ids a row segment could name.
+    const PANEL_ROWS: usize = 11;
+
+    /// A row-major panel of `PANEL_ROWS` rows and `w` columns.
+    fn arbitrary_panel<S: Scalar>(w: usize, seed: u64) -> Vec<S> {
+        let mut s = seed ^ 0x5eed;
+        (0..PANEL_ROWS * w)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                S::from_f64(((s >> 33) as i32 % 11) as f64 * 0.5 - 2.0)
+            })
+            .collect()
+    }
+
+    fn arbitrary_cids(seed: u64) -> [u32; WARP_SIZE] {
+        core::array::from_fn(|l| ((l as u64 * 7 + seed * 3) % PANEL_ROWS as u64) as u32)
+    }
+
+    /// A nonzero accumulator state: adding `±0.0` to it is exact, so the
+    /// full issue's masked rows must come out unchanged.
+    fn busy_acc<S: Scalar>() -> AccFrag<S> {
+        core::array::from_fn(|lane| {
+            [
+                S::acc_from_f64(lane as f64 * 0.125 + 1.0),
+                S::acc_from_f64(-(lane as f64) * 0.25 - 1.0),
+            ]
+        })
+    }
+
+    /// The full-issue reference for one row-panel issue: A masked to row
+    /// `r`, and B packed from the panel with masked-off `k` positions and
+    /// dead columns zeroed.
+    fn masked_full_issue<S: Scalar>(
+        acc: &mut AccFrag<S>,
+        a: &[S; WARP_SIZE],
+        panel: &[S],
+        cids: &[u32; WARP_SIZE],
+        w: usize,
+        kmask: u32,
+        r: usize,
+    ) {
+        let masked: [S; WARP_SIZE] =
+            core::array::from_fn(|l| if l >> 2 == r { a[l] } else { S::zero() });
+        let b: [[S; MMA_N]; MMA_K] = core::array::from_fn(|k| {
+            core::array::from_fn(|col| {
+                if kmask >> k & 1 != 0 && col < w {
+                    panel[cids[r * 4 + k] as usize * w + col]
+                } else {
+                    S::zero()
+                }
+            })
+        });
+        mma_m8n8k4::<S>(acc, &masked, &pack_b(&b));
+    }
+
+    /// Each slot's bits, with every NaN read as one value: Rust leaves a
+    /// NaN's sign and payload unspecified (a constant-folded `Inf * 0`
+    /// and the hardware's differ), so only NaN-ness is comparable.
+    fn acc_bits<S: Scalar>(acc: &AccFrag<S>) -> [[u64; MMA_N]; MMA_M] {
+        unpack_c::<S>(acc).map(|row| {
+            row.map(|v| {
+                let v = S::acc_to_f64(v);
+                if v.is_nan() {
+                    f64::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            })
+        })
+    }
+
+    fn row_panel_matches_masked_full_mma<S: Scalar>() {
+        for w in 1..=MMA_N {
+            for kmask in 0..16u32 {
+                for r in 0..MMA_M {
+                    let seed = (w * 131 + kmask as usize * 17 + r) as u64;
+                    let a: [S; WARP_SIZE] = pack_a(&arbitrary_a(seed)).map(S::from_f64);
+                    let panel = arbitrary_panel::<S>(w, seed);
+                    let mut cids = arbitrary_cids(seed);
+                    // A masked-off k reads no panel row: an id past the
+                    // panel would panic if it did.
+                    for k in (0..MMA_K).filter(|k| kmask >> k & 1 == 0) {
+                        cids[r * 4 + k] = u32::MAX;
+                    }
+                    let mut full = busy_acc::<S>();
+                    let mut seg = full;
+                    masked_full_issue(&mut full, &a, &panel, &cids, w, kmask, r);
+                    mma_m8n8k4_row_panel::<S>(&mut seg, &a, &panel, &cids, w, kmask, r);
                     assert_eq!(
-                        full[lane][reg].to_bits(),
-                        seg[lane][reg].to_bits(),
-                        "seed {seed} lane {lane} reg {reg}"
+                        acc_bits::<S>(&full),
+                        acc_bits::<S>(&seg),
+                        "{} w {w} kmask {kmask:#x} r {r}",
+                        S::NAME
                     );
                 }
             }
@@ -462,26 +577,80 @@ mod tests {
     }
 
     #[test]
-    fn row_segment_updates_only_its_row() {
-        let a = pack_a(&arbitrary_a(3));
-        let b = pack_b(&arbitrary_b(3));
-        for r in 0..MMA_M {
-            let mut acc = acc_zero::<f64>();
-            for lane in 0..WARP_SIZE {
-                acc[lane][0] = 1000.0 + lane as f64;
-                acc[lane][1] = 2000.0 + lane as f64;
-            }
-            let before = acc;
-            mma_m8n8k4_row_segment::<f64>(&mut acc, &a, &b, r);
-            for lane in 0..WARP_SIZE {
-                for reg in 0..2 {
-                    let in_row = row_slots(r) & (1 << (lane * 2 + reg)) != 0;
-                    if !in_row {
-                        assert_eq!(acc[lane][reg], before[lane][reg], "lane {lane} reg {reg}");
-                    }
+    fn row_panel_variant_matches_masked_full_mma_bitwise() {
+        // The SpMM contract: the row-panel issue reproduces a full MMA on
+        // A masked to row r and B packed from the panel, on every slot —
+        // the other rows' inert 0*b adds included — for every live width,
+        // k mask and row.
+        row_panel_matches_masked_full_mma::<f64>();
+        row_panel_matches_masked_full_mma::<F16>();
+    }
+
+    fn inf_in_masked_k_gives_the_same_nan_row<S: Scalar>() {
+        let (w, r, k) = (5, 3, 2);
+        let kmask = 0xF & !(1 << k);
+        let mut a: [S; WARP_SIZE] = pack_a(&arbitrary_a(9)).map(S::from_f64);
+        a[r * 4 + k] = S::from_f64(f64::INFINITY);
+        let panel = arbitrary_panel::<S>(w, 9);
+        let cids = arbitrary_cids(9);
+        let mut full = busy_acc::<S>();
+        let mut seg = full;
+        masked_full_issue(&mut full, &a, &panel, &cids, w, kmask, r);
+        mma_m8n8k4_row_panel::<S>(&mut seg, &a, &panel, &cids, w, kmask, r);
+        // Inf times the explicit zero of the masked-off k is NaN in every
+        // column of row r, dead columns included, on both paths.
+        let c = unpack_c::<S>(&seg);
+        assert!(
+            c[r].iter().all(|v| S::acc_to_f64(*v).is_nan()),
+            "{}",
+            S::NAME
+        );
+        assert_eq!(acc_bits::<S>(&full), acc_bits::<S>(&seg), "{}", S::NAME);
+    }
+
+    #[test]
+    fn inf_a_in_a_masked_k_gives_the_full_mma_nan_row() {
+        inf_in_masked_k_gives_the_same_nan_row::<f64>();
+        inf_in_masked_k_gives_the_same_nan_row::<F16>();
+    }
+
+    fn non_finite_b_stays_in_its_row<S: Scalar>() {
+        let (w, r, k, col) = (6, 5, 1, 4);
+        let a: [S; WARP_SIZE] = pack_a(&arbitrary_a(4)).map(S::from_f64);
+        let mut panel = arbitrary_panel::<S>(w, 4);
+        let cids = arbitrary_cids(4);
+        panel[cids[r * 4 + k] as usize * w + col] = S::from_f64(f64::INFINITY);
+        let before = busy_acc::<S>();
+        let (mut full, mut seg) = (before, before);
+        masked_full_issue(&mut full, &a, &panel, &cids, w, 0xF, r);
+        mma_m8n8k4_row_panel::<S>(&mut seg, &a, &panel, &cids, w, 0xF, r);
+        let (before, full, seg) = (
+            acc_bits::<S>(&before),
+            acc_bits::<S>(&full),
+            acc_bits::<S>(&seg),
+        );
+        assert_eq!(full[r], seg[r], "{} row {r}", S::NAME);
+        for i in (0..MMA_M).filter(|&i| i != r) {
+            // The row-panel issue never touches another row...
+            assert_eq!(seg[i], before[i], "{} row {i}", S::NAME);
+            // ...where the full issue's 0 * Inf turns that row's slot in
+            // the Inf's column into NaN and leaves the rest alone.
+            for j in 0..MMA_N {
+                if j == col {
+                    assert!(f64::from_bits(full[i][j]).is_nan(), "{} row {i}", S::NAME);
+                } else {
+                    assert_eq!(full[i][j], before[i][j], "{} row {i} col {j}", S::NAME);
                 }
             }
         }
+    }
+
+    #[test]
+    fn non_finite_b_departs_from_the_full_mma_only_off_its_row() {
+        // The documented departure: the skipped rows would, on the full
+        // issue, pick up 0 * Inf = NaN in the Inf's column.
+        non_finite_b_stays_in_its_row::<f64>();
+        non_finite_b_stays_in_its_row::<F16>();
     }
 
     #[test]
