@@ -1,14 +1,17 @@
 //! The structural checker of the DASP format: the one place that knows the
 //! invariants the kernels index `x` and `y` through.
 //!
-//! A [`DaspMatrix`] and a [`DaspPlan`] carry the same pattern — shape,
-//! params, per-category nonzero counts, pointers, column ids and short-row
-//! permutations — so the checker is written once, as a walk over a
-//! [`Pattern`] borrow of either. Each side adds one small check of its own:
-//! the matrix pairs its value arrays with the pattern, the plan proves its
-//! gather map a bijection. A plan attached to a matrix must carry the
-//! matrix's pattern exactly; that is one equality, after which the plan's
-//! copy needs no second walk.
+//! A [`DaspMatrix`] and a [`DaspPlan`] hold the same three parts — the
+//! matrix's slots carry values, the plan's the CSR elements that fill them
+//! — so both carry one pattern (shape, params, per-category nonzero
+//! counts, pointers, column ids and short-row permutations), and the
+//! checker is written once, as a walk over a [`Pattern`] borrow of either.
+//! The payload rule is shared too: each side's value arrays pair 1:1 with
+//! the pattern's column ids, and no category claims more originals than it
+//! stores. The plan adds one check of its own, that its gather map is a
+//! bijection. A plan attached to a matrix must carry the matrix's pattern
+//! exactly; that is one equality, after which the plan's copy needs no
+//! second walk.
 //!
 //! Every entry point is a view onto this walk: [`verify_matrix`] and
 //! [`verify_plan`] return the exhaustive [`Report`],
@@ -21,7 +24,7 @@ use dasp_fp16::Scalar;
 
 use crate::consts::{DaspParams, BLOCK_ELEMS, GROUP_ELEMS, MMA_M};
 use crate::format::{DaspMatrix, DaspPlan, Invariant, Piecing, Report, Violation};
-use crate::format::{GATHER_PADDING, NO_ROW};
+use crate::format::{LongPart, MediumPart, ShortPart, GATHER_PADDING, NO_ROW};
 
 /// How many per-element breaches of one invariant at one site are recorded
 /// individually before the scan summarizes the remainder (counts stay
@@ -35,16 +38,12 @@ pub(crate) struct Pattern<'a> {
     cols: usize,
     nnz: usize,
     params: DaspParams,
-    long_nnz: usize,
-    med_nnz: usize,
-    short_nnz: usize,
-    n13_warps: usize,
-    n4_warps: usize,
-    n22_warps: usize,
+    /// Original nonzeros per category: long, medium, short.
+    nnz_orig: [usize; 3],
+    /// Short MMA sections' warps and end offsets, in [`Piecing::ALL`] order.
+    warps: [usize; 3],
+    ends: [usize; 3],
     n1: usize,
-    off4: usize,
-    off22: usize,
-    off1: usize,
     long_rows: &'a [u32],
     long_group_ptr: &'a [usize],
     med_rows: &'a [u32],
@@ -57,32 +56,40 @@ pub(crate) struct Pattern<'a> {
     perms: [&'a [u32]; 4],
 }
 
-impl<S: Scalar> DaspMatrix<S> {
-    pub(crate) fn pattern(&self) -> Pattern<'_> {
-        let (l, m, s) = (&self.long, &self.medium, &self.short);
+impl<'a> Pattern<'a> {
+    /// The pattern of a header and three parts, whatever their slots hold:
+    /// a matrix's values or a plan's gather map.
+    fn new<V>(
+        (rows, cols, nnz, params): (usize, usize, usize, DaspParams),
+        l: &'a LongPart<V>,
+        m: &'a MediumPart<V>,
+        s: &'a ShortPart<V>,
+    ) -> Self {
+        let [p13, p4, p22] = &s.perms;
         Pattern {
-            rows: self.rows,
-            cols: self.cols,
-            nnz: self.nnz,
-            params: self.params,
-            long_nnz: l.nnz_orig,
-            med_nnz: m.nnz_orig,
-            short_nnz: s.nnz_orig,
-            n13_warps: s.n13_warps,
-            n4_warps: s.n4_warps,
-            n22_warps: s.n22_warps,
+            rows,
+            cols,
+            nnz,
+            params,
+            nnz_orig: [l.nnz_orig, m.nnz_orig, s.nnz_orig],
+            warps: s.warps,
+            ends: s.ends,
             n1: s.n1,
-            off4: s.off4,
-            off22: s.off22,
-            off1: s.off1,
             long_rows: &l.rows,
             long_group_ptr: &l.group_ptr,
             med_rows: &m.rows,
             med_rowblock_ptr: &m.rowblock_ptr,
             med_irreg_ptr: &m.irreg_ptr,
             cids: [&l.cids, &m.reg_cid, &m.irreg_cid, &s.cids],
-            perms: [&s.perm13, &s.perm4, &s.perm22, &s.perm1],
+            perms: [p13, p4, p22, &s.perm1],
         }
+    }
+}
+
+impl<S: Scalar> DaspMatrix<S> {
+    pub(crate) fn pattern(&self) -> Pattern<'_> {
+        let header = (self.rows, self.cols, self.nnz, self.params);
+        Pattern::new(header, &self.long, &self.medium, &self.short)
     }
 
     /// The first structural breach [`verify_matrix`] finds, if any: the
@@ -94,34 +101,8 @@ impl<S: Scalar> DaspMatrix<S> {
 
 impl DaspPlan {
     pub(crate) fn pattern(&self) -> Pattern<'_> {
-        Pattern {
-            rows: self.rows,
-            cols: self.cols,
-            nnz: self.nnz,
-            params: self.params,
-            long_nnz: self.long_nnz,
-            med_nnz: self.med_nnz,
-            short_nnz: self.short_nnz,
-            n13_warps: self.n13_warps,
-            n4_warps: self.n4_warps,
-            n22_warps: self.n22_warps,
-            n1: self.n1,
-            off4: self.off4,
-            off22: self.off22,
-            off1: self.off1,
-            long_rows: &self.long_rows,
-            long_group_ptr: &self.long_group_ptr,
-            med_rows: &self.med_rows,
-            med_rowblock_ptr: &self.med_rowblock_ptr,
-            med_irreg_ptr: &self.med_irreg_ptr,
-            cids: [
-                &self.long_cids,
-                &self.med_reg_cid,
-                &self.med_irreg_cid,
-                &self.short_cids,
-            ],
-            perms: [&self.perm13, &self.perm4, &self.perm22, &self.perm1],
-        }
+        let header = (self.rows, self.cols, self.nnz, self.params);
+        Pattern::new(header, &self.long, &self.medium, &self.short)
     }
 }
 
@@ -142,7 +123,8 @@ pub fn verify_matrix<S: Scalar>(m: &DaspMatrix<S>) -> Report {
     };
     let p = m.pattern();
     walk(ctx, &p);
-    payload(ctx, m, &p);
+    let (l, md, sh) = (&m.long, &m.medium, &m.short);
+    payload(ctx, &p, [&l.vals, &md.reg_val, &md.irreg_val, &sh.vals]);
     if let Some(plan) = m.plan() {
         let q = plan.pattern();
         ctx.check(
@@ -170,20 +152,24 @@ pub fn verify_matrix<S: Scalar>(m: &DaspMatrix<S>) -> Report {
         if !same {
             walk(plan_ctx, &q);
         }
+        payload(plan_ctx, &q, plan.gather());
         gather(plan_ctx, plan);
     }
     report
 }
 
 /// Exhaustively validates a standalone plan: the pattern walk (pointers,
-/// offsets, id ranges, row partition) plus the gather bijection.
+/// offsets, id ranges, row partition), the payload rule over its gather
+/// map, and the gather bijection.
 pub fn verify_plan(plan: &DaspPlan) -> Report {
     let mut report = Report::new();
     let ctx = &mut Ctx {
         report: &mut report,
         prefix: "plan.",
     };
-    walk(ctx, &plan.pattern());
+    let q = plan.pattern();
+    walk(ctx, &q);
+    payload(ctx, &q, plan.gather());
     gather(ctx, plan);
     report
 }
@@ -252,11 +238,22 @@ fn described_slots(p: &Pattern<'_>) -> [Option<usize>; 4] {
             .and_then(|g| g.checked_mul(GROUP_ELEMS)),
         p.med_rowblock_ptr.last().copied(),
         p.med_irreg_ptr.last().copied(),
-        p.off1.checked_add(p.n1),
+        p.ends[2].checked_add(p.n1),
     ]
 }
 
 const SLOT_SITES: [&str; 4] = ["long", "medium.reg", "medium.irreg", "short"];
+
+/// Each short MMA section's end-offset site and region name, in
+/// [`Piecing::ALL`] order.
+const SECTION_SITES: [(&str, &str); 3] = [
+    ("short.off4", "1&3"),
+    ("short.off22", "len-4"),
+    ("short.off1", "2&2"),
+];
+
+/// The short permutations' sites: the MMA sections, then the singletons.
+const PERM_SITES: [&str; 4] = ["short.perm13", "short.perm4", "short.perm22", "short.perm1"];
 
 /// Every invariant of the shared pattern.
 fn walk(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
@@ -313,27 +310,20 @@ fn walk(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
 
     // Short: the three MMA sections lie back to back in launch order,
     // each warp holding its section's blocks, then the singletons.
-    let sections = [
-        (p.n13_warps, 0, p.off4, "short.off4", "1&3"),
-        (p.n4_warps, p.off4, p.off22, "short.off22", "len-4"),
-        (p.n22_warps, p.off22, p.off1, "short.off1", "2&2"),
-    ];
-    for (piecing, (warps, start, off, site, region)) in Piecing::ALL.into_iter().zip(sections) {
-        let end = warps
+    let mut start = 0;
+    for (i, piecing) in Piecing::ALL.into_iter().enumerate() {
+        let ((site, region), off) = (SECTION_SITES[i], p.ends[i]);
+        let end = p.warps[i]
             .checked_mul(piecing.blocks_per_warp() * BLOCK_ELEMS)
             .and_then(|e| e.checked_add(start));
         ctx.check(Some(off) == end, Invariant::LenConsistency, site, || {
             format!("offset {off} != {region} region end {end:?}")
         });
+        start = off;
     }
-    let perm_lens = [
-        p.n13_warps.checked_mul(32),
-        p.n4_warps.checked_mul(32),
-        p.n22_warps.checked_mul(32),
-        Some(p.n1),
-    ];
-    let perm_sites = ["short.perm13", "short.perm4", "short.perm22", "short.perm1"];
-    for ((perm, want), site) in p.perms.into_iter().zip(perm_lens).zip(perm_sites) {
+    let perm_lens = p.warps.map(|w| w.checked_mul(32)).into_iter();
+    let perm_lens = perm_lens.chain([Some(p.n1)]);
+    for ((perm, want), site) in p.perms.into_iter().zip(perm_lens).zip(PERM_SITES) {
         ctx.check(
             Some(perm.len()) == want,
             Invariant::LenConsistency,
@@ -396,29 +386,26 @@ fn partition(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
         )
     });
 
-    let sum = p
-        .long_nnz
-        .checked_add(p.med_nnz)
-        .and_then(|s| s.checked_add(p.short_nnz));
+    let [long, med, short] = p.nnz_orig;
+    let sum = long.checked_add(med).and_then(|s| s.checked_add(short));
     ctx.check(
         sum == Some(p.nnz),
         Invariant::NnzPartition,
         "header",
         || {
             format!(
-                "nnz {} disagrees with category sum {} + {} + {}",
-                p.nnz, p.long_nnz, p.med_nnz, p.short_nnz
+                "nnz {} disagrees with category sum {long} + {med} + {short}",
+                p.nnz
             )
         },
     );
 }
 
-/// The matrix's own rule: each value array holds exactly the slots the
-/// pattern describes, paired 1:1 with its column ids, and no category
-/// claims more originals than it stores.
-fn payload<S: Scalar>(ctx: &mut Ctx<'_>, m: &DaspMatrix<S>, p: &Pattern<'_>) {
-    let (l, md, s) = (&m.long, &m.medium, &m.short);
-    let vals = [&l.vals, &md.reg_val, &md.irreg_val, &s.vals];
+/// The payload rule, for a matrix's values and a plan's gather map alike:
+/// each value array holds exactly the slots the pattern describes, paired
+/// 1:1 with its column ids, and no category claims more originals than it
+/// stores.
+fn payload<V>(ctx: &mut Ctx<'_>, p: &Pattern<'_>, vals: [&[V]; 4]) {
     for (((vals, cids), want), part) in vals
         .into_iter()
         .zip(p.cids)
@@ -438,52 +425,49 @@ fn payload<S: Scalar>(ctx: &mut Ctx<'_>, m: &DaspMatrix<S>, p: &Pattern<'_>) {
             || format!("cids {} / vals {} must pair 1:1", cids.len(), vals.len()),
         );
     }
-    for (nnz, stored, site) in [
-        (l.nnz_orig, l.vals.len(), "long"),
-        (md.nnz_orig, md.reg_val.len() + md.irreg_val.len(), "medium"),
-        (s.nnz_orig, s.vals.len(), "short"),
-    ] {
+    let [long, reg, irreg, short] = vals.map(<[V]>::len);
+    let stored = [long, reg + irreg, short];
+    for ((nnz, stored), site) in p
+        .nnz_orig
+        .into_iter()
+        .zip(stored)
+        .zip(["long", "medium", "short"])
+    {
         ctx.check(nnz <= stored, Invariant::NnzPartition, site, || {
             format!("nnz_orig {nnz} exceeds stored {stored}")
         });
     }
 }
 
-/// The plan's own rule: the gather map covers every value slot and maps
-/// its non-padding slots one-to-one onto the CSR elements `0..nnz`.
+/// The plan's own rule: its gather map, which [`payload`] has matched to
+/// the value slots, maps the non-padding slots one-to-one onto the CSR
+/// elements `0..nnz`.
 fn gather(ctx: &mut Ctx<'_>, plan: &DaspPlan) {
-    let (map, nnz) = (&plan.gather, plan.nnz);
-    let slots = plan.total_slots();
-    ctx.check(
-        map.len() == slots,
-        Invariant::GatherBijection,
-        "gather",
-        || format!("length {} != total slots {slots}", map.len()),
-    );
+    let (maps, nnz) = (plan.gather(), plan.nnz);
+    let slots: usize = maps.iter().map(|m| m.len()).sum();
     // A bijection onto nnz needs >= nnz non-padding slots; reject before
     // allocating the bitmap when a corrupt header inflates nnz.
-    ctx.check(
-        nnz <= map.len(),
-        Invariant::GatherBijection,
-        "gather",
-        || format!("nnz {nnz} exceeds total slots {}", map.len()),
-    );
-    if nnz > map.len() {
+    ctx.check(nnz <= slots, Invariant::GatherBijection, "gather", || {
+        format!("nnz {nnz} exceeds total slots {slots}")
+    });
+    if nnz > slots {
         return;
     }
     let mut seen = vec![0u64; nnz.div_ceil(64)];
     let (mut oob, mut dup) = (0u64, 0u64);
-    for &g in map {
-        let g = g as usize;
-        if g == GATHER_PADDING as usize {
-            continue;
-        }
-        if g >= nnz {
-            oob += 1;
-        } else if seen[g / 64] & (1 << (g % 64)) != 0 {
-            dup += 1;
-        } else {
-            seen[g / 64] |= 1 << (g % 64);
+    for map in maps {
+        for &g in map {
+            let g = g as usize;
+            if g == GATHER_PADDING as usize {
+                continue;
+            }
+            if g >= nnz {
+                oob += 1;
+            } else if seen[g / 64] & (1 << (g % 64)) != 0 {
+                dup += 1;
+            } else {
+                seen[g / 64] |= 1 << (g % 64);
+            }
         }
     }
     let covered: u64 = seen.iter().map(|w| u64::from(w.count_ones())).sum();
@@ -614,13 +598,13 @@ mod tests {
         }
 
         let mut m = base.clone();
-        m.short.off4 += 1;
+        m.short.ends[0] += 1;
         assert!(m.validate().is_err());
 
         let mut m = base.clone();
-        if let Some(slot) = m.short.perm4.iter().position(|&r| r != NO_ROW) {
+        if let Some(slot) = m.short.perms[1].iter().position(|&r| r != NO_ROW) {
             // Duplicate an assigned row into another category.
-            let row = m.short.perm4[slot];
+            let row = m.short.perms[1][slot];
             m.medium.rows.push(row);
             m.medium.irreg_ptr.push(*m.medium.irreg_ptr.last().unwrap());
             assert!(m.validate().is_err(), "duplicate row must be caught");
@@ -652,7 +636,8 @@ mod tests {
         }
     }
 
-    // ---- Gather-map invariants (mutating the plan's private map) -------
+    // ---- Gather-map invariants (mutating the plan's private map; its
+    // first array, the long part's slots, holds live entries) ----------
 
     /// Every category populated: long rows of 1/2/3 groups against
     /// MAX_LEN 8, a full + partial medium block, all four short
@@ -694,8 +679,8 @@ mod tests {
         let mut plan = rich_plan();
         // Two slots feeding from the same CSR element: one original value
         // would be scattered twice and another dropped on refresh.
-        let (a, b) = first_two_live(&plan.gather);
-        plan.gather[b] = plan.gather[a];
+        let (a, b) = first_two_live(&plan.long.vals);
+        plan.long.vals[b] = plan.long.vals[a];
         let r = verify_plan(&plan);
         assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
     }
@@ -703,8 +688,8 @@ mod tests {
     #[test]
     fn gather_out_of_bounds_is_flagged() {
         let mut plan = rich_plan();
-        let (a, _) = first_two_live(&plan.gather);
-        plan.gather[a] = plan.nnz() as u32; // reads past the CSR value array
+        let (a, _) = first_two_live(&plan.long.vals);
+        plan.long.vals[a] = plan.nnz() as u32; // reads past the CSR value array
         let r = verify_plan(&plan);
         assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
     }
@@ -712,8 +697,8 @@ mod tests {
     #[test]
     fn gather_gap_is_flagged() {
         let mut plan = rich_plan();
-        let (a, _) = first_two_live(&plan.gather);
-        plan.gather[a] = GATHER_PADDING; // element never scattered: stale value
+        let (a, _) = first_two_live(&plan.long.vals);
+        plan.long.vals[a] = GATHER_PADDING; // element never scattered: stale value
         let r = verify_plan(&plan);
         assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
     }
@@ -726,5 +711,32 @@ mod tests {
         plan.nnz = 1 << 45;
         let r = verify_plan(&plan);
         assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
+    }
+
+    /// One 300-element long row (5 groups, 320 slots) and 59 length-2
+    /// rows, analyzed with the default parameters.
+    fn long_and_pairs_plan() -> DaspPlan {
+        let mut coo = dasp_sparse::Coo::new(60, 400);
+        for c in 0..300 {
+            coo.push(0, c, 1.0);
+        }
+        for r in 1..60 {
+            coo.push(r, r, 1.0);
+            coo.push(r, r + 100, 1.0);
+        }
+        (*DaspPlan::analyze(&coo.to_csr(), DaspParams::default())).clone()
+    }
+
+    #[test]
+    fn plan_category_over_its_stored_slots_is_flagged() {
+        // Moving 21 counts from short to long keeps the header sum but
+        // claims 321 long nonzeros in 320 slots: the plan's fill would
+        // fail the matrix's payload rule, so the plan must fail it too.
+        let mut plan = long_and_pairs_plan();
+        assert!(verify_plan(&plan).is_clean());
+        plan.short.nnz_orig -= 21;
+        plan.long.nnz_orig += 21;
+        let r = verify_plan(&plan);
+        assert!(r.count(Invariant::NnzPartition) > 0, "{r}");
     }
 }

@@ -60,6 +60,21 @@ impl<S> LongPart<S> {
         *self.group_ptr.last().expect("group_ptr never empty")
     }
 
+    /// The same pattern around new value arrays: `f` maps the value array
+    /// to its replacement. [`DaspPlan::fill`] maps a plan's gather map to
+    /// the scattered values.
+    ///
+    /// [`DaspPlan::fill`]: crate::format::DaspPlan::fill
+    pub(crate) fn map_vals<T>(&self, f: impl FnOnce(&[S]) -> Vec<T>) -> LongPart<T> {
+        LongPart {
+            vals: f(&self.vals),
+            cids: self.cids.clone(),
+            group_ptr: self.group_ptr.clone(),
+            rows: self.rows.clone(),
+            nnz_orig: self.nnz_orig,
+        }
+    }
+
     /// Builds the part from the long rows' ids: a sequential counting pass
     /// over the row lengths fixes every row's group range, then row chunks
     /// fan out over `exec` and copy column ids and `val(j)` of each CSR

@@ -77,6 +77,22 @@ impl<S> MediumPart<S> {
         (self.rowblock_ptr[b + 1] - self.rowblock_ptr[b]) / BLOCK_ELEMS
     }
 
+    /// The same pattern around new value arrays: `f` maps each value
+    /// array (regular, then irregular) to its replacement. See
+    /// [`LongPart::map_vals`](crate::format::LongPart).
+    pub(crate) fn map_vals<T>(&self, mut f: impl FnMut(&[S]) -> Vec<T>) -> MediumPart<T> {
+        MediumPart {
+            reg_val: f(&self.reg_val),
+            reg_cid: self.reg_cid.clone(),
+            rowblock_ptr: self.rowblock_ptr.clone(),
+            irreg_val: f(&self.irreg_val),
+            irreg_cid: self.irreg_cid.clone(),
+            irreg_ptr: self.irreg_ptr.clone(),
+            rows: self.rows.clone(),
+            nnz_orig: self.nnz_orig,
+        }
+    }
+
     /// Builds the part from the sorted medium rows' ids.
     ///
     /// `sorted` holds original row ids sorted by descending row length

@@ -190,11 +190,7 @@ impl<S: Scalar> DaspMatrix<S> {
             + self.medium.rows.len() * 4;
         let short = self.short.vals.len() * s
             + self.short.cids.len() * 4
-            + (self.short.perm13.len()
-                + self.short.perm4.len()
-                + self.short.perm22.len()
-                + self.short.perm1.len())
-                * 4;
+            + (self.short.perms.iter().map(Vec::len).sum::<usize>() + self.short.perm1.len()) * 4;
         long + medium + short
     }
 }

@@ -11,14 +11,16 @@
 //! the same structure (re-factorizations, time stepping) skip analysis
 //! entirely.
 //!
-//! The plan is the builder's own output: analysis runs the same zero-copy
+//! The plan holds the builder's parts: analysis runs the same zero-copy
 //! builder as [`DaspMatrix::from_csr`] on the caller's CSR, but has it
 //! store each CSR element's *index* `j` (as `u32`) where `from_csr` stores
 //! its value, and [`GATHER_PADDING`] where `from_csr` stores padding zeros.
-//! The four slot arrays that come back, laid end to end, *are* the gather
-//! map, so layout parity with `from_csr` holds by construction. The map is
-//! stored in *gather* form (slot -> element), so deriving it, filling
-//! values, and refreshing them all stream the format arrays sequentially.
+//! The plan keeps the [`LongPart`], [`MediumPart`] and [`ShortPart`] that
+//! come back as they are: their pattern is the matrix's pattern, and their
+//! four value arrays *are* the gather map, so layout parity with
+//! `from_csr` holds by construction. The map is in *gather* form
+//! (slot -> element), so deriving it, filling values, and refreshing them
+//! all stream the format arrays sequentially.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,46 +51,17 @@ pub struct DaspPlan {
     pub(crate) cols: usize,
     pub(crate) nnz: usize,
     pub(crate) params: DaspParams,
-
-    // Long part pattern.
-    pub(crate) long_rows: Vec<u32>,
-    pub(crate) long_group_ptr: Vec<usize>,
-    pub(crate) long_cids: Vec<u32>,
-    pub(crate) long_nnz: usize,
-
-    // Medium part pattern (rows already in sorted order).
-    pub(crate) med_rows: Vec<u32>,
-    pub(crate) med_rowblock_ptr: Vec<usize>,
-    pub(crate) med_reg_cid: Vec<u32>,
-    pub(crate) med_irreg_cid: Vec<u32>,
-    pub(crate) med_irreg_ptr: Vec<usize>,
-    pub(crate) med_nnz: usize,
-
-    // Short part pattern.
-    pub(crate) short_cids: Vec<u32>,
-    pub(crate) n13_warps: usize,
-    pub(crate) n4_warps: usize,
-    pub(crate) n22_warps: usize,
-    pub(crate) n1: usize,
-    pub(crate) off4: usize,
-    pub(crate) off22: usize,
-    pub(crate) off1: usize,
-    pub(crate) perm13: Vec<u32>,
-    pub(crate) perm4: Vec<u32>,
-    pub(crate) perm22: Vec<u32>,
-    pub(crate) perm1: Vec<u32>,
-    pub(crate) short_nnz: usize,
-
-    /// Global value slot `s` is filled by CSR element `gather[s]`, or is
-    /// zero padding when `gather[s] == u32::MAX`; slots number the four
-    /// value arrays back to back:
-    /// `[long | medium reg | medium irreg | short]`. Gather form keeps
-    /// every fill/refresh write sequential.
-    pub(crate) gather: Vec<u32>,
+    // The builder's parts, each value slot holding the CSR element that
+    // fills it, or GATHER_PADDING for a zero-padding slot: the value
+    // arrays are the gather map. Gather form keeps every fill/refresh
+    // write sequential.
+    pub(crate) long: LongPart<u32>,
+    pub(crate) medium: MediumPart<u32>,
+    pub(crate) short: ShortPart<u32>,
 }
 
-/// The `DaspPlan::gather` marker for a padding slot (zero-filled, fed by
-/// no CSR element).
+/// The gather-map marker for a padding slot (zero-filled, fed by no CSR
+/// element).
 pub const GATHER_PADDING: u32 = u32::MAX;
 
 /// Internal alias; the public name is [`GATHER_PADDING`].
@@ -103,7 +76,7 @@ impl DaspPlan {
     /// [`DaspPlan::analyze`] with the preprocessing phases recorded as
     /// spans (`preprocess.categorize`, `preprocess.sort`,
     /// `preprocess.build.{long,medium,short}`, plus a `preprocess.plan`
-    /// child assembling the gather map) under a `preprocess` root, on an
+    /// child assembling the plan) under a `preprocess` root, on an
     /// explicit executor.
     ///
     /// Panics if `params.max_len <= 4` or if the pattern holds
@@ -126,17 +99,16 @@ impl DaspPlan {
         );
         let root = tracer.span("preprocess");
 
-        // The builder copies element indices instead of values: slot s of
-        // the four arrays holds the CSR element that fills it, or PADDING.
+        // The builder copies element indices instead of values: each slot
+        // holds the CSR element that fills it, or PADDING.
         let parts = build::build_under(csr, params, &root, exec, |j| j as u32, PADDING);
         Arc::new(Self::from_parts(
             csr.rows, csr.cols, nnz, params, parts, &root,
         ))
     }
 
-    /// Assembles a plan from parts whose slots hold CSR element indices:
-    /// the pattern arrays move over, and the four slot arrays laid end to
-    /// end become the gather map (a `preprocess.plan` child of `root`).
+    /// Assembles a plan from parts whose slots hold CSR element indices,
+    /// moving them in (a `preprocess.plan` child of `root`).
     fn from_parts(
         rows: usize,
         cols: usize,
@@ -145,47 +117,21 @@ impl DaspPlan {
         (long, medium, short): Parts<u32>,
         root: &Span,
     ) -> Self {
-        let slots = [&long.vals, &medium.reg_val, &medium.irreg_val, &short.vals];
-        let total: usize = slots.iter().map(|a| a.len()).sum();
-        assert!(total <= u32::MAX as usize, "slot count exceeds u32 range");
-        let mut sp = root.child("preprocess.plan");
-        sp.add_arg("slots", total);
-        sp.add_arg("scatter_bytes", total * 4);
-        let mut gather = Vec::with_capacity(total);
-        for a in slots {
-            gather.extend_from_slice(a);
-        }
-
-        DaspPlan {
+        let plan = DaspPlan {
             rows,
             cols,
             nnz,
             params,
-            long_rows: long.rows,
-            long_group_ptr: long.group_ptr,
-            long_cids: long.cids,
-            long_nnz: long.nnz_orig,
-            med_rows: medium.rows,
-            med_rowblock_ptr: medium.rowblock_ptr,
-            med_reg_cid: medium.reg_cid,
-            med_irreg_cid: medium.irreg_cid,
-            med_irreg_ptr: medium.irreg_ptr,
-            med_nnz: medium.nnz_orig,
-            short_cids: short.cids,
-            n13_warps: short.n13_warps,
-            n4_warps: short.n4_warps,
-            n22_warps: short.n22_warps,
-            n1: short.n1,
-            off4: short.off4,
-            off22: short.off22,
-            off1: short.off1,
-            perm13: short.perm13,
-            perm4: short.perm4,
-            perm22: short.perm22,
-            perm1: short.perm1,
-            short_nnz: short.nnz_orig,
-            gather,
-        }
+            long,
+            medium,
+            short,
+        };
+        let total = plan.total_slots();
+        assert!(total <= u32::MAX as usize, "slot count exceeds u32 range");
+        let mut sp = root.child("preprocess.plan");
+        sp.add_arg("slots", total);
+        sp.add_arg("scatter_bytes", total * 4);
+        plan
     }
 
     /// Number of rows of the analyzed pattern.
@@ -208,33 +154,38 @@ impl DaspPlan {
         self.params
     }
 
-    /// Total value slots (including padding) a filled matrix holds.
-    pub fn total_slots(&self) -> usize {
-        self.long_cids.len()
-            + self.med_reg_cid.len()
-            + self.med_irreg_cid.len()
-            + self.short_cids.len()
+    /// The gather map, one array per value array of a filled matrix:
+    /// `[long, medium regular, medium irregular, short]`.
+    pub(crate) fn gather(&self) -> [&[u32]; 4] {
+        [
+            &self.long.vals,
+            &self.medium.reg_val,
+            &self.medium.irreg_val,
+            &self.short.vals,
+        ]
     }
 
-    /// Bytes of the plan's arrays (pattern + scatter map).
+    /// Total value slots (including padding) a filled matrix holds.
+    pub fn total_slots(&self) -> usize {
+        self.long.cids.len()
+            + self.medium.reg_cid.len()
+            + self.medium.irreg_cid.len()
+            + self.short.cids.len()
+    }
+
+    /// Bytes of the plan's arrays (pattern + gather map).
     pub fn memory_bytes(&self) -> usize {
-        (self.long_rows.len()
-            + self.long_cids.len()
-            + self.med_rows.len()
-            + self.med_reg_cid.len()
-            + self.med_irreg_cid.len()
-            + self.perm13.len()
-            + self.perm4.len()
-            + self.perm22.len()
-            + self.perm1.len()
-            + self.gather.len())
-            * 4
-            + (self.long_group_ptr.len() + self.med_rowblock_ptr.len() + self.med_irreg_ptr.len())
+        let (l, m, s) = (&self.long, &self.medium, &self.short);
+        let gather: usize = self.gather().iter().map(|g| g.len()).sum();
+        let perms: usize = s.perms.iter().chain([&s.perm1]).map(Vec::len).sum();
+        let ids = l.rows.len() + l.cids.len() + m.rows.len() + m.reg_cid.len();
+        (ids + m.irreg_cid.len() + perms + gather) * 4
+            + (l.group_ptr.len() + m.rowblock_ptr.len() + m.irreg_ptr.len())
                 * std::mem::size_of::<usize>()
     }
 
     /// Executes the plan: allocates the value arrays, scatters `csr.vals`
-    /// through the scatter map, and assembles the matrix around clones of
+    /// through the gather map, and assembles the matrix around clones of
     /// the plan's pattern arrays. Runs on the environment-selected
     /// executor.
     ///
@@ -267,91 +218,41 @@ impl DaspPlan {
         sp.add_arg("nnz", self.nnz);
         sp.add_arg(
             "scatter_bytes",
-            scatter_bytes::<S>(self.gather.len(), self.nnz),
+            scatter_bytes::<S>(self.total_slots(), self.nnz),
         );
 
-        let mut long_vals = vec![S::zero(); self.long_cids.len()];
-        let mut reg_val = vec![S::zero(); self.med_reg_cid.len()];
-        let mut irreg_val = vec![S::zero(); self.med_irreg_cid.len()];
-        let mut short_vals = vec![S::zero(); self.short_cids.len()];
-        self.scatter_into(
-            &csr.vals,
-            &mut long_vals,
-            &mut reg_val,
-            &mut irreg_val,
-            &mut short_vals,
-            exec,
-        );
-
+        let fill = |map: &[u32]| {
+            let mut vals = vec![S::zero(); map.len()];
+            scatter(map, &csr.vals, &mut vals, exec);
+            vals
+        };
         DaspMatrix {
             rows: self.rows,
             cols: self.cols,
             nnz: self.nnz,
-            long: LongPart {
-                vals: long_vals,
-                cids: self.long_cids.clone(),
-                group_ptr: self.long_group_ptr.clone(),
-                rows: self.long_rows.clone(),
-                nnz_orig: self.long_nnz,
-            },
-            medium: MediumPart {
-                reg_val,
-                reg_cid: self.med_reg_cid.clone(),
-                rowblock_ptr: self.med_rowblock_ptr.clone(),
-                irreg_val,
-                irreg_cid: self.med_irreg_cid.clone(),
-                irreg_ptr: self.med_irreg_ptr.clone(),
-                rows: self.med_rows.clone(),
-                nnz_orig: self.med_nnz,
-            },
-            short: ShortPart {
-                vals: short_vals,
-                cids: self.short_cids.clone(),
-                n13_warps: self.n13_warps,
-                n4_warps: self.n4_warps,
-                n22_warps: self.n22_warps,
-                n1: self.n1,
-                off4: self.off4,
-                off22: self.off22,
-                off1: self.off1,
-                perm13: self.perm13.clone(),
-                perm4: self.perm4.clone(),
-                perm22: self.perm22.clone(),
-                perm1: self.perm1.clone(),
-                nnz_orig: self.short_nnz,
-            },
+            long: self.long.map_vals(fill),
+            medium: self.medium.map_vals(fill),
+            short: self.short.map_vals(fill),
             params: self.params,
             plan: Some(self.clone()),
         }
     }
+}
 
-    /// Writes `src[gather[s]]` into every non-padding slot `s` of the four
-    /// value arrays. Padding slots are never written, so they keep
-    /// whatever the caller prefilled (zeros). Writes stream each array
-    /// front to back; only the `src` reads are indexed.
-    fn scatter_into<S: Scalar>(
-        &self,
-        src: &[S],
-        long: &mut [S],
-        reg: &mut [S],
-        irreg: &mut [S],
-        short: &mut [S],
-        exec: &Executor,
-    ) {
-        let mut base = 0usize;
-        for dst in [long, reg, irreg, short] {
-            let map = &self.gather[base..base + dst.len()];
-            base += dst.len();
-            let sd = SharedSlice::new(dst);
-            run_chunks(exec, map.len(), MIN_CHUNK_SCATTER, |lo, hi| {
-                for (k, &g) in map[lo..hi].iter().enumerate() {
-                    if g != PADDING {
-                        sd.write(lo + k, src[g as usize]);
-                    }
-                }
-            });
+/// Writes `src[map[s]]` into every non-padding slot `s` of `dst`. Padding
+/// slots are never written, so they keep whatever the caller prefilled
+/// (zeros). Writes stream `dst` front to back; only the `src` reads are
+/// indexed.
+fn scatter<S: Scalar>(map: &[u32], src: &[S], dst: &mut [S], exec: &Executor) {
+    assert_eq!(map.len(), dst.len(), "gather map and value array differ");
+    let sd = SharedSlice::new(dst);
+    run_chunks(exec, map.len(), MIN_CHUNK_SCATTER, |lo, hi| {
+        for (k, &g) in map[lo..hi].iter().enumerate() {
+            if g != PADDING {
+                sd.write(lo + k, src[g as usize]);
+            }
         }
-    }
+    });
 }
 
 /// Bytes an O(nnz) value refresh moves: the gather map streamed once plus
@@ -424,16 +325,17 @@ impl<S: Scalar> DaspMatrix<S> {
         sp.add_arg("nnz", self.nnz);
         sp.add_arg(
             "scatter_bytes",
-            scatter_bytes::<S>(plan.gather.len(), self.nnz),
+            scatter_bytes::<S>(plan.total_slots(), self.nnz),
         );
-        plan.scatter_into(
-            new_vals,
+        let dsts = [
             &mut self.long.vals,
             &mut self.medium.reg_val,
             &mut self.medium.irreg_val,
             &mut self.short.vals,
-            exec,
-        );
+        ];
+        for (map, dst) in plan.gather().into_iter().zip(dsts) {
+            scatter(map, new_vals, dst, exec);
+        }
         Ok(())
     }
 
@@ -858,9 +760,9 @@ mod tests {
             ..csr.clone()
         };
         let m = build::build_traced_with(&pos, params, &Tracer::disabled(), exec);
-        let decode = |vals: Vec<f64>| -> Vec<u32> {
-            vals.into_iter()
-                .map(|v| {
+        let decode = |vals: &[f64]| -> Vec<u32> {
+            vals.iter()
+                .map(|&v| {
                     if v != 0.0 {
                         (v as u64 - 1) as u32
                     } else {
@@ -869,48 +771,13 @@ mod tests {
                 })
                 .collect()
         };
-        let long = LongPart {
-            vals: decode(m.long.vals),
-            cids: m.long.cids,
-            group_ptr: m.long.group_ptr,
-            rows: m.long.rows,
-            nnz_orig: m.long.nnz_orig,
-        };
-        let medium = MediumPart {
-            reg_val: decode(m.medium.reg_val),
-            irreg_val: decode(m.medium.irreg_val),
-            reg_cid: m.medium.reg_cid,
-            rowblock_ptr: m.medium.rowblock_ptr,
-            irreg_cid: m.medium.irreg_cid,
-            irreg_ptr: m.medium.irreg_ptr,
-            rows: m.medium.rows,
-            nnz_orig: m.medium.nnz_orig,
-        };
-        let short = ShortPart {
-            vals: decode(m.short.vals),
-            cids: m.short.cids,
-            n13_warps: m.short.n13_warps,
-            n4_warps: m.short.n4_warps,
-            n22_warps: m.short.n22_warps,
-            n1: m.short.n1,
-            off4: m.short.off4,
-            off22: m.short.off22,
-            off1: m.short.off1,
-            perm13: m.short.perm13,
-            perm4: m.short.perm4,
-            perm22: m.short.perm22,
-            perm1: m.short.perm1,
-            nnz_orig: m.short.nnz_orig,
-        };
+        let parts = (
+            m.long.map_vals(decode),
+            m.medium.map_vals(decode),
+            m.short.map_vals(decode),
+        );
         let root = Tracer::disabled().span("preprocess");
-        DaspPlan::from_parts(
-            csr.rows,
-            csr.cols,
-            csr.nnz(),
-            params,
-            (long, medium, short),
-            &root,
-        )
+        DaspPlan::from_parts(csr.rows, csr.cols, csr.nnz(), params, parts, &root)
     }
 
     /// Row lengths drawn per row from `shape`: 0 = empty rows mixed in,

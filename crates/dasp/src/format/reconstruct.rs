@@ -81,7 +81,7 @@ impl<S: Scalar> DaspMatrix<S> {
         }
         // Singletons.
         for t in 0..s.n1 {
-            push(s.perm1[t], s.cids[s.off1 + t], s.vals[s.off1 + t]);
+            push(s.perm1[t], s.cids[s.off1() + t], s.vals[s.off1() + t]);
         }
 
         coo.to_csr()

@@ -38,7 +38,7 @@ use dasp_fp16::Scalar;
 
 use crate::consts::DaspParams;
 use crate::format::check::first_breach;
-use crate::format::{verify_matrix, verify_plan, DaspMatrix, DaspPlan, Violation};
+use crate::format::{verify_matrix, verify_plan, DaspMatrix, DaspPlan, Invariant, Violation};
 use crate::format::{LongPart, MediumPart, ShortPart};
 
 const MAGIC_V1: &[u8; 8] = b"DASPFMT1";
@@ -126,21 +126,30 @@ fn read_len<R: Read>(r: &mut R, cap: u64) -> Result<usize, SerError> {
 const PREALLOC_CLAMP: usize = 1 << 20;
 
 /// Elements staged per `write_all`/`read_exact` call by [`write_array`] and
-/// [`read_array`].
+/// [`read_elems`].
 const CHUNK: usize = 4096;
 
 /// Bytes of the staging buffer: a chunk of the widest (8-byte) element.
 const CHUNK_BYTES: usize = CHUNK * 8;
 
 /// Writes `v` as a length-prefixed array of `N`-byte little-endian
-/// elements, encoding up to [`CHUNK`] elements into one stack buffer per
-/// `write_all`.
+/// elements (see [`write_elems`]).
 fn write_array<T, W: Write, const N: usize>(
     w: &mut W,
     v: &[T],
     enc: impl Fn(&T) -> [u8; N],
 ) -> std::io::Result<()> {
     write_u64(w, v.len() as u64)?;
+    write_elems(w, v, enc)
+}
+
+/// Writes the elements of `v`, encoding up to [`CHUNK`] of them into one
+/// stack buffer per `write_all`.
+fn write_elems<T, W: Write, const N: usize>(
+    w: &mut W,
+    v: &[T],
+    enc: impl Fn(&T) -> [u8; N],
+) -> std::io::Result<()> {
     let mut buf = [0u8; CHUNK_BYTES];
     for chunk in v.chunks(CHUNK) {
         let bytes = &mut buf[..chunk.len() * N];
@@ -152,16 +161,25 @@ fn write_array<T, W: Write, const N: usize>(
     Ok(())
 }
 
-/// Reads a length-prefixed array written by [`write_array`], one
-/// `read_exact` per [`CHUNK`] elements. The length must pass `cap`, at most
-/// [`PREALLOC_CLAMP`] elements are reserved up front, and a short read is
-/// [`SerError::Io`].
+/// Reads a length-prefixed array written by [`write_array`]; the length
+/// must pass `cap`.
 fn read_array<T, R: Read, const N: usize>(
     r: &mut R,
     cap: u64,
     dec: impl Fn([u8; N]) -> T,
 ) -> Result<Vec<T>, SerError> {
     let n = read_len(r, cap)?;
+    read_elems(r, n, dec)
+}
+
+/// Reads `n` elements written by [`write_elems`], one `read_exact` per
+/// [`CHUNK`] elements. At most [`PREALLOC_CLAMP`] elements are reserved
+/// up front, and a short read is [`SerError::Io`].
+fn read_elems<T, R: Read, const N: usize>(
+    r: &mut R,
+    n: usize,
+    dec: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, SerError> {
     let mut out = Vec::with_capacity(n.min(PREALLOC_CLAMP));
     let mut buf = [0u8; CHUNK_BYTES];
     let mut left = n;
@@ -207,21 +225,100 @@ fn read_scalars<S: Scalar, R: Read>(r: &mut R, cap: u64) -> Result<Vec<S>, SerEr
     })
 }
 
+/// A container's `(rows, cols, nnz)`.
+type Shape = (usize, usize, usize);
+
+/// The header both containers carry after their magic: rows, cols, nnz,
+/// max_len, threshold bits, short_piecing and the flags word.
+fn write_header<W: Write>(
+    w: &mut W,
+    (rows, cols, nnz): Shape,
+    p: &DaspParams,
+) -> std::io::Result<()> {
+    for h in [rows, cols, nnz, p.max_len] {
+        write_u64(w, h as u64)?;
+    }
+    write_u64(w, p.threshold.to_bits())?;
+    write_u64(w, p.short_piecing as u64)?;
+    // The former reserved word carries the flags bitset; bit 0 is the
+    // reorder pass. Old readers ignored it, old writers wrote 0, so
+    // reorder-off containers are byte-identical across versions.
+    write_u64(w, param_flags(p))
+}
+
+/// Reads a [`write_header`] header, and the sanity cap its arrays'
+/// length prefixes must pass.
+fn read_header<R: Read>(r: &mut R) -> Result<(Shape, DaspParams, u64), SerError> {
+    let rows = read_u64(r)? as usize;
+    let cols = read_u64(r)? as usize;
+    let nnz = read_u64(r)? as usize;
+    // Row/column ids travel as u32 in the format, so larger headers
+    // can only come from corruption; nnz beyond 2^48 would mean a
+    // multi-petabyte container. Reject before any allocation sizing.
+    if rows > u32::MAX as usize || cols > u32::MAX as usize || nnz > 1 << 48 {
+        return Err(SerError::Malformed(format!(
+            "implausible header: rows {rows}, cols {cols}, nnz {nnz}"
+        )));
+    }
+    let params = DaspParams {
+        max_len: read_u64(r)? as usize,
+        threshold: f64::from_bits(read_u64(r)?),
+        short_piecing: read_u64(r)? != 0,
+        reorder: read_u64(r)? & FLAG_REORDER != 0,
+    };
+    // Sanity cap for array lengths. The format's zero fill is bounded
+    // by 64x for any legal parameterization (a 64-element long-row
+    // group can hold as few as `max_len + 1 >= 6` nonzeros, a regular
+    // medium block as few as 1 at tiny thresholds, a pieced short warp
+    // as few as 4), so 64x plus slack rejects only corruption.
+    let cap = (nnz as u64 + rows as u64 + 1024) * 64;
+    Ok(((rows, cols, nnz), params, cap))
+}
+
+/// Writes a short part's pattern, the layout both containers share:
+/// `cids`, the section counts `n13, n4, n22, n1, off4, off22, off1`
+/// (warps, singletons, ends), the perms `13, 4, 22, 1`, and `nnz_orig`.
+fn write_short_pattern<V, W: Write>(w: &mut W, s: &ShortPart<V>) -> std::io::Result<()> {
+    write_u32s(w, &s.cids)?;
+    for h in s.warps.into_iter().chain([s.n1]).chain(s.ends) {
+        write_u64(w, h as u64)?;
+    }
+    for perm in s.perms.iter().chain([&s.perm1]) {
+        write_u32s(w, perm)?;
+    }
+    write_u64(w, s.nnz_orig as u64)
+}
+
+/// Reads a [`write_short_pattern`] pattern around `vals`.
+fn read_short_pattern<V, R: Read>(
+    r: &mut R,
+    cap: u64,
+    vals: Vec<V>,
+) -> Result<ShortPart<V>, SerError> {
+    let cids = read_u32s(r, cap)?;
+    let mut counts = [0usize; 7];
+    for c in &mut counts {
+        *c = read_u64(r)? as usize;
+    }
+    let [w13, w4, w22, n1, e4, e22, e1] = counts;
+    Ok(ShortPart {
+        vals,
+        cids,
+        warps: [w13, w4, w22],
+        ends: [e4, e22, e1],
+        n1,
+        perms: [read_u32s(r, cap)?, read_u32s(r, cap)?, read_u32s(r, cap)?],
+        perm1: read_u32s(r, cap)?,
+        nnz_orig: read_u64(r)? as usize,
+    })
+}
+
 impl<S: Scalar> DaspMatrix<S> {
     /// Writes the converted format to `w`.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         w.write_all(MAGIC)?;
         w.write_all(&[S::BYTES as u8])?;
-        write_u64(w, self.rows as u64)?;
-        write_u64(w, self.cols as u64)?;
-        write_u64(w, self.nnz as u64)?;
-        write_u64(w, self.params.max_len as u64)?;
-        write_u64(w, self.params.threshold.to_bits())?;
-        write_u64(w, self.params.short_piecing as u64)?;
-        // The former reserved word carries the flags bitset; bit 0 is the
-        // reorder pass. Old readers ignored it, old writers wrote 0, so
-        // reorder-off containers are byte-identical across versions.
-        write_u64(w, param_flags(&self.params))?;
+        write_header(w, (self.rows, self.cols, self.nnz), &self.params)?;
 
         write_scalars(w, &self.long.vals)?;
         write_u32s(w, &self.long.cids)?;
@@ -239,19 +336,7 @@ impl<S: Scalar> DaspMatrix<S> {
         write_u64(w, self.medium.nnz_orig as u64)?;
 
         write_scalars(w, &self.short.vals)?;
-        write_u32s(w, &self.short.cids)?;
-        write_u64(w, self.short.n13_warps as u64)?;
-        write_u64(w, self.short.n4_warps as u64)?;
-        write_u64(w, self.short.n22_warps as u64)?;
-        write_u64(w, self.short.n1 as u64)?;
-        write_u64(w, self.short.off4 as u64)?;
-        write_u64(w, self.short.off22 as u64)?;
-        write_u64(w, self.short.off1 as u64)?;
-        write_u32s(w, &self.short.perm13)?;
-        write_u32s(w, &self.short.perm4)?;
-        write_u32s(w, &self.short.perm22)?;
-        write_u32s(w, &self.short.perm1)?;
-        write_u64(w, self.short.nnz_orig as u64)?;
+        write_short_pattern(w, &self.short)?;
 
         match &self.plan {
             Some(plan) => {
@@ -281,27 +366,7 @@ impl<S: Scalar> DaspMatrix<S> {
                 expected: S::BYTES as u8,
             });
         }
-        let rows = read_u64(r)? as usize;
-        let cols = read_u64(r)? as usize;
-        let nnz = read_u64(r)? as usize;
-        // Row/column ids travel as u32 in the format, so larger headers
-        // can only come from corruption; nnz beyond 2^48 would mean a
-        // multi-petabyte container. Reject before any allocation sizing.
-        if rows > u32::MAX as usize || cols > u32::MAX as usize || nnz > 1 << 48 {
-            return Err(SerError::Malformed(format!(
-                "implausible header: rows {rows}, cols {cols}, nnz {nnz}"
-            )));
-        }
-        let max_len = read_u64(r)? as usize;
-        let threshold = f64::from_bits(read_u64(r)?);
-        let short_piecing = read_u64(r)? != 0;
-        let flags = read_u64(r)?;
-        // Sanity cap for array lengths. The format's zero fill is bounded
-        // by 64x for any legal parameterization (a 64-element long-row
-        // group can hold as few as `max_len + 1 >= 6` nonzeros, a regular
-        // medium block as few as 1 at tiny thresholds, a pieced short warp
-        // as few as 4), so 64x plus slack rejects only corruption.
-        let cap = (nnz as u64 + rows as u64 + 1024) * 64;
+        let ((rows, cols, nnz), params, cap) = read_header(r)?;
 
         let long = LongPart {
             vals: read_scalars(r, cap)?,
@@ -320,22 +385,8 @@ impl<S: Scalar> DaspMatrix<S> {
             rows: read_u32s(r, cap)?,
             nnz_orig: read_u64(r)? as usize,
         };
-        let short = ShortPart {
-            vals: read_scalars(r, cap)?,
-            cids: read_u32s(r, cap)?,
-            n13_warps: read_u64(r)? as usize,
-            n4_warps: read_u64(r)? as usize,
-            n22_warps: read_u64(r)? as usize,
-            n1: read_u64(r)? as usize,
-            off4: read_u64(r)? as usize,
-            off22: read_u64(r)? as usize,
-            off1: read_u64(r)? as usize,
-            perm13: read_u32s(r, cap)?,
-            perm4: read_u32s(r, cap)?,
-            perm22: read_u32s(r, cap)?,
-            perm1: read_u32s(r, cap)?,
-            nnz_orig: read_u64(r)? as usize,
-        };
+        let vals = read_scalars(r, cap)?;
+        let short = read_short_pattern(r, cap, vals)?;
 
         let mut m = DaspMatrix {
             rows,
@@ -344,12 +395,7 @@ impl<S: Scalar> DaspMatrix<S> {
             long,
             medium,
             short,
-            params: DaspParams {
-                max_len,
-                threshold,
-                short_piecing,
-                reorder: flags & FLAG_REORDER != 0,
-            },
+            params,
             plan: None,
         };
         if has_plan_trailer {
@@ -374,41 +420,30 @@ impl DaspPlan {
     /// a pattern analysis can be shipped ahead of any values.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         w.write_all(PLAN_MAGIC)?;
-        write_u64(w, self.rows as u64)?;
-        write_u64(w, self.cols as u64)?;
-        write_u64(w, self.nnz as u64)?;
-        write_u64(w, self.params.max_len as u64)?;
-        write_u64(w, self.params.threshold.to_bits())?;
-        write_u64(w, self.params.short_piecing as u64)?;
-        write_u64(w, param_flags(&self.params))?; // flags (was reserved)
+        write_header(w, (self.rows, self.cols, self.nnz), &self.params)?;
 
-        write_u32s(w, &self.long_rows)?;
-        write_usizes(w, &self.long_group_ptr)?;
-        write_u32s(w, &self.long_cids)?;
-        write_u64(w, self.long_nnz as u64)?;
+        let (l, m) = (&self.long, &self.medium);
+        write_u32s(w, &l.rows)?;
+        write_usizes(w, &l.group_ptr)?;
+        write_u32s(w, &l.cids)?;
+        write_u64(w, l.nnz_orig as u64)?;
 
-        write_u32s(w, &self.med_rows)?;
-        write_usizes(w, &self.med_rowblock_ptr)?;
-        write_u32s(w, &self.med_reg_cid)?;
-        write_u32s(w, &self.med_irreg_cid)?;
-        write_usizes(w, &self.med_irreg_ptr)?;
-        write_u64(w, self.med_nnz as u64)?;
+        write_u32s(w, &m.rows)?;
+        write_usizes(w, &m.rowblock_ptr)?;
+        write_u32s(w, &m.reg_cid)?;
+        write_u32s(w, &m.irreg_cid)?;
+        write_usizes(w, &m.irreg_ptr)?;
+        write_u64(w, m.nnz_orig as u64)?;
 
-        write_u32s(w, &self.short_cids)?;
-        write_u64(w, self.n13_warps as u64)?;
-        write_u64(w, self.n4_warps as u64)?;
-        write_u64(w, self.n22_warps as u64)?;
-        write_u64(w, self.n1 as u64)?;
-        write_u64(w, self.off4 as u64)?;
-        write_u64(w, self.off22 as u64)?;
-        write_u64(w, self.off1 as u64)?;
-        write_u32s(w, &self.perm13)?;
-        write_u32s(w, &self.perm4)?;
-        write_u32s(w, &self.perm22)?;
-        write_u32s(w, &self.perm1)?;
-        write_u64(w, self.short_nnz as u64)?;
+        write_short_pattern(w, &self.short)?;
 
-        write_u32s(w, &self.gather)?;
+        // The gather map: one length prefix, then the parts' four value
+        // arrays back to back.
+        let maps = self.gather();
+        write_u64(w, maps.iter().map(|g| g.len() as u64).sum())?;
+        for map in maps {
+            write_elems(w, map, |x| x.to_le_bytes())?;
+        }
         Ok(())
     }
 
@@ -421,62 +456,66 @@ impl DaspPlan {
         Ok(Arc::new(plan))
     }
 
-    /// Decodes a `DASPPLN1` container without checking its structure.
+    /// Decodes a `DASPPLN1` container without checking its structure,
+    /// beyond the gather map's one length prefix having to cover exactly
+    /// the slots the column ids describe.
     fn decode<R: Read>(r: &mut R) -> Result<Self, SerError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != PLAN_MAGIC {
             return Err(SerError::Malformed("bad plan magic".into()));
         }
-        let rows = read_u64(r)? as usize;
-        let cols = read_u64(r)? as usize;
-        let nnz = read_u64(r)? as usize;
-        if rows > u32::MAX as usize || cols > u32::MAX as usize || nnz > 1 << 48 {
-            return Err(SerError::Malformed(format!(
-                "implausible plan header: rows {rows}, cols {cols}, nnz {nnz}"
-            )));
-        }
-        let max_len = read_u64(r)? as usize;
-        let threshold = f64::from_bits(read_u64(r)?);
-        let short_piecing = read_u64(r)? != 0;
-        let flags = read_u64(r)?;
-        // Same 64x fill bound as the matrix container.
-        let cap = (nnz as u64 + rows as u64 + 1024) * 64;
+        let ((rows, cols, nnz), params, cap) = read_header(r)?;
 
+        let mut long = LongPart {
+            rows: read_u32s(r, cap)?,
+            group_ptr: read_usizes(r, cap)?,
+            cids: read_u32s(r, cap)?,
+            nnz_orig: read_u64(r)? as usize,
+            vals: Vec::new(),
+        };
+        let mut medium = MediumPart {
+            rows: read_u32s(r, cap)?,
+            rowblock_ptr: read_usizes(r, cap)?,
+            reg_cid: read_u32s(r, cap)?,
+            irreg_cid: read_u32s(r, cap)?,
+            irreg_ptr: read_usizes(r, cap)?,
+            nnz_orig: read_u64(r)? as usize,
+            reg_val: Vec::new(),
+            irreg_val: Vec::new(),
+        };
+        let mut short = read_short_pattern(r, cap, Vec::new())?;
+
+        // The gather slots stream straight into the parts' value arrays,
+        // one per column id.
+        let slots = read_u64(r)?;
+        let maps = [
+            (&mut long.vals, long.cids.len()),
+            (&mut medium.reg_val, medium.reg_cid.len()),
+            (&mut medium.irreg_val, medium.irreg_cid.len()),
+            (&mut short.vals, short.cids.len()),
+        ];
+        let want: usize = maps.iter().map(|(_, n)| n).sum();
+        if slots != want as u64 {
+            return Err(SerError::Invalid(Violation {
+                invariant: Invariant::GatherBijection,
+                site: "plan.gather".into(),
+                warp: None,
+                index: None,
+                detail: format!("length {slots} != total slots {want}"),
+            }));
+        }
+        for (map, n) in maps {
+            *map = read_elems(r, n, u32::from_le_bytes)?;
+        }
         Ok(DaspPlan {
             rows,
             cols,
             nnz,
-            params: DaspParams {
-                max_len,
-                threshold,
-                short_piecing,
-                reorder: flags & FLAG_REORDER != 0,
-            },
-            long_rows: read_u32s(r, cap)?,
-            long_group_ptr: read_usizes(r, cap)?,
-            long_cids: read_u32s(r, cap)?,
-            long_nnz: read_u64(r)? as usize,
-            med_rows: read_u32s(r, cap)?,
-            med_rowblock_ptr: read_usizes(r, cap)?,
-            med_reg_cid: read_u32s(r, cap)?,
-            med_irreg_cid: read_u32s(r, cap)?,
-            med_irreg_ptr: read_usizes(r, cap)?,
-            med_nnz: read_u64(r)? as usize,
-            short_cids: read_u32s(r, cap)?,
-            n13_warps: read_u64(r)? as usize,
-            n4_warps: read_u64(r)? as usize,
-            n22_warps: read_u64(r)? as usize,
-            n1: read_u64(r)? as usize,
-            off4: read_u64(r)? as usize,
-            off22: read_u64(r)? as usize,
-            off1: read_u64(r)? as usize,
-            perm13: read_u32s(r, cap)?,
-            perm4: read_u32s(r, cap)?,
-            perm22: read_u32s(r, cap)?,
-            perm1: read_u32s(r, cap)?,
-            short_nnz: read_u64(r)? as usize,
-            gather: read_u32s(r, cap)?,
+            params,
+            long,
+            medium,
+            short,
         })
     }
 }
@@ -787,22 +826,7 @@ mod tests {
             write_u32s(w, &md.rows).unwrap();
             write_u64(w, md.nnz_orig as u64).unwrap();
             write_scalars(w, &s.vals).unwrap();
-            write_u32s(w, &s.cids).unwrap();
-            for h in [
-                s.n13_warps,
-                s.n4_warps,
-                s.n22_warps,
-                s.n1,
-                s.off4,
-                s.off22,
-                s.off1,
-            ] {
-                write_u64(w, h as u64).unwrap();
-            }
-            for perm in [&s.perm13, &s.perm4, &s.perm22, &s.perm1] {
-                write_u32s(w, perm).unwrap();
-            }
-            write_u64(w, s.nnz_orig as u64).unwrap();
+            write_short(s, w);
             match &m.plan {
                 Some(plan) => {
                     w.push(1);
@@ -827,33 +851,34 @@ mod tests {
             ] {
                 write_u64(w, h).unwrap();
             }
-            write_u32s(w, &p.long_rows).unwrap();
-            write_usizes(w, &p.long_group_ptr).unwrap();
-            write_u32s(w, &p.long_cids).unwrap();
-            write_u64(w, p.long_nnz as u64).unwrap();
-            write_u32s(w, &p.med_rows).unwrap();
-            write_usizes(w, &p.med_rowblock_ptr).unwrap();
-            write_u32s(w, &p.med_reg_cid).unwrap();
-            write_u32s(w, &p.med_irreg_cid).unwrap();
-            write_usizes(w, &p.med_irreg_ptr).unwrap();
-            write_u64(w, p.med_nnz as u64).unwrap();
-            write_u32s(w, &p.short_cids).unwrap();
-            for h in [
-                p.n13_warps,
-                p.n4_warps,
-                p.n22_warps,
-                p.n1,
-                p.off4,
-                p.off22,
-                p.off1,
-            ] {
+            let (l, md) = (&p.long, &p.medium);
+            write_u32s(w, &l.rows).unwrap();
+            write_usizes(w, &l.group_ptr).unwrap();
+            write_u32s(w, &l.cids).unwrap();
+            write_u64(w, l.nnz_orig as u64).unwrap();
+            write_u32s(w, &md.rows).unwrap();
+            write_usizes(w, &md.rowblock_ptr).unwrap();
+            write_u32s(w, &md.reg_cid).unwrap();
+            write_u32s(w, &md.irreg_cid).unwrap();
+            write_usizes(w, &md.irreg_ptr).unwrap();
+            write_u64(w, md.nnz_orig as u64).unwrap();
+            write_short(&p.short, w);
+            write_u32s(w, &p.gather().concat()).unwrap();
+        }
+
+        /// A short part's pattern, element by element.
+        fn write_short<V>(s: &ShortPart<V>, w: &mut Vec<u8>) {
+            write_u32s(w, &s.cids).unwrap();
+            let [w13, w4, w22] = s.warps;
+            let [e4, e22, e1] = s.ends;
+            for h in [w13, w4, w22, s.n1, e4, e22, e1] {
                 write_u64(w, h as u64).unwrap();
             }
-            for perm in [&p.perm13, &p.perm4, &p.perm22, &p.perm1] {
+            let [p13, p4, p22] = &s.perms;
+            for perm in [p13, p4, p22, &s.perm1] {
                 write_u32s(w, perm).unwrap();
             }
-            write_u64(w, p.short_nnz as u64).unwrap();
-            write_u32s(w, &p.gather).unwrap();
+            write_u64(w, s.nnz_orig as u64).unwrap();
         }
     }
 
@@ -947,6 +972,87 @@ mod tests {
                 ));
             }
         }
+    }
+
+    /// 64-bit FNV-1a over `bytes`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every category populated against `max_len` 8: long rows of one to
+    /// three groups, full and partial medium row-blocks with irregular
+    /// remainders, and all four short sub-categories (1&3 pairs, length-4
+    /// rows with a leftover 3 and an odd 2, 2&2 pairs, a leftover single).
+    /// Columns differ per row so the reorder pass has work to do.
+    fn rich_csr() -> Csr<f64> {
+        let mut lens: Vec<usize> = vec![9, 73, 137, 8, 7, 6, 6];
+        lens.extend(std::iter::repeat_n(5, 7));
+        lens.extend([1, 3, 1, 3, 1, 3, 3, 4, 4, 2, 2, 2, 2, 2, 1]);
+        let mut coo = dasp_sparse::Coo::new(lens.len(), 160);
+        for (r, &len) in lens.iter().enumerate() {
+            for j in 0..len {
+                let v = ((r * 31 + j * 7) % 97) as f64 * 0.0371 - 1.5;
+                coo.push(r, (r * 37 + j * 13) % 160, v);
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// `(piecing, reorder)` and the FNV-1a hash and length of the plain
+    /// matrix, plan-filled matrix and plan containers of [`rich_csr`] at
+    /// one scalar width. The codec's own reference writer reads the same
+    /// struct fields as `write_to`, so it moves with them; these pins do
+    /// not, and catch any reordered or retyped field.
+    type Golden = ((bool, bool), [(u64, usize); 3]);
+
+    fn container_hashes<S: Scalar>() -> Vec<Golden> {
+        let csr: Csr<S> = rich_csr().cast();
+        let mut out = Vec::new();
+        for piecing in [true, false] {
+            for reorder in [false, true] {
+                let params = DaspParams {
+                    max_len: 8,
+                    short_piecing: piecing,
+                    reorder,
+                    ..DaspParams::default()
+                };
+                let plan = DaspPlan::analyze(&csr, params);
+                let (mut plain, mut filled, mut shipped) = (Vec::new(), Vec::new(), Vec::new());
+                DaspMatrix::with_params(&csr, params)
+                    .write_to(&mut plain)
+                    .unwrap();
+                plan.fill(&csr).write_to(&mut filled).unwrap();
+                plan.write_to(&mut shipped).unwrap();
+                let pin = |b: &[u8]| (fnv1a(b), b.len());
+                out.push((
+                    (piecing, reorder),
+                    [pin(&plain), pin(&filled), pin(&shipped)],
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn container_bytes_match_the_golden_record() {
+        #[rustfmt::skip]
+        let f64_golden: Vec<Golden> = vec![
+            ((true, false), [(0x948068a65176f4e6, 9298), (0xa41a31bc9a166f57, 15762), (0xb7cf36fb9c4101b3, 6464)]),
+            ((true, true), [(0x14d888b34d53f4c1, 9298), (0x45beb3801e85623d, 15762), (0x62c429707c71f23e, 6464)]),
+            ((false, false), [(0x3695b7e0828eb748, 7506), (0x93ba159976a6c614, 12690), (0x8051593b4fcd3062, 5184)]),
+            ((false, true), [(0xb147ea353ea6be47, 7506), (0x176fbe2a3d799fde, 12690), (0x1fc77b7bcf3079c7, 5184)]),
+        ];
+        #[rustfmt::skip]
+        let f16_golden: Vec<Golden> = vec![
+            ((true, false), [(0xa81aa6ceec627ccd, 9298), (0x05326cc26b82d14c, 15762), (0xb7cf36fb9c4101b3, 6464)]),
+            ((true, true), [(0x3a135d971f0f4fc2, 9298), (0xead795b8ef2f490e, 15762), (0x62c429707c71f23e, 6464)]),
+            ((false, false), [(0x5b964c7b3acd109f, 7506), (0xa17583d21d2dbd5b, 12690), (0x8051593b4fcd3062, 5184)]),
+            ((false, true), [(0x8df3aba41e2e8908, 7506), (0x2281eb94a6aea091, 12690), (0x1fc77b7bcf3079c7, 5184)]),
+        ];
+        assert_eq!(container_hashes::<f64>(), f64_golden, "f64 containers");
+        assert_eq!(container_hashes::<F16>(), f16_golden, "F16 containers");
     }
 
     #[test]

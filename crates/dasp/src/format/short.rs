@@ -27,10 +27,13 @@ pub const NO_ROW: u32 = u32::MAX;
 /// 4. **leftover length-1** — computed by the scalar kernel (Algorithm 5).
 ///
 /// Each sub-category is padded with all-zero packed rows up to its warp
-/// granularity, and `perm*` arrays map each warp's 32 `y` slots back to
+/// granularity, and the perms map each warp's 32 `y` slots back to
 /// original row ids ([`NO_ROW`] for padding). The [`Piecing`] table is
 /// the one owner of the three MMA sections' geometry: blocks per warp,
-/// lanes per pass and the slot each piece's result lands in.
+/// lanes per pass and the slot each piece's result lands in. The
+/// sections' own fields — `warps`, `ends`, `perms` — are arrays indexed
+/// in [`Piecing::ALL`] order, so a section added to the table adds no
+/// field; read them through [`Piecing::warps`] and [`Piecing::perm`].
 ///
 /// Like [`LongPart`](crate::format::LongPart), the builder is generic over
 /// the per-slot value `S`.
@@ -40,26 +43,18 @@ pub struct ShortPart<S> {
     pub vals: Vec<S>,
     /// Matching column ids (0 for padding).
     pub cids: Vec<u32>,
-    /// Warps in the 1&3 kernel (2 blocks, 32 y values each).
-    pub n13_warps: usize,
-    /// Warps in the length-4 kernel (4 blocks each).
-    pub n4_warps: usize,
-    /// Warps in the 2&2 kernel (2 blocks each).
-    pub n22_warps: usize,
+    /// Warps of each MMA section, in [`Piecing::ALL`] order; a warp holds
+    /// the section's [`blocks_per_warp`](Piecing::blocks_per_warp).
+    pub warps: [usize; 3],
+    /// Element offset one past each MMA section in `vals`/`cids`, in
+    /// [`Piecing::ALL`] order: section `i` starts at `ends[i - 1]` (the
+    /// first at 0), and the singletons start at `ends[2]`.
+    pub ends: [usize; 3],
     /// Leftover singleton rows handled by the scalar kernel.
     pub n1: usize,
-    /// Element offset of the length-4 blocks within `vals`.
-    pub off4: usize,
-    /// Element offset of the 2&2 blocks.
-    pub off22: usize,
-    /// Element offset of the singleton elements.
-    pub off1: usize,
-    /// y-slot to original row for the 1&3 kernel; `n13_warps * 32` entries.
-    pub perm13: Vec<u32>,
-    /// y-slot to original row for the length-4 kernel; `n4_warps * 32`.
-    pub perm4: Vec<u32>,
-    /// y-slot to original row for the 2&2 kernel; `n22_warps * 32`.
-    pub perm22: Vec<u32>,
+    /// y-slot to original row of each MMA section, in [`Piecing::ALL`]
+    /// order; 32 entries per warp.
+    pub perms: [Vec<u32>; 3],
     /// Original row of each singleton; `n1` entries.
     pub perm1: Vec<u32>,
     /// Original (unpadded) nonzero count of this category.
@@ -102,7 +97,9 @@ pub enum Piecing {
 }
 
 impl Piecing {
-    /// The sections in launch and storage order: 1&3, length-4, 2&2.
+    /// The sections in launch and storage order: 1&3, length-4, 2&2. A
+    /// section's position here (its discriminant) indexes
+    /// [`ShortPart`]'s `warps`, `ends` and `perms`.
     pub const ALL: [Piecing; 3] = [Piecing::OneThree, Piecing::Four, Piecing::TwoTwo];
 
     /// Each piece's `(k_start, k_len)` within a packed row.
@@ -148,29 +145,18 @@ impl Piecing {
 
     /// Warps of this section in `part`.
     pub fn warps<S>(self, part: &ShortPart<S>) -> usize {
-        match self {
-            Piecing::OneThree => part.n13_warps,
-            Piecing::Four => part.n4_warps,
-            Piecing::TwoTwo => part.n22_warps,
-        }
+        part.warps[self as usize]
     }
 
-    /// Element offset of this section in `part.vals`/`part.cids`.
+    /// Element offset of this section in `part.vals`/`part.cids`: where
+    /// the section before it ends.
     pub(crate) fn off<S>(self, part: &ShortPart<S>) -> usize {
-        match self {
-            Piecing::OneThree => 0,
-            Piecing::Four => part.off4,
-            Piecing::TwoTwo => part.off22,
-        }
+        (self as usize).checked_sub(1).map_or(0, |i| part.ends[i])
     }
 
     /// Result slot to original row for this section; 32 per warp.
     pub fn perm<S>(self, part: &ShortPart<S>) -> &[u32] {
-        match self {
-            Piecing::OneThree => &part.perm13,
-            Piecing::Four => &part.perm4,
-            Piecing::TwoTwo => &part.perm22,
-        }
+        &part.perms[self as usize]
     }
 
     /// Element offset of warp `w`'s block `block`.
@@ -221,18 +207,34 @@ impl<S> ShortPart<S> {
         ShortPart {
             vals: Vec::new(),
             cids: Vec::new(),
-            n13_warps: 0,
-            n4_warps: 0,
-            n22_warps: 0,
+            warps: [0; 3],
+            ends: [0; 3],
             n1: 0,
-            off4: 0,
-            off22: 0,
-            off1: 0,
-            perm13: Vec::new(),
-            perm4: Vec::new(),
-            perm22: Vec::new(),
+            perms: Default::default(),
             perm1: Vec::new(),
             nnz_orig: 0,
+        }
+    }
+
+    /// Element offset of the singletons in `vals`/`cids`: the end of the
+    /// last MMA section.
+    pub(crate) fn off1(&self) -> usize {
+        self.ends[2]
+    }
+
+    /// The same pattern around a new value array: `f` maps the value
+    /// array to its replacement. See
+    /// [`LongPart::map_vals`](crate::format::LongPart).
+    pub(crate) fn map_vals<T>(&self, f: impl FnOnce(&[S]) -> Vec<T>) -> ShortPart<T> {
+        ShortPart {
+            vals: f(&self.vals),
+            cids: self.cids.clone(),
+            warps: self.warps,
+            ends: self.ends,
+            n1: self.n1,
+            perms: self.perms.clone(),
+            perm1: self.perm1.clone(),
+            nnz_orig: self.nnz_orig,
         }
     }
 
@@ -313,12 +315,12 @@ impl<S> ShortPart<S> {
 
         // --- geometry: sections back to back, each padded to whole warps ---
         let mut warps = [0usize; 3];
-        let mut offs = [0usize; 3];
+        let mut ends = [0usize; 3];
         let mut end = 0;
         for (k, (p, pieces)) in Piecing::ALL.into_iter().zip(sections).enumerate() {
             warps[k] = pieces[0].len().div_ceil(p.rows_per_warp());
-            offs[k] = end;
             end += warps[k] * p.blocks_per_warp() * BLOCK_ELEMS;
+            ends[k] = end;
         }
         let n1 = singles.len();
         let off1 = end;
@@ -344,7 +346,7 @@ impl<S> ShortPart<S> {
                 .into_iter()
                 .zip(sections)
                 .zip(&mut perms)
-                .zip(offs)
+                .zip([0, ends[0], ends[1]])
             {
                 let sp = SharedSlice::new(perm);
                 run_chunks(exec, pieces[0].len(), MIN_CHUNK_SLOTS, |lo, hi| {
@@ -367,20 +369,13 @@ impl<S> ShortPart<S> {
             });
         }
 
-        let [perm13, perm4, perm22] = perms;
         ShortPart {
             vals,
             cids,
-            n13_warps: warps[0],
-            n4_warps: warps[1],
-            n22_warps: warps[2],
+            warps,
+            ends,
             n1,
-            off4: offs[1],
-            off22: offs[2],
-            off1,
-            perm13,
-            perm4,
-            perm22,
+            perms,
             perm1: singles.to_vec(),
             nnz_orig,
         }
@@ -448,9 +443,9 @@ impl<S: Scalar> ShortPart<S> {
         let ones: Vec<ShortRow<S>> = r1.drain(..pairs13).collect();
         let threes: Vec<ShortRow<S>> = r3.drain(..pairs13).collect();
         // A packed row per pair; warp granularity = 16 packed rows.
-        part.n13_warps = pairs13.div_ceil(2 * MMA_M);
-        let packed13 = part.n13_warps * 2 * MMA_M;
-        part.perm13 = vec![NO_ROW; part.n13_warps * 32];
+        part.warps[0] = pairs13.div_ceil(2 * MMA_M);
+        let packed13 = part.warps[0] * 2 * MMA_M;
+        part.perms[0] = vec![NO_ROW; part.warps[0] * 32];
         for slot in 0..packed13 {
             // packed row `slot` lives in block b = slot/8, local row r = slot%8
             let (b, r) = (slot / MMA_M, slot % MMA_M);
@@ -463,15 +458,15 @@ impl<S: Scalar> ShortPart<S> {
                 for &e in three_elems.iter() {
                     part.push_elem(e);
                 }
-                part.perm13[w * 32 + i0 * MMA_M + r] = *one_id;
-                part.perm13[w * 32 + (i0 + 1) * MMA_M + r] = *three_id;
+                part.perms[0][w * 32 + i0 * MMA_M + r] = *one_id;
+                part.perms[0][w * 32 + (i0 + 1) * MMA_M + r] = *three_id;
             } else {
                 part.push_zeros(MMA_K);
             }
         }
 
         // --- pure length-4 (plus padded leftovers) -----------------------
-        part.off4 = part.vals.len();
+        part.ends[0] = part.vals.len();
         let mut fours: Vec<(u32, [(u32, S); 4])> = Vec::new();
         for (id, e) in r4 {
             fours.push((id, [e[0], e[1], e[2], e[3]]));
@@ -486,9 +481,9 @@ impl<S: Scalar> ShortPart<S> {
             let (id, e) = r2.pop().expect("odd length checked");
             fours.push((id, [e[0], e[1], (0, S::zero()), (0, S::zero())]));
         }
-        part.n4_warps = fours.len().div_ceil(4 * MMA_M);
-        let packed4 = part.n4_warps * 4 * MMA_M;
-        part.perm4 = vec![NO_ROW; part.n4_warps * 32];
+        part.warps[1] = fours.len().div_ceil(4 * MMA_M);
+        let packed4 = part.warps[1] * 4 * MMA_M;
+        part.perms[1] = vec![NO_ROW; part.warps[1] * 32];
         for slot in 0..packed4 {
             let (b, r) = (slot / MMA_M, slot % MMA_M);
             let (w, i) = (b / 4, b % 4);
@@ -496,18 +491,18 @@ impl<S: Scalar> ShortPart<S> {
                 for &e in elems.iter() {
                     part.push_elem(e);
                 }
-                part.perm4[w * 32 + i * MMA_M + r] = *id;
+                part.perms[1][w * 32 + i * MMA_M + r] = *id;
             } else {
                 part.push_zeros(MMA_K);
             }
         }
 
         // --- 2&2 piecing --------------------------------------------------
-        part.off22 = part.vals.len();
+        part.ends[1] = part.vals.len();
         let pairs22 = r2.len() / 2;
-        part.n22_warps = pairs22.div_ceil(2 * MMA_M);
-        let packed22 = part.n22_warps * 2 * MMA_M;
-        part.perm22 = vec![NO_ROW; part.n22_warps * 32];
+        part.warps[2] = pairs22.div_ceil(2 * MMA_M);
+        let packed22 = part.warps[2] * 2 * MMA_M;
+        part.perms[2] = vec![NO_ROW; part.warps[2] * 32];
         for slot in 0..packed22 {
             let (b, r) = (slot / MMA_M, slot % MMA_M);
             let w = b / 2;
@@ -519,15 +514,15 @@ impl<S: Scalar> ShortPart<S> {
                 part.push_elem(a_elems[1]);
                 part.push_elem(b_elems[0]);
                 part.push_elem(b_elems[1]);
-                part.perm22[w * 32 + i0 * MMA_M + r] = *a_id;
-                part.perm22[w * 32 + (i0 + 1) * MMA_M + r] = *b_id;
+                part.perms[2][w * 32 + i0 * MMA_M + r] = *a_id;
+                part.perms[2][w * 32 + (i0 + 1) * MMA_M + r] = *b_id;
             } else {
                 part.push_zeros(MMA_K);
             }
         }
 
         // --- leftover singletons ------------------------------------------
-        part.off1 = part.vals.len();
+        part.ends[2] = part.vals.len();
         part.n1 = r1.len();
         for (id, e) in r1 {
             part.push_elem(e[0]);
@@ -584,10 +579,18 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_the_sections_in_discriminant_order() {
+        // The accessors index `ShortPart`'s section arrays by discriminant.
+        for (i, p) in Piecing::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i);
+        }
+    }
+
+    #[test]
     fn pairs_ones_with_threes() {
         // 3 singles + 2 threes -> 2 pairs, 1 leftover single.
         let p = build(&[(0, 1), (1, 3), (2, 1), (3, 3), (4, 1)]);
-        assert_eq!(p.n13_warps, 1);
+        assert_eq!(Piecing::OneThree.warps(&p), 1);
         assert_eq!(p.n1, 1);
         assert_eq!(p.perm1, vec![4]);
         // Pair 0 = rows (0, 1): packed row 0 = [a0 | b0 b1 b2]
@@ -595,10 +598,10 @@ mod tests {
         assert_eq!(p.vals[1], 11.0); // row 1's first element
                                      // perm: warp 0, block 0, iteration 0 slot 0 -> row 0; iteration 1
                                      // slot 0 -> row 1.
-        assert_eq!(p.perm13[0], 0);
-        assert_eq!(p.perm13[MMA_M], 1);
-        assert_eq!(p.perm13[1], 2);
-        assert_eq!(p.perm13[MMA_M + 1], 3);
+        assert_eq!(Piecing::OneThree.perm(&p)[0], 0);
+        assert_eq!(Piecing::OneThree.perm(&p)[MMA_M], 1);
+        assert_eq!(Piecing::OneThree.perm(&p)[1], 2);
+        assert_eq!(Piecing::OneThree.perm(&p)[MMA_M + 1], 3);
         assert_eq!(p.num_rows(), 5);
     }
 
@@ -606,14 +609,14 @@ mod tests {
     fn leftover_threes_become_fours() {
         // 1 single, 3 threes: one 1&3 pair, two threes padded into fours.
         let p = build(&[(0, 1), (1, 3), (2, 3), (3, 3)]);
-        assert_eq!(p.n13_warps, 1);
-        assert_eq!(p.n4_warps, 1);
+        assert_eq!(Piecing::OneThree.warps(&p), 1);
+        assert_eq!(Piecing::Four.warps(&p), 1);
         assert_eq!(p.n1, 0);
         // The fours hold rows 2 and 3 with a zero pad in position 3.
-        assert_eq!(p.vals[p.off4 + 3], 0.0);
-        assert_eq!(p.cids[p.off4 + 3], 0);
-        assert_eq!(p.perm4[0], 2);
-        assert_eq!(p.perm4[1], 3);
+        assert_eq!(p.vals[Piecing::Four.off(&p) + 3], 0.0);
+        assert_eq!(p.cids[Piecing::Four.off(&p) + 3], 0);
+        assert_eq!(Piecing::Four.perm(&p)[0], 2);
+        assert_eq!(Piecing::Four.perm(&p)[1], 3);
     }
 
     #[test]
@@ -621,11 +624,11 @@ mod tests {
         let p = build(&[(0, 2), (1, 2), (2, 2)]);
         // rows 0&1 pair in the 2&2 category; row 2 is the odd one out,
         // padded into the fours.
-        assert_eq!(p.n22_warps, 1);
-        assert_eq!(p.n4_warps, 1);
-        assert_eq!(p.perm22[0], 0);
-        assert_eq!(p.perm22[MMA_M], 1);
-        assert_eq!(p.perm4[0], 2);
+        assert_eq!(Piecing::TwoTwo.warps(&p), 1);
+        assert_eq!(Piecing::Four.warps(&p), 1);
+        assert_eq!(Piecing::TwoTwo.perm(&p)[0], 0);
+        assert_eq!(Piecing::TwoTwo.perm(&p)[MMA_M], 1);
+        assert_eq!(Piecing::Four.perm(&p)[0], 2);
         assert_eq!(p.num_rows(), 3);
     }
 
@@ -634,14 +637,21 @@ mod tests {
         let rows: Vec<_> = (0..40).map(|i| (i, 4)).collect();
         let p = build(&rows);
         // 40 fours -> 2 warps of 32 slots (second warp 8 rows + 24 pads).
-        assert_eq!(p.n4_warps, 2);
+        assert_eq!(Piecing::Four.warps(&p), 2);
         assert_eq!(p.vals.len(), 2 * 4 * BLOCK_ELEMS);
-        assert_eq!(p.perm4.iter().filter(|&&r| r != NO_ROW).count(), 40);
+        assert_eq!(
+            Piecing::Four
+                .perm(&p)
+                .iter()
+                .filter(|&&r| r != NO_ROW)
+                .count(),
+            40
+        );
         // slot order: warp 0 holds rows 0..32 as blocks of 8.
-        assert_eq!(p.perm4[0], 0);
-        assert_eq!(p.perm4[8], 8);
-        assert_eq!(p.perm4[31], 31);
-        assert_eq!(p.perm4[32], 32);
+        assert_eq!(Piecing::Four.perm(&p)[0], 0);
+        assert_eq!(Piecing::Four.perm(&p)[8], 8);
+        assert_eq!(Piecing::Four.perm(&p)[31], 31);
+        assert_eq!(Piecing::Four.perm(&p)[32], 32);
     }
 
     #[test]
@@ -660,7 +670,7 @@ mod tests {
         let p = build_with(&empty, &[], true, &Executor::seq());
         assert_eq!(p.num_rows(), 0);
         assert_eq!(p.vals.len(), 0);
-        assert_eq!(p.n13_warps + p.n4_warps + p.n22_warps + p.n1, 0);
+        assert_eq!(p.warps.iter().sum::<usize>() + p.n1, 0);
     }
 
     #[test]

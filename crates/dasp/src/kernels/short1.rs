@@ -54,7 +54,7 @@ pub fn short1_warp<S: Scalar, P: Probe>(
     let mut xi = [0usize; WARP];
     let mut writes = [0usize; WARP];
     for (lane, t) in (lo..hi).enumerate() {
-        xi[lane] = part.cids[part.off1 + t] as usize;
+        xi[lane] = part.cids[part.off1() + t] as usize;
         writes[lane] = part.perm1[t] as usize;
     }
     probe.load_val(n as u64, S::BYTES);
@@ -62,7 +62,7 @@ pub fn short1_warp<S: Scalar, P: Probe>(
     probe.load_x(&xi[..n], S::BYTES);
     probe.fma(n as u64);
     for (lane, t) in (lo..hi).enumerate() {
-        let v = S::mul_to_acc(part.vals[part.off1 + t], x[xi[lane]]);
+        let v = S::mul_to_acc(part.vals[part.off1() + t], x[xi[lane]]);
         y.write(writes[lane], S::from_acc(v));
     }
     probe.san_write(space::Y, &writes[..n]);

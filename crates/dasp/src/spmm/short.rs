@@ -178,7 +178,7 @@ pub fn spmm_short1_warp<S: Scalar, P: Probe>(
     // still hinted, so every miss is charged to the panel that caused it.
     let mut xb = XBatch::new(S::BYTES);
     for t in w * WARP_SIZE..live.min(part.n1) {
-        let e = part.off1 + t;
+        let e = part.off1() + t;
         let c = part.cids[e] as usize;
         probe.panel(None);
         probe.load_val(1, S::BYTES);

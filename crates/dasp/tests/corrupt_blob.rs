@@ -222,3 +222,70 @@ fn plan_with_a_row_in_two_categories_is_rejected() {
     bytes[med_rows + 8..med_rows + 12].copy_from_slice(&long_row);
     assert_eq!(plan_breach(&bytes), Invariant::RowPartition);
 }
+
+/// Byte offsets, in a standalone plan blob, of the long part's
+/// `nnz_orig`, the short part's `nnz_orig` and the gather map's length
+/// prefix.
+fn plan_offsets(bytes: &[u8]) -> (usize, usize, usize) {
+    let mut at = 8 + 7 * 8; // magic + header
+    for width in [4, 8, 4] {
+        at = skip_array(bytes, at, width); // long rows, group_ptr, cids
+    }
+    let long_nnz = at;
+    at += 8;
+    for width in [4, 8, 4, 4, 8] {
+        at = skip_array(bytes, at, width); // medium rows .. irreg_ptr
+    }
+    at = skip_array(bytes, at + 8, 4) + 7 * 8; // + medium nnz, short cids, counts
+    for _ in 0..4 {
+        at = skip_array(bytes, at, 4); // the four short perms
+    }
+    (long_nnz, at, at + 8)
+}
+
+fn read_u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+#[test]
+fn plan_whose_fill_overfills_a_category_is_rejected() {
+    // One 300-element long row (320 slots) and 59 length-2 rows. Moving
+    // 21 counts from short to long keeps the header sum, but a matrix
+    // filled from the plan would claim 321 long nonzeros in 320 slots.
+    let mut coo = Coo::new(60, 400);
+    for c in 0..300 {
+        coo.push(0, c, 1.0);
+    }
+    for r in 1..60 {
+        coo.push(r, r, 2.0);
+        coo.push(r, r + 100, 3.0);
+    }
+    let csr: Csr<f64> = coo.to_csr();
+    let mut bytes = Vec::new();
+    DaspPlan::analyze(&csr, DaspParams::default())
+        .write_to(&mut bytes)
+        .unwrap();
+    let (long_nnz, short_nnz, _) = plan_offsets(&bytes);
+    assert_eq!(read_u64_at(&bytes, long_nnz), 300);
+    assert_eq!(read_u64_at(&bytes, short_nnz), 118);
+    bytes[long_nnz..long_nnz + 8].copy_from_slice(&321u64.to_le_bytes());
+    bytes[short_nnz..short_nnz + 8].copy_from_slice(&97u64.to_le_bytes());
+    assert_eq!(plan_breach(&bytes), Invariant::NnzPartition);
+}
+
+#[test]
+fn plan_gather_length_off_by_one_is_a_typed_error() {
+    let pristine = plan_blob();
+    let (_, _, gather) = plan_offsets(&pristine);
+    let slots = read_u64_at(&pristine, gather);
+    assert_eq!(
+        pristine.len(),
+        gather + 8 + slots as usize * 4,
+        "the gather map ends the blob"
+    );
+    for len in [slots + 1, slots - 1] {
+        let mut bytes = pristine.clone();
+        bytes[gather..gather + 8].copy_from_slice(&len.to_le_bytes());
+        assert_eq!(plan_breach(&bytes), Invariant::GatherBijection, "{len}");
+    }
+}

@@ -8,6 +8,7 @@
 //! scales the category boundary down (`max_len = 8`) so a 20-column matrix
 //! can exercise all three categories exactly as the figure does.
 
+use dasp_core::format::Piecing;
 use dasp_core::{DaspMatrix, DaspParams};
 use dasp_simt::NoProbe;
 use dasp_sparse::{Coo, Csr};
@@ -90,9 +91,9 @@ fn short_rows_are_pieced_like_the_figure() {
     // Lengths: r=10->3, 11->4, 12->1, 13->2, 14->3, 15->4, 16->1, 17->2, 18->3.
     // 1&3 piecing pairs the two 1s with two of the three 3s; the leftover 3
     // is padded into the 4s; the two 2s pair in 2&2.
-    assert_eq!(d.short.n13_warps, 1);
-    assert_eq!(d.short.n4_warps, 1); // two real 4s + one padded 3
-    assert_eq!(d.short.n22_warps, 1);
+    assert_eq!(Piecing::OneThree.warps(&d.short), 1);
+    assert_eq!(Piecing::Four.warps(&d.short), 1); // two real 4s + one padded 3
+    assert_eq!(Piecing::TwoTwo.warps(&d.short), 1);
     assert_eq!(d.short.n1, 0, "every 1 found a 3 to piece with");
     let s = d.category_stats();
     assert_eq!(s.nnz_short, 3 + 4 + 1 + 2 + 3 + 4 + 1 + 2 + 3);

@@ -151,3 +151,113 @@ proptest! {
         prop_assert!(a == b, "seq and par fills differ");
     }
 }
+
+/// Values a plan must carry bit for bit: signed zeros, subnormals,
+/// infinities, NaNs with payloads, finite values that overflow (`65520`,
+/// `-1e6`) or flush to zero (`1e-8`) in `F16`, an `F16` subnormal, and an
+/// ordinary value.
+const ADVERSARIAL: [f64; 13] = [
+    0.0,
+    -0.0,
+    5e-324,
+    -2.2e-308,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::from_bits(0x7ff8_0000_0000_beef),
+    f64::from_bits(0xfff4_0000_0000_0001),
+    65520.0,
+    -1e6,
+    1e-8,
+    6.0e-5,
+    0.75,
+];
+
+/// The adversarial values laid over `nnz` elements, rotated by `shift`.
+fn adversarial<S: Scalar>(nnz: usize, shift: usize) -> Vec<S> {
+    (0..nnz)
+        .map(|j| S::from_f64(ADVERSARIAL[(j * 7 + shift) % ADVERSARIAL.len()]))
+        .collect()
+}
+
+/// A matrix whose row `r` holds `lens[r]` elements over `cols` columns.
+fn of_lens(lens: &[usize], cols: usize) -> Csr<f64> {
+    let mut coo = Coo::new(lens.len(), cols);
+    for (r, &len) in lens.iter().enumerate() {
+        for j in 0..len {
+            coo.push(r, (r * 5 + j * 3) % cols, 1.0);
+        }
+    }
+    coo.to_csr()
+}
+
+/// Shapes at the format's edges under `max_len` 8: empty in either
+/// dimension, one row, one column, rows of length 4, 5, `max_len` and
+/// `max_len + 1`, and a tall mix whose arrays are long enough for a
+/// 4-thread scatter to split.
+fn edge_shapes() -> Vec<Csr<f64>> {
+    let tall: Vec<usize> = (0..4000).map(|r| r % 10).collect();
+    vec![
+        Csr::empty(0, 5),
+        Csr::empty(5, 0),
+        of_lens(&[12], 16),
+        of_lens(&[1; 6], 1),
+        of_lens(&[4, 5, 8, 9, 4, 5, 8, 9, 3, 1, 2, 2, 2], 16),
+        of_lens(&tall, 16),
+    ]
+}
+
+fn container<S: Scalar>(m: &DaspMatrix<S>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    m.write_to(&mut bytes).unwrap();
+    bytes
+}
+
+/// `fill` ≡ `from_csr` and `update_values` ≡ rebuild on adversarial
+/// values, compared by container bytes: float `==` would never equal a
+/// NaN to itself.
+fn check_adversarial<S: Scalar>(shape: &Csr<f64>, params: DaspParams, exec: &Executor) {
+    let off = Tracer::disabled();
+    let mut csr: Csr<S> = shape.cast();
+    csr.vals = adversarial(csr.nnz(), 0);
+    let plan = DaspPlan::analyze_traced_with(&csr, params, &off, exec);
+    // The rebuild carries the same plan, so equal bytes mean an equal
+    // format and an equal trailer.
+    let rebuild = |csr: &Csr<S>| {
+        let mut m = DaspMatrix::with_params(csr, params);
+        m.attach_plan(plan.clone()).expect("pattern matches");
+        container(&m)
+    };
+    let what = format!("{}x{}, {} B, {params:?}", csr.rows, csr.cols, S::BYTES);
+    let mut filled = plan.fill_traced_with(&csr, &off, exec);
+    assert!(
+        container(&filled) == rebuild(&csr),
+        "fill != from_csr: {what}"
+    );
+    for shift in 1..3 {
+        csr.vals = adversarial(csr.nnz(), shift);
+        filled
+            .update_values_traced_with(&csr.vals, &off, exec)
+            .expect("refresh applies");
+        assert!(
+            container(&filled) == rebuild(&csr),
+            "update_values != rebuild (shift {shift}): {what}"
+        );
+    }
+}
+
+#[test]
+fn adversarial_values_fill_and_refresh_bit_for_bit() {
+    for shape in edge_shapes() {
+        for short_piecing in [true, false] {
+            let params = DaspParams {
+                max_len: 8,
+                short_piecing,
+                ..DaspParams::default()
+            };
+            for exec in [Executor::seq(), Executor::par_with_threads(Some(4))] {
+                check_adversarial::<f64>(&shape, params, &exec);
+                check_adversarial::<F16>(&shape, params, &exec);
+            }
+        }
+    }
+}

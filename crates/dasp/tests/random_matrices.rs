@@ -1,6 +1,7 @@
 //! Property-based end-to-end checks: DASP SpMV must agree with the CSR
 //! reference on arbitrary random matrices, across generators and precisions.
 
+use dasp_core::format::Piecing;
 use dasp_core::{DaspMatrix, DaspParams};
 use dasp_fp16::F16;
 use dasp_simt::NoProbe;
@@ -167,8 +168,8 @@ proptest! {
             },
         );
         // Everything must land in the length-4 (or empty) classes.
-        prop_assert_eq!(d.short.n13_warps, 0);
-        prop_assert_eq!(d.short.n22_warps, 0);
+        prop_assert_eq!(Piecing::OneThree.warps(&d.short), 0);
+        prop_assert_eq!(Piecing::TwoTwo.warps(&d.short), 0);
         prop_assert_eq!(d.short.n1, 0);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x55);
         let x: Vec<f64> = (0..300).map(|_| rng.gen_range(-1.0..1.0)).collect();

@@ -101,8 +101,9 @@ fn len_consistency_violation_is_flagged() {
 #[test]
 fn short_offset_violation_is_flagged() {
     let mut m = rich_matrix();
-    // off22 points mid-region: the 2&2 kernel would read 1&3 elements.
-    m.short.off22 += 4;
+    // The len-4 section's end, where 2&2 starts, points mid-region: the
+    // 2&2 kernel would read misaligned packed rows.
+    m.short.ends[1] += 4;
     assert!(flags(&m, Invariant::LenConsistency) > 0);
 }
 

@@ -8,6 +8,7 @@
 //! Without an argument it inspects one matrix per structural class from the
 //! synthetic corpus; with a Matrix Market path it inspects that file.
 
+use dasp_repro::dasp::format::Piecing;
 use dasp_repro::dasp::{DaspMatrix, DaspParams};
 use dasp_repro::matgen;
 use dasp_repro::sparse::mm::read_matrix_market;
@@ -43,7 +44,10 @@ fn inspect(name: &str, csr: &Csr<f64>) {
     );
     println!(
         "  short part:  {} x 1&3-warps, {} x len4-warps, {} x 2&2-warps, {} singles",
-        d.short.n13_warps, d.short.n4_warps, d.short.n22_warps, d.short.n1
+        Piecing::OneThree.warps(&d.short),
+        Piecing::Four.warps(&d.short),
+        Piecing::TwoTwo.warps(&d.short),
+        d.short.n1
     );
     println!("  zero-fill rate: {:.2}%", 100.0 * s.fill_rate());
 

@@ -2,6 +2,7 @@
 //! format conversion -> simulated kernels -> cost model — across crates.
 
 use dasp_repro::baselines::Baseline;
+use dasp_repro::dasp::format::Piecing;
 use dasp_repro::dasp::DaspMatrix;
 use dasp_repro::fp16::F16;
 use dasp_repro::matgen;
@@ -104,9 +105,9 @@ fn dasp_formats_are_consistent_between_precisions() {
     assert_eq!(d64.medium.rowblock_ptr, d16.medium.rowblock_ptr);
     assert_eq!(d64.medium.rows, d16.medium.rows);
     assert_eq!(d64.medium.irreg_ptr, d16.medium.irreg_ptr);
-    assert_eq!(d64.short.perm13, d16.short.perm13);
-    assert_eq!(d64.short.perm4, d16.short.perm4);
-    assert_eq!(d64.short.perm22, d16.short.perm22);
+    for p in Piecing::ALL {
+        assert_eq!(p.perm(&d64.short), p.perm(&d16.short));
+    }
     assert_eq!(d64.short.perm1, d16.short.perm1);
 }
 
