@@ -178,8 +178,7 @@ impl DaspPlan {
         let (l, m, s) = (&self.long, &self.medium, &self.short);
         let gather: usize = self.gather().iter().map(|g| g.len()).sum();
         let perms: usize = s.perms.iter().chain([&s.perm1]).map(Vec::len).sum();
-        let ids = l.rows.len() + l.cids.len() + m.rows.len() + m.reg_cid.len();
-        (ids + m.irreg_cid.len() + perms + gather) * 4
+        (self.total_slots() + l.rows.len() + m.rows.len() + perms + gather) * 4
             + (l.group_ptr.len() + m.rowblock_ptr.len() + m.irreg_ptr.len())
                 * std::mem::size_of::<usize>()
     }
@@ -574,6 +573,30 @@ mod tests {
         assert_eq!(filled, direct);
         assert!(filled.plan().is_some());
         assert!(direct.plan().is_none());
+    }
+
+    #[test]
+    fn memory_bytes_counts_every_array_the_plan_holds() {
+        let plan = DaspPlan::analyze(&mixed(0), DaspParams::default());
+        let (l, m, s) = (&plan.long, &plan.medium, &plan.short);
+        assert!(!l.cids.is_empty() && !m.reg_cid.is_empty() && !s.cids.is_empty());
+        use std::mem::size_of_val as bytes;
+        let hand = bytes(&l.vals[..])
+            + bytes(&l.cids[..])
+            + bytes(&l.group_ptr[..])
+            + bytes(&l.rows[..])
+            + bytes(&m.reg_val[..])
+            + bytes(&m.reg_cid[..])
+            + bytes(&m.rowblock_ptr[..])
+            + bytes(&m.irreg_val[..])
+            + bytes(&m.irreg_cid[..])
+            + bytes(&m.irreg_ptr[..])
+            + bytes(&m.rows[..])
+            + bytes(&s.vals[..])
+            + bytes(&s.cids[..])
+            + s.perms.iter().map(|p| bytes(&p[..])).sum::<usize>()
+            + bytes(&s.perm1[..]);
+        assert_eq!(plan.memory_bytes(), hand);
     }
 
     #[test]
