@@ -14,7 +14,9 @@ use dasp_sparse::Csr;
 use dasp_trace::{Span, Tracer};
 
 use crate::consts::DaspParams;
-use crate::format::{DaspMatrix, LongPart, MediumPart, Piecing, ShortPart};
+use std::sync::Arc;
+
+use crate::format::{DaspMatrix, LongPart, MediumPart, Pattern, Piecing, ShortPart, Slots};
 
 /// Rows per categorize chunk: classifying a row is a two-load affair, so
 /// chunks must stay large for the fan-out to pay.
@@ -108,15 +110,10 @@ pub(crate) fn build_traced_with<S: Scalar>(
         "MAX_LEN must exceed the short-row bound"
     );
     let root = tracer.span("preprocess");
-    let (long, medium, short) = build_under(csr, params, &root, exec, |j| csr.vals[j], S::zero());
+    let (pattern, vals) = build_under(csr, params, &root, exec, |j| csr.vals[j], S::zero());
     DaspMatrix {
-        rows: csr.rows,
-        cols: csr.cols,
-        nnz: csr.nnz(),
-        long,
-        medium,
-        short,
-        params,
+        pattern: Arc::new(pattern),
+        vals,
         plan: None,
     }
 }
@@ -129,9 +126,6 @@ struct Buckets {
     short: Vec<u32>,
 }
 
-/// The three category parts, each holding one value per slot.
-pub(crate) type Parts<V> = (LongPart<V>, MediumPart<V>, ShortPart<V>);
-
 /// The phase pipeline, recording its spans as children of `root` (which
 /// [`build_traced_with`] names `preprocess`; [`DaspPlan::analyze`] reuses
 /// this under its own root so analysis traces read identically).
@@ -139,6 +133,7 @@ pub(crate) type Parts<V> = (LongPart<V>, MediumPart<V>, ShortPart<V>);
 /// Only `csr`'s pattern steers the layout. Each slot holding CSR element
 /// `j` gets `val(j)` and every padding slot gets `pad`: the matrix build
 /// copies `csr.vals[j]` with zero padding, analysis records `j` itself.
+/// Returns the pattern and its slots.
 ///
 /// [`DaspPlan::analyze`]: crate::format::DaspPlan::analyze
 pub(crate) fn build_under<S: Scalar, V: Copy + Send>(
@@ -148,7 +143,7 @@ pub(crate) fn build_under<S: Scalar, V: Copy + Send>(
     exec: &Executor,
     val: impl Fn(usize) -> V + Sync,
     pad: V,
-) -> Parts<V> {
+) -> (Pattern, Slots<V>) {
     // Categorize: each chunk classifies its row range into id buckets;
     // concatenating buckets in chunk order reproduces the sequential
     // row-order scan exactly.
@@ -220,27 +215,42 @@ pub(crate) fn build_under<S: Scalar, V: Copy + Send>(
         sp.add_arg("reorder", params.reorder);
     }
 
-    let long = {
+    let (long, long_vals) = {
         let mut sp = root.child("preprocess.build.long");
-        let long = LongPart::build_csr(csr, &long_ids, &val, pad, exec);
-        sp.add_arg("groups", long.num_groups());
-        long
+        let built = LongPart::build_csr(csr, &long_ids, &val, pad, exec);
+        sp.add_arg("groups", built.0.num_groups());
+        built
     };
-    let medium = {
+    let (medium, reg, irreg) = {
         let mut sp = root.child("preprocess.build.medium");
-        let medium = MediumPart::build_csr(csr, &medium_ids, params.threshold, &val, pad, exec);
-        sp.add_arg("rowblocks", medium.num_rowblocks());
-        medium
+        let built = MediumPart::build_csr(csr, &medium_ids, params.threshold, &val, pad, exec);
+        sp.add_arg("rowblocks", built.0.num_rowblocks());
+        built
     };
-    let short = {
+    let (short, short_vals) = {
         let mut sp = root.child("preprocess.build.short");
-        let short = ShortPart::build_csr(csr, &short_ids, params.short_piecing, &val, pad, exec);
+        let built = ShortPart::build_csr(csr, &short_ids, params.short_piecing, &val, pad, exec);
         // The MMA sections' warps; the singleton warps are not counted.
-        let warps: usize = Piecing::ALL.iter().map(|p| p.warps(&short)).sum();
+        let warps: usize = Piecing::ALL.iter().map(|p| p.warps(&built.0)).sum();
         sp.add_arg("warps", warps);
-        short
+        built
     };
-    (long, medium, short)
+    let pattern = Pattern {
+        rows: csr.rows,
+        cols: csr.cols,
+        nnz: csr.nnz(),
+        params,
+        long,
+        medium,
+        short,
+    };
+    let slots = Slots {
+        long: long_vals,
+        reg,
+        irreg,
+        short: short_vals,
+    };
+    (pattern, slots)
 }
 
 #[cfg(test)]
@@ -294,24 +304,33 @@ mod tests {
             }
         }
         medium_rows.sort_by_key(|(_, e)| std::cmp::Reverse(e.len()));
-        let mut long = LongPart::empty();
+        let (mut long, mut long_vals) = (LongPart::empty(), Vec::new());
         for (r, elems) in &long_rows {
-            long.push_row(*r, elems);
+            long.push_row(&mut long_vals, *r, elems);
         }
-        let medium = MediumPart::build(&medium_rows, params.threshold);
-        let short = if params.short_piecing {
+        let (medium, reg, irreg) = MediumPart::build(&medium_rows, params.threshold);
+        let (short, short_vals) = if params.short_piecing {
             ShortPart::build(short_rows)
         } else {
             ShortPart::build_padded_only(short_rows)
         };
-        DaspMatrix {
+        let pattern = Pattern {
             rows: csr.rows,
             cols: csr.cols,
             nnz: csr.nnz(),
+            params,
             long,
             medium,
             short,
-            params,
+        };
+        DaspMatrix {
+            pattern: Arc::new(pattern),
+            vals: Slots {
+                long: long_vals,
+                reg,
+                irreg,
+                short: short_vals,
+            },
             plan: None,
         }
     }

@@ -1,17 +1,17 @@
 //! The structural checker of the DASP format: the one place that knows the
 //! invariants the kernels index `x` and `y` through.
 //!
-//! A [`DaspMatrix`] and a [`DaspPlan`] hold the same three parts — the
-//! matrix's slots carry values, the plan's the CSR elements that fill them
-//! — so both carry one pattern (shape, params, per-category nonzero
-//! counts, pointers, column ids and short-row permutations), and the
-//! checker is written once, as a walk over a [`Pattern`] borrow of either.
-//! The payload rule is shared too: each side's value arrays pair 1:1 with
-//! the pattern's column ids, and no category claims more originals than it
-//! stores. The plan adds one check of its own, that its gather map is a
-//! bijection. A plan attached to a matrix must carry the matrix's pattern
-//! exactly; that is one equality, after which the plan's copy needs no
-//! second walk.
+//! A [`DaspMatrix`] and a [`DaspPlan`] are each a [`Pattern`] (shape,
+//! params, per-category nonzero counts, pointers, column ids and
+//! short-row permutations) plus [`Slots`] — the matrix's carry values, the
+//! plan's the CSR elements that fill them — so the checker is written
+//! once, as a walk over the pattern. The payload rule is shared too: each
+//! side's slot arrays pair 1:1 with the pattern's column ids, and no
+//! category claims more originals than it stores. The plan adds one check
+//! of its own, that its gather map is a bijection. A plan attached to a
+//! matrix must carry the matrix's pattern exactly; when both hold one
+//! shared allocation that is a pointer test, and either way the plan's
+//! copy then needs no second walk.
 //!
 //! Every entry point is a view onto this walk: [`verify_matrix`] and
 //! [`verify_plan`] return the exhaustive [`Report`],
@@ -22,87 +22,20 @@
 
 use dasp_fp16::Scalar;
 
-use crate::consts::{DaspParams, BLOCK_ELEMS, GROUP_ELEMS, MMA_M};
-use crate::format::{DaspMatrix, DaspPlan, Invariant, Piecing, Report, Violation};
-use crate::format::{LongPart, MediumPart, ShortPart, GATHER_PADDING, NO_ROW};
+use crate::consts::{BLOCK_ELEMS, GROUP_ELEMS, MMA_M};
+use crate::format::{same_pattern, DaspMatrix, DaspPlan, Invariant, Pattern, Piecing, Report};
+use crate::format::{Slots, Violation, GATHER_PADDING, NO_ROW};
 
 /// How many per-element breaches of one invariant at one site are recorded
 /// individually before the scan summarizes the remainder (counts stay
 /// exact via the summary's tally).
 const PER_SCAN_SITES: usize = 4;
 
-/// A read-only borrow of the pattern a matrix and a plan share.
-#[derive(PartialEq)]
-pub(crate) struct Pattern<'a> {
-    rows: usize,
-    cols: usize,
-    nnz: usize,
-    params: DaspParams,
-    /// Original nonzeros per category: long, medium, short.
-    nnz_orig: [usize; 3],
-    /// Short MMA sections' warps and end offsets, in [`Piecing::ALL`] order.
-    warps: [usize; 3],
-    ends: [usize; 3],
-    n1: usize,
-    long_rows: &'a [u32],
-    long_group_ptr: &'a [usize],
-    med_rows: &'a [u32],
-    med_rowblock_ptr: &'a [usize],
-    med_irreg_ptr: &'a [usize],
-    /// Column ids of the four slot arrays, in gather order: long, medium
-    /// regular, medium irregular, short.
-    cids: [&'a [u32]; 4],
-    /// Short y-slot permutations: 1&3, len-4, 2&2, singletons.
-    perms: [&'a [u32]; 4],
-}
-
-impl<'a> Pattern<'a> {
-    /// The pattern of a header and three parts, whatever their slots hold:
-    /// a matrix's values or a plan's gather map.
-    fn new<V>(
-        (rows, cols, nnz, params): (usize, usize, usize, DaspParams),
-        l: &'a LongPart<V>,
-        m: &'a MediumPart<V>,
-        s: &'a ShortPart<V>,
-    ) -> Self {
-        let [p13, p4, p22] = &s.perms;
-        Pattern {
-            rows,
-            cols,
-            nnz,
-            params,
-            nnz_orig: [l.nnz_orig, m.nnz_orig, s.nnz_orig],
-            warps: s.warps,
-            ends: s.ends,
-            n1: s.n1,
-            long_rows: &l.rows,
-            long_group_ptr: &l.group_ptr,
-            med_rows: &m.rows,
-            med_rowblock_ptr: &m.rowblock_ptr,
-            med_irreg_ptr: &m.irreg_ptr,
-            cids: [&l.cids, &m.reg_cid, &m.irreg_cid, &s.cids],
-            perms: [p13, p4, p22, &s.perm1],
-        }
-    }
-}
-
 impl<S: Scalar> DaspMatrix<S> {
-    pub(crate) fn pattern(&self) -> Pattern<'_> {
-        let header = (self.rows, self.cols, self.nnz, self.params);
-        Pattern::new(header, &self.long, &self.medium, &self.short)
-    }
-
     /// The first structural breach [`verify_matrix`] finds, if any: the
     /// same checks, reported as one [`Violation`].
     pub fn validate(&self) -> Result<(), Violation> {
         first_breach(verify_matrix(self))
-    }
-}
-
-impl DaspPlan {
-    pub(crate) fn pattern(&self) -> Pattern<'_> {
-        let header = (self.rows, self.cols, self.nnz, self.params);
-        Pattern::new(header, &self.long, &self.medium, &self.short)
     }
 }
 
@@ -121,12 +54,11 @@ pub fn verify_matrix<S: Scalar>(m: &DaspMatrix<S>) -> Report {
         report: &mut report,
         prefix: "",
     };
-    let p = m.pattern();
-    walk(ctx, &p);
-    let (l, md, sh) = (&m.long, &m.medium, &m.short);
-    payload(ctx, &p, [&l.vals, &md.reg_val, &md.irreg_val, &sh.vals]);
+    let p = &m.pattern;
+    walk(ctx, p);
+    payload(ctx, p, &m.vals);
     if let Some(plan) = m.plan() {
-        let q = plan.pattern();
+        let q = &plan.pattern;
         ctx.check(
             q.params.reorder == p.params.reorder,
             Invariant::ReorderFlag,
@@ -138,7 +70,7 @@ pub fn verify_matrix<S: Scalar>(m: &DaspMatrix<S>) -> Report {
                 )
             },
         );
-        let same = q == p;
+        let same = same_pattern(p, q);
         ctx.check(same, Invariant::PlanMatch, "plan", || {
             format!(
                 "plan pattern ({}x{}, nnz {}) disagrees with the matrix pattern ({}x{}, nnz {})",
@@ -150,10 +82,10 @@ pub fn verify_matrix<S: Scalar>(m: &DaspMatrix<S>) -> Report {
             prefix: "plan.",
         };
         if !same {
-            walk(plan_ctx, &q);
+            walk(plan_ctx, q);
         }
-        payload(plan_ctx, &q, plan.gather());
-        gather(plan_ctx, plan);
+        payload(plan_ctx, q, &plan.gather);
+        bijection(plan_ctx, plan);
     }
     report
 }
@@ -167,10 +99,9 @@ pub fn verify_plan(plan: &DaspPlan) -> Report {
         report: &mut report,
         prefix: "plan.",
     };
-    let q = plan.pattern();
-    walk(ctx, &q);
-    payload(ctx, &q, plan.gather());
-    gather(ctx, plan);
+    walk(ctx, &plan.pattern);
+    payload(ctx, &plan.pattern, &plan.gather);
+    bijection(ctx, plan);
     report
 }
 
@@ -231,14 +162,15 @@ impl Ctx<'_> {
 /// The value slots each slot array must hold, as the pattern's pointers
 /// and offsets describe them: `[long, medium regular, medium irregular,
 /// short]`, `None` where a pointer is empty or the arithmetic overflows.
-fn described_slots(p: &Pattern<'_>) -> [Option<usize>; 4] {
+fn described_slots(p: &Pattern) -> [Option<usize>; 4] {
     [
-        p.long_group_ptr
+        p.long
+            .group_ptr
             .last()
             .and_then(|g| g.checked_mul(GROUP_ELEMS)),
-        p.med_rowblock_ptr.last().copied(),
-        p.med_irreg_ptr.last().copied(),
-        p.ends[2].checked_add(p.n1),
+        p.medium.rowblock_ptr.last().copied(),
+        p.medium.irreg_ptr.last().copied(),
+        p.short.ends[2].checked_add(p.short.n1),
     ]
 }
 
@@ -256,64 +188,53 @@ const SECTION_SITES: [(&str, &str); 3] = [
 const PERM_SITES: [&str; 4] = ["short.perm13", "short.perm4", "short.perm22", "short.perm1"];
 
 /// Every invariant of the shared pattern.
-fn walk(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
+fn walk(ctx: &mut Ctx<'_>, p: &Pattern) {
+    let (l, m, s) = (&p.long, &p.medium, &p.short);
     // Long: every long row owns >= 1 group, so the pointer strictly rises.
-    check_ptr(ctx, p.long_group_ptr, "long.group_ptr", true, None);
+    check_ptr(ctx, &l.group_ptr, "long.group_ptr", true, None);
     ctx.check(
-        p.long_group_ptr.len() == p.long_rows.len() + 1,
+        l.group_ptr.len() == l.rows.len() + 1,
         Invariant::LenConsistency,
         "long.group_ptr",
-        || {
-            format!(
-                "length {} != rows {} + 1",
-                p.long_group_ptr.len(),
-                p.long_rows.len()
-            )
-        },
+        || format!("length {} != rows {} + 1", l.group_ptr.len(), l.rows.len()),
     );
 
     // Medium: whole 32-element blocks per row-block of 8 rows, and one
     // irregular extent per row.
     check_ptr(
         ctx,
-        p.med_rowblock_ptr,
+        &m.rowblock_ptr,
         "medium.rowblock_ptr",
         false,
         Some(BLOCK_ELEMS),
     );
-    let n_blocks = p.med_rows.len().div_ceil(MMA_M);
+    let n_blocks = m.rows.len().div_ceil(MMA_M);
     ctx.check(
-        p.med_rowblock_ptr.len() == n_blocks + 1,
+        m.rowblock_ptr.len() == n_blocks + 1,
         Invariant::LenConsistency,
         "medium.rowblock_ptr",
         || {
             format!(
                 "length {} != ceil({} rows / {MMA_M}) + 1",
-                p.med_rowblock_ptr.len(),
-                p.med_rows.len()
+                m.rowblock_ptr.len(),
+                m.rows.len()
             )
         },
     );
-    check_ptr(ctx, p.med_irreg_ptr, "medium.irreg_ptr", false, None);
+    check_ptr(ctx, &m.irreg_ptr, "medium.irreg_ptr", false, None);
     ctx.check(
-        p.med_irreg_ptr.len() == p.med_rows.len() + 1,
+        m.irreg_ptr.len() == m.rows.len() + 1,
         Invariant::LenConsistency,
         "medium.irreg_ptr",
-        || {
-            format!(
-                "length {} != rows {} + 1",
-                p.med_irreg_ptr.len(),
-                p.med_rows.len()
-            )
-        },
+        || format!("length {} != rows {} + 1", m.irreg_ptr.len(), m.rows.len()),
     );
 
     // Short: the three MMA sections lie back to back in launch order,
     // each warp holding its section's blocks, then the singletons.
     let mut start = 0;
     for (i, piecing) in Piecing::ALL.into_iter().enumerate() {
-        let ((site, region), off) = (SECTION_SITES[i], p.ends[i]);
-        let end = p.warps[i]
+        let ((site, region), off) = (SECTION_SITES[i], s.ends[i]);
+        let end = s.warps[i]
             .checked_mul(piecing.blocks_per_warp() * BLOCK_ELEMS)
             .and_then(|e| e.checked_add(start));
         ctx.check(Some(off) == end, Invariant::LenConsistency, site, || {
@@ -321,9 +242,9 @@ fn walk(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
         });
         start = off;
     }
-    let perm_lens = p.warps.map(|w| w.checked_mul(32)).into_iter();
-    let perm_lens = perm_lens.chain([Some(p.n1)]);
-    for ((perm, want), site) in p.perms.into_iter().zip(perm_lens).zip(PERM_SITES) {
+    let perm_lens = s.warps.map(|w| w.checked_mul(32)).into_iter();
+    let perm_lens = perm_lens.chain([Some(s.n1)]);
+    for ((perm, want), site) in perms(p).into_iter().zip(perm_lens).zip(PERM_SITES) {
         ctx.check(
             Some(perm.len()) == want,
             Invariant::LenConsistency,
@@ -334,7 +255,7 @@ fn walk(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
     }
 
     // Column ids: one per value slot, each inside the matrix.
-    for ((cids, want), part) in p.cids.into_iter().zip(described_slots(p)).zip(SLOT_SITES) {
+    for ((cids, want), part) in p.cids().into_iter().zip(described_slots(p)).zip(SLOT_SITES) {
         let site = format!("{part}.cids");
         ctx.check(
             Some(cids.len()) == want,
@@ -350,22 +271,33 @@ fn walk(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
             |i, c| format!("cid {c} at {i} >= cols {}", p.cols),
         );
     }
-    scan_rows(ctx, p.long_rows, p.rows, false, "long.rows");
-    scan_rows(ctx, p.med_rows, p.rows, false, "medium.rows");
+    scan_rows(ctx, &l.rows, p.rows, false, "long.rows");
+    scan_rows(ctx, &m.rows, p.rows, false, "medium.rows");
 
     partition(ctx, p);
 }
 
+/// Short y-slot permutations: 1&3, len-4, 2&2, singletons.
+fn perms(p: &Pattern) -> [&[u32]; 4] {
+    let [p13, p4, p22] = &p.short.perms;
+    [p13, p4, p22, &p.short.perm1]
+}
+
+/// Original nonzeros per category: long, medium, short.
+fn nnz_orig(p: &Pattern) -> [usize; 3] {
+    [p.long.nnz_orig, p.medium.nnz_orig, p.short.nnz_orig]
+}
+
 /// Every original row owns at most one category slot, and the categories'
 /// nonzero counts sum to the header's.
-fn partition(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
+fn partition(ctx: &mut Ctx<'_>, p: &Pattern) {
     // A bitmap rather than `vec![false; rows]`: `rows` is header data.
     let mut seen = vec![0u64; p.rows.div_ceil(64)];
     let mut dups = 0u64;
     let mut first: Option<usize> = None;
-    let ids = [p.long_rows, p.med_rows]
+    let ids = [&p.long.rows[..], &p.medium.rows]
         .into_iter()
-        .chain(p.perms)
+        .chain(perms(p))
         .flatten();
     for &r in ids {
         let i = r as usize;
@@ -386,7 +318,7 @@ fn partition(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
         )
     });
 
-    let [long, med, short] = p.nnz_orig;
+    let [long, med, short] = nnz_orig(p);
     let sum = long.checked_add(med).and_then(|s| s.checked_add(short));
     ctx.check(
         sum == Some(p.nnz),
@@ -405,10 +337,11 @@ fn partition(ctx: &mut Ctx<'_>, p: &Pattern<'_>) {
 /// each value array holds exactly the slots the pattern describes, paired
 /// 1:1 with its column ids, and no category claims more originals than it
 /// stores.
-fn payload<V>(ctx: &mut Ctx<'_>, p: &Pattern<'_>, vals: [&[V]; 4]) {
+fn payload<V>(ctx: &mut Ctx<'_>, p: &Pattern, slots: &Slots<V>) {
+    let vals = slots.arrays();
     for (((vals, cids), want), part) in vals
         .into_iter()
-        .zip(p.cids)
+        .zip(p.cids())
         .zip(described_slots(p))
         .zip(SLOT_SITES)
     {
@@ -427,8 +360,7 @@ fn payload<V>(ctx: &mut Ctx<'_>, p: &Pattern<'_>, vals: [&[V]; 4]) {
     }
     let [long, reg, irreg, short] = vals.map(<[V]>::len);
     let stored = [long, reg + irreg, short];
-    for ((nnz, stored), site) in p
-        .nnz_orig
+    for ((nnz, stored), site) in nnz_orig(p)
         .into_iter()
         .zip(stored)
         .zip(["long", "medium", "short"])
@@ -442,8 +374,8 @@ fn payload<V>(ctx: &mut Ctx<'_>, p: &Pattern<'_>, vals: [&[V]; 4]) {
 /// The plan's own rule: its gather map, which [`payload`] has matched to
 /// the value slots, maps the non-padding slots one-to-one onto the CSR
 /// elements `0..nnz`.
-fn gather(ctx: &mut Ctx<'_>, plan: &DaspPlan) {
-    let (maps, nnz) = (plan.gather(), plan.nnz);
+fn bijection(ctx: &mut Ctx<'_>, plan: &DaspPlan) {
+    let (maps, nnz) = (plan.gather.arrays(), plan.nnz);
     let slots: usize = maps.iter().map(|m| m.len()).sum();
     // A bijection onto nnz needs >= nnz non-padding slots; reject before
     // allocating the bitmap when a corrupt header inflates nnz.
@@ -533,8 +465,10 @@ fn scan_rows(ctx: &mut Ctx<'_>, rows: &[u32], n_rows: usize, padding_ok: bool, s
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consts::DaspParams;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn random_format(seed: u64) -> DaspMatrix<f64> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -571,56 +505,59 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        // Each mutation must trip a specific invariant.
+        // Each mutation must trip a specific invariant. The clones share
+        // one pattern, so each mutation copies it first.
         let base = random_format(3);
 
         let mut m = base.clone();
-        m.long.group_ptr[0] = 1;
+        Arc::make_mut(&mut m.pattern).long.group_ptr[0] = 1;
         assert!(m.validate().is_err());
 
         let mut m = base.clone();
-        if !m.long.vals.is_empty() {
-            m.long.vals.pop();
+        if !m.vals.long.is_empty() {
+            m.vals.long.pop();
             assert!(m.validate().is_err());
         }
 
         let mut m = base.clone();
         if !m.medium.reg_cid.is_empty() {
-            m.medium.reg_cid[0] = 10_000;
+            Arc::make_mut(&mut m.pattern).medium.reg_cid[0] = 10_000;
             assert!(m.validate().is_err());
         }
 
         let mut m = base.clone();
         if m.medium.irreg_ptr.len() > 2 {
             let last = m.medium.irreg_ptr.len() - 1;
-            m.medium.irreg_ptr.swap(1, last);
+            Arc::make_mut(&mut m.pattern).medium.irreg_ptr.swap(1, last);
             assert!(m.validate().is_err());
         }
 
         let mut m = base.clone();
-        m.short.ends[0] += 1;
+        Arc::make_mut(&mut m.pattern).short.ends[0] += 1;
         assert!(m.validate().is_err());
 
         let mut m = base.clone();
         if let Some(slot) = m.short.perms[1].iter().position(|&r| r != NO_ROW) {
             // Duplicate an assigned row into another category.
-            let row = m.short.perms[1][slot];
-            m.medium.rows.push(row);
-            m.medium.irreg_ptr.push(*m.medium.irreg_ptr.last().unwrap());
+            let p = Arc::make_mut(&mut m.pattern);
+            let row = p.short.perms[1][slot];
+            p.medium.rows.push(row);
+            p.medium.irreg_ptr.push(*p.medium.irreg_ptr.last().unwrap());
             assert!(m.validate().is_err(), "duplicate row must be caught");
         }
+        assert!(base.validate().is_ok(), "mutations left the base alone");
     }
 
     #[test]
     fn corrupted_nnz_header_is_detected() {
         let mut m = random_format(5);
-        m.nnz = 0;
+        Arc::make_mut(&mut m.pattern).nnz = 0;
         assert!(m.validate().is_err(), "zeroed nnz must fail validation");
         let mut m = random_format(5);
-        m.nnz += 1;
+        Arc::make_mut(&mut m.pattern).nnz += 1;
         assert!(m.validate().is_err());
         let mut m = random_format(5);
-        m.short.nnz_orig = m.short.vals.len() + 1;
+        Arc::make_mut(&mut m.pattern).short.nnz_orig = m.vals.short.len() + 1;
         assert!(m.validate().is_err());
     }
 
@@ -637,7 +574,7 @@ mod tests {
     }
 
     // ---- Gather-map invariants (mutating the plan's private map; its
-    // first array, the long part's slots, holds live entries) ----------
+    // long slots hold live entries) -------------------------------------
 
     /// Every category populated: long rows of 1/2/3 groups against
     /// MAX_LEN 8, a full + partial medium block, all four short
@@ -679,8 +616,8 @@ mod tests {
         let mut plan = rich_plan();
         // Two slots feeding from the same CSR element: one original value
         // would be scattered twice and another dropped on refresh.
-        let (a, b) = first_two_live(&plan.long.vals);
-        plan.long.vals[b] = plan.long.vals[a];
+        let (a, b) = first_two_live(&plan.gather.long);
+        plan.gather.long[b] = plan.gather.long[a];
         let r = verify_plan(&plan);
         assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
     }
@@ -688,8 +625,8 @@ mod tests {
     #[test]
     fn gather_out_of_bounds_is_flagged() {
         let mut plan = rich_plan();
-        let (a, _) = first_two_live(&plan.long.vals);
-        plan.long.vals[a] = plan.nnz() as u32; // reads past the CSR value array
+        let (a, _) = first_two_live(&plan.gather.long);
+        plan.gather.long[a] = plan.nnz as u32; // reads past the CSR value array
         let r = verify_plan(&plan);
         assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
     }
@@ -697,8 +634,8 @@ mod tests {
     #[test]
     fn gather_gap_is_flagged() {
         let mut plan = rich_plan();
-        let (a, _) = first_two_live(&plan.long.vals);
-        plan.long.vals[a] = GATHER_PADDING; // element never scattered: stale value
+        let (a, _) = first_two_live(&plan.gather.long);
+        plan.gather.long[a] = GATHER_PADDING; // element never scattered: stale value
         let r = verify_plan(&plan);
         assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
     }
@@ -708,7 +645,7 @@ mod tests {
         let mut plan = rich_plan();
         // A corrupt header nnz in the terabyte range must be rejected by the
         // slot-count pre-check, not fed to a bitmap allocation.
-        plan.nnz = 1 << 45;
+        Arc::make_mut(&mut plan.pattern).nnz = 1 << 45;
         let r = verify_plan(&plan);
         assert!(r.count(Invariant::GatherBijection) > 0, "{r}");
     }
@@ -734,8 +671,9 @@ mod tests {
         // fail the matrix's payload rule, so the plan must fail it too.
         let mut plan = long_and_pairs_plan();
         assert!(verify_plan(&plan).is_clean());
-        plan.short.nnz_orig -= 21;
-        plan.long.nnz_orig += 21;
+        let p = Arc::make_mut(&mut plan.pattern);
+        p.short.nnz_orig -= 21;
+        p.long.nnz_orig += 21;
         let r = verify_plan(&plan);
         assert!(r.count(Invariant::NnzPartition) > 0, "{r}");
     }

@@ -15,29 +15,28 @@ use crate::format::build::run_chunks;
 /// `threshold * 32` nonzeros; every element beyond the regular span is the
 /// row's *irregular* remainder, stored per row.
 ///
-/// * `reg_val` / `reg_cid` — the paper's `regVal`/`regCid`: regular blocks
-///   back to back, intra-block **row-major** (element `(r, k)` of a block
-///   at offset `r * MMA_K + k`).
+/// * `reg_cid` — the paper's `regCid`: regular blocks back to back,
+///   intra-block **row-major** (element `(r, k)` of a block at offset
+///   `r * MMA_K + k`).
 /// * `rowblock_ptr` — the paper's `rowblockPtr`: element offset of each
 ///   row-block's regular part.
-/// * `irreg_val` / `irreg_cid` / `irreg_ptr` — the paper's irregular
-///   arrays, indexed by *sorted* medium-row position.
+/// * `irreg_cid` / `irreg_ptr` — the paper's irregular arrays, indexed
+///   by *sorted* medium-row position.
 /// * `rows` — sorted position to original row id.
 ///
-/// Like [`LongPart`](crate::format::LongPart), the builder is generic over
-/// the per-slot value `S`.
+/// The values (`regVal`, `irregVal`) live in [`Slots`]' `reg` and `irreg`,
+/// slot for slot. Like [`LongPart`](crate::format::LongPart), the builder
+/// is generic over the per-slot value it emits.
+///
+/// [`Slots`]: crate::format::Slots
 #[derive(Debug, Clone, PartialEq)]
-pub struct MediumPart<S> {
-    /// Regular-block values (`nnz_reg_new` entries, multiple of 32).
-    pub reg_val: Vec<S>,
-    /// Regular-block column ids.
+pub struct MediumPart {
+    /// Regular-block column ids (`nnz_reg_new` entries, multiple of 32).
     pub reg_cid: Vec<u32>,
     /// Element offset of each row-block's regular part; length
     /// `num_rowblocks + 1`.
     pub rowblock_ptr: Vec<usize>,
-    /// Irregular values (`nnz_irreg` entries, no padding).
-    pub irreg_val: Vec<S>,
-    /// Irregular column ids.
+    /// Irregular column ids (`nnz_irreg` entries, no padding).
     pub irreg_cid: Vec<u32>,
     /// First irregular element of each sorted medium row; length
     /// `rows.len() + 1`.
@@ -52,14 +51,12 @@ pub struct MediumPart<S> {
 /// (a row-block holds 8 rows of at least 5 elements).
 const MIN_CHUNK_BLOCKS: usize = 16;
 
-impl<S> MediumPart<S> {
+impl MediumPart {
     /// An empty part.
     pub fn empty() -> Self {
         MediumPart {
-            reg_val: Vec::new(),
             reg_cid: Vec::new(),
             rowblock_ptr: vec![0],
-            irreg_val: Vec::new(),
             irreg_cid: Vec::new(),
             irreg_ptr: vec![0],
             rows: Vec::new(),
@@ -77,22 +74,6 @@ impl<S> MediumPart<S> {
         (self.rowblock_ptr[b + 1] - self.rowblock_ptr[b]) / BLOCK_ELEMS
     }
 
-    /// The same pattern around new value arrays: `f` maps each value
-    /// array (regular, then irregular) to its replacement. See
-    /// [`LongPart::map_vals`](crate::format::LongPart).
-    pub(crate) fn map_vals<T>(&self, mut f: impl FnMut(&[S]) -> Vec<T>) -> MediumPart<T> {
-        MediumPart {
-            reg_val: f(&self.reg_val),
-            reg_cid: self.reg_cid.clone(),
-            rowblock_ptr: self.rowblock_ptr.clone(),
-            irreg_val: f(&self.irreg_val),
-            irreg_cid: self.irreg_cid.clone(),
-            irreg_ptr: self.irreg_ptr.clone(),
-            rows: self.rows.clone(),
-            nnz_orig: self.nnz_orig,
-        }
-    }
-
     /// Builds the part from the sorted medium rows' ids.
     ///
     /// `sorted` holds original row ids sorted by descending row length
@@ -102,20 +83,18 @@ impl<S> MediumPart<S> {
     /// destination), then row-block chunks fan out over `exec` and copy
     /// column ids and `val(j)` of each CSR element `j` straight into place
     /// (padding slots hold `pad`) — no per-row staging, and bit-identical
-    /// output for any executor.
-    pub(crate) fn build_csr<T: Scalar>(
+    /// output for any executor. Returns the part and the values of its
+    /// regular and irregular slots.
+    pub(crate) fn build_csr<T: Scalar, V: Copy + Send>(
         csr: &Csr<T>,
         sorted: &[u32],
         threshold: f64,
-        val: impl Fn(usize) -> S + Sync,
-        pad: S,
+        val: impl Fn(usize) -> V + Sync,
+        pad: V,
         exec: &Executor,
-    ) -> Self
-    where
-        S: Copy + Send,
-    {
+    ) -> (Self, Vec<V>, Vec<V>) {
         if sorted.is_empty() {
-            return MediumPart::empty();
+            return (MediumPart::empty(), Vec::new(), Vec::new());
         }
         let accept = (BLOCK_ELEMS as f64) * threshold;
         let n_blocks = sorted.len().div_ceil(MMA_M);
@@ -198,30 +177,31 @@ impl<S> MediumPart<S> {
                 }
             });
         }
-        MediumPart {
-            reg_val,
+        let part = MediumPart {
             reg_cid,
             rowblock_ptr,
-            irreg_val,
             irreg_cid,
             irreg_ptr,
             rows: sorted.to_vec(),
             nnz_orig,
-        }
+        };
+        (part, reg_val, irreg_val)
     }
-}
 
-impl<S: Scalar> MediumPart<S> {
     /// The append-based reference builder the original build path used;
     /// kept for parity tests against [`MediumPart::build_csr`].
     ///
     /// `sorted_rows` holds `(original_row_id, elements)` sorted by
     /// descending element count (stable).
     #[cfg(test)]
-    pub(crate) fn build(sorted_rows: &[(u32, Vec<(u32, S)>)], threshold: f64) -> Self {
+    pub(crate) fn build<S: Scalar>(
+        sorted_rows: &[(u32, Vec<(u32, S)>)],
+        threshold: f64,
+    ) -> (Self, Vec<S>, Vec<S>) {
         let mut part = MediumPart::empty();
+        let (mut reg_val, mut irreg_val) = (Vec::new(), Vec::new());
         if sorted_rows.is_empty() {
-            return part;
+            return (part, reg_val, irreg_val);
         }
         part.rows = sorted_rows.iter().map(|(r, _)| *r).collect();
         part.nnz_orig = sorted_rows.iter().map(|(_, e)| e.len()).sum();
@@ -250,11 +230,11 @@ impl<S: Scalar> MediumPart<S> {
                         match rows.get(r).and_then(|(_, e)| e.get(pos)) {
                             Some(&(c, v)) => {
                                 part.reg_cid.push(c);
-                                part.reg_val.push(v);
+                                reg_val.push(v);
                             }
                             None => {
                                 part.reg_cid.push(0);
-                                part.reg_val.push(S::zero());
+                                reg_val.push(S::zero());
                             }
                         }
                     }
@@ -267,13 +247,13 @@ impl<S: Scalar> MediumPart<S> {
                 let from = (reg_windows * MMA_K).min(elems.len());
                 for &(c, v) in &elems[from..] {
                     part.irreg_cid.push(c);
-                    part.irreg_val.push(v);
+                    irreg_val.push(v);
                 }
                 let s = *part.irreg_ptr.last().unwrap();
                 part.irreg_ptr.push(s + elems.len() - from);
             }
         }
-        part
+        (part, reg_val, irreg_val)
     }
 }
 
@@ -296,11 +276,14 @@ mod tests {
         coo.to_csr()
     }
 
-    fn build_with(csr: &Csr<f64>, ids: &[u32], threshold: f64, exec: &Executor) -> MediumPart<f64> {
+    /// The part and its regular and irregular slots' values.
+    type Built = (MediumPart, Vec<f64>, Vec<f64>);
+
+    fn build_with(csr: &Csr<f64>, ids: &[u32], threshold: f64, exec: &Executor) -> Built {
         MediumPart::build_csr(csr, ids, threshold, |j| csr.vals[j], 0.0, exec)
     }
 
-    fn build(lens: &[usize], threshold: f64) -> MediumPart<f64> {
+    fn build(lens: &[usize], threshold: f64) -> Built {
         let ids: Vec<u32> = (0..lens.len() as u32).collect();
         build_with(&csr_of(lens), &ids, threshold, &Executor::seq())
     }
@@ -308,11 +291,11 @@ mod tests {
     #[test]
     fn full_rowblock_is_all_regular() {
         // 8 rows of length 8: both windows 100% full.
-        let p = build(&[8; 8], 0.75);
+        let (p, reg_val, irreg_val) = build(&[8; 8], 0.75);
         assert_eq!(p.num_rowblocks(), 1);
         assert_eq!(p.reg_blocks(0), 2);
-        assert_eq!(p.reg_val.len(), 64);
-        assert!(p.irreg_val.is_empty());
+        assert_eq!(reg_val.len(), 64);
+        assert!(irreg_val.is_empty());
         assert_eq!(p.irreg_ptr, vec![0; 9]);
         assert_eq!(p.nnz_orig, 64);
     }
@@ -322,11 +305,11 @@ mod tests {
         // 8 rows: lengths 8,8,8,8,5,5,5,5. Window 0 (positions 0..4): 32/32
         // full -> regular. Window 1 (positions 4..8): 4*4 + 4*1 = 20 < 24
         // -> irregular remainder.
-        let p = build(&[8, 8, 8, 8, 5, 5, 5, 5], 0.75);
+        let (p, reg_val, irreg_val) = build(&[8, 8, 8, 8, 5, 5, 5, 5], 0.75);
         assert_eq!(p.reg_blocks(0), 1);
-        assert_eq!(p.reg_val.len(), 32);
+        assert_eq!(reg_val.len(), 32);
         // irregular: rows 0-3 keep 4 elements each, rows 4-7 keep 1 each
-        assert_eq!(p.irreg_val.len(), 4 * 4 + 4);
+        assert_eq!(irreg_val.len(), 4 * 4 + 4);
         assert_eq!(p.irreg_ptr, vec![0, 4, 8, 12, 16, 17, 18, 19, 20]);
     }
 
@@ -334,27 +317,27 @@ mod tests {
     fn exactly_at_threshold_is_not_regular() {
         // Window with exactly 24 of 32 filled: the paper says "exceeds", so
         // 24 == 0.75 * 32 must NOT become a regular block.
-        let p = build(&[3; 8], 0.75);
+        let (p, _, irreg_val) = build(&[3; 8], 0.75);
         assert_eq!(p.reg_blocks(0), 0);
-        assert_eq!(p.irreg_val.len(), 24);
+        assert_eq!(irreg_val.len(), 24);
     }
 
     #[test]
     fn above_threshold_is_regular() {
         // 25 of 32 filled: one row of 4, seven of 3.
-        let p = build(&[4, 3, 3, 3, 3, 3, 3, 3], 0.75);
+        let (p, reg_val, irreg_val) = build(&[4, 3, 3, 3, 3, 3, 3, 3], 0.75);
         assert_eq!(p.reg_blocks(0), 1);
-        assert_eq!(p.irreg_val.len(), 0);
+        assert_eq!(irreg_val.len(), 0);
         // Padding slots carry zero value and cid 0.
-        assert_eq!(p.reg_val.len(), 32);
-        let zeros = p.reg_val.iter().filter(|&&v| v == 0.0).count();
+        assert_eq!(reg_val.len(), 32);
+        let zeros = reg_val.iter().filter(|&&v| v == 0.0).count();
         assert_eq!(zeros, 7);
     }
 
     #[test]
     fn partial_last_rowblock_pads_missing_rows() {
         // 10 rows of length 5: two row-blocks, the second with 2 real rows.
-        let p = build(&[5; 10], 0.75);
+        let (p, ..) = build(&[5; 10], 0.75);
         assert_eq!(p.num_rowblocks(), 2);
         // First row-block: window 0 full (32) regular; window 1: 8 < 24.
         assert_eq!(p.reg_blocks(0), 1);
@@ -367,15 +350,15 @@ mod tests {
 
     #[test]
     fn intra_block_layout_is_row_major() {
-        let p = build(&[4; 8], 0.75);
+        let (p, reg_val, _) = build(&[4; 8], 0.75);
         // Element (r=2, k=3) of block 0 must be row 2's element at position 3.
-        assert_eq!(p.reg_val[2 * MMA_K + 3], 4.0);
+        assert_eq!(reg_val[2 * MMA_K + 3], 4.0);
         assert_eq!(p.reg_cid[2 * MMA_K + 3], 3);
     }
 
     #[test]
     fn empty_input_gives_empty_part() {
-        let p = build_with(&csr_of(&[]), &[], 0.75, &Executor::seq());
+        let (p, ..) = build_with(&csr_of(&[]), &[], 0.75, &Executor::seq());
         assert_eq!(p.num_rowblocks(), 0);
         assert_eq!(p.rows.len(), 0);
     }

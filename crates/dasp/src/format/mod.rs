@@ -11,6 +11,13 @@
 //! * [`ShortPart`] — rows of length <= 4, pieced into full 8x4 blocks.
 //!
 //! Empty rows belong to no category; their `y` entries stay zero.
+//!
+//! The format is a [`Pattern`] — the header and the three parts' column
+//! ids, pointers, row ids and permutations — plus one entry per value
+//! slot, held in a [`Slots`]. A [`DaspMatrix`] is a pattern plus values;
+//! a [`DaspPlan`] is a pattern plus a gather map. The pattern sits behind
+//! an [`Arc`], so a matrix filled from a plan shares the plan's pattern
+//! instead of copying it.
 
 mod build;
 mod check;
@@ -30,6 +37,7 @@ pub use plan::{DaspPlan, PlanCache, RefreshError, DEFAULT_PLAN_CACHE_CAP, GATHER
 pub use serialize::SerError;
 pub use short::{Piecing, ShortPart, NO_ROW};
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use dasp_fp16::Scalar;
@@ -37,42 +45,134 @@ use dasp_sparse::Csr;
 
 use crate::consts::DaspParams;
 
-/// A sparse matrix converted to the DASP blocked format.
-///
-/// Equality compares the format content (dimensions, parameters, and the
-/// three category parts); whether a reusable [`DaspPlan`] happens to be
-/// attached does not change what the matrix *is*.
-#[derive(Debug, Clone)]
-pub struct DaspMatrix<S: Scalar> {
+/// Everything the format derives from the sparsity pattern: the header
+/// and the three category parts without their values. A matrix and the
+/// plan it was filled from share one behind an [`Arc`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Pattern {
     /// Number of rows of the original matrix.
     pub rows: usize,
     /// Number of columns of the original matrix.
     pub cols: usize,
     /// Number of stored nonzeros of the original matrix.
     pub nnz: usize,
-    /// The long-rows category.
-    pub long: LongPart<S>,
-    /// The medium-rows category.
-    pub medium: MediumPart<S>,
-    /// The short-rows category.
-    pub short: ShortPart<S>,
-    /// Parameters the matrix was built with.
+    /// Parameters the pattern was laid out with.
     pub params: DaspParams,
+    /// The long-rows category.
+    pub long: LongPart,
+    /// The medium-rows category.
+    pub medium: MediumPart,
+    /// The short-rows category.
+    pub short: ShortPart,
+}
+
+impl Pattern {
+    /// Column ids of the four slot arrays, in [`Slots`] order.
+    pub(crate) fn cids(&self) -> [&[u32]; 4] {
+        let (l, m, s) = (&self.long, &self.medium, &self.short);
+        [&l.cids, &m.reg_cid, &m.irreg_cid, &s.cids]
+    }
+
+    /// Total value slots (including padding) the pattern lays out.
+    pub fn total_slots(&self) -> usize {
+        self.cids().iter().map(|c| c.len()).sum()
+    }
+
+    /// Entries of the pattern's `u32` arrays (column ids, row ids and
+    /// permutations), and of its pointer arrays.
+    fn array_lens(&self) -> (usize, usize) {
+        let (l, m, s) = (&self.long, &self.medium, &self.short);
+        let perms: usize = s.perms.iter().chain([&s.perm1]).map(Vec::len).sum();
+        let ids = self.total_slots() + l.rows.len() + m.rows.len() + perms;
+        (
+            ids,
+            l.group_ptr.len() + m.rowblock_ptr.len() + m.irreg_ptr.len(),
+        )
+    }
+}
+
+/// Whether two shared patterns are the same: one allocation, or equal
+/// content. `Pattern` holds an `f64` and is not `Eq`, so `Arc`'s own `==`
+/// would compare the whole pattern even for one allocation.
+pub(crate) fn same_pattern(a: &Arc<Pattern>, b: &Arc<Pattern>) -> bool {
+    Arc::ptr_eq(a, b) || **a == **b
+}
+
+/// One entry per value slot of a [`Pattern`], in gather order: the long
+/// part, the medium part's regular blocks and irregular remainder, and
+/// the short part. A matrix's slots hold values; a plan's hold the CSR
+/// element that fills each slot.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Slots<T> {
+    /// The long part's slots (the paper's `longVal`).
+    pub long: Vec<T>,
+    /// The medium regular blocks' slots (`regVal`).
+    pub reg: Vec<T>,
+    /// The medium irregular remainder's slots (`irregVal`).
+    pub irreg: Vec<T>,
+    /// The short part's slots (`shortVal`).
+    pub short: Vec<T>,
+}
+
+impl<T> Slots<T> {
+    /// The four arrays in gather order.
+    pub fn arrays(&self) -> [&[T]; 4] {
+        [&self.long, &self.reg, &self.irreg, &self.short]
+    }
+
+    /// The four arrays in gather order, mutably.
+    pub(crate) fn arrays_mut(&mut self) -> [&mut Vec<T>; 4] {
+        [
+            &mut self.long,
+            &mut self.reg,
+            &mut self.irreg,
+            &mut self.short,
+        ]
+    }
+
+    /// Maps each array, in gather order, to its replacement.
+    pub(crate) fn map<U>(&self, mut f: impl FnMut(&[T]) -> Vec<U>) -> Slots<U> {
+        Slots {
+            long: f(&self.long),
+            reg: f(&self.reg),
+            irreg: f(&self.irreg),
+            short: f(&self.short),
+        }
+    }
+}
+
+/// A sparse matrix converted to the DASP blocked format: a shared
+/// [`Pattern`] plus its values. Reads of the pattern (`m.rows`,
+/// `m.long.group_ptr`) go through `Deref`.
+///
+/// Equality compares the format content (the pattern and the values);
+/// whether a reusable [`DaspPlan`] happens to be attached does not change
+/// what the matrix *is*.
+#[derive(Debug, Clone)]
+pub struct DaspMatrix<S: Scalar> {
+    /// The pattern; shared with the plan the matrix was filled from. A
+    /// change goes through [`Arc::make_mut`], which copies a shared
+    /// pattern first.
+    pub pattern: Arc<Pattern>,
+    /// The values, one per slot of the pattern.
+    pub vals: Slots<S>,
     /// The analysis plan the matrix was filled from, when it was built via
     /// [`DaspPlan::fill`] (or had one attached); powers
     /// [`DaspMatrix::update_values`].
     pub(crate) plan: Option<Arc<DaspPlan>>,
 }
 
+impl<S: Scalar> Deref for DaspMatrix<S> {
+    type Target = Pattern;
+
+    fn deref(&self) -> &Pattern {
+        &self.pattern
+    }
+}
+
 impl<S: Scalar> PartialEq for DaspMatrix<S> {
     fn eq(&self, other: &Self) -> bool {
-        self.rows == other.rows
-            && self.cols == other.cols
-            && self.nnz == other.nnz
-            && self.long == other.long
-            && self.medium == other.medium
-            && self.short == other.short
-            && self.params == other.params
+        same_pattern(&self.pattern, &other.pattern) && self.vals == other.vals
     }
 }
 
@@ -120,9 +220,9 @@ impl<S: Scalar> DaspMatrix<S> {
             nnz_long: self.long.nnz_orig,
             nnz_medium: self.medium.nnz_orig,
             nnz_short: self.short.nnz_orig,
-            stored_long: self.long.vals.len(),
-            stored_medium: self.medium.reg_val.len() + self.medium.irreg_val.len(),
-            stored_short: self.short.vals.len(),
+            stored_long: self.vals.long.len(),
+            stored_medium: self.vals.reg.len() + self.vals.irreg.len(),
+            stored_short: self.vals.short.len(),
         }
     }
 }
@@ -176,22 +276,10 @@ impl<S: Scalar> DaspMatrix<S> {
     /// pointers, permutations) — what the paper's format occupies in GPU
     /// memory, for comparison against CSR's `12*nnz + 4*(rows+1)` (FP64).
     pub fn memory_bytes(&self) -> usize {
-        let s = std::mem::size_of::<S>();
-        let long = self.long.vals.len() * s
-            + self.long.cids.len() * 4
-            + self.long.group_ptr.len() * 4
-            + self.long.rows.len() * 4;
-        let medium = self.medium.reg_val.len() * s
-            + self.medium.reg_cid.len() * 4
-            + self.medium.rowblock_ptr.len() * 4
-            + self.medium.irreg_val.len() * s
-            + self.medium.irreg_cid.len() * 4
-            + self.medium.irreg_ptr.len() * 4
-            + self.medium.rows.len() * 4;
-        let short = self.short.vals.len() * s
-            + self.short.cids.len() * 4
-            + (self.short.perms.iter().map(Vec::len).sum::<usize>() + self.short.perm1.len()) * 4;
-        long + medium + short
+        let vals: usize = self.vals.arrays().iter().map(|v| v.len()).sum();
+        let (ids, ptrs) = self.pattern.array_lens();
+        // Pointers count 4 bytes each: the device stores them as int32.
+        vals * std::mem::size_of::<S>() + (ids + ptrs) * 4
     }
 }
 
@@ -218,5 +306,34 @@ mod footprint_tests {
             "dasp {dasp_bytes} vs csr {csr_bytes}"
         );
         assert!(dasp_bytes >= csr.nnz() * 12, "must hold at least the data");
+    }
+
+    #[test]
+    fn memory_bytes_counts_values_and_four_bytes_per_index() {
+        // A long row, medium rows, and short rows of every length with a
+        // leftover singleton.
+        let lens = [300, 6, 6, 6, 6, 6, 6, 6, 6, 6, 1, 1, 1, 3, 2, 2, 4];
+        let mut coo = Coo::<f64>::new(lens.len(), 400);
+        for (r, &len) in lens.iter().enumerate() {
+            for c in 0..len {
+                coo.push(r, (c * 7 + r) % 400, 1.0 + c as f64);
+            }
+        }
+        let d = DaspMatrix::from_csr(&coo.to_csr());
+        let (l, m, s) = (&d.long, &d.medium, &d.short);
+        assert!(!l.rows.is_empty() && !m.rows.is_empty() && s.n1 > 0);
+        let vals = d.vals.long.len() + d.vals.reg.len() + d.vals.irreg.len() + d.vals.short.len();
+        let perms: usize = s.perms.iter().map(Vec::len).sum::<usize>() + s.perm1.len();
+        let ids = l.cids.len()
+            + l.group_ptr.len()
+            + l.rows.len()
+            + m.reg_cid.len()
+            + m.rowblock_ptr.len()
+            + m.irreg_cid.len()
+            + m.irreg_ptr.len()
+            + m.rows.len()
+            + s.cids.len()
+            + perms;
+        assert_eq!(d.memory_bytes(), vals * 8 + ids * 4);
     }
 }

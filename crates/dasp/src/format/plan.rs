@@ -11,53 +11,58 @@
 //! the same structure (re-factorizations, time stepping) skip analysis
 //! entirely.
 //!
-//! The plan holds the builder's parts: analysis runs the same zero-copy
-//! builder as [`DaspMatrix::from_csr`] on the caller's CSR, but has it
-//! store each CSR element's *index* `j` (as `u32`) where `from_csr` stores
-//! its value, and [`GATHER_PADDING`] where `from_csr` stores padding zeros.
-//! The plan keeps the [`LongPart`], [`MediumPart`] and [`ShortPart`] that
-//! come back as they are: their pattern is the matrix's pattern, and their
-//! four value arrays *are* the gather map, so layout parity with
-//! `from_csr` holds by construction. The map is in *gather* form
-//! (slot -> element), so deriving it, filling values, and refreshing them
-//! all stream the format arrays sequentially.
+//! A plan is a [`Pattern`] plus a gather map. Analysis runs the same
+//! zero-copy builder as [`DaspMatrix::from_csr`] on the caller's CSR, but
+//! has it store each CSR element's *index* `j` (as `u32`) where `from_csr`
+//! stores its value, and [`GATHER_PADDING`] where `from_csr` stores
+//! padding zeros. The pattern that comes back is the matrix's pattern, and
+//! the [`Slots`] beside it *are* the gather map, so layout parity with
+//! `from_csr` holds by construction. A fill allocates and scatters the
+//! values only: the matrix shares the plan's pattern through its [`Arc`].
+//! The map is in *gather* form (slot -> element), so deriving it, filling
+//! values, and refreshing them all stream the format arrays sequentially.
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dasp_fp16::Scalar;
 use dasp_simt::{Executor, SharedSlice};
 use dasp_sparse::Csr;
-use dasp_trace::{Registry, Span, Tracer};
+use dasp_trace::{Registry, Tracer};
 
 use crate::consts::DaspParams;
-use crate::format::build::{self, run_chunks, Parts};
-use crate::format::{DaspMatrix, LongPart, MediumPart, ShortPart};
+use crate::format::build::{self, run_chunks};
+use crate::format::{same_pattern, DaspMatrix, Pattern, Slots};
 
 /// Scatter elements per chunk when a fill/update runs on the parallel
 /// executor: one random write per element, so chunks stay large.
 const MIN_CHUNK_SCATTER: usize = 8192;
 
 /// The reusable analysis product: everything `from_csr` derives from the
-/// sparsity pattern, and nothing it derives from the values.
+/// sparsity pattern, and nothing it derives from the values. Reads of the
+/// pattern (`plan.nnz`, `plan.long.rows`) go through `Deref`.
 ///
 /// A plan is scalar-free — the same plan fills f64, f32, and F16 matrices
 /// — and immutable; it is shared behind an [`Arc`] between the matrices
 /// filled from it and any [`PlanCache`] holding it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaspPlan {
-    pub(crate) rows: usize,
-    pub(crate) cols: usize,
-    pub(crate) nnz: usize,
-    pub(crate) params: DaspParams,
-    // The builder's parts, each value slot holding the CSR element that
-    // fills it, or GATHER_PADDING for a zero-padding slot: the value
-    // arrays are the gather map. Gather form keeps every fill/refresh
-    // write sequential.
-    pub(crate) long: LongPart<u32>,
-    pub(crate) medium: MediumPart<u32>,
-    pub(crate) short: ShortPart<u32>,
+    /// The pattern every matrix filled from the plan shares.
+    pub(crate) pattern: Arc<Pattern>,
+    /// The gather map: each slot holds the CSR element that fills it, or
+    /// GATHER_PADDING for a zero-padding slot. Gather form keeps every
+    /// fill/refresh write sequential.
+    pub(crate) gather: Slots<u32>,
+}
+
+impl Deref for DaspPlan {
+    type Target = Pattern;
+
+    fn deref(&self) -> &Pattern {
+        &self.pattern
+    }
 }
 
 /// The gather-map marker for a padding slot (zero-filled, fed by no CSR
@@ -92,101 +97,36 @@ impl DaspPlan {
             params.max_len > 4,
             "MAX_LEN must exceed the short-row bound"
         );
-        let nnz = csr.nnz();
         assert!(
-            nnz < PADDING as usize,
+            csr.nnz() < PADDING as usize,
             "element indices must stay below GATHER_PADDING"
         );
         let root = tracer.span("preprocess");
 
         // The builder copies element indices instead of values: each slot
         // holds the CSR element that fills it, or PADDING.
-        let parts = build::build_under(csr, params, &root, exec, |j| j as u32, PADDING);
-        Arc::new(Self::from_parts(
-            csr.rows, csr.cols, nnz, params, parts, &root,
-        ))
-    }
-
-    /// Assembles a plan from parts whose slots hold CSR element indices,
-    /// moving them in (a `preprocess.plan` child of `root`).
-    fn from_parts(
-        rows: usize,
-        cols: usize,
-        nnz: usize,
-        params: DaspParams,
-        (long, medium, short): Parts<u32>,
-        root: &Span,
-    ) -> Self {
-        let plan = DaspPlan {
-            rows,
-            cols,
-            nnz,
-            params,
-            long,
-            medium,
-            short,
-        };
-        let total = plan.total_slots();
+        let (pattern, gather) = build::build_under(csr, params, &root, exec, |j| j as u32, PADDING);
+        let total = pattern.total_slots();
         assert!(total <= u32::MAX as usize, "slot count exceeds u32 range");
         let mut sp = root.child("preprocess.plan");
         sp.add_arg("slots", total);
         sp.add_arg("scatter_bytes", total * 4);
-        plan
-    }
-
-    /// Number of rows of the analyzed pattern.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns of the analyzed pattern.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored nonzeros of the analyzed pattern.
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// Parameters the pattern was analyzed with.
-    pub fn params(&self) -> DaspParams {
-        self.params
-    }
-
-    /// The gather map, one array per value array of a filled matrix:
-    /// `[long, medium regular, medium irregular, short]`.
-    pub(crate) fn gather(&self) -> [&[u32]; 4] {
-        [
-            &self.long.vals,
-            &self.medium.reg_val,
-            &self.medium.irreg_val,
-            &self.short.vals,
-        ]
-    }
-
-    /// Total value slots (including padding) a filled matrix holds.
-    pub fn total_slots(&self) -> usize {
-        self.long.cids.len()
-            + self.medium.reg_cid.len()
-            + self.medium.irreg_cid.len()
-            + self.short.cids.len()
+        Arc::new(DaspPlan {
+            pattern: Arc::new(pattern),
+            gather,
+        })
     }
 
     /// Bytes of the plan's arrays (pattern + gather map).
     pub fn memory_bytes(&self) -> usize {
-        let (l, m, s) = (&self.long, &self.medium, &self.short);
-        let gather: usize = self.gather().iter().map(|g| g.len()).sum();
-        let perms: usize = s.perms.iter().chain([&s.perm1]).map(Vec::len).sum();
-        (self.total_slots() + l.rows.len() + m.rows.len() + perms + gather) * 4
-            + (l.group_ptr.len() + m.rowblock_ptr.len() + m.irreg_ptr.len())
-                * std::mem::size_of::<usize>()
+        let gather: usize = self.gather.arrays().iter().map(|g| g.len()).sum();
+        let (ids, ptrs) = self.pattern.array_lens();
+        (ids + gather) * 4 + ptrs * std::mem::size_of::<usize>()
     }
 
     /// Executes the plan: allocates the value arrays, scatters `csr.vals`
-    /// through the gather map, and assembles the matrix around clones of
-    /// the plan's pattern arrays. Runs on the environment-selected
-    /// executor.
+    /// through the gather map, and assembles the matrix around the plan's
+    /// shared pattern. Runs on the environment-selected executor.
     ///
     /// Panics if `csr`'s dimensions or nonzero count disagree with the
     /// analyzed pattern (column structure is trusted — use
@@ -226,13 +166,8 @@ impl DaspPlan {
             vals
         };
         DaspMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            nnz: self.nnz,
-            long: self.long.map_vals(fill),
-            medium: self.medium.map_vals(fill),
-            short: self.short.map_vals(fill),
-            params: self.params,
+            pattern: self.pattern.clone(),
+            vals: self.gather.map(fill),
             plan: Some(self.clone()),
         }
     }
@@ -326,13 +261,7 @@ impl<S: Scalar> DaspMatrix<S> {
             "scatter_bytes",
             scatter_bytes::<S>(plan.total_slots(), self.nnz),
         );
-        let dsts = [
-            &mut self.long.vals,
-            &mut self.medium.reg_val,
-            &mut self.medium.irreg_val,
-            &mut self.short.vals,
-        ];
-        for (map, dst) in plan.gather().into_iter().zip(dsts) {
+        for (map, dst) in plan.gather.arrays().into_iter().zip(self.vals.arrays_mut()) {
             scatter(map, new_vals, dst, exec);
         }
         Ok(())
@@ -340,14 +269,17 @@ impl<S: Scalar> DaspMatrix<S> {
 
     /// Attaches a plan to a matrix built without one (e.g. deserialized,
     /// or from plain `from_csr`), enabling [`DaspMatrix::update_values`].
-    /// The plan's pattern must match the matrix's index structures exactly.
+    /// The plan's pattern must match the matrix's index structures exactly;
+    /// the matrix then adopts the plan's copy, so one pattern stays
+    /// resident.
     pub fn attach_plan(&mut self, plan: Arc<DaspPlan>) -> Result<(), RefreshError> {
-        if plan.pattern() != self.pattern() {
+        if !same_pattern(&plan.pattern, &self.pattern) {
             return Err(RefreshError::Mismatch(format!(
                 "plan pattern ({}x{}, nnz {}) does not match the matrix pattern ({}x{}, nnz {})",
                 plan.rows, plan.cols, plan.nnz, self.rows, self.cols, self.nnz
             )));
         }
+        self.pattern = plan.pattern.clone();
         self.plan = Some(plan);
         Ok(())
     }
@@ -448,26 +380,32 @@ impl PlanCache {
         exec: &Executor,
     ) -> Arc<DaspPlan> {
         let key = pattern_key(csr, params);
-        {
-            let mut entries = self.entries.lock().expect("plan cache lock");
-            let found = entries.iter().position(|(k, p)| {
+        // Finds the entry for `csr` and moves it to the front.
+        let lookup = |entries: &mut Vec<(u64, Arc<DaspPlan>)>| {
+            let i = entries.iter().position(|(k, p)| {
                 *k == key
                     && p.rows == csr.rows
                     && p.cols == csr.cols
                     && p.nnz == csr.nnz()
                     && p.params == params
-            });
-            if let Some(i) = found {
-                let e = entries.remove(i);
-                let plan = e.1.clone();
-                entries.insert(0, e);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return plan;
-            }
+            })?;
+            let e = entries.remove(i);
+            let plan = e.1.clone();
+            entries.insert(0, e);
+            Some(plan)
+        };
+        if let Some(plan) = lookup(&mut self.entries.lock().expect("plan cache lock")) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return plan;
         }
         let plan = DaspPlan::analyze_traced_with(csr, params, tracer, exec);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.entries.lock().expect("plan cache lock");
+        // A concurrent miss on the same pattern may have inserted it while
+        // this one analyzed: keep that entry, so one copy stays resident.
+        if let Some(plan) = lookup(&mut entries) {
+            return plan;
+        }
         entries.insert(0, (key, plan.clone()));
         let evicted = entries.len().saturating_sub(self.cap);
         if evicted > 0 {
@@ -575,24 +513,45 @@ mod tests {
         assert!(direct.plan().is_none());
     }
 
+    /// Whether `m` and its plan hold one pattern allocation.
+    fn shares_pattern(m: &DaspMatrix<f64>) -> bool {
+        Arc::ptr_eq(&m.pattern, &m.plan().expect("plan attached").pattern)
+    }
+
+    #[test]
+    fn fill_attach_and_clone_share_one_pattern() {
+        let csr = mixed(0);
+        let plan = DaspPlan::analyze(&csr, DaspParams::default());
+        let filled = plan.fill(&csr);
+        assert!(shares_pattern(&filled), "fill");
+        assert!(shares_pattern(&filled.clone()), "clone");
+        let mut attached = DaspMatrix::from_csr(&csr);
+        assert!(!Arc::ptr_eq(&attached.pattern, &plan.pattern));
+        attached.attach_plan(plan.clone()).expect("pattern matches");
+        assert!(shares_pattern(&attached), "attach_plan");
+        // A refresh writes values only; the pattern stays shared.
+        attached.update_values(&csr.vals).expect("refresh applies");
+        assert!(shares_pattern(&attached), "update_values");
+    }
+
     #[test]
     fn memory_bytes_counts_every_array_the_plan_holds() {
         let plan = DaspPlan::analyze(&mixed(0), DaspParams::default());
-        let (l, m, s) = (&plan.long, &plan.medium, &plan.short);
+        let (l, m, s, g) = (&plan.long, &plan.medium, &plan.short, &plan.gather);
         assert!(!l.cids.is_empty() && !m.reg_cid.is_empty() && !s.cids.is_empty());
         use std::mem::size_of_val as bytes;
-        let hand = bytes(&l.vals[..])
+        let hand = bytes(&g.long[..])
             + bytes(&l.cids[..])
             + bytes(&l.group_ptr[..])
             + bytes(&l.rows[..])
-            + bytes(&m.reg_val[..])
+            + bytes(&g.reg[..])
             + bytes(&m.reg_cid[..])
             + bytes(&m.rowblock_ptr[..])
-            + bytes(&m.irreg_val[..])
+            + bytes(&g.irreg[..])
             + bytes(&m.irreg_cid[..])
             + bytes(&m.irreg_ptr[..])
             + bytes(&m.rows[..])
-            + bytes(&s.vals[..])
+            + bytes(&g.short[..])
             + bytes(&s.cids[..])
             + s.perms.iter().map(|p| bytes(&p[..])).sum::<usize>()
             + bytes(&s.perm1[..]);
@@ -718,6 +677,25 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_misses_on_one_pattern_keep_one_entry() {
+        let csr = mixed(0);
+        let cache = PlanCache::new();
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let miss = || {
+                barrier.wait();
+                cache.plan_for(&csr, DaspParams::default())
+            };
+            let a = s.spawn(miss);
+            let b = s.spawn(miss);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(cache.entries.lock().unwrap().len(), 1);
+        assert!(Arc::ptr_eq(&a, &b), "both callers get the resident plan");
+        assert_eq!(cache.hits() + cache.misses(), 2);
+    }
+
+    #[test]
     fn cache_exports_metrics() {
         let cache = PlanCache::with_capacity(1);
         let csr = mixed(0);
@@ -794,13 +772,10 @@ mod tests {
                 })
                 .collect()
         };
-        let parts = (
-            m.long.map_vals(decode),
-            m.medium.map_vals(decode),
-            m.short.map_vals(decode),
-        );
-        let root = Tracer::disabled().span("preprocess");
-        DaspPlan::from_parts(csr.rows, csr.cols, csr.nnz(), params, parts, &root)
+        DaspPlan {
+            pattern: m.pattern.clone(),
+            gather: m.vals.map(decode),
+        }
     }
 
     /// Row lengths drawn per row from `shape`: 0 = empty rows mixed in,

@@ -22,6 +22,7 @@ impl<S: Scalar> DaspMatrix<S> {
     /// for the explicit-zero caveat).
     pub fn to_csr(&self) -> Csr<S> {
         let mut coo = Coo::new(self.rows, self.cols);
+        let v = &self.vals;
         let mut push = |row: u32, c: u32, v: S| {
             if v != S::zero() {
                 coo.push(row as usize, c as usize, v);
@@ -33,7 +34,7 @@ impl<S: Scalar> DaspMatrix<S> {
             let lo = self.long.group_ptr[lr] * GROUP_ELEMS;
             let hi = self.long.group_ptr[lr + 1] * GROUP_ELEMS;
             for e in lo..hi {
-                push(row, self.long.cids[e], self.long.vals[e]);
+                push(row, self.long.cids[e], v.long[e]);
             }
         }
 
@@ -50,7 +51,7 @@ impl<S: Scalar> DaspMatrix<S> {
                     let row = self.medium.rows[sorted];
                     for k in 0..MMA_K {
                         let e = base + w * BLOCK_ELEMS + r * MMA_K + k;
-                        push(row, self.medium.reg_cid[e], self.medium.reg_val[e]);
+                        push(row, self.medium.reg_cid[e], v.reg[e]);
                     }
                 }
             }
@@ -58,7 +59,7 @@ impl<S: Scalar> DaspMatrix<S> {
         // Medium irregular remainders, per sorted row.
         for (sorted, &row) in self.medium.rows.iter().enumerate() {
             for e in self.medium.irreg_ptr[sorted]..self.medium.irreg_ptr[sorted + 1] {
-                push(row, self.medium.irreg_cid[e], self.medium.irreg_val[e]);
+                push(row, self.medium.irreg_cid[e], v.irreg[e]);
             }
         }
 
@@ -73,7 +74,7 @@ impl<S: Scalar> DaspMatrix<S> {
                     let row = perm[piecing.perm_slot(slot, piece)];
                     if row != NO_ROW {
                         for k in base + k_start..base + k_start + k_len {
-                            push(row, s.cids[k], s.vals[k]);
+                            push(row, s.cids[k], v.short[k]);
                         }
                     }
                 }
@@ -81,7 +82,7 @@ impl<S: Scalar> DaspMatrix<S> {
         }
         // Singletons.
         for t in 0..s.n1 {
-            push(s.perm1[t], s.cids[s.off1() + t], s.vals[s.off1() + t]);
+            push(s.perm1[t], s.cids[s.off1() + t], v.short[s.off1() + t]);
         }
 
         coo.to_csr()

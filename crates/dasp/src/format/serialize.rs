@@ -15,11 +15,13 @@
 //!
 //! Version 2 appends the optional [`DaspPlan`] trailer so an analysis
 //! plan ships alongside (or, via [`DaspPlan::write_to`], ahead of) the
-//! values; `DASPFMT1` containers (no trailer) still read. Reading checks
-//! the magic and the scalar width against `S`, decodes the matrix and its
-//! plan trailer, then runs the structural checker once — the exhaustive
-//! walk behind [`verify_matrix`](crate::format::verify_matrix), which
-//! covers the attached plan too — before returning; a standalone
+//! values; `DASPFMT1` containers (no trailer) still read. Both containers
+//! write their own copy of the pattern. Reading checks the magic and the
+//! scalar width against `S` and decodes the matrix and its plan trailer;
+//! when the two patterns are equal the matrix adopts the plan's, so one
+//! copy stays resident. It then runs the structural checker once — the
+//! exhaustive walk behind [`verify_matrix`](crate::format::verify_matrix),
+//! which covers the attached plan too — before returning; a standalone
 //! [`DaspPlan::read_from`] runs the same walk over the plan. Corrupted or
 //! truncated files are rejected rather than producing wrong results.
 //!
@@ -39,7 +41,7 @@ use dasp_fp16::Scalar;
 use crate::consts::DaspParams;
 use crate::format::check::first_breach;
 use crate::format::{verify_matrix, verify_plan, DaspMatrix, DaspPlan, Invariant, Violation};
-use crate::format::{LongPart, MediumPart, ShortPart};
+use crate::format::{LongPart, MediumPart, Pattern, ShortPart, Slots};
 
 const MAGIC_V1: &[u8; 8] = b"DASPFMT1";
 const MAGIC: &[u8; 8] = b"DASPFMT2";
@@ -278,7 +280,7 @@ fn read_header<R: Read>(r: &mut R) -> Result<(Shape, DaspParams, u64), SerError>
 /// Writes a short part's pattern, the layout both containers share:
 /// `cids`, the section counts `n13, n4, n22, n1, off4, off22, off1`
 /// (warps, singletons, ends), the perms `13, 4, 22, 1`, and `nnz_orig`.
-fn write_short_pattern<V, W: Write>(w: &mut W, s: &ShortPart<V>) -> std::io::Result<()> {
+fn write_short_pattern<W: Write>(w: &mut W, s: &ShortPart) -> std::io::Result<()> {
     write_u32s(w, &s.cids)?;
     for h in s.warps.into_iter().chain([s.n1]).chain(s.ends) {
         write_u64(w, h as u64)?;
@@ -289,12 +291,8 @@ fn write_short_pattern<V, W: Write>(w: &mut W, s: &ShortPart<V>) -> std::io::Res
     write_u64(w, s.nnz_orig as u64)
 }
 
-/// Reads a [`write_short_pattern`] pattern around `vals`.
-fn read_short_pattern<V, R: Read>(
-    r: &mut R,
-    cap: u64,
-    vals: Vec<V>,
-) -> Result<ShortPart<V>, SerError> {
+/// Reads a [`write_short_pattern`] pattern.
+fn read_short_pattern<R: Read>(r: &mut R, cap: u64) -> Result<ShortPart, SerError> {
     let cids = read_u32s(r, cap)?;
     let mut counts = [0usize; 7];
     for c in &mut counts {
@@ -302,7 +300,6 @@ fn read_short_pattern<V, R: Read>(
     }
     let [w13, w4, w22, n1, e4, e22, e1] = counts;
     Ok(ShortPart {
-        vals,
         cids,
         warps: [w13, w4, w22],
         ends: [e4, e22, e1],
@@ -319,23 +316,24 @@ impl<S: Scalar> DaspMatrix<S> {
         w.write_all(MAGIC)?;
         w.write_all(&[S::BYTES as u8])?;
         write_header(w, (self.rows, self.cols, self.nnz), &self.params)?;
+        let (l, m, v) = (&self.long, &self.medium, &self.vals);
 
-        write_scalars(w, &self.long.vals)?;
-        write_u32s(w, &self.long.cids)?;
-        write_usizes(w, &self.long.group_ptr)?;
-        write_u32s(w, &self.long.rows)?;
-        write_u64(w, self.long.nnz_orig as u64)?;
+        write_scalars(w, &v.long)?;
+        write_u32s(w, &l.cids)?;
+        write_usizes(w, &l.group_ptr)?;
+        write_u32s(w, &l.rows)?;
+        write_u64(w, l.nnz_orig as u64)?;
 
-        write_scalars(w, &self.medium.reg_val)?;
-        write_u32s(w, &self.medium.reg_cid)?;
-        write_usizes(w, &self.medium.rowblock_ptr)?;
-        write_scalars(w, &self.medium.irreg_val)?;
-        write_u32s(w, &self.medium.irreg_cid)?;
-        write_usizes(w, &self.medium.irreg_ptr)?;
-        write_u32s(w, &self.medium.rows)?;
-        write_u64(w, self.medium.nnz_orig as u64)?;
+        write_scalars(w, &v.reg)?;
+        write_u32s(w, &m.reg_cid)?;
+        write_usizes(w, &m.rowblock_ptr)?;
+        write_scalars(w, &v.irreg)?;
+        write_u32s(w, &m.irreg_cid)?;
+        write_usizes(w, &m.irreg_ptr)?;
+        write_u32s(w, &m.rows)?;
+        write_u64(w, m.nnz_orig as u64)?;
 
-        write_scalars(w, &self.short.vals)?;
+        write_scalars(w, &v.short)?;
         write_short_pattern(w, &self.short)?;
 
         match &self.plan {
@@ -349,7 +347,8 @@ impl<S: Scalar> DaspMatrix<S> {
     }
 
     /// Reads a converted format from `r`, checking the structure of the
-    /// matrix and its attached plan before returning.
+    /// matrix and its attached plan before returning. When the plan's
+    /// pattern equals the matrix's, the matrix adopts the plan's copy.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Self, SerError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -368,47 +367,63 @@ impl<S: Scalar> DaspMatrix<S> {
         }
         let ((rows, cols, nnz), params, cap) = read_header(r)?;
 
+        let long_vals = read_scalars(r, cap)?;
         let long = LongPart {
-            vals: read_scalars(r, cap)?,
             cids: read_u32s(r, cap)?,
             group_ptr: read_usizes(r, cap)?,
             rows: read_u32s(r, cap)?,
             nnz_orig: read_u64(r)? as usize,
         };
+        let reg = read_scalars(r, cap)?;
+        let (reg_cid, rowblock_ptr) = (read_u32s(r, cap)?, read_usizes(r, cap)?);
+        let irreg = read_scalars(r, cap)?;
         let medium = MediumPart {
-            reg_val: read_scalars(r, cap)?,
-            reg_cid: read_u32s(r, cap)?,
-            rowblock_ptr: read_usizes(r, cap)?,
-            irreg_val: read_scalars(r, cap)?,
+            reg_cid,
+            rowblock_ptr,
             irreg_cid: read_u32s(r, cap)?,
             irreg_ptr: read_usizes(r, cap)?,
             rows: read_u32s(r, cap)?,
             nnz_orig: read_u64(r)? as usize,
         };
-        let vals = read_scalars(r, cap)?;
-        let short = read_short_pattern(r, cap, vals)?;
-
-        let mut m = DaspMatrix {
+        let vals = Slots {
+            long: long_vals,
+            reg,
+            irreg,
+            short: read_scalars(r, cap)?,
+        };
+        let pattern = Pattern {
             rows,
             cols,
             nnz,
+            params,
             long,
             medium,
-            short,
-            params,
-            plan: None,
+            short: read_short_pattern(r, cap)?,
         };
+
+        let mut plan = None;
         if has_plan_trailer {
             let mut has_plan = [0u8; 1];
             r.read_exact(&mut has_plan)?;
             match has_plan[0] {
                 0 => {}
-                1 => m.plan = Some(Arc::new(DaspPlan::decode(r)?)),
+                1 => plan = Some(Arc::new(DaspPlan::decode(r)?)),
                 b => {
                     return Err(SerError::Malformed(format!("bad plan marker {b}")));
                 }
             }
         }
+        // Compare, then share: an equal pattern is the plan's copy, and a
+        // different one stays separate for the checker to report.
+        let pattern = match &plan {
+            Some(p) if *p.pattern == pattern => p.pattern.clone(),
+            _ => Arc::new(pattern),
+        };
+        let m = DaspMatrix {
+            pattern,
+            vals,
+            plan,
+        };
         first_breach(verify_matrix(&m)).map_err(SerError::Invalid)?;
         Ok(m)
     }
@@ -439,7 +454,7 @@ impl DaspPlan {
 
         // The gather map: one length prefix, then the parts' four value
         // arrays back to back.
-        let maps = self.gather();
+        let maps = self.gather.arrays();
         write_u64(w, maps.iter().map(|g| g.len() as u64).sum())?;
         for map in maps {
             write_elems(w, map, |x| x.to_le_bytes())?;
@@ -467,35 +482,34 @@ impl DaspPlan {
         }
         let ((rows, cols, nnz), params, cap) = read_header(r)?;
 
-        let mut long = LongPart {
+        let long = LongPart {
             rows: read_u32s(r, cap)?,
             group_ptr: read_usizes(r, cap)?,
             cids: read_u32s(r, cap)?,
             nnz_orig: read_u64(r)? as usize,
-            vals: Vec::new(),
         };
-        let mut medium = MediumPart {
+        let medium = MediumPart {
             rows: read_u32s(r, cap)?,
             rowblock_ptr: read_usizes(r, cap)?,
             reg_cid: read_u32s(r, cap)?,
             irreg_cid: read_u32s(r, cap)?,
             irreg_ptr: read_usizes(r, cap)?,
             nnz_orig: read_u64(r)? as usize,
-            reg_val: Vec::new(),
-            irreg_val: Vec::new(),
         };
-        let mut short = read_short_pattern(r, cap, Vec::new())?;
+        let pattern = Pattern {
+            rows,
+            cols,
+            nnz,
+            params,
+            long,
+            medium,
+            short: read_short_pattern(r, cap)?,
+        };
 
-        // The gather slots stream straight into the parts' value arrays,
-        // one per column id.
+        // The gather slots stream straight into the four arrays, one per
+        // column id.
         let slots = read_u64(r)?;
-        let maps = [
-            (&mut long.vals, long.cids.len()),
-            (&mut medium.reg_val, medium.reg_cid.len()),
-            (&mut medium.irreg_val, medium.irreg_cid.len()),
-            (&mut short.vals, short.cids.len()),
-        ];
-        let want: usize = maps.iter().map(|(_, n)| n).sum();
+        let want = pattern.total_slots();
         if slots != want as u64 {
             return Err(SerError::Invalid(Violation {
                 invariant: Invariant::GatherBijection,
@@ -505,17 +519,13 @@ impl DaspPlan {
                 detail: format!("length {slots} != total slots {want}"),
             }));
         }
-        for (map, n) in maps {
-            *map = read_elems(r, n, u32::from_le_bytes)?;
+        let mut gather = Slots::default();
+        for (map, cids) in gather.arrays_mut().into_iter().zip(pattern.cids()) {
+            *map = read_elems(r, cids.len(), u32::from_le_bytes)?;
         }
         Ok(DaspPlan {
-            rows,
-            cols,
-            nnz,
-            params,
-            long,
-            medium,
-            short,
+            pattern: Arc::new(pattern),
+            gather,
         })
     }
 }
@@ -593,7 +603,7 @@ mod tests {
         // offsets, rebuild with an empty medium part and corrupt nnz
         // bookkeeping is caught too — here we synthesize directly:
         let mut m = d.clone();
-        m.medium.rowblock_ptr.clear();
+        Arc::make_mut(&mut m.pattern).medium.rowblock_ptr.clear();
         assert!(m.validate().is_err(), "empty rowblock_ptr must be an error");
     }
 
@@ -667,6 +677,10 @@ mod tests {
         assert_eq!(d, back);
         let got = back.plan().expect("plan travels with the matrix");
         assert_eq!(**got, *plan);
+        assert!(
+            Arc::ptr_eq(&back.pattern, &got.pattern),
+            "the reader shares one pattern between matrix and plan"
+        );
         // The reloaded plan still powers an O(nnz) refresh.
         let doubled: Vec<f64> = csr.vals.iter().map(|v| v * 2.0).collect();
         back.update_values(&doubled).expect("refresh after reload");
@@ -811,21 +825,21 @@ mod tests {
             ] {
                 write_u64(w, h).unwrap();
             }
-            let (l, md, s) = (&m.long, &m.medium, &m.short);
-            write_scalars(w, &l.vals).unwrap();
+            let (l, md, s, v) = (&m.long, &m.medium, &m.short, &m.vals);
+            write_scalars(w, &v.long).unwrap();
             write_u32s(w, &l.cids).unwrap();
             write_usizes(w, &l.group_ptr).unwrap();
             write_u32s(w, &l.rows).unwrap();
             write_u64(w, l.nnz_orig as u64).unwrap();
-            write_scalars(w, &md.reg_val).unwrap();
+            write_scalars(w, &v.reg).unwrap();
             write_u32s(w, &md.reg_cid).unwrap();
             write_usizes(w, &md.rowblock_ptr).unwrap();
-            write_scalars(w, &md.irreg_val).unwrap();
+            write_scalars(w, &v.irreg).unwrap();
             write_u32s(w, &md.irreg_cid).unwrap();
             write_usizes(w, &md.irreg_ptr).unwrap();
             write_u32s(w, &md.rows).unwrap();
             write_u64(w, md.nnz_orig as u64).unwrap();
-            write_scalars(w, &s.vals).unwrap();
+            write_scalars(w, &v.short).unwrap();
             write_short(s, w);
             match &m.plan {
                 Some(plan) => {
@@ -863,11 +877,11 @@ mod tests {
             write_usizes(w, &md.irreg_ptr).unwrap();
             write_u64(w, md.nnz_orig as u64).unwrap();
             write_short(&p.short, w);
-            write_u32s(w, &p.gather().concat()).unwrap();
+            write_u32s(w, &p.gather.arrays().concat()).unwrap();
         }
 
         /// A short part's pattern, element by element.
-        fn write_short<V>(s: &ShortPart<V>, w: &mut Vec<u8>) {
+        fn write_short(s: &ShortPart, w: &mut Vec<u8>) {
             write_u32s(w, &s.cids).unwrap();
             let [w13, w4, w22] = s.warps;
             let [e4, e22, e1] = s.ends;

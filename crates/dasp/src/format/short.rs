@@ -14,8 +14,8 @@ pub const NO_ROW: u32 = u32::MAX;
 
 /// Short rows (`len <= 4`), pieced together into full 8x4 blocks.
 ///
-/// Four sub-categories, stored back to back in `vals`/`cids` in the paper's
-/// order:
+/// Four sub-categories, stored back to back in `cids` (and the values in
+/// [`Slots`]' `short`) in the paper's order:
 ///
 /// 1. **1&3 pieced** — a length-1 row and a length-3 row share a packed
 ///    4-element row (`[a1 | b0 b1 b2]`). Two blocks per warp; 32 `y` values.
@@ -36,17 +36,18 @@ pub const NO_ROW: u32 = u32::MAX;
 /// field; read them through [`Piecing::warps`] and [`Piecing::perm`].
 ///
 /// Like [`LongPart`](crate::format::LongPart), the builder is generic over
-/// the per-slot value `S`.
+/// the per-slot value it emits.
+///
+/// [`Slots`]: crate::format::Slots
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShortPart<S> {
-    /// All packed element values: `[1&3 blocks][len-4 blocks][2&2 blocks][singles]`.
-    pub vals: Vec<S>,
-    /// Matching column ids (0 for padding).
+pub struct ShortPart {
+    /// All packed element column ids (0 for padding):
+    /// `[1&3 blocks][len-4 blocks][2&2 blocks][singles]`.
     pub cids: Vec<u32>,
     /// Warps of each MMA section, in [`Piecing::ALL`] order; a warp holds
     /// the section's [`blocks_per_warp`](Piecing::blocks_per_warp).
     pub warps: [usize; 3],
-    /// Element offset one past each MMA section in `vals`/`cids`, in
+    /// Element offset one past each MMA section in `cids`, in
     /// [`Piecing::ALL`] order: section `i` starts at `ends[i - 1]` (the
     /// first at 0), and the singletons start at `ends[2]`.
     pub ends: [usize; 3],
@@ -144,23 +145,23 @@ impl Piecing {
     }
 
     /// Warps of this section in `part`.
-    pub fn warps<S>(self, part: &ShortPart<S>) -> usize {
+    pub fn warps(self, part: &ShortPart) -> usize {
         part.warps[self as usize]
     }
 
-    /// Element offset of this section in `part.vals`/`part.cids`: where
-    /// the section before it ends.
-    pub(crate) fn off<S>(self, part: &ShortPart<S>) -> usize {
+    /// Element offset of this section in `part.cids`: where the section
+    /// before it ends.
+    pub(crate) fn off(self, part: &ShortPart) -> usize {
         (self as usize).checked_sub(1).map_or(0, |i| part.ends[i])
     }
 
     /// Result slot to original row for this section; 32 per warp.
-    pub fn perm<S>(self, part: &ShortPart<S>) -> &[u32] {
+    pub fn perm(self, part: &ShortPart) -> &[u32] {
         &part.perms[self as usize]
     }
 
     /// Element offset of warp `w`'s block `block`.
-    pub(crate) fn block_offset<S>(self, part: &ShortPart<S>, w: usize, block: usize) -> usize {
+    pub(crate) fn block_offset(self, part: &ShortPart, w: usize, block: usize) -> usize {
         self.off(part) + (w * self.blocks_per_warp() + block) * BLOCK_ELEMS
     }
 
@@ -201,11 +202,10 @@ impl Piecing {
     }
 }
 
-impl<S> ShortPart<S> {
+impl ShortPart {
     /// An empty part.
     pub fn empty() -> Self {
         ShortPart {
-            vals: Vec::new(),
             cids: Vec::new(),
             warps: [0; 3],
             ends: [0; 3],
@@ -216,26 +216,10 @@ impl<S> ShortPart<S> {
         }
     }
 
-    /// Element offset of the singletons in `vals`/`cids`: the end of the
+    /// Element offset of the singletons in `cids`: the end of the
     /// last MMA section.
     pub(crate) fn off1(&self) -> usize {
         self.ends[2]
-    }
-
-    /// The same pattern around a new value array: `f` maps the value
-    /// array to its replacement. See
-    /// [`LongPart::map_vals`](crate::format::LongPart).
-    pub(crate) fn map_vals<T>(&self, f: impl FnOnce(&[S]) -> Vec<T>) -> ShortPart<T> {
-        ShortPart {
-            vals: f(&self.vals),
-            cids: self.cids.clone(),
-            warps: self.warps,
-            ends: self.ends,
-            n1: self.n1,
-            perms: self.perms.clone(),
-            perm1: self.perm1.clone(),
-            nnz_orig: self.nnz_orig,
-        }
     }
 
     /// Number of short rows across all sub-categories.
@@ -260,19 +244,16 @@ impl<S> ShortPart<S> {
     /// packed-row slots out over `exec`, copying column ids and `val(j)`
     /// of each CSR element `j` of each piece straight into its
     /// precomputed (disjoint) destination, while padding slots keep their
-    /// prefilled `pad`. No per-row staging; output is bit-identical for any
-    /// executor.
-    pub(crate) fn build_csr<T: Scalar>(
+    /// prefilled `pad`. Returns the part and its slots' values. No per-row
+    /// staging; output is bit-identical for any executor.
+    pub(crate) fn build_csr<T: Scalar, V: Copy + Send>(
         csr: &Csr<T>,
         ids: &[u32],
         piecing: bool,
-        val: impl Fn(usize) -> S + Sync,
-        pad: S,
+        val: impl Fn(usize) -> V + Sync,
+        pad: V,
         exec: &Executor,
-    ) -> Self
-    where
-        S: Copy + Send,
-    {
+    ) -> (Self, Vec<V>) {
         // --- classification (row ids only; lengths come from row_ptr) -----
         let mut r1: Vec<u32> = Vec::new();
         let mut r2: Vec<u32> = Vec::new();
@@ -369,8 +350,7 @@ impl<S> ShortPart<S> {
             });
         }
 
-        ShortPart {
-            vals,
+        let part = ShortPart {
             cids,
             warps,
             ends,
@@ -378,11 +358,10 @@ impl<S> ShortPart<S> {
             perms,
             perm1: singles.to_vec(),
             nnz_orig,
-        }
+        };
+        (part, vals)
     }
-}
 
-impl<S: Scalar> ShortPart<S> {
     /// Warps of the one short-category launch: the three MMA sections'
     /// warps plus the singleton kernel's.
     pub fn launch_warps(&self) -> usize {
@@ -394,20 +373,26 @@ impl<S: Scalar> ShortPart<S> {
     /// Superseded by [`ShortPart::build_csr`] on the build path; kept as
     /// the append-based reference for parity tests.
     #[cfg(test)]
-    pub(crate) fn build(short_rows: Vec<ShortRow<S>>) -> Self {
+    pub(crate) fn build<S: Scalar>(short_rows: Vec<ShortRow<S>>) -> (Self, Vec<S>) {
         Self::build_with_piecing(short_rows, true)
     }
 
     /// The non-piecing (`build_csr(.., piecing = false, ..)`) reference.
     #[cfg(test)]
-    pub(crate) fn build_padded_only(short_rows: Vec<ShortRow<S>>) -> Self {
+    pub(crate) fn build_padded_only<S: Scalar>(short_rows: Vec<ShortRow<S>>) -> (Self, Vec<S>) {
         Self::build_with_piecing(short_rows, false)
     }
 
     #[cfg(test)]
-    fn build_with_piecing(short_rows: Vec<ShortRow<S>>, piecing: bool) -> Self {
-        let mut part = ShortPart::empty();
-        part.nnz_orig = short_rows.iter().map(|(_, e)| e.len()).sum();
+    fn build_with_piecing<S: Scalar>(
+        short_rows: Vec<ShortRow<S>>,
+        piecing: bool,
+    ) -> (Self, Vec<S>) {
+        let mut st = Staged {
+            part: ShortPart::empty(),
+            vals: Vec::new(),
+        };
+        st.part.nnz_orig = short_rows.iter().map(|(_, e)| e.len()).sum();
 
         let mut r1: Vec<ShortRow<S>> = Vec::new();
         let mut r2: Vec<ShortRow<S>> = Vec::new();
@@ -443,9 +428,9 @@ impl<S: Scalar> ShortPart<S> {
         let ones: Vec<ShortRow<S>> = r1.drain(..pairs13).collect();
         let threes: Vec<ShortRow<S>> = r3.drain(..pairs13).collect();
         // A packed row per pair; warp granularity = 16 packed rows.
-        part.warps[0] = pairs13.div_ceil(2 * MMA_M);
-        let packed13 = part.warps[0] * 2 * MMA_M;
-        part.perms[0] = vec![NO_ROW; part.warps[0] * 32];
+        st.part.warps[0] = pairs13.div_ceil(2 * MMA_M);
+        let packed13 = st.part.warps[0] * 2 * MMA_M;
+        st.part.perms[0] = vec![NO_ROW; st.part.warps[0] * 32];
         for slot in 0..packed13 {
             // packed row `slot` lives in block b = slot/8, local row r = slot%8
             let (b, r) = (slot / MMA_M, slot % MMA_M);
@@ -454,19 +439,19 @@ impl<S: Scalar> ShortPart<S> {
             if slot < pairs13 {
                 let (one_id, one_elems) = &ones[slot];
                 let (three_id, three_elems) = &threes[slot];
-                part.push_elem(one_elems[0]);
+                st.push_elem(one_elems[0]);
                 for &e in three_elems.iter() {
-                    part.push_elem(e);
+                    st.push_elem(e);
                 }
-                part.perms[0][w * 32 + i0 * MMA_M + r] = *one_id;
-                part.perms[0][w * 32 + (i0 + 1) * MMA_M + r] = *three_id;
+                st.part.perms[0][w * 32 + i0 * MMA_M + r] = *one_id;
+                st.part.perms[0][w * 32 + (i0 + 1) * MMA_M + r] = *three_id;
             } else {
-                part.push_zeros(MMA_K);
+                st.push_zeros(MMA_K);
             }
         }
 
         // --- pure length-4 (plus padded leftovers) -----------------------
-        part.ends[0] = part.vals.len();
+        st.part.ends[0] = st.vals.len();
         let mut fours: Vec<(u32, [(u32, S); 4])> = Vec::new();
         for (id, e) in r4 {
             fours.push((id, [e[0], e[1], e[2], e[3]]));
@@ -481,28 +466,28 @@ impl<S: Scalar> ShortPart<S> {
             let (id, e) = r2.pop().expect("odd length checked");
             fours.push((id, [e[0], e[1], (0, S::zero()), (0, S::zero())]));
         }
-        part.warps[1] = fours.len().div_ceil(4 * MMA_M);
-        let packed4 = part.warps[1] * 4 * MMA_M;
-        part.perms[1] = vec![NO_ROW; part.warps[1] * 32];
+        st.part.warps[1] = fours.len().div_ceil(4 * MMA_M);
+        let packed4 = st.part.warps[1] * 4 * MMA_M;
+        st.part.perms[1] = vec![NO_ROW; st.part.warps[1] * 32];
         for slot in 0..packed4 {
             let (b, r) = (slot / MMA_M, slot % MMA_M);
             let (w, i) = (b / 4, b % 4);
             if let Some((id, elems)) = fours.get(slot) {
                 for &e in elems.iter() {
-                    part.push_elem(e);
+                    st.push_elem(e);
                 }
-                part.perms[1][w * 32 + i * MMA_M + r] = *id;
+                st.part.perms[1][w * 32 + i * MMA_M + r] = *id;
             } else {
-                part.push_zeros(MMA_K);
+                st.push_zeros(MMA_K);
             }
         }
 
         // --- 2&2 piecing --------------------------------------------------
-        part.ends[1] = part.vals.len();
+        st.part.ends[1] = st.vals.len();
         let pairs22 = r2.len() / 2;
-        part.warps[2] = pairs22.div_ceil(2 * MMA_M);
-        let packed22 = part.warps[2] * 2 * MMA_M;
-        part.perms[2] = vec![NO_ROW; part.warps[2] * 32];
+        st.part.warps[2] = pairs22.div_ceil(2 * MMA_M);
+        let packed22 = st.part.warps[2] * 2 * MMA_M;
+        st.part.perms[2] = vec![NO_ROW; st.part.warps[2] * 32];
         for slot in 0..packed22 {
             let (b, r) = (slot / MMA_M, slot % MMA_M);
             let w = b / 2;
@@ -510,35 +495,43 @@ impl<S: Scalar> ShortPart<S> {
             if slot < pairs22 {
                 let (a_id, a_elems) = &r2[2 * slot];
                 let (b_id, b_elems) = &r2[2 * slot + 1];
-                part.push_elem(a_elems[0]);
-                part.push_elem(a_elems[1]);
-                part.push_elem(b_elems[0]);
-                part.push_elem(b_elems[1]);
-                part.perms[2][w * 32 + i0 * MMA_M + r] = *a_id;
-                part.perms[2][w * 32 + (i0 + 1) * MMA_M + r] = *b_id;
+                st.push_elem(a_elems[0]);
+                st.push_elem(a_elems[1]);
+                st.push_elem(b_elems[0]);
+                st.push_elem(b_elems[1]);
+                st.part.perms[2][w * 32 + i0 * MMA_M + r] = *a_id;
+                st.part.perms[2][w * 32 + (i0 + 1) * MMA_M + r] = *b_id;
             } else {
-                part.push_zeros(MMA_K);
+                st.push_zeros(MMA_K);
             }
         }
 
         // --- leftover singletons ------------------------------------------
-        part.ends[2] = part.vals.len();
-        part.n1 = r1.len();
+        st.part.ends[2] = st.vals.len();
+        st.part.n1 = r1.len();
         for (id, e) in r1 {
-            part.push_elem(e[0]);
-            part.perm1.push(id);
+            st.push_elem(e[0]);
+            st.part.perm1.push(id);
         }
 
-        part
+        (st.part, st.vals)
     }
+}
 
-    #[cfg(test)]
+/// The append-based reference's state: the part and its values.
+#[cfg(test)]
+struct Staged<S> {
+    part: ShortPart,
+    vals: Vec<S>,
+}
+
+#[cfg(test)]
+impl<S: Scalar> Staged<S> {
     fn push_elem(&mut self, (c, v): (u32, S)) {
-        self.cids.push(c);
+        self.part.cids.push(c);
         self.vals.push(v);
     }
 
-    #[cfg(test)]
     fn push_zeros(&mut self, n: usize) {
         for _ in 0..n {
             self.push_elem((0, S::zero()));
@@ -569,11 +562,16 @@ mod tests {
         coo.to_csr()
     }
 
-    fn build_with(csr: &Csr<f64>, ids: &[u32], piecing: bool, exec: &Executor) -> ShortPart<f64> {
+    fn build_with(
+        csr: &Csr<f64>,
+        ids: &[u32],
+        piecing: bool,
+        exec: &Executor,
+    ) -> (ShortPart, Vec<f64>) {
         ShortPart::build_csr(csr, ids, piecing, |j| csr.vals[j], 0.0, exec)
     }
 
-    fn build(rows: &[(u32, usize)]) -> ShortPart<f64> {
+    fn build(rows: &[(u32, usize)]) -> (ShortPart, Vec<f64>) {
         let ids: Vec<u32> = rows.iter().map(|&(id, _)| id).collect();
         build_with(&csr_of(rows), &ids, true, &Executor::seq())
     }
@@ -589,15 +587,15 @@ mod tests {
     #[test]
     fn pairs_ones_with_threes() {
         // 3 singles + 2 threes -> 2 pairs, 1 leftover single.
-        let p = build(&[(0, 1), (1, 3), (2, 1), (3, 3), (4, 1)]);
+        let (p, vals) = build(&[(0, 1), (1, 3), (2, 1), (3, 3), (4, 1)]);
         assert_eq!(Piecing::OneThree.warps(&p), 1);
         assert_eq!(p.n1, 1);
         assert_eq!(p.perm1, vec![4]);
         // Pair 0 = rows (0, 1): packed row 0 = [a0 | b0 b1 b2]
-        assert_eq!(p.vals[0], 1.0); // row 0's single element
-        assert_eq!(p.vals[1], 11.0); // row 1's first element
-                                     // perm: warp 0, block 0, iteration 0 slot 0 -> row 0; iteration 1
-                                     // slot 0 -> row 1.
+        assert_eq!(vals[0], 1.0); // row 0's single element
+        assert_eq!(vals[1], 11.0); // row 1's first element
+                                   // perm: warp 0, block 0, iteration 0 slot 0 -> row 0; iteration 1
+                                   // slot 0 -> row 1.
         assert_eq!(Piecing::OneThree.perm(&p)[0], 0);
         assert_eq!(Piecing::OneThree.perm(&p)[MMA_M], 1);
         assert_eq!(Piecing::OneThree.perm(&p)[1], 2);
@@ -608,12 +606,12 @@ mod tests {
     #[test]
     fn leftover_threes_become_fours() {
         // 1 single, 3 threes: one 1&3 pair, two threes padded into fours.
-        let p = build(&[(0, 1), (1, 3), (2, 3), (3, 3)]);
+        let (p, vals) = build(&[(0, 1), (1, 3), (2, 3), (3, 3)]);
         assert_eq!(Piecing::OneThree.warps(&p), 1);
         assert_eq!(Piecing::Four.warps(&p), 1);
         assert_eq!(p.n1, 0);
         // The fours hold rows 2 and 3 with a zero pad in position 3.
-        assert_eq!(p.vals[Piecing::Four.off(&p) + 3], 0.0);
+        assert_eq!(vals[Piecing::Four.off(&p) + 3], 0.0);
         assert_eq!(p.cids[Piecing::Four.off(&p) + 3], 0);
         assert_eq!(Piecing::Four.perm(&p)[0], 2);
         assert_eq!(Piecing::Four.perm(&p)[1], 3);
@@ -621,7 +619,7 @@ mod tests {
 
     #[test]
     fn twos_paired_and_odd_leftover_padded() {
-        let p = build(&[(0, 2), (1, 2), (2, 2)]);
+        let (p, _) = build(&[(0, 2), (1, 2), (2, 2)]);
         // rows 0&1 pair in the 2&2 category; row 2 is the odd one out,
         // padded into the fours.
         assert_eq!(Piecing::TwoTwo.warps(&p), 1);
@@ -635,10 +633,10 @@ mod tests {
     #[test]
     fn pure_fours_fill_blocks() {
         let rows: Vec<_> = (0..40).map(|i| (i, 4)).collect();
-        let p = build(&rows);
+        let (p, vals) = build(&rows);
         // 40 fours -> 2 warps of 32 slots (second warp 8 rows + 24 pads).
         assert_eq!(Piecing::Four.warps(&p), 2);
-        assert_eq!(p.vals.len(), 2 * 4 * BLOCK_ELEMS);
+        assert_eq!(vals.len(), 2 * 4 * BLOCK_ELEMS);
         assert_eq!(
             Piecing::Four
                 .perm(&p)
@@ -656,10 +654,10 @@ mod tests {
 
     #[test]
     fn padding_slots_are_zeroed() {
-        let p = build(&[(7, 1), (8, 3)]);
+        let (p, vals) = build(&[(7, 1), (8, 3)]);
         // One pair; 15 packed-row pads of 4 zero elements each.
-        assert_eq!(p.vals.len(), 16 * MMA_K);
-        let nonzero = p.vals.iter().filter(|&&v| v != 0.0).count();
+        assert_eq!(vals.len(), 16 * MMA_K);
+        let nonzero = vals.iter().filter(|&&v| v != 0.0).count();
         assert_eq!(nonzero, 4);
         assert_eq!(p.nnz_orig, 4);
     }
@@ -667,9 +665,9 @@ mod tests {
     #[test]
     fn empty_input_is_empty_part() {
         let empty = Coo::<f64>::new(1, 1).to_csr();
-        let p = build_with(&empty, &[], true, &Executor::seq());
+        let (p, vals) = build_with(&empty, &[], true, &Executor::seq());
         assert_eq!(p.num_rows(), 0);
-        assert_eq!(p.vals.len(), 0);
+        assert_eq!(vals.len(), 0);
         assert_eq!(p.warps.iter().sum::<usize>() + p.n1, 0);
     }
 

@@ -27,7 +27,8 @@ use crate::kernels::{gather_x, load_block};
 /// parallel executor, join) before phase 2 starts — the grid-wide barrier
 /// between the two kernel launches on the device.
 pub fn spmv_long_with<S: Scalar, P: ShardableProbe>(
-    part: &LongPart<S>,
+    part: &LongPart,
+    vals: &[S],
     x: &[S],
     y: &mut [S],
     probe: &mut P,
@@ -42,7 +43,9 @@ pub fn spmv_long_with<S: Scalar, P: ShardableProbe>(
     let mut warp_val = WarpScratch::lease(n_groups, S::acc_zero());
     {
         let wv = SharedSlice::new(&mut warp_val);
-        exec.run(n_groups, probe, |g, p| long_phase1_warp(part, x, &wv, g, p));
+        exec.run(n_groups, probe, |g, p| {
+            long_phase1_warp(part, vals, x, &wv, g, p)
+        });
     }
     let shared = SharedSlice::new(y);
     exec.run(part.rows.len(), probe, |lr, p| {
@@ -51,9 +54,11 @@ pub fn spmv_long_with<S: Scalar, P: ShardableProbe>(
 }
 
 /// Phase-1 warp body: warp `g` computes one 64-element group's partial sum
-/// into `warp_val[g]` (disjoint across warps).
+/// into `warp_val[g]` (disjoint across warps); `vals` are the part's slot
+/// values.
 pub fn long_phase1_warp<S: Scalar, P: Probe>(
-    part: &LongPart<S>,
+    part: &LongPart,
+    vals: &[S],
     x: &[S],
     warp_val: &SharedSlice<S::Acc>,
     g: usize,
@@ -66,7 +71,7 @@ pub fn long_phase1_warp<S: Scalar, P: Probe>(
     probe.san_frag_clear();
     let mut offset_a = g * GROUP_ELEMS;
     for _i in 0..2 {
-        let frag_a: [S; WARP_SIZE] = load_block(&part.vals, offset_a);
+        let frag_a: [S; WARP_SIZE] = load_block(vals, offset_a);
         let cids = load_block(&part.cids, offset_a);
         probe.load_val(BLOCK_ELEMS as u64, S::BYTES);
         probe.load_idx(BLOCK_ELEMS as u64, 4);
@@ -107,7 +112,7 @@ pub fn long_phase1_warp<S: Scalar, P: Probe>(
 /// Phase-2 warp body: warp `lr` reduces long row `lr`'s group partials
 /// from `warp_val` into `y` (each warp owns one output row).
 pub fn long_phase2_warp<S: Scalar, P: Probe>(
-    part: &LongPart<S>,
+    part: &LongPart,
     warp_val: &[S::Acc],
     y: &SharedSlice<S>,
     lr: usize,
@@ -168,16 +173,16 @@ mod tests {
             }
         }
         let csr = coo.to_csr();
-        let mut part = crate::format::LongPart::empty();
+        let (mut part, mut vals) = (LongPart::empty(), Vec::new());
         for r in 0..csr.rows {
             let elems: Vec<(u32, f64)> = csr.row(r).collect();
             if !elems.is_empty() {
-                part.push_row(r as u32, &elems);
+                part.push_row(&mut vals, r as u32, &elems);
             }
         }
         let x: Vec<f64> = (0..cols).map(|i| 0.5 + (i % 13) as f64 * 0.1).collect();
         let mut y = vec![0.0f64; csr.rows];
-        spmv_long_with(&part, &x, &mut y, &mut NoProbe, &Executor::seq());
+        spmv_long_with(&part, &vals, &x, &mut y, &mut NoProbe, &Executor::seq());
         let want = csr.spmv_reference(&x);
         for r in 0..csr.rows {
             assert!(
@@ -223,12 +228,12 @@ mod tests {
             coo.push(0, k, 1.0);
         }
         let csr = coo.to_csr();
-        let mut part = crate::format::LongPart::empty();
-        part.push_row(0, &csr.row(0).collect::<Vec<_>>());
+        let (mut part, mut vals) = (LongPart::empty(), Vec::new());
+        part.push_row(&mut vals, 0, &csr.row(0).collect::<Vec<_>>());
         let x = vec![1.0f64; 128];
         let mut y = vec![0.0f64; 1];
         let mut probe = CountingProbe::a100();
-        spmv_long_with(&part, &x, &mut y, &mut probe, &Executor::seq());
+        spmv_long_with(&part, &vals, &x, &mut y, &mut probe, &Executor::seq());
         let s = probe.stats();
         assert_eq!(y[0], 128.0);
         assert_eq!(s.launches, 0); // launch accounting lives in spmv()
@@ -239,10 +244,10 @@ mod tests {
 
     #[test]
     fn empty_part_is_a_no_op() {
-        let part = crate::format::LongPart::<f64>::empty();
+        let part = LongPart::empty();
         let mut y = vec![0.0f64; 3];
         let mut probe = CountingProbe::a100();
-        spmv_long_with(&part, &[1.0], &mut y, &mut probe, &Executor::seq());
+        spmv_long_with(&part, &[], &[1.0], &mut y, &mut probe, &Executor::seq());
         assert_eq!(probe.stats().launches, 0);
         assert_eq!(y, vec![0.0; 3]);
     }

@@ -17,9 +17,12 @@ use crate::format::MediumPart;
 use crate::kernels::{extract_diagonals, gather_x, load_block};
 
 /// Runs the medium-rows SpMV under the given executor, scattering results
-/// into `y`.
+/// into `y`; `reg` and `irreg` are the part's regular and irregular slot
+/// values.
 pub fn spmv_medium_with<S: Scalar, P: ShardableProbe>(
-    part: &MediumPart<S>,
+    part: &MediumPart,
+    reg: &[S],
+    irreg: &[S],
     x: &[S],
     y: &mut [S],
     probe: &mut P,
@@ -28,12 +31,12 @@ pub fn spmv_medium_with<S: Scalar, P: ShardableProbe>(
     let n_warps = medium_warps(part);
     let shared = SharedSlice::new(y);
     exec.run(n_warps, probe, |wid, p| {
-        medium_warp(part, x, &shared, wid, p)
+        medium_warp(part, reg, irreg, x, &shared, wid, p)
     });
 }
 
 /// Number of warps the medium kernel launches for `part`.
-pub fn medium_warps<S: Scalar>(part: &MediumPart<S>) -> usize {
+pub fn medium_warps(part: &MediumPart) -> usize {
     if part.rows.is_empty() {
         return 0;
     }
@@ -43,7 +46,9 @@ pub fn medium_warps<S: Scalar>(part: &MediumPart<S>) -> usize {
 /// Warp body: warp `wid` computes `LOOP_NUM` row-blocks (regular MMA part
 /// plus per-lane irregular tail) and writes its rows of `y`.
 pub fn medium_warp<S: Scalar, P: Probe>(
-    part: &MediumPart<S>,
+    part: &MediumPart,
+    reg: &[S],
+    irreg: &[S],
     x: &[S],
     y: &SharedSlice<S>,
     wid: usize,
@@ -69,7 +74,7 @@ pub fn medium_warp<S: Scalar, P: Probe>(
         let mut acc = acc_zero::<S>();
         probe.san_frag_clear();
         for _b in 0..nblocks {
-            let frag_a: [S; WARP_SIZE] = load_block(&part.reg_val, offset_a);
+            let frag_a: [S; WARP_SIZE] = load_block(reg, offset_a);
             let cids = load_block(&part.reg_cid, offset_a);
             probe.load_val(BLOCK_ELEMS as u64, S::BYTES);
             probe.load_idx(BLOCK_ELEMS as u64, 4);
@@ -105,7 +110,7 @@ pub fn medium_warp<S: Scalar, P: Probe>(
         let mut v = res[lane];
         let (jlo, jhi) = (part.irreg_ptr[cur_row], part.irreg_ptr[cur_row + 1]);
         for j in jlo..jhi {
-            v = S::acc_mul_add(v, part.irreg_val[j], x[part.irreg_cid[j] as usize]);
+            v = S::acc_mul_add(v, irreg[j], x[part.irreg_cid[j] as usize]);
             xb.push(probe, part.irreg_cid[j] as usize);
         }
         let elems = (jhi - jlo) as u64;
@@ -128,7 +133,7 @@ mod tests {
     use dasp_simt::{CountingProbe, NoProbe};
     use dasp_sparse::{Coo, Csr};
 
-    fn build_medium(csr: &Csr<f64>) -> MediumPart<f64> {
+    fn build_medium(csr: &Csr<f64>) -> (MediumPart, Vec<f64>, Vec<f64>) {
         let mut rows: Vec<(u32, Vec<(u32, f64)>)> = (0..csr.rows)
             .filter(|&r| csr.row_len(r) > 0)
             .map(|r| (r as u32, csr.row(r).collect()))
@@ -146,10 +151,18 @@ mod tests {
             }
         }
         let csr = coo.to_csr();
-        let part = build_medium(&csr);
+        let (part, reg, irreg) = build_medium(&csr);
         let x: Vec<f64> = (0..cols).map(|i| 1.0 - (i % 7) as f64 * 0.2).collect();
         let mut y = vec![0.0f64; csr.rows];
-        spmv_medium_with(&part, &x, &mut y, &mut NoProbe, &Executor::seq());
+        spmv_medium_with(
+            &part,
+            &reg,
+            &irreg,
+            &x,
+            &mut y,
+            &mut NoProbe,
+            &Executor::seq(),
+        );
         let want = csr.spmv_reference(&x);
         for r in 0..csr.rows {
             assert!(
@@ -208,11 +221,19 @@ mod tests {
             }
         }
         let csr = coo.to_csr();
-        let part = build_medium(&csr);
+        let (part, reg, irreg) = build_medium(&csr);
         let x = vec![1.0f64; 64];
         let mut y = vec![0.0f64; 8];
         let mut probe = CountingProbe::a100();
-        spmv_medium_with(&part, &x, &mut y, &mut probe, &Executor::seq());
+        spmv_medium_with(
+            &part,
+            &reg,
+            &irreg,
+            &x,
+            &mut y,
+            &mut probe,
+            &Executor::seq(),
+        );
         let s = probe.stats();
         assert_eq!(s.mma_ops, 2);
         assert_eq!(s.fma_ops, 0);
@@ -223,10 +244,18 @@ mod tests {
 
     #[test]
     fn empty_part_is_a_no_op() {
-        let part = MediumPart::<f64>::empty();
+        let part = MediumPart::empty();
         let mut probe = CountingProbe::a100();
         let mut y = vec![0.0f64; 2];
-        spmv_medium_with(&part, &[1.0], &mut y, &mut probe, &Executor::seq());
+        spmv_medium_with(
+            &part,
+            &[],
+            &[],
+            &[1.0],
+            &mut y,
+            &mut probe,
+            &Executor::seq(),
+        );
         assert_eq!(probe.stats().launches, 0);
     }
 }

@@ -21,7 +21,8 @@ use crate::kernels::{extract_diagonals, gather_x, load_block, write_permuted};
 /// Runs one short section's SpMV under the given executor, scattering
 /// results into `y`.
 pub fn spmv_pieced_with<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     piecing: Piecing,
     x: &[S],
     y: &mut [S],
@@ -30,14 +31,16 @@ pub fn spmv_pieced_with<S: Scalar, P: ShardableProbe>(
 ) {
     let shared = SharedSlice::new(y);
     exec.run(piecing.warps(part), probe, |w, p| {
-        pieced_warp(part, piecing, x, &shared, w, p)
+        pieced_warp(part, vals, piecing, x, &shared, w, p)
     });
 }
 
 /// Warp body: warp `w` of the section computes its blocks in four
-/// pass-masked MMA issues and writes its 32 permuted `y` slots.
+/// pass-masked MMA issues and writes its 32 permuted `y` slots; `vals`
+/// are the part's slot values.
 pub fn pieced_warp<S: Scalar, P: Probe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     piecing: Piecing,
     x: &[S],
     y: &SharedSlice<S>,
@@ -47,15 +50,16 @@ pub fn pieced_warp<S: Scalar, P: Probe>(
     // The body is inlined once per piecing: with the piecing a constant,
     // the pass loops unroll into a fixed four-pass sequence.
     match piecing {
-        Piecing::OneThree => pass_masked(part, Piecing::OneThree, x, y, w, probe),
-        Piecing::Four => pass_masked(part, Piecing::Four, x, y, w, probe),
-        Piecing::TwoTwo => pass_masked(part, Piecing::TwoTwo, x, y, w, probe),
+        Piecing::OneThree => pass_masked(part, vals, Piecing::OneThree, x, y, w, probe),
+        Piecing::Four => pass_masked(part, vals, Piecing::Four, x, y, w, probe),
+        Piecing::TwoTwo => pass_masked(part, vals, Piecing::TwoTwo, x, y, w, probe),
     }
 }
 
 #[inline(always)]
 fn pass_masked<S: Scalar, P: Probe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     piecing: Piecing,
     x: &[S],
     y: &SharedSlice<S>,
@@ -76,7 +80,7 @@ fn pass_masked<S: Scalar, P: Probe>(
         let cids = load_block(&part.cids, offset);
         if piece == 0 {
             // A block's values load once, for all of its pieces.
-            frag_a = load_block(&part.vals, offset);
+            frag_a = load_block(vals, offset);
             probe.load_val(BLOCK_ELEMS as u64, S::BYTES);
             probe.load_idx(BLOCK_ELEMS as u64, 4);
         }
@@ -135,7 +139,7 @@ mod tests {
     use dasp_simt::{CountingProbe, NoProbe};
     use dasp_sparse::{Coo, Csr};
 
-    fn build_short(csr: &Csr<f64>) -> ShortPart<f64> {
+    fn build_short(csr: &Csr<f64>) -> (ShortPart, Vec<f64>) {
         let rows: Vec<(u32, Vec<(u32, f64)>)> = (0..csr.rows)
             .filter(|&r| csr.row_len(r) > 0)
             .map(|r| (r as u32, csr.row(r).collect()))
@@ -164,14 +168,22 @@ mod tests {
     fn check(units: impl Fn(Piecing) -> usize, cols: usize) {
         for piecing in Piecing::ALL {
             let csr = section_matrix(piecing, units(piecing), cols);
-            let part = build_short(&csr);
+            let (part, vals) = build_short(&csr);
             assert_eq!(part.n1, 0);
             for other in Piecing::ALL {
                 assert_eq!(other.warps(&part) > 0, other == piecing, "{piecing:?}");
             }
             let x: Vec<f64> = (0..cols).map(|i| 0.3 + (i % 5) as f64).collect();
             let mut y = vec![0.0f64; csr.rows];
-            spmv_pieced_with(&part, piecing, &x, &mut y, &mut NoProbe, &Executor::seq());
+            spmv_pieced_with(
+                &part,
+                &vals,
+                piecing,
+                &x,
+                &mut y,
+                &mut NoProbe,
+                &Executor::seq(),
+            );
             let want = csr.spmv_reference(&x);
             for r in 0..csr.rows {
                 assert!(
@@ -255,11 +267,19 @@ mod tests {
     fn a_loaded_once_x_loaded_once_per_element() {
         for piecing in Piecing::ALL {
             let csr = section_matrix(piecing, piecing.rows_per_warp(), 64);
-            let part = build_short(&csr);
+            let (part, vals) = build_short(&csr);
             let x = vec![1.0f64; 64];
             let mut y = vec![0.0f64; csr.rows];
             let mut probe = CountingProbe::a100();
-            spmv_pieced_with(&part, piecing, &x, &mut y, &mut probe, &Executor::seq());
+            spmv_pieced_with(
+                &part,
+                &vals,
+                piecing,
+                &x,
+                &mut y,
+                &mut probe,
+                &Executor::seq(),
+            );
             let s = probe.stats();
             // One warp: A loaded once per block, x requested once per
             // element slot (each slot in exactly one piece's pass).
@@ -273,11 +293,19 @@ mod tests {
 
     #[test]
     fn empty_part_is_a_no_op() {
-        let part = ShortPart::<f64>::build(Vec::new());
+        let (part, vals) = ShortPart::build::<f64>(Vec::new());
         for piecing in Piecing::ALL {
             let mut probe = CountingProbe::a100();
             let mut y = vec![0.0f64; 2];
-            spmv_pieced_with(&part, piecing, &[1.0], &mut y, &mut probe, &Executor::seq());
+            spmv_pieced_with(
+                &part,
+                &vals,
+                piecing,
+                &[1.0],
+                &mut y,
+                &mut probe,
+                &Executor::seq(),
+            );
             assert_eq!(probe.stats().launches, 0);
             assert_eq!(y, [0.0; 2]);
         }
@@ -289,12 +317,13 @@ mod tests {
         // must equal the in-order run: warps own disjoint y slots.
         for piecing in Piecing::ALL {
             let csr = section_matrix(piecing, 3 * piecing.rows_per_warp() + 4, 64);
-            let part = build_short(&csr);
+            let (part, vals) = build_short(&csr);
             assert!(piecing.warps(&part) >= 2);
             let x = vec![1.0f64; 64];
             let mut y_full = vec![0.0f64; csr.rows];
             spmv_pieced_with(
                 &part,
+                &vals,
                 piecing,
                 &x,
                 &mut y_full,
@@ -305,7 +334,7 @@ mod tests {
             {
                 let shared = SharedSlice::new(&mut y_split);
                 for w in (0..piecing.warps(&part)).rev() {
-                    pieced_warp(&part, piecing, &x, &shared, w, &mut NoProbe);
+                    pieced_warp(&part, &vals, piecing, &x, &shared, w, &mut NoProbe);
                 }
             }
             assert_eq!(y_full, y_split, "{piecing:?}");

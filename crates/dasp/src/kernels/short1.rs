@@ -10,14 +10,15 @@ use crate::format::ShortPart;
 
 /// Number of warps the singleton kernel launches for `part` (one thread
 /// per leftover row, grouped into warps of 32).
-pub fn short1_warps<S: Scalar>(part: &ShortPart<S>) -> usize {
+pub fn short1_warps(part: &ShortPart) -> usize {
     part.n1.div_ceil(dasp_simt::WARP_SIZE)
 }
 
 /// Runs the scalar singleton kernel under the given executor, scattering
-/// results into `y`.
+/// results into `y`; `vals` are the short part's slot values.
 pub fn spmv_short1_with<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     x: &[S],
     y: &mut [S],
     probe: &mut P,
@@ -25,14 +26,15 @@ pub fn spmv_short1_with<S: Scalar, P: ShardableProbe>(
 ) {
     let shared = SharedSlice::new(y);
     exec.run(short1_warps(part), probe, |w, p| {
-        short1_warp(part, x, &shared, w, p)
+        short1_warp(part, vals, x, &shared, w, p)
     });
 }
 
 /// Warp body: warp `w`'s 32 threads each compute one singleton row's
 /// product.
 pub fn short1_warp<S: Scalar, P: Probe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     x: &[S],
     y: &SharedSlice<S>,
     w: usize,
@@ -62,7 +64,7 @@ pub fn short1_warp<S: Scalar, P: Probe>(
     probe.load_x(&xi[..n], S::BYTES);
     probe.fma(n as u64);
     for (lane, t) in (lo..hi).enumerate() {
-        let v = S::mul_to_acc(part.vals[part.off1() + t], x[xi[lane]]);
+        let v = S::mul_to_acc(vals[part.off1() + t], x[xi[lane]]);
         y.write(writes[lane], S::from_acc(v));
     }
     probe.san_write(space::Y, &writes[..n]);
@@ -88,11 +90,11 @@ mod tests {
         let csr = coo.to_csr();
         let rows: Vec<(u32, Vec<(u32, f64)>)> =
             (0..n).map(|r| (r as u32, csr.row(r).collect())).collect();
-        let part = ShortPart::build(rows);
+        let (part, vals) = ShortPart::build(rows);
         assert_eq!(part.n1, n);
         let x: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
         let mut y = vec![0.0f64; n];
-        spmv_short1_with(&part, &x, &mut y, &mut NoProbe, &Executor::seq());
+        spmv_short1_with(&part, &vals, &x, &mut y, &mut NoProbe, &Executor::seq());
         let want = csr.spmv_reference(&x);
         assert_eq!(y, want);
     }
@@ -106,11 +108,11 @@ mod tests {
         let csr = coo.to_csr();
         let rows: Vec<(u32, Vec<(u32, f64)>)> =
             (0..5).map(|r| (r as u32, csr.row(r).collect())).collect();
-        let part = ShortPart::build(rows);
+        let (part, vals) = ShortPart::build(rows);
         let x = vec![1.0f64; 5];
         let mut y = vec![0.0f64; 5];
         let mut probe = CountingProbe::a100();
-        spmv_short1_with(&part, &x, &mut y, &mut probe, &Executor::seq());
+        spmv_short1_with(&part, &vals, &x, &mut y, &mut probe, &Executor::seq());
         let s = probe.stats();
         assert_eq!(s.fma_ops, 5);
         assert_eq!(s.mma_ops, 0);

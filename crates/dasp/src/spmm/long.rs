@@ -25,8 +25,11 @@ use crate::kernels::load_block;
 /// Runs the two-phase long-rows SpMM under the given executor, scattering
 /// results into the panel-layout output slice `y` (`y_rows` rows). All
 /// phase-1 group warps complete before phase 2 starts, as on the device.
+/// `vals` are the part's slot values.
+#[allow(clippy::too_many_arguments)]
 pub fn spmm_long_with<S: Scalar, P: ShardableProbe>(
-    part: &LongPart<S>,
+    part: &LongPart,
+    vals: &[S],
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
     y_rows: usize,
@@ -43,7 +46,7 @@ pub fn spmm_long_with<S: Scalar, P: ShardableProbe>(
     {
         let wv = SharedSlice::new(&mut warp_val);
         exec.run(n_groups, probe, |g, p| {
-            spmm_long_phase1_warp(part, b, &wv, g, p)
+            spmm_long_phase1_warp(part, vals, b, &wv, g, p)
         });
     }
     exec.run(part.rows.len(), probe, |lr, p| {
@@ -55,7 +58,8 @@ pub fn spmm_long_with<S: Scalar, P: ShardableProbe>(
 /// every live column of every RHS panel, with the group's two A blocks
 /// loaded exactly once.
 pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
-    part: &LongPart<S>,
+    part: &LongPart,
+    vals: &[S],
     b: &DenseMat<S>,
     warp_val: &SharedSlice<S::Acc>,
     g: usize,
@@ -72,7 +76,7 @@ pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
         // The block's A values and column ids load once for *all* panels
         // — the full-width amortization over looped SpMV.
         probe.panel(None);
-        let block_a: [S; WARP_SIZE] = load_block(&part.vals, offset_a);
+        let block_a: [S; WARP_SIZE] = load_block(vals, offset_a);
         let cids = load_block(&part.cids, offset_a);
         probe.load_val(BLOCK_ELEMS as u64, S::BYTES);
         probe.load_idx(BLOCK_ELEMS as u64, 4);
@@ -143,7 +147,7 @@ pub fn spmm_long_phase1_warp<S: Scalar, P: Probe>(
 /// per live column of every RHS panel, loading the row's group extent
 /// once.
 pub fn spmm_long_phase2_warp<S: Scalar, P: Probe>(
-    part: &LongPart<S>,
+    part: &LongPart,
     b: &DenseMat<S>,
     warp_val: &[S::Acc],
     y: &SharedSlice<S>,

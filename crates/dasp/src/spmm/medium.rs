@@ -22,9 +22,13 @@ use crate::kernels::medium_warps;
 use crate::spmm::{extract_rows, PanelRes};
 
 /// Runs the medium-rows SpMM under the given executor, scattering results
-/// into the panel-layout output slice `y`.
+/// into the panel-layout output slice `y`; `reg` and `irreg` are the
+/// part's regular and irregular slot values.
+#[allow(clippy::too_many_arguments)]
 pub fn spmm_medium_with<S: Scalar, P: ShardableProbe>(
-    part: &MediumPart<S>,
+    part: &MediumPart,
+    reg: &[S],
+    irreg: &[S],
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
     y_rows: usize,
@@ -33,14 +37,17 @@ pub fn spmm_medium_with<S: Scalar, P: ShardableProbe>(
 ) {
     let n_warps = medium_warps(part);
     exec.run(n_warps, probe, |mw, p| {
-        spmm_medium_warp(part, b, y, y_rows, mw, p)
+        spmm_medium_warp(part, reg, irreg, b, y, y_rows, mw, p)
     });
 }
 
 /// Warp body: warp `mw` computes `LOOP_NUM` row-blocks, sweeping every
 /// RHS panel per A block while the fragment is register-resident.
+#[allow(clippy::too_many_arguments)]
 pub fn spmm_medium_warp<S: Scalar, P: Probe>(
-    part: &MediumPart<S>,
+    part: &MediumPart,
+    reg: &[S],
+    irreg: &[S],
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
     y_rows: usize,
@@ -77,7 +84,7 @@ pub fn spmm_medium_warp<S: Scalar, P: Probe>(
             // amortization. 8 masked-A issues per panel cover the 8
             // row-segments x up-to-8 columns.
             probe.panel(None);
-            let block_a: [S; WARP_SIZE] = load_block(&part.reg_val, offset_a);
+            let block_a: [S; WARP_SIZE] = load_block(reg, offset_a);
             let cids = load_block(&part.reg_cid, offset_a);
             probe.load_val(BLOCK_ELEMS as u64, S::BYTES);
             probe.load_idx(BLOCK_ELEMS as u64, 4);
@@ -135,7 +142,7 @@ pub fn spmm_medium_warp<S: Scalar, P: Probe>(
         }
         let (jlo, jhi) = (part.irreg_ptr[cur_row], part.irreg_ptr[cur_row + 1]);
         for e in jlo..jhi {
-            let a = part.irreg_val[e];
+            let a = irreg[e];
             let c = part.irreg_cid[e] as usize;
             for panel in 0..panels {
                 probe.panel(Some(panel));

@@ -211,7 +211,7 @@ impl<S: Scalar> DaspMatrix<S> {
             return;
         }
         use crate::consts::WARPS_PER_BLOCK;
-        let wpb = WARPS_PER_BLOCK as u64;
+        let (wpb, v) = (WARPS_PER_BLOCK as u64, &self.vals);
         let y_rows = self.rows;
         let y_slice = SharedSlice::new(y.data_mut());
         if self.long.num_groups() > 0 {
@@ -223,7 +223,7 @@ impl<S: Scalar> DaspMatrix<S> {
             // its A block register-resident, so the grid does not scale
             // with the panel count.
             probe.kernel_launch(self.long.num_groups().div_ceil(WARPS_PER_BLOCK) as u64, wpb);
-            spmm_long_with(&self.long, b, &y_slice, y_rows, probe, exec);
+            spmm_long_with(&self.long, &v.long, b, &y_slice, y_rows, probe, exec);
             sp.set_stats(probe.stats_snapshot().delta(&before));
         }
         if !self.medium.rows.is_empty() {
@@ -233,7 +233,16 @@ impl<S: Scalar> DaspMatrix<S> {
             let before = probe.stats_snapshot();
             let warps = medium_warps(&self.medium);
             probe.kernel_launch(warps.div_ceil(WARPS_PER_BLOCK) as u64, wpb);
-            spmm_medium_with(&self.medium, b, &y_slice, y_rows, probe, exec);
+            spmm_medium_with(
+                &self.medium,
+                &v.reg,
+                &v.irreg,
+                b,
+                &y_slice,
+                y_rows,
+                probe,
+                exec,
+            );
             sp.set_stats(probe.stats_snapshot().delta(&before));
         }
         let short_warps = self.short.launch_warps();
@@ -244,9 +253,18 @@ impl<S: Scalar> DaspMatrix<S> {
             let before = probe.stats_snapshot();
             probe.kernel_launch(short_warps.div_ceil(WARPS_PER_BLOCK) as u64, wpb);
             for piecing in Piecing::ALL {
-                spmm_pieced_with(&self.short, piecing, b, &y_slice, y_rows, probe, exec);
+                spmm_pieced_with(
+                    &self.short,
+                    &v.short,
+                    piecing,
+                    b,
+                    &y_slice,
+                    y_rows,
+                    probe,
+                    exec,
+                );
             }
-            spmm_short1_with(&self.short, b, &y_slice, y_rows, probe, exec);
+            spmm_short1_with(&self.short, &v.short, b, &y_slice, y_rows, probe, exec);
             sp.set_stats(probe.stats_snapshot().delta(&before));
         }
         root.set_stats(probe.stats_snapshot().delta(&run_before));

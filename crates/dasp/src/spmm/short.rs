@@ -22,9 +22,12 @@ use crate::format::{Piecing, ShortPart, NO_ROW};
 use crate::kernels::{load_block, short1_warps};
 use crate::spmm::{extract_rows, PanelRes};
 
-/// Runs one short section's SpMM under the given executor.
+/// Runs one short section's SpMM under the given executor; `vals` are the
+/// short part's slot values.
+#[allow(clippy::too_many_arguments)]
 pub fn spmm_pieced_with<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     piecing: Piecing,
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
@@ -33,7 +36,7 @@ pub fn spmm_pieced_with<S: Scalar, P: ShardableProbe>(
     exec: &Executor,
 ) {
     exec.run(piecing.warps(part), probe, |w, p| {
-        pieced_warp(part, piecing, b, y, y_rows, w, p)
+        pieced_warp(part, vals, piecing, b, y, y_rows, w, p)
     });
 }
 
@@ -41,7 +44,8 @@ pub fn spmm_pieced_with<S: Scalar, P: ShardableProbe>(
 /// every RHS panel, writing 32 permuted output slots per panel.
 #[allow(clippy::too_many_arguments)]
 fn pieced_warp<S: Scalar, P: Probe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     piecing: Piecing,
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
@@ -52,16 +56,17 @@ fn pieced_warp<S: Scalar, P: Probe>(
     // The body is inlined once per piecing: with the piecing a constant,
     // the pass loops unroll into a fixed four-pass sequence.
     match piecing {
-        Piecing::OneThree => pass_masked(part, Piecing::OneThree, b, y, y_rows, w, probe),
-        Piecing::Four => pass_masked(part, Piecing::Four, b, y, y_rows, w, probe),
-        Piecing::TwoTwo => pass_masked(part, Piecing::TwoTwo, b, y, y_rows, w, probe),
+        Piecing::OneThree => pass_masked(part, vals, Piecing::OneThree, b, y, y_rows, w, probe),
+        Piecing::Four => pass_masked(part, vals, Piecing::Four, b, y, y_rows, w, probe),
+        Piecing::TwoTwo => pass_masked(part, vals, Piecing::TwoTwo, b, y, y_rows, w, probe),
     }
 }
 
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn pass_masked<S: Scalar, P: Probe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     piecing: Piecing,
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
@@ -91,7 +96,7 @@ fn pass_masked<S: Scalar, P: Probe>(
             // and every piece — and stay in registers.
             let offset = piecing.block_offset(part, w, block);
             probe.panel(None);
-            block_a = load_block(&part.vals, offset);
+            block_a = load_block(vals, offset);
             cids = load_block(&part.cids, offset);
             probe.load_val(BLOCK_ELEMS as u64, S::BYTES);
             probe.load_idx(BLOCK_ELEMS as u64, 4);
@@ -139,9 +144,11 @@ fn pass_masked<S: Scalar, P: Probe>(
     probe.warp_end(w);
 }
 
-/// Runs the scalar singleton SpMM under the given executor.
+/// Runs the scalar singleton SpMM under the given executor; `vals` are the
+/// short part's slot values.
 pub fn spmm_short1_with<S: Scalar, P: ShardableProbe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
     y_rows: usize,
@@ -150,15 +157,17 @@ pub fn spmm_short1_with<S: Scalar, P: ShardableProbe>(
 ) {
     let n_warps = short1_warps(part);
     exec.run(n_warps, probe, |w, p| {
-        spmm_short1_warp(part, b, y, y_rows, w, p)
+        spmm_short1_warp(part, vals, b, y, y_rows, w, p)
     });
 }
 
 /// Warp body: each of the warp's 32 threads computes one singleton row's
 /// products — the row's value and index load once, then one multiply per
 /// live column of every RHS panel.
+#[allow(clippy::too_many_arguments)]
 pub fn spmm_short1_warp<S: Scalar, P: Probe>(
-    part: &ShortPart<S>,
+    part: &ShortPart,
+    vals: &[S],
     b: &DenseMat<S>,
     y: &SharedSlice<S>,
     y_rows: usize,
@@ -190,7 +199,7 @@ pub fn spmm_short1_warp<S: Scalar, P: Probe>(
             let w_p = b.panel_width(panel);
             let bp = b.panel(panel);
             for jj in 0..w_p {
-                let v = S::mul_to_acc(part.vals[e], bp[c * w_p + jj]);
+                let v = S::mul_to_acc(vals[e], bp[c * w_p + jj]);
                 xb.push(probe, b.lin_index(panel, c, jj));
                 let idx = panel * y_rows * PANEL_WIDTH + row * w_p + jj;
                 y.write(idx, S::from_acc(v));

@@ -106,7 +106,7 @@ impl<S: Scalar> DaspMatrix<S> {
         // *category* (plus the dependent long-rows reduction pass), so the
         // four short sub-kernels share a single launch.
         use crate::consts::WARPS_PER_BLOCK;
-        let wpb = WARPS_PER_BLOCK as u64;
+        let (wpb, v) = (WARPS_PER_BLOCK as u64, &self.vals);
         if self.long.num_groups() > 0 {
             let mut sp = root.child("spmv.kernel.long");
             sp.add_arg("groups", self.long.num_groups());
@@ -114,7 +114,7 @@ impl<S: Scalar> DaspMatrix<S> {
             // Algorithm 2 is one kernel: the warpVal reduction runs after a
             // grid-wide sync rather than as a second launch.
             probe.kernel_launch(self.long.num_groups().div_ceil(WARPS_PER_BLOCK) as u64, wpb);
-            spmv_long_with(&self.long, x, y, probe, exec);
+            spmv_long_with(&self.long, &v.long, x, y, probe, exec);
             sp.set_stats(probe.stats_snapshot().delta(&before));
         }
         if !self.medium.rows.is_empty() {
@@ -123,7 +123,7 @@ impl<S: Scalar> DaspMatrix<S> {
             let before = probe.stats_snapshot();
             let warps = medium_warps(&self.medium);
             probe.kernel_launch(warps.div_ceil(WARPS_PER_BLOCK) as u64, wpb);
-            spmv_medium_with(&self.medium, x, y, probe, exec);
+            spmv_medium_with(&self.medium, &v.reg, &v.irreg, x, y, probe, exec);
             sp.set_stats(probe.stats_snapshot().delta(&before));
         }
         let short_warps = self.short.launch_warps();
@@ -137,13 +137,13 @@ impl<S: Scalar> DaspMatrix<S> {
                     // block/warp counts land in this span's delta.
                     probe.kernel_launch(short_warps.div_ceil(WARPS_PER_BLOCK) as u64, wpb);
                 }
-                spmv_pieced_with(&self.short, piecing, x, y, probe, exec);
+                spmv_pieced_with(&self.short, &v.short, piecing, x, y, probe, exec);
                 sp.set_stats(probe.stats_snapshot().delta(&before));
             }
             let mut sp = root.child("spmv.kernel.short1");
             sp.add_arg("rows", self.short.n1);
             let before = probe.stats_snapshot();
-            spmv_short1_with(&self.short, x, y, probe, exec);
+            spmv_short1_with(&self.short, &v.short, x, y, probe, exec);
             sp.set_stats(probe.stats_snapshot().delta(&before));
         }
         root.set_stats(probe.stats_snapshot().delta(&run_before));

@@ -210,6 +210,30 @@ fn plan_with_shrunk_cols_header_is_rejected() {
 }
 
 #[test]
+fn plan_trailer_with_another_column_is_a_plan_mismatch() {
+    // The trailer's pattern stays valid on its own, but it no longer
+    // equals the matrix's: the reader must keep the two apart and report
+    // the mismatch, not share either pattern.
+    let mut bytes = blob();
+    let trailer = bytes.len() - plan_blob().len();
+    assert_eq!(&bytes[trailer..trailer + 8], b"DASPPLN1");
+    let long_rows = trailer + 8 + 7 * 8; // magic + header
+    let long_cids = skip_array(&bytes, skip_array(&bytes, long_rows, 4), 8);
+    let first = long_cids + 8;
+    assert_eq!(
+        bytes[first..first + 4],
+        0u32.to_le_bytes(),
+        "long row's first column"
+    );
+    bytes[first..first + 4].copy_from_slice(&79u32.to_le_bytes());
+    match DaspMatrix::<f64>::read_from(&mut &bytes[..]) {
+        Err(SerError::Invalid(v)) => assert_eq!(v.invariant, Invariant::PlanMatch, "{v}"),
+        Err(e) => panic!("expected a plan mismatch, got {e}"),
+        Ok(_) => panic!("a mismatched plan trailer decoded Ok"),
+    }
+}
+
+#[test]
 fn plan_with_a_row_in_two_categories_is_rejected() {
     // Give the first medium row the long row's id: a matrix filled from
     // this plan would have two warps write one y element.

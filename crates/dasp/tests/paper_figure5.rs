@@ -78,8 +78,8 @@ fn long_rows_are_grouped_in_64s_with_padding() {
     let d = DaspMatrix::with_params(&figure5_like(), params());
     // 17 and 12 nonzeros -> one 64-element group each, zero padded.
     assert_eq!(d.long.group_ptr, vec![0, 1, 2]);
-    assert_eq!(d.long.vals.len(), 128);
-    let pad = d.long.vals.iter().filter(|&&v| v == 0.0).count();
+    assert_eq!(d.vals.long.len(), 128);
+    let pad = d.vals.long.iter().filter(|&&v| v == 0.0).count();
     assert_eq!(pad, 128 - 17 - 12);
 }
 

@@ -207,7 +207,7 @@ fn reorder_flag_round_trips_through_matrix_and_plan_serialization() {
         let mut pbuf = Vec::new();
         plan.write_to(&mut pbuf).unwrap();
         let pback = DaspPlan::read_from(&mut pbuf.as_slice()).unwrap();
-        assert_eq!(pback.params().reorder, reorder, "plan header lost flag");
+        assert_eq!(pback.params.reorder, reorder, "plan header lost flag");
         // The round-tripped plan refills to the same matrix, permutation
         // included.
         let refilled = pback.fill(&csr);

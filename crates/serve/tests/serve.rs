@@ -338,7 +338,7 @@ fn registration_rejects_invalid_plans_and_keeps_serving() {
     // A structurally broken matrix: its nnz no longer partitions across
     // the categories.
     let mut broken = DaspMatrix::from_csr(&dasp_matgen::banded(32, 1, 3, 2));
-    broken.nnz += 1;
+    std::sync::Arc::make_mut(&mut broken.pattern).nnz += 1;
     let err = server.register_matrix("broken", broken).unwrap_err();
     match &err {
         ServeError::Rejected(RejectReason::InvalidPlan { detail }) => {

@@ -75,7 +75,7 @@ fn rich_matrix_verifies_clean() {
 fn ptr_monotone_violation_is_flagged() {
     let mut m = rich_matrix();
     // A decreasing group_ptr step mis-sizes every subsequent long row.
-    m.long.group_ptr[1] += 2;
+    Arc::make_mut(&mut m.pattern).long.group_ptr[1] += 2;
     assert!(flags(&m, Invariant::PtrMonotone) > 0);
 }
 
@@ -84,8 +84,9 @@ fn ptr_stride_violation_is_flagged() {
     let mut m = rich_matrix();
     // Regular medium extents must step in whole 32-element blocks or the
     // MMA loop would read a partial block.
-    let last = m.medium.rowblock_ptr.len() - 1;
-    m.medium.rowblock_ptr[last] += 1;
+    let p = Arc::make_mut(&mut m.pattern);
+    let last = p.medium.rowblock_ptr.len() - 1;
+    p.medium.rowblock_ptr[last] += 1;
     let r = verify_matrix(&m);
     assert!(r.count(Invariant::PtrMonotone) > 0 || r.count(Invariant::LenConsistency) > 0);
 }
@@ -94,7 +95,7 @@ fn ptr_stride_violation_is_flagged() {
 fn len_consistency_violation_is_flagged() {
     let mut m = rich_matrix();
     // Long values must stay 64-element group aligned.
-    m.long.vals.pop();
+    m.vals.long.pop();
     assert!(flags(&m, Invariant::LenConsistency) > 0);
 }
 
@@ -103,7 +104,7 @@ fn short_offset_violation_is_flagged() {
     let mut m = rich_matrix();
     // The len-4 section's end, where 2&2 starts, points mid-region: the
     // 2&2 kernel would read misaligned packed rows.
-    m.short.ends[1] += 4;
+    Arc::make_mut(&mut m.pattern).short.ends[1] += 4;
     assert!(flags(&m, Invariant::LenConsistency) > 0);
 }
 
@@ -112,7 +113,7 @@ fn payload_size_violation_is_flagged() {
     let mut m = rich_matrix();
     // An extra cid with no paired value desynchronizes the val/cid
     // streams for every later element.
-    m.short.cids.push(0);
+    Arc::make_mut(&mut m.pattern).short.cids.push(0);
     assert!(flags(&m, Invariant::PayloadSize) > 0);
 }
 
@@ -120,7 +121,8 @@ fn payload_size_violation_is_flagged() {
 fn cid_range_violation_is_flagged() {
     let mut m = rich_matrix();
     // An out-of-range cid is an out-of-bounds x gather in every kernel.
-    m.long.cids[0] = m.cols as u32;
+    let p = Arc::make_mut(&mut m.pattern);
+    p.long.cids[0] = p.cols as u32;
     assert!(flags(&m, Invariant::CidRange) > 0);
 }
 
@@ -128,7 +130,8 @@ fn cid_range_violation_is_flagged() {
 fn row_range_violation_is_flagged() {
     let mut m = rich_matrix();
     // An out-of-range row id is an out-of-bounds y scatter.
-    m.medium.rows[0] = m.rows as u32;
+    let p = Arc::make_mut(&mut m.pattern);
+    p.medium.rows[0] = p.rows as u32;
     assert!(flags(&m, Invariant::RowRange) > 0);
 }
 
@@ -136,7 +139,8 @@ fn row_range_violation_is_flagged() {
 fn row_partition_violation_is_flagged() {
     let mut m = rich_matrix();
     // The same row in two category slots double-writes y (lost update).
-    m.medium.rows[0] = m.long.rows[0];
+    let p = Arc::make_mut(&mut m.pattern);
+    p.medium.rows[0] = p.long.rows[0];
     assert!(flags(&m, Invariant::RowPartition) > 0);
 }
 
@@ -145,16 +149,17 @@ fn nnz_partition_violation_is_flagged() {
     let mut m = rich_matrix();
     // A wrong header nnz breaks the kernels' early-return gate and every
     // refresh length check.
-    m.nnz += 1;
+    Arc::make_mut(&mut m.pattern).nnz += 1;
     assert!(flags(&m, Invariant::NnzPartition) > 0);
 }
 
 #[test]
 fn exhaustive_report_collects_multiple_classes_in_one_pass() {
     let mut m = rich_matrix();
-    m.long.cids[0] = m.cols as u32;
-    m.medium.rows[0] = m.rows as u32;
-    m.nnz += 1;
+    let p = Arc::make_mut(&mut m.pattern);
+    p.long.cids[0] = p.cols as u32;
+    p.medium.rows[0] = p.rows as u32;
+    p.nnz += 1;
     let r = verify_matrix(&m);
     assert!(r.count(Invariant::CidRange) > 0);
     assert!(r.count(Invariant::RowRange) > 0);
@@ -178,7 +183,7 @@ fn plan_match_violation_is_flagged() {
     let mut m = planned_matrix();
     // The matrix pattern drifts from its attached plan: refresh would
     // scatter values into the wrong slots.
-    m.long.cids[0] ^= 1;
+    Arc::make_mut(&mut m.pattern).long.cids[0] ^= 1;
     let r = verify_matrix(&m);
     assert!(r.count(Invariant::PlanMatch) > 0, "{r}");
 }
@@ -188,7 +193,8 @@ fn reorder_flag_violation_is_flagged() {
     let mut m = planned_matrix();
     // FLAG_REORDER must round-trip consistently between the plan and the
     // matrix params, or a cache hit would serve a differently-ordered plan.
-    m.params.reorder = !m.params.reorder;
+    let p = Arc::make_mut(&mut m.pattern);
+    p.params.reorder = !p.params.reorder;
     let r = verify_matrix(&m);
     assert!(r.count(Invariant::ReorderFlag) > 0, "{r}");
 }
@@ -218,7 +224,8 @@ fn verify_full_composes_both_layers() {
     assert!(r.is_clean(), "{r}");
 
     let mut bad = planned_matrix();
-    bad.long.cids[0] = bad.cols as u32;
+    let p = Arc::make_mut(&mut bad.pattern);
+    p.long.cids[0] = p.cols as u32;
     let r = verify_full(&bad);
     assert!(r.count(Invariant::CidRange) > 0);
 }

@@ -3,6 +3,8 @@
 //! serialization round-trip — verifies clean, and single-field mutations
 //! of each invariant are rejected, by the verifier and by the reader.
 
+use std::sync::Arc;
+
 use dasp_core::consts::DaspParams;
 use dasp_core::format::DaspMatrix;
 use dasp_core::DaspPlan;
@@ -91,49 +93,54 @@ proptest! {
 
         // One planted violation per invariant class; structure-dependent
         // cases fall through to an always-available mutation when the
-        // random matrix lacks the needed category.
+        // random matrix lacks the needed category. Pattern mutations go
+        // through `Arc::make_mut`, which unshares the plan's pattern.
         let expected = match which {
             0 if m.long.group_ptr.len() > 1 => {
                 // Zeroing the step breaks strict monotonicity regardless
                 // of the surrounding values (a `+= 1` could legally shift
                 // a group boundary instead).
-                m.long.group_ptr[1] = 0;
+                Arc::make_mut(&mut m.pattern).long.group_ptr[1] = 0;
                 Invariant::PtrMonotone
             }
-            1 if !m.long.vals.is_empty() => {
-                m.long.vals.pop();
+            1 if !m.vals.long.is_empty() => {
+                m.vals.long.pop();
                 Invariant::LenConsistency
             }
             2 => {
-                m.short.cids.push(0);
+                Arc::make_mut(&mut m.pattern).short.cids.push(0);
                 Invariant::PayloadSize
             }
             3 if !m.medium.reg_cid.is_empty() => {
-                m.medium.reg_cid[0] = m.cols as u32;
+                let p = Arc::make_mut(&mut m.pattern);
+                p.medium.reg_cid[0] = p.cols as u32;
                 Invariant::CidRange
             }
             4 if !m.medium.rows.is_empty() => {
-                m.medium.rows[0] = m.rows as u32;
+                let p = Arc::make_mut(&mut m.pattern);
+                p.medium.rows[0] = p.rows as u32;
                 Invariant::RowRange
             }
             5 if m.medium.rows.len() > 1 => {
-                m.medium.rows[0] = m.medium.rows[1];
+                let p = Arc::make_mut(&mut m.pattern);
+                p.medium.rows[0] = p.medium.rows[1];
                 Invariant::RowPartition
             }
             6 => {
-                m.nnz += 1;
+                Arc::make_mut(&mut m.pattern).nnz += 1;
                 Invariant::NnzPartition
             }
             7 if !m.long.cids.is_empty() => {
-                m.long.cids[0] ^= 1;
+                Arc::make_mut(&mut m.pattern).long.cids[0] ^= 1;
                 Invariant::PlanMatch
             }
             8 => {
-                m.params.reorder = !m.params.reorder;
+                let p = Arc::make_mut(&mut m.pattern);
+                p.params.reorder = !p.params.reorder;
                 Invariant::ReorderFlag
             }
             _ => {
-                m.nnz += 1;
+                Arc::make_mut(&mut m.pattern).nnz += 1;
                 Invariant::NnzPartition
             }
         };

@@ -34,13 +34,13 @@ fn inspect(name: &str, csr: &Csr<f64>) {
     println!(
         "  long part:   {} groups of 64 ({} stored elems)",
         d.long.num_groups(),
-        d.long.vals.len()
+        d.vals.long.len()
     );
     println!(
         "  medium part: {} row-blocks, {} regular elems + {} irregular",
         d.medium.num_rowblocks(),
-        d.medium.reg_val.len(),
-        d.medium.irreg_val.len()
+        d.vals.reg.len(),
+        d.vals.irreg.len()
     );
     println!(
         "  short part:  {} x 1&3-warps, {} x len4-warps, {} x 2&2-warps, {} singles",
@@ -63,11 +63,11 @@ fn inspect(name: &str, csr: &Csr<f64>) {
                 ..DaspParams::default()
             },
         );
-        let total = dt.medium.reg_val.len() + dt.medium.irreg_val.len();
+        let total = dt.vals.reg.len() + dt.vals.irreg.len();
         let share = if total == 0 {
             0.0
         } else {
-            dt.medium.reg_val.len() as f64 / total as f64
+            dt.vals.reg.len() as f64 / total as f64
         };
         print!("  {th:.2} -> {:.0}%", share * 100.0);
     }
